@@ -50,6 +50,19 @@ impl std::fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
+impl From<TransportError> for ClientError {
+    fn from(e: TransportError) -> ClientError {
+        match e {
+            // A backlogged ("slow") peer is handled like a dead one for
+            // now; the transport's `net.backlog_drops` tells them apart.
+            TransportError::PeerUnreachable(a) | TransportError::Backlogged(a) => {
+                ClientError::Unreachable(a)
+            }
+            TransportError::Closed => ClientError::Closed,
+        }
+    }
+}
+
 type Pending = Arc<Mutex<HashMap<u64, mpsc::Sender<Response>>>>;
 
 /// One in-flight request submitted with [`WireClient::submit`].
@@ -250,10 +263,7 @@ impl<T: Transport> WireClient<T> {
         let start = Instant::now();
         if let Err(e) = self.transport.send_traced(node, &msg, trace) {
             self.pending.lock().remove(&req_id);
-            return Err(match e {
-                TransportError::PeerUnreachable(a) => ClientError::Unreachable(a),
-                TransportError::Closed => ClientError::Closed,
-            });
+            return Err(e.into());
         }
         Ok(PendingReply {
             rx,
@@ -275,11 +285,7 @@ impl<T: Transport> WireClient<T> {
             from: self.transport.local_addr(),
             body,
         };
-        match self.transport.send(node, &msg) {
-            Ok(()) => Ok(()),
-            Err(TransportError::PeerUnreachable(a)) => Err(ClientError::Unreachable(a)),
-            Err(TransportError::Closed) => Err(ClientError::Closed),
-        }
+        self.transport.send(node, &msg).map_err(ClientError::from)
     }
 
     /// Stops the dispatcher and shuts the transport down. Idempotent;

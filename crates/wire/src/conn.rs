@@ -1,8 +1,8 @@
 //! Per-connection read/write state machines for the reactor.
 //!
 //! The poller thread ([`crate::reactor`]) owns every socket of a
-//! transport and drives each one through a small state machine instead
-//! of parking a thread on it:
+//! transport and, whenever `ppoll(2)` reports one ready, drives it
+//! through a small state machine instead of parking a thread on it:
 //!
 //! - [`InboundConn`] accumulates bytes across readiness events and
 //!   decodes complete frames. A frame may arrive split across
@@ -12,78 +12,30 @@
 //! - [`OutboundConn`] owns the *carry buffer* for writes the socket
 //!   would not accept in one go: when the kernel send buffer fills
 //!   (`WouldBlock` mid-batch), the unwritten suffix stays in the carry
-//!   and is retried on later poll iterations, so a stalled peer never
-//!   blocks the poller thread — it merely stops consuming its own
-//!   pending queue until the carry drains.
+//!   and the poller asks for writability (`POLLOUT`) until it drains,
+//!   so a stalled peer never blocks the poller thread — it merely
+//!   stops consuming its own pending queue.
 //!
-//! Both halves also keep a [`ScanClock`]: without epoll, the poller
-//! discovers readiness by polling each socket with a nonblocking
-//! syscall, and the clock decays the per-connection scan rate
-//! exponentially while a connection is idle (fresh and recently-active
-//! connections are scanned every iteration; long-idle ones at the
-//! configured cap). This keeps the syscall budget of a process with
-//! thousands of idle connections bounded while hot connections stay at
-//! minimum latency.
+//! Both are generic over the byte stream (`io::Read` / `io::Write`): a
+//! nonblocking `TcpStream` in production, and in `tests/conn_script.rs`
+//! a script of short reads, `WouldBlock`s, short writes and resets.
 
 use crate::codec::{self, HEADER_LEN};
 use crate::metrics::NetMetrics;
 use crate::reactor::Delivery;
 use d2_ring::messages::Addr;
 use std::io::{self, Read, Write};
-use std::net::TcpStream;
 use std::sync::mpsc;
 
-/// What one pump or flush pass observed on a connection.
+/// What one read pass left a connection in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConnState {
-    /// Bytes moved: the connection is hot, scan it again immediately.
-    Active,
-    /// Nothing to do right now (the socket returned `WouldBlock`).
-    Idle,
+    /// Drained to `WouldBlock`; wait for the next readiness event.
+    Open,
     /// The connection is dead — EOF, a hard IO error, or protocol
     /// garbage (the stream cannot be resynchronized) — and must be
     /// dropped by the caller.
     Closed,
-}
-
-/// Exponential-decay scan schedule for one connection.
-///
-/// `due` gates how often the poller spends a syscall probing this
-/// socket: every iteration while the connection is active, backing off
-/// ×2 per idle probe up to the configured cap. Any activity snaps the
-/// schedule back to hot.
-#[derive(Clone, Copy, Debug)]
-pub struct ScanClock {
-    next_us: u64,
-    backoff_us: u64,
-}
-
-impl ScanClock {
-    /// A hot clock: due immediately.
-    pub fn hot() -> ScanClock {
-        ScanClock {
-            next_us: 0,
-            backoff_us: 0,
-        }
-    }
-
-    /// Whether this connection should be probed at time `now_us`.
-    pub fn due(&self, now_us: u64) -> bool {
-        now_us >= self.next_us
-    }
-
-    /// Records the outcome of a probe at `now_us`: activity resets the
-    /// schedule to hot; idleness doubles the backoff from `floor_us` up
-    /// to `cap_us`.
-    pub fn record(&mut self, state: ConnState, now_us: u64, floor_us: u64, cap_us: u64) {
-        match state {
-            ConnState::Active => *self = ScanClock::hot(),
-            _ => {
-                self.backoff_us = (self.backoff_us * 2).clamp(floor_us.max(1), cap_us.max(1));
-                self.next_us = now_us + self.backoff_us;
-            }
-        }
-    }
 }
 
 /// Encoded-but-unsent frames for one peer, appended by senders under a
@@ -100,27 +52,29 @@ pub struct PendingFrames {
 }
 
 /// The read state machine for one accepted connection.
-pub struct InboundConn {
-    stream: TcpStream,
+pub struct InboundConn<S> {
+    stream: S,
     dst: Addr,
     /// Unconsumed tail of the byte stream: bytes after the last
     /// complete frame boundary, carried across readiness events.
     buf: Vec<u8>,
-    /// Scan schedule (public so the poller can gate and update it).
-    pub scan: ScanClock,
 }
 
-impl InboundConn {
+impl<S: Read> InboundConn<S> {
     /// Wraps a freshly accepted nonblocking stream. `dst` is the local
     /// address the remote dialed (packed), used by the poller as the
     /// demux key selecting which endpoint mailbox receives the frames.
-    pub fn new(stream: TcpStream, dst: Addr) -> InboundConn {
+    pub fn new(stream: S, dst: Addr) -> InboundConn<S> {
         InboundConn {
             stream,
             dst,
             buf: Vec::new(),
-            scan: ScanClock::hot(),
         }
+    }
+
+    /// The underlying stream (the poller needs its descriptor).
+    pub fn stream(&self) -> &S {
+        &self.stream
     }
 
     /// The packed local address the remote dialed — which virtual
@@ -131,37 +85,28 @@ impl InboundConn {
 
     /// Reads everything currently available (into `scratch`, a shared
     /// read buffer), decodes every complete frame, and delivers each to
-    /// `tx` (frames for an unregistered endpoint are decoded and
-    /// dropped when `tx` is `None`). Returns [`ConnState::Closed`] on
-    /// EOF, IO error, or a malformed frame — a byte stream cannot be
-    /// resynchronized after garbage, so the connection is the unit of
-    /// protocol failure, exactly as in the threaded transport.
+    /// `tx` (`None`: an unregistered endpoint, decode and drop). Returns
+    /// [`ConnState::Closed`] on EOF, IO error, or a malformed frame — a
+    /// byte stream cannot be resynchronized after garbage.
     pub fn pump(
         &mut self,
         scratch: &mut [u8],
         tx: Option<&mpsc::Sender<Delivery>>,
         metrics: &NetMetrics,
     ) -> ConnState {
-        let mut moved = false;
         loop {
             match self.stream.read(scratch) {
                 Ok(0) => return ConnState::Closed,
                 Ok(n) => {
-                    moved = true;
                     self.buf.extend_from_slice(&scratch[..n]);
                     if self.decode_frames(tx, metrics).is_err() {
                         return ConnState::Closed;
                     }
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ConnState::Open,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return ConnState::Closed,
             }
-        }
-        if moved {
-            ConnState::Active
-        } else {
-            ConnState::Idle
         }
     }
 
@@ -177,30 +122,23 @@ impl InboundConn {
             let hdr: [u8; HEADER_LEN] = self.buf[off..off + HEADER_LEN]
                 .try_into()
                 .expect("slice is HEADER_LEN");
-            let (version, tag, len) = match codec::decode_header(&hdr) {
-                Ok(v) => v,
-                Err(_) => {
-                    metrics.decode_error();
-                    return Err(());
-                }
+            let Ok((version, tag, len)) = codec::decode_header(&hdr) else {
+                metrics.decode_error();
+                return Err(());
             };
             if self.buf.len() - off - HEADER_LEN < len {
                 break; // payload still in flight
             }
             let payload = &self.buf[off + HEADER_LEN..off + HEADER_LEN + len];
-            match codec::decode_payload(version, tag, payload) {
-                Ok((msg, trace)) => {
-                    metrics.frame_in(HEADER_LEN + len);
-                    if let Some(tx) = tx {
-                        // A dropped mailbox is the endpoint's problem,
-                        // not the connection's.
-                        let _ = tx.send((self.dst, msg, trace));
-                    }
-                }
-                Err(_) => {
-                    metrics.decode_error();
-                    return Err(());
-                }
+            let Ok((msg, trace)) = codec::decode_payload(version, tag, payload) else {
+                metrics.decode_error();
+                return Err(());
+            };
+            metrics.frame_in(HEADER_LEN + len);
+            if let Some(tx) = tx {
+                // A dropped mailbox is the endpoint's problem, not the
+                // connection's.
+                let _ = tx.send((self.dst, msg, trace));
             }
             off += HEADER_LEN + len;
         }
@@ -212,29 +150,30 @@ impl InboundConn {
 }
 
 /// The write state machine for one pooled outbound connection.
-pub struct OutboundConn {
-    stream: TcpStream,
+pub struct OutboundConn<S> {
+    stream: S,
     /// Carry buffer: a batch swapped out of the peer's pending queue,
     /// written as far as the socket allows. `off` marks how much of it
     /// has already reached the kernel.
     carry: Vec<u8>,
     off: usize,
     frames: u64,
-    /// Scan schedule for EOF probing (public so the poller can gate and
-    /// update it).
-    pub scan: ScanClock,
 }
 
-impl OutboundConn {
+impl<S: Read + Write> OutboundConn<S> {
     /// Wraps a freshly dialed nonblocking stream.
-    pub fn new(stream: TcpStream) -> OutboundConn {
+    pub fn new(stream: S) -> OutboundConn<S> {
         OutboundConn {
             stream,
             carry: Vec::new(),
             off: 0,
             frames: 0,
-            scan: ScanClock::hot(),
         }
+    }
+
+    /// The underlying stream (the poller needs its descriptor).
+    pub fn stream(&self) -> &S {
+        &self.stream
     }
 
     /// Whether a previous flush left unwritten bytes in the carry.
@@ -242,9 +181,8 @@ impl OutboundConn {
         self.off < self.carry.len()
     }
 
-    /// How many frames the carry currently holds (written or not) —
-    /// the reactor's drain accounting charges them off when the batch
-    /// completes or the connection dies.
+    /// How many frames the carry holds (written or not); the reactor's
+    /// drain ledger charges them off when the batch completes or dies.
     pub fn frames_in_carry(&self) -> u64 {
         self.frames
     }
@@ -265,8 +203,8 @@ impl OutboundConn {
     /// Returns `Ok(true)` when the whole batch drained (counting it
     /// into `metrics` — `net.msgs_out`/`net.bytes_out` therefore trail
     /// the syscalls slightly), `Ok(false)` when the kernel buffer
-    /// filled mid-batch (backlog retained for a later iteration), and
-    /// `Err` when the connection died.
+    /// filled mid-batch (backlog retained until the socket is writable
+    /// again), and `Err` when the connection died.
     pub fn flush(&mut self, metrics: &NetMetrics) -> io::Result<bool> {
         while self.has_backlog() {
             match self.stream.write(&self.carry[self.off..]) {
@@ -289,17 +227,16 @@ impl OutboundConn {
         Ok(true)
     }
 
-    /// Probes the read side of this outbound connection. Peers never
-    /// send data on connections they accepted (replies travel over the
-    /// peer's own outbound connection), so the only things to see here
-    /// are EOF and RST — early notice that the peer restarted or died,
-    /// letting the next send re-dial instead of writing into a corpse.
+    /// Drains the read side after a readiness event. Peers never send
+    /// on connections they accepted (replies travel over the peer's own
+    /// outbound connection), so all there is to see is EOF or RST:
+    /// early notice that the peer restarted or died.
     pub fn probe_eof(&mut self, scratch: &mut [u8]) -> ConnState {
         loop {
             match self.stream.read(scratch) {
                 Ok(0) => return ConnState::Closed,
                 Ok(_) => continue, // unexpected chatter; discard
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ConnState::Idle,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ConnState::Open,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return ConnState::Closed,
             }

@@ -16,7 +16,8 @@
 //!   `std::net` sockets with per-peer connection pooling and
 //!   reconnect-with-backoff (reusing [`d2_ring::RetryPolicy`]).
 //! - [`reactor`] / [`conn`] — the event loop under the TCP transport:
-//!   one poller thread per process drives every accept, read, and
+//!   one poller thread per process, blocked in `ppoll(2)` until a socket
+//!   or a sender's wake pipe is ready, drives every accept, read, and
 //!   buffered write through per-connection state machines, and a
 //!   [`TcpReactor`] can host many virtual endpoints (distinct loopback
 //!   IPs on one socket) — the substrate of `d2-node serve-many`.
@@ -26,8 +27,10 @@
 //!   `submit` → [`PendingReply`] handles share one `req_id` space, so a
 //!   caller can keep a whole window of requests in flight.
 //! - [`metrics`] — [`NetMetrics`]: `net.bytes_{in,out}`, `net.msgs`,
-//!   `net.reconnects`, `net.decode_errors` counters and per-message-type
-//!   RTT histograms, exported into [`d2_obs::Registry`] snapshots.
+//!   `net.reconnects`, `net.decode_errors`, `net.backlog_drops` and the
+//!   poller's `net.poller_wakeups` / `net.wake_writes` counters, plus
+//!   per-message-type RTT histograms, exported into
+//!   [`d2_obs::Registry`] snapshots.
 //!
 //! The point of the seam: `d2-net`'s deployment and node event loop are
 //! generic over [`Transport`], so the *same* protocol state machine that
@@ -35,13 +38,16 @@
 //! multi-process cluster over TCP.
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// One `unsafe` block in the whole crate: the `ppoll(2)` call in `sys`.
+#![deny(unsafe_code)]
 
 pub mod client;
 pub mod codec;
 pub mod conn;
 pub mod metrics;
 pub mod reactor;
+#[allow(unsafe_code)]
+mod sys;
 pub mod tcp;
 pub mod transport;
 

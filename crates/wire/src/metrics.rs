@@ -1,7 +1,7 @@
 //! Transport-level counters and RTT histograms, exported into
 //! [`d2_obs::Registry`] snapshots.
 
-use d2_obs::Registry;
+use d2_obs::{Histogram, Registry};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -12,7 +12,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 ///
 /// Counters are lock-free atomics (they sit on the per-frame path); the
 /// per-message-type RTT histograms live behind a mutex because they are
-/// touched once per client round trip, not per frame.
+/// touched once per client round trip, not per frame. They are keyed by
+/// the request type's static name, so recording allocates nothing; the
+/// exported `net.rtt_us.<type>` names are built at snapshot time.
 #[derive(Debug, Default)]
 pub struct NetMetrics {
     bytes_in: AtomicU64,
@@ -24,7 +26,11 @@ pub struct NetMetrics {
     orphan_responses: AtomicU64,
     loopback_msgs: AtomicU64,
     coalesced_frames: AtomicU64,
-    rtt: Mutex<Registry>,
+    backlog_drops: AtomicU64,
+    poller_wakeups: AtomicU64,
+    poller_ready_fds: AtomicU64,
+    wake_writes: AtomicU64,
+    rtt: Mutex<Vec<(&'static str, Histogram)>>,
 }
 
 impl NetMetrics {
@@ -85,16 +91,47 @@ impl NetMetrics {
         self.coalesced_frames.fetch_add(frames, Ordering::Relaxed);
     }
 
+    /// Records a send refused because the peer's pending queue was at
+    /// its byte cap: the peer is connected but not draining ("slow"),
+    /// as opposed to unreachable ("dead").
+    pub fn backlog_drop(&self) {
+        self.backlog_drops.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one return of the poller's `ppoll(2)` call that found
+    /// `ready_fds` descriptors ready (the wake pipe included).
+    pub fn poller_wakeup(&self, ready_fds: usize) {
+        self.poller_wakeups.fetch_add(1, Ordering::Relaxed);
+        self.poller_ready_fds
+            .fetch_add(ready_fds as u64, Ordering::Relaxed);
+    }
+
+    /// Records one byte written to the poller's wake pipe. A burst of
+    /// sends landing before the poller wakes shares a single write.
+    pub fn wake_write(&self) {
+        self.wake_writes.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Records one request round trip of `us` microseconds for the
     /// message type `name` (histogram `net.rtt_us.<name>`).
-    pub fn record_rtt(&self, name: &str, us: u64) {
-        self.rtt.lock().observe(&format!("net.rtt_us.{name}"), us);
+    pub fn record_rtt(&self, name: &'static str, us: u64) {
+        let mut rtt = self.rtt.lock();
+        // A handful of request types: a scan beats hashing.
+        match rtt.iter_mut().find(|(n, _)| *n == name) {
+            Some((_, h)) => h.record(us),
+            None => {
+                let mut h = Histogram::new();
+                h.record(us);
+                rtt.push((name, h));
+            }
+        }
     }
 
     /// Folds the current totals into `reg`: `net.bytes_{in,out}`,
     /// `net.msgs` (plus the in/out split), `net.reconnects`,
-    /// `net.decode_errors`, and one `net.rtt_us.<type>` histogram per
-    /// message type observed.
+    /// `net.decode_errors`, `net.backlog_drops`, the poller's
+    /// `net.poller_wakeups` / `net.poller_ready_fds` / `net.wake_writes`,
+    /// and one `net.rtt_us.<type>` histogram per message type observed.
     pub fn snapshot_into(&self, reg: &mut Registry) {
         let (bi, bo) = (
             self.bytes_in.load(Ordering::Relaxed),
@@ -126,7 +163,22 @@ impl NetMetrics {
             "net.coalesced_frames",
             self.coalesced_frames.load(Ordering::Relaxed),
         );
-        reg.merge(&self.rtt.lock());
+        reg.add(
+            "net.backlog_drops",
+            self.backlog_drops.load(Ordering::Relaxed),
+        );
+        reg.add(
+            "net.poller_wakeups",
+            self.poller_wakeups.load(Ordering::Relaxed),
+        );
+        reg.add(
+            "net.poller_ready_fds",
+            self.poller_ready_fds.load(Ordering::Relaxed),
+        );
+        reg.add("net.wake_writes", self.wake_writes.load(Ordering::Relaxed));
+        for (name, h) in self.rtt.lock().iter() {
+            reg.merge_histogram(&format!("net.rtt_us.{name}"), h);
+        }
     }
 
     /// The current totals as a fresh registry.
@@ -154,6 +206,10 @@ mod tests {
         m.loopback_msg();
         m.loopback_msg();
         m.coalesced_write(3);
+        m.backlog_drop();
+        m.poller_wakeup(2);
+        m.poller_wakeup(1);
+        m.wake_write();
         let reg = m.snapshot();
         assert_eq!(reg.counter("net.bytes_in"), 128);
         assert_eq!(reg.counter("net.bytes_out"), 64);
@@ -162,6 +218,10 @@ mod tests {
         assert_eq!(reg.counter("net.orphan_responses"), 1);
         assert_eq!(reg.counter("net.loopback_msgs"), 2);
         assert_eq!(reg.counter("net.coalesced_frames"), 3);
+        assert_eq!(reg.counter("net.backlog_drops"), 1);
+        assert_eq!(reg.counter("net.poller_wakeups"), 2);
+        assert_eq!(reg.counter("net.poller_ready_fds"), 3);
+        assert_eq!(reg.counter("net.wake_writes"), 1);
         assert_eq!(reg.histogram("net.rtt_us.lookup").unwrap().count(), 2);
     }
 }

@@ -1,7 +1,6 @@
 //! The event-loop core of the TCP transport: one poller thread per
 //! [`TcpReactor`] drives every accept, read, and buffered write the
-//! process owns, replacing the acceptor-plus-reader-per-connection
-//! thread model. Total thread count is O(1) per process instead of
+//! process owns. Total thread count is O(1) per process, not
 //! O(connections) — the property that lets one machine host a
 //! 1,000-node cluster (`d2-node serve-many`).
 //!
@@ -11,18 +10,17 @@
 //! virtual transport addresses sharing the one socket. `TcpTransport`
 //! (the common case) is a reactor with exactly one endpoint; `d2-node
 //! serve-many` opens one endpoint per hosted node, each a distinct
-//! loopback IP on the shared port ([`crate::tcp::pack_addr`] keeps
-//! addresses bijective, so ring messages need no directory). Inbound
-//! demux is free: the accepted socket's *local* address is whatever IP
-//! the remote dialed, which names the endpoint.
+//! loopback IP on the shared port. Inbound demux is free: the accepted
+//! socket's *local* address is whatever IP the remote dialed, which
+//! names the endpoint.
 //!
 //! ## Send path
 //!
 //! Senders never touch a socket. A send encodes the frame into the
 //! peer's pending queue (the PR 7 combining-lock buffer), marks the
-//! peer dirty, and unparks the poller, which swaps whole batches into
-//! the connection's carry buffer and writes them with single syscalls.
-//! Two exceptions stay on the sender's thread, on purpose:
+//! peer dirty, and wakes the poller, which on the next flush tick swaps
+//! whole batches into the connection's carry buffer and writes them
+//! with single syscalls. Two exceptions stay on the sender's thread:
 //!
 //! - **Dialing.** The first send to a disconnected peer performs the
 //!   blocking `connect_timeout` inline and only hands the established
@@ -40,40 +38,59 @@
 //! exactly as TCP itself may lose kernel-buffered bytes; every protocol
 //! layer above already tolerates message loss. A peer that stops
 //! draining its socket is bounded by `max_pending_bytes`: further sends
-//! fail fast with `PeerUnreachable` instead of buffering without limit.
+//! fail fast with `Backlogged` instead of buffering without limit.
 //!
-//! ## Readiness without epoll
+//! ## Readiness
 //!
-//! The poller discovers readiness by nonblocking probes, not epoll —
-//! the crate is dependency-free `std` by design. Each connection's
-//! [`ScanClock`](crate::conn::ScanClock) decays its probe rate
-//! exponentially while idle (hot
-//! connections are probed every iteration), keeping the syscall budget
-//! bounded with thousands of mostly-idle connections. The loop parks
-//! for `poll_interval` when an iteration moves no bytes and is unparked
-//! early by any sender, so the write path never waits for a tick.
+//! The poller blocks in one `ppoll(2)` call (`sys.rs`, the crate's
+//! single `unsafe` block) over the listener, every inbound socket,
+//! every outbound socket (`POLLIN` for EOF/RST notice, plus `POLLOUT`
+//! only while its carry holds a backlog) and the read end of a *wake
+//! pipe*. Reads, accepts and backlog drains happen the moment the
+//! kernel reports them, and an idle reactor makes zero syscalls.
+//!
+//! Senders wake the poller by writing one byte to the pipe, guarded by
+//! a "wake already pending" flag so a burst of sends costs one write.
+//! No wake is lost because the poller clears the flag *before* it
+//! drains the `dirty`/`adopted` lists: a sender that finds the flag
+//! still set published its work before the drain began; one that finds
+//! it clear writes a byte that ends the next `ppoll`.
+//!
+//! ## Flush tick
+//!
+//! Dirty peers are flushed on the next multiple of [`FLUSH_TICK`] on
+//! the wall clock (the `ppoll` timeout, armed only while a peer is
+//! dirty), not the moment the poller wakes. Frames queued within a tick
+//! share one write, and a hop costs a fixed tick instead of however
+//! long the scheduler takes to wake three threads in a row — which on a
+//! shared two-core guest moved a window-1 op between 140 µs and 1.6 ms
+//! with thread placement. Processes on one host tick in phase, so a
+//! request flushed on tick *k* is answered on tick *k+1* whenever the
+//! far side needs less than a tick; across hosts a hop waits half a
+//! tick on average, noise beside a WAN round trip.
 
 use crate::codec::WireMsg;
 use crate::conn::{ConnState, InboundConn, OutboundConn, PendingFrames};
 use crate::metrics::NetMetrics;
+use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use crate::tcp::{pack_addr, TcpConfig};
 use crate::transport::{RecvError, Transport, TransportError};
 use d2_obs::TraceCtx;
 use d2_ring::messages::Addr;
 use parking_lot::{Mutex, RwLock};
 use std::collections::HashMap;
-use std::io;
+use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
+use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
 /// One delivered message: the (packed) local address it arrived for —
-/// which virtual endpoint — plus the message and its trace context.
-/// Endpoints opened with a private mailbox receive exactly their own
-/// address; a shared queue (`open_with_queue`) sees every co-hosted
-/// node's traffic and routes by this field.
+/// which virtual endpoint — plus the message and its trace context. A
+/// shared queue (`open_with_queue`) routes by the address.
 pub type Delivery = (Addr, WireMsg, TraceCtx);
 
 /// One peer's outbound state: the pending queue senders append encoded
@@ -83,24 +100,20 @@ pub type Delivery = (Addr, WireMsg, TraceCtx);
 struct PeerSlot {
     pending: Mutex<PendingFrames>,
     link: Mutex<PeerLink>,
-    /// Breaker deadline in µs since the reactor epoch; 0 = closed.
-    /// Authoritative copy is `PeerLink::retry_at`.
+    /// Mirror of `PeerLink::retry_at` in µs since the epoch; 0 = closed.
     retry_at_us: AtomicU64,
     /// True while this peer sits in the poller's dirty list, so a burst
     /// of sends enqueues it once, not once per frame.
     queued: AtomicBool,
 }
 
-/// Dial/breaker state for one peer. `connected` means an established
-/// stream for this peer is either staged for adoption or owned by the
-/// poller; it says nothing about the peer still being alive.
+/// Dial/breaker state for one peer. `connected`: an established stream
+/// is staged for adoption or owned by the poller (alive or not).
 #[derive(Default)]
 struct PeerLink {
     connected: bool,
-    /// Whether this peer was ever successfully dialed — a later
-    /// successful dial is then a *re*connect (`net.reconnects`), even
-    /// when the old connection ended with a clean EOF rather than a
-    /// dial failure.
+    /// Whether this peer was ever dialed successfully: a later dial
+    /// is then a *re*connect (`net.reconnects`), even after a clean EOF.
     ever_connected: bool,
     failures: u32,
     retry_at: Option<Instant>,
@@ -113,8 +126,11 @@ struct Shared {
     epoch: Instant,
     shutdown: AtomicBool,
     metrics: Arc<NetMetrics>,
-    /// The poller's thread handle, for sender-side unpark.
-    poller: Mutex<Option<std::thread::Thread>>,
+    /// Write end of the wake pipe; the poller polls the read end.
+    wake_tx: UnixStream,
+    /// Set by the sender that writes the wake byte, cleared by the
+    /// poller before it drains: a burst of sends costs one write.
+    wake_pending: AtomicBool,
     poller_join: Mutex<Option<JoinHandle<()>>>,
     /// Registered endpoints: packed virtual address → mailbox.
     endpoints: RwLock<HashMap<Addr, mpsc::Sender<Delivery>>>,
@@ -126,9 +142,8 @@ struct Shared {
     /// Streams dialed by senders, awaiting poller adoption.
     adopted: Mutex<Vec<(Addr, TcpStream)>>,
     /// Frames accepted by `send_from` but not yet written to a socket
-    /// (or dropped with a dead connection). Lets [`TcpReactor::shutdown`]
-    /// drain in-flight replies — e.g. the ShutdownAck a node queues
-    /// right before closing its transport — instead of killing them.
+    /// (or dropped with a dead connection): what
+    /// [`TcpReactor::shutdown`] waits on to drain in-flight replies.
     unsent: AtomicU64,
 }
 
@@ -137,9 +152,21 @@ impl Shared {
         at.saturating_duration_since(self.epoch).as_micros() as u64
     }
 
+    /// A peer's slot, if it was ever sent to. A function, so the map
+    /// lock is released before the caller does anything with the slot.
+    fn slot(&self, addr: Addr) -> Option<Arc<PeerSlot>> {
+        self.pool.lock().get(&addr).cloned()
+    }
+
+    /// Ends the poller's `ppoll(2)` call. Callers publish their work
+    /// (`dirty`, `adopted`, `shutdown`) first: the swap pairs with the
+    /// poller's swap-to-false, which precedes its drain.
     fn wake_poller(&self) {
-        if let Some(t) = &*self.poller.lock() {
-            t.unpark();
+        if !self.wake_pending.swap(true, Ordering::SeqCst) {
+            // At most one byte per armed flag, so the pipe never fills
+            // and a failed write has nothing to retry.
+            let _ = (&self.wake_tx).write(&[1]);
+            self.metrics.wake_write();
         }
     }
 
@@ -187,10 +214,9 @@ impl Shared {
         {
             let mut q = slot.pending.lock();
             if q.buf.len() >= self.cfg.max_pending_bytes {
-                // The peer has stopped draining its socket; bound the
-                // queue instead of buffering without limit. Callers
-                // treat this like any other unreachable peer.
-                return Err(TransportError::PeerUnreachable(to));
+                // The peer has stopped draining its socket.
+                self.metrics.backlog_drop();
+                return Err(TransportError::Backlogged(to));
             }
             q.frames += 1;
             crate::codec::encode_traced_into(&mut q.buf, msg, trace);
@@ -251,19 +277,16 @@ impl TcpReactor {
     /// Binds a listener on `listen_ip:port` (port 0 picks a free port)
     /// and starts the poller thread. Binding `0.0.0.0` accepts dials to
     /// *any* local IP on the port — required for virtual endpoints on
-    /// distinct loopback addresses (the whole `127/8` block routes
-    /// locally on Linux).
+    /// distinct loopback addresses (Linux routes all of `127/8` locally).
     pub fn bind(
         listen_ip: Ipv4Addr,
         port: u16,
         cfg: TcpConfig,
         metrics: Arc<NetMetrics>,
     ) -> io::Result<TcpReactor> {
-        // Even with port 0 (kernel-assigned, collision-free by design)
-        // the bind can transiently fail with AddrInUse when the
-        // ephemeral range is briefly exhausted by TIME_WAIT sockets —
-        // multi-process test clusters churn through hundreds of
-        // connections. Retry the rare race instead of failing the node.
+        // Even port 0 can transiently fail with AddrInUse while
+        // TIME_WAIT sockets exhaust the ephemeral range (multi-process
+        // test clusters churn through hundreds of connections): retry.
         let mut attempt: u64 = 0;
         let listener = loop {
             match TcpListener::bind(SocketAddrV4::new(listen_ip, port)) {
@@ -276,6 +299,9 @@ impl TcpReactor {
             }
         };
         listener.set_nonblocking(true)?;
+        let (wake_tx, wake_rx) = UnixStream::pair()?;
+        wake_tx.set_nonblocking(true)?;
+        wake_rx.set_nonblocking(true)?;
         let bound = match listener.local_addr()? {
             SocketAddr::V4(v4) => v4,
             SocketAddr::V6(_) => {
@@ -291,7 +317,8 @@ impl TcpReactor {
             epoch: Instant::now(),
             shutdown: AtomicBool::new(false),
             metrics,
-            poller: Mutex::new(None),
+            wake_tx,
+            wake_pending: AtomicBool::new(false),
             poller_join: Mutex::new(None),
             endpoints: RwLock::new(HashMap::new()),
             pool: Mutex::new(HashMap::new()),
@@ -303,7 +330,7 @@ impl TcpReactor {
             let shared = Arc::clone(&shared);
             std::thread::Builder::new()
                 .name("d2-poller".into())
-                .spawn(move || poll_loop(listener, shared))?
+                .spawn(move || poll_loop(listener, wake_rx, shared))?
         };
         *shared.poller_join.lock() = Some(handle);
         Ok(TcpReactor { shared })
@@ -329,8 +356,7 @@ impl TcpReactor {
     /// Opens an endpoint at `ip` delivering into a caller-supplied
     /// shared queue — the many-nodes multiplexer feeds every hosted
     /// node from one queue and routes by the [`Delivery`] address. The
-    /// returned endpoint's own `recv_timeout` always reports `Closed`;
-    /// receive from the shared queue instead.
+    /// endpoint's own `recv_timeout` always reports `Closed`.
     pub fn open_with_queue(
         &self,
         ip: Ipv4Addr,
@@ -363,17 +389,14 @@ impl TcpReactor {
 
     /// Stops the reactor: drains queued outbound frames (bounded), joins
     /// the poller, closes every socket, and wakes all endpoint receivers
-    /// (their mailboxes disconnect). Idempotent.
-    ///
-    /// The drain matters for graceful stops: a node queues its
-    /// ShutdownAck and closes its transport immediately after, and the
-    /// reply must reach the socket before the poller dies. Frames stuck
-    /// behind a stalled peer are abandoned when the window closes.
+    /// (their mailboxes disconnect). Idempotent. The drain is for
+    /// graceful stops: a node queues its ShutdownAck and closes its
+    /// transport right after; frames stuck behind a stalled peer are
+    /// abandoned when the window closes.
     pub fn shutdown(&self) {
         if !self.shared.shutdown.load(Ordering::Acquire) {
             let deadline = Instant::now() + Duration::from_millis(500);
             while self.shared.unsent.load(Ordering::Acquire) != 0 && Instant::now() < deadline {
-                self.shared.wake_poller();
                 std::thread::sleep(Duration::from_micros(200));
             }
         }
@@ -398,9 +421,8 @@ impl Drop for TcpReactor {
 
 /// One virtual transport address on a [`TcpReactor`]. Implements
 /// [`Transport`], so a `NodeRuntime` runs over an endpoint exactly as
-/// it runs over a whole `TcpTransport` — co-hosted endpoints reach each
-/// other over the loopback fast path, everyone else over the shared
-/// socket.
+/// over a whole `TcpTransport` — co-hosted endpoints reach each other
+/// over the loopback fast path, everyone else over the shared socket.
 pub struct TcpEndpoint {
     shared: Arc<Shared>,
     me: Addr,
@@ -440,198 +462,207 @@ impl Transport for TcpEndpoint {
     }
 }
 
-/// The poller: owns the listener and every connection, loops over
-/// adopt → accept → flush-dirty → retry-backlog → scan-reads, and
-/// parks for `poll_interval` when an iteration moves nothing.
-fn poll_loop(listener: TcpListener, shared: Arc<Shared>) {
-    *shared.poller.lock() = Some(std::thread::current());
-    let floor_us = shared.cfg.poll_interval.as_micros() as u64;
-    let cap_us = (shared.cfg.idle_scan_cap.as_micros() as u64).max(floor_us);
-    let mut inbound: Vec<InboundConn> = Vec::new();
-    let mut outbound: HashMap<Addr, OutboundConn> = HashMap::new();
-    let mut blocked: Vec<Addr> = Vec::new();
-    let mut dead: Vec<Addr> = Vec::new();
+/// Queued frames leave on wall-clock multiples of this (module docs).
+/// Well above what a hop's thread hand-offs cost on a busy two-core
+/// guest, or ops miss ticks at random (DESIGN.md §15.1.1 has the sums).
+pub const FLUSH_TICK: Duration = Duration::from_micros(500);
+
+/// The next flush tick. The wall clock is the one clock every process
+/// on the host shares; a step in it only shifts the phase once.
+fn next_tick() -> Instant {
+    let tick = FLUSH_TICK.as_nanos();
+    let wall = SystemTime::now().duration_since(UNIX_EPOCH);
+    let into = wall.map_or(0, |d| d.as_nanos() % tick);
+    Instant::now() + Duration::from_nanos((tick - into) as u64)
+}
+
+fn pollfd(io: &impl AsRawFd, events: i16) -> PollFd {
+    PollFd {
+        fd: io.as_raw_fd(),
+        events,
+        revents: 0,
+    }
+}
+
+/// The poller: owns the listener and every connection. Each iteration
+/// blocks in `ppoll(2)` until something is ready or the flush tick is
+/// due, then handles the wake pipe (adopt dialed streams, collect dirty
+/// peers), the tick (flush them), readable inbound connections,
+/// outbound EOFs and drained backlogs, and new accepts.
+fn poll_loop(listener: TcpListener, mut wake_rx: UnixStream, shared: Arc<Shared>) {
+    let mut inbound: Vec<InboundConn<TcpStream>> = Vec::new();
+    let mut outbound: HashMap<Addr, OutboundConn<TcpStream>> = HashMap::new();
+    let mut fds: Vec<PollFd> = Vec::new();
+    // Outbound peers, in `fds` order (they follow the inbound ones).
+    let mut polled_out: Vec<Addr> = Vec::new();
+    let mut dirty: Vec<Addr> = Vec::new();
+    let mut flush_at: Option<Instant> = None;
     let mut scratch = vec![0u8; 64 * 1024];
     while !shared.shutdown.load(Ordering::Acquire) {
-        let now_us = shared.us_since_epoch(Instant::now());
-        let mut moved = false;
+        fds.clear();
+        fds.push(pollfd(&wake_rx, POLLIN));
+        fds.push(pollfd(&listener, POLLIN));
+        fds.extend(inbound.iter().map(|c| pollfd(c.stream(), POLLIN)));
+        polled_out.clear();
+        for (&addr, conn) in &outbound {
+            polled_out.push(addr);
+            let writable = if conn.has_backlog() { POLLOUT } else { 0 };
+            fds.push(pollfd(conn.stream(), POLLIN | writable));
+        }
+        let timeout = flush_at.map(|at| at.saturating_duration_since(Instant::now()));
+        match sys::wait_ready(&mut fds, timeout) {
+            Ok(ready) => shared.metrics.poller_wakeup(ready),
+            Err(_) => {
+                // Out of kernel memory; nothing was polled.
+                std::thread::sleep(Duration::from_millis(1));
+                continue;
+            }
+        }
 
-        // Adopt streams dialed by senders since the last pass.
+        if fds[0].revents != 0 {
+            // A few bytes at most: one read empties the pipe.
+            let _ = wake_rx.read(&mut scratch);
+        }
+        // Clear the flag before draining (see `wake_poller`), and take
+        // `dirty` before `adopted`: a sender stages its dialed stream
+        // before it marks the peer dirty, so every dirty peer's
+        // connection is adopted by the time it is flushed.
+        shared.wake_pending.swap(false, Ordering::SeqCst);
+        dirty.append(&mut shared.dirty.lock());
         for (addr, stream) in shared.adopted.lock().drain(..) {
             outbound.insert(addr, OutboundConn::new(stream));
-            moved = true;
         }
-
-        // Accept everything waiting on the listener.
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    let _ = stream.set_nonblocking(true);
-                    let dst = match stream.local_addr() {
-                        // The address the remote dialed names the
-                        // endpoint this connection is for.
-                        Ok(SocketAddr::V4(v4)) => pack_addr(v4),
-                        _ => continue,
-                    };
-                    inbound.push(InboundConn::new(stream, dst));
-                    moved = true;
+        // The first dirty peer arms the tick; everything dirty by the
+        // time it comes due shares the flush.
+        if !dirty.is_empty() && Instant::now() >= *flush_at.get_or_insert_with(next_tick) {
+            flush_at = None;
+            for addr in dirty.drain(..) {
+                if let Some(slot) = shared.slot(addr) {
+                    slot.queued.store(false, Ordering::Release);
+                    flush_peer(addr, &slot, &mut outbound, &shared);
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
             }
         }
 
-        // Flush peers with freshly queued frames.
-        let mut dirty = std::mem::take(&mut *shared.dirty.lock());
-        for addr in dirty.drain(..) {
-            let Some(slot) = shared.pool.lock().get(&addr).cloned() else {
+        // Readable inbound connections. Back to front, so `swap_remove`
+        // only ever moves a connection that was already visited.
+        let polled_in = inbound.len(); // accepts come last, below
+        for i in (0..polled_in).rev() {
+            if fds[2 + i].revents == 0 {
                 continue;
+            }
+            let tx = shared.endpoints.read().get(&inbound[i].dst()).cloned();
+            if inbound[i].pump(&mut scratch, tx.as_ref(), &shared.metrics) == ConnState::Closed {
+                inbound.swap_remove(i);
+            }
+        }
+
+        for (&addr, fd) in polled_out.iter().zip(&fds[2 + polled_in..]) {
+            let Some(conn) = outbound.get_mut(&addr) else {
+                continue; // died in the flush above
             };
-            slot.queued.store(false, Ordering::Release);
-            match flush_peer(addr, &slot, &mut outbound, &shared) {
-                FlushOutcome::Done => moved = true,
-                FlushOutcome::Backlog => {
-                    moved = true;
-                    if !blocked.contains(&addr) {
-                        blocked.push(addr);
-                    }
-                }
-                FlushOutcome::Dead => moved = true,
-                FlushOutcome::Missing => {
-                    // The stream is staged in `adopted` but we drained
-                    // that list before the sender pushed (or a sender
-                    // is mid-dial, holding the link lock); requeue for
-                    // the next pass. `try_lock` keeps the poller from
-                    // blocking behind a dial in progress.
-                    let maybe_connected = slot.link.try_lock().is_none_or(|l| l.connected);
-                    if maybe_connected && !slot.queued.swap(true, Ordering::AcqRel) {
-                        shared.dirty.lock().push(addr);
-                    }
+            // Anything but writability is the read side: EOF or RST —
+            // early notice that a peer restarted, so the next send
+            // re-dials instead of writing into a corpse.
+            if fd.revents & !POLLOUT != 0 && conn.probe_eof(&mut scratch) == ConnState::Closed {
+                // A graceful close is not a dial failure: no breaker,
+                // the next send dials fresh immediately.
+                drop_outbound(addr, &mut outbound, &shared, false);
+            } else if fd.revents & POLLOUT != 0 {
+                if let Some(slot) = shared.slot(addr) {
+                    flush_peer(addr, &slot, &mut outbound, &shared);
                 }
             }
         }
 
-        // Retry carries blocked on a full kernel buffer.
-        blocked.retain(|&addr| {
-            let Some(slot) = shared.pool.lock().get(&addr).cloned() else {
-                return false;
-            };
-            matches!(
-                flush_peer(addr, &slot, &mut outbound, &shared),
-                FlushOutcome::Backlog
-            )
-        });
-
-        // Scan inbound connections that are due.
-        let mut i = 0;
-        while i < inbound.len() {
-            if inbound[i].scan.due(now_us) {
-                let tx = shared.endpoints.read().get(&inbound[i].dst()).cloned();
-                let state = inbound[i].pump(&mut scratch, tx.as_ref(), &shared.metrics);
-                if state == ConnState::Closed {
-                    inbound.swap_remove(i);
-                    continue;
-                }
-                moved |= state == ConnState::Active;
-                inbound[i].scan.record(state, now_us, floor_us, cap_us);
-            }
-            i += 1;
-        }
-
-        // Probe outbound connections for EOF/RST — early notice that a
-        // peer restarted, so the next send re-dials instead of writing
-        // into a corpse.
-        dead.clear();
-        for (&addr, conn) in outbound.iter_mut() {
-            if conn.scan.due(now_us) && !conn.has_backlog() {
-                let state = conn.probe_eof(&mut scratch);
-                if state == ConnState::Closed {
-                    dead.push(addr);
-                } else {
-                    conn.scan.record(state, now_us, floor_us, cap_us);
-                }
-            }
-        }
-        for addr in dead.drain(..) {
-            outbound.remove(&addr);
-            if let Some(slot) = shared.pool.lock().get(&addr).cloned() {
-                // A graceful close is not a dial failure: mark the link
-                // down without opening the breaker, so the next send
-                // dials fresh immediately.
-                if let Some(mut link) = slot.link.try_lock() {
-                    link.connected = false;
-                }
-                shared.clear_pending(&slot);
-            }
-        }
-
-        if moved {
-            // Stay hot through a burst; yield so node threads on a
-            // saturated box still get the core.
-            std::thread::yield_now();
-        } else {
-            std::thread::park_timeout(shared.cfg.poll_interval);
+        if fds[1].revents != 0 {
+            accept_all(&listener, &mut inbound);
         }
     }
 }
 
-enum FlushOutcome {
-    /// Pending queue drained to the socket.
-    Done,
-    /// Kernel buffer full; carry retained for a later pass.
-    Backlog,
-    /// The connection died mid-write (breaker opened, batch lost).
-    Dead,
-    /// No adopted connection for this peer (yet).
-    Missing,
+/// Accepts everything waiting on the listener.
+fn accept_all(listener: &TcpListener, inbound: &mut Vec<InboundConn<TcpStream>>) {
+    loop {
+        match listener.accept() {
+            Ok((stream, _)) => {
+                let _ = stream.set_nonblocking(true);
+                // The address the remote dialed names the endpoint.
+                if let Ok(SocketAddr::V4(v4)) = stream.local_addr() {
+                    inbound.push(InboundConn::new(stream, pack_addr(v4)));
+                }
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+            Err(_) => {
+                // Out of descriptors: the listener stays readable, so
+                // pause instead of spinning through `ppoll`.
+                std::thread::sleep(Duration::from_millis(1));
+                return;
+            }
+        }
+    }
 }
 
-/// Swap-and-write loop for one peer: repeatedly swaps the pending queue
-/// into the connection's carry and writes it, until the queue is
-/// observed empty or the socket pushes back.
+/// Forgets a dead outbound connection: whatever it carried or had
+/// queued dies with it, and the link is marked down so the next send
+/// re-dials — or, with `failed`, finds the breaker open and backs off.
+fn drop_outbound(
+    addr: Addr,
+    outbound: &mut HashMap<Addr, OutboundConn<TcpStream>>,
+    shared: &Shared,
+    failed: bool,
+) {
+    if let Some(conn) = outbound.remove(&addr) {
+        shared
+            .unsent
+            .fetch_sub(conn.frames_in_carry(), Ordering::AcqRel);
+    }
+    let Some(slot) = shared.slot(addr) else {
+        return;
+    };
+    // Never held across a dial here: senders only dial peers the
+    // poller holds no connection for.
+    let mut link = slot.link.lock();
+    link.connected = false;
+    if failed {
+        link.failures += 1;
+        shared.open_breaker(&slot, &mut link, Instant::now());
+    }
+    drop(link);
+    shared.clear_pending(&slot);
+}
+
+/// Swap-and-write loop for one peer: swaps the pending queue into the
+/// connection's carry and writes it, until the queue is observed empty
+/// or the socket pushes back (the backlog stays in the carry and the
+/// poll set asks for `POLLOUT`).
 fn flush_peer(
     addr: Addr,
     slot: &PeerSlot,
-    outbound: &mut HashMap<Addr, OutboundConn>,
+    outbound: &mut HashMap<Addr, OutboundConn<TcpStream>>,
     shared: &Shared,
-) -> FlushOutcome {
+) {
     let Some(conn) = outbound.get_mut(&addr) else {
-        return FlushOutcome::Missing;
+        return; // the connection died, and its queue with it
     };
     loop {
         if !conn.has_backlog() {
             let mut q = slot.pending.lock();
             if q.buf.is_empty() {
-                return FlushOutcome::Done;
+                return;
             }
             conn.load(&mut q);
         }
         let in_carry = conn.frames_in_carry();
         match conn.flush(&shared.metrics) {
-            Ok(true) => {
-                // The whole carry reached the kernel: charge those
-                // frames off the shutdown-drain ledger.
-                shared.unsent.fetch_sub(in_carry, Ordering::AcqRel);
-                continue; // batch drained; more may have queued
-            }
-            Ok(false) => return FlushOutcome::Backlog,
-            Err(_) => {
-                // The pooled connection died; the carried batch dies
-                // with it (TCP gives the same guarantee: a successful
-                // write only means the kernel buffered the bytes).
-                // Open the breaker so the next send backs off instead
-                // of re-dialing immediately.
-                shared.unsent.fetch_sub(in_carry, Ordering::AcqRel);
-                outbound.remove(&addr);
-                let now = Instant::now();
-                if let Some(mut link) = slot.link.try_lock() {
-                    link.connected = false;
-                    link.failures += 1;
-                    shared.open_breaker(slot, &mut link, now);
-                }
-                shared.clear_pending(slot);
-                return FlushOutcome::Dead;
-            }
-        }
+            // The whole carry reached the kernel: charge those frames
+            // off the shutdown-drain ledger; more may have queued.
+            Ok(true) => shared.unsent.fetch_sub(in_carry, Ordering::AcqRel),
+            Ok(false) => return,
+            // The pooled connection died and the carried batch with it
+            // (a successful write only ever meant "kernel-buffered");
+            // the breaker makes the next send back off, not re-dial.
+            Err(_) => return drop_outbound(addr, outbound, shared, true),
+        };
     }
 }

@@ -1,32 +1,29 @@
 //! Real TCP transport over `std::net`, event-loop edition.
 //!
 //! [`TcpTransport`] is the ordinary one-node-per-process transport: a
-//! [`TcpReactor`] (one poller thread driving every accept, read, and
-//! buffered write — see [`crate::reactor`] for the architecture) with a
-//! single registered endpoint. The per-connection reader threads of the
-//! original implementation are gone; total thread count per process is
-//! constant in the number of connections, which is what lets
-//! `d2-node serve-many` host a 1,000-node cluster in one process.
+//! [`TcpReactor`] (one poller thread blocked in `ppoll(2)`, driving
+//! every accept, read, and buffered write — see [`crate::reactor`] for
+//! the architecture) with a single registered endpoint. Thread count
+//! per process is constant in the number of connections, which is what
+//! lets `d2-node serve-many` host a 1,000-node cluster in one process.
 //!
-//! The combining-lock write path survives the rewrite: senders encode
-//! frames (zero-copy, via [`crate::codec::encode_traced_into`]) into a
-//! shared per-peer pending buffer; the poller drains whole batches with
-//! one `write` each, so a burst of small frames (acks, neighbor ads,
-//! metric scrapes) shares a syscall. So does the loss contract: once a
-//! send returns `Ok`, a later connection death takes the queued batch
-//! with it — the same guarantee TCP itself gives (`write` success only
-//! means the kernel buffered the bytes), and every D2 protocol layer
-//! already tolerates message loss. Dead peers still fail fast: dialing
-//! happens inline on the sender's thread (bounded by
-//! [`TcpConfig::connect_timeout`]), and a reconnect-backoff circuit
-//! breaker ([`d2_ring::RetryPolicy`]) rejects sends without touching
-//! the network while a peer is inside its backoff window.
+//! Sends are queued per peer and written by the poller in coalesced
+//! batches on a 500 µs flush tick; a queued frame can still be lost with
+//! its connection, as with TCP's own kernel buffers ([`crate::reactor`]
+//! has the contract and the tick's rationale).
+//! Dead peers fail fast: dialing happens inline on the sender's thread
+//! (bounded by [`TcpConfig::connect_timeout`]), and a reconnect-backoff
+//! circuit breaker ([`d2_ring::RetryPolicy`]) rejects sends without
+//! touching the network while a peer is inside its backoff window.
 //!
 //! Addresses need no directory: on IPv4 the logical [`Addr`] *is* the
 //! socket address, bijectively packed as `(ip << 16) | port` (48 bits,
-//! see [`pack_addr`]). Any peer mentioned in a ring message is therefore
-//! directly routable, exactly as slot indices are in the channel
-//! transport.
+//! see [`pack_addr`]), so any peer a ring message mentions is routable.
+//!
+//! The TCP transport is Linux-only: it calls `ppoll(2)` through a local
+//! declaration with 64-bit Linux's layouts (`sys.rs`, the crate's
+//! single `unsafe` block), and virtual endpoints rely on Linux routing
+//! all of `127/8` to loopback. The channel transport is portable.
 
 use crate::metrics::NetMetrics;
 use crate::reactor::{TcpEndpoint, TcpReactor};
@@ -40,9 +37,8 @@ use std::net::{Ipv4Addr, SocketAddrV4};
 use std::time::Duration;
 
 /// Packs an IPv4 socket address into a logical [`Addr`]:
-/// `(ip as u32) << 16 | port`. The mapping is a bijection, so ring
-/// messages can carry plain `Addr`s and every peer they mention is
-/// directly routable without a membership directory.
+/// `(ip as u32) << 16 | port`, a bijection, so every peer a ring
+/// message mentions is routable without a membership directory.
 pub fn pack_addr(sock: SocketAddrV4) -> Addr {
     const {
         assert!(
@@ -63,19 +59,9 @@ pub fn unpack_addr(addr: Addr) -> SocketAddrV4 {
 pub struct TcpConfig {
     /// How long a sender's inline dial waits for a connection attempt.
     pub connect_timeout: Duration,
-    /// How long the poller parks when an iteration moves no bytes (it
-    /// is unparked early by any send). Bounds the added latency of an
-    /// idle-to-active transition; smaller burns more idle CPU.
-    pub poll_interval: Duration,
-    /// Ceiling of the per-connection idle scan backoff: a connection
-    /// that has been silent this long is probed at most this often.
-    /// Bounds both the syscall budget of thousands of idle connections
-    /// and the extra latency of the first frame after a long silence.
-    pub idle_scan_cap: Duration,
-    /// Per-peer cap on queued-but-unsent bytes. When a peer stops
-    /// draining its socket and the backlog reaches this cap, further
-    /// sends fail fast with `PeerUnreachable` instead of buffering
-    /// without limit.
+    /// Per-peer cap on queued-but-unsent bytes: once a peer that stopped
+    /// draining its socket backs up this far, further sends fail fast
+    /// with `Backlogged` instead of buffering without limit.
     pub max_pending_bytes: usize,
     /// Reconnect backoff schedule, reusing the churn retry policy: after
     /// `n` consecutive failures the next attempt waits
@@ -88,8 +74,6 @@ impl Default for TcpConfig {
     fn default() -> Self {
         TcpConfig {
             connect_timeout: Duration::from_millis(250),
-            poll_interval: Duration::from_micros(200),
-            idle_scan_cap: Duration::from_millis(10),
             max_pending_bytes: 8 << 20,
             retry: RetryPolicy {
                 max_retries: u32::MAX, // reconnect forever; the breaker paces it
@@ -169,6 +153,10 @@ mod tests {
     use std::sync::Arc;
     use std::time::Instant;
 
+    fn bind(m: &Arc<NetMetrics>) -> TcpTransport {
+        TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, TcpConfig::default(), m.clone()).unwrap()
+    }
+
     fn msg(req_id: u64) -> WireMsg {
         WireMsg::Request {
             req_id,
@@ -208,10 +196,8 @@ mod tests {
     #[test]
     fn two_transports_exchange_frames() {
         let m = Arc::new(NetMetrics::new());
-        let a =
-            TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, TcpConfig::default(), m.clone()).unwrap();
-        let b =
-            TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, TcpConfig::default(), m.clone()).unwrap();
+        let a = bind(&m);
+        let b = bind(&m);
         a.send(b.local_addr(), &msg(1)).unwrap();
         let ctx = TraceCtx::root(0x5151).child(0x99);
         a.send_traced(b.local_addr(), &msg(2), ctx).unwrap();
@@ -241,8 +227,7 @@ mod tests {
     #[test]
     fn loopback_counts_separately_from_wire_traffic() {
         let m = Arc::new(NetMetrics::new());
-        let a =
-            TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, TcpConfig::default(), m.clone()).unwrap();
+        let a = bind(&m);
         a.send(a.local_addr(), &msg(7)).unwrap();
         a.send(a.local_addr(), &msg(8)).unwrap();
         assert_eq!(a.recv_timeout(Duration::from_secs(5)).unwrap().0, msg(7));
@@ -262,11 +247,8 @@ mod tests {
         const THREADS: usize = 8;
         const PER_THREAD: u64 = 50;
         let m = Arc::new(NetMetrics::new());
-        let a = Arc::new(
-            TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, TcpConfig::default(), m.clone()).unwrap(),
-        );
-        let b =
-            TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, TcpConfig::default(), m.clone()).unwrap();
+        let a = Arc::new(bind(&m));
+        let b = bind(&m);
         let to = b.local_addr();
         let handles: Vec<_> = (0..THREADS as u64)
             .map(|t| {
@@ -303,9 +285,8 @@ mod tests {
     #[test]
     fn dead_peer_fails_fast_and_backs_off() {
         let m = Arc::new(NetMetrics::new());
-        let a =
-            TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, TcpConfig::default(), m.clone()).unwrap();
-        let b = TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, TcpConfig::default(), m).unwrap();
+        let a = bind(&m);
+        let b = bind(&m);
         let dead = b.local_addr();
         b.shutdown();
         drop(b);
@@ -329,10 +310,8 @@ mod tests {
     #[test]
     fn reconnect_after_peer_restarts() {
         let m = Arc::new(NetMetrics::new());
-        let a =
-            TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, TcpConfig::default(), m.clone()).unwrap();
-        let b =
-            TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, TcpConfig::default(), m.clone()).unwrap();
+        let a = bind(&m);
+        let b = bind(&m);
         let b_sock = b.socket_addr();
         let b_addr = b.local_addr();
         a.send(b_addr, &msg(1)).unwrap();
@@ -363,14 +342,12 @@ mod tests {
     #[test]
     fn garbage_connection_is_dropped_not_fatal() {
         let m = Arc::new(NetMetrics::new());
-        let a =
-            TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, TcpConfig::default(), m.clone()).unwrap();
+        let a = bind(&m);
         let mut s = TcpStream::connect(SocketAddr::V4(a.socket_addr())).unwrap();
         s.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
         drop(s);
         // The garbage costs its connection; real traffic still flows.
-        let b =
-            TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, TcpConfig::default(), m.clone()).unwrap();
+        let b = bind(&m);
         b.send(a.local_addr(), &msg(9)).unwrap();
         assert_eq!(a.recv_timeout(Duration::from_secs(5)).unwrap().0, msg(9));
         assert!(wait_counter(&m, "net.decode_errors", 1) >= 1);
@@ -382,11 +359,9 @@ mod tests {
     fn partial_frames_across_readiness_events() {
         // A frame trickling in a few bytes per readiness event must be
         // reassembled intact: TCP guarantees nothing about boundaries,
-        // and the reactor's read state machine carries the tail across
-        // poll iterations.
+        // and the read state machine carries the tail across wake-ups.
         let m = Arc::new(NetMetrics::new());
-        let a =
-            TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, TcpConfig::default(), m.clone()).unwrap();
+        let a = bind(&m);
         let ctx = TraceCtx::root(0x7777).child(3);
         let bytes = codec::encode_traced(&msg(42), ctx);
         let mut s = TcpStream::connect(SocketAddr::V4(a.socket_addr())).unwrap();
@@ -394,9 +369,10 @@ mod tests {
         for chunk in bytes.chunks(3) {
             s.write_all(chunk).unwrap();
             s.flush().unwrap();
-            // Longer than the idle scan cap, so the poller sees many
-            // separate readiness events, not one buffered blob.
-            std::thread::sleep(Duration::from_millis(12));
+            // Every write makes the socket readable and wakes the
+            // poller; the pause lets it drain each chunk as its own
+            // readiness event instead of one buffered blob.
+            std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(
             a.recv_timeout(Duration::from_secs(5)).unwrap(),
@@ -413,16 +389,17 @@ mod tests {
 
     #[test]
     fn write_backpressure_fails_fast_when_peer_stalls() {
-        // A peer that accepts but never reads: once the kernel buffer
+        // A peer that accepts but does not read: once the kernel buffer
         // and the bounded pending queue fill, sends must fail fast with
-        // PeerUnreachable instead of buffering without limit (or
-        // blocking the sender).
+        // Backlogged instead of buffering without limit (or blocking
+        // the sender). When the peer starts reading again, POLLOUT
+        // alone drains the backlog — no further send needed.
         let stall = std::net::TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
         let stall_addr = pack_addr(match stall.local_addr().unwrap() {
             SocketAddr::V4(v4) => v4,
             _ => unreachable!(),
         });
-        let _held: std::sync::mpsc::Receiver<TcpStream> = {
+        let held: std::sync::mpsc::Receiver<TcpStream> = {
             let (tx, rx) = std::sync::mpsc::channel();
             std::thread::spawn(move || {
                 // Hold accepted sockets open without reading them.
@@ -439,7 +416,7 @@ mod tests {
             ..TcpConfig::default()
         };
         let m = Arc::new(NetMetrics::new());
-        let a = TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, cfg, m).unwrap();
+        let a = TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, cfg, m.clone()).unwrap();
         let big = WireMsg::Request {
             req_id: 1,
             from: 1,
@@ -450,32 +427,45 @@ mod tests {
                 data: vec![0xD2; 32 << 10],
             },
         };
+        let mut accepted = 0;
         let mut saw_backpressure = false;
         for _ in 0..4096 {
             match a.send(stall_addr, &big) {
-                Ok(()) => {}
-                Err(TransportError::PeerUnreachable(_)) => {
-                    saw_backpressure = true;
-                    break;
+                Ok(()) => accepted += 1,
+                Err(TransportError::Backlogged(to)) => {
+                    // A poller that is merely behind the sender trips
+                    // the cap too; a stalled peer still does so after
+                    // the poller had time to catch up.
+                    std::thread::sleep(Duration::from_millis(10));
+                    match a.send(stall_addr, &big) {
+                        Ok(()) => accepted += 1,
+                        Err(e) => {
+                            assert_eq!(e, TransportError::Backlogged(to));
+                            saw_backpressure = true;
+                            break;
+                        }
+                    }
                 }
                 Err(e) => panic!("unexpected error: {e:?}"),
             }
         }
         assert!(saw_backpressure, "stalled peer never triggered the cap");
+        assert!(m.snapshot().counter("net.backlog_drops") >= 2);
+        assert!(m.snapshot().counter("net.msgs_out") < accepted);
+        let mut peer = held.recv_timeout(Duration::from_secs(5)).unwrap();
+        std::thread::spawn(move || std::io::copy(&mut peer, &mut std::io::sink()));
+        assert_eq!(wait_counter(&m, "net.msgs_out", accepted), accepted);
         a.shutdown();
     }
 
     #[test]
     fn survives_peer_reconnect_storm() {
-        // Connection churn regression: a peer that restarts on the same
-        // port over and over must never wedge the sender's transport —
-        // each generation reconnects and delivers.
+        // Connection churn regression: a peer restarting on the same port
+        // over and over must never wedge the sender's transport.
         let m = Arc::new(NetMetrics::new());
-        let a =
-            TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, TcpConfig::default(), m.clone()).unwrap();
+        let a = bind(&m);
         // Pin a port by binding once, then reuse it each generation.
-        let b0 =
-            TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, TcpConfig::default(), m.clone()).unwrap();
+        let b0 = bind(&m);
         let b_sock = b0.socket_addr();
         let b_addr = b0.local_addr();
         drop(b0);

@@ -24,6 +24,10 @@ pub enum TransportError {
     /// The destination is not reachable right now (dead, refused, or in
     /// reconnect backoff). Callers should treat the peer as suspect.
     PeerUnreachable(Addr),
+    /// The destination is connected but not draining: its bounded send
+    /// queue is full and this message was dropped. "Peer slow", not
+    /// "peer dead" — though a peer that stays slow is as good as dead.
+    Backlogged(Addr),
     /// This transport has been shut down.
     Closed,
 }
@@ -32,6 +36,7 @@ impl std::fmt::Display for TransportError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             TransportError::PeerUnreachable(a) => write!(f, "peer {a} unreachable"),
+            TransportError::Backlogged(a) => write!(f, "peer {a} backlogged"),
             TransportError::Closed => write!(f, "transport closed"),
         }
     }

@@ -1,0 +1,211 @@
+//! Behaviour of the readiness loop itself, through the public
+//! transport API: no idle floor after silence (a round trip costs its
+//! two flush ticks and no more), a burst shares one tick's write, no
+//! lost wake-ups under racing senders, and no wake-ups at all when
+//! nothing happens.
+
+use d2_wire::codec::Request;
+use d2_wire::{NetMetrics, TcpConfig, TcpTransport, Transport, WireMsg};
+use std::net::Ipv4Addr;
+use std::sync::{Arc, Barrier};
+use std::time::{Duration, Instant};
+
+fn bind(metrics: &Arc<NetMetrics>) -> TcpTransport {
+    TcpTransport::bind(
+        Ipv4Addr::LOCALHOST,
+        0,
+        TcpConfig::default(),
+        Arc::clone(metrics),
+    )
+    .unwrap()
+}
+
+fn msg(req_id: u64) -> WireMsg {
+    WireMsg::Request {
+        req_id,
+        from: 1,
+        body: Request::Status,
+    }
+}
+
+fn req_id(m: &WireMsg) -> u64 {
+    match m {
+        WireMsg::Request { req_id, .. } => *req_id,
+        other => panic!("unexpected message {other:?}"),
+    }
+}
+
+#[test]
+fn idle_then_active_has_no_latency_floor() {
+    let m = Arc::new(NetMetrics::new());
+    let a = bind(&m);
+    let b = Arc::new(bind(&m));
+    let to_a = a.local_addr();
+    let echo = {
+        let b = Arc::clone(&b);
+        std::thread::spawn(move || {
+            while let Ok((got, _)) = b.recv_timeout(Duration::from_secs(10)) {
+                if b.send(to_a, &got).is_err() {
+                    break;
+                }
+            }
+        })
+    };
+    // Latency bounds on a shared host: a stolen core can spoil any one
+    // attempt, so the best of three counts. An idle back-off under the
+    // transport would spoil all three, because each attempt starts from
+    // silence; the flush tick costs a round trip 1 ms, busy or not.
+    let mut report = String::new();
+    let ok = (0..3).any(|attempt| {
+        std::thread::sleep(Duration::from_millis(100));
+        let mut rtts: Vec<Duration> = (0..200u64)
+            .map(|i| {
+                let t0 = Instant::now();
+                a.send(b.local_addr(), &msg(i)).unwrap();
+                let (got, _) = a.recv_timeout(Duration::from_secs(5)).unwrap();
+                assert_eq!(req_id(&got), i);
+                t0.elapsed()
+            })
+            .collect();
+        rtts.sort();
+        let (median, worst) = (rtts[rtts.len() / 2], rtts[rtts.len() - 1]);
+        report.push_str(&format!(
+            "attempt {attempt}: median {median:?} worst {worst:?}; "
+        ));
+        median < Duration::from_millis(2) && worst < Duration::from_millis(10)
+    });
+    assert!(ok, "round trips too slow after silence: {report}");
+    b.shutdown();
+    echo.join().unwrap();
+    a.shutdown();
+}
+
+#[test]
+fn a_burst_shares_one_flush_tick() {
+    const BURST: u64 = 32;
+    let m = Arc::new(NetMetrics::new());
+    let a = bind(&m);
+    let b = bind(&m);
+    // Dial first: the inline connect is longer than a tick.
+    a.send(b.local_addr(), &msg(0)).unwrap();
+    b.recv_timeout(Duration::from_secs(5)).unwrap();
+    // 32 sends take a few dozen microseconds; a tick is 500. At most one
+    // tick boundary falls inside the burst, and a lone frame on one side
+    // of it is the only one that can miss a shared write. A preempted
+    // sender splits the burst further, so the best of three counts.
+    let mut next = 1;
+    let ok = (0..3).any(|_| {
+        let before = m.snapshot().counter("net.coalesced_frames");
+        for i in next..next + BURST {
+            a.send(b.local_addr(), &msg(i)).unwrap();
+        }
+        for i in next..next + BURST {
+            let (got, _) = b.recv_timeout(Duration::from_secs(5)).unwrap();
+            assert_eq!(req_id(&got), i, "a tick must not reorder frames");
+        }
+        next += BURST;
+        // Counted by the poller right after the write that delivered.
+        std::thread::sleep(Duration::from_millis(5));
+        m.snapshot().counter("net.coalesced_frames") - before >= BURST - 1
+    });
+    assert!(ok, "bursts inside one tick did not share a write");
+    a.shutdown();
+    b.shutdown();
+}
+
+#[test]
+fn racing_senders_never_lose_a_wakeup() {
+    const THREADS: u64 = 8;
+    const ROUNDS: u64 = 5_000;
+    let m = Arc::new(NetMetrics::new());
+    let a = Arc::new(bind(&m));
+    let b = bind(&m);
+    let to = b.local_addr();
+    let epoch = Instant::now();
+    // One round: every sender fires one frame after a random
+    // sub-millisecond pause, racing the poller as it goes back to
+    // sleep; the next round starts only once all eight arrived. The
+    // quiet in between is what makes a lost wake-up visible: a
+    // stranded frame has no later send to rescue it.
+    let round = Arc::new(Barrier::new(THREADS as usize + 1));
+    let senders: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (a, round) = (Arc::clone(&a), Arc::clone(&round));
+            std::thread::spawn(move || {
+                let mut x = t + 1;
+                for i in 0..ROUNDS {
+                    round.wait();
+                    // xorshift; spinning, because `sleep` rounds tens
+                    // of microseconds up.
+                    x ^= x << 13;
+                    x ^= x >> 7;
+                    x ^= x << 17;
+                    let pause = Instant::now() + Duration::from_micros(x % 128);
+                    while Instant::now() < pause {
+                        std::hint::spin_loop();
+                    }
+                    // The frame carries its own send time.
+                    let m = WireMsg::Request {
+                        req_id: t * ROUNDS + i,
+                        from: epoch.elapsed().as_micros() as usize,
+                        body: Request::Status,
+                    };
+                    a.send(to, &m).unwrap();
+                }
+            })
+        })
+        .collect();
+    let mut seen = vec![false; (THREADS * ROUNDS) as usize];
+    let (mut worst, mut late) = (Duration::ZERO, 0);
+    for _ in 0..ROUNDS {
+        round.wait();
+        for _ in 0..THREADS {
+            let (got, _) = b
+                .recv_timeout(Duration::from_secs(5))
+                .expect("a frame was never delivered");
+            let WireMsg::Request { req_id, from, .. } = got else {
+                panic!("unexpected message {got:?}");
+            };
+            assert!(!std::mem::replace(&mut seen[req_id as usize], true));
+            let sent = Duration::from_micros(from as u64);
+            let gap = epoch.elapsed().saturating_sub(sent);
+            worst = worst.max(gap);
+            late += u32::from(gap >= Duration::from_millis(50));
+        }
+    }
+    for s in senders {
+        s.join().unwrap();
+    }
+    // The shared host now and then freezes a core for longer than 50 ms;
+    // a lost wake-up strands its frame until the 5 s receive timeout.
+    assert!(
+        late <= 2 && worst < Duration::from_secs(1),
+        "{late} of 40,000 frames took 50 ms or more, the worst {worst:?}"
+    );
+    a.shutdown();
+    b.shutdown();
+}
+
+#[test]
+fn quiet_transport_makes_no_wakeups() {
+    let m = Arc::new(NetMetrics::new());
+    let a = bind(&m);
+    let b = bind(&m);
+    // One exchange, so both pollers hold live connections (and the
+    // counter is shown to move at all).
+    a.send(b.local_addr(), &msg(1)).unwrap();
+    b.recv_timeout(Duration::from_secs(5)).unwrap();
+    b.send(a.local_addr(), &msg(2)).unwrap();
+    a.recv_timeout(Duration::from_secs(5)).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    let before = m.snapshot().counter("net.poller_wakeups");
+    assert!(before >= 4, "two sends and two receives woke the pollers");
+    std::thread::sleep(Duration::from_millis(200));
+    assert_eq!(
+        m.snapshot().counter("net.poller_wakeups"),
+        before,
+        "an idle reactor must block in ppoll, with no tick armed"
+    );
+    a.shutdown();
+    b.shutdown();
+}
