@@ -1726,6 +1726,13 @@ impl SimWorld {
                     self.schedule(t + DEGRADED_RETRY_US, Ev::ClientIssue { op });
                 }
             }
+            // The lookup's owner no longer owns the key (it raced a
+            // join): look it up again, now, through the next entry. The
+            // new attempt supersedes this one's timeout.
+            Response::NotOwner => {
+                self.mark(t, format!("client put {op} refused (not owner), retrying"));
+                self.client_attempt(t, op);
+            }
             _ => {}
         }
     }

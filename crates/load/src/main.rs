@@ -2,9 +2,9 @@
 //!
 //! ```text
 //! d2-load --node IP:PORT [--workers N] [--window W] [--ops N] [--keys K]
-//!         [--value-bytes B] [--get-ratio F] [--zipf-theta F]
-//!         [--replicas R] [--mode pipelined|serial] [--seed S]
-//!         [--timeout-ms T] [--json]
+//!         [--keys hashed|locality] [--value-bytes B] [--get-ratio F]
+//!         [--zipf-theta F] [--replicas R] [--mode pipelined|serial]
+//!         [--seed S] [--timeout-ms T] [--json]
 //! ```
 //!
 //! Connects to one member of a running cluster (`--node`), discovers the
@@ -15,6 +15,14 @@
 //! exponent `--zipf-theta` — the skewed access pattern of the paper's
 //! web workload, so hot keys hammer their owner node.
 //!
+//! The key space is `--keys K` one-block files, 16 to a directory, 64 to
+//! a volume, named by [`BlockName`]: by default under the traditional
+//! per-block hash ([`BlockName::traditional_key`], keys uniform over the
+//! ring), with `--keys locality` under D2's locality-preserving encoding
+//! ([`BlockName::d2_key`], a volume's files contiguous on the ring) —
+//! the paper's two cases, and the two hit rates the client's §5 lookup
+//! cache is judged by.
+//!
 //! `--mode pipelined` (default) keeps `--window` operations in flight
 //! per worker over the pipelined client ([`WireClient::submit`]);
 //! `--mode serial` forces the window to one — the classic
@@ -22,17 +30,20 @@
 //! the same code path with and without pipelining.
 //!
 //! Reports throughput (ops/s), latency percentiles (p50/p90/p99/p999),
-//! and the merged client-side `net.*` counters. `--json` emits one JSON
+//! the workers' summed lookup-cache hits / misses / stale hits, and the
+//! merged client-side `net.*` counters. `--json` emits one JSON
 //! object (consumed by `scripts/bench_wire.sh` to build
 //! `BENCH_wire.json`).
 
 use d2_net::{ClusterOps, PipelineConfig};
 use d2_obs::Registry;
-use d2_types::Key;
+use d2_sim::SimTime;
+use d2_types::{BlockName, Key, BLOCK_SIZE};
 use d2_wire::client::WireClient;
 use d2_wire::metrics::NetMetrics;
 use d2_wire::tcp::{pack_addr, TcpConfig, TcpTransport};
 use d2_workload::web::zipf;
+use d2_workload::Namespace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::net::{Ipv4Addr, SocketAddrV4};
@@ -42,8 +53,9 @@ use std::time::{Duration, Instant};
 fn usage() -> ! {
     eprintln!(
         "usage: d2-load --node IP:PORT [--workers N] [--window W] [--ops N] [--keys K]\n\
-         \x20              [--value-bytes B] [--get-ratio F] [--zipf-theta F] [--replicas R]\n\
-         \x20              [--mode pipelined|serial] [--seed S] [--timeout-ms T] [--json]"
+         \x20              [--keys hashed|locality] [--value-bytes B] [--get-ratio F]\n\
+         \x20              [--zipf-theta F] [--replicas R] [--mode pipelined|serial]\n\
+         \x20              [--seed S] [--timeout-ms T] [--json]"
     );
     std::process::exit(2);
 }
@@ -54,6 +66,8 @@ struct Args {
     window: usize,
     ops: usize,
     keys: usize,
+    /// Keys under D2's locality-preserving encoding, not hashed.
+    locality: bool,
     value_bytes: usize,
     get_ratio: f64,
     zipf_theta: f64,
@@ -73,6 +87,7 @@ fn parse_args() -> Args {
         window: 32,
         ops: 2000,
         keys: 256,
+        locality: false,
         value_bytes: 256,
         get_ratio: 0.9,
         zipf_theta: 0.8,
@@ -106,7 +121,11 @@ fn parse_args() -> Args {
             "--workers" => out.workers = num::<usize>(val("--workers"), "--workers").max(1),
             "--window" => out.window = num::<usize>(val("--window"), "--window").max(1),
             "--ops" => out.ops = num(val("--ops"), "--ops"),
-            "--keys" => out.keys = num::<usize>(val("--keys"), "--keys").max(1),
+            "--keys" => match val("--keys").as_str() {
+                "hashed" => out.locality = false,
+                "locality" => out.locality = true,
+                n => out.keys = num::<usize>(n.to_string(), "--keys").max(1),
+            },
             "--value-bytes" => out.value_bytes = num(val("--value-bytes"), "--value-bytes"),
             "--get-ratio" => out.get_ratio = num(val("--get-ratio"), "--get-ratio"),
             "--zipf-theta" => out.zipf_theta = num(val("--zipf-theta"), "--zipf-theta"),
@@ -148,6 +167,31 @@ fn open_ops(entries: &[usize]) -> (ClusterOps<TcpTransport>, Arc<NetMetrics>) {
     (ClusterOps::new(client, entries.to_vec()), metrics)
 }
 
+/// Files per volume of the key space: a volume is one contiguous arc of
+/// the ring under the locality encoding.
+const VOLUME_FILES: usize = 64;
+
+/// The `n` keys the load is drawn from, by Zipf rank: block 1 of `n`
+/// files, 16 to a directory and [`VOLUME_FILES`] to a volume, so that
+/// neighbouring ranks are neighbouring files.
+fn key_space(n: usize, locality: bool) -> Vec<Key> {
+    let mut keys = Vec::with_capacity(n);
+    for first in (0..n).step_by(VOLUME_FILES) {
+        let mut ns = Namespace::new(&format!("d2-load-{}", first / VOLUME_FILES));
+        for i in first..n.min(first + VOLUME_FILES) {
+            let dir = ns.ensure_dir(&format!("/d{}", i % VOLUME_FILES / 16));
+            let file = ns.create_file(dir, &format!("f{i}"), BLOCK_SIZE as u64, SimTime::ZERO);
+            let name: BlockName = ns.block_name(file, 1);
+            keys.push(if locality {
+                name.d2_key()
+            } else {
+                name.traditional_key()
+            });
+        }
+    }
+    keys
+}
+
 /// What one worker brings back: latency histograms + error count.
 struct WorkerReport {
     reg: Registry,
@@ -158,6 +202,7 @@ struct WorkerReport {
 fn worker(
     id: usize,
     args: &Args,
+    keys: &[Key],
     entries: &[usize],
     quota: usize,
     cfg: PipelineConfig,
@@ -178,7 +223,7 @@ fn worker(
         let mut puts: Vec<(Key, Vec<u8>)> = Vec::new();
         let mut gets: Vec<Key> = Vec::new();
         for _ in 0..chunk {
-            let key = Key::from_u64(zipf(&mut rng, args.keys, args.zipf_theta) as u64);
+            let key = keys[zipf(&mut rng, keys.len(), args.zipf_theta)];
             if rng.random::<f64>() < args.get_ratio {
                 gets.push(key);
             } else {
@@ -206,6 +251,10 @@ fn worker(
     // Fold this worker's client-side transport counters into the report
     // so the main thread can merge all workers into one net.* view.
     _metrics.snapshot_into(&mut reg);
+    let cache = ops.cache_stats();
+    reg.add("load.cache_hits", cache.hits);
+    reg.add("load.cache_misses", cache.misses);
+    reg.add("load.cache_stale", cache.stale);
     ops.client().shutdown();
     WorkerReport { reg, done, errors }
 }
@@ -229,8 +278,10 @@ fn main() {
             args.keys
         );
     }
-    let preload: Vec<(Key, Vec<u8>)> = (0..args.keys as u64)
-        .map(|i| (Key::from_u64(i), vec![0xD2u8; args.value_bytes]))
+    let keys = key_space(args.keys, args.locality);
+    let preload: Vec<(Key, Vec<u8>)> = keys
+        .iter()
+        .map(|&k| (k, vec![0xD2u8; args.value_bytes]))
         .collect();
     let preload_cfg = PipelineConfig {
         window: 32,
@@ -260,9 +311,8 @@ fn main() {
             .iter()
             .enumerate()
             .map(|(i, &q)| {
-                let args = &args;
-                let entries = &entries;
-                s.spawn(move || worker(i, args, entries, q, cfg))
+                let (args, keys, entries) = (&args, &keys, &entries);
+                s.spawn(move || worker(i, args, keys, entries, q, cfg))
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -280,6 +330,13 @@ fn main() {
     let throughput = done as f64 / wall.as_secs_f64().max(1e-9);
     let lat = merged.histogram("load.op_us").cloned().unwrap_or_default();
     let mode = if args.serial { "serial" } else { "pipelined" };
+    let encoding = if args.locality { "locality" } else { "hashed" };
+    let (hits, misses, stale) = (
+        merged.counter("load.cache_hits"),
+        merged.counter("load.cache_misses"),
+        merged.counter("load.cache_stale"),
+    );
+    let hit_rate = hits as f64 / ((hits + misses) as f64).max(1.0);
 
     let net_keys = [
         "net.bytes_out",
@@ -298,10 +355,13 @@ fn main() {
         println!(
             "{{\"bench\": \"wire\", \"mode\": \"{mode}\", \"nodes\": {}, \"workers\": {}, \
              \"window\": {}, \
-             \"ops\": {done}, \"errors\": {errors}, \"keys\": {}, \"value_bytes\": {}, \
+             \"ops\": {done}, \"errors\": {errors}, \"keys\": {}, \"key_encoding\": \"{encoding}\", \
+             \"value_bytes\": {}, \
              \"get_ratio\": {}, \"zipf_theta\": {}, \"replicas\": {}, \"wall_ms\": {}, \
              \"throughput_ops_s\": {:.1}, \"latency_us\": {{\"p50\": {}, \"p90\": {}, \
-             \"p99\": {}, \"p999\": {}, \"mean\": {:.1}, \"max\": {}}}, \"net\": {{{}}}}}",
+             \"p99\": {}, \"p999\": {}, \"mean\": {:.1}, \"max\": {}}}, \
+             \"lookup_cache\": {{\"hits\": {hits}, \"misses\": {misses}, \"stale\": {stale}, \
+             \"hit_rate\": {hit_rate:.4}}}, \"net\": {{{}}}}}",
             entries.len(),
             args.workers,
             cfg.window,
@@ -337,6 +397,10 @@ fn main() {
             lat.quantile(0.999),
             lat.mean(),
             lat.max()
+        );
+        println!(
+            "lookup cache ({encoding} keys): {hits} hits  {misses} misses  {stale} stale  \
+             hit rate {hit_rate:.4}"
         );
         for k in net_keys {
             println!("{k}: {}", merged.counter(k));

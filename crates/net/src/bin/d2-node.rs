@@ -4,8 +4,8 @@
 //! d2-node serve      --listen IP:PORT [--seed IP:PORT] --pos F [--replicas N] [--ec K/N] [--repair-threshold M] [--repair-budget BPS] [--obs-out PATH]
 //! d2-node serve-many --nodes N [--port P] [--replicas R] [--ec K/N] [--repair-threshold M] [--repair-budget BPS] [--tick-ms T] [--join-batch B] [--obs-out PATH]
 //! d2-node lookup     --node IP:PORT (--key-frac F | --key-u64 N)
-//! d2-node put        --node IP:PORT (--key-frac F | --key-u64 N) --data S [--replicas N]
-//! d2-node get        --node IP:PORT (--key-frac F | --key-u64 N)
+//! d2-node put        --node IP:PORT (--key-frac F | --key-u64 N) --data S [--replicas N] [-v]
+//! d2-node get        --node IP:PORT (--key-frac F | --key-u64 N) [-v]
 //! d2-node status     --node IP:PORT
 //! d2-node check      --node IP:PORT [--expect N]
 //! d2-node top        --node IP:PORT [--watch]
@@ -48,6 +48,11 @@
 //! percentiles, and the slowest recent operations with their trace
 //! ids. `--watch` refreshes every 2 seconds until interrupted.
 //!
+//! `put` and `get` go through the client's lookup cache
+//! ([`ClusterOps::cache_stats`]); `-v` prints its counters on stderr
+//! (a one-shot process starts cold, so a clean op reads `0 hits, 1
+//! misses, 0 stale`).
+//!
 //! `trace` collects every span of one trace id (as printed by `put` or
 //! the top view) from all nodes and prints the operation's causal tree.
 //!
@@ -71,8 +76,8 @@ fn usage() -> ! {
         "usage: d2-node serve      --listen IP:PORT [--seed IP:PORT] --pos F [--replicas N] [--ec K/N] [--repair-threshold M] [--repair-budget BPS] [--obs-out PATH]\n\
          \x20      d2-node serve-many --nodes N [--port P] [--replicas R] [--ec K/N] [--repair-threshold M] [--repair-budget BPS] [--tick-ms T] [--join-batch B] [--obs-out PATH]\n\
          \x20      d2-node lookup     --node IP:PORT (--key-frac F | --key-u64 N)\n\
-         \x20      d2-node put        --node IP:PORT (--key-frac F | --key-u64 N) --data S [--replicas N]\n\
-         \x20      d2-node get        --node IP:PORT (--key-frac F | --key-u64 N)\n\
+         \x20      d2-node put        --node IP:PORT (--key-frac F | --key-u64 N) --data S [--replicas N] [-v]\n\
+         \x20      d2-node get        --node IP:PORT (--key-frac F | --key-u64 N) [-v]\n\
          \x20      d2-node status     --node IP:PORT\n\
          \x20      d2-node check      --node IP:PORT [--expect N]\n\
          \x20      d2-node top        --node IP:PORT [--watch]\n\
@@ -104,6 +109,7 @@ struct Args {
     ec: Option<(usize, usize)>,
     repair_threshold: Option<usize>,
     repair_budget: u64,
+    verbose: bool,
 }
 
 /// Parses `--ec K/N` (e.g. `4/8`): K data fragments, N total, K < N.
@@ -229,6 +235,7 @@ fn parse_args(args: &[String]) -> Args {
                 }
             },
             "--all" => out.all = true,
+            "-v" => out.verbose = true,
             "--ec" => out.ec = Some(parse_ec(&val("--ec"))),
             "--repair-threshold" => match val("--repair-threshold").parse::<usize>() {
                 Ok(m) if m >= 1 => out.repair_threshold = Some(m),
@@ -408,6 +415,17 @@ fn client_ops(node: SocketAddrV4) -> ClusterOps<TcpTransport> {
     ClusterOps::new(WireClient::new(transport, metrics), vec![pack_addr(node)])
 }
 
+/// `-v`: what the client's lookup cache did for this command.
+fn report_cache(ops: &ClusterOps<TcpTransport>, verbose: bool) {
+    if verbose {
+        let c = ops.cache_stats();
+        eprintln!(
+            "lookup cache: {} hits, {} misses, {} stale",
+            c.hits, c.misses, c.stale
+        );
+    }
+}
+
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let Some((cmd, rest)) = argv.split_first() else {
@@ -437,7 +455,10 @@ fn main() {
             let (Some(node), Some(key), Some(data)) = (args.node, args.key, args.data) else {
                 usage()
             };
-            match client_ops(node).put_traced(key, data.into_bytes(), args.replicas) {
+            let ops = client_ops(node);
+            let res = ops.put_traced(key, data.into_bytes(), args.replicas);
+            report_cache(&ops, args.verbose);
+            match res {
                 Ok((written, trace_id)) => {
                     println!("stored {written} replicas (trace {trace_id:#018x})")
                 }
@@ -451,7 +472,10 @@ fn main() {
             let (Some(node), Some(key)) = (args.node, args.key) else {
                 usage()
             };
-            match client_ops(node).get(key, args.replicas) {
+            let ops = client_ops(node);
+            let res = ops.get(key, args.replicas);
+            report_cache(&ops, args.verbose);
+            match res {
                 Ok(data) => println!("{}", String::from_utf8_lossy(&data)),
                 Err(e) => {
                     eprintln!("get failed: {e}");

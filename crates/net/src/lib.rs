@@ -58,7 +58,9 @@ pub use d2_ec::RedundancyPolicy;
 pub use deployment::Deployment;
 pub use invariants::{check_ring, RingReport};
 pub use many::{ManyCluster, ManyConfig};
-pub use ops::{BatchOutcome, ClusterOps, ClusterScrape, NodeScrape, NodeStatus, PipelineConfig};
+pub use ops::{
+    BatchOutcome, CacheStats, ClusterOps, ClusterScrape, NodeScrape, NodeStatus, PipelineConfig,
+};
 pub use runtime::{NodeRuntime, StoredFragment};
 pub use telemetry::{render_top, render_trace};
 

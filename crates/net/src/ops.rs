@@ -5,14 +5,24 @@
 //! nodes. Lookups round-robin across the entries — every live node is an
 //! equally good first hop, so no single node is a client-side point of
 //! entry (the join *seed* is the only address with a fixed role).
+//!
+//! Every lookup reply carries the owner's key range, and the client
+//! keeps it in the paper's §5 lookup cache ([`d2_store::LookupCache`]):
+//! a `put`/`get` whose key falls inside a cached range goes straight to
+//! that node, one round trip instead of a routed lookup plus one. A
+//! stale entry costs latency, never correctness: a node that no longer
+//! owns the key refuses with [`Response::NotOwner`], and the client
+//! drops the node's entries and re-runs the op through a routed lookup.
 
 use d2_obs::{Registry, SpanRecord, TraceCtx};
 use d2_ring::messages::{Addr, PeerInfo};
-use d2_types::{D2Error, Key, Result};
+use d2_sim::SimTime;
+use d2_store::{CacheOutcome, LookupCache};
+use d2_types::{D2Error, Key, KeyRange, Result};
 use d2_wire::client::{ClientError, PendingReply, WireClient};
 use d2_wire::codec::{Request, Response, WireStatus};
 use d2_wire::transport::Transport;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 use std::collections::BTreeSet;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
@@ -87,17 +97,30 @@ impl ClusterScrape {
     }
 }
 
+/// What a client's lookup cache has done so far
+/// ([`ClusterOps::cache_stats`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct CacheStats {
+    /// Ops whose key fell inside a cached range and skipped the lookup.
+    pub hits: u64,
+    /// Ops that found no cached range and paid a routed lookup.
+    pub misses: u64,
+    /// Hits whose cached node no longer answered for the key (refused,
+    /// missed, unreachable or silent); each fell back to a routed lookup.
+    pub stale: u64,
+}
+
 /// Tuning knobs for the windowed batch API
 /// ([`ClusterOps::put_many`] / [`ClusterOps::get_many`]).
 #[derive(Clone, Copy, Debug)]
 pub struct PipelineConfig {
-    /// Maximum requests in flight at once. Each batch op is a two-stage
-    /// pipeline (lookup, then put/get), and the window bounds the total
-    /// number of ops with *either* stage outstanding — the client-side
-    /// backpressure knob.
+    /// Maximum requests in flight at once. Each batch op is a pipeline
+    /// of up to two stages (a lookup on a cache miss, then put/get), and
+    /// the window bounds the total number of ops with *either* stage
+    /// outstanding — the client-side backpressure knob.
     pub window: usize,
-    /// Per-request timeout, applied separately to the lookup and the
-    /// data stage. A slow op times out alone; it never head-of-line
+    /// Per-request timeout, applied separately to each lookup and data
+    /// request. A slow op times out alone; it never head-of-line
     /// blocks the rest of the window.
     pub op_timeout: Duration,
 }
@@ -112,8 +135,8 @@ impl Default for PipelineConfig {
 }
 
 /// The outcome of one operation in a batch: its position and key, the
-/// per-op result, and the op's latency (lookup + data stage, as seen by
-/// the batch driver).
+/// per-op result, and the op's latency (every stage it went through, as
+/// seen by the batch driver).
 #[derive(Debug)]
 pub struct BatchOutcome<R> {
     /// Index into the submitted batch.
@@ -122,24 +145,31 @@ pub struct BatchOutcome<R> {
     pub key: Key,
     /// `Ok(replicas written)` for puts, `Ok(block)` for gets.
     pub result: Result<R>,
-    /// Wall time from submission of the lookup to resolution.
+    /// Wall time from the op's first submission to resolution.
     pub latency: Duration,
 }
+
+/// Routed lookups one op may issue before it fails: dropped lookups
+/// retry through rotated entries, in the batch driver exactly as in the
+/// serial [`ClusterOps::lookup`].
+const MAX_LOOKUPS: u32 = 4;
+
+/// Per-request timeout of the serial `put`/`get` data stage.
+const CALL_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One in-flight batch op: which stage's reply we are waiting on.
 enum Stage {
     Lookup(PendingReply),
-    Data(PendingReply),
+    /// The put/get itself, and the node it went to if the lookup cache
+    /// chose it (`None` after a routed lookup).
+    Data(PendingReply, Option<Addr>),
 }
 
 struct Slot {
     index: usize,
-    key: Key,
     started: Instant,
-    /// Lookup submissions so far — the batch driver retries dropped
-    /// lookups through rotated entries exactly like the serial
-    /// [`ClusterOps::lookup`] does.
-    attempts: u32,
+    /// Routed lookups submitted so far (none while riding the cache).
+    lookups: u32,
     stage: Stage,
 }
 
@@ -150,6 +180,11 @@ pub struct ClusterOps<T: Transport> {
     entries: RwLock<Vec<Addr>>,
     next_entry: AtomicUsize,
     next_trace: AtomicU64,
+    /// The §5 lookup cache: owner ranges learnt from lookup replies,
+    /// `node` = the owner's [`Addr`], time = µs since `born`.
+    cache: Mutex<LookupCache>,
+    stale: AtomicU64,
+    born: Instant,
 }
 
 impl<T: Transport> ClusterOps<T> {
@@ -167,6 +202,44 @@ impl<T: Transport> ClusterOps<T> {
             entries: RwLock::new(entries),
             next_entry: AtomicUsize::new(0),
             next_trace: AtomicU64::new(nanos),
+            cache: Mutex::new(LookupCache::with_default_ttl()),
+            stale: AtomicU64::new(0),
+            born: Instant::now(),
+        }
+    }
+
+    fn cache_now(&self) -> SimTime {
+        SimTime::from_micros(self.born.elapsed().as_micros() as u64)
+    }
+
+    /// The node a live cache entry names as `key`'s owner.
+    fn cached_owner(&self, key: &Key) -> Option<Addr> {
+        match self.cache.lock().probe(key, self.cache_now()) {
+            CacheOutcome::Hit { node } => Some(node),
+            CacheOutcome::Miss => None,
+        }
+    }
+
+    /// Caches one lookup reply.
+    fn remember(&self, range: KeyRange, owner: Addr) {
+        self.cache.lock().insert(range, owner, self.cache_now());
+    }
+
+    /// A cache-routed op found `node` no longer answering for its key:
+    /// the node moved, shrank or died, so everything cached about it is
+    /// suspect.
+    fn mark_stale(&self, node: Addr) {
+        self.cache.lock().invalidate_node(node);
+        self.stale.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Hits, misses and stale hits of this client's lookup cache.
+    pub fn cache_stats(&self) -> CacheStats {
+        let cache = self.cache.lock();
+        CacheStats {
+            hits: cache.hits(),
+            misses: cache.misses(),
+            stale: self.stale.load(Ordering::Relaxed),
         }
     }
 
@@ -209,7 +282,8 @@ impl<T: Transport> ClusterOps<T> {
     /// through the next entry node. Retries with rotated entries: a
     /// lookup routed through a node that died mid-flight is dropped (the
     /// sender forgets the dead hop), and the retry takes the repaired
-    /// route.
+    /// route. Never answered from the lookup cache — a lookup means a
+    /// lookup — but the reply's range is cached for later `put`/`get`s.
     pub fn lookup(&self, key: Key) -> Result<PeerInfo> {
         self.lookup_traced(key, TraceCtx::NONE)
     }
@@ -217,7 +291,7 @@ impl<T: Transport> ClusterOps<T> {
     /// [`ClusterOps::lookup`] with an explicit trace context: every node
     /// the lookup touches records a span under `trace`'s id.
     pub fn lookup_traced(&self, key: Key, trace: TraceCtx) -> Result<PeerInfo> {
-        for attempt in 0..4u32 {
+        for attempt in 0..MAX_LOOKUPS {
             let Some(entry) = self.next_entry() else {
                 break;
             };
@@ -226,7 +300,10 @@ impl<T: Transport> ClusterOps<T> {
                 .client
                 .call_traced(entry, Request::Lookup { key }, timeout, trace)
             {
-                Ok(Response::Owner { owner, .. }) => return Ok(owner),
+                Ok(Response::Owner { owner, range, .. }) => {
+                    self.remember(range, owner.addr);
+                    return Ok(owner);
+                }
                 Ok(_) | Err(ClientError::Timeout) | Err(ClientError::Unreachable(_)) => {}
                 Err(ClientError::Closed) => break,
             }
@@ -243,41 +320,52 @@ impl<T: Transport> ClusterOps<T> {
             .map(|(written, _)| written)
     }
 
-    /// [`ClusterOps::put`] under a fresh trace: the lookup and the
-    /// replica chain share one trace id, returned alongside the replica
-    /// count so the caller can ask `collect_trace` (or `d2-node trace`)
-    /// for the operation's causal span tree.
+    /// [`ClusterOps::put`] under a fresh trace: the lookup (on a cache
+    /// miss) and the replica chain share one trace id, returned
+    /// alongside the replica count so the caller can ask
+    /// `collect_trace` (or `d2-node trace`) for the operation's causal
+    /// span tree.
     pub fn put_traced(&self, key: Key, data: Vec<u8>, replicas: usize) -> Result<(usize, u64)> {
         let trace_id = self.fresh_trace_id();
         let ctx = TraceCtx::root(trace_id);
-        let owner = self.lookup_traced(key, ctx)?;
-        let req = Request::Put {
-            key,
-            fanout: replicas.saturating_sub(1) as u32,
-            stored: 0,
-            data,
+        let put = |node: Addr, data: Vec<u8>| {
+            let req = Request::Put {
+                key,
+                fanout: replicas.saturating_sub(1) as u32,
+                stored: 0,
+                data,
+            };
+            match self.client.call_traced(node, req, CALL_TIMEOUT, ctx) {
+                Ok(Response::PutAck { replicas }) => Some((replicas as usize, trace_id)),
+                _ => None,
+            }
         };
-        match self
-            .client
-            .call_traced(owner.addr, req, Duration::from_secs(10), ctx)
-        {
-            Ok(Response::PutAck { replicas }) => Ok((replicas as usize, trace_id)),
-            _ => Err(D2Error::Unavailable(key)),
+        if let Some(node) = self.cached_owner(&key) {
+            // The payload must outlive a refusal, hence the copy.
+            if let Some(done) = put(node, data.clone()) {
+                return Ok(done);
+            }
+            self.mark_stale(node);
         }
+        let owner = self.lookup_traced(key, ctx)?;
+        put(owner.addr, data).ok_or(D2Error::Unavailable(key))
     }
 
     /// Fetches a block from the owner, falling back along its successor
     /// chain (up to `replicas` probes).
     pub fn get(&self, key: Key, replicas: usize) -> Result<Vec<u8>> {
+        if let Some(node) = self.cached_owner(&key) {
+            match self.client.call(node, Request::Get { key }, CALL_TIMEOUT) {
+                Ok(Response::Block { data: Some(data) }) => return Ok(data),
+                _ => self.mark_stale(node),
+            }
+        }
         let owner = self.lookup(key)?;
         let mut addr = owner.addr;
         for _ in 0..replicas.max(1) {
-            match self
-                .client
-                .call(addr, Request::Get { key }, Duration::from_secs(10))
-            {
+            match self.client.call(addr, Request::Get { key }, CALL_TIMEOUT) {
                 Ok(Response::Block { data: Some(data) }) => return Ok(data),
-                Ok(Response::Block { data: None }) => {
+                Ok(Response::Block { data: None } | Response::NotOwner) => {
                     // Ask this node's successor next.
                     match self.status_of(addr) {
                         Some(st) => match st.successors.first() {
@@ -294,10 +382,11 @@ impl<T: Transport> ClusterOps<T> {
     }
 
     /// Stores a batch of blocks with up to [`PipelineConfig::window`]
-    /// operations in flight at once, each a lookup → put pipeline over
-    /// the pipelined client ([`WireClient::submit`]). Returns one
-    /// [`BatchOutcome`] per item, in submission order; failed ops fail
-    /// individually without aborting the batch.
+    /// operations in flight at once over the pipelined client
+    /// ([`WireClient::submit`]), each a put straight to the cached owner
+    /// or a lookup → put pipeline. Returns one [`BatchOutcome`] per
+    /// item, in submission order; failed ops fail individually without
+    /// aborting the batch.
     pub fn put_many(
         &self,
         items: Vec<(Key, Vec<u8>)>,
@@ -305,15 +394,16 @@ impl<T: Transport> ClusterOps<T> {
         cfg: PipelineConfig,
     ) -> Vec<BatchOutcome<usize>> {
         let keys: Vec<Key> = items.iter().map(|(k, _)| *k).collect();
-        let mut datas: Vec<Option<Vec<u8>>> = items.into_iter().map(|(_, d)| Some(d)).collect();
         self.pipelined(
             &keys,
             cfg,
+            // A refused put is sent again after a lookup, so the payload
+            // stays with the batch and each request carries a copy.
             |i| Request::Put {
                 key: keys[i],
                 fanout: replicas.saturating_sub(1) as u32,
                 stored: 0,
-                data: datas[i].take().expect("each data stage starts once"),
+                data: items[i].1.clone(),
             },
             |key, resp| match resp {
                 Response::PutAck { replicas } => Ok(replicas as usize),
@@ -349,45 +439,67 @@ impl<T: Transport> ClusterOps<T> {
             .ok()
     }
 
-    /// The windowed two-stage (lookup → data) pipeline driver behind
-    /// [`ClusterOps::put_many`] and [`ClusterOps::get_many`]: keeps up
-    /// to `cfg.window` ops in flight, sweeps their [`PendingReply`]
-    /// handles without blocking on any single one, and advances or
-    /// resolves each op as its reply lands.
+    /// The windowed pipeline driver behind [`ClusterOps::put_many`] and
+    /// [`ClusterOps::get_many`]: keeps up to `cfg.window` ops in flight,
+    /// sweeps their [`PendingReply`] handles without blocking on any
+    /// single one, and advances or resolves each op as its reply lands.
+    ///
+    /// An op starts in the data stage when the lookup cache names its
+    /// owner, in the lookup stage otherwise. It goes (back) to a routed
+    /// lookup when the cached node turns out stale — refusal, miss,
+    /// send error or timeout — and whenever any node refuses it as
+    /// [`Response::NotOwner`], within the [`MAX_LOOKUPS`] budget.
     fn pipelined<R>(
         &self,
         keys: &[Key],
         cfg: PipelineConfig,
-        mut make_req: impl FnMut(usize) -> Request,
+        make_req: impl Fn(usize) -> Request,
         map_resp: impl Fn(Key, Response) -> Result<R>,
     ) -> Vec<BatchOutcome<R>> {
-        let n = keys.len();
         let window = cfg.window.max(1);
-        let mut out: Vec<Option<BatchOutcome<R>>> = (0..n).map(|_| None).collect();
+        // Every op reads as unavailable until a reply resolves it.
+        let mut out: Vec<BatchOutcome<R>> = keys
+            .iter()
+            .enumerate()
+            .map(|(index, &key)| BatchOutcome {
+                index,
+                key,
+                result: Err(D2Error::Unavailable(key)),
+                latency: Duration::ZERO,
+            })
+            .collect();
+        let lookup_stage = |key: Key, lookups: u32| {
+            if lookups >= MAX_LOOKUPS {
+                return None;
+            }
+            let reply = self.submit_lookup(key, cfg)?;
+            Some((Stage::Lookup(reply), lookups + 1))
+        };
         let mut slots: Vec<Slot> = Vec::with_capacity(window);
         let mut next = 0usize;
-        let fail = |index: usize, key: Key, started: Instant| BatchOutcome {
-            index,
-            key,
-            result: Err(D2Error::Unavailable(key)),
-            latency: started.elapsed(),
-        };
-        while next < n || !slots.is_empty() {
-            // Fill the window with fresh lookups.
-            while next < n && slots.len() < window {
-                let key = keys[next];
-                let started = Instant::now();
-                match self.submit_lookup(key, cfg) {
-                    Some(p) => slots.push(Slot {
-                        index: next,
-                        key,
-                        started,
-                        attempts: 1,
-                        stage: Stage::Lookup(p),
-                    }),
-                    None => out[next] = Some(fail(next, key, started)),
-                }
+        while next < keys.len() || !slots.is_empty() {
+            // Fill the window with fresh ops.
+            while next < keys.len() && slots.len() < window {
+                let (index, key, started) = (next, keys[next], Instant::now());
                 next += 1;
+                let cached = self.cached_owner(&key).and_then(|node| {
+                    match self.client.submit(node, make_req(index), cfg.op_timeout) {
+                        Ok(reply) => Some((Stage::Data(reply, Some(node)), 0)),
+                        Err(_) => {
+                            self.mark_stale(node);
+                            None
+                        }
+                    }
+                });
+                match cached.or_else(|| lookup_stage(key, 0)) {
+                    Some((stage, lookups)) => slots.push(Slot {
+                        index,
+                        started,
+                        lookups,
+                        stage,
+                    }),
+                    None => out[index].latency = started.elapsed(),
+                }
             }
             // Sweep every in-flight op once; each resolves or advances
             // independently of the others.
@@ -395,50 +507,48 @@ impl<T: Transport> ClusterOps<T> {
             let mut i = 0;
             while i < slots.len() {
                 let polled = match &mut slots[i].stage {
-                    Stage::Lookup(p) => p.poll().map(|r| (false, r)),
-                    Stage::Data(p) => p.poll().map(|r| (true, r)),
+                    Stage::Lookup(reply) | Stage::Data(reply, _) => reply.poll(),
                 };
-                let Some((was_data, res)) = polled else {
+                let Some(res) = polled else {
                     i += 1;
                     continue;
                 };
                 progressed = true;
                 let slot = slots.swap_remove(i);
-                match (was_data, res) {
-                    (false, Ok(Response::Owner { owner, .. })) => {
-                        match self
-                            .client
-                            .submit(owner.addr, make_req(slot.index), cfg.op_timeout)
-                        {
-                            Ok(p) => slots.push(Slot {
-                                stage: Stage::Data(p),
-                                ..slot
-                            }),
-                            Err(_) => {
-                                out[slot.index] = Some(fail(slot.index, slot.key, slot.started))
-                            }
-                        }
+                let (index, key) = (slot.index, keys[slot.index]);
+                let advanced = match (slot.stage, res) {
+                    (Stage::Lookup(_), Ok(Response::Owner { owner, range, .. })) => {
+                        self.remember(range, owner.addr);
+                        self.client
+                            .submit(owner.addr, make_req(index), cfg.op_timeout)
+                            .ok()
+                            .map(|reply| (Stage::Data(reply, None), slot.lookups))
                     }
                     // A dropped or failed lookup (a node died mid-route,
                     // or the ring is still stabilizing): retry through
                     // the next entry, like the serial lookup path.
-                    (false, _) if slot.attempts < 4 => match self.submit_lookup(slot.key, cfg) {
-                        Some(p) => slots.push(Slot {
-                            attempts: slot.attempts + 1,
-                            stage: Stage::Lookup(p),
-                            ..slot
-                        }),
-                        None => out[slot.index] = Some(fail(slot.index, slot.key, slot.started)),
-                    },
-                    (true, Ok(resp)) => {
-                        out[slot.index] = Some(BatchOutcome {
-                            index: slot.index,
-                            key: slot.key,
-                            result: map_resp(slot.key, resp),
-                            latency: slot.started.elapsed(),
-                        });
+                    (Stage::Lookup(_), _) => lookup_stage(key, slot.lookups),
+                    (
+                        Stage::Data(_, Some(node)),
+                        Err(_) | Ok(Response::NotOwner | Response::Block { data: None }),
+                    ) => {
+                        self.mark_stale(node);
+                        lookup_stage(key, slot.lookups)
                     }
-                    _ => out[slot.index] = Some(fail(slot.index, slot.key, slot.started)),
+                    (Stage::Data(..), Ok(Response::NotOwner)) => lookup_stage(key, slot.lookups),
+                    (Stage::Data(..), Ok(resp)) => {
+                        out[index].result = map_resp(key, resp);
+                        None
+                    }
+                    (Stage::Data(..), Err(_)) => None,
+                };
+                match advanced {
+                    Some((stage, lookups)) => slots.push(Slot {
+                        stage,
+                        lookups,
+                        ..slot
+                    }),
+                    None => out[index].latency = slot.started.elapsed(),
                 }
             }
             if !progressed && !slots.is_empty() {
@@ -449,9 +559,7 @@ impl<T: Transport> ClusterOps<T> {
                 std::thread::sleep(Duration::from_micros(20));
             }
         }
-        out.into_iter()
-            .map(|o| o.expect("every op resolves exactly once"))
-            .collect()
+        out
     }
 
     /// One node's ring view, or `None` if it cannot be reached.

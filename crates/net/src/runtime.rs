@@ -594,7 +594,11 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                 stored,
                 data,
             } => {
-                if self.ec.is_some() {
+                // Only the head of a chain is refused: a chained put
+                // lands on a replica, which never owns the key.
+                if stored == 0 && self.disowns(&key) {
+                    self.refuse(from, req_id);
+                } else if self.ec.is_some() {
                     self.handle_put_ec(req_id, from, key, data);
                 } else {
                     self.handle_put(req_id, from, key, fanout, stored, data);
@@ -604,6 +608,9 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                 self.registry.inc("node.gets");
                 match self.store.get(&key).cloned() {
                     Some(data) => self.respond(from, req_id, Response::Block { data: Some(data) }),
+                    // A replica answers from its store above; with
+                    // nothing held, only the owner may call it a miss.
+                    None if self.disowns(&key) => self.refuse(from, req_id),
                     // In erasure mode a whole block lives nowhere; gather
                     // any k fragments from the group and decode.
                     None if self.ec.is_some() => self.start_ec_gather(
@@ -709,6 +716,23 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
             }
         }
         true
+    }
+
+    /// Whether `key` lies outside the range this node *knows* it owns.
+    /// With no predecessor yet the range is unknown and nothing is
+    /// disowned.
+    fn disowns(&self, key: &Key) -> bool {
+        self.node.owned_range().is_some_and(|r| !r.contains(key))
+    }
+
+    /// Answers [`Response::NotOwner`]: the sender routed by a stale
+    /// owner (a cached range the ring has since split or moved), and
+    /// storing or missing silently here would hide the block from
+    /// every correctly routed read.
+    fn refuse(&mut self, to: Addr, req_id: u64) {
+        self.registry.inc("node.not_owner");
+        self.cur_ok = false;
+        self.respond(to, req_id, Response::NotOwner);
     }
 
     /// Replica-chain store: write the local copy, then either forward
@@ -951,6 +975,7 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                     p.req_id,
                     Response::Owner {
                         owner: res.owner,
+                        range: res.range,
                         hops: res.hops,
                     },
                 );
@@ -1545,6 +1570,7 @@ fn msgs_in_counter(op: &str) -> &'static str {
         "fragment" => "node.msgs_in.fragment",
         "metrics" => "node.msgs_in.metrics",
         "shutdown_ack" => "node.msgs_in.shutdown_ack",
+        "not_owner" => "node.msgs_in.not_owner",
         _ => "node.msgs_in.other",
     }
 }

@@ -94,6 +94,7 @@ pub fn render_top(scrape: &ClusterScrape, fmt_addr: &dyn Fn(Addr) -> String) -> 
             l_p50.to_string(),
             l_p99.to_string(),
             reg.counter("node.send_failures").to_string(),
+            reg.counter("node.not_owner").to_string(),
             reg.counter("net.backlog_drops").to_string(),
             reg.counter("net.poller_wakeups").to_string(),
         ]);
@@ -105,7 +106,7 @@ pub fn render_top(scrape: &ClusterScrape, fmt_addr: &dyn Fn(Addr) -> String) -> 
     out.push_str(&render_rows(
         &[
             "node", "pos", "blocks", "msgs_in", "net_msgs", "reconn", "lookups", "puts",
-            "lk_p50us", "lk_p99us", "sendfail", "backlog", "wakeups",
+            "lk_p50us", "lk_p99us", "sendfail", "notowner", "backlog", "wakeups",
         ],
         &rows,
     ));

@@ -358,7 +358,7 @@ impl ProtocolNode {
             let reply = RingMsg::OwnerIs {
                 req_id,
                 owner: self.me,
-                range: self.owned_range().unwrap_or_else(KeyRange::full),
+                range: self.claimed_range(),
                 successors: self.successors.clone(),
                 hops,
             };
@@ -387,11 +387,16 @@ impl ProtocolNode {
     }
 
     fn owns(&self, key: &Key) -> bool {
-        match self.owned_range() {
-            Some(r) => r.contains(key),
-            // Without a predecessor we only claim our own ID exactly.
-            None => *key == self.me.id,
-        }
+        self.claimed_range().contains(key)
+    }
+
+    /// The range this node answers lookups for, and advertises in
+    /// [`RingMsg::OwnerIs`] for lookup caches to keep: its owned range,
+    /// or — without a predecessor — only its own ID exactly.
+    fn claimed_range(&self) -> KeyRange {
+        self.owned_range().unwrap_or_else(|| {
+            KeyRange::new(self.me.id.wrapping_sub(&Key::from_u64(1)), self.me.id)
+        })
     }
 
     /// Greedy: farthest known peer that does not pass the target.
@@ -662,6 +667,31 @@ mod tests {
         let res = p.lookup(0, Key::from_fraction(0.45));
         assert!(res.range.contains(&Key::from_fraction(0.45)));
         assert!(!res.successors.is_empty());
+    }
+
+    #[test]
+    fn advertised_range_is_the_range_claimed() {
+        // Without a predecessor a node claims its own ID only, and must
+        // not advertise more: a lookup cache would route the whole ring
+        // to it.
+        let id = Key::from_fraction(0.4);
+        let (mut lone, _) = ProtocolNode::join(id, 2, NodeConfig::default(), 0);
+        assert_eq!(lone.owned_range(), None);
+        let (req, out) = lone.start_lookup(id);
+        assert!(out.is_empty());
+        let res = lone
+            .take_completed()
+            .pop()
+            .expect("own ID resolves locally");
+        assert_eq!(res.req_id, req);
+        assert!(res.range.contains(&id));
+        for other in [id.successor_point(), Key::from_fraction(0.39), Key::MIN] {
+            assert!(!res.range.contains(&other), "advertised {other:?}");
+        }
+        // A single-node ring owns, and advertises, everything.
+        let mut p = Pump::new();
+        let seed = p.bootstrap(0.3);
+        assert!(p.lookup(seed, Key::from_fraction(0.9)).range.is_full());
     }
 
     #[test]

@@ -18,31 +18,27 @@
 //! [`WireError`]s, never panics — a malformed peer costs a closed
 //! connection, not a crashed node.
 //!
-//! # Version 2: the trace block
+//! # The trace block
 //!
-//! Version 2 frames carry a fixed 17-byte **trace block** at the start
-//! of the payload, before the tagged message body:
+//! Every payload starts with a fixed 17-byte **trace block**, before the
+//! tagged message body:
 //!
 //! ```text
 //! | trace_id (8 B) | span_id (8 B) | hop (1 B) | message body ... |
 //! ```
 //!
 //! The block is the [`TraceCtx`] of the *sending* span: an all-zero
-//! trace id means "untraced" and costs nothing downstream. Carrying the
-//! context at the envelope level (rather than inside each message
-//! variant) means no message body changed shape between v1 and v2, so
-//! decoders accept both versions: a v1 payload is exactly a v2 payload
-//! minus the trace block, and decodes with [`TraceCtx::NONE`].
+//! trace id means "untraced" and costs nothing downstream. The context
+//! rides at the envelope level, so no message variant carries it.
 //!
-//! # Version 3: erasure-coded fragments
+//! # One version
 //!
-//! Version 3 adds three message variants for the erasure-coded
-//! redundancy backend — [`Request::PutFragment`],
-//! [`Request::GetFragment`], and [`Response::Fragment`] — and changes
-//! nothing else: the payload layout (trace block + tagged body) is
-//! identical to v2, and every v1/v2 frame decodes exactly as before.
-//! The bump only signals that this peer may emit the new tags; a v2
-//! peer that never sees a fragment frame interoperates untouched.
+//! A decoder accepts exactly [`VERSION`]: every node and client of a
+//! ring is built from one source tree, so an incompatible payload change
+//! bumps the version and older frames are refused at the header rather
+//! than decoded through per-version branches. Version 4 put the owner's
+//! key range into [`Response::Owner`] (what a client's lookup cache
+//! keeps) and added [`Response::NotOwner`].
 
 use d2_obs::{Histogram, Registry, SpanRecord, TraceCtx};
 use d2_ring::messages::{Addr, PeerInfo, RingMsg};
@@ -53,13 +49,13 @@ use std::fmt;
 pub const MAGIC: [u8; 2] = [0x44, 0x32];
 
 /// Current protocol version. Bump on any incompatible payload change.
-pub const VERSION: u8 = 3;
+pub const VERSION: u8 = 4;
 
-/// Oldest version this decoder still accepts. v1 frames are v2+ frames
-/// without the leading trace block; they decode with [`TraceCtx::NONE`].
-pub const MIN_VERSION: u8 = 1;
+/// Oldest version this decoder still accepts: the current one. No older
+/// peer exists anywhere, so a bump is a flag day.
+pub const MIN_VERSION: u8 = VERSION;
 
-/// Size of the v2 trace block at the start of every payload:
+/// Size of the trace block at the start of every payload:
 /// trace id (8) + span id (8) + hop (1).
 pub const TRACE_LEN: usize = 17;
 
@@ -162,7 +158,7 @@ pub enum Request {
         /// The block's key.
         key: Key,
     },
-    /// Store one erasure-coded fragment of a block here (v3). Sent by
+    /// Store one erasure-coded fragment of a block here. Sent by
     /// the key's owner to the other members of the fragment group; the
     /// receiver stores exactly this fragment (no chaining) and acks
     /// with [`Response::PutAck`]`{ replicas: 1 }`.
@@ -186,7 +182,7 @@ pub enum Request {
         /// The fragment payload.
         data: Vec<u8>,
     },
-    /// Fetch (or probe for) the fragment stored here under `key` (v3).
+    /// Fetch (or probe for) the fragment stored here under `key`.
     /// Answered with [`Response::Fragment`].
     GetFragment {
         /// The block's key.
@@ -327,6 +323,9 @@ pub enum Response {
     Owner {
         /// The owner of the looked-up key.
         owner: PeerInfo,
+        /// The owner's key range when it answered: every key inside it
+        /// can skip the lookup (the paper's §5 lookup cache).
+        range: KeyRange,
         /// Forwarding hops the lookup took.
         hops: u32,
     },
@@ -341,7 +340,7 @@ pub enum Response {
         /// The block, or `None` when this node does not hold it.
         data: Option<Vec<u8>>,
     },
-    /// Reply to [`Request::GetFragment`] (v3).
+    /// Reply to [`Request::GetFragment`].
     Fragment {
         /// Whether this node holds a fragment of the key.
         has: bool,
@@ -366,6 +365,11 @@ pub enum Response {
     Metrics(Box<WireMetrics>),
     /// Reply to [`Request::Shutdown`], sent just before the node exits.
     ShutdownAck,
+    /// Refusal of a head-of-chain [`Request::Put`], or of a
+    /// [`Request::Get`] this node holds no block for: the key lies
+    /// outside the range this node knows it owns, so the sender's idea
+    /// of the owner is stale and it should look the owner up again.
+    NotOwner,
 }
 
 /// Everything that travels between processes: ring protocol traffic plus
@@ -426,6 +430,7 @@ impl WireMsg {
                 Response::Status(_) => TAG_RESP_STATUS,
                 Response::Metrics(_) => TAG_RESP_METRICS,
                 Response::ShutdownAck => TAG_RESP_SHUTDOWN_ACK,
+                Response::NotOwner => TAG_RESP_NOT_OWNER,
             },
         }
     }
@@ -451,6 +456,7 @@ impl WireMsg {
                 Response::Status(_) => "status",
                 Response::Metrics(_) => "metrics",
                 Response::ShutdownAck => "shutdown_ack",
+                Response::NotOwner => "not_owner",
             },
         }
     }
@@ -478,6 +484,7 @@ const TAG_RESP_STATUS: u8 = 0x23;
 const TAG_RESP_SHUTDOWN_ACK: u8 = 0x24;
 const TAG_RESP_METRICS: u8 = 0x25;
 const TAG_RESP_FRAGMENT: u8 = 0x26;
+const TAG_RESP_NOT_OWNER: u8 = 0x27;
 
 // ---------------------------------------------------------------------
 // Encoding
@@ -595,7 +602,7 @@ pub fn encode(msg: &WireMsg) -> Vec<u8> {
     encode_traced(msg, TraceCtx::NONE)
 }
 
-/// Encodes `msg` as one complete v2 frame carrying `trace` in the
+/// Encodes `msg` as one complete frame carrying `trace` in the
 /// payload's leading trace block.
 pub fn encode_traced(msg: &WireMsg, trace: TraceCtx) -> Vec<u8> {
     let mut buf = Vec::with_capacity(HEADER_LEN + TRACE_LEN + 64);
@@ -610,7 +617,7 @@ pub fn encode_into(buf: &mut Vec<u8>, msg: &WireMsg) -> usize {
     encode_traced_into(buf, msg, TraceCtx::NONE)
 }
 
-/// Appends one complete v2 frame (header + trace block + payload) to
+/// Appends one complete frame (header + trace block + payload) to
 /// `buf`, returning the frame's size in bytes.
 ///
 /// The output is byte-identical to [`encode_traced`]; the difference is
@@ -675,8 +682,9 @@ pub fn encode_traced_into(buf: &mut Vec<u8>, msg: &WireMsg, trace: TraceCtx) -> 
         WireMsg::Response { req_id, body } => {
             e.u64(*req_id);
             match body {
-                Response::Owner { owner, hops } => {
+                Response::Owner { owner, range, hops } => {
                     e.peer(owner);
+                    e.range(range);
                     e.u32(*hops);
                 }
                 Response::PutAck { replicas } => e.u32(*replicas),
@@ -703,7 +711,7 @@ pub fn encode_traced_into(buf: &mut Vec<u8>, msg: &WireMsg, trace: TraceCtx) -> 
                     e.u64(s.blocks);
                 }
                 Response::Metrics(m) => e.metrics(m),
-                Response::ShutdownAck => {}
+                Response::ShutdownAck | Response::NotOwner => {}
             }
         }
     }
@@ -940,15 +948,12 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Validates an 8-byte frame header, returning
-/// `(version, tag, payload length)`.
+/// Validates an 8-byte frame header, returning `(tag, payload length)`.
 ///
 /// Transports read exactly [`HEADER_LEN`] bytes, call this, then read the
-/// returned number of payload bytes and hand them (with the version) to
-/// [`decode_payload`]. Any version in [`MIN_VERSION`]..=[`VERSION`] is
-/// accepted; the version decides whether the payload starts with a
-/// trace block.
-pub fn decode_header(hdr: &[u8; HEADER_LEN]) -> Result<(u8, u8, usize), WireError> {
+/// returned number of payload bytes and hand them (with the tag) to
+/// [`decode_payload`].
+pub fn decode_header(hdr: &[u8; HEADER_LEN]) -> Result<(u8, usize), WireError> {
     if hdr[..2] != MAGIC {
         return Err(WireError::BadMagic([hdr[0], hdr[1]]));
     }
@@ -959,31 +964,21 @@ pub fn decode_header(hdr: &[u8; HEADER_LEN]) -> Result<(u8, u8, usize), WireErro
     if len > MAX_PAYLOAD {
         return Err(WireError::Oversized { len: len as u64 });
     }
-    Ok((hdr[2], hdr[3], len))
+    Ok((hdr[3], len))
 }
 
-/// Decodes the payload of a `version` frame whose header carried `tag`.
-/// The payload must be consumed exactly; trailing bytes are an error.
-///
-/// v2 payloads start with the 17-byte trace block; v1 payloads have
-/// none and decode with [`TraceCtx::NONE`].
-pub fn decode_payload(
-    version: u8,
-    tag: u8,
-    payload: &[u8],
-) -> Result<(WireMsg, TraceCtx), WireError> {
+/// Decodes the payload of a frame whose header carried `tag`: the trace
+/// block, then the tagged body. The payload must be consumed exactly;
+/// trailing bytes are an error.
+pub fn decode_payload(tag: u8, payload: &[u8]) -> Result<(WireMsg, TraceCtx), WireError> {
     let mut d = Dec {
         buf: payload,
         pos: 0,
     };
-    let trace = if version >= 2 {
-        TraceCtx {
-            trace_id: d.u64()?,
-            span_id: d.u64()?,
-            hop: d.u8()?,
-        }
-    } else {
-        TraceCtx::NONE
+    let trace = TraceCtx {
+        trace_id: d.u64()?,
+        span_id: d.u64()?,
+        hop: d.u8()?,
     };
     let msg = match tag {
         TAG_FIND_OWNER => WireMsg::Ring(RingMsg::FindOwner {
@@ -1059,11 +1054,13 @@ pub fn decode_payload(
         | TAG_RESP_FRAGMENT
         | TAG_RESP_STATUS
         | TAG_RESP_METRICS
-        | TAG_RESP_SHUTDOWN_ACK => {
+        | TAG_RESP_SHUTDOWN_ACK
+        | TAG_RESP_NOT_OWNER => {
             let req_id = d.u64()?;
             let body = match tag {
                 TAG_RESP_OWNER => Response::Owner {
                     owner: d.peer()?,
+                    range: d.range()?,
                     hops: d.u32()?,
                 },
                 TAG_RESP_PUT_ACK => Response::PutAck { replicas: d.u32()? },
@@ -1089,7 +1086,8 @@ pub fn decode_payload(
                     blocks: d.u64()?,
                 }),
                 TAG_RESP_METRICS => Response::Metrics(Box::new(d.metrics()?)),
-                _ => Response::ShutdownAck,
+                TAG_RESP_SHUTDOWN_ACK => Response::ShutdownAck,
+                _ => Response::NotOwner,
             };
             WireMsg::Response { req_id, body }
         }
@@ -1118,7 +1116,7 @@ pub fn decode_traced(frame: &[u8]) -> Result<(WireMsg, TraceCtx), WireError> {
         });
     }
     let hdr: [u8; HEADER_LEN] = frame[..HEADER_LEN].try_into().unwrap();
-    let (version, tag, len) = decode_header(&hdr)?;
+    let (tag, len) = decode_header(&hdr)?;
     let rest = &frame[HEADER_LEN..];
     if rest.len() < len {
         return Err(WireError::Truncated {
@@ -1131,7 +1129,7 @@ pub fn decode_traced(frame: &[u8]) -> Result<(WireMsg, TraceCtx), WireError> {
             extra: rest.len() - len,
         });
     }
-    decode_payload(version, tag, rest)
+    decode_payload(tag, rest)
 }
 
 #[cfg(test)]
@@ -1214,6 +1212,18 @@ mod tests {
                     blocks: 17,
                 }),
             },
+            WireMsg::Response {
+                req_id: 3,
+                body: Response::Owner {
+                    owner: peer(0.4, 9),
+                    range: KeyRange::new(Key::from_fraction(0.9), Key::from_fraction(0.4)),
+                    hops: 2,
+                },
+            },
+            WireMsg::Response {
+                req_id: 4,
+                body: Response::NotOwner,
+            },
         ];
         for msg in msgs {
             assert_eq!(decode(&encode(&msg)).unwrap(), msg);
@@ -1233,9 +1243,12 @@ mod tests {
             decode(&bad_magic),
             Err(WireError::BadMagic([0xff, _]))
         ));
-        let mut bad_version = good.clone();
-        bad_version[2] = 9;
-        assert_eq!(decode(&bad_version), Err(WireError::BadVersion(9)));
+        // Only the current version decodes: older peers no longer exist.
+        for v in (0..VERSION).chain([VERSION + 1, 9]) {
+            let mut bad_version = good.clone();
+            bad_version[2] = v;
+            assert_eq!(decode(&bad_version), Err(WireError::BadVersion(v)));
+        }
         let mut bad_tag = good.clone();
         bad_tag[3] = 0x7f;
         assert_eq!(decode(&bad_tag), Err(WireError::UnknownTag(0x7f)));
@@ -1325,40 +1338,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_frames_without_trace_block_still_decode() {
-        // A v1 peer sends the same tagged body with no trace block:
-        // strip the 17-byte block, rewrite version and length.
-        for msg in [
-            WireMsg::Ring(RingMsg::GetNeighbors { from: 3 }),
-            WireMsg::Request {
-                req_id: 9,
-                from: 2,
-                body: Request::Put {
-                    key: Key::from_u64(5),
-                    fanout: 2,
-                    stored: 0,
-                    data: b"v1 block".to_vec(),
-                },
-            },
-            WireMsg::Response {
-                req_id: 9,
-                body: Response::PutAck { replicas: 3 },
-            },
-        ] {
-            let v2 = encode(&msg);
-            let mut v1 = Vec::with_capacity(v2.len() - TRACE_LEN);
-            v1.extend_from_slice(&v2[..HEADER_LEN]);
-            v1.extend_from_slice(&v2[HEADER_LEN + TRACE_LEN..]);
-            v1[2] = 1;
-            let len = (v1.len() - HEADER_LEN) as u32;
-            v1[4..8].copy_from_slice(&len.to_be_bytes());
-            let (got, trace) = decode_traced(&v1).unwrap();
-            assert_eq!(got, msg);
-            assert_eq!(trace, TraceCtx::NONE);
-        }
-    }
-
-    #[test]
     fn fragment_msgs_round_trip() {
         let msgs = [
             WireMsg::Request {
@@ -1436,28 +1415,6 @@ mod tests {
             decode(&bad),
             Err(WireError::Malformed("bool flag must be 0 or 1"))
         );
-    }
-
-    #[test]
-    fn v2_frames_still_decode_under_v3() {
-        // A v2 peer emits the same classic bodies with version byte 2;
-        // the v3 decoder must accept them unchanged, trace block intact.
-        let msg = WireMsg::Request {
-            req_id: 9,
-            from: 2,
-            body: Request::Put {
-                key: Key::from_u64(5),
-                fanout: 2,
-                stored: 0,
-                data: b"v2 block".to_vec(),
-            },
-        };
-        let trace = TraceCtx::root(0xBEEF).child(0x22);
-        let mut v2 = encode_traced(&msg, trace);
-        v2[2] = 2;
-        let (got, got_trace) = decode_traced(&v2).unwrap();
-        assert_eq!(got, msg);
-        assert_eq!(got_trace, trace);
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl<S: Read> InboundConn<S> {
             let hdr: [u8; HEADER_LEN] = self.buf[off..off + HEADER_LEN]
                 .try_into()
                 .expect("slice is HEADER_LEN");
-            let Ok((version, tag, len)) = codec::decode_header(&hdr) else {
+            let Ok((tag, len)) = codec::decode_header(&hdr) else {
                 metrics.decode_error();
                 return Err(());
             };
@@ -130,7 +130,7 @@ impl<S: Read> InboundConn<S> {
                 break; // payload still in flight
             }
             let payload = &self.buf[off + HEADER_LEN..off + HEADER_LEN + len];
-            let Ok((msg, trace)) = codec::decode_payload(version, tag, payload) else {
+            let Ok((msg, trace)) = codec::decode_payload(tag, payload) else {
                 metrics.decode_error();
                 return Err(());
             };

@@ -9,7 +9,7 @@ use d2_types::{Key, KeyRange};
 use d2_wire::codec::{
     decode, decode_header, decode_traced, encode, encode_into, encode_traced, encode_traced_into,
     Request, Response, WireHistogram, WireMetrics, WireMsg, WireStatus, HEADER_LEN, MAX_PAYLOAD,
-    MIN_VERSION, TRACE_LEN, VERSION,
+    VERSION,
 };
 use proptest::prelude::*;
 
@@ -171,7 +171,11 @@ fn arb_wire_metrics() -> impl Strategy<Value = WireMetrics> {
 
 fn arb_response() -> impl Strategy<Value = Response> {
     prop_oneof![
-        (arb_peer(), any::<u32>()).prop_map(|(owner, hops)| Response::Owner { owner, hops }),
+        (arb_peer(), arb_range(), any::<u32>()).prop_map(|(owner, range, hops)| Response::Owner {
+            owner,
+            range,
+            hops
+        }),
         any::<u32>().prop_map(|replicas| Response::PutAck { replicas }),
         prop_oneof![
             Just(None),
@@ -190,6 +194,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
         ),
         arb_wire_metrics().prop_map(|m| Response::Metrics(Box::new(m))),
         Just(Response::ShutdownAck),
+        Just(Response::NotOwner),
     ]
 }
 
@@ -199,18 +204,6 @@ fn arb_trace() -> impl Strategy<Value = TraceCtx> {
         span_id,
         hop,
     })
-}
-
-/// Rewrites a v2 frame as the equivalent v1 frame: drop the trace
-/// block, set the version byte, fix the length prefix.
-fn downgrade_to_v1(v2: &[u8]) -> Vec<u8> {
-    let mut v1 = Vec::with_capacity(v2.len() - TRACE_LEN);
-    v1.extend_from_slice(&v2[..HEADER_LEN]);
-    v1.extend_from_slice(&v2[HEADER_LEN + TRACE_LEN..]);
-    v1[2] = 1;
-    let len = (v1.len() - HEADER_LEN) as u32;
-    v1[4..8].copy_from_slice(&len.to_be_bytes());
-    v1
 }
 
 fn arb_wire_msg() -> impl Strategy<Value = WireMsg> {
@@ -250,11 +243,11 @@ proptest! {
         prop_assert_eq!(len, frame.len() - HEADER_LEN);
         let mut hdr = [0u8; HEADER_LEN];
         hdr.copy_from_slice(&frame[..HEADER_LEN]);
-        prop_assert_eq!(decode_header(&hdr).unwrap(), (VERSION, msg.tag(), len));
+        prop_assert_eq!(decode_header(&hdr).unwrap(), (msg.tag(), len));
     }
 
     /// The zero-copy path is byte-identical to the allocating one, for
-    /// every message variant, traced (v2) and untraced alike — and
+    /// every message variant, traced and untraced alike — and
     /// `encode_into` appends (returning the frame length) rather than
     /// clobbering what the buffer already holds, since the TCP
     /// transport's coalescing queue packs many frames into one buffer.
@@ -282,17 +275,6 @@ proptest! {
         prop_assert_eq!(got_trace, trace);
     }
 
-    /// Version compatibility: a v1 frame (same body, no trace block)
-    /// decodes to the same message with `TraceCtx::NONE`.
-    #[test]
-    fn v1_frames_decode_without_trace_block(msg in arb_wire_msg()) {
-        let v1 = downgrade_to_v1(&encode(&msg));
-        prop_assert_eq!(v1[2], MIN_VERSION);
-        let (got, trace) = decode_traced(&v1).unwrap();
-        prop_assert_eq!(got, msg);
-        prop_assert_eq!(trace, TraceCtx::NONE);
-    }
-
     /// Any strict prefix of a valid frame is an error, at every cut.
     #[test]
     fn any_truncation_is_an_error(msg in arb_wire_msg(), frac in 0.0f64..1.0) {
@@ -311,16 +293,12 @@ proptest! {
         prop_assert!(decode(&frame).is_err());
     }
 
-    /// A corrupted magic byte, or a version byte outside the accepted
-    /// window, rejects the frame outright. (Version bytes *inside* the
-    /// window are legal by design — see `v1_frames_decode_without_trace_block`.)
+    /// A corrupted magic byte, or any version byte but the current one,
+    /// rejects the frame outright.
     #[test]
     fn corrupt_magic_or_version_is_an_error(msg in arb_wire_msg(), byte in any::<u8>(), pos in 0usize..3) {
         let mut frame = encode(&msg);
         prop_assume!(frame[pos] != byte);
-        if pos == 2 {
-            prop_assume!(!(MIN_VERSION..=VERSION).contains(&byte));
-        }
         frame[pos] = byte;
         prop_assert!(decode(&frame).is_err());
     }
@@ -328,7 +306,7 @@ proptest! {
     /// An unknown tag byte is rejected even with a plausible header.
     #[test]
     fn unknown_tags_are_an_error(msg in arb_wire_msg(), tag in any::<u8>()) {
-        let valid = matches!(tag, 0x01..=0x07 | 0x10..=0x15 | 0x20..=0x25);
+        let valid = matches!(tag, 0x01..=0x07 | 0x10..=0x17 | 0x20..=0x27);
         prop_assume!(!valid);
         let mut frame = encode(&msg);
         frame[3] = tag;

@@ -59,17 +59,18 @@ sleep 2
 ./target/release/d2-load --node "$SMOKE_SEED" --workers 2 --ops 200 --keys 32 \
     --replicas 2 --timeout-ms 5000 | grep throughput
 
-echo "==> d2-bench latency gate (ring3_seq_small for 3 s: op_p50_us <= 5000, no failed op)"
-# An op is two or three round trips of two flush ticks each (DESIGN.md
-# §15.1.1): about 3,000. A coarser timer anywhere on the message path
-# (the old 10 ms idle scan put this figure at 20,000) fails the gate.
+echo "==> d2-bench latency gate (ring3_seq_small for 3 s: op_p50_us <= 2000, no failed op)"
+# A warm op rides the client's lookup cache (DESIGN.md §14.5): one round
+# trip of two flush ticks, about 1,000. A client that lost the cache
+# pays the routed lookup's four ticks first, reads about 3,000 and
+# fails the gate, as does a coarser timer anywhere on the message path.
 # Builds offline into .bench_build/.
 BENCH_JSON=$(bash benchmark/run.sh --workload ring3_seq_small --seed 1 --seconds 3 --trace 0 | tail -1)
 BENCH_P50=$(sed -nE 's/.*"op_p50_us": \{"value": ([0-9]+)[.0-9]*,.*/\1/p' <<<"$BENCH_JSON")
 BENCH_FAILED=$(sed -nE 's/.*"failed": ([0-9]+),.*/\1/p' <<<"$BENCH_JSON")
 echo "op_p50_us=${BENCH_P50:-?} failed=${BENCH_FAILED:-?}"
 [[ -n "$BENCH_P50" && -n "$BENCH_FAILED" ]] || { echo "no result from d2-bench: $BENCH_JSON"; exit 1; }
-(( BENCH_P50 <= 5000 && BENCH_FAILED == 0 )) || { echo "latency gate failed"; exit 1; }
+(( BENCH_P50 <= 2000 && BENCH_FAILED == 0 )) || { echo "latency gate failed"; exit 1; }
 
 echo "==> serve-many smoke (256 nodes in one process: boot, puts, invariants, drain)"
 ./target/release/d2-node serve-many --nodes 256 --replicas 3 \
