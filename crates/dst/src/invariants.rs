@@ -4,9 +4,11 @@
 //! The ring checks are the classic Chord correctness conditions Zave
 //! formalized ("How to Make Chord Correct"): one ring, ordered
 //! successor lists free of corpses, every live node on the cycle, and
-//! predecessors consistent with the cycle. The storage checks encode
-//! the redundancy contract on top. Replicated scenarios demand that
-//! once the network heals, every *acked* put is readable from its
+//! predecessors consistent with the cycle — [`d2_net::check_ring`], the
+//! definition `d2-node check` holds a live cluster to, run here on the
+//! runtimes' own [`d2_net::NodeRuntime::status`]. The storage checks
+//! encode the redundancy contract on top. Replicated scenarios demand
+//! that once the network heals, every *acked* put is readable from its
 //! current owner and its replica count converges back to the
 //! configured factor `r` on the owner-plus-successors chain.
 //! Erasure-coded scenarios demand reconstructability instead: at least
@@ -23,7 +25,7 @@
 //! true.
 
 use crate::world::SimWorld;
-use d2_net::RedundancyPolicy;
+use d2_net::{NodeStatus, RedundancyPolicy};
 use d2_ring::messages::Addr;
 use std::collections::BTreeMap;
 
@@ -33,118 +35,12 @@ pub fn check_all(w: &SimWorld) -> Result<(), String> {
     if live.len() < 2 {
         return Err(format!("only {} live nodes — scenario bug", live.len()));
     }
-    check_joined(w)?;
-    let order = check_one_ring(w, &live)?;
-    check_successor_lists(w, &live)?;
-    check_predecessors(w, &order)?;
+    let statuses: Vec<NodeStatus> = w.live_nodes().map(|(_, rt)| rt.status()).collect();
+    if let Some(v) = d2_net::check_ring(&statuses).violations.into_iter().next() {
+        return Err(v);
+    }
     check_puts_acked(w)?;
     check_storage(w, &live)?;
-    Ok(())
-}
-
-/// Every live node has joined (has at least one successor).
-fn check_joined(w: &SimWorld) -> Result<(), String> {
-    for (addr, rt) in w.live_nodes() {
-        if !rt.protocol().is_joined() {
-            return Err(format!("node {addr} is alive but not joined"));
-        }
-    }
-    Ok(())
-}
-
-/// At most one ring, and it reaches every live node: following
-/// `successor[0]` from the lowest live address must cycle through
-/// exactly the live set. Returns the cycle order for the predecessor
-/// check.
-fn check_one_ring(w: &SimWorld, live: &[Addr]) -> Result<Vec<Addr>, String> {
-    let heads: BTreeMap<Addr, Addr> = w
-        .live_nodes()
-        .map(|(a, rt)| (a, rt.protocol().successors()[0].addr))
-        .collect();
-    let start = live[0];
-    let mut order = vec![start];
-    let mut at = start;
-    for _ in 0..live.len() {
-        let next = *heads
-            .get(&at)
-            .ok_or_else(|| format!("node {at} on the cycle is not live"))?;
-        if !heads.contains_key(&next) {
-            return Err(format!("node {at}'s successor head {next} is dead"));
-        }
-        if next == start {
-            if order.len() != live.len() {
-                return Err(format!(
-                    "ring cycle covers {} of {} live nodes (split ring)",
-                    order.len(),
-                    live.len()
-                ));
-            }
-            return Ok(order);
-        }
-        if order.contains(&next) {
-            return Err(format!(
-                "successor cycle re-enters at node {next} without covering the ring"
-            ));
-        }
-        order.push(next);
-        at = next;
-    }
-    Err(format!(
-        "successor chain from node {start} does not close into a ring"
-    ))
-}
-
-/// Successor lists contain no corpses, never the node itself, and are
-/// strictly ordered by clockwise distance (which also rules out
-/// duplicates).
-fn check_successor_lists(w: &SimWorld, live: &[Addr]) -> Result<(), String> {
-    for (addr, rt) in w.live_nodes() {
-        let p = rt.protocol();
-        let me = p.me();
-        let mut last_dist = None;
-        for s in p.successors() {
-            if s.addr == me.addr {
-                return Err(format!("node {addr} lists itself as a successor"));
-            }
-            if !live.contains(&s.addr) {
-                return Err(format!(
-                    "node {addr} lists dead node {} as a successor",
-                    s.addr
-                ));
-            }
-            let d = me.id.distance_to(&s.id);
-            if let Some(prev) = last_dist {
-                if d <= prev {
-                    return Err(format!(
-                        "node {addr}'s successor list is not strictly ordered"
-                    ));
-                }
-            }
-            last_dist = Some(d);
-        }
-    }
-    Ok(())
-}
-
-/// Every live node's predecessor pointer agrees with the ring cycle.
-fn check_predecessors(w: &SimWorld, order: &[Addr]) -> Result<(), String> {
-    let pred_of: BTreeMap<Addr, Addr> = order
-        .iter()
-        .enumerate()
-        .map(|(i, &a)| (a, order[(i + order.len() - 1) % order.len()]))
-        .collect();
-    for (addr, rt) in w.live_nodes() {
-        let Some(p) = rt.protocol().predecessor() else {
-            return Err(format!("node {addr} has no predecessor"));
-        };
-        let want = pred_of[&addr];
-        if p.addr != want {
-            return Err(format!(
-                "node {addr}'s predecessor is {} but the ring order says {want}",
-                p.addr
-            ));
-        }
-    }
     Ok(())
 }
 

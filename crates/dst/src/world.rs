@@ -35,7 +35,7 @@
 use crate::fate::{gray_fate, FateKind, FatePolicy, FaultProbs, SplitMix};
 use crate::invariants;
 use d2_net::runtime::TICK;
-use d2_net::{Clock, NodeRuntime, RedundancyPolicy, SimClock, SkewClock};
+use d2_net::{Clock, NodeRuntime, NodeSpec, RedundancyPolicy, SimClock, SkewClock};
 use d2_obs::trace::TraceEvent;
 use d2_obs::{Registry, SpanRecord, TraceCtx};
 use d2_ring::messages::{Addr, RingMsg};
@@ -1282,11 +1282,6 @@ impl SimWorld {
         if self.sc.no_anchor {
             cfg.anchor_every_ticks = 0;
         }
-        // An erasure group of `n` members needs `n - 1` successors,
-        // which a wide code pushes past the default list length.
-        cfg.successors = cfg
-            .successors
-            .max((self.sc.required_acks() as usize).saturating_sub(1));
         cfg
     }
 
@@ -1313,15 +1308,15 @@ impl SimWorld {
         let id = self.node_ids[node];
         let (offset_us, drift_ppm) = self.skew[node];
         let clock = SkewClock::new(self.clock.clone(), offset_us, drift_ppm);
-        let mut rt = if node == 0 {
-            NodeRuntime::bootstrap_with_clock(id, self.ring_cfg(), transport, clock)
-        } else {
-            NodeRuntime::join_with_clock(id, self.ring_cfg(), transport, 0, clock)
+        let spec = NodeSpec {
+            id,
+            seed: (node != 0).then_some(0),
+            replicas: self.sc.replicas,
+            redundancy: self.sc.redundancy,
+            repair_threshold: self.sc.repair_threshold,
+            repair_budget_bps: self.sc.repair_budget_bps,
         };
-        rt.set_replication(self.sc.replicas);
-        if let Some(policy) = self.sc.redundancy {
-            rt.set_redundancy(policy, self.sc.repair_threshold, self.sc.repair_budget_bps);
-        }
+        let rt = NodeRuntime::with_ring_config(spec, self.ring_cfg(), transport, clock);
         self.nodes[node] = Some(rt);
         self.mark(t, format!("{label} node {node}"));
         self.drain_outbox(t);

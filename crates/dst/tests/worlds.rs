@@ -85,7 +85,7 @@ fn partition_regime_catches_missing_anchor() {
     assert!(
         out.violation
             .as_deref()
-            .is_some_and(|v| v.contains("split ring")),
+            .is_some_and(|v| v.contains("clockwise-next live node")),
         "expected a split-ring violation, got {:?}",
         out.violation
     );

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! d2-node serve      --listen IP:PORT [--seed IP:PORT] --pos F [--replicas N] [--ec K/N] [--repair-threshold M] [--repair-budget BPS] [--obs-out PATH]
-//! d2-node serve-many --nodes N [--port P] [--replicas R] [--ec K/N] [--repair-threshold M] [--repair-budget BPS] [--tick-ms T] [--join-batch B] [--obs-out PATH]
+//! d2-node serve-many --nodes N [--port P] [--replicas R] [--ec K/N] [--repair-threshold M] [--repair-budget BPS] [--obs-out PATH]
 //! d2-node lookup     --node IP:PORT (--key-frac F | --key-u64 N)
 //! d2-node put        --node IP:PORT (--key-frac F | --key-u64 N) --data S [--replicas N] [-v]
 //! d2-node get        --node IP:PORT (--key-frac F | --key-u64 N) [-v]
@@ -28,7 +28,7 @@
 //! (0 = unlimited). Every node in a ring must agree on the policy.
 //!
 //! `serve-many` hosts a whole N-node cluster in this one process: one
-//! reactor, one multiplexer thread, node `i` at virtual address
+//! reactor, one host thread, node `i` at virtual address
 //! `127.0.0.1+i` on the shared port. It prints `LISTEN 127.0.0.1:port`,
 //! `JOINED k/N` progress lines during the staged boot, `STABLE N` when
 //! every node is a ring member, then runs until every node is stopped
@@ -59,11 +59,11 @@
 //! See EXPERIMENTS.md ("A real cluster on localhost" and "Watching a
 //! live cluster") for walkthroughs.
 
-use d2_net::{check_ring, ClusterOps, ManyCluster, ManyConfig, NodeRuntime};
-use d2_ring::node::NodeConfig;
+use d2_net::{check_ring, ClusterOps, Host, ManyCluster, NodeSpec, RedundancyPolicy};
 use d2_types::Key;
 use d2_wire::client::WireClient;
 use d2_wire::metrics::NetMetrics;
+use d2_wire::reactor::TcpReactor;
 use d2_wire::tcp::{pack_addr, unpack_addr, TcpConfig, TcpTransport};
 use std::io::Write;
 use std::net::SocketAddrV4;
@@ -74,7 +74,7 @@ use std::time::Duration;
 fn usage() -> ! {
     eprintln!(
         "usage: d2-node serve      --listen IP:PORT [--seed IP:PORT] --pos F [--replicas N] [--ec K/N] [--repair-threshold M] [--repair-budget BPS] [--obs-out PATH]\n\
-         \x20      d2-node serve-many --nodes N [--port P] [--replicas R] [--ec K/N] [--repair-threshold M] [--repair-budget BPS] [--tick-ms T] [--join-batch B] [--obs-out PATH]\n\
+         \x20      d2-node serve-many --nodes N [--port P] [--replicas R] [--ec K/N] [--repair-threshold M] [--repair-budget BPS] [--obs-out PATH]\n\
          \x20      d2-node lookup     --node IP:PORT (--key-frac F | --key-u64 N)\n\
          \x20      d2-node put        --node IP:PORT (--key-frac F | --key-u64 N) --data S [--replicas N] [-v]\n\
          \x20      d2-node get        --node IP:PORT (--key-frac F | --key-u64 N) [-v]\n\
@@ -102,8 +102,6 @@ struct Args {
     watch: bool,
     nodes: Option<usize>,
     port: u16,
-    tick_ms: Option<u64>,
-    join_batch: Option<usize>,
     expect: Option<usize>,
     all: bool,
     ec: Option<(usize, usize)>,
@@ -117,10 +115,7 @@ fn parse_ec(s: &str) -> (usize, usize) {
     let parts: Vec<&str> = s.split('/').collect();
     if let [k, n] = parts[..] {
         if let (Ok(k), Ok(n)) = (k.parse::<usize>(), n.parse::<usize>()) {
-            if (d2_net::RedundancyPolicy::ErasureCode { k, n })
-                .validate()
-                .is_ok()
-            {
+            if (RedundancyPolicy::ErasureCode { k, n }).validate().is_ok() {
                 return (k, n);
             }
         }
@@ -213,20 +208,6 @@ fn parse_args(args: &[String]) -> Args {
                     std::process::exit(2);
                 }
             },
-            "--tick-ms" => match val("--tick-ms").parse::<u64>() {
-                Ok(t) if t >= 1 => out.tick_ms = Some(t),
-                _ => {
-                    eprintln!("--tick-ms wants a positive integer");
-                    std::process::exit(2);
-                }
-            },
-            "--join-batch" => match val("--join-batch").parse::<usize>() {
-                Ok(b) if b >= 1 => out.join_batch = Some(b),
-                _ => {
-                    eprintln!("--join-batch wants a positive integer");
-                    std::process::exit(2);
-                }
-            },
             "--expect" => match val("--expect").parse::<usize>() {
                 Ok(n) if n >= 1 => out.expect = Some(n),
                 _ => {
@@ -257,55 +238,52 @@ fn parse_args(args: &[String]) -> Args {
     out
 }
 
+/// The node the redundancy flags describe, yet to be placed on the ring.
+fn node_spec(args: &Args) -> NodeSpec {
+    NodeSpec {
+        redundancy: args.ec.map(|(k, n)| RedundancyPolicy::ErasureCode { k, n }),
+        repair_threshold: args.repair_threshold,
+        repair_budget_bps: args.repair_budget,
+        ..NodeSpec::replicated(args.replicas as u32)
+    }
+}
+
 fn serve(args: Args) {
     let Some(listen) = args.listen else { usage() };
     let Some(pos) = args.pos else { usage() };
+    let spec = node_spec(&args).at(Key::from_fraction(pos), args.seed.map(pack_addr));
     let metrics = Arc::new(NetMetrics::new());
-    let transport = TcpTransport::bind(
-        *listen.ip(),
-        listen.port(),
-        TcpConfig::default(),
-        metrics.clone(),
-    )
-    .unwrap_or_else(|e| {
+    // A host of one: the node's endpoint delivers into the host's queue.
+    let launch = || {
+        let (ip, cfg) = (*listen.ip(), TcpConfig::default());
+        let reactor = TcpReactor::bind(ip, listen.port(), cfg, metrics.clone())?;
+        let host = Host::start(metrics.clone())?;
+        host.add(spec, reactor.open_with_queue(ip, host.mailbox())?);
+        std::io::Result::Ok((reactor, host))
+    };
+    let (reactor, host) = launch().unwrap_or_else(|e| {
         eprintln!("bind {listen}: {e}");
         std::process::exit(1);
     });
     // Announce the actual bound address (port 0 picks a free one) so
     // scripts can discover it race-free.
-    println!("LISTEN {}", transport.socket_addr());
+    println!("LISTEN {}:{}", listen.ip(), reactor.port());
     let _ = std::io::stdout().flush();
+    with_obs(args.obs_out, &metrics, || {
+        // Serve until the node is stopped over the wire; the reactor
+        // then flushes the queued ShutdownAck before it closes.
+        host.join();
+        reactor.shutdown();
+    });
+}
 
+/// Runs `serve` with the `--obs-out` writer, if asked for, alongside.
+fn with_obs(path: Option<String>, metrics: &Arc<NetMetrics>, serve: impl FnOnce()) {
     let stop = Arc::new(AtomicBool::new(false));
-    let obs_thread = args
-        .obs_out
-        .map(|path| spawn_obs(path, Arc::clone(&metrics), Arc::clone(&stop)));
-
-    let mut cfg = NodeConfig::default();
-    if let Some((_, n)) = args.ec {
-        // A fragment group of n members needs n - 1 successors.
-        cfg.successors = cfg.successors.max(n.saturating_sub(1));
-    }
-    let id = Key::from_fraction(pos);
-    let mut rt = match args.seed {
-        None => NodeRuntime::bootstrap(id, cfg, transport),
-        Some(seed) => NodeRuntime::join(id, cfg, transport, pack_addr(seed)),
-    };
-    rt.set_replication(args.replicas as u32);
-    if let Some((k, n)) = args.ec {
-        rt.set_redundancy(
-            d2_net::RedundancyPolicy::ErasureCode { k, n },
-            args.repair_threshold,
-            args.repair_budget,
-        );
-    }
-    // Fold this process's transport counters into MetricsDump replies,
-    // so a remote `d2-node top` sees net.* alongside the node metrics.
-    rt.set_net_metrics(metrics.clone());
-    rt.run();
-
+    let writer = path.map(|path| spawn_obs(path, Arc::clone(metrics), Arc::clone(&stop)));
+    serve();
     stop.store(true, Ordering::Release);
-    if let Some(h) = obs_thread {
+    if let Some(h) = writer {
         let _ = h.join();
     }
 }
@@ -344,60 +322,39 @@ fn spawn_obs(
 
 fn serve_many(args: Args) {
     let Some(n) = args.nodes else { usage() };
-    let mut cfg = ManyConfig::for_nodes(n);
-    cfg.port = args.port;
-    cfg.replicas = args.replicas as u32;
-    if let Some(t) = args.tick_ms {
-        cfg.tick = Duration::from_millis(t);
-    }
-    if let Some(b) = args.join_batch {
-        cfg.join_batch = b;
-    }
-    if let Some((k, n)) = args.ec {
-        cfg.redundancy = Some(d2_net::RedundancyPolicy::ErasureCode { k, n });
-        cfg.repair_threshold = args.repair_threshold;
-        cfg.repair_budget_bps = args.repair_budget;
-    }
     let metrics = Arc::new(NetMetrics::new());
-    let cluster = ManyCluster::launch(cfg, Arc::clone(&metrics)).unwrap_or_else(|e| {
-        eprintln!("launch {n}-node cluster: {e}");
-        std::process::exit(1);
-    });
+    let mut cluster = ManyCluster::launch(n, args.port, node_spec(&args), Arc::clone(&metrics))
+        .unwrap_or_else(|e| {
+            eprintln!("launch {n}-node cluster: {e}");
+            std::process::exit(1);
+        });
     // Node 0's address is the canonical client entry point; the other
     // nodes live at 127.0.0.1+i on the same port.
     println!("LISTEN 127.0.0.1:{}", cluster.port());
     let _ = std::io::stdout().flush();
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let obs_thread = args
-        .obs_out
-        .map(|path| spawn_obs(path, Arc::clone(&metrics), Arc::clone(&stop)));
-
-    // Boot progress, then STABLE once the staged join choreography is
-    // done — scripts gate on these banners.
-    let mut last = 0;
-    while cluster.joined() < n && !cluster.finished() {
-        let j = cluster.joined();
-        if j != last {
-            println!("JOINED {j}/{n}");
-            let _ = std::io::stdout().flush();
-            last = j;
+    with_obs(args.obs_out, &metrics, || {
+        // Boot progress, then STABLE once the staged join choreography
+        // is done — scripts gate on these banners.
+        let mut last = 0;
+        while !cluster.finished() {
+            let j = cluster.poll_boot();
+            if j >= n {
+                println!("STABLE {n}");
+                let _ = std::io::stdout().flush();
+                break;
+            }
+            if j != last {
+                println!("JOINED {j}/{n}");
+                let _ = std::io::stdout().flush();
+                last = j;
+            }
+            std::thread::sleep(Duration::from_millis(100));
         }
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    if cluster.joined() >= n {
-        println!("STABLE {n}");
-        let _ = std::io::stdout().flush();
-    }
-
-    // Serve until every node has been stopped over the wire.
-    while !cluster.finished() {
-        std::thread::sleep(Duration::from_millis(100));
-    }
-    stop.store(true, Ordering::Release);
-    if let Some(h) = obs_thread {
-        let _ = h.join();
-    }
+        // Serve until every node has been stopped over the wire.
+        while !cluster.finished() {
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    });
 }
 
 fn client_ops(node: SocketAddrV4) -> ClusterOps<TcpTransport> {

@@ -1,79 +1,58 @@
-//! An in-process cluster harness, generic over the transport.
+//! An in-process cluster: N nodes on one [`Host`] over a
+//! [`ChannelHub`], plus a [`ClusterOps`] client on the same hub.
 //!
-//! [`Deployment`] spawns one OS thread per node, each running a
-//! [`NodeRuntime`] over a [`Transport`] of the caller's choosing:
-//! [`ChannelTransport`] for deterministic tests (the default type
-//! parameter, so existing `Deployment::launch` callers are unchanged) or
-//! [`TcpTransport`] for a real localhost socket cluster via
-//! [`Deployment::launch_tcp`]. Client operations round-robin over the
-//! live nodes — the bootstrap node is only special as the *join seed*,
-//! not as a read path.
+//! Deterministic, no sockets — what the unit tests, the examples and
+//! the benchmark's wire-free probe use. Client operations round-robin
+//! over the live nodes — the bootstrap node is only special as the
+//! *join seed*, not as a read path.
 
-use crate::ops::{ClusterOps, NodeStatus};
-use crate::runtime::NodeRuntime;
+use crate::host::Host;
+use crate::ops::{ClusterOps, ClusterScrape, NodeStatus};
+use crate::runtime::NodeSpec;
 use d2_ec::RedundancyPolicy;
-use d2_obs::Registry;
-use d2_ring::messages::Addr;
-use d2_ring::node::NodeConfig;
+use d2_ring::messages::{Addr, PeerInfo};
 use d2_types::{Key, Result};
 use d2_wire::client::WireClient;
-use d2_wire::codec::Request;
 use d2_wire::metrics::NetMetrics;
-use d2_wire::tcp::{TcpConfig, TcpTransport};
 use d2_wire::transport::{ChannelHub, ChannelTransport, Transport};
 use parking_lot::Mutex;
-use std::collections::HashMap;
-use std::net::Ipv4Addr;
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
-struct NodeSlot {
-    addr: Addr,
-    handle: Option<JoinHandle<()>>,
-}
-
-/// Redundancy settings applied to every node of a deployment (the
-/// whole cluster must agree on the policy).
-#[derive(Clone, Copy)]
-struct EcSettings {
-    policy: RedundancyPolicy,
-    repair_threshold: Option<usize>,
-    repair_budget_bps: u64,
-}
-
-/// Builds a joiner's transport plus, for TCP, its private [`NetMetrics`]
-/// sheet (channel nodes share the hub sheet and return `None`).
-type TransportFactory<T> = Box<dyn FnMut() -> (T, Option<Arc<NetMetrics>>) + Send>;
-
-/// A running cluster of node threads over a pluggable transport.
-pub struct Deployment<T: Transport = ChannelTransport> {
-    ops: ClusterOps<T>,
-    metrics: Arc<NetMetrics>,
-    replicas: usize,
+/// A running in-process cluster.
+pub struct Deployment {
+    hub: ChannelHub,
+    host: Host<ChannelTransport>,
+    ops: ClusterOps<ChannelTransport>,
+    /// What every node shares (the whole cluster must agree on the
+    /// redundancy policy), placed per node with [`NodeSpec::at`].
+    template: NodeSpec,
     seed: Addr,
-    nodes: Mutex<Vec<NodeSlot>>,
-    /// Builds a transport (plus, for TCP, the joining node's private
-    /// [`NetMetrics`] handle) for [`Deployment::join_node`].
-    factory: Mutex<TransportFactory<T>>,
-    /// Transport-specific crash-stop hook (cuts a node off from peers).
-    /// Returns whether the cut alone guarantees the node thread exits.
-    crash: Box<dyn Fn(Addr) -> bool + Send + Sync>,
-    /// Erasure-coding settings, applied to joiners too.
-    ec: Option<EcSettings>,
+    nodes: Mutex<Vec<Addr>>,
 }
 
-impl Deployment<ChannelTransport> {
-    /// Launches `n` nodes with `replicas` copies per block over
-    /// in-process channels. Node 0 bootstraps the ring; the rest join
-    /// through it at evenly spaced positions (deterministic placement
-    /// keeps the example reproducible; use [`Deployment::launch_at`] for
-    /// custom positions).
+/// `n` evenly spaced ring positions (deterministic placement keeps the
+/// examples reproducible).
+fn evenly_spaced(n: usize) -> Vec<Key> {
+    (0..n)
+        .map(|i| Key::from_fraction((i as f64 + 0.5) / n as f64))
+        .collect()
+}
+
+/// Opens the hub's next endpoint and starts the node `spec` on it.
+fn start_node(hub: &ChannelHub, host: &Host<ChannelTransport>, spec: NodeSpec) -> Addr {
+    let transport = hub.open_with_queue(host.mailbox());
+    let addr = transport.local_addr();
+    host.add(spec, transport);
+    addr
+}
+
+impl Deployment {
+    /// Launches `n` nodes with `replicas` copies per block. Node 0
+    /// bootstraps the ring; the rest join through it at evenly spaced
+    /// positions (use [`Deployment::launch_at`] for custom positions).
     pub fn launch(n: usize, replicas: usize) -> Deployment {
-        let ids: Vec<Key> = (0..n)
-            .map(|i| Key::from_fraction((i as f64 + 0.5) / n as f64))
-            .collect();
-        Self::launch_at(&ids, replicas)
+        Self::launch_at(&evenly_spaced(n), replicas)
     }
 
     /// Launches `n` nodes storing blocks as erasure-coded fragments
@@ -82,215 +61,76 @@ impl Deployment<ChannelTransport> {
     /// per node (0 = unlimited). Placement is the same evenly spaced
     /// ring as [`Deployment::launch`].
     pub fn launch_ec(n: usize, k: usize, group: usize, repair_budget_bps: u64) -> Deployment {
-        let ids: Vec<Key> = (0..n)
-            .map(|i| Key::from_fraction((i as f64 + 0.5) / n as f64))
-            .collect();
-        let ec = EcSettings {
-            policy: RedundancyPolicy::ErasureCode { k, n: group },
-            repair_threshold: None,
+        let template = NodeSpec {
+            redundancy: Some(RedundancyPolicy::ErasureCode { k, n: group }),
             repair_budget_bps,
+            // `replicas` doubles as the client-side read-probe depth,
+            // so cover the whole fragment group when the owner is down.
+            ..NodeSpec::replicated(group as u32)
         };
-        // `replicas` doubles as the client-side read-probe depth, so
-        // cover the whole fragment group when the owner is down.
-        Self::launch_at_inner(&ids, group, Some(ec))
+        Self::launch_with(&evenly_spaced(n), template)
     }
 
-    /// Launches one channel-transport node per ring position in `ids`.
-    /// Nodes get addresses `0..n`; the client endpoint gets `n`.
+    /// Launches one node per ring position in `ids`. Nodes get
+    /// addresses `0..n`; the client endpoint gets `n`.
     pub fn launch_at(ids: &[Key], replicas: usize) -> Deployment {
-        Self::launch_at_inner(ids, replicas, None)
+        Self::launch_with(ids, NodeSpec::replicated(replicas as u32))
     }
 
-    fn launch_at_inner(ids: &[Key], replicas: usize, ec: Option<EcSettings>) -> Deployment {
+    fn launch_with(ids: &[Key], template: NodeSpec) -> Deployment {
         assert!(!ids.is_empty(), "need at least one node");
         let metrics = Arc::new(NetMetrics::new());
         let hub = ChannelHub::new(Arc::clone(&metrics));
-        let transports: Vec<ChannelTransport> = ids.iter().map(|_| hub.open()).collect();
-        let seed = transports[0].local_addr();
-        // Channel nodes share the hub-wide metrics sheet, so they do NOT
-        // get a per-node handle — every node folding the same shared
-        // totals into its MetricsDump would multiply them by n in the
-        // merged cluster view.
-        let node_metrics = ids.iter().map(|_| None).collect();
-        let nodes = spawn_nodes(ids, transports, node_metrics, seed, replicas, ec);
-        let client = WireClient::new(hub.open(), Arc::clone(&metrics));
-        let entries: Vec<Addr> = nodes.iter().map(|s| s.addr).collect();
-        let factory_hub = hub.clone();
+        let host = Host::start(Arc::clone(&metrics)).expect("spawn the host thread");
+        let mut nodes: Vec<Addr> = Vec::with_capacity(ids.len());
+        for &id in ids {
+            let seed = nodes.first().copied();
+            nodes.push(start_node(&hub, &host, template.at(id, seed)));
+        }
+        let client = WireClient::new(hub.open(), metrics);
         Deployment {
-            ops: ClusterOps::new(client, entries),
-            metrics,
-            replicas,
-            seed,
+            hub,
+            host,
+            ops: ClusterOps::new(client, nodes.clone()),
+            template,
+            seed: nodes[0],
             nodes: Mutex::new(nodes),
-            factory: Mutex::new(Box::new(move || (factory_hub.open(), None))),
-            crash: Box::new(move |addr| {
-                // Closing the slot makes peer sends fail fast and, once
-                // the mailbox drains, the node's receiver disconnects —
-                // so the thread is guaranteed to exit.
-                hub.close(addr);
-                true
-            }),
-            ec,
         }
     }
-}
 
-impl Deployment<TcpTransport> {
-    /// Launches `n` nodes over real localhost TCP sockets (each bound to
-    /// `127.0.0.1:0`), with the same evenly spaced ring placement as
-    /// [`Deployment::launch`].
-    pub fn launch_tcp(
-        n: usize,
-        replicas: usize,
-        cfg: TcpConfig,
-    ) -> std::io::Result<Deployment<TcpTransport>> {
-        assert!(n > 0, "need at least one node");
-        let ids: Vec<Key> = (0..n)
-            .map(|i| Key::from_fraction((i as f64 + 0.5) / n as f64))
-            .collect();
-        // Every TCP node gets a *private* metrics sheet: its counters
-        // travel back in MetricsDump responses, and the merged cluster
-        // view stays a sum of disjoint per-node sheets. The deployment
-        // field keeps the client socket's sheet.
-        let metrics = Arc::new(NetMetrics::new());
-        let mut transports = Vec::with_capacity(n);
-        let mut node_metrics: Vec<Option<Arc<NetMetrics>>> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let nm = Arc::new(NetMetrics::new());
-            transports.push(TcpTransport::bind(
-                Ipv4Addr::LOCALHOST,
-                0,
-                cfg,
-                Arc::clone(&nm),
-            )?);
-            node_metrics.push(Some(nm));
-        }
-        let seed = transports[0].local_addr();
-        let nodes = spawn_nodes(&ids, transports, node_metrics, seed, replicas, None);
-        let client = WireClient::new(
-            TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, cfg, Arc::clone(&metrics))?,
-            Arc::clone(&metrics),
-        );
-        let entries: Vec<Addr> = nodes.iter().map(|s| s.addr).collect();
-        Ok(Deployment {
-            ops: ClusterOps::new(client, entries),
-            metrics,
-            replicas,
-            seed,
-            nodes: Mutex::new(nodes),
-            factory: Mutex::new(Box::new(move || {
-                let nm = Arc::new(NetMetrics::new());
-                let t = TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, cfg, Arc::clone(&nm))
-                    .expect("bind joining node on 127.0.0.1:0");
-                (t, Some(nm))
-            })),
-            // A TCP node cannot be cut off externally; killing relies on
-            // the shutdown request reaching it.
-            crash: Box::new(|_| false),
-            ec: None,
-        })
-    }
-}
-
-/// Ring config sized for the redundancy group: an erasure group of `n`
-/// members needs `n - 1` successors, which can exceed the default
-/// successor-list length (a replica chain of the same size would too,
-/// but `r` that large is never configured).
-fn node_config(ec: Option<EcSettings>) -> NodeConfig {
-    let mut cfg = NodeConfig::default();
-    if let Some(ec) = ec {
-        cfg.successors = cfg.successors.max(ec.policy.group_size().saturating_sub(1));
-    }
-    cfg
-}
-
-fn spawn_nodes<T: Transport>(
-    ids: &[Key],
-    transports: Vec<T>,
-    node_metrics: Vec<Option<Arc<NetMetrics>>>,
-    seed: Addr,
-    replicas: usize,
-    ec: Option<EcSettings>,
-) -> Vec<NodeSlot> {
-    let mut nodes = Vec::with_capacity(ids.len());
-    for (i, (transport, nm)) in transports.into_iter().zip(node_metrics).enumerate() {
-        let cfg = node_config(ec);
-        let mut rt = if transport.local_addr() == seed {
-            NodeRuntime::bootstrap(ids[i], cfg, transport)
-        } else {
-            NodeRuntime::join(ids[i], cfg, transport, seed)
-        };
-        rt.set_replication(replicas as u32);
-        if let Some(ec) = ec {
-            rt.set_redundancy(ec.policy, ec.repair_threshold, ec.repair_budget_bps);
-        }
-        if let Some(nm) = nm {
-            rt.set_net_metrics(nm);
-        }
-        let addr = rt.local_addr();
-        nodes.push(NodeSlot {
-            addr,
-            handle: Some(std::thread::spawn(move || rt.run())),
-        });
-    }
-    nodes
-}
-
-impl<T: Transport> Deployment<T> {
     /// Joins a brand-new node at ring position `id` through the seed,
     /// returning its address. The ring absorbs it over the next few
     /// stabilization rounds ([`Deployment::wait_stable`] blocks until
     /// then).
     pub fn join_node(&self, id: Key) -> Addr {
-        let (transport, nm) = (self.factory.lock())();
-        let mut rt = NodeRuntime::join(id, node_config(self.ec), transport, self.seed);
-        rt.set_replication(self.replicas as u32);
-        if let Some(ec) = self.ec {
-            rt.set_redundancy(ec.policy, ec.repair_threshold, ec.repair_budget_bps);
-        }
-        if let Some(nm) = nm {
-            rt.set_net_metrics(nm);
-        }
-        let addr = rt.local_addr();
-        self.nodes.lock().push(NodeSlot {
-            addr,
-            handle: Some(std::thread::spawn(move || rt.run())),
-        });
+        let spec = self.template.at(id, Some(self.seed));
+        let addr = start_node(&self.hub, &self.host, spec);
+        self.nodes.lock().push(addr);
         self.refresh_entries();
         addr
     }
 
-    /// Kills node `addr` abruptly (crash-stop). Peers detect the death
-    /// through failed sends and stabilization repairs the ring; the dead
-    /// node's thread is reaped before returning. The seed node must stay
-    /// alive (it is the join entry point).
+    /// Kills node `addr` abruptly (crash-stop): no goodbye traffic, and
+    /// sends to it fail fast from the moment this returns. Peers detect
+    /// the death through those failed sends and stabilization repairs
+    /// the ring. The seed node must stay alive (it is the join entry
+    /// point).
     ///
     /// # Panics
     ///
     /// Panics if `addr` is the seed or not a live node.
     pub fn kill_node(&self, addr: Addr) {
         assert!(addr != self.seed, "the seed node must stay alive");
-        let mut slot = {
+        {
             let mut nodes = self.nodes.lock();
             let i = nodes
                 .iter()
-                .position(|s| s.addr == addr)
+                .position(|&a| a == addr)
                 .unwrap_or_else(|| panic!("no live node at addr {addr}"));
-            nodes.remove(i)
-        };
-        self.refresh_entries();
-        // Ask it to stop (fire-and-forget), then cut it off so peers
-        // fail fast. For channels the cut alone guarantees exit; for TCP
-        // we rely on the delivered shutdown request.
-        let delivered = self.ops.client().notify(addr, Request::Shutdown).is_ok();
-        let forced = (self.crash)(addr);
-        if let Some(h) = slot.handle.take() {
-            if delivered || forced {
-                let _ = h.join();
-            }
-            // Otherwise the node is unreachable and would never exit:
-            // leak the thread rather than hang the caller.
+            nodes.remove(i);
         }
+        self.refresh_entries();
+        self.host.crash(addr);
     }
 
     /// Number of live nodes.
@@ -298,97 +138,57 @@ impl<T: Transport> Deployment<T> {
         self.nodes.lock().len()
     }
 
-    /// Whether the deployment has no nodes (never true after launch).
+    /// Whether the deployment has no nodes (never true before
+    /// [`Deployment::shutdown`]).
     pub fn is_empty(&self) -> bool {
         self.nodes.lock().is_empty()
     }
 
     /// Addresses of all live nodes.
     pub fn live_addrs(&self) -> Vec<Addr> {
-        self.nodes.lock().iter().map(|s| s.addr).collect()
+        self.nodes.lock().clone()
     }
 
     fn refresh_entries(&self) {
         self.ops.set_entries(self.live_addrs());
     }
 
-    /// The join seed's address.
-    pub fn seed_addr(&self) -> Addr {
-        self.seed
-    }
-
     /// Client operations against this cluster (shared with the
     /// `d2-node` CLI and integration tests).
-    pub fn ops(&self) -> &ClusterOps<T> {
+    pub fn ops(&self) -> &ClusterOps<ChannelTransport> {
         &self.ops
-    }
-
-    /// The deployment-wide network metrics sheet.
-    pub fn metrics(&self) -> &Arc<NetMetrics> {
-        &self.metrics
-    }
-
-    /// Current `net.*` counters and RTT histograms as a registry
-    /// snapshot (ready for JSONL export).
-    pub fn metrics_registry(&self) -> Registry {
-        self.metrics.snapshot()
     }
 
     /// Scrapes every live node's registry and flight recorder over the
     /// wire and merges them into the cluster view (see
     /// [`ClusterOps::scrape`]).
-    pub fn scrape(&self) -> crate::ops::ClusterScrape {
+    pub fn scrape(&self) -> ClusterScrape {
         self.ops.scrape(&self.live_addrs())
     }
 
-    /// Blocks until every live node has a live predecessor and
-    /// successor and the successor cycle from the seed covers all live
-    /// nodes.
+    /// Blocks until the live nodes pass the ring-invariant suite
+    /// ([`ClusterOps::wait_ring_ok`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics with the violations if the ring has not converged within
+    /// 50 seconds: a wedged topology and a merely-slow one need
+    /// different fixes.
     pub fn wait_stable(&self) {
-        for _ in 0..2000 {
-            let statuses = self.statuses();
-            let expected = self.len();
-            let live: Vec<Addr> = statuses.iter().map(|s| s.me.addr).collect();
-            let ok = statuses.len() == expected
-                && statuses.iter().all(|s| {
-                    s.predecessor
-                        .map(|p| live.contains(&p.addr))
-                        .unwrap_or(false)
-                        && s.successors
-                            .first()
-                            .map(|p| live.contains(&p.addr))
-                            .unwrap_or(false)
-                })
-                && ring_is_consistent(self.seed, &statuses);
-            if ok {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(25));
-        }
-        // Include the final ring shape: a wedged topology and a
-        // merely-slow one need different fixes.
-        let statuses = self.statuses();
-        let mut shape = String::new();
-        for s in &statuses {
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                shape,
-                "  {}: pred={:?} succs={:?}",
-                s.me.addr,
-                s.predecessor.map(|p| p.addr),
-                s.successors.iter().map(|p| p.addr).collect::<Vec<_>>()
+        let live = self.live_addrs();
+        if let Err(report) = self.ops.wait_ring_ok(&live, Duration::from_secs(50)) {
+            panic!(
+                "ring failed to stabilize; {}/{} statuses, violations:\n  {}",
+                report.nodes,
+                live.len(),
+                report.violations.join("\n  ")
             );
         }
-        panic!(
-            "ring failed to stabilize; {}/{} statuses:\n{shape}",
-            statuses.len(),
-            self.len()
-        );
     }
 
     /// Locates the owner of `key` via a real recursive lookup, entering
     /// through the live nodes in round-robin order.
-    pub fn lookup(&self, key: Key) -> Result<d2_ring::messages::PeerInfo> {
+    pub fn lookup(&self, key: Key) -> Result<PeerInfo> {
         self.ops.lookup(key)
     }
 
@@ -396,12 +196,13 @@ impl<T: Transport> Deployment<T> {
     /// whole replica chain has acked — no settling time needed before
     /// reads.
     pub fn put(&self, key: Key, data: Vec<u8>) -> Result<()> {
-        self.ops.put(key, data, self.replicas).map(|_| ())
+        let replicas = self.template.replicas as usize;
+        self.ops.put(key, data, replicas).map(|_| ())
     }
 
     /// Fetches a block from the owner (falling back to its successors).
     pub fn get(&self, key: Key) -> Result<Vec<u8>> {
-        self.ops.get(key, self.replicas)
+        self.ops.get(key, self.template.replicas as usize)
     }
 
     /// Snapshot of every reachable live node's view.
@@ -412,49 +213,10 @@ impl<T: Transport> Deployment<T> {
             .collect()
     }
 
-    /// Stops all node threads gracefully and reaps them.
+    /// Stops the host and with it every node. Idempotent.
     pub fn shutdown(&self) {
-        let mut nodes = std::mem::take(&mut *self.nodes.lock());
-        for slot in &mut nodes {
-            let acked = self.ops.stop(slot.addr);
-            let forced = if acked {
-                false
-            } else {
-                (self.crash)(slot.addr)
-            };
-            if let Some(h) = slot.handle.take() {
-                if acked || forced {
-                    let _ = h.join();
-                }
-            }
-        }
+        self.host.stop();
+        self.nodes.lock().clear();
         self.refresh_entries();
-    }
-}
-
-/// Following successor pointers from `seed` must visit all live nodes.
-fn ring_is_consistent(seed: Addr, statuses: &[NodeStatus]) -> bool {
-    let by_addr: HashMap<Addr, &NodeStatus> = statuses.iter().map(|s| (s.me.addr, s)).collect();
-    let mut seen = 0usize;
-    let mut cur = seed;
-    for _ in 0..statuses.len() {
-        seen += 1;
-        let Some(s) = by_addr.get(&cur) else {
-            return false;
-        };
-        let Some(next) = s.successors.first() else {
-            return false;
-        };
-        cur = next.addr;
-        if cur == seed {
-            break;
-        }
-    }
-    seen == statuses.len() && cur == seed
-}
-
-impl<T: Transport> Drop for Deployment<T> {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }

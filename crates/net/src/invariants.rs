@@ -14,7 +14,8 @@
 //! 2. **Corpse-free** — every pointer names a live node (nobody routes
 //!    through the dead).
 //! 3. **Ordered successor lists** — each list ascends strictly in
-//!    clockwise distance from its owner, with no duplicates.
+//!    clockwise distance from its owner, with no duplicates and never
+//!    the owner itself.
 //! 4. **One ring** — first successors form a single cycle covering the
 //!    whole live set: each node's successor is the clockwise-next live
 //!    node.
@@ -83,6 +84,11 @@ pub fn check_ring(statuses: &[NodeStatus]) -> RingReport {
             report.violations.push(format!("{me}: no successors"));
         }
         for p in &s.successors {
+            if p.addr == me {
+                report
+                    .violations
+                    .push(format!("{me}: lists itself as a successor"));
+            }
             if !live.contains(&p.addr) {
                 report
                     .violations
@@ -206,6 +212,15 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.contains("no predecessor")));
+    }
+
+    #[test]
+    fn self_successor_is_flagged() {
+        let mut ring = healthy(8, 3);
+        ring[5].successors[2] = ring[5].me;
+        let report = check_ring(&ring);
+        let hit = |v: &String| v.contains("lists itself as a successor");
+        assert!(report.violations.iter().any(hit), "{report:?}");
     }
 
     #[test]

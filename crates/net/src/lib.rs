@@ -1,25 +1,23 @@
-//! A live D2 deployment: thread-per-node over a pluggable transport.
+//! A live D2 deployment: one stepping loop over a pluggable transport.
 //!
 //! The paper evaluates its C++ prototype on up to 1,000 virtual nodes on
 //! Emulab (Section 9.1). This crate is the equivalent runnable artifact:
-//! every node is an OS thread executing the *same* protocol state machine
+//! every node is a [`NodeRuntime`] — the *same* protocol state machine
 //! as the simulations ([`d2_ring::node::ProtocolNode`]) plus a block
-//! store, glued to the world through a [`d2_wire::Transport`]. A
-//! [`Deployment`] handle lets a client join nodes, put/get replicated
-//! blocks through real recursive lookups, and inspect the ring.
+//! store — glued to the world through a [`d2_wire::Transport`] and
+//! stepped by a [`Host`], one scheduler thread for any number of nodes
+//! ([`host`] has the design). Three front-ends put nodes on a host:
 //!
-//! Two transports, one node:
-//!
-//! - [`Deployment::launch`] runs over in-process channels —
-//!   deterministic, no sockets, what the unit tests use.
-//! - [`Deployment::launch_tcp`] runs the identical [`NodeRuntime`] over
-//!   real localhost TCP sockets with connection pooling and
-//!   reconnect-with-backoff.
-//! - the `d2-node` binary (in this crate) runs one [`NodeRuntime`] per
-//!   OS *process*, for multi-process clusters — see EXPERIMENTS.md.
-//! - `d2-node serve-many` ([`many`]) multiplexes *N* [`NodeRuntime`]s
-//!   over one reactor in one process — the paper-scale deployment
-//!   (1,000 nodes on one machine) with a constant OS thread count.
+//! - [`Deployment`] runs N nodes over in-process channels —
+//!   deterministic, no sockets, what the unit tests use. The handle
+//!   lets a client join and crash nodes, put/get replicated blocks
+//!   through real recursive lookups, and inspect the ring.
+//! - `d2-node serve` (the binary in this crate) hosts one node per OS
+//!   *process* over a TCP reactor endpoint, for multi-process clusters
+//!   — see EXPERIMENTS.md.
+//! - `d2-node serve-many` ([`ManyCluster`]) hosts *N* nodes over N
+//!   endpoints of one reactor — the paper-scale deployment (1,000 nodes
+//!   on one machine) with a constant OS thread count.
 //!
 //! [`invariants::check_ring`] asserts the Zave ring invariants against
 //! live status snapshots, shared by `d2-node check`, the test suites,
@@ -47,8 +45,8 @@
 
 pub mod clock;
 pub mod deployment;
+pub mod host;
 pub mod invariants;
-pub mod many;
 pub mod ops;
 pub mod runtime;
 pub mod telemetry;
@@ -56,19 +54,18 @@ pub mod telemetry;
 pub use clock::{Clock, SimClock, SkewClock, SystemClock};
 pub use d2_ec::RedundancyPolicy;
 pub use deployment::Deployment;
+pub use host::{Host, ManyCluster};
 pub use invariants::{check_ring, RingReport};
-pub use many::{ManyCluster, ManyConfig};
 pub use ops::{
     BatchOutcome, CacheStats, ClusterOps, ClusterScrape, NodeScrape, NodeStatus, PipelineConfig,
 };
-pub use runtime::{NodeRuntime, StoredFragment};
+pub use runtime::{NodeRuntime, NodeSpec, StoredFragment};
 pub use telemetry::{render_top, render_trace};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use d2_types::{D2Error, Key};
-    use d2_wire::tcp::TcpConfig;
 
     #[test]
     fn small_ring_stabilizes() {
@@ -144,8 +141,7 @@ mod tests {
         dep.wait_stable();
         assert_eq!(dep.len(), 13);
 
-        // Crash two non-seed nodes; the ring must heal and kill_node
-        // must have reaped their threads before returning.
+        // Crash two non-seed nodes; the ring must heal.
         dep.kill_node(4);
         dep.kill_node(7);
         dep.wait_stable();
@@ -261,26 +257,6 @@ mod tests {
             std::thread::sleep(std::time::Duration::from_millis(50));
         }
         assert!(repaired > 0, "lazy repair never regenerated a fragment");
-        dep.shutdown();
-    }
-
-    #[test]
-    fn tcp_deployment_put_get_roundtrip() {
-        // The identical NodeRuntime over real localhost sockets.
-        let dep = Deployment::launch_tcp(5, 3, TcpConfig::default()).unwrap();
-        dep.wait_stable();
-        for i in 0..6u64 {
-            let key = Key::from_u64_ordered(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            dep.put(key, format!("tcp-{i}").into_bytes()).unwrap();
-        }
-        for i in 0..6u64 {
-            let key = Key::from_u64_ordered(i.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-            assert_eq!(dep.get(key).unwrap(), format!("tcp-{i}").into_bytes());
-        }
-        let reg = dep.metrics_registry();
-        assert!(reg.counter("net.bytes_out") > 0);
-        assert!(reg.counter("net.msgs") > 0);
-        assert!(reg.histogram("net.rtt_us.put").is_some());
         dep.shutdown();
     }
 }

@@ -14,6 +14,7 @@
 //! owns the key refuses with [`Response::NotOwner`], and the client
 //! drops the node's entries and re-runs the op through a routed lookup.
 
+use crate::invariants::{check_ring, RingReport};
 use d2_obs::{Registry, SpanRecord, TraceCtx};
 use d2_ring::messages::{Addr, PeerInfo};
 use d2_sim::SimTime;
@@ -570,6 +571,25 @@ impl<T: Transport> ClusterOps<T> {
         {
             Ok(Response::Status(w)) => Some(w.into()),
             _ => None,
+        }
+    }
+
+    /// Polls [`check_ring`] over `addrs` until every node answers and no
+    /// invariant is violated; the timeout error is the last report.
+    pub fn wait_ring_ok(
+        &self,
+        addrs: &[Addr],
+        timeout: Duration,
+    ) -> std::result::Result<(), RingReport> {
+        let deadline = Instant::now() + timeout;
+        loop {
+            let statuses: Vec<_> = addrs.iter().filter_map(|&a| self.status_of(a)).collect();
+            let report = check_ring(&statuses);
+            let ok = report.ok() && report.nodes == addrs.len();
+            if ok || Instant::now() >= deadline {
+                return if ok { Ok(()) } else { Err(report) };
+            }
+            std::thread::sleep(Duration::from_millis(25));
         }
     }
 

@@ -2,14 +2,10 @@
 //!
 //! A [`NodeRuntime`] is one live D2 node: the pure protocol state
 //! machine ([`ProtocolNode`]), a local block store, and a
-//! [`Transport`] endpoint. [`NodeRuntime::run`] drives it until a
-//! [`Request::Shutdown`] arrives or the transport closes — the *same*
-//! loop body whether the transport is an in-process channel or a TCP
-//! socket, which is the whole point of the [`d2_wire`] seam.
-//!
-//! The loop body is exposed as two single-step entry points so the
-//! deterministic simulation harness (`d2-dst`) can drive the *identical*
-//! runtime one event at a time with no threads and no sleeps:
+//! [`Transport`] endpoint to send through. It never receives or sleeps
+//! by itself: a driver steps it through two entry points, one event at
+//! a time — [`crate::Host`] on wall-clock time for every live node, the
+//! deterministic simulation harness (`d2-dst`) on virtual time:
 //!
 //! - [`NodeRuntime::on_message`] — handle exactly one incoming message;
 //! - [`NodeRuntime::on_tick`] — run exactly one maintenance tick
@@ -20,6 +16,7 @@
 //! of the schedule.
 
 use crate::clock::{Clock, SystemClock};
+use crate::ops::NodeStatus;
 use d2_ec::{Codec as EcCodec, Fragment, RedundancyPolicy};
 use d2_obs::flight::{FLIGHT_CAPACITY, SLOW_THRESHOLD_US};
 use d2_obs::{FlightRecorder, Registry, SpanRecord, TraceCtx};
@@ -28,13 +25,13 @@ use d2_ring::node::{NodeConfig, ProtocolNode};
 use d2_types::Key;
 use d2_wire::codec::{Request, Response, WireMetrics, WireMsg, WireStatus};
 use d2_wire::metrics::NetMetrics;
-use d2_wire::transport::{RecvError, Transport};
+use d2_wire::transport::Transport;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// How long the event loop waits for traffic before running a
-/// stabilization tick.
+/// The maintenance tick period: how often a driver calls
+/// [`NodeRuntime::on_tick`] (a host of many nodes stretches it).
 pub const TICK: Duration = Duration::from_millis(20);
 
 /// How long an unjoined node waits before re-sending its join. Longer
@@ -79,9 +76,55 @@ pub struct StoredFragment {
     pub frag: Fragment,
 }
 
+/// What one node is: everything a driver decides before the node
+/// exists. [`NodeRuntime::new`] derives the rest (ring configuration,
+/// repair threshold defaults).
+#[derive(Clone, Copy, Debug)]
+pub struct NodeSpec {
+    /// Ring position.
+    pub id: Key,
+    /// The node to join through; `None` bootstraps a new ring.
+    pub seed: Option<Addr>,
+    /// Replica-maintenance target: background repair keeps every owned
+    /// block on the owner plus `replicas - 1` successors (`0` disables
+    /// it). Put chains are driven by the client's requested fanout.
+    pub replicas: u32,
+    /// `Some(ErasureCode)` switches puts to owner-side encoding into
+    /// `n` fragments, gets to any-`k` gather-and-decode, and repair to
+    /// the lazy, budgeted fragment regenerator; `Some(Replicate { r })`
+    /// overrides `replicas`. Every node of a ring must agree.
+    pub redundancy: Option<RedundancyPolicy>,
+    /// Lazy-repair trigger `m` (default: the policy's midpoint; clamped
+    /// to `k..n`): a key regenerates only once its surviving fragments
+    /// drop below `m`.
+    pub repair_threshold: Option<usize>,
+    /// Cap on regeneration traffic, bytes/second per node (`0` =
+    /// unlimited).
+    pub repair_budget_bps: u64,
+}
+
+impl NodeSpec {
+    /// A bootstrap node at the ring's origin keeping `replicas` copies,
+    /// no erasure coding: a template for [`NodeSpec::at`].
+    pub fn replicated(replicas: u32) -> NodeSpec {
+        NodeSpec {
+            id: Key::MIN,
+            seed: None,
+            replicas,
+            redundancy: None,
+            repair_threshold: None,
+            repair_budget_bps: 0,
+        }
+    }
+
+    /// The same node at ring position `id`, joining through `seed`.
+    pub fn at(self, id: Key, seed: Option<Addr>) -> NodeSpec {
+        NodeSpec { id, seed, ..self }
+    }
+}
+
 /// Erasure-coding configuration and repair-budget state, present only
-/// when [`NodeRuntime::set_redundancy`] selected an
-/// [`RedundancyPolicy::ErasureCode`] policy.
+/// under an [`RedundancyPolicy::ErasureCode`] policy.
 struct EcState {
     codec: EcCodec,
     /// Lazy-repair threshold `m`: a key regenerates only when its
@@ -192,10 +235,9 @@ pub struct NodeRuntime<T: Transport, C: Clock = SystemClock> {
     registry: Registry,
     /// Bounded ring of recent + notable (slow/failed) spans.
     recorder: FlightRecorder,
-    /// Transport-level counters to fold into metric dumps, when this
-    /// node has a dedicated [`NetMetrics`] (per-node in TCP
-    /// deployments; shared in channel deployments, where it is omitted
-    /// here to avoid double counting).
+    /// Transport-level counters to fold into metric dumps, while this
+    /// node has the sheet to itself: co-hosted nodes each folding a
+    /// shared sheet would multiply it by N in a merged scrape.
     net_metrics: Option<Arc<NetMetrics>>,
     /// Monotonic input to the deterministic span-id hash.
     span_seq: u64,
@@ -208,60 +250,54 @@ pub struct NodeRuntime<T: Transport, C: Clock = SystemClock> {
     cur_ok: bool,
 }
 
-impl<T: Transport> NodeRuntime<T, SystemClock> {
-    /// Creates the first node of a new ring at position `id`. The node's
-    /// address is the transport's.
-    pub fn bootstrap(id: Key, cfg: NodeConfig, transport: T) -> Self {
-        Self::bootstrap_with_clock(id, cfg, transport, SystemClock::default())
-    }
-
-    /// Creates a node that joins an existing ring through `seed`,
-    /// sending the initial join traffic immediately.
-    pub fn join(id: Key, cfg: NodeConfig, transport: T, seed: Addr) -> Self {
-        Self::join_with_clock(id, cfg, transport, seed, SystemClock::default())
-    }
-}
-
 impl<T: Transport, C: Clock> NodeRuntime<T, C> {
-    /// [`NodeRuntime::bootstrap`] with an explicit clock (used by the
-    /// deterministic simulation harness to inject virtual time).
-    pub fn bootstrap_with_clock(id: Key, cfg: NodeConfig, transport: T, clock: C) -> Self {
-        let node = ProtocolNode::bootstrap(id, transport.local_addr(), cfg);
-        let now = clock.now_us();
-        NodeRuntime {
-            node,
-            store: HashMap::new(),
-            fragments: HashMap::new(),
-            ec: None,
-            ec_ops: HashMap::new(),
-            ec_repair_queue: BTreeMap::new(),
-            next_ec_req: EC_REQ_BASE,
-            transport,
-            clock,
-            pending_lookups: HashMap::new(),
-            pending_repairs: HashMap::new(),
-            seed: None,
-            last_join_attempt_us: now,
-            replication: 0,
-            ticks: 0,
-            registry: Registry::new(),
-            recorder: FlightRecorder::new(FLIGHT_CAPACITY, SLOW_THRESHOLD_US),
-            net_metrics: None,
-            span_seq: 0,
-            cur_ctx: TraceCtx::NONE,
-            cur_ok: true,
-        }
+    /// Creates the node `spec` describes at the transport's address:
+    /// the first node of a new ring, or one that joins through
+    /// `spec.seed`, sending the initial join traffic immediately.
+    pub fn new(spec: NodeSpec, transport: T, clock: C) -> Self {
+        Self::with_ring_config(spec, NodeConfig::default(), transport, clock)
     }
 
-    /// [`NodeRuntime::join`] with an explicit clock.
-    pub fn join_with_clock(id: Key, cfg: NodeConfig, transport: T, seed: Addr, clock: C) -> Self {
-        let (node, join_msgs) = ProtocolNode::join(id, transport.local_addr(), cfg, seed);
+    /// [`NodeRuntime::new`] over an explicit ring configuration — the
+    /// simulation harness's door for [`NodeConfig`]'s fault knobs.
+    #[doc(hidden)]
+    pub fn with_ring_config(spec: NodeSpec, mut cfg: NodeConfig, transport: T, clock: C) -> Self {
+        let policy = spec.redundancy.unwrap_or(RedundancyPolicy::Replicate {
+            r: spec.replicas as usize,
+        });
+        // A chain or fragment group of `n` members is the owner plus
+        // `n - 1` successors, which a wide code pushes past the default
+        // list length.
+        cfg.successors = cfg.successors.max(policy.group_size().saturating_sub(1));
         let now = clock.now_us();
+        let ec = EcCodec::for_policy(policy).map(|codec| {
+            let lo = policy.min_fragments();
+            let hi = policy.group_size().saturating_sub(1).max(1);
+            EcState {
+                codec,
+                repair_threshold: match spec.repair_threshold {
+                    Some(m) => m.clamp(lo, hi),
+                    None => policy.default_repair_threshold(),
+                },
+                repair_budget_bps: spec.repair_budget_bps,
+                repair_tokens: 0,
+                last_refill_us: now,
+            }
+        });
+        let me = transport.local_addr();
+        let (node, join_msgs) = match spec.seed {
+            None => (ProtocolNode::bootstrap(spec.id, me, cfg), Vec::new()),
+            Some(seed) => ProtocolNode::join(spec.id, me, cfg, seed),
+        };
         let mut rt = NodeRuntime {
             node,
             store: HashMap::new(),
             fragments: HashMap::new(),
-            ec: None,
+            replication: match policy {
+                RedundancyPolicy::Replicate { r } => r as u32,
+                RedundancyPolicy::ErasureCode { .. } => spec.replicas,
+            },
+            ec,
             ec_ops: HashMap::new(),
             ec_repair_queue: BTreeMap::new(),
             next_ec_req: EC_REQ_BASE,
@@ -269,9 +305,8 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
             clock,
             pending_lookups: HashMap::new(),
             pending_repairs: HashMap::new(),
-            seed: Some(seed),
+            seed: spec.seed,
             last_join_attempt_us: now,
-            replication: 0,
             ticks: 0,
             registry: Registry::new(),
             recorder: FlightRecorder::new(FLIGHT_CAPACITY, SLOW_THRESHOLD_US),
@@ -280,11 +315,12 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
             cur_ctx: TraceCtx::NONE,
             cur_ok: true,
         };
+        let Some(seed) = spec.seed else { return rt };
         // Joins get their own trace, so `d2-node trace` can replay how a
         // node entered the ring. The id is derived from the node's ring
         // position: deterministic, and unique per joiner with
         // overwhelming probability.
-        let trace_id = join_trace_id(id);
+        let trace_id = join_trace_id(spec.id);
         let span = rt.alloc_span();
         let start = rt.clock.now_us();
         rt.cur_ctx = TraceCtx {
@@ -305,62 +341,11 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         rt
     }
 
-    /// Sets the replica-maintenance target: background repair keeps
-    /// every owned block on the owner plus `replicas - 1` successors.
-    /// `0` (the default) disables repair.
-    pub fn set_replication(&mut self, replicas: u32) {
-        self.replication = replicas;
-    }
-
-    /// Selects the redundancy policy. [`RedundancyPolicy::Replicate`]
-    /// reduces to [`NodeRuntime::set_replication`]; an erasure policy
-    /// switches puts to owner-side encoding into `n` fragments, gets to
-    /// any-`k` gather-and-decode, and background repair to the lazy,
-    /// budgeted fragment regenerator.
-    ///
-    /// `repair_threshold` is the lazy-repair trigger `m` (defaulting to
-    /// the policy's midpoint, clamped to `k..n`): a key regenerates only
-    /// once its surviving fragments drop below `m`.
-    /// `repair_budget_bps` caps regeneration traffic in bytes/second per
-    /// node (`0` = unlimited).
-    pub fn set_redundancy(
-        &mut self,
-        policy: RedundancyPolicy,
-        repair_threshold: Option<usize>,
-        repair_budget_bps: u64,
-    ) {
-        match EcCodec::for_policy(policy) {
-            None => {
-                self.ec = None;
-                if let RedundancyPolicy::Replicate { r } = policy {
-                    self.replication = r as u32;
-                }
-            }
-            Some(codec) => {
-                let lo = policy.min_fragments();
-                let hi = policy.group_size().saturating_sub(1).max(1);
-                let m = match repair_threshold {
-                    Some(m) => m.clamp(lo, hi),
-                    None => policy.default_repair_threshold(),
-                };
-                self.ec = Some(EcState {
-                    codec,
-                    repair_threshold: m,
-                    repair_budget_bps,
-                    repair_tokens: 0,
-                    last_refill_us: self.clock.now_us(),
-                });
-            }
-        }
-    }
-
-    /// Attaches a transport-metrics handle whose counters are folded
-    /// into this node's [`Request::MetricsDump`] responses. TCP
-    /// deployments give each node its own handle; channel deployments
-    /// share one hub-wide handle and skip this to avoid every node
-    /// re-reporting the same totals.
-    pub fn set_net_metrics(&mut self, metrics: Arc<NetMetrics>) {
-        self.net_metrics = Some(metrics);
+    /// Whether this node's [`Request::MetricsDump`] replies fold in
+    /// `sheet`, its transport's counters. Set by [`crate::Host`], which
+    /// knows whether the node has the sheet to itself.
+    pub(crate) fn set_net_metrics(&mut self, sheet: Option<Arc<NetMetrics>>) {
+        self.net_metrics = sheet;
     }
 
     /// This node's own metric registry (scraped via
@@ -418,13 +403,8 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         });
     }
 
-    /// The node's transport address.
-    pub fn local_addr(&self) -> Addr {
-        self.transport.local_addr()
-    }
-
-    /// The node's transport endpoint, used by external drivers (the
-    /// many-nodes multiplexer) to close it when the node stops.
+    /// The node's transport endpoint, which its driver closes when the
+    /// node stops.
     pub fn transport(&self) -> &T {
         &self.transport
     }
@@ -447,41 +427,19 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         &self.fragments
     }
 
-    /// Keys currently queued for budgeted fragment regeneration.
-    pub fn ec_repair_queue_len(&self) -> usize {
-        self.ec_repair_queue.len()
-    }
-
-    /// Runs the event loop until shutdown, then closes the transport.
-    ///
-    /// Maintenance ticks are deadline-scheduled, not idle-gated: a node
-    /// under constant message load still stabilizes and repairs on the
-    /// [`TICK`] cadence instead of waiting for a quiet [`TICK`]-long
-    /// gap that a busy cluster may never grant it.
-    pub fn run(mut self) {
-        let tick_us = TICK.as_micros() as u64;
-        let mut next_tick_us = self.clock.now_us().saturating_add(tick_us);
-        loop {
-            if self.clock.now_us() >= next_tick_us {
-                self.on_tick();
-                next_tick_us = self.clock.now_us().saturating_add(tick_us);
-            }
-            let wait_us = next_tick_us.saturating_sub(self.clock.now_us()).max(1);
-            match self.transport.recv_timeout(Duration::from_micros(wait_us)) {
-                Err(RecvError::Timeout) => {} // deadline reached; tick above
-                Err(RecvError::Closed) => break,
-                Ok((msg, trace)) => {
-                    if !self.on_message(msg, trace) {
-                        break;
-                    }
-                }
-            }
+    /// This node's view of the ring, as [`Request::Status`] reports it.
+    pub fn status(&self) -> NodeStatus {
+        NodeStatus {
+            me: self.node.me(),
+            predecessor: self.node.predecessor(),
+            successors: self.node.successors().to_vec(),
+            blocks: self.store.len(),
         }
-        self.transport.shutdown();
     }
 
     /// Handles exactly one incoming message; returns `false` when the
-    /// message was a shutdown request and the loop should exit.
+    /// message was a shutdown request (already acked) and the driver
+    /// should drop the node.
     ///
     /// `trace` is the message's envelope context. When traced, this node
     /// allocates its own span, records the handling step into the flight
@@ -598,8 +556,13 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                 // lands on a replica, which never owns the key.
                 if stored == 0 && self.disowns(&key) {
                     self.refuse(from, req_id);
-                } else if self.ec.is_some() {
-                    self.handle_put_ec(req_id, from, key, data);
+                } else if let Some(ec) = &self.ec {
+                    // Generations come from the injected clock: monotonic
+                    // across crash-restarts (a fresh counter would not
+                    // be), deterministic under the simulation clock.
+                    let generation = self.clock.now_us().max(1);
+                    let frags = ec.codec.encode(&data, generation);
+                    self.handle_put_ec(req_id, from, key, data.len() as u32, frags);
                 } else {
                     self.handle_put(req_id, from, key, fanout, stored, data);
                 }
@@ -687,11 +650,12 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                 self.respond(from, req_id, body);
             }
             Request::Status => {
+                let s = self.status();
                 let status = WireStatus {
-                    me: self.node.me(),
-                    predecessor: self.node.predecessor(),
-                    successors: self.node.successors().to_vec(),
-                    blocks: self.store.len() as u64,
+                    me: s.me,
+                    predecessor: s.predecessor,
+                    successors: s.successors,
+                    blocks: s.blocks as u64,
                 };
                 self.respond(from, req_id, Response::Status(status));
             }
@@ -1055,23 +1019,26 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
     /// next `n - 1` successors, and ack the client once every reachable
     /// member confirmed — the fragment-mode analogue of the replica
     /// chain's end-of-chain ack. The client's requested fanout is
-    /// ignored; the policy decides the group size.
-    fn handle_put_ec(&mut self, req_id: u64, from: Addr, key: Key, data: Vec<u8>) {
+    /// ignored; the policy decides the group size (`frags.len()`).
+    fn handle_put_ec(
+        &mut self,
+        req_id: u64,
+        from: Addr,
+        key: Key,
+        block_len: u32,
+        frags: Vec<Fragment>,
+    ) {
         self.registry.inc("node.puts");
-        // Generations come from the injected clock: monotonic across
-        // crash-restarts (a fresh counter would not be), deterministic
-        // under the simulation clock.
-        let generation = self.clock.now_us().max(1);
-        let block_len = data.len() as u32;
-        let (n, frags) = {
-            let ec = self.ec.as_ref().expect("ec mode");
-            (ec.codec.n(), ec.codec.encode(&data, generation))
+        let n = frags.len();
+        let mut iter = frags.into_iter();
+        let Some(own) = iter.next() else {
+            // A codec of zero fragments stores nothing, and says so.
+            self.respond(from, req_id, Response::PutAck { replicas: 0 });
+            return;
         };
         // A whole-block copy under this key would shadow the fragments.
         self.store.remove(&key);
         let group = self.ec_group(n);
-        let mut iter = frags.into_iter();
-        let own = iter.next().expect("encode yields n >= 1 fragments");
         self.fragments.insert(
             key,
             StoredFragment {
@@ -1145,7 +1112,9 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
     /// no second round on a miss, at the cost of `(n-k)/k` extra
     /// fragment bandwidth per read.
     fn start_ec_gather(&mut self, key: Key, purpose: GatherPurpose) {
-        let n = self.ec.as_ref().expect("ec mode").codec.n();
+        let Some(n) = self.ec.as_ref().map(|ec| ec.codec.n()) else {
+            return;
+        };
         let group = self.ec_group(n);
         let me = self.node.me().addr;
         let mut frags = Vec::new();
@@ -1192,7 +1161,9 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
     /// [`Request::GetFragment`] frames to every other group member; the
     /// locally held fragment counts immediately.
     fn start_ec_probe(&mut self, key: Key) {
-        let n = self.ec.as_ref().expect("ec mode").codec.n();
+        let Some(n) = self.ec.as_ref().map(|ec| ec.codec.n()) else {
+            return;
+        };
         let Some(held) = self.fragments.get(&key) else {
             return;
         };
@@ -1326,16 +1297,14 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                 frags,
                 ..
             } => {
-                let Some((k, n)) = self.ec.as_ref().map(|e| (e.codec.k(), e.codec.n())) else {
-                    return; // EC mode switched off while in flight
-                };
+                let Some(ec) = &self.ec else { return };
+                let (k, n) = (ec.codec.k(), ec.codec.n());
                 let decoded = if frags.len() >= k {
                     // Needing any parity fragment means a data shard was
                     // lost: count the degraded read.
                     if !(0..k).all(|i| frags.iter().any(|f| f.index as usize == i)) {
                         self.registry.inc("ec.decode_fallbacks");
                     }
-                    let ec = self.ec.as_ref().expect("checked above");
                     ec.codec.decode(&frags, block_len as usize).ok()
                 } else {
                     None
@@ -1359,7 +1328,7 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                             return;
                         };
                         let generation = frags.first().map_or(1, |f| f.generation);
-                        let ec = self.ec.as_ref().expect("checked above");
+                        let Some(ec) = &self.ec else { return };
                         let all = ec.codec.encode(&data, generation);
                         let group = self.ec_group(n);
                         let mut repaired = 0u64;
@@ -1419,7 +1388,7 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         }
         let now = self.clock.now_us();
         let bps = {
-            let ec = self.ec.as_mut().expect("ec mode");
+            let Some(ec) = self.ec.as_mut() else { return };
             let dt = now.saturating_sub(ec.last_refill_us);
             ec.last_refill_us = now;
             if ec.repair_budget_bps > 0 {
@@ -1453,17 +1422,13 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
             if self.ec_op_in_flight(key) {
                 continue;
             }
-            let affordable = {
-                let ec = self.ec.as_mut().expect("ec mode");
-                if bps == 0 || ec.repair_tokens >= cost {
-                    if bps > 0 {
-                        ec.repair_tokens -= cost;
-                    }
-                    true
-                } else {
-                    false
+            let affordable = self.ec.as_mut().is_some_and(|ec| {
+                let pays = bps == 0 || ec.repair_tokens >= cost;
+                if pays && bps > 0 {
+                    ec.repair_tokens -= cost;
                 }
-            };
+                pays
+            });
             if !affordable {
                 self.registry.add("ec.repair_throttled_bytes", cost);
                 continue;

@@ -152,8 +152,12 @@ fn serve_status_stop_roundtrip_exits_0() {
     let (code, stderr) = run(&["status", "--node", &addr]);
     assert_eq!(code, 0, "status against live node, stderr: {stderr}");
 
-    let (code, stderr) = run(&["stop", "--node", &addr]);
-    assert_eq!(code, 0, "stop against live node, stderr: {stderr}");
+    // `stopped` means the ShutdownAck arrived: the node's host exits
+    // on that request, and the reactor must flush the ack it queued
+    // before it closes.
+    let stop = d2_node(&["stop", "--node", &addr]).output().expect("stop");
+    assert_eq!(String::from_utf8_lossy(&stop.stdout), "stopped\n");
+    assert_eq!(stop.status.code(), Some(0), "stop against live node");
 
     let status = child.0.wait().expect("serve exit");
     assert_eq!(status.code(), Some(0), "serve should exit 0 after stop");

@@ -1,15 +1,19 @@
 //! End-to-end: a 200-node single-process cluster.
 //!
-//! Boots 200 nodes through [`ManyCluster`] (one reactor, one
-//! multiplexer thread), waits for every join, polls the Zave ring
-//! invariants to quiescence, stores replicated blocks through real
-//! recursive lookups, verifies the storage invariant, asserts the OS
-//! thread count stayed constant in N, then stops every node gracefully
-//! over the wire and watches the cluster drain itself.
+//! Boots 200 nodes through [`ManyCluster`] (one reactor, one host
+//! thread), waits for every join, polls the Zave ring invariants to
+//! quiescence, stores replicated blocks through real recursive lookups,
+//! verifies the storage invariant, asserts the OS thread count stayed
+//! constant in N — for the in-process [`Deployment`] too, which runs on
+//! the same kind of host — then stops every node gracefully over the
+//! wire and watches the cluster drain itself.
+//!
+//! One test function: the process-wide thread count is global state,
+//! so nothing else may start threads in this binary meanwhile.
 
 use d2_net::invariants::check_ring;
 use d2_net::ops::ClusterOps;
-use d2_net::{ManyCluster, ManyConfig, NodeStatus};
+use d2_net::{Deployment, ManyCluster, NodeSpec, NodeStatus};
 use d2_ring::messages::Addr;
 use d2_types::Key;
 use d2_wire::client::WireClient;
@@ -17,7 +21,7 @@ use d2_wire::metrics::NetMetrics;
 use d2_wire::tcp::{TcpConfig, TcpTransport};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 const N: usize = 200;
 const REPLICAS: usize = 3;
@@ -39,21 +43,37 @@ fn scrape_statuses(ops: &ClusterOps<TcpTransport>, addrs: &[Addr]) -> Vec<NodeSt
     addrs.iter().filter_map(|&a| ops.status_of(a)).collect()
 }
 
+/// A 32-node channel deployment costs its host thread and its client's
+/// dispatcher, not a thread per node.
+fn deployment_threads_are_constant_in_n() {
+    let threads_before = os_threads();
+    let dep = Deployment::launch(32, 3);
+    dep.wait_stable();
+    let threads_during = os_threads();
+    dep.shutdown();
+    assert!(
+        threads_during <= threads_before + 3,
+        "32 nodes cost {} threads",
+        threads_during - threads_before
+    );
+}
+
 #[test]
 fn two_hundred_nodes_in_one_process() {
+    deployment_threads_are_constant_in_n();
     let threads_before = os_threads();
 
     let metrics = Arc::new(NetMetrics::new());
-    let mut cluster =
-        ManyCluster::launch(ManyConfig::for_nodes(N), Arc::clone(&metrics)).expect("launch");
+    let template = NodeSpec::replicated(REPLICAS as u32);
+    let mut cluster = ManyCluster::launch(N, 0, template, Arc::clone(&metrics)).expect("launch");
     assert!(
         cluster.wait_joined(Duration::from_secs(120)),
         "only {}/{N} nodes joined",
-        cluster.joined()
+        cluster.poll_boot()
     );
     assert_eq!(cluster.live(), N);
 
-    // Constant thread budget: the multiplexer plus the reactor poller,
+    // Constant thread budget: the host plus the reactor poller,
     // regardless of N. (The allowance leaves room for the harness.)
     let threads_during = os_threads();
     assert!(
@@ -78,22 +98,13 @@ fn two_hundred_nodes_in_one_process() {
 
     // Poll the Zave suite to quiescence: joined, corpse-free, ordered
     // successor lists, one sorted cycle, consistent predecessors.
-    let deadline = Instant::now() + Duration::from_secs(120);
-    let report = loop {
-        let statuses = scrape_statuses(&ops, &addrs);
-        let report = check_ring(&statuses);
-        if statuses.len() == N && report.ok() {
-            break report;
-        }
-        assert!(
-            Instant::now() < deadline,
+    if let Err(report) = ops.wait_ring_ok(&addrs, Duration::from_secs(120)) {
+        panic!(
             "ring never quiesced; {}/{N} statuses, violations: {:?}",
-            statuses.len(),
+            report.nodes,
             report.violations.iter().take(8).collect::<Vec<_>>()
         );
-        std::thread::sleep(Duration::from_millis(250));
-    };
-    assert_eq!(report.nodes, N);
+    }
 
     // Replicated puts through recursive lookups; chain acks certify
     // every copy, so the storage invariant holds immediately.
@@ -126,23 +137,27 @@ fn two_hundred_nodes_in_one_process() {
         keys.len()
     );
 
-    // Co-hosted nodes talk over the loopback fast path, not frames.
+    // Co-hosted nodes talk over the loopback fast path, not frames —
+    // and none of them reports the sheet they share as its own, which
+    // would N-fold it in a merged scrape.
     let m = metrics.snapshot();
     assert!(
         m.counter("net.loopback_msgs") > 0,
         "no loopback fast-path traffic recorded"
     );
+    let scrape = ops.scrape(&addrs[..8]);
+    assert_eq!(scrape.nodes.len(), 8);
+    assert_eq!(scrape.merged.counter("net.loopback_msgs"), 0);
 
     // Graceful drain: stop every node over the wire; when the last
-    // runtime goes, the multiplexer exits on its own.
+    // runtime goes, the host exits on its own.
     for &a in cluster.addrs() {
         assert!(ops.stop(a), "node {a} did not ack shutdown");
     }
     assert!(
         cluster.wait_finished(Duration::from_secs(30)),
-        "multiplexer did not exit after all nodes stopped ({} live)",
+        "host did not exit after all nodes stopped ({} live)",
         cluster.live()
     );
     assert_eq!(cluster.live(), 0);
-    cluster.shutdown();
 }

@@ -11,7 +11,6 @@ use d2_types::Key;
 use d2_wire::client::WireClient;
 use d2_wire::metrics::NetMetrics;
 use d2_wire::tcp::{pack_addr, TcpConfig, TcpTransport};
-use std::collections::HashMap;
 use std::io::{BufRead, BufReader};
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::process::{Child, Command, Stdio};
@@ -66,75 +65,17 @@ fn spawn_node(pos: f64, seed: Option<SocketAddrV4>, obs_out: Option<&str>) -> No
     }
 }
 
-/// Following successor pointers from `start` visits every live node.
-fn ring_is_consistent(
-    start: Addr,
-    statuses: &HashMap<Addr, d2_net::NodeStatus>,
-    live: &[Addr],
-) -> bool {
-    let mut cur = start;
-    let mut seen = 0usize;
-    for _ in 0..live.len() {
-        seen += 1;
-        let Some(s) = statuses.get(&cur) else {
-            return false;
-        };
-        let Some(next) = s.successors.first() else {
-            return false;
-        };
-        if !live.contains(&next.addr) {
-            return false;
-        }
-        cur = next.addr;
-        if cur == start {
-            break;
-        }
-    }
-    seen == live.len() && cur == start
-}
-
+/// Blocks until `live` passes the full Zave invariant suite — joined,
+/// corpse-free, ordered successor lists, one sorted cycle, consistent
+/// predecessors: the same checks `d2-node check` runs.
 fn wait_stable(ops: &ClusterOps<TcpTransport>, live: &[Addr], what: &str) {
-    let deadline = Instant::now() + Duration::from_secs(60);
-    loop {
-        let statuses: HashMap<Addr, d2_net::NodeStatus> = live
-            .iter()
-            .filter_map(|&a| ops.status_of(a).map(|s| (a, s)))
-            .collect();
-        // Predecessors must be live too: ownership ranges derive from
-        // them, so a stale dead predecessor leaves a key range unowned.
-        let preds_live = statuses.values().all(|s| {
-            s.predecessor
-                .map(|p| live.contains(&p.addr))
-                .unwrap_or(false)
-        });
-        if statuses.len() == live.len()
-            && preds_live
-            && ring_is_consistent(live[0], &statuses, live)
-        {
-            return;
-        }
-        if Instant::now() >= deadline {
-            let mut shape = String::new();
-            for &a in live {
-                use std::fmt::Write;
-                match statuses.get(&a) {
-                    Some(s) => writeln!(
-                        shape,
-                        "  {a}: pred={:?} succs={:?}",
-                        s.predecessor.map(|p| p.addr),
-                        s.successors.iter().map(|p| p.addr).collect::<Vec<_>>()
-                    )
-                    .unwrap(),
-                    None => writeln!(shape, "  {a}: <no status>").unwrap(),
-                }
-            }
-            panic!(
-                "{what}: ring failed to stabilize; have {}/{} statuses\n{shape}",
-                statuses.len(),
-                live.len()
-            );
-        }
-        std::thread::sleep(Duration::from_millis(50));
+    if let Err(report) = ops.wait_ring_ok(live, Duration::from_secs(60)) {
+        panic!(
+            "{what}: ring failed to stabilize; have {}/{} statuses, violations:\n  {}",
+            report.nodes,
+            live.len(),
+            report.violations.join("\n  ")
+        );
     }
 }
 
@@ -264,27 +205,6 @@ fn nine_process_tcp_cluster_survives_a_crash() {
     ops.set_entries(live.clone());
 
     wait_stable(&ops, &live, "after crash");
-
-    // The healed ring passes the full Zave invariant suite: joined,
-    // corpse-free, ordered successor lists, one sorted cycle,
-    // consistent predecessors — the same checks `d2-node check` runs.
-    // Polled: the suite asserts quiescent properties, and stabilization
-    // may still be converging predecessors right after the heal.
-    let deadline = Instant::now() + Duration::from_secs(30);
-    loop {
-        let statuses: Vec<d2_net::NodeStatus> =
-            live.iter().filter_map(|&a| ops.status_of(a)).collect();
-        let report = d2_net::check_ring(&statuses);
-        if statuses.len() == live.len() && report.ok() {
-            break;
-        }
-        assert!(
-            Instant::now() < deadline,
-            "healed ring never satisfied the invariant suite: {:?}",
-            report.violations
-        );
-        std::thread::sleep(Duration::from_millis(100));
-    }
 
     // Every block survives the crash (replicas outlive one failure).
     for (i, &k) in test_keys().iter().enumerate() {

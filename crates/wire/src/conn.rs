@@ -22,10 +22,9 @@
 
 use crate::codec::{self, HEADER_LEN};
 use crate::metrics::NetMetrics;
-use crate::reactor::Delivery;
+use crate::transport::Mailbox;
 use d2_ring::messages::Addr;
 use std::io::{self, Read, Write};
-use std::sync::mpsc;
 
 /// What one read pass left a connection in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -91,7 +90,7 @@ impl<S: Read> InboundConn<S> {
     pub fn pump(
         &mut self,
         scratch: &mut [u8],
-        tx: Option<&mpsc::Sender<Delivery>>,
+        tx: Option<&Mailbox>,
         metrics: &NetMetrics,
     ) -> ConnState {
         loop {
@@ -112,11 +111,7 @@ impl<S: Read> InboundConn<S> {
 
     /// Decodes every complete frame at the front of `buf`; leaves any
     /// partial frame in place for the next readiness event.
-    fn decode_frames(
-        &mut self,
-        tx: Option<&mpsc::Sender<Delivery>>,
-        metrics: &NetMetrics,
-    ) -> Result<(), ()> {
+    fn decode_frames(&mut self, tx: Option<&Mailbox>, metrics: &NetMetrics) -> Result<(), ()> {
         let mut off = 0;
         while self.buf.len() - off >= HEADER_LEN {
             let hdr: [u8; HEADER_LEN] = self.buf[off..off + HEADER_LEN]
@@ -135,10 +130,10 @@ impl<S: Read> InboundConn<S> {
                 return Err(());
             };
             metrics.frame_in(HEADER_LEN + len);
-            if let Some(tx) = tx {
+            if let Some(deliver) = tx {
                 // A dropped mailbox is the endpoint's problem, not the
                 // connection's.
-                let _ = tx.send((self.dst, msg, trace));
+                let _ = deliver((self.dst, msg, trace));
             }
             off += HEADER_LEN + len;
         }

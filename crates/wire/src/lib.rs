@@ -58,9 +58,11 @@ pub use codec::{
     WireStatus, HEADER_LEN, MAX_PAYLOAD, MIN_VERSION, TRACE_LEN, VERSION,
 };
 pub use metrics::NetMetrics;
-pub use reactor::{Delivery, TcpEndpoint, TcpReactor};
+pub use reactor::{TcpEndpoint, TcpReactor};
 pub use tcp::{pack_addr, unpack_addr, TcpConfig, TcpTransport};
-pub use transport::{ChannelHub, ChannelTransport, RecvError, Transport, TransportError};
+pub use transport::{
+    ChannelHub, ChannelTransport, Delivery, Mailbox, RecvError, Transport, TransportError,
+};
 
 // Re-exported so transport users need not depend on d2-ring directly.
 pub use d2_ring::messages::{Addr, PeerInfo, RingMsg};

@@ -74,7 +74,7 @@ use crate::conn::{ConnState, InboundConn, OutboundConn, PendingFrames};
 use crate::metrics::NetMetrics;
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use crate::tcp::{pack_addr, TcpConfig};
-use crate::transport::{RecvError, Transport, TransportError};
+use crate::transport::{channel_mailbox, Delivery, Mailbox, RecvError, Transport, TransportError};
 use d2_obs::TraceCtx;
 use d2_ring::messages::Addr;
 use parking_lot::{Mutex, RwLock};
@@ -87,11 +87,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
-
-/// One delivered message: the (packed) local address it arrived for —
-/// which virtual endpoint — plus the message and its trace context. A
-/// shared queue (`open_with_queue`) routes by the address.
-pub type Delivery = (Addr, WireMsg, TraceCtx);
 
 /// One peer's outbound state: the pending queue senders append encoded
 /// frames to, the link state guarding dial attempts, and lock-free
@@ -133,7 +128,7 @@ struct Shared {
     wake_pending: AtomicBool,
     poller_join: Mutex<Option<JoinHandle<()>>>,
     /// Registered endpoints: packed virtual address → mailbox.
-    endpoints: RwLock<HashMap<Addr, mpsc::Sender<Delivery>>>,
+    endpoints: RwLock<HashMap<Addr, Mailbox>>,
     /// Per-peer outbound slots. The map lock is held only for lookup,
     /// never across a connect or write.
     pool: Mutex<HashMap<Addr, Arc<PeerSlot>>>,
@@ -198,9 +193,10 @@ impl Shared {
         }
         // Loopback fast path: a destination on this reactor gets the
         // message straight into its mailbox — no socket, no frame.
-        if let Some(tx) = self.endpoints.read().get(&to).cloned() {
-            tx.send((to, msg.clone(), trace))
-                .map_err(|_| TransportError::PeerUnreachable(to))?;
+        if let Some(deliver) = self.endpoints.read().get(&to).cloned() {
+            if !deliver((to, msg.clone(), trace)) {
+                return Err(TransportError::PeerUnreachable(to));
+            }
             self.metrics.loopback_msg();
             return Ok(());
         }
@@ -345,27 +341,18 @@ impl TcpReactor {
     /// mailbox. Fails with `AddrInUse` if the address already has an
     /// endpoint on this reactor.
     pub fn open(&self, ip: Ipv4Addr) -> io::Result<TcpEndpoint> {
-        let (tx, rx) = mpsc::channel();
-        let ep = self.register(ip, tx)?;
+        let (mailbox, rx) = channel_mailbox();
         Ok(TcpEndpoint {
             rx: Some(Mutex::new(rx)),
-            ..ep
+            ..self.open_with_queue(ip, mailbox)?
         })
     }
 
     /// Opens an endpoint at `ip` delivering into a caller-supplied
-    /// shared queue — the many-nodes multiplexer feeds every hosted
-    /// node from one queue and routes by the [`Delivery`] address. The
-    /// endpoint's own `recv_timeout` always reports `Closed`.
-    pub fn open_with_queue(
-        &self,
-        ip: Ipv4Addr,
-        tx: mpsc::Sender<Delivery>,
-    ) -> io::Result<TcpEndpoint> {
-        self.register(ip, tx)
-    }
-
-    fn register(&self, ip: Ipv4Addr, tx: mpsc::Sender<Delivery>) -> io::Result<TcpEndpoint> {
+    /// queue — a host feeds every node it steps from one queue and
+    /// routes by the [`Delivery`] address. Fails like [`Self::open`].
+    /// The endpoint's own `recv_timeout` always reports `Closed`.
+    pub fn open_with_queue(&self, ip: Ipv4Addr, mailbox: Mailbox) -> io::Result<TcpEndpoint> {
         let me = pack_addr(SocketAddrV4::new(ip, self.shared.port));
         let mut eps = self.shared.endpoints.write();
         if eps.contains_key(&me) {
@@ -374,7 +361,7 @@ impl TcpReactor {
                 "endpoint already registered on this reactor",
             ));
         }
-        eps.insert(me, tx);
+        eps.insert(me, mailbox);
         Ok(TcpEndpoint {
             shared: Arc::clone(&self.shared),
             me,
@@ -467,13 +454,18 @@ impl Transport for TcpEndpoint {
 /// guest, or ops miss ticks at random (DESIGN.md §15.1.1 has the sums).
 pub const FLUSH_TICK: Duration = Duration::from_micros(500);
 
-/// The next flush tick. The wall clock is the one clock every process
-/// on the host shares; a step in it only shifts the phase once.
-fn next_tick() -> Instant {
-    let tick = FLUSH_TICK.as_nanos();
+/// Time to the next multiple of `period` on the wall clock: the one
+/// clock every process on the host shares, so whatever they schedule by
+/// it falls in phase; a step in it only shifts the phase once.
+pub fn until_wall_multiple(period: Duration) -> Duration {
     let wall = SystemTime::now().duration_since(UNIX_EPOCH);
-    let into = wall.map_or(0, |d| d.as_nanos() % tick);
-    Instant::now() + Duration::from_nanos((tick - into) as u64)
+    let into = wall.map_or(0, |d| d.as_nanos() % period.as_nanos());
+    Duration::from_nanos((period.as_nanos() - into) as u64)
+}
+
+/// The next flush tick.
+fn next_tick() -> Instant {
+    Instant::now() + until_wall_multiple(FLUSH_TICK)
 }
 
 fn pollfd(io: &impl AsRawFd, events: i16) -> PollFd {
@@ -551,8 +543,9 @@ fn poll_loop(listener: TcpListener, mut wake_rx: UnixStream, shared: Arc<Shared>
             if fds[2 + i].revents == 0 {
                 continue;
             }
-            let tx = shared.endpoints.read().get(&inbound[i].dst()).cloned();
-            if inbound[i].pump(&mut scratch, tx.as_ref(), &shared.metrics) == ConnState::Closed {
+            let mailbox = shared.endpoints.read().get(&inbound[i].dst()).cloned();
+            if inbound[i].pump(&mut scratch, mailbox.as_ref(), &shared.metrics) == ConnState::Closed
+            {
                 inbound.swap_remove(i);
             }
         }

@@ -83,21 +83,34 @@ pub trait Transport: Send + Sync + 'static {
     fn shutdown(&self);
 }
 
+/// One delivered message: the local address it arrived for — which
+/// endpoint, when several share a queue — plus the message and its
+/// trace context.
+pub type Delivery = (Addr, WireMsg, TraceCtx);
+
+/// Where an endpoint's inbound messages go: a private channel
+/// ([`channel_mailbox`]) or a host's shared event queue. Returns
+/// `false` once the receiving side is gone.
+pub type Mailbox = Arc<dyn Fn(Delivery) -> bool + Send + Sync>;
+
+/// A mailbox feeding a private channel, and the channel's read end.
+pub fn channel_mailbox() -> (Mailbox, mpsc::Receiver<Delivery>) {
+    let (tx, rx) = mpsc::channel();
+    (Arc::new(move |d| tx.send(d).is_ok()), rx)
+}
+
 /// The shared address space of one in-process channel deployment.
 ///
 /// Every [`ChannelTransport`] opened from the same hub gets the next
-/// integer [`Addr`] and a private mailbox; sends look the destination
-/// slot up in the shared table. [`ChannelHub::close`] replaces a slot
-/// with a disconnected sender so that later sends to a killed node fail
-/// fast, exactly like a refused TCP connection.
+/// integer [`Addr`]; sends look the destination's [`Mailbox`] up in the
+/// shared table. [`ChannelHub::close`] empties a slot so that later
+/// sends to a killed node fail fast, exactly like a refused TCP
+/// connection.
 #[derive(Clone, Default)]
 pub struct ChannelHub {
-    slots: Arc<RwLock<Vec<TracedSender>>>,
+    slots: Arc<RwLock<Vec<Option<Mailbox>>>>,
     metrics: Arc<NetMetrics>,
 }
-
-/// A mailbox sender carrying each message with its trace context.
-type TracedSender = mpsc::Sender<(WireMsg, TraceCtx)>;
 
 impl ChannelHub {
     /// Creates an empty hub recording into `metrics`.
@@ -108,25 +121,35 @@ impl ChannelHub {
         }
     }
 
-    /// Opens a new endpoint with the next free address.
+    /// Opens a new endpoint with the next free address and a private
+    /// mailbox.
     pub fn open(&self) -> ChannelTransport {
-        let (tx, rx) = mpsc::channel();
-        let mut slots = self.slots.write();
-        let addr = slots.len();
-        slots.push(tx);
+        let (mailbox, rx) = channel_mailbox();
         ChannelTransport {
-            me: addr,
+            rx: Some(Mutex::new(rx)),
+            ..self.open_with_queue(mailbox)
+        }
+    }
+
+    /// Opens a new endpoint delivering into a caller-supplied queue
+    /// (the shape of `TcpReactor::open_with_queue`): a host feeds every
+    /// node it steps from one queue and routes by the [`Delivery`]
+    /// address. The endpoint's own `recv_timeout` reports `Closed`.
+    pub fn open_with_queue(&self, mailbox: Mailbox) -> ChannelTransport {
+        let mut slots = self.slots.write();
+        slots.push(Some(mailbox));
+        ChannelTransport {
+            me: slots.len() - 1,
             hub: self.clone(),
-            rx: Mutex::new(rx),
+            rx: None,
         }
     }
 
     /// Closes `addr`'s slot: subsequent sends to it fail fast. The
     /// endpoint itself keeps its already-queued messages.
     pub fn close(&self, addr: Addr) {
-        let (tx, _) = mpsc::channel();
         if let Some(slot) = self.slots.write().get_mut(addr) {
-            *slot = tx; // receiver already dropped: sends will error
+            *slot = None;
         }
     }
 }
@@ -136,7 +159,8 @@ impl ChannelHub {
 pub struct ChannelTransport {
     me: Addr,
     hub: ChannelHub,
-    rx: Mutex<mpsc::Receiver<(WireMsg, TraceCtx)>>,
+    /// `None` for endpoints delivering into a shared queue.
+    rx: Option<Mutex<mpsc::Receiver<Delivery>>>,
 }
 
 impl Transport for ChannelTransport {
@@ -145,25 +169,22 @@ impl Transport for ChannelTransport {
     }
 
     fn send_traced(&self, to: Addr, msg: &WireMsg, trace: TraceCtx) -> Result<(), TransportError> {
-        let tx = self
-            .hub
-            .slots
-            .read()
-            .get(to)
-            .cloned()
-            .ok_or(TransportError::PeerUnreachable(to))?;
-        tx.send((msg.clone(), trace))
-            .map_err(|_| TransportError::PeerUnreachable(to))?;
+        let mailbox = self.hub.slots.read().get(to).cloned().flatten();
+        if !mailbox.is_some_and(|deliver| deliver((to, msg.clone(), trace))) {
+            return Err(TransportError::PeerUnreachable(to));
+        }
+        // In-process: sent is received.
         self.hub.metrics.frame_out(0);
+        self.hub.metrics.frame_in(0);
         Ok(())
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<(WireMsg, TraceCtx), RecvError> {
-        match self.rx.lock().recv_timeout(timeout) {
-            Ok(pair) => {
-                self.hub.metrics.frame_in(0);
-                Ok(pair)
-            }
+        let Some(rx) = &self.rx else {
+            return Err(RecvError::Closed);
+        };
+        match rx.lock().recv_timeout(timeout) {
+            Ok((_, msg, trace)) => Ok((msg, trace)),
             Err(mpsc::RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
             Err(mpsc::RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
         }

@@ -14,10 +14,10 @@
 
 use d2_wire::codec::{self, Request};
 use d2_wire::conn::{ConnState, InboundConn, OutboundConn, PendingFrames};
+use d2_wire::transport::channel_mailbox;
 use d2_wire::{NetMetrics, WireMsg};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
-use std::sync::mpsc;
 
 struct Rng(u64);
 
@@ -141,7 +141,7 @@ fn pump_all(
     events: usize,
     metrics: &NetMetrics,
 ) -> (ConnState, Vec<WireMsg>) {
-    let (tx, rx) = mpsc::channel();
+    let (tx, rx) = channel_mailbox();
     let mut scratch = vec![0u8; 256];
     let mut state = ConnState::Open;
     for _ in 0..events {

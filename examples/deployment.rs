@@ -1,8 +1,8 @@
-//! A live thread-per-node deployment with real recursive lookups —
-//! the runnable analogue of the paper's 1,000-virtual-node Emulab runs.
+//! A live in-process deployment with real recursive lookups — the
+//! runnable analogue of the paper's 1,000-virtual-node Emulab runs.
 //!
-//! Every node is an OS thread running the same protocol state machine as
-//! the simulations; blocks are stored with `r = 3` replication through
+//! Every node runs the same protocol state machine as the simulations,
+//! all of them stepped by one host thread; blocks are stored with `r = 3` replication through
 //! actual joins, stabilization rounds, and routed lookups.
 //!
 //! Run with: `cargo run --release --example deployment [nodes]`

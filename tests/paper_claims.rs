@@ -42,9 +42,9 @@ fn claim_defragmentation_cuts_nodes_per_task() {
 
 #[test]
 fn claim_availability_ordering_holds() {
-    // The validated quick-scale availability regime (see d2-bench's
-    // availability_fixture): 12 users / 2 days / 32 nodes with a stressed
-    // correlated-failure model, warmed for a full simulated day.
+    // The validated quick-scale availability regime: 12 users / 2 days
+    // / 32 nodes with a stressed correlated-failure model, warmed for a
+    // full simulated day.
     let hcfg = d2::workload::HarvardConfig {
         users: 12,
         days: 2.0,
