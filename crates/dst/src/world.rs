@@ -43,7 +43,7 @@ use d2_ring::node::NodeConfig;
 use d2_sim::Topology;
 use d2_types::Key;
 use d2_wire::codec::{Request, Response, WireMsg};
-use d2_wire::transport::{RecvError, Transport, TransportError};
+use d2_wire::transport::{Mailbox, RecvError, Transport, TransportError};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
@@ -920,6 +920,8 @@ impl Transport for SimTransport {
         // The world single-steps runtimes; nothing ever blocks here.
         Err(RecvError::Timeout)
     }
+
+    fn set_mailbox(&self, _mailbox: Mailbox) {}
 
     fn shutdown(&self) {}
 }

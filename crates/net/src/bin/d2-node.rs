@@ -28,7 +28,7 @@
 //! (0 = unlimited). Every node in a ring must agree on the policy.
 //!
 //! `serve-many` hosts a whole N-node cluster in this one process: one
-//! reactor, one host thread, node `i` at virtual address
+//! reactor turned by one host thread, node `i` at virtual address
 //! `127.0.0.1+i` on the shared port. It prints `LISTEN 127.0.0.1:port`,
 //! `JOINED k/N` progress lines during the staged boot, `STABLE N` when
 //! every node is a ring member, then runs until every node is stopped
@@ -253,12 +253,12 @@ fn serve(args: Args) {
     let Some(pos) = args.pos else { usage() };
     let spec = node_spec(&args).at(Key::from_fraction(pos), args.seed.map(pack_addr));
     let metrics = Arc::new(NetMetrics::new());
-    // A host of one: the node's endpoint delivers into the host's queue.
+    // A host of one, turning the reactor its node's endpoint is on.
     let launch = || {
         let (ip, cfg) = (*listen.ip(), TcpConfig::default());
-        let reactor = TcpReactor::bind(ip, listen.port(), cfg, metrics.clone())?;
-        let host = Host::start(metrics.clone())?;
-        host.add(spec, reactor.open_with_queue(ip, host.mailbox())?);
+        let (reactor, poller) = TcpReactor::bind(ip, listen.port(), cfg, metrics.clone())?;
+        let host = Host::start(metrics.clone(), Some(poller))?;
+        host.add(spec, reactor.open(ip)?);
         std::io::Result::Ok((reactor, host))
     };
     let (reactor, host) = launch().unwrap_or_else(|e| {
@@ -270,8 +270,8 @@ fn serve(args: Args) {
     println!("LISTEN {}:{}", listen.ip(), reactor.port());
     let _ = std::io::stdout().flush();
     with_obs(args.obs_out, &metrics, || {
-        // Serve until the node is stopped over the wire; the reactor
-        // then flushes the queued ShutdownAck before it closes.
+        // Serve until the node is stopped over the wire; the host
+        // flushes the queued ShutdownAck before its thread exits.
         host.join();
         reactor.shutdown();
     });

@@ -41,7 +41,7 @@ fn evenly_spaced(n: usize) -> Vec<Key> {
 
 /// Opens the hub's next endpoint and starts the node `spec` on it.
 fn start_node(hub: &ChannelHub, host: &Host<ChannelTransport>, spec: NodeSpec) -> Addr {
-    let transport = hub.open_with_queue(host.mailbox());
+    let transport = hub.open();
     let addr = transport.local_addr();
     host.add(spec, transport);
     addr
@@ -81,7 +81,7 @@ impl Deployment {
         assert!(!ids.is_empty(), "need at least one node");
         let metrics = Arc::new(NetMetrics::new());
         let hub = ChannelHub::new(Arc::clone(&metrics));
-        let host = Host::start(Arc::clone(&metrics)).expect("spawn the host thread");
+        let host = Host::start(Arc::clone(&metrics), None).expect("spawn the host thread");
         let mut nodes: Vec<Addr> = Vec::with_capacity(ids.len());
         for &id in ids {
             let seed = nodes.first().copied();

@@ -6,12 +6,16 @@
 //! [`NodeRuntime::on_tick`] runs one maintenance tick — so one thread
 //! can interleave a thousand nodes the way the deterministic simulation
 //! harness does. The host owns the runtimes, the time of their next
-//! tick round and one inbound queue; both transports feed that queue
-//! through a [`Mailbox`] (`ChannelHub::open_with_queue`,
-//! `TcpReactor::open_with_queue`), and adding a node, crashing one and
-//! stopping the host arrive on it as events too. So the thread blocks
-//! on a single receive whose timeout is the next tick round, and an
-//! idle host sleeps until then.
+//! tick round and one inbound queue; the endpoint of every node added
+//! feeds that queue (`Transport::set_mailbox`), and adding a node,
+//! crashing one and stopping the host arrive on it as events too. So
+//! the thread blocks in one place whose timeout is the next tick round,
+//! and an idle host sleeps until then. Over channels that place is a
+//! receive on the queue. Over TCP it is the reactor's [`Poller::turn`]:
+//! the host thread reads the sockets itself, what a turn decodes is on
+//! the queue when it returns, and the replies the runtimes queue leave
+//! on the tick the next turn arms — bytes in, runtime stepped, bytes
+//! out on one thread, with no hand-off.
 //!
 //! Three front-ends put nodes on a host: `d2-node serve` (one reactor
 //! endpoint), [`ManyCluster`] behind `d2-node serve-many` (N endpoints
@@ -38,8 +42,7 @@
 //! - **when it is done**: when the last node stops, over the wire
 //!   (`d2-node stop`) or by [`Host::stop`].
 //!
-//! Total OS threads: the caller's, the host's, and — over TCP — the
-//! reactor's poller. Constant in N.
+//! Total OS threads: the caller's and the host's. Constant in N.
 //!
 //! ## `serve-many` boot
 //!
@@ -58,9 +61,9 @@ use crate::runtime::{NodeRuntime, NodeSpec, TICK};
 use d2_ring::messages::Addr;
 use d2_types::Key;
 use d2_wire::metrics::NetMetrics;
-use d2_wire::reactor::{until_wall_multiple, TcpEndpoint, TcpReactor};
+use d2_wire::reactor::{until_wall_multiple, Poller, TcpEndpoint, TcpReactor};
 use d2_wire::tcp::{pack_addr, TcpConfig};
-use d2_wire::transport::{Delivery, Mailbox, Transport};
+use d2_wire::transport::{Delivery, Transport};
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::io;
@@ -85,35 +88,43 @@ enum Event<T> {
 
 /// A scheduler thread stepping the nodes added to it (module docs).
 pub struct Host<T: Transport> {
-    tx: mpsc::Sender<Event<T>>,
+    /// Queues an event for the host thread; `false` once it is gone.
+    push: Arc<dyn Fn(Event<T>) -> bool + Send + Sync>,
     thread: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl<T: Transport> Host<T> {
     /// Starts an empty host. `sheet` is the metrics sheet of the
-    /// transport its nodes will share.
-    pub fn start(sheet: Arc<NetMetrics>) -> io::Result<Host<T>> {
+    /// transport its nodes will share. With the `poller` of a reactor
+    /// the host turns it, and only endpoints of that reactor may be
+    /// added; without, it sleeps on its queue.
+    pub fn start(sheet: Arc<NetMetrics>, poller: Option<Poller>) -> io::Result<Host<T>> {
         let (tx, rx) = mpsc::channel();
+        let wake = poller.as_ref().map(Poller::waker);
         let thread = std::thread::Builder::new()
             .name("d2-host".into())
-            .spawn(move || Stepper::new(sheet).run(rx))?;
+            .spawn(move || Stepper::new(sheet).run(rx, poller))?;
+        let push = move |ev| {
+            let queued = tx.send(ev).is_ok();
+            // A host asleep in its poller's turn does not see the queue.
+            if let Some(wake) = &wake {
+                wake();
+            }
+            queued
+        };
         Ok(Host {
-            tx,
+            push: Arc::new(push),
             thread: Mutex::new(Some(thread)),
         })
     }
 
-    /// The queue endpoints of hosted nodes deliver into.
-    pub fn mailbox(&self) -> Mailbox {
-        let tx = self.tx.clone();
-        Arc::new(move |d| tx.send(Event::Deliver(d)).is_ok())
-    }
-
-    /// Starts the node `spec` describes over `transport`, which must
-    /// deliver into [`Host::mailbox`]. Events are ordered: the node
-    /// exists before any message sent to it after this returns.
+    /// Starts the node `spec` describes over `transport`, whose inbound
+    /// messages the host's queue takes over. Events are ordered: the
+    /// node exists before any message sent to it after this returns.
     pub fn add(&self, spec: NodeSpec, transport: T) {
-        let _ = self.tx.send(Event::Add(spec, transport));
+        let push = Arc::clone(&self.push);
+        transport.set_mailbox(Arc::new(move |d| push(Event::Deliver(d))));
+        (self.push)(Event::Add(spec, transport));
     }
 
     /// Crash-stops the node at `addr`: no shutdown request, no ack. On
@@ -121,7 +132,7 @@ impl<T: Transport> Host<T> {
     /// to `addr` already fail fast.
     pub fn crash(&self, addr: Addr) {
         let (done, gone) = mpsc::channel();
-        if self.tx.send(Event::Crash(addr, done)).is_ok() {
+        if (self.push)(Event::Crash(addr, done)) {
             let _ = gone.recv();
         }
     }
@@ -130,7 +141,7 @@ impl<T: Transport> Host<T> {
     /// them are ring members. `(0, 0)` once the host is done.
     pub fn counts(&self) -> (usize, usize) {
         let (reply, counts) = mpsc::channel();
-        let _ = self.tx.send(Event::Counts(reply));
+        (self.push)(Event::Counts(reply));
         counts.recv().unwrap_or((0, 0))
     }
 
@@ -151,7 +162,7 @@ impl<T: Transport> Host<T> {
     /// closed. Idempotent. For a graceful drain, send every node a
     /// shutdown request first.
     pub fn stop(&self) {
-        let _ = self.tx.send(Event::Stop);
+        (self.push)(Event::Stop);
         self.join();
     }
 }
@@ -184,7 +195,9 @@ impl<T: Transport> Stepper<T> {
         }
     }
 
-    fn run(mut self, rx: mpsc::Receiver<Event<T>>) {
+    fn run(mut self, rx: mpsc::Receiver<Event<T>>, mut poller: Option<Poller>) {
+        // Whether the last burst left events on the queue.
+        let mut backlog = false;
         'host: loop {
             let now = self.clock.now_us();
             if now >= self.next_round_us {
@@ -194,24 +207,38 @@ impl<T: Transport> Stepper<T> {
                 let tick = Duration::from_micros(self.tick_us());
                 self.next_round_us = now + until_wall_multiple(tick).as_micros() as u64;
             }
-            // Sleep until an event arrives or the next round is due (with
-            // no node to tick, for good: `MAX` is a plain `recv`).
-            let wait = if self.runtimes.is_empty() {
-                Duration::MAX
+            // Sleep until an event arrives or the next round is due
+            // (with no node to tick, for good).
+            let wait = if backlog {
+                Some(Duration::ZERO)
+            } else if self.runtimes.is_empty() {
+                None
             } else {
-                Duration::from_micros(self.next_round_us.saturating_sub(now))
+                Some(Duration::from_micros(
+                    self.next_round_us.saturating_sub(now),
+                ))
             };
-            let first = match rx.recv_timeout(wait) {
-                Ok(ev) => ev,
-                Err(mpsc::RecvTimeoutError::Timeout) => continue,
-                Err(mpsc::RecvTimeoutError::Disconnected) => break,
-            };
-            if !self.handle(first) {
-                break;
+            if let Some(poller) = &mut poller {
+                // Inbound frames are on `rx` when this returns.
+                poller.turn(wait);
+            } else {
+                match rx.recv_timeout(wait.unwrap_or(Duration::MAX)) {
+                    Ok(ev) => {
+                        if !self.handle(ev) {
+                            break;
+                        }
+                    }
+                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                }
             }
             // Drain a bounded burst before re-checking the clock.
+            backlog = true;
             for _ in 0..512 {
-                let Ok(ev) = rx.try_recv() else { break };
+                let Ok(ev) = rx.try_recv() else {
+                    backlog = false;
+                    break;
+                };
                 if !self.handle(ev) {
                     break 'host;
                 }
@@ -220,6 +247,10 @@ impl<T: Transport> Stepper<T> {
         // Close every endpoint so stragglers fail fast.
         for (_, rt) in self.runtimes.drain() {
             rt.transport().shutdown();
+        }
+        // The last node's `ShutdownAck` is still queued.
+        if let Some(mut poller) = poller {
+            poller.drain();
         }
     }
 
@@ -294,16 +325,16 @@ impl<T: Transport> Stepper<T> {
 /// The most nodes that join concurrently during a [`ManyCluster`] boot.
 pub const JOIN_BATCH: usize = 64;
 
-/// An N-node cluster hosted in this process: one reactor, one [`Host`],
-/// N virtual endpoints. Nodes are first-class ring members — external
-/// clients (`d2-load`, `d2-node`) connect to any `127.0.0.1+i:port`
-/// exactly as they would to a standalone node. Dropping the cluster
-/// hard-stops it; for a graceful drain, send every node a shutdown
-/// request first (`d2-node stop --all`).
+/// An N-node cluster hosted in this process: one reactor, one [`Host`]
+/// turning its poller, N virtual endpoints. Nodes are first-class ring
+/// members — external clients (`d2-load`, `d2-node`) connect to any
+/// `127.0.0.1+i:port` exactly as they would to a standalone node.
+/// Dropping the cluster hard-stops it; for a graceful drain, send every
+/// node a shutdown request first (`d2-node stop --all`).
 pub struct ManyCluster {
-    // Declared, so dropped, before `reactor`: the host stops and closes
-    // its endpoints, then the reactor flushes what the nodes queued (a
-    // last `ShutdownAck`) and closes its sockets.
+    // Declared, so dropped, before `reactor`: the host stops, closes
+    // its endpoints, flushes what the nodes queued (a last
+    // `ShutdownAck`) and drops the poller with its sockets.
     host: Host<TcpEndpoint>,
     reactor: TcpReactor,
     /// What every node shares, placed per node with [`NodeSpec::at`].
@@ -327,13 +358,14 @@ impl ManyCluster {
         metrics: Arc<NetMetrics>,
     ) -> io::Result<ManyCluster> {
         let cfg = TcpConfig::default();
-        let reactor = TcpReactor::bind(Ipv4Addr::UNSPECIFIED, port, cfg, Arc::clone(&metrics))?;
+        let (reactor, poller) =
+            TcpReactor::bind(Ipv4Addr::UNSPECIFIED, port, cfg, Arc::clone(&metrics))?;
         let port = reactor.port();
         let addrs = (0..nodes.max(1))
             .map(|i| pack_addr(SocketAddrV4::new(node_ip(i), port)))
             .collect();
         let mut cluster = ManyCluster {
-            host: Host::start(metrics)?,
+            host: Host::start(metrics, Some(poller))?,
             reactor,
             template,
             addrs,
@@ -354,9 +386,7 @@ impl ManyCluster {
         for i in joined_base..n.min(joined_base + wave) {
             let id = Key::from_fraction(ring_fraction(i, n));
             let seed = (i > 0).then(|| self.addrs[i % joined_base.max(1)]);
-            let ep = self
-                .reactor
-                .open_with_queue(node_ip(i), self.host.mailbox())?;
+            let ep = self.reactor.open(node_ip(i))?;
             self.host.add(self.template.at(id, seed), ep);
             self.released += 1;
         }

@@ -20,7 +20,7 @@ use d2_ring::messages::{Addr, PeerInfo};
 use d2_sim::SimTime;
 use d2_store::{CacheOutcome, LookupCache};
 use d2_types::{D2Error, Key, KeyRange, Result};
-use d2_wire::client::{ClientError, PendingReply, WireClient};
+use d2_wire::client::{ClientError, ReplyQueue, WireClient};
 use d2_wire::codec::{Request, Response, WireStatus};
 use d2_wire::transport::Transport;
 use parking_lot::{Mutex, RwLock};
@@ -160,13 +160,15 @@ const CALL_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// One in-flight batch op: which stage's reply we are waiting on.
 enum Stage {
-    Lookup(PendingReply),
+    Lookup,
     /// The put/get itself, and the node it went to if the lookup cache
     /// chose it (`None` after a routed lookup).
-    Data(PendingReply, Option<Addr>),
+    Data(Option<Addr>),
 }
 
 struct Slot {
+    /// The request in flight for this op, as its [`ReplyQueue`] knows it.
+    req_id: u64,
     index: usize,
     started: Instant,
     /// Routed lookups submitted so far (none while riding the cache).
@@ -305,8 +307,8 @@ impl<T: Transport> ClusterOps<T> {
                     self.remember(range, owner.addr);
                     return Ok(owner);
                 }
-                Ok(_) | Err(ClientError::Timeout) | Err(ClientError::Unreachable(_)) => {}
                 Err(ClientError::Closed) => break,
+                Ok(_) | Err(_) => {}
             }
         }
         Err(D2Error::Unavailable(key))
@@ -336,20 +338,22 @@ impl<T: Transport> ClusterOps<T> {
                 stored: 0,
                 data,
             };
-            match self.client.call_traced(node, req, CALL_TIMEOUT, ctx) {
-                Ok(Response::PutAck { replicas }) => Some((replicas as usize, trace_id)),
-                _ => None,
-            }
+            self.client.call_traced(node, req, CALL_TIMEOUT, ctx)
         };
         if let Some(node) = self.cached_owner(&key) {
             // The payload must outlive a refusal, hence the copy.
-            if let Some(done) = put(node, data.clone()) {
-                return Ok(done);
+            match put(node, data.clone()) {
+                Ok(Response::PutAck { replicas }) => return Ok((replicas as usize, trace_id)),
+                // A slow node still owns what it owned.
+                Err(ClientError::Backlogged(_)) => {}
+                _ => self.mark_stale(node),
             }
-            self.mark_stale(node);
         }
         let owner = self.lookup_traced(key, ctx)?;
-        put(owner.addr, data).ok_or(D2Error::Unavailable(key))
+        match put(owner.addr, data) {
+            Ok(Response::PutAck { replicas }) => Ok((replicas as usize, trace_id)),
+            _ => Err(D2Error::Unavailable(key)),
+        }
     }
 
     /// Fetches a block from the owner, falling back along its successor
@@ -358,6 +362,7 @@ impl<T: Transport> ClusterOps<T> {
         if let Some(node) = self.cached_owner(&key) {
             match self.client.call(node, Request::Get { key }, CALL_TIMEOUT) {
                 Ok(Response::Block { data: Some(data) }) => return Ok(data),
+                Err(ClientError::Backlogged(_)) => {}
                 _ => self.mark_stale(node),
             }
         }
@@ -431,24 +436,16 @@ impl<T: Transport> ClusterOps<T> {
         )
     }
 
-    /// Submits one lookup through the next entry node, or `None` when no
-    /// entry accepts it.
-    fn submit_lookup(&self, key: Key, cfg: PipelineConfig) -> Option<PendingReply> {
-        let entry = self.next_entry()?;
-        self.client
-            .submit(entry, Request::Lookup { key }, cfg.op_timeout)
-            .ok()
-    }
-
     /// The windowed pipeline driver behind [`ClusterOps::put_many`] and
-    /// [`ClusterOps::get_many`]: keeps up to `cfg.window` ops in flight,
-    /// sweeps their [`PendingReply`] handles without blocking on any
-    /// single one, and advances or resolves each op as its reply lands.
+    /// [`ClusterOps::get_many`]: keeps up to `cfg.window` ops in flight
+    /// on one [`ReplyQueue`], blocks on it until a reply lands or the
+    /// earliest deadline passes, and advances or resolves that op.
     ///
     /// An op starts in the data stage when the lookup cache names its
     /// owner, in the lookup stage otherwise. It goes (back) to a routed
     /// lookup when the cached node turns out stale — refusal, miss,
-    /// send error or timeout — and whenever any node refuses it as
+    /// send error or timeout — or merely slow (`Backlogged`, which
+    /// leaves the cache alone), and whenever any node refuses it as
     /// [`Response::NotOwner`], within the [`MAX_LOOKUPS`] budget.
     fn pipelined<R>(
         &self,
@@ -469,12 +466,19 @@ impl<T: Transport> ClusterOps<T> {
                 latency: Duration::ZERO,
             })
             .collect();
-        let lookup_stage = |key: Key, lookups: u32| {
+        let mut queue = self.client.reply_queue();
+        let submit = |queue: &mut ReplyQueue, node: Addr, req: Request| {
+            self.client
+                .submit_on(queue, node, req, cfg.op_timeout, TraceCtx::NONE)
+        };
+        // One lookup through the next entry node, or `None` when the op
+        // is out of lookups or no entry accepts it.
+        let lookup_stage = |queue: &mut ReplyQueue, key: Key, lookups: u32| {
             if lookups >= MAX_LOOKUPS {
                 return None;
             }
-            let reply = self.submit_lookup(key, cfg)?;
-            Some((Stage::Lookup(reply), lookups + 1))
+            let req_id = submit(queue, self.next_entry()?, Request::Lookup { key }).ok()?;
+            Some((req_id, Stage::Lookup, lookups + 1))
         };
         let mut slots: Vec<Slot> = Vec::with_capacity(window);
         let mut next = 0usize;
@@ -484,16 +488,18 @@ impl<T: Transport> ClusterOps<T> {
                 let (index, key, started) = (next, keys[next], Instant::now());
                 next += 1;
                 let cached = self.cached_owner(&key).and_then(|node| {
-                    match self.client.submit(node, make_req(index), cfg.op_timeout) {
-                        Ok(reply) => Some((Stage::Data(reply, Some(node)), 0)),
+                    match submit(&mut queue, node, make_req(index)) {
+                        Ok(req_id) => Some((req_id, Stage::Data(Some(node)), 0)),
+                        Err(ClientError::Backlogged(_)) => None,
                         Err(_) => {
                             self.mark_stale(node);
                             None
                         }
                     }
                 });
-                match cached.or_else(|| lookup_stage(key, 0)) {
-                    Some((stage, lookups)) => slots.push(Slot {
+                match cached.or_else(|| lookup_stage(&mut queue, key, 0)) {
+                    Some((req_id, stage, lookups)) => slots.push(Slot {
+                        req_id,
                         index,
                         started,
                         lookups,
@@ -502,62 +508,51 @@ impl<T: Transport> ClusterOps<T> {
                     None => out[index].latency = started.elapsed(),
                 }
             }
-            // Sweep every in-flight op once; each resolves or advances
-            // independently of the others.
-            let mut progressed = false;
-            let mut i = 0;
-            while i < slots.len() {
-                let polled = match &mut slots[i].stage {
-                    Stage::Lookup(reply) | Stage::Data(reply, _) => reply.poll(),
-                };
-                let Some(res) = polled else {
-                    i += 1;
-                    continue;
-                };
-                progressed = true;
-                let slot = slots.swap_remove(i);
-                let (index, key) = (slot.index, keys[slot.index]);
-                let advanced = match (slot.stage, res) {
-                    (Stage::Lookup(_), Ok(Response::Owner { owner, range, .. })) => {
-                        self.remember(range, owner.addr);
-                        self.client
-                            .submit(owner.addr, make_req(index), cfg.op_timeout)
-                            .ok()
-                            .map(|reply| (Stage::Data(reply, None), slot.lookups))
-                    }
-                    // A dropped or failed lookup (a node died mid-route,
-                    // or the ring is still stabilizing): retry through
-                    // the next entry, like the serial lookup path.
-                    (Stage::Lookup(_), _) => lookup_stage(key, slot.lookups),
-                    (
-                        Stage::Data(_, Some(node)),
-                        Err(_) | Ok(Response::NotOwner | Response::Block { data: None }),
-                    ) => {
-                        self.mark_stale(node);
-                        lookup_stage(key, slot.lookups)
-                    }
-                    (Stage::Data(..), Ok(Response::NotOwner)) => lookup_stage(key, slot.lookups),
-                    (Stage::Data(..), Ok(resp)) => {
-                        out[index].result = map_resp(key, resp);
-                        None
-                    }
-                    (Stage::Data(..), Err(_)) => None,
-                };
-                match advanced {
-                    Some((stage, lookups)) => slots.push(Slot {
-                        stage,
-                        lookups,
-                        ..slot
-                    }),
-                    None => out[index].latency = slot.started.elapsed(),
+            // Sleep until one op's reply or deadline; each resolves or
+            // advances independently of the others.
+            let Some((req_id, res)) = queue.recv() else {
+                continue;
+            };
+            let Some(at) = slots.iter().position(|s| s.req_id == req_id) else {
+                continue;
+            };
+            let slot = slots.swap_remove(at);
+            let (index, key) = (slot.index, keys[slot.index]);
+            let advanced = match (&slot.stage, res) {
+                (Stage::Lookup, Ok(Response::Owner { owner, range, .. })) => {
+                    self.remember(range, owner.addr);
+                    submit(&mut queue, owner.addr, make_req(index))
+                        .ok()
+                        .map(|req_id| (req_id, Stage::Data(None), slot.lookups))
                 }
-            }
-            if !progressed && !slots.is_empty() {
-                // Nothing landed this sweep; yield briefly instead of
-                // spinning the pending locks. Kept well under a typical
-                // localhost RTT so the sweep granularity does not show
-                // up in measured latencies.
-                std::thread::sleep(Duration::from_micros(20));
+                // A dropped or failed lookup (a node died mid-route,
+                // or the ring is still stabilizing): retry through
+                // the next entry, like the serial lookup path.
+                (Stage::Lookup, _) => lookup_stage(&mut queue, key, slot.lookups),
+                (
+                    &Stage::Data(Some(node)),
+                    Err(_) | Ok(Response::NotOwner | Response::Block { data: None }),
+                ) => {
+                    self.mark_stale(node);
+                    lookup_stage(&mut queue, key, slot.lookups)
+                }
+                (Stage::Data(_), Ok(Response::NotOwner)) => {
+                    lookup_stage(&mut queue, key, slot.lookups)
+                }
+                (Stage::Data(_), Ok(resp)) => {
+                    out[index].result = map_resp(key, resp);
+                    None
+                }
+                (Stage::Data(_), Err(_)) => None,
+            };
+            match advanced {
+                Some((req_id, stage, lookups)) => slots.push(Slot {
+                    req_id,
+                    stage,
+                    lookups,
+                    ..slot
+                }),
+                None => out[index].latency = slot.started.elapsed(),
             }
         }
         out

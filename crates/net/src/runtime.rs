@@ -25,7 +25,7 @@ use d2_ring::node::{NodeConfig, ProtocolNode};
 use d2_types::Key;
 use d2_wire::codec::{Request, Response, WireMetrics, WireMsg, WireStatus};
 use d2_wire::metrics::NetMetrics;
-use d2_wire::transport::Transport;
+use d2_wire::transport::{Transport, TransportError};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Duration;
@@ -744,43 +744,51 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
             },
         };
         for succ in succs {
-            if self
-                .transport
-                .send_traced(succ, &forward, self.cur_ctx)
-                .is_ok()
-            {
-                // Validation knob: count the rest of the chain as
-                // written the moment the forward send succeeds. A dead
-                // peer fails the send fast, so this looks safe — until
-                // a link drops traffic silently and the "replicas" the
-                // ack promises were never stored anywhere.
-                if self.node.config().ack_on_send {
-                    let promised = stored + fanout;
-                    self.registry.observe("node.put_replicas", promised as u64);
-                    self.respond(from, req_id, Response::PutAck { replicas: promised });
+            match self.transport.send_traced(succ, &forward, self.cur_ctx) {
+                Ok(()) => {
+                    // Validation knob: count the rest of the chain as
+                    // written the moment the forward send succeeds. A
+                    // dead peer fails the send fast, so this looks safe
+                    // — until a link drops traffic silently and the
+                    // "replicas" the ack promises were never stored
+                    // anywhere.
+                    if self.node.config().ack_on_send {
+                        let promised = stored + fanout;
+                        self.registry.observe("node.put_replicas", promised as u64);
+                        self.respond(from, req_id, Response::PutAck { replicas: promised });
+                    }
+                    return; // the chain continues; its end will ack
                 }
-                return; // the chain continues; its end will ack
+                // The chain goes on through the next successor.
+                Err(e) => self.send_failed(succ, e),
             }
-            self.record_send_failure(succ);
-            self.node.forget(succ);
         }
         // No reachable successor: this node terminates the chain.
         self.registry.observe("node.put_replicas", stored as u64);
         self.respond(from, req_id, Response::PutAck { replicas: stored });
     }
 
-    /// Notes a failed send: a counter, a failure flag on the current
-    /// span, and (when traced) a dedicated `send.fail` child span so the
-    /// trace tree shows exactly where an operation lost a hop.
-    fn record_send_failure(&mut self, to: Addr) {
-        self.registry.inc("node.send_failures");
+    /// A send to `to` failed and its message is dropped. A slow peer
+    /// (`Backlogged`) is counted and kept: evicting a live successor
+    /// over one full queue would tear the ring for nothing. Anything
+    /// else is a dead hop: a counter, a failure flag on the current
+    /// span, (when traced) a dedicated `send.fail` child span so the
+    /// trace tree shows exactly where an operation lost a hop — and the
+    /// peer is forgotten, so routing and repair go around it.
+    fn send_failed(&mut self, to: Addr, err: TransportError) {
         self.cur_ok = false;
+        if let TransportError::Backlogged(_) = err {
+            self.registry.inc("node.send_backlogged");
+            return;
+        }
+        self.registry.inc("node.send_failures");
         if self.cur_ctx.is_traced() {
             let span = self.alloc_span();
             let now = self.clock.now_us();
             let ctx = self.cur_ctx;
             self.push_span(ctx, span, now, false, "send.fail", format!("to={to}"));
         }
+        self.node.forget(to);
     }
 
     /// One replica-repair round. Two cases per held block:
@@ -831,16 +839,14 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         let mut queue = msgs;
         let mut budget = REROUTE_BUDGET;
         while let Some((to, msg)) = queue.pop() {
-            if self
-                .transport
-                .send_traced(to, &WireMsg::Ring(msg.clone()), self.cur_ctx)
-                .is_ok()
-            {
+            let wire = WireMsg::Ring(msg.clone());
+            let Err(e) = self.transport.send_traced(to, &wire, self.cur_ctx) else {
                 continue;
-            }
-            self.record_send_failure(to);
-            self.node.forget(to);
-            let reroutable = matches!(msg, RingMsg::FindOwner { .. } | RingMsg::Join { .. });
+            };
+            self.send_failed(to, e);
+            // Only around a forgotten hop: a slow one is still the route.
+            let reroutable = matches!(msg, RingMsg::FindOwner { .. } | RingMsg::Join { .. })
+                && !matches!(e, TransportError::Backlogged(_));
             if reroutable && budget > 0 {
                 budget -= 1;
                 queue.extend(self.node.handle(msg));
@@ -972,17 +978,18 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                 data,
             },
         };
-        if self.transport.send(owner, &put).is_err() {
-            self.node.forget(owner);
+        match self.transport.send(owner, &put) {
+            Ok(()) => {}
+            // The block stays put; the next repair round asks again.
+            Err(TransportError::Backlogged(_)) => self.registry.inc("node.send_backlogged"),
+            Err(_) => self.node.forget(owner),
         }
     }
 
     fn respond(&mut self, to: Addr, req_id: u64, body: Response) {
-        let msg = WireMsg::Response { req_id, body };
-        if self.transport.send(to, &msg).is_err() {
-            // A client that vanished mid-request is not a node failure;
-            // nothing to repair.
-        }
+        // A client that vanished mid-request is not a node failure;
+        // nothing to repair.
+        let _ = self.transport.send(to, &WireMsg::Response { req_id, body });
     }
 
     // -----------------------------------------------------------------
@@ -1097,12 +1104,12 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                 data: frag.data,
             },
         };
-        if self.transport.send_traced(to, &msg, self.cur_ctx).is_ok() {
-            true
-        } else {
-            self.record_send_failure(to);
-            self.node.forget(to);
-            false
+        match self.transport.send_traced(to, &msg, self.cur_ctx) {
+            Ok(()) => true,
+            Err(e) => {
+                self.send_failed(to, e);
+                false
+            }
         }
     }
 
@@ -1134,11 +1141,9 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                     want_data: true,
                 },
             };
-            if self.transport.send_traced(to, &msg, self.cur_ctx).is_ok() {
-                pending += 1;
-            } else {
-                self.record_send_failure(to);
-                self.node.forget(to);
+            match self.transport.send_traced(to, &msg, self.cur_ctx) {
+                Ok(()) => pending += 1,
+                Err(e) => self.send_failed(to, e),
             }
         }
         let started_us = self.clock.now_us();
@@ -1186,11 +1191,9 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                     want_data: false,
                 },
             };
-            if self.transport.send_traced(to, &msg, self.cur_ctx).is_ok() {
-                pending += 1;
-            } else {
-                self.record_send_failure(to);
-                self.node.forget(to);
+            match self.transport.send_traced(to, &msg, self.cur_ctx) {
+                Ok(()) => pending += 1,
+                Err(e) => self.send_failed(to, e),
             }
         }
         let started_us = self.clock.now_us();

@@ -97,19 +97,21 @@ pub fn render_top(scrape: &ClusterScrape, fmt_addr: &dyn Fn(Addr) -> String) -> 
             reg.counter("node.not_owner").to_string(),
             reg.counter("net.backlog_drops").to_string(),
             reg.counter("net.poller_wakeups").to_string(),
+            reg.histogram("net.flush_wait_us")
+                .map_or(0, |h| h.quantile(0.5))
+                .to_string(),
         ]);
     }
     out.push_str(&format!(
         "cluster: {} node(s) scraped\n",
         scrape.nodes.len()
     ));
-    out.push_str(&render_rows(
-        &[
-            "node", "pos", "blocks", "msgs_in", "net_msgs", "reconn", "lookups", "puts",
-            "lk_p50us", "lk_p99us", "sendfail", "notowner", "backlog", "wakeups",
-        ],
-        &rows,
-    ));
+    #[rustfmt::skip] // a row, as it prints
+    let header = [
+        "node", "pos", "blocks", "msgs_in", "net_msgs", "reconn", "lookups", "puts",
+        "lk_p50us", "lk_p99us", "sendfail", "notowner", "backlog", "wakeups", "flushwait",
+    ];
+    out.push_str(&render_rows(&header, &rows));
 
     // ---- erasure-coding table (only when any node runs EC) ---------
     let ec_active = scrape.nodes.iter().any(|n| {
@@ -277,6 +279,7 @@ mod tests {
         assert!(top.contains("slowest recent ops"));
         assert!(top.contains("0x00000000000000ab"));
         assert!(top.contains("FAIL"));
+        assert!(top.lines().nth(1).unwrap().ends_with("flushwait"));
         // No node reports ec.* — the erasure-coding table is omitted.
         assert!(!top.contains("erasure coding"));
     }

@@ -1,18 +1,28 @@
-//! The one host, through its public API over the channel transport:
-//! crash-stop, who reports the transport's metrics sheet, and when the
-//! host is done. (`many_nodes.rs` and `tcp_cluster.rs` cover the same
-//! host over real sockets.)
+//! The one host, through its public API: over the channel transport,
+//! crash-stop, who reports the transport's metrics sheet, when the host
+//! is done, and what a failed send does to the peer; over a reactor it
+//! turns itself, what a reply costs and how the host's last words get
+//! out. (`many_nodes.rs` and `tcp_cluster.rs` cover whole clusters over
+//! real sockets.)
 
 use d2_net::{Host, NodeSpec};
+use d2_obs::Registry;
+use d2_obs::TraceCtx;
 use d2_ring::messages::Addr;
 use d2_types::Key;
 use d2_wire::client::WireClient;
 use d2_wire::codec::{Request, Response};
 use d2_wire::metrics::NetMetrics;
-use d2_wire::transport::{ChannelHub, ChannelTransport, Transport, TransportError};
+use d2_wire::reactor::{TcpEndpoint, TcpReactor};
+use d2_wire::tcp::{pack_addr, TcpConfig, TcpTransport};
+use d2_wire::transport::{
+    ChannelHub, ChannelTransport, Mailbox, RecvError, Transport, TransportError,
+};
 use d2_wire::WireMsg;
+use parking_lot::Mutex;
+use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const T: Duration = Duration::from_secs(5);
 
@@ -29,13 +39,13 @@ impl Rig {
         let sheet = Arc::new(NetMetrics::new());
         Rig {
             hub: ChannelHub::new(Arc::clone(&sheet)),
-            host: Host::start(Arc::clone(&sheet)).unwrap(),
+            host: Host::start(Arc::clone(&sheet), None).unwrap(),
             sheet,
         }
     }
 
     fn add(&self, frac: f64, seed: Option<Addr>) -> Addr {
-        let ep = self.hub.open_with_queue(self.host.mailbox());
+        let ep = self.hub.open();
         let addr = ep.local_addr();
         let spec = NodeSpec::replicated(2).at(Key::from_fraction(frac), seed);
         self.host.add(spec, ep);
@@ -111,4 +121,210 @@ fn the_host_is_done_when_its_last_node_stops() {
     }
     rig.host.join();
     assert_eq!(rig.host.counts(), (0, 0));
+}
+
+/// A channel endpoint whose sends to one peer fail as `verdict` says.
+struct Faulty {
+    inner: ChannelTransport,
+    verdict: Arc<Mutex<Option<TransportError>>>,
+}
+
+impl Transport for Faulty {
+    fn local_addr(&self) -> Addr {
+        self.inner.local_addr()
+    }
+    fn send_traced(&self, to: Addr, msg: &WireMsg, trace: TraceCtx) -> Result<(), TransportError> {
+        match *self.verdict.lock() {
+            Some(e @ (TransportError::Backlogged(a) | TransportError::PeerUnreachable(a)))
+                if a == to =>
+            {
+                Err(e)
+            }
+            _ => self.inner.send_traced(to, msg, trace),
+        }
+    }
+    fn recv_timeout(&self, timeout: Duration) -> Result<(WireMsg, TraceCtx), RecvError> {
+        self.inner.recv_timeout(timeout)
+    }
+    fn set_mailbox(&self, mailbox: Mailbox) {
+        self.inner.set_mailbox(mailbox)
+    }
+    fn shutdown(&self) {
+        self.inner.shutdown()
+    }
+}
+
+#[test]
+fn a_slow_peer_is_kept_and_a_dead_one_forgotten() {
+    let sheet = Arc::new(NetMetrics::new());
+    let hub = ChannelHub::new(Arc::clone(&sheet));
+    let host: Host<Faulty> = Host::start(Arc::clone(&sheet), None).unwrap();
+    let verdict = Arc::new(Mutex::new(None));
+    let add = |frac: f64, seed: Option<Addr>, verdict: &Arc<Mutex<Option<TransportError>>>| {
+        let (inner, verdict) = (hub.open(), Arc::clone(verdict));
+        let addr = inner.local_addr();
+        let spec = NodeSpec::replicated(2).at(Key::from_fraction(frac), seed);
+        host.add(spec, Faulty { inner, verdict });
+        addr
+    };
+    let a = add(0.25, None, &verdict);
+    let b = add(0.75, Some(a), &Arc::default());
+    let client = WireClient::new(hub.open(), sheet);
+    // What `a` says of itself: whether `b` is a successor, and its sheet.
+    let view = || -> (bool, Registry) {
+        let Ok(Response::Status(st)) = client.call(a, Request::Status, T) else {
+            panic!("no status from {a}");
+        };
+        let Ok(Response::Metrics(m)) = client.call(a, Request::MetricsDump, T) else {
+            panic!("no dump from {a}");
+        };
+        let knows_b = st.successors.iter().any(|p| p.addr == b);
+        (knows_b, m.to_registry().unwrap())
+    };
+    let wait_for = |what: &str, done: &dyn Fn(&(bool, Registry)) -> bool| {
+        let deadline = Instant::now() + T;
+        while !done(&view()) {
+            assert!(Instant::now() < deadline, "never saw: {what}");
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    };
+    wait_for("b joins", &|v| v.0);
+    // `b`'s queue is full: every probe `a` sends it is dropped, over
+    // several tick rounds, and `b` stays where it was.
+    *verdict.lock() = Some(TransportError::Backlogged(b));
+    wait_for("dropped sends", &|v| {
+        assert!(v.0, "a slow successor was evicted");
+        v.1.counter("node.send_backlogged") >= 3
+    });
+    assert_eq!(view().1.counter("node.send_failures"), 0);
+    // `b` dies (so it cannot announce itself again): the next probe
+    // fails for good and `a` forgets it.
+    *verdict.lock() = Some(TransportError::PeerUnreachable(b));
+    host.crash(b);
+    wait_for("b forgotten", &|v| !v.0);
+    assert!(view().1.counter("node.send_failures") > 0);
+}
+
+/// A host of one node turning its own reactor (`sheet` is that
+/// reactor's), and a client on a transport and a sheet of its own.
+struct TcpRig {
+    host: Host<TcpEndpoint>,
+    _reactor: TcpReactor,
+    node: Addr,
+    sheet: Arc<NetMetrics>,
+    client: WireClient<TcpTransport>,
+}
+
+fn tcp_transport() -> TcpTransport {
+    let sheet = Arc::new(NetMetrics::new());
+    TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, TcpConfig::default(), sheet).unwrap()
+}
+
+fn tcp_host_of_one() -> TcpRig {
+    let sheet = Arc::new(NetMetrics::new());
+    let (ip, cfg) = (Ipv4Addr::LOCALHOST, TcpConfig::default());
+    let (reactor, poller) = TcpReactor::bind(ip, 0, cfg, Arc::clone(&sheet)).unwrap();
+    let host = Host::start(Arc::clone(&sheet), Some(poller)).unwrap();
+    let ep = reactor.open(ip).unwrap();
+    let node = ep.local_addr();
+    host.add(
+        NodeSpec::replicated(1).at(Key::from_fraction(0.5), None),
+        ep,
+    );
+    TcpRig {
+        host,
+        _reactor: reactor,
+        node,
+        sheet,
+        client: WireClient::new(tcp_transport(), Arc::new(NetMetrics::new())),
+    }
+}
+
+#[test]
+fn a_reply_from_a_host_that_turns_its_reactor_needs_no_wake() {
+    let rig = tcp_host_of_one();
+    let status = || {
+        matches!(
+            rig.client.call(rig.node, Request::Status, T),
+            Ok(Response::Status(_))
+        )
+    };
+    // The node counts a write just after it makes it, which can be
+    // just after its reply is read here.
+    let settled = || {
+        std::thread::sleep(Duration::from_millis(10));
+        rig.sheet.snapshot()
+    };
+    assert!(status(), "warm-up: both sides dial");
+    let before = settled();
+    for _ in 0..1_000 {
+        assert!(status());
+    }
+    let after = settled();
+    let grew = |key: &str| after.counter(key) - before.counter(key);
+    assert_eq!(grew("net.msgs_out"), 1_000);
+    // The thread that queued the reply is the one that flushes it.
+    assert_eq!(grew("net.wake_writes"), 0);
+    // One write per reply, each on a tick of its own.
+    assert_eq!(grew("net.flush_ticks"), 1_000);
+    let waits = after.histogram("net.flush_wait_us").unwrap().count();
+    assert_eq!(
+        waits - before.histogram("net.flush_wait_us").unwrap().count(),
+        1_000
+    );
+}
+
+#[test]
+fn a_host_of_one_gets_its_shutdown_ack_out_and_a_stalled_peer_cannot_hold_it() {
+    let rig = tcp_host_of_one();
+    // A peer that completes the handshake and never reads.
+    let stall = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+    let SocketAddr::V4(stalled) = stall.local_addr().unwrap() else {
+        unreachable!();
+    };
+    // Park more reply bytes on it than its socket and the node's
+    // pending queue hold: a 1 MiB block, asked for in its name.
+    let key = Key::from_u64(7);
+    let put = Request::Put {
+        key,
+        fanout: 0,
+        stored: 0,
+        data: vec![0xD2; 1 << 20],
+    };
+    assert_eq!(
+        rig.client.call(rig.node, put, T),
+        Ok(Response::PutAck { replicas: 1 })
+    );
+    let spoof = tcp_transport();
+    for req_id in 0..48 {
+        let get = WireMsg::Request {
+            req_id,
+            from: pack_addr(stalled),
+            body: Request::Get { key },
+        };
+        spoof.send(rig.node, &get).unwrap();
+    }
+    let deadline = Instant::now() + T;
+    while rig.sheet.snapshot().counter("net.backlog_drops") == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "the stalled peer never backed up"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // The ack is queued when the node stops, and still reaches us.
+    assert_eq!(
+        rig.client.call(rig.node, Request::Shutdown, T),
+        Ok(Response::ShutdownAck)
+    );
+    // The stuck frames get the drain's half second, no more.
+    let t0 = Instant::now();
+    rig.host.join();
+    let took = t0.elapsed();
+    assert!(
+        took > Duration::from_millis(400),
+        "nothing was stuck: {took:?}"
+    );
+    assert!(took < Duration::from_secs(3), "exit took {took:?}");
+    assert!(rig.host.finished());
 }

@@ -1,7 +1,7 @@
 //! End-to-end: a 200-node single-process cluster.
 //!
-//! Boots 200 nodes through [`ManyCluster`] (one reactor, one host
-//! thread), waits for every join, polls the Zave ring invariants to
+//! Boots 200 nodes through [`ManyCluster`] (one reactor, turned by one
+//! host thread), waits for every join, polls the Zave ring invariants to
 //! quiescence, stores replicated blocks through real recursive lookups,
 //! verifies the storage invariant, asserts the OS thread count stayed
 //! constant in N — for the in-process [`Deployment`] too, which runs on
@@ -19,6 +19,7 @@ use d2_types::Key;
 use d2_wire::client::WireClient;
 use d2_wire::metrics::NetMetrics;
 use d2_wire::tcp::{TcpConfig, TcpTransport};
+use d2_wire::transport::ChannelHub;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 use std::time::Duration;
@@ -43,19 +44,24 @@ fn scrape_statuses(ops: &ClusterOps<TcpTransport>, addrs: &[Addr]) -> Vec<NodeSt
     addrs.iter().filter_map(|&a| ops.status_of(a)).collect()
 }
 
-/// A 32-node channel deployment costs its host thread and its client's
-/// dispatcher, not a thread per node.
+/// A 32-node channel deployment costs its host thread, not a thread
+/// per node, and its client none: replies are routed by the thread
+/// that sends them.
 fn deployment_threads_are_constant_in_n() {
     let threads_before = os_threads();
+    let hub = ChannelHub::new(Arc::new(NetMetrics::new()));
+    let client = WireClient::new(hub.open(), Arc::new(NetMetrics::new()));
+    assert_eq!(
+        os_threads(),
+        threads_before,
+        "a channel client is no thread"
+    );
+    drop(client);
     let dep = Deployment::launch(32, 3);
     dep.wait_stable();
     let threads_during = os_threads();
     dep.shutdown();
-    assert!(
-        threads_during <= threads_before + 3,
-        "32 nodes cost {} threads",
-        threads_during - threads_before
-    );
+    assert_eq!(threads_during, threads_before + 1, "32 nodes, one host");
 }
 
 #[test]
@@ -73,15 +79,16 @@ fn two_hundred_nodes_in_one_process() {
     );
     assert_eq!(cluster.live(), N);
 
-    // Constant thread budget: the host plus the reactor poller,
-    // regardless of N. (The allowance leaves room for the harness.)
+    // Constant thread budget: the host, which turns the reactor's
+    // poller itself, regardless of N. (One more leaves room for the
+    // harness.)
     let threads_during = os_threads();
     assert!(
-        threads_during <= threads_before + 4,
+        threads_during <= threads_before + 2,
         "thread count grew with N: {threads_before} -> {threads_during}"
     );
 
-    // Client over its own transport (one more reactor + poller).
+    // Client over its own transport (one more reactor, and its poller).
     let client_metrics = Arc::new(NetMetrics::new());
     let client = WireClient::new(
         TcpTransport::bind(

@@ -121,6 +121,14 @@ fn nine_process_tcp_cluster_survives_a_crash() {
 
     wait_stable(&ops, &live, "after boot");
 
+    // A serving process is its main thread and the host thread, which
+    // reads the sockets, steps the node and writes the replies. (The
+    // seed has a third, writing `--obs-out`.)
+    let status = std::fs::read_to_string(format!("/proc/{}/status", procs[1].child.id()));
+    let threads = status.expect("read the child's status");
+    let threads = threads.lines().find(|l| l.starts_with("Threads:"));
+    assert_eq!(threads.and_then(|l| l.split_whitespace().nth(1)), Some("2"));
+
     // Store replicated blocks; the ack certifies the whole chain, so
     // reads immediately afterwards need no settling sleep.
     for (i, &k) in test_keys().iter().enumerate() {

@@ -4,27 +4,29 @@
 //! round trips: `put` must not return before the replica chain has
 //! acked, `get` must wait for the block. [`WireClient`] owns a transport
 //! endpoint, stamps every outgoing [`Request`] with a fresh `req_id`,
-//! and runs a dispatcher thread that routes incoming [`Response`]s back
-//! to the blocked caller — so several threads can issue requests over
-//! one client concurrently.
+//! and installs itself as the endpoint's [`Mailbox`]: the thread that
+//! decoded an incoming [`Response`] (a TCP poller, or a channel
+//! sender) hands it straight to the caller blocked on that `req_id` —
+//! so several threads can issue requests over one client concurrently,
+//! and a reply costs its caller's wake-up and no other.
 //!
 //! Because correlation is per-`req_id`, the client also supports
 //! *pipelining*: [`WireClient::submit`] sends a request and returns a
-//! [`PendingReply`] handle immediately, so one caller can keep a whole
-//! window of requests in flight and harvest responses as they land —
-//! each with its own deadline, none head-of-line-blocking the others.
-//! [`WireClient::call`] is just `submit(..)?.wait()`.
+//! [`PendingReply`] handle immediately, and [`WireClient::submit_on`]
+//! puts a whole window of requests on one [`ReplyQueue`], which blocks
+//! until the next reply lands or the earliest deadline passes — each
+//! request with its own deadline, none head-of-line-blocking the
+//! others. [`WireClient::call`] is just `submit(..)?.wait()`.
 
 use crate::codec::{Request, Response, WireMsg};
 use crate::metrics::NetMetrics;
-use crate::transport::{RecvError, Transport, TransportError};
+use crate::transport::{Mailbox, Transport, TransportError};
 use d2_obs::TraceCtx;
 use d2_ring::messages::Addr;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// A failed client call.
@@ -32,6 +34,9 @@ use std::time::{Duration, Instant};
 pub enum ClientError {
     /// The node could not be reached (dead or in reconnect backoff).
     Unreachable(Addr),
+    /// The node is connected but slow: its send queue is full and the
+    /// request was dropped. Nothing says it moved or died.
+    Backlogged(Addr),
     /// The node was reached but no response arrived in time.
     Timeout,
     /// The client (or its transport) has been shut down.
@@ -42,6 +47,7 @@ impl std::fmt::Display for ClientError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ClientError::Unreachable(a) => write!(f, "node {a} unreachable"),
+            ClientError::Backlogged(a) => write!(f, "node {a} backlogged"),
             ClientError::Timeout => write!(f, "request timed out"),
             ClientError::Closed => write!(f, "client closed"),
         }
@@ -53,141 +59,151 @@ impl std::error::Error for ClientError {}
 impl From<TransportError> for ClientError {
     fn from(e: TransportError) -> ClientError {
         match e {
-            // A backlogged ("slow") peer is handled like a dead one for
-            // now; the transport's `net.backlog_drops` tells them apart.
-            TransportError::PeerUnreachable(a) | TransportError::Backlogged(a) => {
-                ClientError::Unreachable(a)
-            }
+            TransportError::PeerUnreachable(a) => ClientError::Unreachable(a),
+            TransportError::Backlogged(a) => ClientError::Backlogged(a),
             TransportError::Closed => ClientError::Closed,
         }
     }
 }
 
-type Pending = Arc<Mutex<HashMap<u64, mpsc::Sender<Response>>>>;
+/// What lands on a [`ReplyQueue`]: a request id and its outcome.
+type Landed = (u64, Result<Response, ClientError>);
 
-/// One in-flight request submitted with [`WireClient::submit`].
-///
-/// The handle owns the pending-map entry for its `req_id`: resolving it
-/// (via [`PendingReply::wait`] or [`PendingReply::poll`]) or dropping it
-/// unregisters the request, after which a late response counts as
-/// `net.orphan_responses`. The round-trip time of a successful reply is
-/// recorded under `net.rtt_us.<request type>` exactly as with
-/// [`WireClient::call`].
-pub struct PendingReply {
-    rx: mpsc::Receiver<Response>,
-    pending: Pending,
-    metrics: Arc<NetMetrics>,
+/// In-flight request id → the queue its reply lands on.
+type Pending = Arc<Mutex<HashMap<u64, mpsc::Sender<Landed>>>>;
+
+/// One request a [`ReplyQueue`] is waiting on.
+struct InFlight {
     req_id: u64,
     type_name: &'static str,
     start: Instant,
     deadline: Instant,
-    resolved: bool,
 }
 
+/// Requests in flight whose replies land on one completion queue, made
+/// by [`WireClient::reply_queue`] and filled by
+/// [`WireClient::submit_on`].
+///
+/// The queue owns the pending-map entries of its requests: resolving
+/// one (a reply, or its deadline passing) or dropping the queue
+/// unregisters it, after which a late response counts as
+/// `net.orphan_responses`. The round-trip time of a successful reply is
+/// recorded under `net.rtt_us.<request type>`.
+pub struct ReplyQueue {
+    tx: mpsc::Sender<Landed>,
+    rx: mpsc::Receiver<Landed>,
+    inflight: Vec<InFlight>,
+    pending: Pending,
+    metrics: Arc<NetMetrics>,
+}
+
+impl ReplyQueue {
+    /// Blocks until one request resolves — its reply landed, or it is
+    /// the one whose deadline passed first — and returns its id and
+    /// outcome. `None` when nothing is in flight.
+    pub fn recv(&mut self) -> Option<Landed> {
+        self.take(Duration::MAX)
+    }
+
+    /// [`ReplyQueue::recv`], blocking for `patience` at most: `None`
+    /// also means that nothing has resolved yet.
+    fn take(&mut self, patience: Duration) -> Option<Landed> {
+        let (at, deadline) = (self.inflight.iter().map(|f| f.deadline).enumerate())
+            .min_by_key(|&(_, deadline)| deadline)?;
+        let wait = deadline.saturating_duration_since(Instant::now());
+        // Never disconnected: `tx` is right here.
+        if let Ok((req_id, res)) = self.rx.recv_timeout(wait.min(patience)) {
+            // Whoever sent this took the pending-map entry with it.
+            let at = self.inflight.iter().position(|f| f.req_id == req_id)?;
+            let f = self.inflight.swap_remove(at);
+            if res.is_ok() {
+                let rtt = f.start.elapsed().as_micros() as u64;
+                self.metrics.record_rtt(f.type_name, rtt);
+            }
+            return Some((req_id, res));
+        }
+        if Instant::now() < deadline {
+            return None;
+        }
+        let f = self.inflight.swap_remove(at);
+        self.pending.lock().remove(&f.req_id);
+        Some((f.req_id, Err(ClientError::Timeout)))
+    }
+}
+
+impl Drop for ReplyQueue {
+    fn drop(&mut self) {
+        if !self.inflight.is_empty() {
+            let mut pending = self.pending.lock();
+            for f in &self.inflight {
+                pending.remove(&f.req_id);
+            }
+        }
+    }
+}
+
+/// One in-flight request submitted with [`WireClient::submit`]: a
+/// [`ReplyQueue`] of one.
+pub struct PendingReply(ReplyQueue);
+
 impl PendingReply {
-    /// The request id this handle is waiting on (diagnostics only).
-    pub fn req_id(&self) -> u64 {
-        self.req_id
-    }
-
-    /// Marks the reply resolved and unregisters the pending entry so a
-    /// late response is counted as an orphan instead of queued nowhere.
-    fn settle(&mut self) {
-        self.resolved = true;
-        self.pending.lock().remove(&self.req_id);
-    }
-
     /// Blocks until the response arrives or this request's deadline
     /// passes. Consumes the handle.
     pub fn wait(mut self) -> Result<Response, ClientError> {
-        let timeout = self.deadline.saturating_duration_since(Instant::now());
-        let result = match self.rx.recv_timeout(timeout) {
-            Ok(resp) => {
-                self.metrics
-                    .record_rtt(self.type_name, self.start.elapsed().as_micros() as u64);
-                Ok(resp)
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(ClientError::Timeout),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(ClientError::Closed),
-        };
-        self.settle();
-        result
+        // Nothing in flight: `poll` has delivered the outcome already.
+        self.0.recv().map_or(Err(ClientError::Closed), |r| r.1)
     }
 
     /// Non-blocking check: `Some(outcome)` exactly once when the reply
     /// lands (or its deadline passes), `None` while still in flight and
-    /// after the outcome has been delivered. This is the primitive that
-    /// lets a windowed batch driver sweep many in-flight requests
-    /// without blocking on any single one.
+    /// after the outcome has been delivered.
     pub fn poll(&mut self) -> Option<Result<Response, ClientError>> {
-        if self.resolved {
-            return None;
-        }
-        match self.rx.try_recv() {
-            Ok(resp) => {
-                self.metrics
-                    .record_rtt(self.type_name, self.start.elapsed().as_micros() as u64);
-                self.settle();
-                Some(Ok(resp))
-            }
-            Err(mpsc::TryRecvError::Empty) => {
-                if Instant::now() >= self.deadline {
-                    self.settle();
-                    Some(Err(ClientError::Timeout))
-                } else {
-                    None
-                }
-            }
-            Err(mpsc::TryRecvError::Disconnected) => {
-                self.settle();
-                Some(Err(ClientError::Closed))
-            }
-        }
-    }
-}
-
-impl Drop for PendingReply {
-    fn drop(&mut self) {
-        if !self.resolved {
-            self.pending.lock().remove(&self.req_id);
-        }
+        self.0.take(Duration::ZERO).map(|r| r.1)
     }
 }
 
 /// A blocking request/response client over a [`Transport`] endpoint.
 ///
-/// Dropping the client shuts the dispatcher thread and the underlying
-/// transport down.
+/// Dropping the client shuts the underlying transport down.
 pub struct WireClient<T: Transport> {
-    transport: Arc<T>,
+    transport: T,
     pending: Pending,
     next_req: AtomicU64,
     metrics: Arc<NetMetrics>,
-    stop: Arc<AtomicBool>,
-    dispatcher: Mutex<Option<JoinHandle<()>>>,
+    stop: AtomicBool,
 }
 
 impl<T: Transport> WireClient<T> {
     /// Wraps `transport` as a client endpoint, recording round-trip
     /// times into `metrics`.
     pub fn new(transport: T, metrics: Arc<NetMetrics>) -> Self {
-        let transport = Arc::new(transport);
         let pending: Pending = Arc::default();
-        let stop = Arc::new(AtomicBool::new(false));
-        let dispatcher = {
-            let transport = Arc::clone(&transport);
-            let pending = Arc::clone(&pending);
-            let stop = Arc::clone(&stop);
-            let metrics = Arc::clone(&metrics);
-            std::thread::spawn(move || dispatch_loop(&*transport, &pending, &stop, &metrics))
+        let deliver: Mailbox = {
+            let (pending, metrics) = (Arc::clone(&pending), Arc::clone(&metrics));
+            Arc::new(move |(_, msg, _)| {
+                // Clients ignore ring traffic and stray requests.
+                if let WireMsg::Response { req_id, body } = msg {
+                    match pending.lock().remove(&req_id) {
+                        Some(tx) => {
+                            let _ = tx.send((req_id, Ok(body))); // caller may have gone
+                        }
+                        // A reply whose caller already gave up (or a
+                        // confused peer). Counted, not dropped silently:
+                        // a storm of these means the cluster answers
+                        // slower than clients are willing to wait.
+                        None => metrics.orphan_response(),
+                    }
+                }
+                true
+            })
         };
+        transport.set_mailbox(deliver);
         WireClient {
             transport,
             pending,
             next_req: AtomicU64::new(1),
             metrics,
-            stop,
-            dispatcher: Mutex::new(Some(dispatcher)),
+            stop: AtomicBool::new(false),
         }
     }
 
@@ -221,7 +237,9 @@ impl<T: Transport> WireClient<T> {
         timeout: Duration,
         trace: TraceCtx,
     ) -> Result<Response, ClientError> {
-        self.submit_traced(node, body, timeout, trace)?.wait()
+        let mut queue = self.reply_queue();
+        self.submit_on(&mut queue, node, body, timeout, trace)?;
+        PendingReply(queue).wait()
     }
 
     /// Sends `body` to `node` and returns immediately with a
@@ -229,32 +247,47 @@ impl<T: Transport> WireClient<T> {
     /// `timeout`) is harvested later via [`PendingReply::wait`] or
     /// [`PendingReply::poll`]. Errors here mean the request never left
     /// this process (dead peer, closed client). The request travels
-    /// untraced; see [`WireClient::submit_traced`].
+    /// untraced.
     pub fn submit(
         &self,
         node: Addr,
         body: Request,
         timeout: Duration,
     ) -> Result<PendingReply, ClientError> {
-        self.submit_traced(node, body, timeout, TraceCtx::NONE)
+        let mut queue = self.reply_queue();
+        self.submit_on(&mut queue, node, body, timeout, TraceCtx::NONE)?;
+        Ok(PendingReply(queue))
     }
 
-    /// [`WireClient::submit`] with an explicit trace context on the
-    /// request envelope.
-    pub fn submit_traced(
+    /// An empty completion queue for [`WireClient::submit_on`].
+    pub fn reply_queue(&self) -> ReplyQueue {
+        let (tx, rx) = mpsc::channel();
+        ReplyQueue {
+            tx,
+            rx,
+            inflight: Vec::new(),
+            pending: Arc::clone(&self.pending),
+            metrics: Arc::clone(&self.metrics),
+        }
+    }
+
+    /// [`WireClient::submit`] onto a shared completion queue, `trace`
+    /// on the request envelope: returns the request's id, under which
+    /// [`ReplyQueue::recv`] later reports its outcome.
+    pub fn submit_on(
         &self,
+        queue: &mut ReplyQueue,
         node: Addr,
         body: Request,
         timeout: Duration,
         trace: TraceCtx,
-    ) -> Result<PendingReply, ClientError> {
+    ) -> Result<u64, ClientError> {
         if self.stop.load(Ordering::Acquire) {
             return Err(ClientError::Closed);
         }
         let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
         let type_name = body.type_name();
-        let (tx, rx) = mpsc::channel();
-        self.pending.lock().insert(req_id, tx);
+        self.pending.lock().insert(req_id, queue.tx.clone());
         let msg = WireMsg::Request {
             req_id,
             from: self.transport.local_addr(),
@@ -265,40 +298,25 @@ impl<T: Transport> WireClient<T> {
             self.pending.lock().remove(&req_id);
             return Err(e.into());
         }
-        Ok(PendingReply {
-            rx,
-            pending: Arc::clone(&self.pending),
-            metrics: Arc::clone(&self.metrics),
+        queue.inflight.push(InFlight {
             req_id,
             type_name,
             start,
             deadline: start + timeout,
-            resolved: false,
-        })
+        });
+        Ok(req_id)
     }
 
-    /// Fire-and-forget: sends `body` without waiting for any response.
-    pub fn notify(&self, node: Addr, body: Request) -> Result<(), ClientError> {
-        let req_id = self.next_req.fetch_add(1, Ordering::Relaxed);
-        let msg = WireMsg::Request {
-            req_id,
-            from: self.transport.local_addr(),
-            body,
-        };
-        self.transport.send(node, &msg).map_err(ClientError::from)
-    }
-
-    /// Stops the dispatcher and shuts the transport down. Idempotent;
-    /// also runs on drop.
+    /// Shuts the transport down and fails every request still in
+    /// flight with `Closed`. Idempotent; also runs on drop.
     pub fn shutdown(&self) {
         if self.stop.swap(true, Ordering::AcqRel) {
             return;
         }
         self.transport.shutdown();
-        if let Some(h) = self.dispatcher.lock().take() {
-            let _ = h.join();
+        for (req_id, tx) in self.pending.lock().drain() {
+            let _ = tx.send((req_id, Err(ClientError::Closed)));
         }
-        self.pending.lock().clear();
     }
 }
 
@@ -308,81 +326,34 @@ impl<T: Transport> Drop for WireClient<T> {
     }
 }
 
-fn dispatch_loop<T: Transport>(
-    transport: &T,
-    pending: &Pending,
-    stop: &AtomicBool,
-    metrics: &NetMetrics,
-) {
-    while !stop.load(Ordering::Acquire) {
-        match transport.recv_timeout(Duration::from_millis(100)) {
-            Ok((WireMsg::Response { req_id, body }, _)) => {
-                match pending.lock().remove(&req_id) {
-                    Some(tx) => {
-                        let _ = tx.send(body); // caller may have timed out
-                    }
-                    None => {
-                        // A reply whose caller already gave up (or a
-                        // confused peer). Counted, not dropped silently:
-                        // a storm of these means the cluster answers
-                        // slower than clients are willing to wait.
-                        metrics.orphan_response();
-                    }
-                }
-            }
-            Ok(_) => {} // clients ignore ring traffic and stray requests
-            Err(RecvError::Timeout) => {}
-            Err(RecvError::Closed) => break,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::ChannelHub;
+    use crate::transport::{ChannelHub, RecvError};
     use d2_types::Key;
+    use std::thread::JoinHandle;
 
-    /// A toy responder: answers every Get with an empty block.
-    fn spawn_echo_node(hub: &ChannelHub) -> (Addr, JoinHandle<()>) {
+    /// A toy responder: answers every Get with an empty block, after
+    /// `delay`, and a Shutdown with its ack and its exit.
+    fn spawn_echo_node(hub: &ChannelHub, delay: Duration) -> (Addr, JoinHandle<()>) {
         let t = hub.open();
         let addr = t.local_addr();
         let h = std::thread::spawn(move || loop {
-            match t.recv_timeout(Duration::from_millis(50)) {
-                Ok((
-                    WireMsg::Request {
-                        req_id,
-                        from,
-                        body: Request::Get { .. },
-                    },
-                    _,
-                )) => {
-                    let resp = WireMsg::Response {
-                        req_id,
-                        body: Response::Block { data: None },
-                    };
-                    let _ = t.send(from, &resp);
-                }
-                Ok((
-                    WireMsg::Request {
-                        req_id,
-                        from,
-                        body: Request::Shutdown,
-                    },
-                    _,
-                )) => {
-                    let _ = t.send(
-                        from,
-                        &WireMsg::Response {
-                            req_id,
-                            body: Response::ShutdownAck,
-                        },
-                    );
-                    return;
-                }
-                Ok(_) => {}
-                Err(RecvError::Timeout) => {}
+            let (req_id, from, body) = match t.recv_timeout(Duration::from_millis(50)) {
+                Ok((WireMsg::Request { req_id, from, body }, _)) => (req_id, from, body),
+                Ok(_) | Err(RecvError::Timeout) => continue,
                 Err(RecvError::Closed) => return,
+            };
+            let body = match body {
+                Request::Get { .. } => Response::Block { data: None },
+                Request::Shutdown => Response::ShutdownAck,
+                _ => continue,
+            };
+            std::thread::sleep(delay);
+            let last = body == Response::ShutdownAck;
+            let _ = t.send(from, &WireMsg::Response { req_id, body });
+            if last {
+                return;
             }
         });
         (addr, h)
@@ -392,7 +363,7 @@ mod tests {
     fn call_round_trips_and_records_rtt() {
         let metrics = Arc::new(NetMetrics::new());
         let hub = ChannelHub::new(metrics.clone());
-        let (node, h) = spawn_echo_node(&hub);
+        let (node, h) = spawn_echo_node(&hub, Duration::ZERO);
         let client = WireClient::new(hub.open(), metrics.clone());
         let resp = client
             .call(
@@ -459,12 +430,7 @@ mod tests {
             Err(ClientError::Timeout)
         );
         h.join().unwrap();
-        // The dispatcher sees the late reply with no pending caller.
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while metrics.snapshot().counter("net.orphan_responses") == 0 {
-            assert!(Instant::now() < deadline, "orphan never counted");
-            std::thread::sleep(Duration::from_millis(10));
-        }
+        // The late reply found no pending caller, on the sender's thread.
         assert_eq!(metrics.snapshot().counter("net.orphan_responses"), 1);
     }
 
@@ -555,7 +521,7 @@ mod tests {
     fn poll_is_nonblocking_and_resolves_once() {
         let metrics = Arc::new(NetMetrics::new());
         let hub = ChannelHub::new(metrics.clone());
-        let (node, h) = spawn_echo_node(&hub);
+        let (node, h) = spawn_echo_node(&hub, Duration::ZERO);
         let client = WireClient::new(hub.open(), metrics);
         let mut p = client
             .submit(
@@ -597,5 +563,36 @@ mod tests {
             ),
             Err(ClientError::Timeout)
         );
+    }
+    #[test]
+    fn a_reply_lands_while_the_queue_waits_on_an_earlier_deadline() {
+        let metrics = Arc::new(NetMetrics::new());
+        let hub = ChannelHub::new(metrics.clone());
+        let silent = hub.open(); // never reads its mailbox
+        let (node, h) = spawn_echo_node(&hub, Duration::from_millis(40));
+        let client = WireClient::new(hub.open(), metrics);
+        let mut queue = client.reply_queue();
+        let t0 = Instant::now();
+        let mut submit = |to, body, ms| {
+            let timeout = Duration::from_millis(ms);
+            client.submit_on(&mut queue, to, body, timeout, TraceCtx::NONE)
+        };
+        let lost = submit(silent.local_addr(), Request::Status, 150).unwrap();
+        let key = Key::from_u64(1);
+        let answered = submit(node, Request::Get { key }, 5_000).unwrap();
+        // Blocked until `lost`'s deadline, the earlier one, when the
+        // other slot's reply lands: it comes out first, and at once.
+        let block = Response::Block { data: None };
+        assert_eq!(queue.recv(), Some((answered, Ok(block))));
+        assert!(t0.elapsed() < Duration::from_millis(150));
+        // The timeout still fires on its own deadline.
+        assert_eq!(queue.recv(), Some((lost, Err(ClientError::Timeout))));
+        let late = t0.elapsed().saturating_sub(Duration::from_millis(150));
+        assert!(late < Duration::from_millis(100), "timeout {late:?} late");
+        assert_eq!(queue.recv(), None);
+        client
+            .call(node, Request::Shutdown, Duration::from_secs(2))
+            .unwrap();
+        h.join().unwrap();
     }
 }

@@ -25,11 +25,12 @@ use crate::metrics::NetMetrics;
 use crate::transport::Mailbox;
 use d2_ring::messages::Addr;
 use std::io::{self, Read, Write};
+use std::time::Instant;
 
 /// What one read pass left a connection in.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ConnState {
-    /// Drained to `WouldBlock`; wait for the next readiness event.
+    /// Still usable; wait for the next readiness event.
     Open,
     /// The connection is dead — EOF, a hard IO error, or protocol
     /// garbage (the stream cannot be resynchronized) — and must be
@@ -48,6 +49,9 @@ pub struct PendingFrames {
     pub buf: Vec<u8>,
     /// How many frames `buf` currently holds.
     pub frames: u64,
+    /// When the oldest of them was queued: `net.flush_wait_us` runs
+    /// from here to the write that carries it.
+    pub since: Option<Instant>,
 }
 
 /// The read state machine for one accepted connection.
@@ -82,11 +86,15 @@ impl<S: Read> InboundConn<S> {
         self.dst
     }
 
-    /// Reads everything currently available (into `scratch`, a shared
-    /// read buffer), decodes every complete frame, and delivers each to
-    /// `tx` (`None`: an unregistered endpoint, decode and drop). Returns
-    /// [`ConnState::Closed`] on EOF, IO error, or a malformed frame — a
-    /// byte stream cannot be resynchronized after garbage.
+    /// Reads once (into `scratch`, a shared read buffer), decodes every
+    /// complete frame, and delivers each to `tx` (`None`: an
+    /// unregistered endpoint, decode and drop). One `scratch`-ful per
+    /// readiness event, not everything the socket holds: `ppoll` is
+    /// level-triggered, so the rest reports ready again, and meanwhile
+    /// the endpoint's queue holds a bounded burst and the other
+    /// connections get their turn. Returns [`ConnState::Closed`] on
+    /// EOF, IO error, or a malformed frame — a byte stream cannot be
+    /// resynchronized after garbage.
     pub fn pump(
         &mut self,
         scratch: &mut [u8],
@@ -98,9 +106,10 @@ impl<S: Read> InboundConn<S> {
                 Ok(0) => return ConnState::Closed,
                 Ok(n) => {
                     self.buf.extend_from_slice(&scratch[..n]);
-                    if self.decode_frames(tx, metrics).is_err() {
-                        return ConnState::Closed;
-                    }
+                    return match self.decode_frames(tx, metrics) {
+                        Ok(()) => ConnState::Open,
+                        Err(()) => ConnState::Closed,
+                    };
                 }
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return ConnState::Open,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
@@ -153,6 +162,7 @@ pub struct OutboundConn<S> {
     carry: Vec<u8>,
     off: usize,
     frames: u64,
+    since: Option<Instant>,
 }
 
 impl<S: Read + Write> OutboundConn<S> {
@@ -163,6 +173,7 @@ impl<S: Read + Write> OutboundConn<S> {
             carry: Vec::new(),
             off: 0,
             frames: 0,
+            since: None,
         }
     }
 
@@ -191,6 +202,7 @@ impl<S: Read + Write> OutboundConn<S> {
         self.off = 0;
         std::mem::swap(&mut self.carry, &mut pending.buf);
         self.frames = std::mem::take(&mut pending.frames);
+        self.since = pending.since.take();
     }
 
     /// Writes as much of the carry as the socket accepts.
@@ -214,6 +226,9 @@ impl<S: Read + Write> OutboundConn<S> {
             metrics.frames_out(self.frames, self.carry.len());
             if self.frames >= 2 {
                 metrics.coalesced_write(self.frames);
+            }
+            if let Some(since) = self.since.take() {
+                metrics.flush_wait(since.elapsed().as_micros() as u64);
             }
             self.carry.clear();
             self.off = 0;

@@ -16,20 +16,23 @@
 //!   `std::net` sockets with per-peer connection pooling and
 //!   reconnect-with-backoff (reusing [`d2_ring::RetryPolicy`]).
 //! - [`reactor`] / [`conn`] — the event loop under the TCP transport:
-//!   one poller thread per process, blocked in `ppoll(2)` until a socket
-//!   or a sender's wake pipe is ready, drives every accept, read, and
-//!   buffered write through per-connection state machines, and a
-//!   [`TcpReactor`] can host many virtual endpoints (distinct loopback
-//!   IPs on one socket) — the substrate of `d2-node serve-many`.
-//! - [`client`] — [`WireClient`], a request/response port with a
-//!   dispatcher thread, used by `Deployment` front-ends and the
-//!   `d2-node` command-line client. Blocking `call`s and pipelined
-//!   `submit` → [`PendingReply`] handles share one `req_id` space, so a
-//!   caller can keep a whole window of requests in flight.
+//!   one poller per process, blocked in `ppoll(2)` until a socket or a
+//!   sender's wake pipe is ready, drives every accept, read, and
+//!   buffered write through per-connection state machines — on a
+//!   thread of its own for a client, on the thread that steps the
+//!   nodes for a host — and a [`TcpReactor`] can host many virtual
+//!   endpoints (distinct loopback IPs on one socket) — the substrate of
+//!   `d2-node serve-many`.
+//! - [`client`] — [`WireClient`], a request/response port that routes
+//!   replies on the thread that decoded them, used by `Deployment`
+//!   front-ends and the `d2-node` command-line client. Blocking `call`s
+//!   and pipelined `submit` → [`PendingReply`] handles share one
+//!   `req_id` space, so a caller can keep a whole window of requests in
+//!   flight on one [`ReplyQueue`].
 //! - [`metrics`] — [`NetMetrics`]: `net.bytes_{in,out}`, `net.msgs`,
 //!   `net.reconnects`, `net.decode_errors`, `net.backlog_drops` and the
-//!   poller's `net.poller_wakeups` / `net.wake_writes` counters, plus
-//!   per-message-type RTT histograms, exported into
+//!   poller's `net.poller_wakeups` / `net.wake_writes` /
+//!   `net.flush_wait_us`, plus per-message-type RTT histograms, exported into
 //!   [`d2_obs::Registry`] snapshots.
 //!
 //! The point of the seam: `d2-net`'s deployment and node event loop are
@@ -51,14 +54,14 @@ mod sys;
 pub mod tcp;
 pub mod transport;
 
-pub use client::{ClientError, PendingReply, WireClient};
+pub use client::{ClientError, PendingReply, ReplyQueue, WireClient};
 pub use codec::{
     decode, decode_header, decode_payload, decode_traced, encode, encode_into, encode_traced,
     encode_traced_into, Request, Response, WireError, WireHistogram, WireMetrics, WireMsg,
     WireStatus, HEADER_LEN, MAX_PAYLOAD, MIN_VERSION, TRACE_LEN, VERSION,
 };
 pub use metrics::NetMetrics;
-pub use reactor::{TcpEndpoint, TcpReactor};
+pub use reactor::{Poller, TcpEndpoint, TcpReactor};
 pub use tcp::{pack_addr, unpack_addr, TcpConfig, TcpTransport};
 pub use transport::{
     ChannelHub, ChannelTransport, Delivery, Mailbox, RecvError, Transport, TransportError,

@@ -30,6 +30,8 @@ pub struct NetMetrics {
     poller_wakeups: AtomicU64,
     poller_ready_fds: AtomicU64,
     wake_writes: AtomicU64,
+    flush_ticks: AtomicU64,
+    flush_wait: Mutex<Histogram>,
     rtt: Mutex<Vec<(&'static str, Histogram)>>,
 }
 
@@ -112,6 +114,17 @@ impl NetMetrics {
         self.wake_writes.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Records one flush tick on which the poller wrote queued frames.
+    pub fn flush_tick(&self) {
+        self.flush_ticks.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one completed write whose oldest frame had waited `us`
+    /// microseconds in its peer's pending queue (`net.flush_wait_us`).
+    pub fn flush_wait(&self, us: u64) {
+        self.flush_wait.lock().record(us);
+    }
+
     /// Records one request round trip of `us` microseconds for the
     /// message type `name` (histogram `net.rtt_us.<name>`).
     pub fn record_rtt(&self, name: &'static str, us: u64) {
@@ -130,8 +143,9 @@ impl NetMetrics {
     /// Folds the current totals into `reg`: `net.bytes_{in,out}`,
     /// `net.msgs` (plus the in/out split), `net.reconnects`,
     /// `net.decode_errors`, `net.backlog_drops`, the poller's
-    /// `net.poller_wakeups` / `net.poller_ready_fds` / `net.wake_writes`,
-    /// and one `net.rtt_us.<type>` histogram per message type observed.
+    /// `net.poller_wakeups` / `net.poller_ready_fds` / `net.wake_writes`
+    /// / `net.flush_ticks`, the `net.flush_wait_us` histogram, and one
+    /// `net.rtt_us.<type>` histogram per message type observed.
     pub fn snapshot_into(&self, reg: &mut Registry) {
         let (bi, bo) = (
             self.bytes_in.load(Ordering::Relaxed),
@@ -176,6 +190,11 @@ impl NetMetrics {
             self.poller_ready_fds.load(Ordering::Relaxed),
         );
         reg.add("net.wake_writes", self.wake_writes.load(Ordering::Relaxed));
+        reg.add("net.flush_ticks", self.flush_ticks.load(Ordering::Relaxed));
+        let flush_wait = self.flush_wait.lock();
+        if flush_wait.count() > 0 {
+            reg.merge_histogram("net.flush_wait_us", &flush_wait);
+        }
         for (name, h) in self.rtt.lock().iter() {
             reg.merge_histogram(&format!("net.rtt_us.{name}"), h);
         }
@@ -210,6 +229,8 @@ mod tests {
         m.poller_wakeup(2);
         m.poller_wakeup(1);
         m.wake_write();
+        m.flush_tick();
+        m.flush_wait(90);
         let reg = m.snapshot();
         assert_eq!(reg.counter("net.bytes_in"), 128);
         assert_eq!(reg.counter("net.bytes_out"), 64);
@@ -222,6 +243,8 @@ mod tests {
         assert_eq!(reg.counter("net.poller_wakeups"), 2);
         assert_eq!(reg.counter("net.poller_ready_fds"), 3);
         assert_eq!(reg.counter("net.wake_writes"), 1);
+        assert_eq!(reg.counter("net.flush_ticks"), 1);
+        assert_eq!(reg.histogram("net.flush_wait_us").unwrap().count(), 1);
         assert_eq!(reg.histogram("net.rtt_us.lookup").unwrap().count(), 2);
     }
 }

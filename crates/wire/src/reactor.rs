@@ -1,8 +1,9 @@
-//! The event-loop core of the TCP transport: one poller thread per
+//! The event-loop core of the TCP transport: one [`Poller`] per
 //! [`TcpReactor`] drives every accept, read, and buffered write the
-//! process owns. Total thread count is O(1) per process, not
-//! O(connections) — the property that lets one machine host a
-//! 1,000-node cluster (`d2-node serve-many`).
+//! process owns, one [`Poller::turn`] at a time, on a `d2-poller`
+//! thread (clients) or on the thread that steps the nodes (hosts). So
+//! threads are O(1) per process, not O(connections), and one machine
+//! can host a 1,000-node cluster (`d2-node serve-many`).
 //!
 //! ## Structure
 //!
@@ -18,9 +19,10 @@
 //!
 //! Senders never touch a socket. A send encodes the frame into the
 //! peer's pending queue (the PR 7 combining-lock buffer), marks the
-//! peer dirty, and wakes the poller, which on the next flush tick swaps
-//! whole batches into the connection's carry buffer and writes them
-//! with single syscalls. Two exceptions stay on the sender's thread:
+//! peer dirty, and — unless it *is* the thread that turns the poller —
+//! wakes it; on the next flush tick the poller swaps whole batches into
+//! the connection's carry buffer and writes them with single syscalls.
+//! Two exceptions stay on the sender's thread:
 //!
 //! - **Dialing.** The first send to a disconnected peer performs the
 //!   blocking `connect_timeout` inline and only hands the established
@@ -54,7 +56,8 @@
 //! No wake is lost because the poller clears the flag *before* it
 //! drains the `dirty`/`adopted` lists: a sender that finds the flag
 //! still set published its work before the drain began; one that finds
-//! it clear writes a byte that ends the next `ppoll`.
+//! it clear writes a byte that ends the next `ppoll`. The turning
+//! thread's own sends write nothing: it drains again before it blocks.
 //!
 //! ## Flush tick
 //!
@@ -62,8 +65,8 @@
 //! the wall clock (the `ppoll` timeout, armed only while a peer is
 //! dirty), not the moment the poller wakes. Frames queued within a tick
 //! share one write, and a hop costs a fixed tick instead of however
-//! long the scheduler takes to wake three threads in a row — which on a
-//! shared two-core guest moved a window-1 op between 140 µs and 1.6 ms
+//! long the scheduler takes to wake the threads on its path — which on
+//! a shared two-core guest moved a window-1 op between 140 µs and 1.6 ms
 //! with thread placement. Processes on one host tick in phase, so a
 //! request flushed on tick *k* is answered on tick *k+1* whenever the
 //! far side needs less than a tick; across hosts a hop waits half a
@@ -78,6 +81,7 @@ use crate::transport::{channel_mailbox, Delivery, Mailbox, RecvError, Transport,
 use d2_obs::TraceCtx;
 use d2_ring::messages::Addr;
 use parking_lot::{Mutex, RwLock};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpListener, TcpStream};
@@ -114,7 +118,14 @@ struct PeerLink {
     retry_at: Option<Instant>,
 }
 
+thread_local! {
+    /// [`Shared::id`] of the reactor whose poller this thread turns.
+    static TURNS: Cell<u64> = const { Cell::new(0) };
+}
+
 struct Shared {
+    /// Unique per process and never reused, unlike an address.
+    id: u64,
     port: u16,
     cfg: TcpConfig,
     /// Zero point for every µs timestamp in the reactor.
@@ -132,8 +143,9 @@ struct Shared {
     /// Per-peer outbound slots. The map lock is held only for lookup,
     /// never across a connect or write.
     pool: Mutex<HashMap<Addr, Arc<PeerSlot>>>,
-    /// Peers with freshly queued frames, awaiting a poller pass.
-    dirty: Mutex<Vec<Addr>>,
+    /// Peers with freshly queued frames, awaiting a poller pass, and
+    /// when the oldest of those frames was queued.
+    dirty: Mutex<Vec<(Addr, Instant)>>,
     /// Streams dialed by senders, awaiting poller adoption.
     adopted: Mutex<Vec<(Addr, TcpStream)>>,
     /// Frames accepted by `send_from` but not yet written to a socket
@@ -154,10 +166,12 @@ impl Shared {
     }
 
     /// Ends the poller's `ppoll(2)` call. Callers publish their work
-    /// (`dirty`, `adopted`, `shutdown`) first: the swap pairs with the
-    /// poller's swap-to-false, which precedes its drain.
+    /// (`dirty`, `adopted`, `shutdown`, a host's event) first: the swap
+    /// pairs with the poller's swap-to-false, which precedes its drain.
+    /// The thread that turns the poller is not in the call, and looks
+    /// at all of those again before it next blocks.
     fn wake_poller(&self) {
-        if !self.wake_pending.swap(true, Ordering::SeqCst) {
+        if TURNS.get() != self.id && !self.wake_pending.swap(true, Ordering::SeqCst) {
             // At most one byte per armed flag, so the pipe never fills
             // and a failed write has nothing to retry.
             let _ = (&self.wake_tx).write(&[1]);
@@ -172,6 +186,7 @@ impl Shared {
         self.unsent.fetch_sub(q.frames, Ordering::AcqRel);
         q.buf.clear();
         q.frames = 0;
+        q.since = None;
     }
 
     /// Arms the reconnect backoff window (and its lock-free mirror)
@@ -207,7 +222,7 @@ impl Shared {
         if retry_at != 0 && self.us_since_epoch(Instant::now()) < retry_at {
             return Err(TransportError::PeerUnreachable(to));
         }
-        {
+        let since = {
             let mut q = slot.pending.lock();
             if q.buf.len() >= self.cfg.max_pending_bytes {
                 // The peer has stopped draining its socket.
@@ -217,17 +232,16 @@ impl Shared {
             q.frames += 1;
             crate::codec::encode_traced_into(&mut q.buf, msg, trace);
             self.unsent.fetch_add(1, Ordering::AcqRel);
-        }
+            *q.since.get_or_insert_with(Instant::now)
+        };
         let mut link = slot.link.lock();
         if !link.connected {
             let now = Instant::now();
-            if let Some(at) = link.retry_at {
-                if now < at {
-                    // Lost the race with a concurrent breaker-opener;
-                    // the frame dies with the failed connection.
-                    self.clear_pending(&slot);
-                    return Err(TransportError::PeerUnreachable(to));
-                }
+            if link.retry_at.is_some_and(|at| now < at) {
+                // Lost the race with a concurrent breaker-opener;
+                // the frame dies with the failed connection.
+                self.clear_pending(&slot);
+                return Err(TransportError::PeerUnreachable(to));
             }
             let sock = SocketAddr::V4(crate::tcp::unpack_addr(to));
             match TcpStream::connect_timeout(&sock, self.cfg.connect_timeout) {
@@ -254,14 +268,14 @@ impl Shared {
         }
         drop(link);
         if !slot.queued.swap(true, Ordering::AcqRel) {
-            self.dirty.lock().push(to);
+            self.dirty.lock().push((to, since));
         }
         self.wake_poller();
         Ok(())
     }
 }
 
-/// The event-loop TCP transport core: a listener, a poller thread, and
+/// The event-loop TCP transport core: a listener, a [`Poller`], and
 /// a registry of virtual endpoints sharing the socket. Use
 /// [`crate::tcp::TcpTransport`] for the ordinary one-endpoint case;
 /// use the reactor directly to multiplex many nodes over one socket.
@@ -271,15 +285,17 @@ pub struct TcpReactor {
 
 impl TcpReactor {
     /// Binds a listener on `listen_ip:port` (port 0 picks a free port)
-    /// and starts the poller thread. Binding `0.0.0.0` accepts dials to
-    /// *any* local IP on the port — required for virtual endpoints on
-    /// distinct loopback addresses (Linux routes all of `127/8` locally).
+    /// and returns the reactor with its poller, which does nothing
+    /// until the caller turns it or [`Poller::spawn`]s a thread that
+    /// does. Binding `0.0.0.0` accepts dials to *any* local IP on the
+    /// port — required for virtual endpoints on distinct loopback
+    /// addresses (Linux routes all of `127/8` locally).
     pub fn bind(
         listen_ip: Ipv4Addr,
         port: u16,
         cfg: TcpConfig,
         metrics: Arc<NetMetrics>,
-    ) -> io::Result<TcpReactor> {
+    ) -> io::Result<(TcpReactor, Poller)> {
         // Even port 0 can transiently fail with AddrInUse while
         // TIME_WAIT sockets exhaust the ephemeral range (multi-process
         // test clusters churn through hundreds of connections): retry.
@@ -298,17 +314,10 @@ impl TcpReactor {
         let (wake_tx, wake_rx) = UnixStream::pair()?;
         wake_tx.set_nonblocking(true)?;
         wake_rx.set_nonblocking(true)?;
-        let bound = match listener.local_addr()? {
-            SocketAddr::V4(v4) => v4,
-            SocketAddr::V6(_) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "TcpReactor is IPv4-only (addr packing)",
-                ))
-            }
-        };
+        static NEXT_ID: AtomicU64 = AtomicU64::new(1);
         let shared = Arc::new(Shared {
-            port: bound.port(),
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            port: listener.local_addr()?.port(),
             cfg,
             epoch: Instant::now(),
             shutdown: AtomicBool::new(false),
@@ -322,14 +331,19 @@ impl TcpReactor {
             adopted: Mutex::new(Vec::new()),
             unsent: AtomicU64::new(0),
         });
-        let handle = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("d2-poller".into())
-                .spawn(move || poll_loop(listener, wake_rx, shared))?
+        let poller = Poller {
+            listener,
+            wake_rx,
+            shared: Arc::clone(&shared),
+            inbound: Vec::new(),
+            outbound: HashMap::new(),
+            fds: Vec::new(),
+            polled_out: Vec::new(),
+            dirty: Vec::new(),
+            flush_at: None,
+            scratch: vec![0u8; 64 * 1024],
         };
-        *shared.poller_join.lock() = Some(handle);
-        Ok(TcpReactor { shared })
+        Ok((TcpReactor { shared }, poller))
     }
 
     /// The port the listener is bound to.
@@ -338,21 +352,10 @@ impl TcpReactor {
     }
 
     /// Opens an endpoint at `ip` (on the reactor's port) with a private
-    /// mailbox. Fails with `AddrInUse` if the address already has an
-    /// endpoint on this reactor.
+    /// mailbox, until [`Transport::set_mailbox`] says otherwise. Fails
+    /// with `AddrInUse` if the address already has an endpoint on this
+    /// reactor.
     pub fn open(&self, ip: Ipv4Addr) -> io::Result<TcpEndpoint> {
-        let (mailbox, rx) = channel_mailbox();
-        Ok(TcpEndpoint {
-            rx: Some(Mutex::new(rx)),
-            ..self.open_with_queue(ip, mailbox)?
-        })
-    }
-
-    /// Opens an endpoint at `ip` delivering into a caller-supplied
-    /// queue — a host feeds every node it steps from one queue and
-    /// routes by the [`Delivery`] address. Fails like [`Self::open`].
-    /// The endpoint's own `recv_timeout` always reports `Closed`.
-    pub fn open_with_queue(&self, ip: Ipv4Addr, mailbox: Mailbox) -> io::Result<TcpEndpoint> {
         let me = pack_addr(SocketAddrV4::new(ip, self.shared.port));
         let mut eps = self.shared.endpoints.write();
         if eps.contains_key(&me) {
@@ -361,32 +364,21 @@ impl TcpReactor {
                 "endpoint already registered on this reactor",
             ));
         }
+        let (mailbox, rx) = channel_mailbox();
         eps.insert(me, mailbox);
         Ok(TcpEndpoint {
             shared: Arc::clone(&self.shared),
             me,
-            rx: None,
+            rx: Mutex::new(rx),
         })
     }
 
-    /// How many endpoints are currently registered.
-    pub fn endpoint_count(&self) -> usize {
-        self.shared.endpoints.read().len()
-    }
-
-    /// Stops the reactor: drains queued outbound frames (bounded), joins
-    /// the poller, closes every socket, and wakes all endpoint receivers
-    /// (their mailboxes disconnect). Idempotent. The drain is for
-    /// graceful stops: a node queues its ShutdownAck and closes its
-    /// transport right after; frames stuck behind a stalled peer are
-    /// abandoned when the window closes.
+    /// Stops the reactor: a spawned poller drains queued outbound
+    /// frames ([`Poller::drain`]), closes every socket and is joined;
+    /// all endpoint receivers wake (their mailboxes disconnect).
+    /// Idempotent. A poller its holder turns is the holder's to drain
+    /// and drop.
     pub fn shutdown(&self) {
-        if !self.shared.shutdown.load(Ordering::Acquire) {
-            let deadline = Instant::now() + Duration::from_millis(500);
-            while self.shared.unsent.load(Ordering::Acquire) != 0 && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_micros(200));
-            }
-        }
         if self.shared.shutdown.swap(true, Ordering::AcqRel) {
             return;
         }
@@ -413,8 +405,7 @@ impl Drop for TcpReactor {
 pub struct TcpEndpoint {
     shared: Arc<Shared>,
     me: Addr,
-    /// `None` for endpoints delivering into a shared queue.
-    rx: Option<Mutex<mpsc::Receiver<Delivery>>>,
+    rx: Mutex<mpsc::Receiver<Delivery>>,
 }
 
 impl Transport for TcpEndpoint {
@@ -430,14 +421,16 @@ impl Transport for TcpEndpoint {
         if self.shared.shutdown.load(Ordering::Acquire) {
             return Err(RecvError::Closed);
         }
-        let Some(rx) = &self.rx else {
-            // Shared-queue endpoints have no private mailbox.
-            return Err(RecvError::Closed);
-        };
-        match rx.lock().recv_timeout(timeout) {
+        match self.rx.lock().recv_timeout(timeout) {
             Ok((_, msg, trace)) => Ok((msg, trace)),
             Err(mpsc::RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
             Err(mpsc::RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
+        }
+    }
+
+    fn set_mailbox(&self, mailbox: Mailbox) {
+        if let Some(slot) = self.shared.endpoints.write().get_mut(&self.me) {
+            *slot = mailbox;
         }
     }
 
@@ -450,9 +443,11 @@ impl Transport for TcpEndpoint {
 }
 
 /// Queued frames leave on wall-clock multiples of this (module docs).
-/// Well above what a hop's thread hand-offs cost on a busy two-core
-/// guest, or ops miss ticks at random (DESIGN.md §15.1.1 has the sums).
-pub const FLUSH_TICK: Duration = Duration::from_micros(500);
+/// A hop's turnaround — one wake-up on a node, two on a client — fits
+/// half of it; what sets it is that a two-core guest runs a window of
+/// 8 KiB blocks steadily only when ticks pace it, not the CPU (DESIGN.md
+/// §15.1.1 has the sums).
+pub const FLUSH_TICK: Duration = Duration::from_micros(250);
 
 /// Time to the next multiple of `period` on the wall clock: the one
 /// clock every process on the host shares, so whatever they schedule by
@@ -463,11 +458,6 @@ pub fn until_wall_multiple(period: Duration) -> Duration {
     Duration::from_nanos((period.as_nanos() - into) as u64)
 }
 
-/// The next flush tick.
-fn next_tick() -> Instant {
-    Instant::now() + until_wall_multiple(FLUSH_TICK)
-}
-
 fn pollfd(io: &impl AsRawFd, events: i16) -> PollFd {
     PollFd {
         fd: io.as_raw_fd(),
@@ -476,186 +466,255 @@ fn pollfd(io: &impl AsRawFd, events: i16) -> PollFd {
     }
 }
 
-/// The poller: owns the listener and every connection. Each iteration
-/// blocks in `ppoll(2)` until something is ready or the flush tick is
-/// due, then handles the wake pipe (adopt dialed streams, collect dirty
-/// peers), the tick (flush them), readable inbound connections,
-/// outbound EOFs and drained backlogs, and new accepts.
-fn poll_loop(listener: TcpListener, mut wake_rx: UnixStream, shared: Arc<Shared>) {
-    let mut inbound: Vec<InboundConn<TcpStream>> = Vec::new();
-    let mut outbound: HashMap<Addr, OutboundConn<TcpStream>> = HashMap::new();
-    let mut fds: Vec<PollFd> = Vec::new();
-    // Outbound peers, in `fds` order (they follow the inbound ones).
-    let mut polled_out: Vec<Addr> = Vec::new();
-    let mut dirty: Vec<Addr> = Vec::new();
-    let mut flush_at: Option<Instant> = None;
-    let mut scratch = vec![0u8; 64 * 1024];
-    while !shared.shutdown.load(Ordering::Acquire) {
-        fds.clear();
-        fds.push(pollfd(&wake_rx, POLLIN));
-        fds.push(pollfd(&listener, POLLIN));
-        fds.extend(inbound.iter().map(|c| pollfd(c.stream(), POLLIN)));
-        polled_out.clear();
-        for (&addr, conn) in &outbound {
-            polled_out.push(addr);
-            let writable = if conn.has_backlog() { POLLOUT } else { 0 };
-            fds.push(pollfd(conn.stream(), POLLIN | writable));
+/// The poller: owns the listener and every connection of one
+/// [`TcpReactor`], and moves when its holder calls [`Poller::turn`].
+pub struct Poller {
+    listener: TcpListener,
+    wake_rx: UnixStream,
+    shared: Arc<Shared>,
+    inbound: Vec<InboundConn<TcpStream>>,
+    outbound: HashMap<Addr, OutboundConn<TcpStream>>,
+    fds: Vec<PollFd>,
+    /// Outbound peers, in `fds` order (they follow the inbound ones).
+    polled_out: Vec<Addr>,
+    /// Peers with queued frames, awaiting `flush_at`.
+    dirty: Vec<Addr>,
+    flush_at: Option<Instant>,
+    scratch: Vec<u8>,
+}
+
+impl Poller {
+    /// Hands the poller to a `d2-poller` thread that turns it until
+    /// [`TcpReactor::shutdown`], which joins it.
+    pub fn spawn(mut self) -> io::Result<()> {
+        let shared = Arc::clone(&self.shared);
+        let handle = std::thread::Builder::new()
+            .name("d2-poller".into())
+            .spawn(move || {
+                while !self.shared.shutdown.load(Ordering::Acquire) {
+                    self.turn(None);
+                }
+                self.drain();
+            })?;
+        *shared.poller_join.lock() = Some(handle);
+        Ok(())
+    }
+
+    /// A handle that ends a [`Poller::turn`] blocked on another thread,
+    /// for whoever queues work the turning thread must look at. Call it
+    /// after the work is published.
+    pub fn waker(&self) -> Arc<dyn Fn() + Send + Sync> {
+        let shared = Arc::clone(&self.shared);
+        Arc::new(move || shared.wake_poller())
+    }
+
+    /// Keeps turning until every frame senders queued has been written
+    /// or died with its connection: a node queues its `ShutdownAck` and
+    /// stops right after. Bounded, because frames stuck behind a
+    /// stalled peer must not wedge teardown.
+    pub fn drain(&mut self) {
+        let deadline = Instant::now() + Duration::from_millis(500);
+        while self.shared.unsent.load(Ordering::Acquire) != 0 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                return;
+            }
+            self.turn(Some(left));
         }
-        let timeout = flush_at.map(|at| at.saturating_duration_since(Instant::now()));
-        match sys::wait_ready(&mut fds, timeout) {
+    }
+
+    /// Takes what senders published: dialed streams to adopt, dirty
+    /// peers to flush on the first tick after their frames were queued
+    /// — already past, if this thread was slow to get here, so a late
+    /// wake-up costs its lateness and not a whole tick. Everything
+    /// dirty by the time the tick is handled shares the flush.
+    /// `dirty` before `adopted`: a sender stages its dialed stream
+    /// before it marks the peer dirty, so every dirty peer's connection
+    /// is adopted by the time it is flushed.
+    fn collect(&mut self) {
+        let mut fresh = self.shared.dirty.lock();
+        if !fresh.is_empty() {
+            let next = Instant::now() + until_wall_multiple(FLUSH_TICK);
+            for (addr, since) in fresh.drain(..) {
+                self.dirty.push(addr);
+                // Ticks are whole periods back from `next`.
+                let ahead = next.saturating_duration_since(since).as_nanos();
+                let due = since + Duration::from_nanos((ahead % FLUSH_TICK.as_nanos()) as u64);
+                self.flush_at = Some(self.flush_at.map_or(due, |at| at.min(due)));
+            }
+        }
+        drop(fresh);
+        for (addr, stream) in self.shared.adopted.lock().drain(..) {
+            self.outbound.insert(addr, OutboundConn::new(stream));
+        }
+    }
+
+    /// One step: blocks in `ppoll(2)` until something is ready, the
+    /// flush tick is due or `timeout` passes (`None`: no limit), then
+    /// handles the wake pipe (what other threads published), the tick
+    /// (flush the dirty peers), readable inbound connections — their
+    /// frames are delivered from inside this call — outbound EOFs and
+    /// drained backlogs, and new accepts.
+    pub fn turn(&mut self, timeout: Option<Duration>) {
+        let shared = Arc::clone(&self.shared);
+        TURNS.set(shared.id);
+        // What this thread queued since its last turn woke nobody.
+        self.collect();
+        self.fds.clear();
+        self.fds.push(pollfd(&self.wake_rx, POLLIN));
+        self.fds.push(pollfd(&self.listener, POLLIN));
+        let polled_in = self.inbound.len(); // accepts come last, below
+        self.fds
+            .extend(self.inbound.iter().map(|c| pollfd(c.stream(), POLLIN)));
+        self.polled_out.clear();
+        for (&addr, conn) in &self.outbound {
+            self.polled_out.push(addr);
+            let writable = if conn.has_backlog() { POLLOUT } else { 0 };
+            self.fds.push(pollfd(conn.stream(), POLLIN | writable));
+        }
+        let now = Instant::now();
+        let to_tick = self.flush_at.map(|at| at.saturating_duration_since(now));
+        match sys::wait_ready(&mut self.fds, timeout.into_iter().chain(to_tick).min()) {
             Ok(ready) => shared.metrics.poller_wakeup(ready),
             Err(_) => {
                 // Out of kernel memory; nothing was polled.
                 std::thread::sleep(Duration::from_millis(1));
-                continue;
+                return;
             }
         }
 
-        if fds[0].revents != 0 {
+        if self.fds[0].revents != 0 {
             // A few bytes at most: one read empties the pipe.
-            let _ = wake_rx.read(&mut scratch);
+            let _ = self.wake_rx.read(&mut self.scratch);
         }
-        // Clear the flag before draining (see `wake_poller`), and take
-        // `dirty` before `adopted`: a sender stages its dialed stream
-        // before it marks the peer dirty, so every dirty peer's
-        // connection is adopted by the time it is flushed.
+        // Clear the flag before draining (see `wake_poller`).
         shared.wake_pending.swap(false, Ordering::SeqCst);
-        dirty.append(&mut shared.dirty.lock());
-        for (addr, stream) in shared.adopted.lock().drain(..) {
-            outbound.insert(addr, OutboundConn::new(stream));
-        }
-        // The first dirty peer arms the tick; everything dirty by the
-        // time it comes due shares the flush.
-        if !dirty.is_empty() && Instant::now() >= *flush_at.get_or_insert_with(next_tick) {
-            flush_at = None;
-            for addr in dirty.drain(..) {
-                if let Some(slot) = shared.slot(addr) {
-                    slot.queued.store(false, Ordering::Release);
-                    flush_peer(addr, &slot, &mut outbound, &shared);
-                }
+        self.collect();
+        if self.flush_at.is_some_and(|at| Instant::now() >= at) {
+            self.flush_at = None;
+            shared.metrics.flush_tick();
+            for i in 0..self.dirty.len() {
+                self.flush_peer(self.dirty[i]);
             }
+            self.dirty.clear();
         }
 
         // Readable inbound connections. Back to front, so `swap_remove`
         // only ever moves a connection that was already visited.
-        let polled_in = inbound.len(); // accepts come last, below
         for i in (0..polled_in).rev() {
-            if fds[2 + i].revents == 0 {
+            if self.fds[2 + i].revents == 0 {
                 continue;
             }
-            let mailbox = shared.endpoints.read().get(&inbound[i].dst()).cloned();
-            if inbound[i].pump(&mut scratch, mailbox.as_ref(), &shared.metrics) == ConnState::Closed
+            let conn = &mut self.inbound[i];
+            let mailbox = shared.endpoints.read().get(&conn.dst()).cloned();
+            if conn.pump(&mut self.scratch, mailbox.as_ref(), &shared.metrics) == ConnState::Closed
             {
-                inbound.swap_remove(i);
+                self.inbound.swap_remove(i);
             }
         }
 
-        for (&addr, fd) in polled_out.iter().zip(&fds[2 + polled_in..]) {
-            let Some(conn) = outbound.get_mut(&addr) else {
+        for i in 0..self.polled_out.len() {
+            let (addr, revents) = (self.polled_out[i], self.fds[2 + polled_in + i].revents);
+            let Some(conn) = self.outbound.get_mut(&addr) else {
                 continue; // died in the flush above
             };
             // Anything but writability is the read side: EOF or RST —
             // early notice that a peer restarted, so the next send
             // re-dials instead of writing into a corpse.
-            if fd.revents & !POLLOUT != 0 && conn.probe_eof(&mut scratch) == ConnState::Closed {
+            if revents & !POLLOUT != 0 && conn.probe_eof(&mut self.scratch) == ConnState::Closed {
                 // A graceful close is not a dial failure: no breaker,
                 // the next send dials fresh immediately.
-                drop_outbound(addr, &mut outbound, &shared, false);
-            } else if fd.revents & POLLOUT != 0 {
-                if let Some(slot) = shared.slot(addr) {
-                    flush_peer(addr, &slot, &mut outbound, &shared);
+                self.drop_outbound(addr, false);
+            } else if revents & POLLOUT != 0 {
+                self.flush_peer(addr);
+            }
+        }
+
+        if self.fds[1].revents != 0 {
+            self.accept_all();
+        }
+    }
+
+    /// Accepts everything waiting on the listener.
+    fn accept_all(&mut self) {
+        loop {
+            match self.listener.accept() {
+                Ok((stream, _)) => {
+                    let _ = stream.set_nonblocking(true);
+                    // The address the remote dialed names the endpoint.
+                    if let Ok(SocketAddr::V4(v4)) = stream.local_addr() {
+                        self.inbound.push(InboundConn::new(stream, pack_addr(v4)));
+                    }
+                }
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
+                Err(_) => {
+                    // Out of descriptors: the listener stays readable, so
+                    // pause instead of spinning through `ppoll`.
+                    std::thread::sleep(Duration::from_millis(1));
+                    return;
                 }
             }
         }
+    }
 
-        if fds[1].revents != 0 {
-            accept_all(&listener, &mut inbound);
+    /// Forgets a dead outbound connection: whatever it carried or had
+    /// queued dies with it, and the link is marked down so the next send
+    /// re-dials — or, with `failed`, finds the breaker open and backs off.
+    fn drop_outbound(&mut self, addr: Addr, failed: bool) {
+        let shared = &self.shared;
+        if let Some(conn) = self.outbound.remove(&addr) {
+            let lost = conn.frames_in_carry();
+            shared.unsent.fetch_sub(lost, Ordering::AcqRel);
         }
-    }
-}
-
-/// Accepts everything waiting on the listener.
-fn accept_all(listener: &TcpListener, inbound: &mut Vec<InboundConn<TcpStream>>) {
-    loop {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                let _ = stream.set_nonblocking(true);
-                // The address the remote dialed names the endpoint.
-                if let Ok(SocketAddr::V4(v4)) = stream.local_addr() {
-                    inbound.push(InboundConn::new(stream, pack_addr(v4)));
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-            Err(_) => {
-                // Out of descriptors: the listener stays readable, so
-                // pause instead of spinning through `ppoll`.
-                std::thread::sleep(Duration::from_millis(1));
-                return;
-            }
-        }
-    }
-}
-
-/// Forgets a dead outbound connection: whatever it carried or had
-/// queued dies with it, and the link is marked down so the next send
-/// re-dials — or, with `failed`, finds the breaker open and backs off.
-fn drop_outbound(
-    addr: Addr,
-    outbound: &mut HashMap<Addr, OutboundConn<TcpStream>>,
-    shared: &Shared,
-    failed: bool,
-) {
-    if let Some(conn) = outbound.remove(&addr) {
-        shared
-            .unsent
-            .fetch_sub(conn.frames_in_carry(), Ordering::AcqRel);
-    }
-    let Some(slot) = shared.slot(addr) else {
-        return;
-    };
-    // Never held across a dial here: senders only dial peers the
-    // poller holds no connection for.
-    let mut link = slot.link.lock();
-    link.connected = false;
-    if failed {
-        link.failures += 1;
-        shared.open_breaker(&slot, &mut link, Instant::now());
-    }
-    drop(link);
-    shared.clear_pending(&slot);
-}
-
-/// Swap-and-write loop for one peer: swaps the pending queue into the
-/// connection's carry and writes it, until the queue is observed empty
-/// or the socket pushes back (the backlog stays in the carry and the
-/// poll set asks for `POLLOUT`).
-fn flush_peer(
-    addr: Addr,
-    slot: &PeerSlot,
-    outbound: &mut HashMap<Addr, OutboundConn<TcpStream>>,
-    shared: &Shared,
-) {
-    let Some(conn) = outbound.get_mut(&addr) else {
-        return; // the connection died, and its queue with it
-    };
-    loop {
-        if !conn.has_backlog() {
-            let mut q = slot.pending.lock();
-            if q.buf.is_empty() {
-                return;
-            }
-            conn.load(&mut q);
-        }
-        let in_carry = conn.frames_in_carry();
-        match conn.flush(&shared.metrics) {
-            // The whole carry reached the kernel: charge those frames
-            // off the shutdown-drain ledger; more may have queued.
-            Ok(true) => shared.unsent.fetch_sub(in_carry, Ordering::AcqRel),
-            Ok(false) => return,
-            // The pooled connection died and the carried batch with it
-            // (a successful write only ever meant "kernel-buffered");
-            // the breaker makes the next send back off, not re-dial.
-            Err(_) => return drop_outbound(addr, outbound, shared, true),
+        let Some(slot) = shared.slot(addr) else {
+            return;
         };
+        // Never held across a dial here: senders only dial peers the
+        // poller holds no connection for.
+        let mut link = slot.link.lock();
+        link.connected = false;
+        if failed {
+            link.failures += 1;
+            shared.open_breaker(&slot, &mut link, Instant::now());
+        }
+        drop(link);
+        shared.clear_pending(&slot);
+    }
+
+    /// Swap-and-write loop for one peer: swaps the pending queue into the
+    /// connection's carry and writes it, until the queue is observed empty
+    /// or the socket pushes back (the backlog stays in the carry and the
+    /// poll set asks for `POLLOUT`). A connection that died took its
+    /// queue with it.
+    fn flush_peer(&mut self, addr: Addr) {
+        let shared = &self.shared;
+        let Some(slot) = shared.slot(addr) else {
+            return;
+        };
+        // Whoever queues after this marks the peer dirty again.
+        slot.queued.store(false, Ordering::Release);
+        let Some(conn) = self.outbound.get_mut(&addr) else {
+            return;
+        };
+        loop {
+            if !conn.has_backlog() {
+                let mut q = slot.pending.lock();
+                if q.buf.is_empty() {
+                    return;
+                }
+                conn.load(&mut q);
+            }
+            let in_carry = conn.frames_in_carry();
+            match conn.flush(&shared.metrics) {
+                // The whole carry reached the kernel: charge those frames
+                // off the shutdown-drain ledger; more may have queued.
+                Ok(true) => shared.unsent.fetch_sub(in_carry, Ordering::AcqRel),
+                Ok(false) => return,
+                // The pooled connection died and the carried batch with it
+                // (a successful write only ever meant "kernel-buffered");
+                // the breaker makes the next send back off, not re-dial.
+                Err(_) => return self.drop_outbound(addr, true),
+            };
+        }
     }
 }

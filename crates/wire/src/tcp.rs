@@ -1,16 +1,16 @@
 //! Real TCP transport over `std::net`, event-loop edition.
 //!
-//! [`TcpTransport`] is the ordinary one-node-per-process transport: a
-//! [`TcpReactor`] (one poller thread blocked in `ppoll(2)`, driving
-//! every accept, read, and buffered write — see [`crate::reactor`] for
-//! the architecture) with a single registered endpoint. Thread count
-//! per process is constant in the number of connections, which is what
-//! lets `d2-node serve-many` host a 1,000-node cluster in one process.
+//! [`TcpTransport`] is a client's transport: a [`TcpReactor`] with a
+//! single registered endpoint, its poller on a thread of its own
+//! (blocked in `ppoll(2)`, driving every accept, read, and buffered
+//! write — see [`crate::reactor`] for the architecture; node hosts use
+//! the reactor directly and turn the poller themselves).
 //!
 //! Sends are queued per peer and written by the poller in coalesced
-//! batches on a 500 µs flush tick; a queued frame can still be lost with
-//! its connection, as with TCP's own kernel buffers ([`crate::reactor`]
-//! has the contract and the tick's rationale).
+//! batches on the flush tick ([`crate::reactor::FLUSH_TICK`]); a queued
+//! frame can still be lost with its connection, as with TCP's own
+//! kernel buffers ([`crate::reactor`] has the contract and the tick's
+//! rationale).
 //! Dead peers fail fast: dialing happens inline on the sender's thread
 //! (bounded by [`TcpConfig::connect_timeout`]), and a reconnect-backoff
 //! circuit breaker ([`d2_ring::RetryPolicy`]) rejects sends without
@@ -27,7 +27,7 @@
 
 use crate::metrics::NetMetrics;
 use crate::reactor::{TcpEndpoint, TcpReactor};
-use crate::transport::{RecvError, Transport, TransportError};
+use crate::transport::{Mailbox, RecvError, Transport, TransportError};
 use crate::WireMsg;
 use d2_obs::TraceCtx;
 use d2_ring::messages::Addr;
@@ -103,7 +103,8 @@ impl TcpTransport {
         cfg: TcpConfig,
         metrics: std::sync::Arc<NetMetrics>,
     ) -> io::Result<TcpTransport> {
-        let reactor = TcpReactor::bind(ip, port, cfg, metrics)?;
+        let (reactor, poller) = TcpReactor::bind(ip, port, cfg, metrics)?;
+        poller.spawn()?;
         let primary = reactor.open(ip)?;
         Ok(TcpTransport { reactor, primary })
     }
@@ -111,12 +112,6 @@ impl TcpTransport {
     /// The socket address peers should connect to.
     pub fn socket_addr(&self) -> SocketAddrV4 {
         unpack_addr(self.primary.local_addr())
-    }
-
-    /// The underlying reactor, for opening additional virtual
-    /// endpoints on the same socket (see [`TcpReactor::open`]).
-    pub fn reactor(&self) -> &TcpReactor {
-        &self.reactor
     }
 }
 
@@ -133,21 +128,19 @@ impl Transport for TcpTransport {
         self.primary.recv_timeout(timeout)
     }
 
+    fn set_mailbox(&self, mailbox: Mailbox) {
+        self.primary.set_mailbox(mailbox)
+    }
+
     fn shutdown(&self) {
         self.reactor.shutdown();
-    }
-}
-
-impl Drop for TcpTransport {
-    fn drop(&mut self) {
-        self.shutdown();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{self, Request};
+    use crate::codec::Request;
     use std::io::Write;
     use std::net::{SocketAddr, TcpStream};
     use std::sync::Arc;
@@ -243,46 +236,6 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_senders_coalesce_and_deliver_everything() {
-        const THREADS: usize = 8;
-        const PER_THREAD: u64 = 50;
-        let m = Arc::new(NetMetrics::new());
-        let a = Arc::new(bind(&m));
-        let b = bind(&m);
-        let to = b.local_addr();
-        let handles: Vec<_> = (0..THREADS as u64)
-            .map(|t| {
-                let a = Arc::clone(&a);
-                std::thread::spawn(move || {
-                    for i in 0..PER_THREAD {
-                        a.send(to, &msg(t * PER_THREAD + i)).unwrap();
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        let total = (THREADS as u64) * PER_THREAD;
-        let mut seen = std::collections::HashSet::new();
-        for _ in 0..total {
-            let (m, _) = b.recv_timeout(Duration::from_secs(5)).unwrap();
-            if let WireMsg::Request { req_id, .. } = m {
-                seen.insert(req_id);
-            }
-        }
-        assert_eq!(seen.len(), total as usize, "every frame delivered intact");
-        assert_eq!(wait_counter(&m, "net.msgs_out", total), total);
-        assert_eq!(wait_counter(&m, "net.msgs_in", total), total);
-        let reg = m.snapshot();
-        assert_eq!(reg.counter("net.bytes_out"), reg.counter("net.bytes_in"));
-        // Coalesced frames (if any) are a subset of all frames sent.
-        assert!(reg.counter("net.coalesced_frames") <= total);
-        a.shutdown();
-        b.shutdown();
-    }
-
-    #[test]
     fn dead_peer_fails_fast_and_backs_off() {
         let m = Arc::new(NetMetrics::new());
         let a = bind(&m);
@@ -353,38 +306,6 @@ mod tests {
         assert!(wait_counter(&m, "net.decode_errors", 1) >= 1);
         a.shutdown();
         b.shutdown();
-    }
-
-    #[test]
-    fn partial_frames_across_readiness_events() {
-        // A frame trickling in a few bytes per readiness event must be
-        // reassembled intact: TCP guarantees nothing about boundaries,
-        // and the read state machine carries the tail across wake-ups.
-        let m = Arc::new(NetMetrics::new());
-        let a = bind(&m);
-        let ctx = TraceCtx::root(0x7777).child(3);
-        let bytes = codec::encode_traced(&msg(42), ctx);
-        let mut s = TcpStream::connect(SocketAddr::V4(a.socket_addr())).unwrap();
-        s.set_nodelay(true).unwrap();
-        for chunk in bytes.chunks(3) {
-            s.write_all(chunk).unwrap();
-            s.flush().unwrap();
-            // Every write makes the socket readable and wakes the
-            // poller; the pause lets it drain each chunk as its own
-            // readiness event instead of one buffered blob.
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        assert_eq!(
-            a.recv_timeout(Duration::from_secs(5)).unwrap(),
-            (msg(42), ctx)
-        );
-        // Two frames back to back in one readiness event both decode.
-        let mut two = codec::encode_traced(&msg(43), TraceCtx::NONE);
-        two.extend_from_slice(&codec::encode_traced(&msg(44), TraceCtx::NONE));
-        s.write_all(&two).unwrap();
-        assert_eq!(a.recv_timeout(Duration::from_secs(5)).unwrap().0, msg(43));
-        assert_eq!(a.recv_timeout(Duration::from_secs(5)).unwrap().0, msg(44));
-        a.shutdown();
     }
 
     #[test]

@@ -78,6 +78,13 @@ pub trait Transport: Send + Sync + 'static {
     /// waiting at most `timeout`.
     fn recv_timeout(&self, timeout: Duration) -> Result<(WireMsg, TraceCtx), RecvError>;
 
+    /// Redirects this endpoint's inbound messages into `mailbox`, which
+    /// runs on whichever thread decoded or sent them — a client's reply
+    /// router, or the queue a host feeds every node it steps from,
+    /// routing by the [`Delivery`] address. `recv_timeout` reports
+    /// `Closed` from then on.
+    fn set_mailbox(&self, mailbox: Mailbox);
+
     /// Stops the transport: wakes blocked receivers and releases
     /// sockets/threads. Idempotent.
     fn shutdown(&self);
@@ -89,8 +96,8 @@ pub trait Transport: Send + Sync + 'static {
 pub type Delivery = (Addr, WireMsg, TraceCtx);
 
 /// Where an endpoint's inbound messages go: a private channel
-/// ([`channel_mailbox`]) or a host's shared event queue. Returns
-/// `false` once the receiving side is gone.
+/// ([`channel_mailbox`]) or whatever [`Transport::set_mailbox`]
+/// installed. Returns `false` once the receiving side is gone.
 pub type Mailbox = Arc<dyn Fn(Delivery) -> bool + Send + Sync>;
 
 /// A mailbox feeding a private channel, and the channel's read end.
@@ -122,26 +129,15 @@ impl ChannelHub {
     }
 
     /// Opens a new endpoint with the next free address and a private
-    /// mailbox.
+    /// mailbox, until [`Transport::set_mailbox`] says otherwise.
     pub fn open(&self) -> ChannelTransport {
         let (mailbox, rx) = channel_mailbox();
-        ChannelTransport {
-            rx: Some(Mutex::new(rx)),
-            ..self.open_with_queue(mailbox)
-        }
-    }
-
-    /// Opens a new endpoint delivering into a caller-supplied queue
-    /// (the shape of `TcpReactor::open_with_queue`): a host feeds every
-    /// node it steps from one queue and routes by the [`Delivery`]
-    /// address. The endpoint's own `recv_timeout` reports `Closed`.
-    pub fn open_with_queue(&self, mailbox: Mailbox) -> ChannelTransport {
         let mut slots = self.slots.write();
         slots.push(Some(mailbox));
         ChannelTransport {
             me: slots.len() - 1,
             hub: self.clone(),
-            rx: None,
+            rx: Mutex::new(rx),
         }
     }
 
@@ -159,8 +155,7 @@ impl ChannelHub {
 pub struct ChannelTransport {
     me: Addr,
     hub: ChannelHub,
-    /// `None` for endpoints delivering into a shared queue.
-    rx: Option<Mutex<mpsc::Receiver<Delivery>>>,
+    rx: Mutex<mpsc::Receiver<Delivery>>,
 }
 
 impl Transport for ChannelTransport {
@@ -180,13 +175,16 @@ impl Transport for ChannelTransport {
     }
 
     fn recv_timeout(&self, timeout: Duration) -> Result<(WireMsg, TraceCtx), RecvError> {
-        let Some(rx) = &self.rx else {
-            return Err(RecvError::Closed);
-        };
-        match rx.lock().recv_timeout(timeout) {
+        match self.rx.lock().recv_timeout(timeout) {
             Ok((_, msg, trace)) => Ok((msg, trace)),
             Err(mpsc::RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
             Err(mpsc::RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
+        }
+    }
+
+    fn set_mailbox(&self, mailbox: Mailbox) {
+        if let Some(slot @ Some(_)) = self.hub.slots.write().get_mut(self.me) {
+            *slot = Some(mailbox);
         }
     }
 
