@@ -9,8 +9,9 @@
 //! tick round and one inbound queue; the endpoint of every node added
 //! feeds that queue (`Transport::set_mailbox`), and adding a node,
 //! crashing one and stopping the host arrive on it as events too. So
-//! the thread blocks in one place whose timeout is the next tick round,
-//! and an idle host sleeps until then. Over channels that place is a
+//! the thread blocks in one place — with the queue empty, so nodes it
+//! steps hear one another before it sleeps — whose timeout is the next
+//! tick round, and an idle host sleeps until then. Over channels that place is a
 //! receive on the queue. Over TCP it is the reactor's [`Poller::turn`]:
 //! the host thread reads the sockets itself, what a turn decodes is on
 //! the queue when it returns, and the replies the runtimes queue leave
@@ -196,31 +197,36 @@ impl<T: Transport> Stepper<T> {
     }
 
     fn run(mut self, rx: mpsc::Receiver<Event<T>>, mut poller: Option<Poller>) {
-        // Whether the last burst left events on the queue.
-        let mut backlog = false;
         'host: loop {
-            let now = self.clock.now_us();
-            if now >= self.next_round_us {
+            if self.clock.now_us() >= self.next_round_us {
                 for rt in self.runtimes.values_mut() {
                     rt.on_tick();
                 }
                 let tick = Duration::from_micros(self.tick_us());
-                self.next_round_us = now + until_wall_multiple(tick).as_micros() as u64;
+                let to_next = until_wall_multiple(tick).as_micros() as u64;
+                self.next_round_us = self.clock.now_us() + to_next;
+            }
+            // Handle a bounded burst of what is queued — by the last
+            // turn, by other threads, and by the nodes stepped here for
+            // one another — before re-checking the clock.
+            let mut drained = false;
+            for _ in 0..512 {
+                let Ok(ev) = rx.try_recv() else {
+                    drained = true;
+                    break;
+                };
+                if !self.handle(ev) {
+                    break 'host;
+                }
             }
             // Sleep until an event arrives or the next round is due
             // (with no node to tick, for good).
-            let wait = if backlog {
-                Some(Duration::ZERO)
-            } else if self.runtimes.is_empty() {
-                None
-            } else {
-                Some(Duration::from_micros(
-                    self.next_round_us.saturating_sub(now),
-                ))
-            };
+            let to_round = self.next_round_us.saturating_sub(self.clock.now_us());
+            let wait = (!self.runtimes.is_empty()).then(|| Duration::from_micros(to_round));
             if let Some(poller) = &mut poller {
-                // Inbound frames are on `rx` when this returns.
-                poller.turn(wait);
+                // Inbound frames are on `rx` when this returns; what is
+                // still there from the burst does not wait for them.
+                poller.turn(if drained { wait } else { Some(Duration::ZERO) });
             } else {
                 match rx.recv_timeout(wait.unwrap_or(Duration::MAX)) {
                     Ok(ev) => {
@@ -228,19 +234,8 @@ impl<T: Transport> Stepper<T> {
                             break;
                         }
                     }
-                    Err(mpsc::RecvTimeoutError::Timeout) => continue,
+                    Err(mpsc::RecvTimeoutError::Timeout) => {}
                     Err(mpsc::RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            // Drain a bounded burst before re-checking the clock.
-            backlog = true;
-            for _ in 0..512 {
-                let Ok(ev) = rx.try_recv() else {
-                    backlog = false;
-                    break;
-                };
-                if !self.handle(ev) {
-                    break 'host;
                 }
             }
         }

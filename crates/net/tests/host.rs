@@ -1,14 +1,15 @@
 //! The one host, through its public API: over the channel transport,
 //! crash-stop, who reports the transport's metrics sheet, when the host
 //! is done, and what a failed send does to the peer; over a reactor it
-//! turns itself, what a reply costs and how the host's last words get
-//! out. (`many_nodes.rs` and `tcp_cluster.rs` cover whole clusters over
-//! real sockets.)
+//! turns itself, what a reply costs, when co-hosted nodes hear each
+//! other and how the host's last words get out. (`many_nodes.rs` and
+//! `tcp_cluster.rs` cover whole clusters over real sockets.)
 
+use d2_net::runtime::TICK;
 use d2_net::{Host, NodeSpec};
 use d2_obs::Registry;
 use d2_obs::TraceCtx;
-use d2_ring::messages::Addr;
+use d2_ring::messages::{Addr, RingMsg};
 use d2_types::Key;
 use d2_wire::client::WireClient;
 use d2_wire::codec::{Request, Response};
@@ -123,25 +124,22 @@ fn the_host_is_done_when_its_last_node_stops() {
     assert_eq!(rig.host.counts(), (0, 0));
 }
 
-/// A channel endpoint whose sends to one peer fail as `verdict` says.
-struct Faulty {
-    inner: ChannelTransport,
-    verdict: Arc<Mutex<Option<TransportError>>>,
+/// What a [`Tapped`] endpoint's owner sees of each send, and may fail.
+type Tap = Box<dyn Fn(Addr, &WireMsg) -> Result<(), TransportError> + Send + Sync>;
+
+/// An endpoint whose sends pass `tap` first.
+struct Tapped<T> {
+    inner: T,
+    tap: Tap,
 }
 
-impl Transport for Faulty {
+impl<T: Transport> Transport for Tapped<T> {
     fn local_addr(&self) -> Addr {
         self.inner.local_addr()
     }
     fn send_traced(&self, to: Addr, msg: &WireMsg, trace: TraceCtx) -> Result<(), TransportError> {
-        match *self.verdict.lock() {
-            Some(e @ (TransportError::Backlogged(a) | TransportError::PeerUnreachable(a)))
-                if a == to =>
-            {
-                Err(e)
-            }
-            _ => self.inner.send_traced(to, msg, trace),
-        }
+        (self.tap)(to, msg)?;
+        self.inner.send_traced(to, msg, trace)
     }
     fn recv_timeout(&self, timeout: Duration) -> Result<(WireMsg, TraceCtx), RecvError> {
         self.inner.recv_timeout(timeout)
@@ -158,13 +156,22 @@ impl Transport for Faulty {
 fn a_slow_peer_is_kept_and_a_dead_one_forgotten() {
     let sheet = Arc::new(NetMetrics::new());
     let hub = ChannelHub::new(Arc::clone(&sheet));
-    let host: Host<Faulty> = Host::start(Arc::clone(&sheet), None).unwrap();
+    let host: Host<Tapped<ChannelTransport>> = Host::start(Arc::clone(&sheet), None).unwrap();
+    // Sends to one peer fail as `verdict` says.
     let verdict = Arc::new(Mutex::new(None));
     let add = |frac: f64, seed: Option<Addr>, verdict: &Arc<Mutex<Option<TransportError>>>| {
         let (inner, verdict) = (hub.open(), Arc::clone(verdict));
         let addr = inner.local_addr();
         let spec = NodeSpec::replicated(2).at(Key::from_fraction(frac), seed);
-        host.add(spec, Faulty { inner, verdict });
+        let tap: Tap = Box::new(move |to, _| match *verdict.lock() {
+            Some(e @ (TransportError::Backlogged(a) | TransportError::PeerUnreachable(a)))
+                if a == to =>
+            {
+                Err(e)
+            }
+            _ => Ok(()),
+        });
+        host.add(spec, Tapped { inner, tap });
         addr
     };
     let a = add(0.25, None, &verdict);
@@ -272,6 +279,48 @@ fn a_reply_from_a_host_that_turns_its_reactor_needs_no_wake() {
         waits - before.histogram("net.flush_wait_us").unwrap().count(),
         1_000
     );
+}
+
+#[test]
+fn co_hosted_nodes_answer_a_tick_round_before_the_host_sleeps() {
+    let sheet = Arc::new(NetMetrics::new());
+    let (ip, cfg) = (Ipv4Addr::UNSPECIFIED, TcpConfig::default());
+    let (reactor, poller) = TcpReactor::bind(ip, 0, cfg, Arc::clone(&sheet)).unwrap();
+    let host: Host<Tapped<TcpEndpoint>> = Host::start(sheet, Some(poller)).unwrap();
+    // From the last neighbor probe, which a tick round sends, to each
+    // answer to one. No socket carries anything: the two nodes
+    // talk over the reactor's loopback, and nobody else talks to them.
+    let asked = Arc::new(Mutex::new(None::<Instant>));
+    let lags = Arc::new(Mutex::new(Vec::new()));
+    let mut seed = None;
+    for (i, frac) in [(1, 0.25), (2, 0.75)] {
+        let inner = reactor.open(Ipv4Addr::new(127, 0, 0, i)).unwrap();
+        let spec = NodeSpec::replicated(2).at(Key::from_fraction(frac), seed);
+        seed = Some(inner.local_addr());
+        let (asked, lags) = (Arc::clone(&asked), Arc::clone(&lags));
+        let tap: Tap = Box::new(move |_, msg| {
+            match msg {
+                WireMsg::Ring(RingMsg::GetNeighbors { .. }) => *asked.lock() = Some(Instant::now()),
+                WireMsg::Ring(RingMsg::Neighbors { .. }) => {
+                    lags.lock().extend(asked.lock().map(|at| at.elapsed()))
+                }
+                _ => {}
+            }
+            Ok(())
+        });
+        host.add(spec, Tapped { inner, tap });
+    }
+    let deadline = Instant::now() + T;
+    while lags.lock().len() < 20 {
+        assert!(Instant::now() < deadline, "the nodes never probed");
+        std::thread::sleep(TICK);
+    }
+    // A host that slept on its sockets first would answer a whole tick
+    // period late, every time; a stolen core delays a few.
+    let mut lags = lags.lock().clone();
+    lags.sort();
+    let median = lags[lags.len() / 2];
+    assert!(median < TICK / 4, "answered {median:?} after the probe");
 }
 
 #[test]

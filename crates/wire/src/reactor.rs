@@ -143,9 +143,8 @@ struct Shared {
     /// Per-peer outbound slots. The map lock is held only for lookup,
     /// never across a connect or write.
     pool: Mutex<HashMap<Addr, Arc<PeerSlot>>>,
-    /// Peers with freshly queued frames, awaiting a poller pass, and
-    /// when the oldest of those frames was queued.
-    dirty: Mutex<Vec<(Addr, Instant)>>,
+    /// Peers with freshly queued frames, awaiting a poller pass.
+    dirty: Mutex<Vec<Addr>>,
     /// Streams dialed by senders, awaiting poller adoption.
     adopted: Mutex<Vec<(Addr, TcpStream)>>,
     /// Frames accepted by `send_from` but not yet written to a socket
@@ -168,8 +167,9 @@ impl Shared {
     /// Ends the poller's `ppoll(2)` call. Callers publish their work
     /// (`dirty`, `adopted`, `shutdown`, a host's event) first: the swap
     /// pairs with the poller's swap-to-false, which precedes its drain.
-    /// The thread that turns the poller is not in the call, and looks
-    /// at all of those again before it next blocks.
+    /// The thread that turns the poller is not in the call: a turn
+    /// takes `dirty` and `adopted` before it blocks, and a host empties
+    /// its queue before it turns.
     fn wake_poller(&self) {
         if TURNS.get() != self.id && !self.wake_pending.swap(true, Ordering::SeqCst) {
             // At most one byte per armed flag, so the pipe never fills
@@ -222,7 +222,7 @@ impl Shared {
         if retry_at != 0 && self.us_since_epoch(Instant::now()) < retry_at {
             return Err(TransportError::PeerUnreachable(to));
         }
-        let since = {
+        {
             let mut q = slot.pending.lock();
             if q.buf.len() >= self.cfg.max_pending_bytes {
                 // The peer has stopped draining its socket.
@@ -232,8 +232,8 @@ impl Shared {
             q.frames += 1;
             crate::codec::encode_traced_into(&mut q.buf, msg, trace);
             self.unsent.fetch_add(1, Ordering::AcqRel);
-            *q.since.get_or_insert_with(Instant::now)
-        };
+            q.since.get_or_insert_with(Instant::now);
+        }
         let mut link = slot.link.lock();
         if !link.connected {
             let now = Instant::now();
@@ -268,7 +268,7 @@ impl Shared {
         }
         drop(link);
         if !slot.queued.swap(true, Ordering::AcqRel) {
-            self.dirty.lock().push((to, since));
+            self.dirty.lock().push(to);
         }
         self.wake_poller();
         Ok(())
@@ -524,28 +524,18 @@ impl Poller {
     }
 
     /// Takes what senders published: dialed streams to adopt, dirty
-    /// peers to flush on the first tick after their frames were queued
-    /// — already past, if this thread was slow to get here, so a late
-    /// wake-up costs its lateness and not a whole tick. Everything
-    /// dirty by the time the tick is handled shares the flush.
-    /// `dirty` before `adopted`: a sender stages its dialed stream
-    /// before it marks the peer dirty, so every dirty peer's connection
-    /// is adopted by the time it is flushed.
+    /// peers to flush. The first dirty peer arms the tick; everything
+    /// dirty by the time it comes due shares the flush. `dirty` before
+    /// `adopted`: a sender stages its dialed stream before it marks the
+    /// peer dirty, so every dirty peer's connection is adopted by the
+    /// time it is flushed.
     fn collect(&mut self) {
-        let mut fresh = self.shared.dirty.lock();
-        if !fresh.is_empty() {
-            let next = Instant::now() + until_wall_multiple(FLUSH_TICK);
-            for (addr, since) in fresh.drain(..) {
-                self.dirty.push(addr);
-                // Ticks are whole periods back from `next`.
-                let ahead = next.saturating_duration_since(since).as_nanos();
-                let due = since + Duration::from_nanos((ahead % FLUSH_TICK.as_nanos()) as u64);
-                self.flush_at = Some(self.flush_at.map_or(due, |at| at.min(due)));
-            }
-        }
-        drop(fresh);
+        self.dirty.append(&mut self.shared.dirty.lock());
         for (addr, stream) in self.shared.adopted.lock().drain(..) {
             self.outbound.insert(addr, OutboundConn::new(stream));
+        }
+        if !self.dirty.is_empty() && self.flush_at.is_none() {
+            self.flush_at = Some(Instant::now() + until_wall_multiple(FLUSH_TICK));
         }
     }
 
