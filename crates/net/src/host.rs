@@ -14,9 +14,10 @@
 //! tick round, and an idle host sleeps until then. Over channels that place is a
 //! receive on the queue. Over TCP it is the reactor's [`Poller::turn`]:
 //! the host thread reads the sockets itself, what a turn decodes is on
-//! the queue when it returns, and the replies the runtimes queue leave
-//! on the tick the next turn arms — bytes in, runtime stepped, bytes
-//! out on one thread, with no hand-off.
+//! the queue when it returns, and what the runtimes queue in answer —
+//! a whole burst, since the queue is empty again — the next turn
+//! writes before it blocks: bytes in, runtime stepped, bytes out on one
+//! thread, with no hand-off and no timer.
 //!
 //! Three front-ends put nodes on a host: `d2-node serve` (one reactor
 //! endpoint), [`ManyCluster`] behind `d2-node serve-many` (N endpoints

@@ -569,8 +569,22 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
             }
             Request::Get { key } => {
                 self.registry.inc("node.gets");
-                match self.store.get(&key).cloned() {
-                    Some(data) => self.respond(from, req_id, Response::Block { data: Some(data) }),
+                match self.store.get_mut(&key).map(std::mem::take) {
+                    // The block is lent to the reply for the send and
+                    // taken back: over TCP the only copy is the encoder's,
+                    // into the pending queue.
+                    Some(data) => {
+                        let body = Response::Block { data: Some(data) };
+                        let reply = WireMsg::Response { req_id, body };
+                        let _ = self.transport.send(from, &reply); // as `respond`
+                        if let WireMsg::Response {
+                            body: Response::Block { data: Some(data) },
+                            ..
+                        } = reply
+                        {
+                            self.store.insert(key, data);
+                        }
+                    }
                     // A replica answers from its store above; with
                     // nothing held, only the owner may call it a miss.
                     None if self.disowns(&key) => self.refuse(from, req_id),
@@ -699,10 +713,10 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         self.respond(to, req_id, Response::NotOwner);
     }
 
-    /// Replica-chain store: write the local copy, then either forward
-    /// down the successor list or — as the end of the chain — ack the
-    /// original client directly. The ack therefore means *every*
-    /// reachable replica is written, not merely the first.
+    /// Replica-chain store: forward down the successor list, write the
+    /// local copy and — as the end of the chain — ack the original
+    /// client directly. The ack therefore means *every* reachable
+    /// replica is written, not merely the first.
     fn handle_put(
         &mut self,
         req_id: u64,
@@ -714,58 +728,59 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
     ) {
         self.registry.inc("node.puts");
         let stored = stored + 1;
-        if fanout == 0 {
-            // End of the chain: the block moves straight into the store
-            // — the fanout-0 hot path copies nothing.
-            self.store.insert(key, data);
-            self.registry.observe("node.put_replicas", stored as u64);
-            self.respond(from, req_id, Response::PutAck { replicas: stored });
-            return;
-        }
-        // Mid-chain: the local copy is a clone because `data` travels on
-        // in the forwarded request.
-        self.store.insert(key, data.clone());
         let me = self.node.me().addr;
+        // Nobody, at the end of the chain (`fanout` 0).
         let succs: Vec<Addr> = self
             .node
             .successors()
             .iter()
             .map(|p| p.addr)
-            .filter(|&a| a != me)
+            .filter(|&a| a != me && fanout > 0)
             .collect();
         let forward = WireMsg::Request {
             req_id,
             from,
             body: Request::Put {
                 key,
-                fanout: fanout - 1,
+                fanout: fanout.saturating_sub(1),
                 stored,
                 data,
             },
         };
+        // The chain goes on through the first successor that takes it.
+        let mut forwarded = false;
         for succ in succs {
             match self.transport.send_traced(succ, &forward, self.cur_ctx) {
                 Ok(()) => {
-                    // Validation knob: count the rest of the chain as
-                    // written the moment the forward send succeeds. A
-                    // dead peer fails the send fast, so this looks safe
-                    // — until a link drops traffic silently and the
-                    // "replicas" the ack promises were never stored
-                    // anywhere.
-                    if self.node.config().ack_on_send {
-                        let promised = stored + fanout;
-                        self.registry.observe("node.put_replicas", promised as u64);
-                        self.respond(from, req_id, Response::PutAck { replicas: promised });
-                    }
-                    return; // the chain continues; its end will ack
+                    forwarded = true;
+                    break;
                 }
-                // The chain goes on through the next successor.
                 Err(e) => self.send_failed(succ, e),
             }
         }
-        // No reachable successor: this node terminates the chain.
-        self.registry.observe("node.put_replicas", stored as u64);
-        self.respond(from, req_id, Response::PutAck { replicas: stored });
+        // The local copy is the block itself, moved out of the forward
+        // once that is sent (the transport took its own bytes): the
+        // same step, in the order that copies nothing.
+        if let WireMsg::Request {
+            body: Request::Put { data, .. },
+            ..
+        } = forward
+        {
+            self.store.insert(key, data);
+        }
+        // Forwarded, the chain's end will ack — unless the validation
+        // knob counts the rest of the chain as written the moment the
+        // forward send succeeds. A dead peer fails the send fast, so
+        // that looks safe, until a link drops traffic silently and the
+        // "replicas" the ack promises were never stored anywhere. With
+        // no reachable successor this node terminates the chain.
+        let replicas = match (forwarded, self.node.config().ack_on_send) {
+            (true, false) => return,
+            (true, true) => stored + fanout,
+            (false, _) => stored,
+        };
+        self.registry.observe("node.put_replicas", replicas as u64);
+        self.respond(from, req_id, Response::PutAck { replicas });
     }
 
     /// A send to `to` failed and its message is dropped. A slow peer

@@ -63,6 +63,16 @@ fn prefixed_sum(reg: &d2_obs::Registry, prefix: &str) -> u64 {
 /// cluster distributions, and the slowest / failed recent operations
 /// with their trace ids. `fmt_addr` turns transport addresses into
 /// something readable (`ip:port` for TCP, the raw index for channels).
+///
+/// The last two columns are the reactor's. `wakeups` is
+/// `net.poller_wakeups`, returns of the poller's `ppoll(2)`: on a node
+/// one per burst of requests read plus one per tick round, no flush
+/// timer among them; on a client a flush tick's expiry counts too.
+/// `flushwait` is the median `net.flush_wait_us`, first enqueue into a
+/// peer's queue → the write that carried it: on a node the length of
+/// the burst that produced the frame (tens of µs; its host writes when
+/// it turns next), on a client the wait for the flush tick (up to
+/// `FLUSH_TICK`). A node near a whole tick is ticking again.
 pub fn render_top(scrape: &ClusterScrape, fmt_addr: &dyn Fn(Addr) -> String) -> String {
     let mut out = String::new();
 

@@ -1,9 +1,10 @@
 //! The one host, through its public API: over the channel transport,
 //! crash-stop, who reports the transport's metrics sheet, when the host
 //! is done, and what a failed send does to the peer; over a reactor it
-//! turns itself, what a reply costs, when co-hosted nodes hear each
-//! other and how the host's last words get out. (`many_nodes.rs` and
-//! `tcp_cluster.rs` cover whole clusters over real sockets.)
+//! turns itself, what a reply costs (no wake, no tick), when co-hosted
+//! nodes hear each other and how the host's last words get out.
+//! (`many_nodes.rs` and `tcp_cluster.rs` cover whole clusters over real
+//! sockets.)
 
 use d2_net::runtime::TICK;
 use d2_net::{Host, NodeSpec};
@@ -14,7 +15,7 @@ use d2_types::Key;
 use d2_wire::client::WireClient;
 use d2_wire::codec::{Request, Response};
 use d2_wire::metrics::NetMetrics;
-use d2_wire::reactor::{TcpEndpoint, TcpReactor};
+use d2_wire::reactor::{TcpEndpoint, TcpReactor, FLUSH_TICK};
 use d2_wire::tcp::{pack_addr, TcpConfig, TcpTransport};
 use d2_wire::transport::{
     ChannelHub, ChannelTransport, Mailbox, RecvError, Transport, TransportError,
@@ -264,16 +265,28 @@ fn a_reply_from_a_host_that_turns_its_reactor_needs_no_wake() {
     };
     assert!(status(), "warm-up: both sides dial");
     let before = settled();
-    for _ in 0..1_000 {
+    // Only the client's callers wait for a tick: a round trip is one,
+    // where a node that ticked too made it two. A stolen core spoils
+    // any one batch, so the best of five counts.
+    let timed = || {
+        let t0 = Instant::now();
         assert!(status());
-    }
+        t0.elapsed()
+    };
+    let mut medians = [(); 5].map(|_| {
+        let mut rtts: Vec<Duration> = (0..200).map(|_| timed()).collect();
+        rtts.sort();
+        rtts[rtts.len() / 2]
+    });
+    medians.sort();
+    assert!(medians[0] < FLUSH_TICK * 3 / 2, "they took {medians:?}");
     let after = settled();
     let grew = |key: &str| after.counter(key) - before.counter(key);
     assert_eq!(grew("net.msgs_out"), 1_000);
-    // The thread that queued the reply is the one that flushes it.
+    // The thread that queued the reply is the one that flushes it,
+    // when it turns next: one write per reply, none of them a tick's.
     assert_eq!(grew("net.wake_writes"), 0);
-    // One write per reply, each on a tick of its own.
-    assert_eq!(grew("net.flush_ticks"), 1_000);
+    assert_eq!(grew("net.flush_ticks"), 0);
     let waits = after.histogram("net.flush_wait_us").unwrap().count();
     assert_eq!(
         waits - before.histogram("net.flush_wait_us").unwrap().count(),

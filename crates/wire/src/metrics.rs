@@ -114,7 +114,8 @@ impl NetMetrics {
         self.wake_writes.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records one flush tick on which the poller wrote queued frames.
+    /// Records one flush tick on which the poller wrote frames queued
+    /// by threads other than the one that turns it.
     pub fn flush_tick(&self) {
         self.flush_ticks.fetch_add(1, Ordering::Relaxed);
     }

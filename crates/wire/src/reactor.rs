@@ -20,9 +20,9 @@
 //! Senders never touch a socket. A send encodes the frame into the
 //! peer's pending queue (the PR 7 combining-lock buffer), marks the
 //! peer dirty, and — unless it *is* the thread that turns the poller —
-//! wakes it; on the next flush tick the poller swaps whole batches into
-//! the connection's carry buffer and writes them with single syscalls.
-//! Two exceptions stay on the sender's thread:
+//! wakes it; when the burst is over (below) the poller swaps whole
+//! batches into the connection's carry buffer and writes them with
+//! single syscalls. Two exceptions stay on the sender's thread:
 //!
 //! - **Dialing.** The first send to a disconnected peer performs the
 //!   blocking `connect_timeout` inline and only hands the established
@@ -57,20 +57,23 @@
 //! drains the `dirty`/`adopted` lists: a sender that finds the flag
 //! still set published its work before the drain began; one that finds
 //! it clear writes a byte that ends the next `ppoll`. The turning
-//! thread's own sends write nothing: it drains again before it blocks.
+//! thread's own sends write nothing: it flushes them before it blocks.
 //!
-//! ## Flush tick
+//! ## When a burst is over
 //!
-//! Dirty peers are flushed on the next multiple of [`FLUSH_TICK`] on
-//! the wall clock (the `ppoll` timeout, armed only while a peer is
-//! dirty), not the moment the poller wakes. Frames queued within a tick
-//! share one write, and a hop costs a fixed tick instead of however
-//! long the scheduler takes to wake the threads on its path — which on
-//! a shared two-core guest moved a window-1 op between 140 µs and 1.6 ms
-//! with thread placement. Processes on one host tick in phase, so a
-//! request flushed on tick *k* is answered on tick *k+1* whenever the
-//! far side needs less than a tick; across hosts a hop waits half a
-//! tick on average, noise beside a WAN round trip.
+//! A peer's frames should share one write, so the poller must know
+//! where a burst ends. What the turning thread queued (every send a
+//! node host makes: replies, chain forwards, ring and repair traffic)
+//! is complete when that thread turns next, because it empties its
+//! queue first: the turn writes those peers before it blocks. Where
+//! another thread's burst ends (a client's callers) the poller cannot
+//! see, so those peers wait for the next multiple of [`FLUSH_TICK`] on
+//! the wall clock (the `ppoll` timeout, armed only while one is dirty).
+//! So only the client of a closed loop is paced, and an op costs one
+//! tick, not one per hop: the tick absorbs the whole round trip,
+//! however long the scheduler takes to wake the threads on its path —
+//! which on a shared two-core guest moved an unpaced window-1 op
+//! between 140 µs and 1.6 ms with thread placement.
 
 use crate::codec::WireMsg;
 use crate::conn::{ConnState, InboundConn, OutboundConn, PendingFrames};
@@ -87,7 +90,7 @@ use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
@@ -101,10 +104,16 @@ struct PeerSlot {
     link: Mutex<PeerLink>,
     /// Mirror of `PeerLink::retry_at` in µs since the epoch; 0 = closed.
     retry_at_us: AtomicU64,
-    /// True while this peer sits in the poller's dirty list, so a burst
-    /// of sends enqueues it once, not once per frame.
-    queued: AtomicBool,
+    /// Which flush this peer is listed for ([`IDLE`]: none), so a burst
+    /// of sends lists it once, not once per frame.
+    queued: AtomicU8,
 }
+
+/// [`PeerSlot::queued`], in rising urgency: listed for nothing, in
+/// `Shared::dirty` for the tick, in `Shared::own` for the next turn.
+const IDLE: u8 = 0;
+const FOR_TICK: u8 = 1;
+const FOR_TURN: u8 = 2;
 
 /// Dial/breaker state for one peer. `connected`: an established stream
 /// is staged for adoption or owned by the poller (alive or not).
@@ -143,8 +152,10 @@ struct Shared {
     /// Per-peer outbound slots. The map lock is held only for lookup,
     /// never across a connect or write.
     pool: Mutex<HashMap<Addr, Arc<PeerSlot>>>,
-    /// Peers with freshly queued frames, awaiting a poller pass.
+    /// Peers other threads queued frames for, awaiting the flush tick.
     dirty: Mutex<Vec<Addr>>,
+    /// Peers the turning thread queued frames for since its last turn.
+    own: Mutex<Vec<Addr>>,
     /// Streams dialed by senders, awaiting poller adoption.
     adopted: Mutex<Vec<(Addr, TcpStream)>>,
     /// Frames accepted by `send_from` but not yet written to a socket
@@ -267,8 +278,14 @@ impl Shared {
             }
         }
         drop(link);
-        if !slot.queued.swap(true, Ordering::AcqRel) {
-            self.dirty.lock().push(to);
+        // The turning thread's burst is over when it turns next; where
+        // another thread's ends only the tick can say (module docs).
+        let (list, when) = match TURNS.get() == self.id {
+            true => (&self.own, FOR_TURN),
+            false => (&self.dirty, FOR_TICK),
+        };
+        if slot.queued.fetch_max(when, Ordering::AcqRel) < when {
+            list.lock().push(to);
         }
         self.wake_poller();
         Ok(())
@@ -328,6 +345,7 @@ impl TcpReactor {
             endpoints: RwLock::new(HashMap::new()),
             pool: Mutex::new(HashMap::new()),
             dirty: Mutex::new(Vec::new()),
+            own: Mutex::new(Vec::new()),
             adopted: Mutex::new(Vec::new()),
             unsent: AtomicU64::new(0),
         });
@@ -341,6 +359,7 @@ impl TcpReactor {
             polled_out: Vec::new(),
             dirty: Vec::new(),
             flush_at: None,
+            own: Vec::new(),
             scratch: vec![0u8; 64 * 1024],
         };
         Ok((TcpReactor { shared }, poller))
@@ -442,11 +461,11 @@ impl Transport for TcpEndpoint {
     }
 }
 
-/// Queued frames leave on wall-clock multiples of this (module docs).
-/// A hop's turnaround — one wake-up on a node, two on a client — fits
-/// half of it; what sets it is that a two-core guest runs a window of
-/// 8 KiB blocks steadily only when ticks pace it, not the CPU (DESIGN.md
-/// §15.1.1 has the sums).
+/// Frames queued by threads other than the one that turns the poller
+/// leave on wall-clock multiples of this (module docs): a closed loop's
+/// one pacer. A three-node round trip takes 125–165 µs of it; at 125 µs
+/// that straddles the quantum and a window-1 run no longer repeats
+/// (DESIGN.md §15.1.1 has the rows).
 pub const FLUSH_TICK: Duration = Duration::from_micros(250);
 
 /// Time to the next multiple of `period` on the wall clock: the one
@@ -480,6 +499,8 @@ pub struct Poller {
     /// Peers with queued frames, awaiting `flush_at`.
     dirty: Vec<Addr>,
     flush_at: Option<Instant>,
+    /// Spare for `Shared::own`: the two swap, so neither reallocates.
+    own: Vec<Addr>,
     scratch: Vec<u8>,
 }
 
@@ -524,31 +545,39 @@ impl Poller {
     }
 
     /// Takes what senders published: dialed streams to adopt, dirty
-    /// peers to flush. The first dirty peer arms the tick; everything
-    /// dirty by the time it comes due shares the flush. `dirty` before
-    /// `adopted`: a sender stages its dialed stream before it marks the
-    /// peer dirty, so every dirty peer's connection is adopted by the
-    /// time it is flushed.
+    /// peers to flush. The turning thread's own are written here and
+    /// now; of the others the first arms the tick, and everything dirty
+    /// by the time it comes due shares the flush. The lists before
+    /// `adopted`: a sender stages its dialed stream before it lists the
+    /// peer, so every listed peer's connection is adopted by the time it
+    /// is flushed.
     fn collect(&mut self) {
         self.dirty.append(&mut self.shared.dirty.lock());
+        std::mem::swap(&mut self.own, &mut *self.shared.own.lock());
         for (addr, stream) in self.shared.adopted.lock().drain(..) {
             self.outbound.insert(addr, OutboundConn::new(stream));
         }
+        for i in 0..self.own.len() {
+            self.flush_peer(self.own[i]);
+        }
+        self.own.clear();
         if !self.dirty.is_empty() && self.flush_at.is_none() {
             self.flush_at = Some(Instant::now() + until_wall_multiple(FLUSH_TICK));
         }
     }
 
-    /// One step: blocks in `ppoll(2)` until something is ready, the
-    /// flush tick is due or `timeout` passes (`None`: no limit), then
-    /// handles the wake pipe (what other threads published), the tick
-    /// (flush the dirty peers), readable inbound connections — their
-    /// frames are delivered from inside this call — outbound EOFs and
-    /// drained backlogs, and new accepts.
+    /// One step: writes what this thread queued since the last, blocks
+    /// in `ppoll(2)` until something is ready, the flush tick is due or
+    /// `timeout` passes (`None`: no limit), then handles the wake pipe
+    /// (what other threads published), the tick (flush their peers),
+    /// readable inbound connections — their frames are delivered from
+    /// inside this call — outbound EOFs and drained backlogs, and new
+    /// accepts.
     pub fn turn(&mut self, timeout: Option<Duration>) {
         let shared = Arc::clone(&self.shared);
         TURNS.set(shared.id);
-        // What this thread queued since its last turn woke nobody.
+        // What this thread queued since its last turn woke nobody, and
+        // is a whole burst: written before the thread blocks.
         self.collect();
         self.fds.clear();
         self.fds.push(pollfd(&self.wake_rx, POLLIN));
@@ -681,8 +710,8 @@ impl Poller {
         let Some(slot) = shared.slot(addr) else {
             return;
         };
-        // Whoever queues after this marks the peer dirty again.
-        slot.queued.store(false, Ordering::Release);
+        // Whoever queues after this lists the peer again.
+        slot.queued.store(IDLE, Ordering::Release);
         let Some(conn) = self.outbound.get_mut(&addr) else {
             return;
         };

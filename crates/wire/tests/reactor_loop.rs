@@ -1,17 +1,22 @@
 //! Behaviour of the readiness loop itself, through the public
 //! transport API: no idle floor after silence (a round trip costs its
-//! two flush ticks and no more), a burst shares one tick's write,
-//! concurrent senders' frames all arrive once, a frame trickling in over
-//! many readiness events is reassembled, no lost wake-ups under racing
-//! senders — whether a `d2-poller` thread turns the poller or its holder
-//! does — and no wake-ups at all when nothing happens.
+//! two flush ticks, one a side, and no more), a burst shares one tick's
+//! write, what the turning thread queued leaves when it turns next and
+//! only other threads' frames wait for the tick, a stalled reader backs
+//! either kind up to the cap, concurrent senders' frames all arrive
+//! once, a frame trickling in over many readiness events is
+//! reassembled, no lost wake-ups under racing senders — whether a
+//! `d2-poller` thread turns the poller or its holder does — and no
+//! wake-ups at all when nothing happens.
 
 use d2_obs::TraceCtx;
+use d2_ring::messages::Addr;
 use d2_wire::codec::{self, Request};
-use d2_wire::reactor::{TcpReactor, FLUSH_TICK};
-use d2_wire::{NetMetrics, TcpConfig, TcpTransport, Transport, WireMsg};
-use std::io::Write;
-use std::net::{Ipv4Addr, SocketAddr, TcpStream};
+use d2_wire::reactor::{Poller, TcpEndpoint, TcpReactor, FLUSH_TICK};
+use d2_wire::tcp::pack_addr;
+use d2_wire::{NetMetrics, TcpConfig, TcpTransport, Transport, TransportError, WireMsg};
+use std::io::{Read, Write};
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -31,6 +36,32 @@ fn msg(req_id: u64) -> WireMsg {
         req_id,
         from: 1,
         body: Request::Status,
+    }
+}
+
+/// A put of `len` bytes.
+fn put(len: usize) -> WireMsg {
+    WireMsg::Request {
+        req_id: 45,
+        from: 1,
+        body: Request::Put {
+            key: d2_types::Key::from_u64(45),
+            fanout: 0,
+            stored: 0,
+            data: vec![0xD2; len],
+        },
+    }
+}
+
+/// Pauses a random while under `us` microseconds (xorshift on `x`):
+/// spinning, because `sleep` rounds tens of microseconds up.
+fn pause_below(x: &mut u64, us: u64) {
+    *x ^= *x << 13;
+    *x ^= *x >> 7;
+    *x ^= *x << 17;
+    let until = Instant::now() + Duration::from_micros(*x % us);
+    while Instant::now() < until {
+        std::hint::spin_loop();
     }
 }
 
@@ -60,8 +91,9 @@ fn idle_then_active_has_no_latency_floor() {
     // Latency bounds on a shared host: a stolen core can spoil any one
     // attempt, so the best of three counts. An idle back-off under the
     // transport would spoil all three, because each attempt starts from
-    // silence; the flush tick costs a round trip two ticks, busy or not,
-    // and three when the echo thread's wake-up misses one.
+    // silence; the flush tick costs a round trip two ticks, busy or not
+    // (both ends are clients here: callers queue, a spawned poller
+    // ticks), and three when the echo thread's wake-up misses one.
     let mut report = String::new();
     let ok = (0..3).any(|attempt| {
         std::thread::sleep(Duration::from_millis(100));
@@ -119,6 +151,137 @@ fn a_burst_shares_one_flush_tick() {
     assert!(ok, "bursts inside one tick did not share a write");
     a.shutdown();
     b.shutdown();
+}
+
+/// A reactor whose poller this thread turns, as a node host does, an
+/// endpoint on it, and `N` dialed peers that are bare sockets: what one
+/// of them can read is what a turn wrote.
+type Turned<const N: usize> = (
+    Arc<NetMetrics>,
+    TcpReactor,
+    Poller,
+    Arc<TcpEndpoint>,
+    [(Addr, TcpStream); N],
+);
+
+fn turned<const N: usize>() -> Turned<N> {
+    let (m, ip) = (Arc::new(NetMetrics::new()), Ipv4Addr::LOCALHOST);
+    let (reactor, mut poller) = TcpReactor::bind(ip, 0, TcpConfig::default(), m.clone()).unwrap();
+    let ep = Arc::new(reactor.open(ip).unwrap());
+    // From its first turn on, this thread is the one that turns.
+    poller.turn(Some(Duration::ZERO));
+    let peers = std::array::from_fn(|_| {
+        let listener = TcpListener::bind((ip, 0)).unwrap();
+        let SocketAddr::V4(at) = listener.local_addr().unwrap() else {
+            unreachable!();
+        };
+        // The first frame dials, inline; the turn adopts and writes.
+        ep.send(pack_addr(at), &msg(0)).unwrap();
+        poller.turn(Some(Duration::ZERO));
+        let mut sock = listener.accept().unwrap().0;
+        sock.set_read_timeout(Some(Duration::from_secs(1))).unwrap();
+        holds(&mut sock, 1);
+        (pack_addr(at), sock)
+    });
+    (m, reactor, poller, ep, peers)
+}
+
+/// Takes `n` [`msg`] frames off `sock`: there now, or not within its
+/// read timeout either, because nobody turns meanwhile.
+fn holds(sock: &mut TcpStream, n: usize) {
+    let len = codec::encode_traced(&msg(0), TraceCtx::NONE).len();
+    let got = sock.read_exact(&mut vec![0; n * len]);
+    got.unwrap_or_else(|e| panic!("{n} frame(s) were not written: {e}"));
+}
+
+/// `[frames written, writes that carried them, ticked flushes]` so far.
+fn written(m: &NetMetrics) -> [u64; 3] {
+    let reg = m.snapshot();
+    let writes = reg.histogram("net.flush_wait_us").map_or(0, |h| h.count());
+    let (frames, ticks) = (reg.counter("net.msgs_out"), reg.counter("net.flush_ticks"));
+    [frames, writes, ticks]
+}
+
+#[test]
+fn a_turn_writes_what_its_thread_queued_at_any_phase_of_the_tick() {
+    let (m, _reactor, mut poller, ep, [(to, mut sock)]) = turned::<1>();
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    for i in 1..=100 {
+        pause_below(&mut x, FLUSH_TICK.as_micros() as u64);
+        ep.send(to, &msg(i)).unwrap();
+        poller.turn(Some(Duration::ZERO));
+        // No deadline up to a tick away, no second turn: it is there.
+        holds(&mut sock, 1);
+    }
+    // What a repair round queues inside one `on_tick`, hundreds of
+    // frames and no turn between them, is one write still.
+    (0..300).for_each(|i| ep.send(to, &msg(i)).unwrap());
+    poller.turn(Some(Duration::ZERO));
+    holds(&mut sock, 300);
+    // None of the 102 writes was a tick's, and nobody was woken.
+    assert_eq!(written(&m), [401, 102, 0]);
+    assert_eq!(m.snapshot().counter("net.wake_writes"), 0);
+}
+
+#[test]
+fn on_a_turned_poller_only_another_threads_frames_wait_for_the_tick() {
+    let (m, _reactor, mut poller, ep, [(p, mut p_sock), (q, mut q_sock)]) = turned::<2>();
+    let from_another_thread = |frames: u64| {
+        let burst = || (0..frames).for_each(|i| ep.send(p, &msg(i)).unwrap());
+        std::thread::scope(|s| s.spawn(burst).join().unwrap());
+    };
+    // The poller cannot see where another thread's burst ends: the first
+    // frame arms the tick, and the rest share its one write.
+    from_another_thread(32);
+    while written(&m)[0] < 2 + 32 {
+        poller.turn(Some(FLUSH_TICK));
+    }
+    holds(&mut p_sock, 32);
+    assert_eq!(written(&m), [34, 3, 1]);
+    // Both kinds in one turn: the turning thread's frame takes a peer's
+    // whole queue along, and each peer is written once.
+    from_another_thread(1);
+    ep.send(p, &msg(1)).unwrap();
+    ep.send(q, &msg(2)).unwrap();
+    poller.turn(Some(Duration::ZERO));
+    holds(&mut p_sock, 2);
+    holds(&mut q_sock, 1);
+    // The tick the other thread's frame armed finds nothing left.
+    std::thread::sleep(FLUSH_TICK * 2);
+    poller.turn(Some(Duration::ZERO));
+    assert_eq!(written(&m)[..2], [37, 5]);
+}
+
+/// A peer that accepts but does not read: once the kernel buffer, the
+/// carry and the bounded pending queue are full, sends fail fast with
+/// `Backlogged` instead of buffering without limit or blocking the
+/// sender, whichever thread they come from. When the peer reads again,
+/// `POLLOUT` alone drains the backlog: no further send, no tick.
+#[test]
+fn a_stalled_reader_backs_up_to_the_cap_and_drains_without_a_send() {
+    for own in [true, false] {
+        let (m, _reactor, mut poller, ep, [(to, mut sock)]) = turned::<1>();
+        let (big, mut accepted) = (put(256 << 10), 1);
+        let refused = (0..4096).find_map(|_| {
+            let sent = match own {
+                true => ep.send(to, &big),
+                false => std::thread::scope(|s| s.spawn(|| ep.send(to, &big)).join().unwrap()),
+            };
+            // Long enough for a tick to come due every few sends.
+            poller.turn(Some(FLUSH_TICK));
+            accepted += u64::from(sent.is_ok());
+            sent.err()
+        });
+        assert_eq!(refused, Some(TransportError::Backlogged(to)));
+        assert_eq!(m.snapshot().counter("net.backlog_drops"), 1);
+        assert!(written(&m)[0] < accepted);
+        std::thread::spawn(move || std::io::copy(&mut sock, &mut std::io::sink()));
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while written(&m)[0] < accepted && Instant::now() < deadline {
+            poller.turn(Some(Duration::from_millis(10)));
+        }
+        assert_eq!(written(&m)[0], accepted);
+    }
 }
 
 /// Socket-level metrics are counted by the poller just after the
@@ -204,16 +367,7 @@ fn partial_frames_across_readiness_events() {
     assert_eq!(a.recv_timeout(Duration::from_secs(5)).unwrap().0, msg(44));
     // A frame of several reads' worth (one event reads 64 KiB at most):
     // the socket reports the rest ready again with no new bytes behind.
-    let big = WireMsg::Request {
-        req_id: 45,
-        from: 1,
-        body: Request::Put {
-            key: d2_types::Key::from_u64(45),
-            fanout: 0,
-            stored: 0,
-            data: vec![0xD2; 200_000],
-        },
-    };
+    let big = put(200_000);
     s.write_all(&codec::encode_traced(&big, TraceCtx::NONE))
         .unwrap();
     assert_eq!(a.recv_timeout(Duration::from_secs(5)).unwrap().0, big);
@@ -240,15 +394,7 @@ fn race_senders(a: Arc<dyn Transport>, m: &Arc<NetMetrics>) {
                 let mut x = t + 1;
                 for i in 0..ROUNDS {
                     round.wait();
-                    // xorshift; spinning, because `sleep` rounds tens
-                    // of microseconds up.
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    let pause = Instant::now() + Duration::from_micros(x % 128);
-                    while Instant::now() < pause {
-                        std::hint::spin_loop();
-                    }
+                    pause_below(&mut x, 128);
                     // The frame carries its own send time.
                     let m = WireMsg::Request {
                         req_id: t * ROUNDS + i,
