@@ -18,8 +18,9 @@ use crate::config::ClusterConfig;
 use d2_ring::NodeIdx;
 use d2_sim::{FailureTrace, SimTime};
 use d2_types::{Key, SystemKind};
-use d2_workload::{FileOp, HarvardTrace, Task};
+use d2_workload::{FileOp, HarvardTrace, Task, TraceKeys};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Result of one availability run.
 #[derive(Clone, Debug, Default)]
@@ -82,6 +83,9 @@ pub struct AvailabilitySim {
     pub cluster: SimCluster,
     /// When the warm-up ended (failure/workload time 0 maps here).
     pub epoch: SimTime,
+    /// Every block key of the trace under the cluster's encoding, hashed
+    /// once by [`AvailabilitySim::build`]; `PerfSim` takes it over.
+    pub(crate) keys: Arc<TraceKeys>,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -105,20 +109,9 @@ impl AvailabilitySim {
         warmup_days: f64,
     ) -> AvailabilitySim {
         let mut cluster = SimCluster::new(system, cfg);
+        let keys = Arc::new(TraceKeys::build(&trace.namespace, system));
         // Initial data: all files alive at time 0.
-        let mut blocks = Vec::new();
-        for id in trace.namespace.live_at(SimTime::ZERO) {
-            let f = trace.namespace.file(id);
-            if f.created_at > SimTime::ZERO {
-                continue;
-            }
-            for b in 0..=f.data_blocks() {
-                let name = trace.namespace.block_name(id, b);
-                let len = if b == 0 { 256 } else { block_len(f.size, b) };
-                blocks.push((system.key_of(&name), len));
-            }
-        }
-        cluster.preload(blocks);
+        cluster.preload(keys.initial(&trace.namespace));
 
         let mut now = SimTime::ZERO;
         let end = SimTime::from_secs_f64(warmup_days * 86_400.0);
@@ -131,6 +124,7 @@ impl AvailabilitySim {
         AvailabilitySim {
             cluster,
             epoch: now,
+            keys,
         }
     }
 
@@ -145,7 +139,6 @@ impl AvailabilitySim {
         failures: &FailureTrace,
     ) -> AvailabilityReport {
         let epoch = self.epoch;
-        let system = self.cluster.system;
         // Task membership of each access.
         let mut task_of_access: HashMap<usize, usize> = HashMap::new();
         for (t, task) in tasks.iter().enumerate() {
@@ -213,25 +206,20 @@ impl AvailabilitySim {
                     let a = &trace.accesses[i];
                     match a.op {
                         FileOp::Create | FileOp::Write => {
-                            let f = trace.namespace.file(a.file);
-                            for b in 0..=f.data_blocks() {
-                                let name = trace.namespace.block_name(a.file, b);
-                                let len = if b == 0 { 256 } else { block_len(f.size, b) };
-                                self.cluster.put_block(system.key_of(&name), len, at);
+                            for (key, len) in self.keys.sized(&trace.namespace, a.file) {
+                                self.cluster.put_block(key, len, at);
                             }
                         }
                         FileOp::Delete => {
-                            let f = trace.namespace.file(a.file);
-                            for b in 0..=f.data_blocks() {
-                                let name = trace.namespace.block_name(a.file, b);
-                                self.cluster.remove_block(&system.key_of(&name), at);
+                            for key in self.keys.file(a.file) {
+                                self.cluster.remove_block(key, at);
                             }
                         }
                         FileOp::Read => {
                             let mut ok = true;
-                            for name in trace.namespace.blocks_of_access(a) {
+                            for (key, _) in self.keys.access(a) {
                                 report.total_block_reads += 1;
-                                if !self.cluster.is_available(&system.key_of(&name), at) {
+                                if !self.cluster.is_available(&key, at) {
                                     report.failed_block_reads += 1;
                                     ok = false;
                                 }
@@ -262,7 +250,6 @@ impl AvailabilitySim {
     /// Computes Table 2's static profile: mean blocks, files, and nodes
     /// per task given the *current* (warmed-up) placement.
     pub fn task_profile(&self, trace: &HarvardTrace, tasks: &[Task]) -> TaskProfile {
-        let system = self.cluster.system;
         let mut sum_blocks = 0u64;
         let mut sum_files = 0u64;
         let mut sum_nodes = 0u64;
@@ -277,9 +264,8 @@ impl AvailabilitySim {
                     continue;
                 }
                 files.insert(a.file);
-                for name in trace.namespace.blocks_of_access(a) {
+                for (key, _) in self.keys.access(a) {
                     blocks += 1;
-                    let key = system.key_of(&name);
                     if let Some(owner) = self.cluster.ring.owner_of(&key) {
                         nodes.insert(owner);
                     }
@@ -299,17 +285,6 @@ impl AvailabilitySim {
             mean_files: sum_files as f64 / n,
             mean_nodes: sum_nodes as f64 / n,
         }
-    }
-}
-
-/// Length of data block `b` (1-based) of a file of `size` bytes.
-fn block_len(size: u64, b: u64) -> u32 {
-    let bs = d2_types::BLOCK_SIZE as u64;
-    let full = size / bs;
-    if b <= full {
-        bs as u32
-    } else {
-        (size % bs).max(1) as u32
     }
 }
 
@@ -442,13 +417,5 @@ mod tests {
         for w in ranked.windows(2) {
             assert!(w[0].1 >= w[1].1);
         }
-    }
-
-    #[test]
-    fn block_len_math() {
-        assert_eq!(block_len(8192, 1), 8192);
-        assert_eq!(block_len(10_000, 1), 8192);
-        assert_eq!(block_len(10_000, 2), 10_000 - 8192);
-        assert_eq!(block_len(100, 1), 100);
     }
 }

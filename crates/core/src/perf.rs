@@ -5,7 +5,8 @@
 //! links of 1500 or 384 kbps, pre-established TCP connections with
 //! per-flow slow-start restart, a 15-transfer client concurrency cap, and
 //! range-based lookup caches warmed from the trace before each measured
-//! segment.
+//! segment. Block keys come from the trace's [`TraceKeys`] table, hashed
+//! once per build: a replay indexes, it does not name or hash a block.
 //!
 //! Each **access group** (unit of user-perceived latency) is replayed in
 //! one of two modes: `Seq` — every block fetch depends on the previous
@@ -21,10 +22,11 @@ use d2_sim::net::{LinkState, TcpConn, Topology};
 use d2_sim::SimTime;
 use d2_store::{CacheOutcome, LookupCache};
 use d2_types::{Key, SystemKind, BLOCK_SIZE};
-use d2_workload::{FileOp, HarvardTrace, Task};
+use d2_workload::{FileOp, HarvardTrace, Task, TraceKeys};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 /// Whether a group's fetches are issued sequentially or in parallel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -115,16 +117,17 @@ pub struct PerfSim {
     conns: HashMap<(u32, usize), TcpConn>,
     caches: HashMap<u32, LookupCache>,
     client_node: HashMap<u32, usize>,
-    /// Latency (and per-hop split, when tracing) of the most recent routed
-    /// lookup per (user, key), consumed by the fetch that triggered it.
-    lookup_lat: HashMap<(u32, Key), (SimTime, Vec<u64>)>,
+    /// Every block key of the trace under the cluster's encoding; clones
+    /// share the table.
+    keys: Arc<TraceKeys>,
     cfg: PerfConfig,
     rng: StdRng,
     /// Trace sink for fetch/route/cache-probe events (null by default).
     obs: SharedSink,
-    // Reusable scratch buffers: fetches run once per block access across
-    // warmup + measurement, so per-call allocations here dominate the
-    // suite's heap traffic. Taken with `mem::take` around each use.
+    // Reusable scratch buffers: a group's keys are collected and a block
+    // fetched once per access across warmup + measurement, so per-call
+    // allocations here dominate the suite's heap traffic. Taken with
+    // `mem::take` around each use.
     group_buf: Vec<NodeIdx>,
     path_buf: Vec<NodeIdx>,
     keys_buf: Vec<(Key, u32)>,
@@ -143,7 +146,7 @@ impl PerfSim {
         warmup_days: f64,
     ) -> PerfSim {
         let sim = crate::avail::AvailabilitySim::build(system, cluster_cfg, trace, warmup_days);
-        let cluster = sim.cluster;
+        let (cluster, keys) = (sim.cluster, sim.keys);
         let mut rng = StdRng::seed_from_u64(cluster_cfg.seed ^ 0x9e37_79b9);
         let topo = Topology::sample(cluster.len(), perf_cfg.mean_rtt_ms, &mut rng);
         let router = Router::build(&cluster.ring, cluster_cfg.successors);
@@ -162,7 +165,7 @@ impl PerfSim {
             conns: HashMap::new(),
             caches: HashMap::new(),
             client_node,
-            lookup_lat: HashMap::new(),
+            keys,
             cfg: *perf_cfg,
             rng,
             obs: SharedSink::null(),
@@ -196,16 +199,14 @@ impl PerfSim {
     fn group_keys_into(&mut self, trace: &HarvardTrace, group: &Task, out: &mut Vec<(Key, u32)>) {
         out.clear();
         self.seen_buf.clear();
-        let system = self.cluster.system;
         for &i in &group.indices {
             let a = &trace.accesses[i];
             if a.op != FileOp::Read {
                 continue;
             }
-            for name in trace.namespace.blocks_of_access(a) {
-                let key = system.key_of(&name);
+            for (key, block_no) in self.keys.access(a) {
                 if self.seen_buf.insert(key) {
-                    let len = if name.block_no == 0 {
+                    let len = if block_no == 0 {
                         256
                     } else {
                         BLOCK_SIZE as u32
@@ -328,35 +329,37 @@ impl PerfSim {
 
         let mut lookup_delay = SimTime::ZERO;
         let mut result = CacheResult::Miss;
-        let owner = match cache.probe_traced(&key, now, user, &self.obs) {
-            CacheOutcome::Hit { node } => {
-                let cached = NodeIdx(node);
-                let fresh = self
-                    .cluster
-                    .ring
-                    .range_of(cached)
-                    .map(|r| r.contains(&key))
-                    .unwrap_or(false);
-                if fresh {
-                    report.cache_hits += 1;
-                    result = CacheResult::Hit;
-                    cached
-                } else {
-                    // Stale: wasted round trip to the cached node, then a
-                    // routed lookup.
-                    report.stale_hits += 1;
-                    result = CacheResult::Stale;
-                    cache.invalidate_node(node);
-                    lookup_delay += self.topo.rtt(client, node % self.topo.len());
-                    self.routed_lookup(user, client, key, now, report)
-                }
+        let mut cached = None;
+        if let CacheOutcome::Hit { node } = cache.probe_traced(&key, now, user, &self.obs) {
+            let fresh = self
+                .cluster
+                .ring
+                .range_of(NodeIdx(node))
+                .map(|r| r.contains(&key))
+                .unwrap_or(false);
+            if fresh {
+                report.cache_hits += 1;
+                result = CacheResult::Hit;
+                cached = Some(NodeIdx(node));
+            } else {
+                // Stale: wasted round trip to the cached node, then a
+                // routed lookup.
+                report.stale_hits += 1;
+                result = CacheResult::Stale;
+                cache.invalidate_node(node);
+                lookup_delay += self.topo.rtt(client, node % self.topo.len());
             }
-            CacheOutcome::Miss => self.routed_lookup(user, client, key, now, report),
+        }
+        let mut hop_us = Vec::new();
+        let owner = match cached {
+            Some(owner) => owner,
+            None => {
+                let (owner, lat, hops) = self.routed_lookup(user, client, key, now, report);
+                lookup_delay += lat;
+                hop_us = hops;
+                owner
+            }
         };
-        // Recompute delay for routed lookups (they already added latency
-        // into `self.last_lookup_delay` — returned via struct field-free
-        // design: recompute here).
-        let owner_addr = owner.0 % self.topo.len();
         // Choose a replica uniformly (the paper notes D2 selects replicas
         // randomly). The group goes into a reusable buffer — this runs
         // once per block access.
@@ -370,7 +373,6 @@ impl PerfSim {
             group[self.rng.random_range(0..group.len())]
         };
         self.group_buf = group;
-        let _ = owner_addr;
         let server_addr = server.0 % self.topo.len();
         let rtt = self.topo.rtt(client, server_addr);
         // Queueing on the server's access link.
@@ -379,15 +381,14 @@ impl PerfSim {
         // TCP transfer with slow-start restart semantics.
         let conn = self.conns.entry((user, server_addr)).or_default();
         let transfer = conn.fetch(now + backlog, len as u64, rtt, self.cfg.access_kbps * 1000);
-        let (pending, hop_us) = self.pending_lookup_latency(user, key);
-        let total = lookup_delay + pending + backlog + transfer;
+        let total = lookup_delay + backlog + transfer;
         report.fetch_latency_us.record(total.as_micros());
         self.obs.record_with(|| TraceEvent::Fetch {
             t_us: now.as_micros(),
             user,
             key: key.to_u64_lossy(),
             result,
-            lookup_us: (lookup_delay + pending).as_micros(),
+            lookup_us: lookup_delay.as_micros(),
             hop_us,
             transfer_us: (backlog + transfer).as_micros(),
             total_us: total.as_micros(),
@@ -397,8 +398,9 @@ impl PerfSim {
         total
     }
 
-    /// Routed lookup: counts messages, installs the cache entry, and
-    /// stashes the lookup latency for `pending_lookup_latency`.
+    /// Routed lookup: counts messages and installs the cache entry.
+    /// Returns the owner, the lookup's latency and, when tracing, its
+    /// per-hop split.
     fn routed_lookup(
         &mut self,
         user: u32,
@@ -406,7 +408,7 @@ impl PerfSim {
         key: Key,
         now: SimTime,
         report: &mut PerfReport,
-    ) -> NodeIdx {
+    ) -> (NodeIdx, SimTime, Vec<u64>) {
         report.cache_misses += 1;
         let from = self.nearest_ring_node(client);
         // The hop path goes into a reusable buffer ([`Router::lookup`]
@@ -460,14 +462,7 @@ impl PerfSim {
         if let Some(range) = self.cluster.ring.range_of(owner) {
             cache.insert(range, owner.0, now);
         }
-        self.lookup_lat.insert((user, key), (lat, hop_us));
-        owner
-    }
-
-    fn pending_lookup_latency(&mut self, user: u32, key: Key) -> (SimTime, Vec<u64>) {
-        self.lookup_lat
-            .remove(&(user, key))
-            .unwrap_or((SimTime::ZERO, Vec::new()))
+        (owner, lat, hop_us)
     }
 
     /// The ring node co-located with (or closest to) a client address.
@@ -538,10 +533,16 @@ mod tests {
         let t = trace();
         let groups = split_access_groups(&t.accesses, SimTime::from_secs(1));
         let measure = &groups[..groups.len().min(100)];
-        let mut a = build(SystemKind::D2, 16);
-        let seq = a.run(&t, measure, Parallelism::Seq);
-        let mut b = build(SystemKind::D2, 16);
-        let para = b.run(&t, measure, Parallelism::Para);
+        // Clones share the key table and replay alike.
+        let base = build(SystemKind::D2, 16);
+        let run = |mode| {
+            let mut sim = base.clone();
+            assert!(Arc::ptr_eq(&sim.keys, &base.keys));
+            sim.run(&t, measure, mode)
+        };
+        let (seq, para) = (run(Parallelism::Seq), run(Parallelism::Para));
+        assert_eq!(seq, run(Parallelism::Seq));
+        assert_eq!(para, run(Parallelism::Para));
         let seq_total: f64 = seq.group_latencies.iter().sum();
         let para_total: f64 = para.group_latencies.iter().sum();
         assert!(
@@ -607,16 +608,23 @@ mod tests {
         // Histograms cover every fetch and every routed lookup.
         assert_eq!(rep_traced.fetch_latency_us.count(), fetches);
         assert_eq!(rep_traced.hop_hist.count(), routes);
-        // Fetch events carry consistent latency splits.
+        // Fetch events carry consistent latency splits: a routed lookup's
+        // is its hops' (a stale hit's wasted round trip comes on top).
         for e in &events {
             if let TraceEvent::Fetch {
+                result,
                 lookup_us,
+                hop_us,
                 transfer_us,
                 total_us,
                 ..
             } = e
             {
                 assert_eq!(lookup_us + transfer_us, *total_us);
+                let hops: u64 = hop_us.iter().sum();
+                assert_eq!(hop_us.is_empty(), *result == CacheResult::Hit);
+                assert!(hops <= *lookup_us);
+                assert_eq!(hops == *lookup_us, *result != CacheResult::Stale);
             }
         }
     }

@@ -10,7 +10,7 @@ use d2_core::{ClusterConfig, SimCluster, SystemKind};
 use d2_obs::{SharedSink, TraceEvent};
 use d2_sim::{max_over_mean, SimTime, TimeSeries};
 use d2_types::Key;
-use d2_workload::{FileOp, HarvardTrace, WebTrace};
+use d2_workload::{block_len, FileOp, HarvardTrace, TraceKeys, WebTrace};
 use serde::{Deserialize, Serialize};
 
 /// The four systems compared in Figures 16–17.
@@ -76,41 +76,23 @@ pub struct ChurnStream {
 /// Derives the churn stream of a Harvard trace under `system`'s encoding
 /// (reads are ignored; only creates/overwrites/deletes move data).
 pub fn harvard_churn(trace: &HarvardTrace, system: SystemKind) -> ChurnStream {
-    let mut initial = Vec::new();
-    for id in trace.namespace.live_at(SimTime::ZERO) {
-        let f = trace.namespace.file(id);
-        if f.created_at > SimTime::ZERO {
-            continue;
-        }
-        for b in 0..=f.data_blocks() {
-            let name = trace.namespace.block_name(id, b);
-            initial.push((system.key_of(&name), len_of(f.size, b)));
-        }
-    }
+    let keys = TraceKeys::build(&trace.namespace, system);
     let mut events = Vec::new();
     for a in &trace.accesses {
-        let f = trace.namespace.file(a.file);
         match a.op {
             FileOp::Create | FileOp::Write => {
-                for b in 0..=f.data_blocks() {
-                    let name = trace.namespace.block_name(a.file, b);
-                    events.push((
-                        a.at,
-                        ChurnEvent::Put(system.key_of(&name), len_of(f.size, b)),
-                    ));
-                }
+                let blocks = keys.sized(&trace.namespace, a.file);
+                events.extend(blocks.map(|(key, len)| (a.at, ChurnEvent::Put(key, len))));
             }
             FileOp::Delete => {
-                for b in 0..=f.data_blocks() {
-                    let name = trace.namespace.block_name(a.file, b);
-                    events.push((a.at, ChurnEvent::Remove(system.key_of(&name))));
-                }
+                let blocks = keys.file(a.file).iter();
+                events.extend(blocks.map(|&key| (a.at, ChurnEvent::Remove(key))));
             }
             FileOp::Read => {}
         }
     }
     ChurnStream {
-        initial,
+        initial: keys.initial(&trace.namespace),
         events,
         days: trace.config.days.ceil() as usize,
     }
@@ -157,7 +139,7 @@ pub fn webcache_churn(trace: &WebTrace, system: SystemKind) -> ChurnStream {
         let size = trace.objects[obj as usize].size;
         for (start, end) in intervals {
             for (i, name) in blocks.iter().enumerate() {
-                let len = if i == 0 { 256 } else { len_of(size, i as u64) };
+                let len = block_len(size, i as u64);
                 events.push((start, ChurnEvent::Put(system.key_of(name), len)));
                 events.push((end, ChurnEvent::Remove(system.key_of(name))));
             }
@@ -170,19 +152,6 @@ pub fn webcache_churn(trace: &WebTrace, system: SystemKind) -> ChurnStream {
         initial: Vec::new(),
         events,
         days: trace.config.days.ceil() as usize,
-    }
-}
-
-fn len_of(size: u64, b: u64) -> u32 {
-    if b == 0 {
-        return 256;
-    }
-    let bs = d2_types::BLOCK_SIZE as u64;
-    let full = size / bs;
-    if b <= full {
-        bs as u32
-    } else {
-        (size % bs).max(1) as u32
     }
 }
 

@@ -9,8 +9,8 @@
 //! assumption for this analysis; Sections 8–9 use the real balancer).
 
 use crate::report::{fmt, render_table};
-use d2_types::BLOCK_SIZE;
-use d2_workload::{HarvardTrace, HpTrace, WebTrace};
+use d2_types::{SystemKind, BLOCK_SIZE};
+use d2_workload::{HarvardTrace, HpTrace, TraceKeys, WebTrace};
 use std::collections::{HashMap, HashSet};
 
 /// One workload's normalized results.
@@ -122,19 +122,11 @@ fn hour_of(at: d2_sim::SimTime) -> u64 {
 /// keys (preorder path order), i.e. the *ordered* scenario's layout.
 fn rank_harvard(trace: &HarvardTrace) -> RankedAccesses {
     // Global ordered ranks: sort every block of every file by D2 key.
-    let mut keyed: Vec<(d2_types::Key, u32, u64)> = Vec::new();
-    for (id, f) in trace.namespace.iter() {
-        for b in 0..=f.data_blocks() {
-            keyed.push((trace.namespace.block_name(id, b).d2_key(), id.0, b));
-        }
-    }
-    keyed.sort();
-    let rank: HashMap<(u32, u64), u64> = keyed
-        .iter()
-        .enumerate()
-        .map(|(i, &(_, f, b))| ((f, b), i as u64))
-        .collect();
-    let total_blocks = keyed.len() as u64;
+    let keys = TraceKeys::build(&trace.namespace, SystemKind::D2);
+    let ids = trace.namespace.iter().map(|(id, _)| id);
+    let mut sorted: Vec<d2_types::Key> = ids.flat_map(|id| keys.file(id)).copied().collect();
+    sorted.sort();
+    let total_blocks = sorted.len() as u64;
 
     let mut buckets: HashMap<(u32, u64), HashSet<u64>> = HashMap::new();
     for a in &trace.accesses {
@@ -142,9 +134,9 @@ fn rank_harvard(trace: &HarvardTrace) -> RankedAccesses {
             continue;
         }
         let bucket = buckets.entry((a.user, hour_of(a.at))).or_default();
-        for name in trace.namespace.blocks_of_access(a) {
-            if let Some(&r) = rank.get(&(a.file.0, name.block_no)) {
-                bucket.insert(r);
+        for (key, _) in keys.access(a) {
+            if let Ok(r) = sorted.binary_search(&key) {
+                bucket.insert(r as u64);
             }
         }
     }

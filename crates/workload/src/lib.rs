@@ -16,12 +16,14 @@
 
 pub mod harvard;
 pub mod hp;
+pub mod keys;
 pub mod namespace;
 pub mod tasks;
 pub mod web;
 
 pub use harvard::{HarvardConfig, HarvardTrace};
 pub use hp::{HpConfig, HpTrace};
+pub use keys::{block_len, TraceKeys};
 pub use namespace::{Access, FileId, FileOp, Namespace};
 pub use tasks::{split_access_groups, split_tasks, Task};
 pub use web::{WebConfig, WebTrace};

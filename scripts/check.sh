@@ -63,20 +63,34 @@ SMOKE_THREADS=$(awk '/^Threads:/ { print $2 }' "/proc/${SMOKE_PIDS[1]}/status")
 ./target/release/d2-load --node "$SMOKE_SEED" --workers 2 --ops 200 --keys 32 \
     --replicas 2 --timeout-ms 5000 | grep throughput
 
+# Runs one d2-bench workload for 3 s (building offline into
+# .bench_build/) and passes if no op failed and op_p50_us <= $2; awk
+# compares, since the replay's figure is a fraction of a microsecond.
+bench_gate() {
+    local json p50 failed
+    json=$(bash benchmark/run.sh --workload "$1" --seed 1 --seconds 3 --trace 0 | tail -1)
+    p50=$(sed -nE 's/.*"op_p50_us": \{"value": ([0-9.]+),.*/\1/p' <<<"$json")
+    failed=$(sed -nE 's/.*"failed": ([0-9]+),.*/\1/p' <<<"$json")
+    echo "op_p50_us=${p50:-?} failed=${failed:-?}"
+    [[ -n "$p50" && -n "$failed" ]] || { echo "no result from d2-bench: $json"; exit 1; }
+    awk -v p50="$p50" -v max="$2" -v failed="$failed" 'BEGIN { exit !(p50 <= max && failed == 0) }' \
+        || { echo "$1 gate failed"; exit 1; }
+}
+
 echo "==> d2-bench latency gate (ring3_seq_small for 3 s: op_p50_us <= 350, no failed op)"
 # A warm op rides the client's lookup cache (DESIGN.md §14.5) and only
 # the client waits for a flush tick (§15.1.1): one round trip, one 250 µs
 # tick. A node that waits for a tick again reads two (500), and so do a
 # client that lost the cache (a routed lookup's round trip comes first)
 # and an op that misses its tick: a third wake-up back on a hop's path,
-# a coarser timer anywhere on it. Each fails the gate. Builds offline
-# into .bench_build/.
-BENCH_JSON=$(bash benchmark/run.sh --workload ring3_seq_small --seed 1 --seconds 3 --trace 0 | tail -1)
-BENCH_P50=$(sed -nE 's/.*"op_p50_us": \{"value": ([0-9]+)[.0-9]*,.*/\1/p' <<<"$BENCH_JSON")
-BENCH_FAILED=$(sed -nE 's/.*"failed": ([0-9]+),.*/\1/p' <<<"$BENCH_JSON")
-echo "op_p50_us=${BENCH_P50:-?} failed=${BENCH_FAILED:-?}"
-[[ -n "$BENCH_P50" && -n "$BENCH_FAILED" ]] || { echo "no result from d2-bench: $BENCH_JSON"; exit 1; }
-(( BENCH_P50 <= 350 && BENCH_FAILED == 0 )) || { echo "latency gate failed"; exit 1; }
+# a coarser timer anywhere on it. Each fails the gate.
+bench_gate ring3_seq_small 350
+
+echo "==> d2-bench replay gate (sim_harvard32 for 3 s: op_p50_us <= 0.7, every pass reproduces pass 1)"
+# A simulated fetch reads block keys from the trace's table (DESIGN.md
+# §9): about 0.4 µs. A replay that names and hashes a block per access
+# again reads 0.9–1.1 and fails the gate.
+bench_gate sim_harvard32 0.7
 
 echo "==> serve-many smoke (256 nodes in one process: boot, puts, invariants, drain)"
 ./target/release/d2-node serve-many --nodes 256 --replicas 3 \
