@@ -76,6 +76,34 @@ enum SyncCtx {
     Repair,
 }
 
+/// What one holder stores for a key, as far as placement decisions care:
+/// one index entry and one store read (see [`SimCluster::copies_of`]).
+#[derive(Clone, Copy, Debug, Default)]
+struct HeldCopy {
+    node: NodeIdx,
+    /// `(target, since)` when the copy is a pointer, `None` for real data.
+    pointer: Option<(NodeIdx, SimTime)>,
+    stored_at: SimTime,
+}
+
+impl HeldCopy {
+    fn of(node: NodeIdx, payload: &Payload, stored_at: SimTime) -> HeldCopy {
+        let pointer = match *payload {
+            Payload::Pointer { holder, since, .. } => Some((NodeIdx(holder), since)),
+            _ => None,
+        };
+        HeldCopy {
+            node,
+            pointer,
+            stored_at,
+        }
+    }
+
+    fn points_at(&self, node: NodeIdx) -> bool {
+        matches!(self.pointer, Some((target, _)) if target == node)
+    }
+}
+
 /// A simulated cluster running one of the three systems.
 #[derive(Clone, Debug)]
 pub struct SimCluster {
@@ -198,12 +226,31 @@ impl SimCluster {
 
     // ---- low-level bookkeeping (keeps index and stores in sync) ----------
 
-    fn store_put(&mut self, node: NodeIdx, key: Key, payload: Payload, at: SimTime) {
+    /// Stores `payload` on `node` and returns the copy as a reader of the
+    /// key now finds it.
+    fn store_put(&mut self, node: NodeIdx, key: Key, payload: Payload, at: SimTime) -> HeldCopy {
+        let copy = HeldCopy::of(node, &payload, at);
         let holders = self.index.entry(key).or_default();
         if !holders.contains(&(node.0 as u32)) {
             holders.push(node.0 as u32);
         }
         self.stores[node.0].put(key, payload, at);
+        copy
+    }
+
+    /// Leaves a block pointer (Section 6) on `node` at `at`: the bytes
+    /// stay on `target`, owed since `since`.
+    fn put_pointer(
+        &mut self,
+        node: NodeIdx,
+        key: Key,
+        target: NodeIdx,
+        since: SimTime,
+        len: u32,
+        at: SimTime,
+    ) -> HeldCopy {
+        let holder = target.0;
+        self.store_put(node, key, Payload::Pointer { holder, since, len }, at)
     }
 
     fn store_remove(&mut self, node: NodeIdx, key: &Key) {
@@ -227,15 +274,27 @@ impl SimCluster {
             .unwrap_or_default()
     }
 
+    /// Each holder's copy of `key`, in index order: the index is read
+    /// once and each holder's store once.
+    fn copies_of<'a>(&'a self, key: &'a Key) -> impl Iterator<Item = HeldCopy> + 'a {
+        self.index.get(key).into_iter().flatten().filter_map(|&h| {
+            let node = NodeIdx(h as usize);
+            let block = self.stores[node.0].get(key)?;
+            Some(HeldCopy::of(node, &block.payload, block.stored_at))
+        })
+    }
+
+    /// Whether `copy` can seed or serve a read at `now`: real data that
+    /// has arrived, on a live node.
+    fn is_live_data(&self, copy: &HeldCopy, now: SimTime) -> bool {
+        self.node_up[copy.node.0] && copy.pointer.is_none() && copy.stored_at <= now
+    }
+
     /// A live node holding *real data* for `key`, arrived by `now`.
     fn live_data_holder(&self, key: &Key, now: SimTime) -> Option<NodeIdx> {
-        self.holders_of(key).into_iter().find(|&n| {
-            self.node_up[n.0]
-                && self.stores[n.0]
-                    .get(key)
-                    .map(|b| !b.payload.is_pointer() && b.stored_at <= now)
-                    .unwrap_or(false)
-        })
+        self.copies_of(key)
+            .find(|c| self.is_live_data(c, now))
+            .map(|c| c.node)
     }
 
     // ---- redundancy helpers -------------------------------------------------
@@ -367,16 +426,7 @@ impl SimCluster {
             }
             if !self.stores[c.0].contains(&key) && fits(self, c) {
                 self.store_put(c, key, payload, now);
-                self.store_put(
-                    node,
-                    key,
-                    Payload::Pointer {
-                        holder: c.0,
-                        since: now,
-                        len: frag,
-                    },
-                    now,
-                );
+                self.put_pointer(node, key, c, now, frag, now);
                 self.stats.diverted_writes += 1;
                 return;
             }
@@ -412,24 +462,17 @@ impl SimCluster {
     /// Reachable copies of `key` at `now`: live nodes with arrived
     /// non-pointer data, plus live pointers leading to such data.
     fn reachable_copies(&self, key: &Key, now: SimTime) -> usize {
-        self.holders_of(key)
-            .into_iter()
-            .filter(|&n| {
-                if !self.node_up[n.0] {
-                    return false;
+        let copies: InlineVec<HeldCopy, 8> = self.copies_of(key).collect();
+        copies
+            .iter()
+            .filter(|c| match c.pointer {
+                Some((target, _)) => {
+                    self.node_up[c.node.0]
+                        && copies
+                            .iter()
+                            .any(|t| t.node == target && self.is_live_data(t, now))
                 }
-                match self.stores[n.0].get(key).map(|b| (&b.payload, b.stored_at)) {
-                    Some((Payload::Pointer { holder, .. }, _)) => {
-                        let h = NodeIdx(*holder);
-                        self.node_up[h.0]
-                            && self.stores[h.0]
-                                .get(key)
-                                .map(|b| !b.payload.is_pointer() && b.stored_at <= now)
-                                .unwrap_or(false)
-                    }
-                    Some((_, at)) => at <= now,
-                    None => false,
-                }
+                None => self.is_live_data(c, now),
             })
             .count()
     }
@@ -562,14 +605,10 @@ impl SimCluster {
         let mover = op.mover();
         // Keys whose replica groups may have changed: everything the mover
         // held, plus everything held near its new position.
-        let mut affected: HashSet<Key> = self.stores[mover.0]
-            .keys_in(&d2_types::KeyRange::full())
-            .into_iter()
-            .collect();
-        let heavy = op.heavy();
-        for k in self.stores[heavy.0].keys_in(&d2_types::KeyRange::full()) {
-            affected.insert(k);
-        }
+        let (moved, near) = (&self.stores[mover.0], &self.stores[op.heavy().0]);
+        let mut affected = Vec::with_capacity(moved.len() + near.len());
+        affected.extend(moved.iter().map(|(k, _)| *k));
+        affected.extend(near.iter().map(|(k, _)| *k));
         // Neighborhood of the old position: its old successor now owns the
         // abandoned range; those blocks are already on the successors, but
         // the (r+1)-th node becomes a new group member.
@@ -585,14 +624,6 @@ impl SimCluster {
         }
     }
 
-    /// Whether `node` currently stores real (non-pointer) data for `key`.
-    fn has_real_data(&self, node: NodeIdx, key: &Key) -> bool {
-        self.stores[node.0]
-            .get(key)
-            .map(|b| !b.payload.is_pointer())
-            .unwrap_or(false)
-    }
-
     /// Recomputes replica groups for `keys` and repairs them: missing
     /// members fetch — except the balance *mover*, which installs pointers
     /// when they are enabled (Section 6: pointers defer only the mover's
@@ -601,15 +632,21 @@ impl SimCluster {
     /// pointers still reference, which keep the data until the pointers
     /// resolve (the paper's "D will ultimately retrieve the actual blocks
     /// from A and delete the pointers").
-    fn sync_keys<I: IntoIterator<Item = Key>>(&mut self, keys: I, now: SimTime, ctx: SyncCtx) {
-        // Callers collect affected keys in hash sets/maps, whose iteration
-        // order varies run to run. Transfers queue on per-node migration
-        // links, so the processing order decides each copy's completion
-        // time: sort so the whole simulation (and any attached trace) is a
-        // pure function of the seed.
-        let mut keys: Vec<Key> = keys.into_iter().collect();
+    fn sync_keys(&mut self, mut keys: Vec<Key>, now: SimTime, ctx: SyncCtx) {
+        // Callers gather affected keys from several stores and from hash
+        // maps, whose iteration order varies run to run. Transfers queue
+        // on per-node migration links, so the processing order decides
+        // each copy's completion time: sort so the whole simulation (and
+        // any attached trace) is a pure function of the seed.
         keys.sort_unstable();
         keys.dedup();
+        let erasure = self.cfg.redundancy_policy().is_erasure();
+        let balancing = matches!(ctx, SyncCtx::Balance { .. });
+        let mut group = Vec::new();
+        // The key's holders as this pass sees them: filled by one read per
+        // copy, then kept in step with every `store_put`/`store_remove`
+        // below, so no step goes back to the stores to decide.
+        let mut copies: Vec<HeldCopy> = Vec::new();
         for key in keys {
             let Some(&len) = self.sizes.get(&key) else {
                 continue;
@@ -623,27 +660,16 @@ impl SimCluster {
             };
             // Per-member bytes: a fragment under erasure coding.
             let frag = self.stored_len(len);
-            let group = self.ring.replica_group(&key, group_size);
-            let holders = self.holders_of(&key);
+            self.ring.replica_group_into(&key, group_size, &mut group);
+            copies.clear();
+            copies.extend(self.copies_of(&key));
             // A source must be live with an *arrived* real copy — an
             // in-flight regeneration transfer cannot seed further copies,
             // which is exactly why simultaneous whole-group failures lose
-            // data until a member recovers (prefer sources in the group).
-            let live_sources: Vec<NodeIdx> = holders
-                .iter()
-                .copied()
-                .filter(|h| {
-                    self.node_up[h.0]
-                        && self.stores[h.0]
-                            .get(&key)
-                            .map(|b| !b.payload.is_pointer() && b.stored_at <= now)
-                            .unwrap_or(false)
-                })
-                .collect();
-            let source = live_sources
-                .iter()
-                .copied()
-                .max_by_key(|h| group.contains(h));
+            // data until a member recovers (prefer sources in the group;
+            // of equally good ones, the last in index order).
+            let live = || copies.iter().filter(|c| self.is_live_data(c, now));
+            let source = live().map(|c| c.node).max_by_key(|h| group.contains(h));
             let Some(source) = source else {
                 // No reachable copy right now: the block is unavailable
                 // until a holder returns (or an in-flight copy arrives and
@@ -653,10 +679,7 @@ impl SimCluster {
             // Erasure regeneration decodes from k fragments: with fewer
             // survivors there is nothing to regenerate *from* — leave the
             // remnants alone until a holder returns.
-            if !is_twin
-                && self.cfg.redundancy_policy().is_erasure()
-                && live_sources.len() < self.min_live()
-            {
+            if !is_twin && erasure && live().count() < self.min_live() {
                 continue;
             }
             // 0) Repair broken pointers: a live member whose pointer
@@ -664,52 +687,37 @@ impl SimCluster {
             // holder right away — waiting for the stabilization time
             // would leave the block dark for up to an hour.
             for &member in &group {
+                let Some(i) = copies.iter().position(|c| c.node == member) else {
+                    continue;
+                };
+                let Some((target, since)) = copies[i].pointer else {
+                    continue;
+                };
                 if !self.node_up[member.0] {
                     continue;
                 }
-                if let Some(Payload::Pointer { holder, since, .. }) =
-                    self.stores[member.0].get(&key).map(|b| b.payload.clone())
-                {
-                    let target_ok =
-                        self.node_up[holder] && self.has_real_data(NodeIdx(holder), &key);
-                    if !target_ok && source.0 != holder {
-                        self.store_put(
-                            member,
-                            key,
-                            Payload::Pointer {
-                                holder: source.0,
-                                since,
-                                len: frag,
-                            },
-                            now,
-                        );
-                    }
+                let target_ok = self.node_up[target.0]
+                    && copies
+                        .iter()
+                        .any(|t| t.node == target && t.pointer.is_none());
+                if !target_ok && source != target {
+                    copies[i] = self.put_pointer(member, key, source, since, frag, now);
                 }
             }
             // 1) Add missing group members.
             for (pos, &member) in group.iter().enumerate() {
-                if self.stores[member.0].contains(&key) || !self.node_up[member.0] {
+                if !self.node_up[member.0] || copies.iter().any(|c| c.node == member) {
                     continue;
                 }
                 let is_mover = matches!(ctx, SyncCtx::Balance { mover } if mover == member);
                 if is_mover && self.cfg.use_pointers {
-                    self.store_put(
-                        member,
-                        key,
-                        Payload::Pointer {
-                            holder: source.0,
-                            since: now,
-                            len: frag,
-                        },
-                        now,
-                    );
+                    copies.push(self.put_pointer(member, key, source, now, frag, now));
                     self.stats.pointers_installed += 1;
                 } else {
                     // Balance migration ships the member's copy (a single
                     // fragment under erasure); failure regeneration of an
                     // erasure fragment must *reconstruct* from k fragments,
                     // costing a full block's worth of reads.
-                    let balancing = matches!(ctx, SyncCtx::Balance { .. });
                     let wire = if balancing { frag } else { len };
                     let done = self.migration_links[member.0].transmit(now, wire as u64);
                     self.stats.migration_bytes += wire as u64;
@@ -728,7 +736,7 @@ impl SimCluster {
                     if !balancing {
                         self.stats.regenerated_blocks += 1;
                     }
-                    let payload = if !is_twin && self.cfg.redundancy_policy().is_erasure() {
+                    let payload = if !is_twin && erasure {
                         // A regenerated fragment takes the member's slot in
                         // the code word, same generation as the survivors.
                         let generation = self.stores[source.0]
@@ -746,34 +754,18 @@ impl SimCluster {
                     } else {
                         self.copy_payload(source, &key, frag)
                     };
-                    self.store_put(member, key, payload, done);
+                    copies.push(self.store_put(member, key, payload, done));
                     if done > now {
                         self.inflight.insert((member.0, key), (source.0, done));
                     }
                 }
             }
-            // 2a) Ex-members holding mere pointers release immediately.
-            for &h in &holders {
-                if !group.contains(&h) && !self.has_real_data(h, &key) {
-                    self.store_remove(h, &key);
-                }
-            }
-            // 2b) Ex-members with data release unless a surviving pointer
-            // still targets them.
-            let referenced: Vec<usize> = self
-                .holders_of(&key)
-                .into_iter()
-                .filter_map(|h| match self.stores[h.0].get(&key).map(|b| &b.payload) {
-                    Some(Payload::Pointer { holder, .. }) => Some(*holder),
-                    _ => None,
-                })
-                .collect();
-            for h in holders {
-                if !group.contains(&h)
-                    && self.stores[h.0].contains(&key)
-                    && !referenced.contains(&h.0)
-                {
-                    self.store_remove(h, &key);
+            // 2) Ex-members release: a mere pointer at once, data unless a
+            // surviving pointer (a member's) still targets it.
+            for c in copies.iter().filter(|c| !group.contains(&c.node)) {
+                let referenced = |p: &HeldCopy| group.contains(&p.node) && p.points_at(c.node);
+                if c.pointer.is_some() || !copies.iter().any(referenced) {
+                    self.store_remove(c.node, &key);
                 }
             }
         }
@@ -794,7 +786,7 @@ impl SimCluster {
     /// those held via pointers — in O(pending + pointers) rather than
     /// O(all blocks). [`SimCluster::resync_all`] remains for full audits.
     pub fn resync_pending(&mut self, now: SimTime) {
-        let mut keys: HashSet<Key> = self.inflight.keys().map(|&(_, k)| k).collect();
+        let mut keys: Vec<Key> = self.inflight.keys().map(|&(_, k)| k).collect();
         // Drop records of transfers that have completed.
         self.inflight.retain(|_, &mut (_, done)| done > now);
         for node in 0..self.stores.len() {
@@ -825,19 +817,9 @@ impl SimCluster {
                     .map(|b| !b.payload.is_pointer())
                     .unwrap_or(false);
                 if !self.node_up[src.0] || !has_data {
-                    // Retarget to any live data holder.
+                    // Retarget to any live data holder, keeping it due.
                     if let Some(alt) = self.live_data_holder(&key, now) {
-                        let since = cutoff; // keep it due
-                        self.store_put(
-                            NodeIdx(node),
-                            key,
-                            Payload::Pointer {
-                                holder: alt.0,
-                                since,
-                                len,
-                            },
-                            now,
-                        );
+                        self.put_pointer(NodeIdx(node), key, alt, cutoff, len, now);
                     }
                     continue;
                 }
@@ -866,12 +848,7 @@ impl SimCluster {
                     self.group_size()
                 };
                 let group = self.ring.replica_group(&key, group_size);
-                let still_referenced = self.holders_of(&key).into_iter().any(|h| {
-                    matches!(
-                        self.stores[h.0].get(&key).map(|b| &b.payload),
-                        Some(Payload::Pointer { holder, .. }) if *holder == src.0
-                    )
-                });
+                let still_referenced = self.copies_of(&key).any(|c| c.points_at(src));
                 if !group.contains(&src) && !still_referenced {
                     self.store_remove(src, &key);
                 }
@@ -1048,7 +1025,7 @@ impl SimCluster {
                 continue;
             }
             let before = self.stats.migration_bytes;
-            self.sync_keys([key], now, SyncCtx::Repair);
+            self.sync_keys(vec![key], now, SyncCtx::Repair);
             let spent = self.stats.migration_bytes - before;
             self.stats.repair_bytes += spent;
             if bps > 0 {
@@ -1080,15 +1057,10 @@ impl SimCluster {
             }
         }
         // Repair: the node's stale contents plus its new neighborhood.
-        let mut keys: HashSet<Key> = self.stores[node.0]
-            .keys_in(&d2_types::KeyRange::full())
-            .into_iter()
-            .collect();
+        let mut keys = self.stores[node.0].keys_in(&d2_types::KeyRange::full());
         if let Some(range) = self.ring.range_of(node) {
             for n in self.ring.replica_group(range.end(), self.group_size() + 1) {
-                for k in self.stores[n.0].keys_in(&d2_types::KeyRange::full()) {
-                    keys.insert(k);
-                }
+                keys.extend(self.stores[n.0].iter().map(|(k, _)| *k));
             }
         }
         self.sync_keys(keys, now, SyncCtx::Repair);
@@ -1465,6 +1437,86 @@ mod tests {
         let resolved = c.resolve_stale_pointers(now);
         assert!(resolved > 0);
         assert!(c.stats.migration_bytes > migrated_before);
+    }
+
+    /// One block on a ring where each key has a single owner, so who is
+    /// in the group and who is an ex-member is plain to set up by hand.
+    fn one_owner_cluster() -> (SimCluster, Key, NodeIdx) {
+        let cfg = ClusterConfig {
+            nodes: 8,
+            replicas: 1,
+            seed: 42,
+            ..ClusterConfig::default()
+        };
+        let mut c = SimCluster::new(SystemKind::D2, &cfg);
+        let key = Key::from_fraction(0.5);
+        c.put_block(key, 8192, SimTime::ZERO);
+        let owner = c.holders_of(&key)[0];
+        (c, key, owner)
+    }
+
+    #[test]
+    fn repointed_pointer_keeps_its_new_target() {
+        let (mut c, key, owner) = one_owner_cluster();
+        let mut others = c.ring.nodes().into_iter().filter(|&n| n != owner);
+        let (gone, spare) = (others.next().unwrap(), others.next().unwrap());
+        // The owner points at a node that dropped the block; the only
+        // real copy sits on an ex-member.
+        let dangling = Payload::Pointer {
+            holder: gone.0,
+            since: SimTime::ZERO,
+            len: 8192,
+        };
+        c.store_put(owner, key, dangling, SimTime::ZERO);
+        c.store_put(spare, key, Payload::Size(8192), SimTime::ZERO);
+        let now = SimTime::from_secs(60);
+        c.sync_keys(vec![key], now, SyncCtx::Repair);
+        // Step 0 re-pointed the owner at the ex-member, and step 2b saw
+        // that: releasing the copy would leave the pointer dangling again.
+        assert!(matches!(
+            c.stores[owner.0].get(&key).map(|b| &b.payload),
+            Some(Payload::Pointer { holder, since, .. })
+                if *holder == spare.0 && *since == SimTime::ZERO
+        ));
+        assert!(c.stores[spare.0].contains(&key));
+        assert!(c.is_available(&key, now));
+    }
+
+    #[test]
+    fn mover_pointer_target_keeps_data_until_resolution() {
+        let (mut c, key, owner) = one_owner_cluster();
+        let mover = c.ring.nodes().into_iter().find(|&n| n != owner).unwrap();
+        // The mover takes over the key's range, as a balance op would.
+        c.ring.remove_node(mover);
+        assert!(c.ring.add_node_at(mover, key));
+        let now = SimTime::from_secs(60);
+        c.sync_keys(vec![key], now, SyncCtx::Balance { mover });
+        // The old owner is out of the group, but the mover's fresh
+        // pointer targets it: the bytes stay where they are, unpaid.
+        assert!(c.stores[mover.0].get(&key).unwrap().payload.is_pointer());
+        assert!(!c.stores[owner.0].get(&key).unwrap().payload.is_pointer());
+        assert_eq!(c.stats.pointers_installed, 1);
+        assert_eq!(c.stats.migration_bytes, 0);
+        assert!(c.is_available(&key, now));
+        let later = now + c.cfg.pointer_stabilization + SimTime::from_secs(1);
+        assert_eq!(c.resolve_stale_pointers(later), 1);
+        assert_eq!(c.stats.migration_bytes, 8192);
+        assert_eq!(c.holders_of(&key), vec![mover]);
+        assert!(!c.stores[mover.0].get(&key).unwrap().payload.is_pointer());
+    }
+
+    #[test]
+    fn equally_good_sources_pick_the_later_holder() {
+        let mut c = cluster(12, SystemKind::D2);
+        let key = Key::from_fraction(0.5);
+        c.put_block(key, 8192, SimTime::ZERO);
+        let holders = c.holders_of(&key);
+        c.store_remove(holders[2], &key);
+        c.sync_keys(vec![key], SimTime::from_secs(60), SyncCtx::Repair);
+        // Both survivors are live group members with arrived data: the tie
+        // goes to the later one in index order, and the transfer's record
+        // (like every completion time downstream) follows that choice.
+        assert_eq!(c.inflight[&(holders[2].0, key)].0, holders[1].0);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Property test: the replication invariant survives arbitrary
+//! Seeded property test: the replication invariant survives arbitrary
 //! interleavings of writes, removals, failures, recoveries, balance
 //! rounds, and pointer resolution.
 //!
@@ -8,16 +8,31 @@
 //! 2. no node holds a block it has no reason to hold (not in group, not
 //!    a referenced pointer target);
 //! 3. any block with at least one live real copy is reported available;
-//! 4. total bytes accounting never goes negative / inconsistent.
+//! 4. `holders_of(key)` is exactly the set of stores containing the key
+//!    (the index and the stores move in step).
+//!
+//! Hand-rolled splitmix64 instead of proptest so the test also runs in
+//! the offline build, where proptest is not available.
 
 use d2_core::{ClusterConfig, SimCluster, SystemKind};
 use d2_ring::NodeIdx;
 use d2_sim::SimTime;
 use d2_store::Payload;
 use d2_types::Key;
-use proptest::prelude::*;
 
-#[derive(Clone, Debug)]
+struct Rng(u64);
+
+impl Rng {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+}
+
+#[derive(Clone, Copy, Debug)]
 enum Step {
     Put(u16),
     Remove(u16),
@@ -27,15 +42,18 @@ enum Step {
     ResolvePointers,
 }
 
-fn arb_step() -> impl Strategy<Value = Step> {
-    prop_oneof![
-        4 => any::<u16>().prop_map(Step::Put),
-        2 => any::<u16>().prop_map(Step::Remove),
-        1 => any::<u8>().prop_map(Step::NodeDown),
-        2 => any::<u8>().prop_map(Step::NodeUp),
-        2 => Just(Step::Balance),
-        1 => Just(Step::ResolvePointers),
-    ]
+/// Writes 4 : removals 2 : crashes 1 : recoveries 2 : balance rounds 2 :
+/// pointer resolution 1.
+fn random_step(rng: &mut Rng) -> Step {
+    let arg = rng.next();
+    match rng.next() % 12 {
+        0..=3 => Step::Put(arg as u16),
+        4..=5 => Step::Remove(arg as u16),
+        6 => Step::NodeDown(arg as u8),
+        7..=8 => Step::NodeUp(arg as u8),
+        9..=10 => Step::Balance,
+        _ => Step::ResolvePointers,
+    }
 }
 
 fn key_of(k: u16) -> Key {
@@ -43,8 +61,16 @@ fn key_of(k: u16) -> Key {
     Key::from_fraction(0.4 + 0.03 * (k as f64 / u16::MAX as f64))
 }
 
-fn check_invariants(c: &SimCluster, tracked: &[(Key, bool)], now: SimTime) {
+fn check_invariants(c: &SimCluster, tracked: &[(Key, bool)], now: SimTime, at: &str) {
     for &(key, live) in tracked {
+        // (4) the index agrees with the stores, for removed blocks too.
+        let mut indexed: Vec<NodeIdx> = c.holders_of(&key).into_iter().collect();
+        indexed.sort_unstable();
+        let stored: Vec<NodeIdx> = (0..c.len())
+            .map(NodeIdx)
+            .filter(|n| c.stores[n.0].contains(&key))
+            .collect();
+        assert_eq!(indexed, stored, "{at}: index and stores disagree on {key}");
         if !live {
             continue;
         }
@@ -64,16 +90,13 @@ fn check_invariants(c: &SimCluster, tracked: &[(Key, bool)], now: SimTime) {
             if c.node_up[member.0] && repairable {
                 assert!(
                     c.stores[member.0].contains(&key),
-                    "live group member {member} missing {key}"
+                    "{at}: live group member {member} missing {key}"
                 );
             }
         }
         // (2) stray holders must be pointer targets or down nodes
         // (down nodes keep data on disk).
-        let holders: Vec<NodeIdx> = (0..c.len())
-            .map(NodeIdx)
-            .filter(|n| c.stores[n.0].contains(&key))
-            .collect();
+        let holders = stored;
         let referenced: Vec<usize> = holders
             .iter()
             .filter_map(|h| match c.stores[h.0].get(&key).map(|b| &b.payload) {
@@ -87,7 +110,7 @@ fn check_invariants(c: &SimCluster, tracked: &[(Key, bool)], now: SimTime) {
         for h in &holders {
             assert!(
                 group.contains(h) || referenced.contains(&h.0) || !c.node_up[h.0] || !repairable,
-                "stray live holder {h} for {key}"
+                "{at}: stray live holder {h} for {key}"
             );
         }
         // (3) availability is consistent with physical copies.
@@ -101,26 +124,31 @@ fn check_invariants(c: &SimCluster, tracked: &[(Key, bool)], now: SimTime) {
         if has_live_copy {
             assert!(
                 c.is_available(&key, now),
-                "live copy exists but unavailable: {key}"
+                "{at}: live copy exists but unavailable: {key}"
             );
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn replication_invariant_under_chaos(steps in prop::collection::vec(arb_step(), 1..60)) {
-        let cfg = ClusterConfig { nodes: 12, replicas: 3, seed: 77, ..Default::default() };
+#[test]
+fn replication_invariant_under_chaos() {
+    for seed in 0..256u64 {
+        let mut rng = Rng(seed);
+        let cfg = ClusterConfig {
+            nodes: 12,
+            replicas: 3,
+            seed: 77,
+            ..Default::default()
+        };
         let mut c = SimCluster::new(SystemKind::D2, &cfg);
         let n = c.len();
         let mut tracked: Vec<(Key, bool)> = Vec::new();
         let mut now = SimTime::ZERO;
-        let mut last_ids: Vec<Key> =
-            (0..n).map(|i| c.ring.id_of(NodeIdx(i)).unwrap()).collect();
+        let mut last_ids: Vec<Key> = (0..n).map(|i| c.ring.id_of(NodeIdx(i)).unwrap()).collect();
 
-        for step in steps {
+        let steps = 1 + rng.next() % 60;
+        for i in 0..steps {
+            let step = random_step(&mut rng);
             now += SimTime::from_secs(120);
             c.now = now;
             match step {
@@ -174,7 +202,8 @@ proptest! {
             c.resync_all(now);
             // Far-future availability check time: in-flight regeneration
             // transfers count as arrived.
-            check_invariants(&c, &tracked, SimTime(u64::MAX));
+            let at = format!("seed {seed}, step {i} ({step:?})");
+            check_invariants(&c, &tracked, SimTime(u64::MAX), &at);
         }
     }
 }

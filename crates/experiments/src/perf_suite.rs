@@ -11,7 +11,7 @@ use d2_core::{ClusterConfig, Parallelism, PerfConfig, PerfReport, PerfSim, Syste
 use d2_obs::{SharedSink, TraceEvent};
 use d2_sim::{geometric_mean, SimTime};
 use d2_workload::{split_access_groups, HarvardTrace, Task};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 /// One measured configuration.
 pub type CellKey = (SystemKind, usize, u64, Parallelism);
@@ -88,7 +88,9 @@ impl SuiteResult {
 
     /// Overall speedup of `num` over `base` for one configuration: the
     /// geometric mean over users of each user's geometric-mean per-group
-    /// ratio `base_latency / num_latency` (Section 9.3's metric).
+    /// ratio `base_latency / num_latency` (Section 9.3's metric). Users
+    /// are taken in ascending order, so the mean is the same bits every
+    /// run.
     pub fn speedup(
         &self,
         num: SystemKind,
@@ -102,7 +104,7 @@ impl SuiteResult {
         Some(geometric_mean(&means))
     }
 
-    /// Per-user geometric-mean speedups of `num` over `base`.
+    /// Per-user geometric-mean speedups of `num` over `base`, by user.
     pub fn per_user_speedup(
         &self,
         num: SystemKind,
@@ -110,7 +112,7 @@ impl SuiteResult {
         size: usize,
         kbps: u64,
         mode: Parallelism,
-    ) -> Option<HashMap<u32, f64>> {
+    ) -> Option<BTreeMap<u32, f64>> {
         let a = self.cell(base, size, kbps, mode)?;
         let b = self.cell(num, size, kbps, mode)?;
         let mut ratios: HashMap<u32, Vec<f64>> = HashMap::new();
@@ -271,16 +273,24 @@ mod tests {
     #[test]
     fn d2_speedup_over_traditional_in_seq() {
         let (_trace, result) = quick_suite();
-        let s = result
-            .speedup(
-                SystemKind::D2,
-                SystemKind::Traditional,
-                16,
-                1500,
-                Parallelism::Seq,
-            )
-            .unwrap();
+        let speedup = || {
+            result
+                .speedup(
+                    SystemKind::D2,
+                    SystemKind::Traditional,
+                    16,
+                    1500,
+                    Parallelism::Seq,
+                )
+                .unwrap()
+        };
+        let s = speedup();
         assert!(s > 1.0, "seq speedup should exceed 1, got {s}");
+        // The same users in the same order every time: not a last digit
+        // that follows a hash map's iteration order.
+        for _ in 0..8 {
+            assert_eq!(speedup().to_bits(), s.to_bits());
+        }
     }
 
     #[test]
