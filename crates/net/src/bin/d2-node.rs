@@ -500,13 +500,16 @@ fn main() {
         "top" => {
             let Some(node) = args.node else { usage() };
             let ops = client_ops(node);
+            let mut prev = None;
             loop {
                 let scrape = ops.scrape_all();
                 if scrape.nodes.is_empty() {
                     eprintln!("top failed: no node reachable via {node}");
                     std::process::exit(1);
                 }
-                let view = d2_net::render_top(&scrape, &|a| unpack_addr(a).to_string());
+                let view =
+                    d2_net::render_top(&scrape, prev.as_ref(), &|a| unpack_addr(a).to_string());
+                prev = Some(scrape);
                 if args.watch {
                     // Clear + home, like top(1), so the table repaints
                     // in place.

@@ -25,7 +25,8 @@
 //!
 //! Replica writes are chain-acked: a [`Deployment::put`] returns only
 //! after the last node of the replica chain has stored the block, so
-//! reads issued immediately after a put see every replica.
+//! reads issued immediately after a put see every replica. Chains are
+//! kept whole by comparing digests, not by re-sending ([`repair`]).
 //!
 //! # Examples
 //!
@@ -48,6 +49,7 @@ pub mod deployment;
 pub mod host;
 pub mod invariants;
 pub mod ops;
+pub mod repair;
 pub mod runtime;
 pub mod telemetry;
 

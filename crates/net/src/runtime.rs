@@ -9,7 +9,7 @@
 //!
 //! - [`NodeRuntime::on_message`] — handle exactly one incoming message;
 //! - [`NodeRuntime::on_tick`] — run exactly one maintenance tick
-//!   (stabilization, join retry, replica repair).
+//!   (stabilization, join retry, replica repair — [`crate::repair`]).
 //!
 //! All timeouts read time through the injected [`Clock`], so under a
 //! [`crate::clock::SimClock`] every timeout decision is a pure function
@@ -17,12 +17,13 @@
 
 use crate::clock::{Clock, SystemClock};
 use crate::ops::NodeStatus;
+use crate::repair::{content_sum, ChainSync};
 use d2_ec::{Codec as EcCodec, Fragment, RedundancyPolicy};
 use d2_obs::flight::{FLIGHT_CAPACITY, SLOW_THRESHOLD_US};
 use d2_obs::{FlightRecorder, Registry, SpanRecord, TraceCtx};
 use d2_ring::messages::{Addr, RingMsg};
 use d2_ring::node::{NodeConfig, ProtocolNode};
-use d2_types::Key;
+use d2_types::{Key, KeyRange};
 use d2_wire::codec::{Request, Response, WireMetrics, WireMsg, WireStatus};
 use d2_wire::metrics::NetMetrics;
 use d2_wire::transport::{Transport, TransportError};
@@ -45,8 +46,8 @@ const JOIN_RETRY_US: u64 = 1_250_000;
 const REROUTE_BUDGET: u32 = 64;
 
 /// Ticks between replica-repair rounds (≈ 1.28 s of real time at the
-/// 20 ms tick). Each round re-pushes owned blocks down the successor
-/// chain and re-homes blocks this node holds but no longer owns, so the
+/// 20 ms tick). Each round an owner compares one digest of its range
+/// with each chain successor and a holder re-homes its strays, so the
 /// replica count converges back to the configured factor after churn.
 const REPAIR_EVERY_TICKS: u64 = 64;
 
@@ -56,11 +57,11 @@ const REPAIR_EVERY_TICKS: u64 = 64;
 /// a missing fragment; no op hangs on it.
 const EC_OP_TIMEOUT_US: u64 = 400_000;
 
-/// Internal request-id space for owner-originated fragment traffic.
-/// Client req ids are allocated client-side and only need uniqueness per
-/// connection, so the top-bit space never collides with them in
-/// practice; the map lookup (not the id itself) is what routes replies.
-const EC_REQ_BASE: u64 = 1 << 63;
+/// Internal request-id space for a node's own requests (fragment ops,
+/// repair). Client req ids are allocated client-side and only need
+/// uniqueness per connection, so the top-bit space never collides with
+/// them in practice; the map lookup (not the id itself) routes replies.
+const NODE_REQ_BASE: u64 = 1 << 63;
 
 /// Token-bucket burst cap for the repair budget, in seconds of accrual:
 /// a node idle for an hour may spend that hour's budget at once, but no
@@ -190,6 +191,15 @@ enum EcOp {
     },
 }
 
+/// What a reply to one of this node's repair requests answers: the
+/// digest of `range` sent to chain successor `peer`, a get for a block
+/// only a successor holds, or a stray put through its owner.
+enum RepairOp {
+    Sync { peer: Addr, range: KeyRange },
+    Pull { key: Key },
+    Rehome { key: Key },
+}
+
 /// A client lookup in flight: who asked, plus the trace context and
 /// start time so the completion can be recorded as a causally-linked
 /// span with a real duration.
@@ -204,6 +214,12 @@ struct PendingLookup {
 pub struct NodeRuntime<T: Transport, C: Clock = SystemClock> {
     node: ProtocolNode,
     store: HashMap<Key, Vec<u8>>,
+    /// Replica repair's view of `store`: what is held, for whom.
+    chain: ChainSync,
+    /// This round's repair exchanges in flight, by request id.
+    repair_ops: HashMap<u64, RepairOp>,
+    /// Keys this round's found missing or stale on a chain member.
+    under_replicated: u64,
     /// Locally held erasure-coded fragments, one per key.
     fragments: HashMap<Key, StoredFragment>,
     /// Erasure-coding mode; `None` runs the classic replica chains.
@@ -213,7 +229,7 @@ pub struct NodeRuntime<T: Transport, C: Clock = SystemClock> {
     /// Keys awaiting budgeted regeneration, with the estimated repair
     /// cost in bytes. Ordered, so the drain is deterministic.
     ec_repair_queue: BTreeMap<Key, u64>,
-    next_ec_req: u64,
+    next_req: u64,
     transport: T,
     clock: C,
     /// Ring lookup id → in-flight client lookup awaiting the owner.
@@ -292,6 +308,9 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         let mut rt = NodeRuntime {
             node,
             store: HashMap::new(),
+            chain: ChainSync::default(),
+            repair_ops: HashMap::new(),
+            under_replicated: 0,
             fragments: HashMap::new(),
             replication: match policy {
                 RedundancyPolicy::Replicate { r } => r as u32,
@@ -300,7 +319,7 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
             ec,
             ec_ops: HashMap::new(),
             ec_repair_queue: BTreeMap::new(),
-            next_ec_req: EC_REQ_BASE,
+            next_req: NODE_REQ_BASE,
             transport,
             clock,
             pending_lookups: HashMap::new(),
@@ -489,12 +508,14 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                 true
             }
             WireMsg::Request { req_id, from, body } => self.handle_request(req_id, from, body),
-            // Responses route to the erasure-coded op that issued them;
-            // anything else (a repair chain's PutAck, or a late client
-            // PutAck racing a chain we forwarded) is dropped.
+            // Responses route to the erasure-coded op or repair exchange
+            // that issued them; anything else (a repair push's PutAck, a
+            // late client PutAck racing a chain we forwarded) is dropped.
             WireMsg::Response { req_id, body } => {
                 if self.ec_ops.contains_key(&req_id) {
                     self.handle_ec_response(req_id, body);
+                } else if let Some(op) = self.repair_ops.remove(&req_id) {
+                    self.handle_repair_response(op, body);
                 }
                 true
             }
@@ -663,6 +684,18 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                 };
                 self.respond(from, req_id, body);
             }
+            Request::SyncRange {
+                range,
+                count,
+                digest,
+            } => {
+                self.chain.note(range, self.ticks / REPAIR_EVERY_TICKS);
+                if self.chain.digest(&range) != (count, digest) {
+                    self.registry.inc("repair.ranges_differ");
+                    let entries = self.chain.entries(&range);
+                    self.respond(from, req_id, Response::RangeKeys { entries });
+                }
+            }
             Request::Status => {
                 let s = self.status();
                 let status = WireStatus {
@@ -680,6 +713,9 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                 if self.ec.is_some() || !self.fragments.is_empty() {
                     reg.set_gauge("ec.fragments", self.fragments.len() as f64);
                     reg.set_gauge("ec.repair_queue", self.ec_repair_queue.len() as f64);
+                } else {
+                    let short = self.under_replicated as f64;
+                    reg.set_gauge("store.under_replicated_keys", short);
                 }
                 reg.add("node.spans_dropped", self.recorder.dropped());
                 if let Some(nm) = &self.net_metrics {
@@ -766,7 +802,7 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
             ..
         } = forward
         {
-            self.store.insert(key, data);
+            self.store_block(key, data);
         }
         // Forwarded, the chain's end will ack — unless the validation
         // knob counts the rest of the chain as written the moment the
@@ -806,46 +842,127 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         self.node.forget(to);
     }
 
-    /// One replica-repair round. Two cases per held block:
+    /// Stores a whole block, checksummed once for repair's digests.
+    fn store_block(&mut self, key: Key, data: Vec<u8>) {
+        let round = self.ticks / REPAIR_EVERY_TICKS;
+        self.chain.stored(key, content_sum(&data), round);
+        self.store.insert(key, data);
+    }
+
+    /// One replica-repair round (the decisions are [`ChainSync`]'s):
     ///
-    /// - we *own* the key: re-push the chain so the next `replication-1`
-    ///   successors hold a copy (heals replicas lost to crash-restarts);
-    /// - we do *not* own the key (the ring moved around us, or we are a
-    ///   surviving replica of a dead owner): look the owner up and
+    /// - as an *owner*, send each of the next `replication - 1`
+    ///   successors one digest of the owned range; one that holds
+    ///   something else answers with its key list, and
+    ///   [`NodeRuntime::handle_repair_response`] moves the difference;
+    /// - as a *holder*, look up the owner of every stray (the ring moved
+    ///   around us, or we are a surviving replica of a dead owner) and
     ///   re-put the block through it, restoring the canonical
     ///   owner-plus-successors placement.
     ///
-    /// Repair puts carry `from = self`, so the chain's final PutAck
-    /// comes back here and is dropped as a stray response — no client
-    /// is waiting on it. Blocks are never deleted: an over-replicated
-    /// stale copy is garbage, a deleted last copy is data loss.
+    /// Blocks are never deleted: an over-replicated stale copy is
+    /// garbage, a deleted last copy is data loss.
     fn repair_round(&mut self) {
         if !self.node.is_joined() {
             return;
         }
-        let me = self.node.me().addr;
-        // Sorted so repair traffic is emitted in a deterministic order —
-        // HashMap iteration order would otherwise leak the process's
-        // random hasher seed into the simulation harness's schedules.
-        let mut owned: Vec<Key> = self.store.keys().copied().collect();
-        owned.sort_unstable();
-        for key in owned {
-            let owns = match self.node.owned_range() {
-                Some(r) => r.contains(&key),
-                None => false,
+        // Unknown between a predecessor forgotten and the next's notify.
+        let Some(own) = self.node.owned_range() else {
+            return;
+        };
+        // What went unanswered last round is asked again.
+        self.repair_ops.clear();
+        self.under_replicated = 0;
+        let strays = self.chain.begin_round(own, self.ticks / REPAIR_EVERY_TICKS);
+        let (range, (count, digest)) = (own, self.chain.digest(&own));
+        for peer in self.group(self.replication as usize).split_off(1) {
+            let body = Request::SyncRange {
+                range,
+                count,
+                digest,
             };
-            if owns {
-                if self.replication < 2 {
-                    continue;
-                }
-                let data = self.store[&key].clone();
-                self.handle_put(0, me, key, self.replication - 1, 0, data);
-            } else {
-                let (ring_req, out) = self.node.start_lookup(key);
-                self.pending_repairs.insert(ring_req, key);
-                self.send_all(out);
+            if self.ask(peer, body, Some(RepairOp::Sync { peer, range })) {
+                self.registry.inc("repair.digests_sent");
             }
         }
+        for key in strays {
+            let (ring_req, out) = self.node.start_lookup(key);
+            self.pending_repairs.insert(ring_req, key);
+            self.send_all(out);
+        }
+    }
+
+    /// Sends `to` a request of this node's own, its reply to be handled
+    /// as `op`'s (or dropped); `false` if the send failed.
+    fn ask(&mut self, to: Addr, body: Request, op: Option<RepairOp>) -> bool {
+        let (req_id, from) = (self.alloc_req(), self.node.me().addr);
+        let msg = WireMsg::Request { req_id, from, body };
+        if let Err(e) = self.transport.send(to, &msg) {
+            self.send_failed(to, e);
+            return false;
+        }
+        self.repair_ops.extend(op.map(|op| (req_id, op)));
+        true
+    }
+
+    /// A reply to one of this round's repair requests. A failed send ends
+    /// the exchange: a frame pushed at a full queue is just dropped, and
+    /// the next round's digest finds what the peer still lacks.
+    fn handle_repair_response(&mut self, op: RepairOp, body: Response) {
+        match (op, body) {
+            // A successor's digest disagreed, and the ring has not moved
+            // since ours left (else the next round compares the new range).
+            (RepairOp::Sync { peer, range }, Response::RangeKeys { entries })
+                if self.node.owned_range() == Some(range) =>
+            {
+                let (push, pull) = self.chain.diff(&range, &entries);
+                self.under_replicated += (push.len() + pull.len()) as u64;
+                for key in push {
+                    let Some(bytes) = self.push_block(peer, key, false) else {
+                        return;
+                    };
+                    self.registry.inc("repair.blocks_pushed");
+                    self.registry.add("repair.bytes_pushed", bytes);
+                }
+                for key in pull {
+                    if !self.ask(peer, Request::Get { key }, Some(RepairOp::Pull { key })) {
+                        return;
+                    }
+                }
+            }
+            // Unless a put got here first: that one is newer.
+            (RepairOp::Pull { key }, Response::Block { data: Some(data) })
+                if !self.store.contains_key(&key) =>
+            {
+                self.registry.inc("repair.blocks_pulled");
+                self.store_block(key, data);
+            }
+            // The owner holds the stray now and its chain is its to fill.
+            (RepairOp::Rehome { key }, Response::PutAck { replicas }) if replicas > 0 => {
+                self.registry.inc("repair.strays_rehomed");
+                self.chain.rehomed(&key);
+            }
+            // Refused or missed: the next round asks again.
+            _ => {}
+        }
+    }
+
+    /// Puts the held block `key` to `to` and returns its length (`None`
+    /// if not held or not sent): to a chain successor as one more copy
+    /// or, to `rehome` a stray, to its owner as head of an acked chain.
+    fn push_block(&mut self, to: Addr, key: Key, rehome: bool) -> Option<u64> {
+        let data = self.store.get(&key)?.clone();
+        let bytes = data.len() as u64;
+        let rest = self.replication.saturating_sub(1);
+        let (fanout, stored) = if rehome { (rest, 0) } else { (0, 1) };
+        let body = Request::Put {
+            key,
+            fanout,
+            stored,
+            data,
+        };
+        let op = rehome.then_some(RepairOp::Rehome { key });
+        self.ask(to, body, op).then_some(bytes)
     }
 
     /// Sends ring traffic, forgetting dead hops and re-routing routed
@@ -965,39 +1082,14 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                     },
                 );
             } else if let Some(key) = self.pending_repairs.remove(&res.req_id) {
-                self.repair_rehome(key, res.owner.addr);
+                // Second half of a stray's repair: the owner stores it and
+                // replicates down its own chain (unacked, the next round
+                // sends it again). Unless the lookup raced a ring change
+                // and we own the key after all.
+                if res.owner.addr != self.node.me().addr {
+                    self.push_block(res.owner.addr, key, true);
+                }
             }
-        }
-    }
-
-    /// Second half of a non-owned-block repair: push the block to the
-    /// owner the lookup found, which stores it and replicates down its
-    /// own successor chain.
-    fn repair_rehome(&mut self, key: Key, owner: Addr) {
-        let me = self.node.me().addr;
-        let Some(data) = self.store.get(&key).cloned() else {
-            return;
-        };
-        if owner == me {
-            // The lookup raced a ring change and we own the key after
-            // all; the next repair round handles it as an owned block.
-            return;
-        }
-        let put = WireMsg::Request {
-            req_id: 0,
-            from: me,
-            body: Request::Put {
-                key,
-                fanout: self.replication.saturating_sub(1),
-                stored: 0,
-                data,
-            },
-        };
-        match self.transport.send(owner, &put) {
-            Ok(()) => {}
-            // The block stays put; the next repair round asks again.
-            Err(TransportError::Backlogged(_)) => self.registry.inc("node.send_backlogged"),
-            Err(_) => self.node.forget(owner),
         }
     }
 
@@ -1011,18 +1103,20 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
     // Erasure-coded redundancy (see `d2_ec`)
     // -----------------------------------------------------------------
 
-    /// A fresh internal request id for one erasure-coded op.
-    fn alloc_ec_req(&mut self) -> u64 {
-        self.next_ec_req += 1;
-        self.next_ec_req
+    /// A fresh internal request id for one erasure-coded op or repair
+    /// exchange.
+    fn alloc_req(&mut self) -> u64 {
+        self.next_req += 1;
+        self.next_req
     }
 
-    /// The fragment group as currently placed: this node (position 0)
-    /// followed by its successor list, deduplicated, truncated to `n`.
+    /// The replica chain or fragment group as currently placed: this node
+    /// (position 0) followed by its successor list, deduplicated,
+    /// truncated to `n`.
     /// Position `p` canonically holds fragment index `p`; after churn
     /// the mapping can be off, but every repair round regenerates
     /// toward it, so placement converges back to canonical.
-    fn ec_group(&self, n: usize) -> Vec<Addr> {
+    fn group(&self, n: usize) -> Vec<Addr> {
         let me = self.node.me().addr;
         let mut group = vec![me];
         for p in self.node.successors() {
@@ -1060,7 +1154,7 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         };
         // A whole-block copy under this key would shadow the fragments.
         self.store.remove(&key);
-        let group = self.ec_group(n);
+        let group = self.group(n);
         self.fragments.insert(
             key,
             StoredFragment {
@@ -1068,7 +1162,7 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                 frag: own,
             },
         );
-        let op_id = self.alloc_ec_req();
+        let op_id = self.alloc_req();
         let mut pending = 0u32;
         for (i, frag) in iter.enumerate() {
             let Some(&to) = group.get(i + 1) else { break };
@@ -1137,7 +1231,7 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         let Some(n) = self.ec.as_ref().map(|ec| ec.codec.n()) else {
             return;
         };
-        let group = self.ec_group(n);
+        let group = self.group(n);
         let me = self.node.me().addr;
         let mut frags = Vec::new();
         let mut block_len = 0u32;
@@ -1145,7 +1239,7 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
             block_len = held.block_len;
             frags.push(held.frag.clone());
         }
-        let op_id = self.alloc_ec_req();
+        let op_id = self.alloc_req();
         let mut pending = 0u32;
         for &to in group.iter().skip(1) {
             let msg = WireMsg::Request {
@@ -1189,13 +1283,13 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         };
         let block_len = held.block_len;
         let own_index = held.frag.index as usize;
-        let group = self.ec_group(n);
+        let group = self.group(n);
         let me = self.node.me().addr;
         let mut present = vec![false; n];
         if let Some(slot) = present.get_mut(own_index) {
             *slot = true;
         }
-        let op_id = self.alloc_ec_req();
+        let op_id = self.alloc_req();
         let mut pending = 0u32;
         for &to in group.iter().skip(1) {
             let msg = WireMsg::Request {
@@ -1348,7 +1442,7 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                         let generation = frags.first().map_or(1, |f| f.generation);
                         let Some(ec) = &self.ec else { return };
                         let all = ec.codec.encode(&data, generation);
-                        let group = self.ec_group(n);
+                        let group = self.group(n);
                         let mut repaired = 0u64;
                         for frag in all {
                             let pos = frag.index as usize;
@@ -1544,6 +1638,7 @@ fn msgs_in_counter(op: &str) -> &'static str {
         "get" => "node.msgs_in.get",
         "put_fragment" => "node.msgs_in.put_fragment",
         "get_fragment" => "node.msgs_in.get_fragment",
+        "sync_range" => "node.msgs_in.sync_range",
         "status" => "node.msgs_in.status",
         "metrics_dump" => "node.msgs_in.metrics_dump",
         "shutdown" => "node.msgs_in.shutdown",
@@ -1551,6 +1646,7 @@ fn msgs_in_counter(op: &str) -> &'static str {
         "put_ack" => "node.msgs_in.put_ack",
         "block" => "node.msgs_in.block",
         "fragment" => "node.msgs_in.fragment",
+        "range_keys" => "node.msgs_in.range_keys",
         "metrics" => "node.msgs_in.metrics",
         "shutdown_ack" => "node.msgs_in.shutdown_ack",
         "not_owner" => "node.msgs_in.not_owner",

@@ -64,6 +64,11 @@ fn prefixed_sum(reg: &d2_obs::Registry, prefix: &str) -> u64 {
 /// with their trace ids. `fmt_addr` turns transport addresses into
 /// something readable (`ip:port` for TCP, the raw index for channels).
 ///
+/// `repair` is `repair.blocks_pushed + repair.blocks_pulled`, what
+/// replica repair moved through the node since `prev` (the scrape a
+/// watching caller rendered last; since boot without one): zero on an
+/// undamaged ring.
+///
 /// The last two columns are the reactor's. `wakeups` is
 /// `net.poller_wakeups`, returns of the poller's `ppoll(2)`: on a node
 /// one per burst of requests read plus one per tick round, no flush
@@ -73,8 +78,15 @@ fn prefixed_sum(reg: &d2_obs::Registry, prefix: &str) -> u64 {
 /// the burst that produced the frame (tens of µs; its host writes when
 /// it turns next), on a client the wait for the flush tick (up to
 /// `FLUSH_TICK`). A node near a whole tick is ticking again.
-pub fn render_top(scrape: &ClusterScrape, fmt_addr: &dyn Fn(Addr) -> String) -> String {
+pub fn render_top(
+    scrape: &ClusterScrape,
+    prev: Option<&ClusterScrape>,
+    fmt_addr: &dyn Fn(Addr) -> String,
+) -> String {
     let mut out = String::new();
+    let repaired = |reg: &d2_obs::Registry| {
+        reg.counter("repair.blocks_pushed") + reg.counter("repair.blocks_pulled")
+    };
 
     // ---- per-node table -------------------------------------------
     let mut rows: Vec<Vec<String>> = Vec::new();
@@ -92,6 +104,9 @@ pub fn render_top(scrape: &ClusterScrape, fmt_addr: &dyn Fn(Addr) -> String) -> 
             }
             None => (0, 0),
         };
+        let repaired_before = prev
+            .and_then(|p| p.nodes.iter().find(|m| m.addr == n.addr))
+            .map_or(0, |m| repaired(&m.registry));
         rows.push(vec![
             fmt_addr(n.addr),
             format!("{pos:.4}"),
@@ -106,6 +121,7 @@ pub fn render_top(scrape: &ClusterScrape, fmt_addr: &dyn Fn(Addr) -> String) -> 
             reg.counter("node.send_failures").to_string(),
             reg.counter("node.not_owner").to_string(),
             reg.counter("net.backlog_drops").to_string(),
+            repaired(reg).saturating_sub(repaired_before).to_string(),
             reg.counter("net.poller_wakeups").to_string(),
             reg.histogram("net.flush_wait_us")
                 .map_or(0, |h| h.quantile(0.5))
@@ -119,7 +135,8 @@ pub fn render_top(scrape: &ClusterScrape, fmt_addr: &dyn Fn(Addr) -> String) -> 
     #[rustfmt::skip] // a row, as it prints
     let header = [
         "node", "pos", "blocks", "msgs_in", "net_msgs", "reconn", "lookups", "puts",
-        "lk_p50us", "lk_p99us", "sendfail", "notowner", "backlog", "wakeups", "flushwait",
+        "lk_p50us", "lk_p99us", "sendfail", "notowner", "backlog", "repair", "wakeups",
+        "flushwait",
     ];
     out.push_str(&render_rows(&header, &rows));
 
@@ -274,7 +291,7 @@ mod tests {
     #[test]
     fn top_view_shows_nodes_merged_histograms_and_slow_ops() {
         let scrape = scrape_with_two_nodes();
-        let top = render_top(&scrape, &|a| format!("n{a}"));
+        let top = render_top(&scrape, None, &|a| format!("n{a}"));
         assert!(top.contains("2 node(s) scraped"));
         assert!(top.contains("n0"));
         assert!(top.contains("0.2500"));
@@ -290,6 +307,11 @@ mod tests {
         assert!(top.contains("0x00000000000000ab"));
         assert!(top.contains("FAIL"));
         assert!(top.lines().nth(1).unwrap().ends_with("flushwait"));
+        assert!(top
+            .lines()
+            .nth(1)
+            .unwrap()
+            .contains("backlog  repair  wakeups"));
         // No node reports ec.* — the erasure-coding table is omitted.
         assert!(!top.contains("erasure coding"));
     }
@@ -303,7 +325,7 @@ mod tests {
         reg.add("ec.decode_fallbacks", 3);
         reg.add("ec.repair_bytes", 4096);
         reg.add("ec.repair_throttled_bytes", 512);
-        let top = render_top(&scrape, &|a| format!("n{a}"));
+        let top = render_top(&scrape, None, &|a| format!("n{a}"));
         assert!(top.contains("erasure coding"));
         assert!(top.contains("throttled_B"));
         assert!(top.contains("12"));
@@ -318,7 +340,35 @@ mod tests {
             nodes: vec![],
             merged: Registry::new(),
         };
-        let top = render_top(&scrape, &|a| a.to_string());
+        let top = render_top(&scrape, None, &|a| a.to_string());
         assert!(top.contains("0 node(s) scraped"));
+    }
+
+    #[test]
+    fn the_repair_column_counts_from_the_last_refresh() {
+        let column = |top: &str, node: &str| -> String {
+            let at = |line: &str| line.split_whitespace().position(|c| c == "repair");
+            let col = top.lines().find_map(at).expect("a repair column");
+            let row = top
+                .lines()
+                .find(|l| l.starts_with(node))
+                .expect("the node's row");
+            row.split_whitespace().nth(col).unwrap().to_string()
+        };
+        let before = {
+            let mut s = scrape_with_two_nodes();
+            s.nodes[1].registry.add("repair.blocks_pushed", 40);
+            s
+        };
+        let mut now = scrape_with_two_nodes();
+        now.nodes[1].registry.add("repair.blocks_pushed", 45);
+        now.nodes[1].registry.add("repair.blocks_pulled", 2);
+        let once = render_top(&now, None, &|a| format!("n{a}"));
+        assert_eq!(
+            (column(&once, "n0"), column(&once, "n1")),
+            ("0".into(), "47".into())
+        );
+        let watched = render_top(&now, Some(&before), &|a| format!("n{a}"));
+        assert_eq!(column(&watched, "n1"), "7");
     }
 }

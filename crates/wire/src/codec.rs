@@ -38,7 +38,8 @@
 //! bumps the version and older frames are refused at the header rather
 //! than decoded through per-version branches. Version 4 put the owner's
 //! key range into [`Response::Owner`] (what a client's lookup cache
-//! keeps) and added [`Response::NotOwner`].
+//! keeps) and added [`Response::NotOwner`]. Version 5 added the replica
+//! repair exchange, [`Request::SyncRange`] and [`Response::RangeKeys`].
 
 use d2_obs::{Histogram, Registry, SpanRecord, TraceCtx};
 use d2_ring::messages::{Addr, PeerInfo, RingMsg};
@@ -49,7 +50,7 @@ use std::fmt;
 pub const MAGIC: [u8; 2] = [0x44, 0x32];
 
 /// Current protocol version. Bump on any incompatible payload change.
-pub const VERSION: u8 = 4;
+pub const VERSION: u8 = 5;
 
 /// Oldest version this decoder still accepts: the current one. No older
 /// peer exists anywhere, so a bump is a flag day.
@@ -192,6 +193,18 @@ pub enum Request {
         /// lazy repair scanner.
         want_data: bool,
     },
+    /// Replica repair, owner to chain successor: "over `range` I hold
+    /// `count` blocks whose `(key, content checksum)` pairs digest to
+    /// `digest`". A successor that computes the same over what it holds
+    /// stays silent; one that does not answers [`Response::RangeKeys`].
+    SyncRange {
+        /// The owner's key range.
+        range: KeyRange,
+        /// Blocks the owner holds inside it.
+        count: u32,
+        /// Digest over their `(key, checksum)` pairs, in key order.
+        digest: u64,
+    },
     /// Report ring state (predecessor, successors, block count).
     Status,
     /// Dump this node's metrics registry and flight recorder
@@ -213,6 +226,7 @@ impl Request {
             Request::Get { .. } => "get",
             Request::PutFragment { .. } => "put_fragment",
             Request::GetFragment { .. } => "get_fragment",
+            Request::SyncRange { .. } => "sync_range",
             Request::Status => "status",
             Request::MetricsDump => "metrics_dump",
             Request::Shutdown => "shutdown",
@@ -358,6 +372,12 @@ pub enum Response {
         /// (`want_data: false`) or when `has` is false.
         data: Vec<u8>,
     },
+    /// Reply to a [`Request::SyncRange`] the receiver's own digest
+    /// disagrees with: `(key, content checksum)` of what it holds there.
+    RangeKeys {
+        /// What the replying node holds in the range.
+        entries: Vec<(Key, u64)>,
+    },
     /// Reply to [`Request::Status`].
     Status(WireStatus),
     /// Reply to [`Request::MetricsDump`]: the node's registry and
@@ -418,6 +438,7 @@ impl WireMsg {
                 Request::Get { .. } => TAG_REQ_GET,
                 Request::PutFragment { .. } => TAG_REQ_PUT_FRAGMENT,
                 Request::GetFragment { .. } => TAG_REQ_GET_FRAGMENT,
+                Request::SyncRange { .. } => TAG_REQ_SYNC_RANGE,
                 Request::Status => TAG_REQ_STATUS,
                 Request::MetricsDump => TAG_REQ_METRICS,
                 Request::Shutdown => TAG_REQ_SHUTDOWN,
@@ -427,6 +448,7 @@ impl WireMsg {
                 Response::PutAck { .. } => TAG_RESP_PUT_ACK,
                 Response::Block { .. } => TAG_RESP_BLOCK,
                 Response::Fragment { .. } => TAG_RESP_FRAGMENT,
+                Response::RangeKeys { .. } => TAG_RESP_RANGE_KEYS,
                 Response::Status(_) => TAG_RESP_STATUS,
                 Response::Metrics(_) => TAG_RESP_METRICS,
                 Response::ShutdownAck => TAG_RESP_SHUTDOWN_ACK,
@@ -453,6 +475,7 @@ impl WireMsg {
                 Response::PutAck { .. } => "put_ack",
                 Response::Block { .. } => "block",
                 Response::Fragment { .. } => "fragment",
+                Response::RangeKeys { .. } => "range_keys",
                 Response::Status(_) => "status",
                 Response::Metrics(_) => "metrics",
                 Response::ShutdownAck => "shutdown_ack",
@@ -477,6 +500,7 @@ const TAG_REQ_SHUTDOWN: u8 = 0x14;
 const TAG_REQ_METRICS: u8 = 0x15;
 const TAG_REQ_PUT_FRAGMENT: u8 = 0x16;
 const TAG_REQ_GET_FRAGMENT: u8 = 0x17;
+const TAG_REQ_SYNC_RANGE: u8 = 0x18;
 const TAG_RESP_OWNER: u8 = 0x20;
 const TAG_RESP_PUT_ACK: u8 = 0x21;
 const TAG_RESP_BLOCK: u8 = 0x22;
@@ -485,6 +509,7 @@ const TAG_RESP_SHUTDOWN_ACK: u8 = 0x24;
 const TAG_RESP_METRICS: u8 = 0x25;
 const TAG_RESP_FRAGMENT: u8 = 0x26;
 const TAG_RESP_NOT_OWNER: u8 = 0x27;
+const TAG_RESP_RANGE_KEYS: u8 = 0x28;
 
 // ---------------------------------------------------------------------
 // Encoding
@@ -676,6 +701,15 @@ pub fn encode_traced_into(buf: &mut Vec<u8>, msg: &WireMsg, trace: TraceCtx) -> 
                     e.key(key);
                     e.u8(*want_data as u8);
                 }
+                Request::SyncRange {
+                    range,
+                    count,
+                    digest,
+                } => {
+                    e.range(range);
+                    e.u32(*count);
+                    e.u64(*digest);
+                }
                 Request::Status | Request::MetricsDump | Request::Shutdown => {}
             }
         }
@@ -703,6 +737,13 @@ pub fn encode_traced_into(buf: &mut Vec<u8>, msg: &WireMsg, trace: TraceCtx) -> 
                     e.u64(*check);
                     e.u32(*block_len);
                     e.bytes(data);
+                }
+                Response::RangeKeys { entries } => {
+                    e.u32(entries.len() as u32);
+                    for (key, sum) in entries {
+                        e.key(key);
+                        e.u64(*sum);
+                    }
                 }
                 Response::Status(s) => {
                     e.peer(&s.me);
@@ -1012,8 +1053,8 @@ pub fn decode_payload(tag: u8, payload: &[u8]) -> Result<(WireMsg, TraceCtx), Wi
         TAG_NOTIFY => WireMsg::Ring(RingMsg::Notify {
             candidate: d.peer()?,
         }),
-        TAG_REQ_LOOKUP | TAG_REQ_PUT | TAG_REQ_GET | TAG_REQ_PUT_FRAGMENT
-        | TAG_REQ_GET_FRAGMENT | TAG_REQ_STATUS | TAG_REQ_METRICS | TAG_REQ_SHUTDOWN => {
+        // A kind's tags are contiguous; the inner match names each one.
+        TAG_REQ_LOOKUP..=TAG_REQ_SYNC_RANGE => {
             let req_id = d.u64()?;
             let from = d.addr()?;
             let body = match tag {
@@ -1042,20 +1083,18 @@ pub fn decode_payload(tag: u8, payload: &[u8]) -> Result<(WireMsg, TraceCtx), Wi
                         _ => return Err(WireError::Malformed("bool flag must be 0 or 1")),
                     },
                 },
+                TAG_REQ_SYNC_RANGE => Request::SyncRange {
+                    range: d.range()?,
+                    count: d.u32()?,
+                    digest: d.u64()?,
+                },
                 TAG_REQ_STATUS => Request::Status,
                 TAG_REQ_METRICS => Request::MetricsDump,
                 _ => Request::Shutdown,
             };
             WireMsg::Request { req_id, from, body }
         }
-        TAG_RESP_OWNER
-        | TAG_RESP_PUT_ACK
-        | TAG_RESP_BLOCK
-        | TAG_RESP_FRAGMENT
-        | TAG_RESP_STATUS
-        | TAG_RESP_METRICS
-        | TAG_RESP_SHUTDOWN_ACK
-        | TAG_RESP_NOT_OWNER => {
+        TAG_RESP_OWNER..=TAG_RESP_RANGE_KEYS => {
             let req_id = d.u64()?;
             let body = match tag {
                 TAG_RESP_OWNER => Response::Owner {
@@ -1079,6 +1118,15 @@ pub fn decode_payload(tag: u8, payload: &[u8]) -> Result<(WireMsg, TraceCtx), Wi
                     block_len: d.u32()?,
                     data: d.bytes()?,
                 },
+                TAG_RESP_RANGE_KEYS => {
+                    let n = d.u32()? as usize;
+                    d.check_count(n, KEY_BYTES + 8)?;
+                    let mut entries = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        entries.push((d.key()?, d.u64()?));
+                    }
+                    Response::RangeKeys { entries }
+                }
                 TAG_RESP_STATUS => Response::Status(WireStatus {
                     me: d.peer()?,
                     predecessor: d.opt_peer()?,

@@ -37,7 +37,7 @@ fn main() {
         scrape.nodes.len()
     );
 
-    println!("{}", render_top(&scrape, &|a| format!("node-{a}")));
+    println!("{}", render_top(&scrape, None, &|a| format!("node-{a}")));
 
     let json = scrape.merged.snapshot().to_json();
     // Structural sanity without a JSON parser in the dependency set:

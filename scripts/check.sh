@@ -100,6 +100,15 @@ echo "==> d2-bench set-up gate (sim_harvard32: setup_s <= 0.5)"
 # has already read takes 0.52–0.78 s and fails the gate.
 bench_gate sim_harvard32 setup_s 0.5
 
+echo "==> d2-bench memory gate (many64_tasks: rss_peak_mb <= 95)"
+# The preloaded 64-node ring is 81-83 MB (4,096 blocks x 3 replicas) and
+# the get window's buffers bring it to about 84. A repair round spends
+# one digest per chain successor and moves only what differs (DESIGN.md
+# §11.3), so it adds nothing. A failure means a round queues stored
+# blocks again, an eager re-push or a digest that never agrees: that
+# burst read 110-115.
+bench_gate many64_tasks rss_peak_mb 95
+
 echo "==> serve-many smoke (256 nodes in one process: boot, puts, invariants, drain)"
 ./target/release/d2-node serve-many --nodes 256 --replicas 3 \
     > "$SMOKE_TMP/many.out" 2>&1 &
