@@ -30,8 +30,8 @@
 //! `serve-many` hosts a whole N-node cluster in this one process: one
 //! reactor turned by one host thread, node `i` at virtual address
 //! `127.0.0.1+i` on the shared port. It prints `LISTEN 127.0.0.1:port`,
-//! `JOINED k/N` progress lines during the staged boot, `STABLE N` when
-//! every node is a ring member, then runs until every node is stopped
+//! `JOINED k/N` as each boot wave of k nodes passes the suite `check`
+//! runs, `STABLE N` once all N do, then runs until every node is stopped
 //! (e.g. `d2-node stop --node 127.0.0.1:PORT --all`). This is the
 //! 1,000-node deployment mode — see EXPERIMENTS.md ("Booting a
 //! 1,000-node cluster on one machine") for FD-limit prerequisites.
@@ -332,28 +332,18 @@ fn serve_many(args: Args) {
     // nodes live at 127.0.0.1+i on the same port.
     println!("LISTEN 127.0.0.1:{}", cluster.port());
     let _ = std::io::stdout().flush();
+    let banner = |line: String| {
+        println!("{line}");
+        let _ = std::io::stdout().flush();
+    };
     with_obs(args.obs_out, &metrics, || {
-        // Boot progress, then STABLE once the staged join choreography
-        // is done — scripts gate on these banners.
-        let mut last = 0;
-        while !cluster.finished() {
-            let j = cluster.poll_boot();
-            if j >= n {
-                println!("STABLE {n}");
-                let _ = std::io::stdout().flush();
-                break;
-            }
-            if j != last {
-                println!("JOINED {j}/{n}");
-                let _ = std::io::stdout().flush();
-                last = j;
-            }
-            std::thread::sleep(Duration::from_millis(100));
+        // Boot progress, then STABLE once every node is up and the ring
+        // passes the suite `check` runs — scripts gate on these banners.
+        if cluster.boot(Duration::MAX, |k| banner(format!("JOINED {k}/{n}"))) {
+            banner(format!("STABLE {n}"));
         }
         // Serve until every node has been stopped over the wire.
-        while !cluster.finished() {
-            std::thread::sleep(Duration::from_millis(100));
-        }
+        cluster.join();
     });
 }
 

@@ -52,13 +52,18 @@
 //! every join lands on the same adopter while the ring is small, joins
 //! routed through half-stabilized pointers orbit and drop, and each
 //! loss costs a 1.25 s join retry. Nodes therefore join in waves that
-//! at most double the ring (capped at [`JOIN_BATCH`]), the next
-//! released only when every node so far has joined. Each joiner enters
-//! through its own already joined seed, and the `i`-th node takes ring
-//! position `bitrev(i)`, so a wave bisects the existing gaps: one
-//! joiner per adopter, nothing to contend for.
+//! double the ring, the next released only once [`check_ring`] — the
+//! Zave suite `d2-node check` runs — passes over every node so far. The
+//! host thread owns the runtimes, so while the boot driver waits it
+//! evaluates the suite itself whenever its queue runs dry, and answers
+//! the moment the ring passes: a wave costs one tick round (its joiners'
+//! predecessors learn of them by stabilizing), not a fixed poll. Each
+//! joiner enters through its own seed in a check-clean ring, and the
+//! `i`-th node takes ring position `bitrev(i)`, so a wave bisects the
+//! existing gaps: one joiner per adopter, nothing to contend for.
 
 use crate::clock::{Clock, SystemClock};
+use crate::invariants::check_ring;
 use crate::runtime::{NodeRuntime, NodeSpec, TICK};
 use d2_ring::messages::Addr;
 use d2_types::Key;
@@ -82,8 +87,10 @@ enum Event<T> {
     Add(NodeSpec, T),
     /// Drop a node without a goodbye; the sender fires once it is gone.
     Crash(Addr, mpsc::Sender<()>),
-    /// Report `(live, joined)` node counts.
-    Counts(mpsc::Sender<(usize, usize)>),
+    /// Report how many nodes the host steps.
+    Live(mpsc::Sender<usize>),
+    /// Fire once [`check_ring`] passes over every hosted node.
+    RingOk(mpsc::Sender<()>),
     /// Drop every node and exit.
     Stop,
 }
@@ -139,12 +146,19 @@ impl<T: Transport> Host<T> {
         }
     }
 
-    /// `(live, joined)`: how many nodes the host steps, and how many of
-    /// them are ring members. `(0, 0)` once the host is done.
-    pub fn counts(&self) -> (usize, usize) {
-        let (reply, counts) = mpsc::channel();
-        (self.push)(Event::Counts(reply));
-        counts.recv().unwrap_or((0, 0))
+    /// How many nodes the host steps; 0 once it is done.
+    pub fn live(&self) -> usize {
+        let (reply, live) = mpsc::channel();
+        (self.push)(Event::Live(reply));
+        live.recv().unwrap_or(0)
+    }
+
+    /// Blocks until [`check_ring`] passes over every hosted node (true),
+    /// or `timeout` expires or the host exits first (false).
+    pub fn wait_ring_ok(&self, timeout: Duration) -> bool {
+        let (reply, ok) = mpsc::channel();
+        (self.push)(Event::RingOk(reply));
+        ok.recv_timeout(timeout).is_ok()
     }
 
     /// Whether the host thread has exited: its last node stopped, or
@@ -182,8 +196,8 @@ struct Stepper<T: Transport> {
     runtimes: HashMap<Addr, NodeRuntime<T>>,
     /// When every node ticks next (µs on `clock`).
     next_round_us: u64,
-    /// Nodes not yet observed joined, pruned on [`Event::Counts`].
-    unjoined: Vec<Addr>,
+    /// [`Event::RingOk`]s not yet answered.
+    ring_waiters: Vec<mpsc::Sender<()>>,
 }
 
 impl<T: Transport> Stepper<T> {
@@ -193,7 +207,7 @@ impl<T: Transport> Stepper<T> {
             sheet,
             runtimes: HashMap::new(),
             next_round_us: 0,
-            unjoined: Vec::new(),
+            ring_waiters: Vec::new(),
         }
     }
 
@@ -218,6 +232,14 @@ impl<T: Transport> Stepper<T> {
                 };
                 if !self.handle(ev) {
                     break 'host;
+                }
+            }
+            if drained && !self.ring_waiters.is_empty() {
+                let statuses: Vec<_> = self.runtimes.values().map(NodeRuntime::status).collect();
+                if check_ring(&statuses).ok() {
+                    for waiter in self.ring_waiters.drain(..) {
+                        let _ = waiter.send(());
+                    }
                 }
             }
             // Sleep until an event arrives or the next round is due
@@ -272,9 +294,6 @@ impl<T: Transport> Stepper<T> {
                 let addr = transport.local_addr();
                 let rt = NodeRuntime::new(spec, transport, SystemClock::default());
                 self.runtimes.insert(addr, rt);
-                if spec.seed.is_some() {
-                    self.unjoined.push(addr);
-                }
                 self.share_sheet();
                 true
             }
@@ -283,12 +302,14 @@ impl<T: Transport> Stepper<T> {
                 let _ = done.send(());
                 more
             }
-            Event::Counts(reply) => {
-                let runtimes = &self.runtimes;
-                self.unjoined
-                    .retain(|a| runtimes.get(a).is_some_and(|rt| !rt.protocol().is_joined()));
-                let live = runtimes.len();
-                let _ = reply.send((live, live - self.unjoined.len()));
+            Event::Live(reply) => {
+                let _ = reply.send(self.runtimes.len());
+                true
+            }
+            Event::RingOk(reply) => {
+                // Answered between bursts, once the nodes have heard
+                // one another (`run`).
+                self.ring_waiters.push(reply);
                 true
             }
             Event::Stop => false,
@@ -301,7 +322,6 @@ impl<T: Transport> Stepper<T> {
             return true;
         };
         rt.transport().shutdown();
-        self.unjoined.retain(|&a| a != addr);
         self.share_sheet();
         !self.runtimes.is_empty()
     }
@@ -317,9 +337,6 @@ impl<T: Transport> Stepper<T> {
         }
     }
 }
-
-/// The most nodes that join concurrently during a [`ManyCluster`] boot.
-pub const JOIN_BATCH: usize = 64;
 
 /// An N-node cluster hosted in this process: one reactor, one [`Host`]
 /// turning its poller, N virtual endpoints. Nodes are first-class ring
@@ -345,8 +362,7 @@ impl ManyCluster {
     /// binds `0.0.0.0` so every virtual `127.x.y.z` address is
     /// dialable), starts the host and releases the first of `nodes`
     /// nodes, each `template` at its own position. Returns
-    /// immediately — [`ManyCluster::poll_boot`] or
-    /// [`ManyCluster::wait_joined`] drive the rest of the boot.
+    /// immediately — [`ManyCluster::boot`] drives the rest.
     pub fn launch(
         nodes: usize,
         port: u16,
@@ -371,17 +387,17 @@ impl ManyCluster {
         Ok(cluster)
     }
 
-    /// Hands the next wave of nodes to the host. Everything released
-    /// before has joined, so all of it seeds the new wave: the join
-    /// *lookup* load spreads over every joined node. (Seeding through a
-    /// not-yet-joined neighbor would serialize each wave behind the
-    /// join-retry timer.)
+    /// Hands the next wave of nodes to the host, doubling the ring; the
+    /// first is the bootstrap node and its first joiner, a ring at once.
+    /// Everything released before is a check-clean ring, so all of it
+    /// seeds the new wave: the join *lookup* load spreads over every
+    /// member. (Seeding through a not-yet-joined neighbor would
+    /// serialize each wave behind the join-retry timer.)
     fn release_wave(&mut self) -> io::Result<()> {
-        let (n, joined_base) = (self.addrs.len(), self.released);
-        let wave = JOIN_BATCH.min(joined_base.max(1));
-        for i in joined_base..n.min(joined_base + wave) {
+        let (n, base) = (self.addrs.len(), self.released);
+        for i in base..n.min(base + base.max(2)) {
             let id = Key::from_fraction(ring_fraction(i, n));
-            let seed = (i > 0).then(|| self.addrs[i % joined_base.max(1)]);
+            let seed = (i > 0).then(|| self.addrs[i % base.max(1)]);
             let ep = self.reactor.open(node_ip(i))?;
             self.host.add(self.template.at(id, seed), ep);
             self.released += 1;
@@ -389,30 +405,35 @@ impl ManyCluster {
         Ok(())
     }
 
-    /// One step of the staged boot: releases the next join wave once
-    /// every node released so far has joined. Returns how many nodes
-    /// have joined the ring.
-    pub fn poll_boot(&mut self) -> usize {
-        let (live, joined) = self.host.counts();
-        let due = live > 0 && joined == live && self.released < self.addrs.len();
-        if due && self.release_wave().is_err() {
-            // The reactor is gone; nothing more can be released.
-            self.released = self.addrs.len();
-        }
-        joined
-    }
-
-    /// Drives the boot until every configured node has joined (true),
-    /// or the timeout expires or the host exits first (false).
-    pub fn wait_joined(&mut self, timeout: Duration) -> bool {
-        let deadline = Instant::now() + timeout;
-        while self.poll_boot() < self.addrs.len() {
-            if Instant::now() > deadline || self.finished() {
+    /// Drives the staged boot (module docs) until every node is released
+    /// and the ring passes [`check_ring`] (true), or `timeout` expires or
+    /// the host exits first (false). `on_wave(k)` runs each time the
+    /// first `k` nodes pass, before the next wave is released.
+    pub fn boot(&mut self, timeout: Duration, mut on_wave: impl FnMut(usize)) -> bool {
+        let deadline = Instant::now().checked_add(timeout);
+        loop {
+            let left = deadline.map_or(Duration::MAX, |d| {
+                d.saturating_duration_since(Instant::now())
+            });
+            // A lone bootstrap node has no successor for the suite to
+            // check.
+            if self.released > 1 && !self.host.wait_ring_ok(left) {
                 return false;
             }
-            std::thread::sleep(Duration::from_millis(20));
+            if self.released == self.addrs.len() {
+                return true;
+            }
+            on_wave(self.released);
+            if self.release_wave().is_err() {
+                return false; // the reactor is gone
+            }
         }
-        true
+    }
+
+    /// Blocks until the host exits: every node stopped (e.g. via
+    /// `d2-node stop --all`).
+    pub fn join(&self) {
+        self.host.join();
     }
 
     /// The shared listen port.
@@ -428,22 +449,16 @@ impl ManyCluster {
 
     /// How many nodes are currently live (released and not stopped).
     pub fn live(&self) -> usize {
-        self.host.counts().0
-    }
-
-    /// Whether the host has exited: every node stopped (e.g. via
-    /// `d2-node stop --all`).
-    pub fn finished(&self) -> bool {
-        self.host.finished()
+        self.host.live()
     }
 
     /// Blocks until the host exits or the timeout expires.
     pub fn wait_finished(&self, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        while !self.finished() && Instant::now() < deadline {
+        while !self.host.finished() && Instant::now() < deadline {
             std::thread::sleep(Duration::from_millis(20));
         }
-        self.finished()
+        self.host.finished()
     }
 }
 

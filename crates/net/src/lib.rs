@@ -21,7 +21,7 @@
 //!
 //! [`invariants::check_ring`] asserts the Zave ring invariants against
 //! live status snapshots, shared by `d2-node check`, the test suites,
-//! and the cluster smoke in `scripts/check.sh`.
+//! the cluster smoke in `scripts/check.sh` and [`ManyCluster::boot`].
 //!
 //! Replica writes are chain-acked: a [`Deployment::put`] returns only
 //! after the last node of the replica chain has stored the block, so

@@ -1,13 +1,14 @@
 //! The one host, through its public API: over the channel transport,
 //! crash-stop, who reports the transport's metrics sheet, when the host
-//! is done, and what a failed send does to the peer; over a reactor it
-//! turns itself, what a reply costs (no wake, no tick), when co-hosted
-//! nodes hear each other and how the host's last words get out.
+//! is done, when its nodes pass the ring suite, and what a failed send
+//! does to the peer; over a reactor it turns itself, what a reply costs
+//! (no wake, no tick), when co-hosted nodes hear each other and how the
+//! host's last words get out.
 //! (`many_nodes.rs` and `tcp_cluster.rs` cover whole clusters over real
 //! sockets.)
 
 use d2_net::runtime::TICK;
-use d2_net::{Host, NodeSpec};
+use d2_net::{check_ring, Host, NodeSpec, NodeStatus};
 use d2_obs::Registry;
 use d2_obs::TraceCtx;
 use d2_ring::messages::{Addr, RingMsg};
@@ -79,7 +80,7 @@ fn crash_drops_the_node_without_a_shutdown_round_trip() {
     assert_eq!(probe.send(b, &msg), Err(TransportError::PeerUnreachable(b)));
     // The victim never saw a shutdown request; the survivor did not
     // stop with it.
-    assert_eq!(rig.host.counts().0, 1);
+    assert_eq!(rig.host.live(), 1);
     let dump = match client.call(a, Request::MetricsDump, T) {
         Ok(Response::Metrics(m)) => m.to_registry().unwrap(),
         other => panic!("no dump from the survivor: {other:?}"),
@@ -121,7 +122,36 @@ fn the_host_is_done_when_its_last_node_stops() {
         ));
     }
     rig.host.join();
-    assert_eq!(rig.host.counts(), (0, 0));
+    assert_eq!(rig.host.live(), 0);
+}
+
+#[test]
+fn the_host_answers_once_its_nodes_pass_the_ring_suite() {
+    let rig = Rig::new();
+    let a = rig.add(0.25, None);
+    // A lone bootstrap node has no successor: the suite never passes.
+    assert!(!rig.host.wait_ring_ok(Duration::from_millis(60)));
+    let b = rig.add(0.75, Some(a));
+    assert!(rig.host.wait_ring_ok(T));
+    // A joiner between them is a ring only once its predecessor has
+    // stabilized; the answer waits for that, and what it certifies is
+    // what a client scrapes.
+    let c = rig.add(0.5, Some(a));
+    assert!(rig.host.wait_ring_ok(T));
+    let client = rig.client();
+    let statuses: Vec<NodeStatus> = [a, b, c]
+        .iter()
+        .map(|&n| match client.call(n, Request::Status, T) {
+            Ok(Response::Status(w)) => w.into(),
+            other => panic!("no status from {n}: {other:?}"),
+        })
+        .collect();
+    let report = check_ring(&statuses);
+    assert!(report.ok(), "{:?}", report.violations);
+    rig.host.stop();
+    let t0 = Instant::now();
+    assert!(!rig.host.wait_ring_ok(T));
+    assert!(t0.elapsed() < T, "a stopped host answers at once");
 }
 
 /// What a [`Tapped`] endpoint's owner sees of each send, and may fail.

@@ -1,8 +1,8 @@
 //! End-to-end: a 200-node single-process cluster.
 //!
 //! Boots 200 nodes through [`ManyCluster`] (one reactor, turned by one
-//! host thread), waits for every join, polls the Zave ring invariants to
-//! quiescence, stores replicated blocks through real recursive lookups,
+//! host thread), checks the Zave ring invariants hold the moment the boot
+//! is done, stores replicated blocks through real recursive lookups,
 //! verifies the storage invariant, asserts the OS thread count stayed
 //! constant in N — for the in-process [`Deployment`] too, which runs on
 //! the same kind of host — then stops every node gracefully over the
@@ -72,11 +72,11 @@ fn two_hundred_nodes_in_one_process() {
     let metrics = Arc::new(NetMetrics::new());
     let template = NodeSpec::replicated(REPLICAS as u32);
     let mut cluster = ManyCluster::launch(N, 0, template, Arc::clone(&metrics)).expect("launch");
-    assert!(
-        cluster.wait_joined(Duration::from_secs(120)),
-        "only {}/{N} nodes joined",
-        cluster.poll_boot()
-    );
+    let mut waves = Vec::new();
+    let stable = cluster.boot(Duration::from_secs(120), |k| waves.push(k));
+    assert!(stable, "boot stalled after waves {waves:?}");
+    // Each wave doubles the ring.
+    assert_eq!(waves, [2, 4, 8, 16, 32, 64, 128]);
     assert_eq!(cluster.live(), N);
 
     // Constant thread budget: the host, which turns the reactor's
@@ -103,15 +103,16 @@ fn two_hundred_nodes_in_one_process() {
     let addrs: Vec<Addr> = cluster.addrs().to_vec();
     let ops = ClusterOps::new(client, addrs.clone());
 
-    // Poll the Zave suite to quiescence: joined, corpse-free, ordered
-    // successor lists, one sorted cycle, consistent predecessors.
-    if let Err(report) = ops.wait_ring_ok(&addrs, Duration::from_secs(120)) {
-        panic!(
-            "ring never quiesced; {}/{N} statuses, violations: {:?}",
-            report.nodes,
-            report.violations.iter().take(8).collect::<Vec<_>>()
-        );
-    }
+    // A finished boot means the Zave suite passes — joined, corpse-free,
+    // ordered successor lists, one sorted cycle, consistent
+    // predecessors — on the first scrape, with no wait to quiesce.
+    let report = check_ring(&scrape_statuses(&ops, &addrs));
+    assert!(
+        report.ok() && report.nodes == N,
+        "booted ring is not check-clean; {}/{N} statuses, violations: {:?}",
+        report.nodes,
+        report.violations.iter().take(8).collect::<Vec<_>>()
+    );
 
     // Replicated puts through recursive lookups; chain acks certify
     // every copy, so the storage invariant holds immediately.
