@@ -324,6 +324,10 @@ mod tests {
             SimTime::from_secs(300),
         );
         let mut sim = AvailabilitySim::build(SystemKind::D2, &tiny_cluster_cfg(), &trace, 0.25);
+        // The warm-up deferred copies behind pointers, and the cluster's
+        // index still mirrors its stores.
+        assert!(sim.cluster.cfg.use_pointers && sim.cluster.stats.pointers_installed > 0);
+        assert!(sim.cluster.index_matches_stores());
         let failures = FailureTrace::none(24, SimTime::from_secs(86_400));
         let report = sim.run(&trace, &tasks, &failures);
         assert!(report.total_tasks > 0);

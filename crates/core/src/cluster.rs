@@ -25,7 +25,7 @@ use d2_store::{NodeStore, Payload};
 use d2_types::{BlockName, D2Error, InlineVec, Key, Result, SystemKind};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap};
 
 /// Traffic and event counters for a cluster's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -76,32 +76,63 @@ enum SyncCtx {
     Repair,
 }
 
-/// What one holder stores for a key, as far as placement decisions care:
-/// one index entry and one store read (see [`SimCluster::copies_of`]).
-#[derive(Clone, Copy, Debug, Default)]
+/// What one holder stores for a key, as far as placement decisions care.
+/// The index keeps one per holder, in step with its store (24 B).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct HeldCopy {
-    node: NodeIdx,
-    /// `(target, since)` when the copy is a pointer, `None` for real data.
-    pointer: Option<(NodeIdx, SimTime)>,
+    node: u32,
+    /// The node a pointer leads to; [`NOT_A_POINTER`] for real data.
+    target: u32,
+    /// When a pointer was installed (zero for real data).
+    since: SimTime,
     stored_at: SimTime,
 }
 
+/// [`HeldCopy::target`] of a copy that is real data.
+const NOT_A_POINTER: u32 = u32::MAX;
+
 impl HeldCopy {
     fn of(node: NodeIdx, payload: &Payload, stored_at: SimTime) -> HeldCopy {
-        let pointer = match *payload {
-            Payload::Pointer { holder, since, .. } => Some((NodeIdx(holder), since)),
-            _ => None,
+        let (target, since) = match *payload {
+            Payload::Pointer { holder, since, .. } => (holder as u32, since),
+            _ => (NOT_A_POINTER, SimTime::ZERO),
         };
         HeldCopy {
-            node,
-            pointer,
+            node: node.0 as u32,
+            target,
+            since,
             stored_at,
         }
     }
 
-    fn points_at(&self, node: NodeIdx) -> bool {
-        matches!(self.pointer, Some((target, _)) if target == node)
+    fn node(&self) -> NodeIdx {
+        NodeIdx(self.node as usize)
     }
+
+    /// `(target, since)` when the copy is a pointer, `None` for real data.
+    fn pointer(&self) -> Option<(NodeIdx, SimTime)> {
+        (self.target != NOT_A_POINTER).then_some((NodeIdx(self.target as usize), self.since))
+    }
+
+    fn points_at(&self, node: NodeIdx) -> bool {
+        self.target == node.0 as u32
+    }
+
+    /// The copy's entry in the due queue, if it is a pointer.
+    fn due_entry(&self, key: Key) -> Option<(SimTime, u32, Key)> {
+        self.pointer().map(|(_, since)| (since, self.node, key))
+    }
+}
+
+/// What the cluster knows of one tracked block.
+#[derive(Clone, Debug)]
+struct Block {
+    /// Logical size in bytes.
+    len: u32,
+    /// Whether this is a hashed twin key (hybrid placement's safeguard).
+    twin: bool,
+    /// Each holder's copy, in the order the holders first stored it.
+    copies: Vec<HeldCopy>,
 }
 
 /// A simulated cluster running one of the three systems.
@@ -120,10 +151,13 @@ pub struct SimCluster {
     pub node_up: Vec<bool>,
     /// Per-node migration/regeneration links (750 kbps by default).
     migration_links: Vec<LinkState>,
-    /// Which nodes hold an entry (data or pointer) for each key.
-    index: HashMap<Key, Vec<u32>>,
-    /// Block sizes (logical, independent of holders).
-    sizes: HashMap<Key, u32>,
+    /// Every tracked block (hybrid twins included) with each holder's
+    /// copy, kept in step with the stores: the one place placement
+    /// decisions read.
+    index: HashMap<Key, Block>,
+    /// Every pointer held, as `(since, node, key)`, earliest first: kept
+    /// in step with the index, so due pointers are the queue's head.
+    due: BTreeSet<(SimTime, u32, Key)>,
     /// Lifetime counters.
     pub stats: ClusterStats,
     /// Deterministic randomness for probes and placement.
@@ -132,8 +166,6 @@ pub struct SimCluster {
     pub now: SimTime,
     /// Hashed twin key per block under hybrid placement (Section 11).
     twins: HashMap<Key, Key>,
-    /// The set of twin keys (so repairs use the safeguard group size).
-    twin_set: HashSet<Key>,
     /// In-flight migration/regeneration transfers: `(dst, key)` →
     /// `(src, completion)`. A transfer is cancelled (and the destination
     /// copy dropped) if its source dies before completion — without this,
@@ -180,12 +212,11 @@ impl SimCluster {
             node_up: vec![true; ring.capacity()],
             migration_links: vec![LinkState::new_kbps(cfg.migration_kbps); ring.capacity()],
             index: HashMap::new(),
-            sizes: HashMap::new(),
+            due: BTreeSet::new(),
             stats: ClusterStats::default(),
             rng,
             now: SimTime::ZERO,
             twins: HashMap::new(),
-            twin_set: HashSet::new(),
             inflight: HashMap::new(),
             pending_repairs: Vec::new(),
             repair_queue: std::collections::BTreeSet::new(),
@@ -221,46 +252,70 @@ impl SimCluster {
 
     /// Number of distinct blocks tracked.
     pub fn block_count(&self) -> usize {
-        self.sizes.len()
+        self.index.len()
     }
 
     // ---- low-level bookkeeping (keeps index and stores in sync) ----------
 
+    /// Tracks `key` as a fresh block of `len` bytes, dropping every copy
+    /// of a previous version.
+    fn track(&mut self, key: Key, len: u32, twin: bool) {
+        self.untrack(&key);
+        let copies = Vec::new();
+        self.index.insert(key, Block { len, twin, copies });
+    }
+
+    /// Stops tracking `key`, dropping every copy; returns its size.
+    fn untrack(&mut self, key: &Key) -> Option<u32> {
+        let block = self.index.remove(key)?;
+        for c in &block.copies {
+            self.unqueue(c, key);
+            self.stores[c.node as usize].remove_now(key);
+        }
+        Some(block.len)
+    }
+
     /// Stores `payload` on `node` and returns the copy as a reader of the
-    /// key now finds it.
+    /// key now finds it. A re-put holder keeps its place in the index.
     fn store_put(&mut self, node: NodeIdx, key: Key, payload: Payload, at: SimTime) -> HeldCopy {
         let copy = HeldCopy::of(node, &payload, at);
-        let holders = self.index.entry(key).or_default();
-        if !holders.contains(&(node.0 as u32)) {
-            holders.push(node.0 as u32);
+        let block = self.index.get_mut(&key);
+        let copies = &mut block.expect("only tracked blocks are stored").copies;
+        match copies.iter().position(|c| c.node == copy.node) {
+            Some(i) => {
+                let old = std::mem::replace(&mut copies[i], copy);
+                self.unqueue(&old, &key);
+            }
+            None => copies.push(copy),
         }
+        self.due.extend(copy.due_entry(key));
         self.stores[node.0].put(key, payload, at);
         copy
     }
 
-    /// Leaves a block pointer (Section 6) on `node` at `at`: the bytes
-    /// stay on `target`, owed since `since`.
-    fn put_pointer(
-        &mut self,
-        node: NodeIdx,
-        key: Key,
-        target: NodeIdx,
-        since: SimTime,
-        len: u32,
-        at: SimTime,
-    ) -> HeldCopy {
+    /// A block pointer (Section 6): the bytes stay on `target`, owed since
+    /// `since`.
+    fn pointer_to(target: NodeIdx, since: SimTime, len: u32) -> Payload {
         let holder = target.0;
-        self.store_put(node, key, Payload::Pointer { holder, since, len }, at)
+        Payload::Pointer { holder, since, len }
     }
 
     fn store_remove(&mut self, node: NodeIdx, key: &Key) {
-        if let Some(holders) = self.index.get_mut(key) {
-            holders.retain(|&h| h != node.0 as u32);
-            if holders.is_empty() {
-                self.index.remove(key);
+        let copies = self.index.get_mut(key).map(|b| &mut b.copies);
+        if let Some(copies) = copies {
+            if let Some(i) = copies.iter().position(|c| c.node() == node) {
+                let gone = copies.remove(i);
+                self.unqueue(&gone, key);
             }
         }
         self.stores[node.0].remove_now(key);
+    }
+
+    /// Takes a copy that is no longer held off the due queue.
+    fn unqueue(&mut self, gone: &HeldCopy, key: &Key) {
+        if let Some(entry) = gone.due_entry(*key) {
+            self.due.remove(&entry);
+        }
     }
 
     /// The nodes holding an entry (data or pointer) for `key`. Called
@@ -268,33 +323,55 @@ impl SimCluster {
     /// list is returned inline (replica groups are ≤ 8 nodes in every
     /// configuration; larger holder sets spill to the heap safely).
     pub fn holders_of(&self, key: &Key) -> InlineVec<NodeIdx, 8> {
-        self.index
-            .get(key)
-            .map(|v| v.iter().map(|&h| NodeIdx(h as usize)).collect())
-            .unwrap_or_default()
+        self.copies_of(key).iter().map(HeldCopy::node).collect()
     }
 
-    /// Each holder's copy of `key`, in index order: the index is read
-    /// once and each holder's store once.
-    fn copies_of<'a>(&'a self, key: &'a Key) -> impl Iterator<Item = HeldCopy> + 'a {
-        self.index.get(key).into_iter().flatten().filter_map(|&h| {
-            let node = NodeIdx(h as usize);
-            let block = self.stores[node.0].get(key)?;
-            Some(HeldCopy::of(node, &block.payload, block.stored_at))
-        })
+    /// Each holder's copy of `key`, in index order.
+    fn copies_of(&self, key: &Key) -> &[HeldCopy] {
+        self.index.get(key).map_or(&[], |b| &b.copies)
+    }
+
+    /// The copy `node` holds of `key`, if any.
+    fn copy_at(&self, node: NodeIdx, key: &Key) -> Option<&HeldCopy> {
+        self.copies_of(key).iter().find(|c| c.node() == node)
     }
 
     /// Whether `copy` can seed or serve a read at `now`: real data that
     /// has arrived, on a live node.
     fn is_live_data(&self, copy: &HeldCopy, now: SimTime) -> bool {
-        self.node_up[copy.node.0] && copy.pointer.is_none() && copy.stored_at <= now
+        self.node_up[copy.node as usize] && copy.pointer().is_none() && copy.stored_at <= now
     }
 
     /// A live node holding *real data* for `key`, arrived by `now`.
     fn live_data_holder(&self, key: &Key, now: SimTime) -> Option<NodeIdx> {
         self.copies_of(key)
+            .iter()
             .find(|c| self.is_live_data(c, now))
-            .map(|c| c.node)
+            .map(HeldCopy::node)
+    }
+
+    /// Whether the index mirrors the stores: each key's copies are what
+    /// its holders' stores hold, no store holds a key the index lacks,
+    /// and the due queue holds exactly the pointers. An O(blocks) audit
+    /// for tests.
+    pub fn index_matches_stores(&self) -> bool {
+        let copies = self.index.values().flat_map(|b| &b.copies);
+        let pointers = copies.clone().filter(|c| c.pointer().is_some()).count();
+        let stored: usize = self.stores.iter().map(NodeStore::len).sum();
+        copies.count() == stored
+            && pointers == self.due.len()
+            && self.index.iter().all(|(key, block)| {
+                block.copies.iter().all(|c| {
+                    let Some(held) = self.stores[c.node as usize].get(key) else {
+                        return false;
+                    };
+                    HeldCopy::of(c.node(), &held.payload, held.stored_at) == *c
+                        && c.due_entry(*key).is_none_or(|entry| {
+                            held.payload.len() == self.stored_len(block.len)
+                                && self.due.contains(&entry)
+                        })
+                })
+            })
     }
 
     // ---- redundancy helpers -------------------------------------------------
@@ -320,6 +397,16 @@ impl SimCluster {
     /// erasure fragments.
     fn group_size(&self) -> usize {
         self.cfg.redundancy_policy().group_size()
+    }
+
+    /// Group size of a tracked block: hybrid twins (safeguard blocks)
+    /// use the smaller hybrid group.
+    fn group_size_of(&self, twin: bool) -> usize {
+        if twin {
+            self.cfg.hybrid_hash_replicas
+        } else {
+            self.group_size()
+        }
     }
 
     /// The payload group member `position` stores for a `frag`-byte
@@ -358,30 +445,28 @@ impl SimCluster {
     /// write traffic once.
     pub fn put_block(&mut self, key: Key, len: u32, now: SimTime) {
         self.stats.write_bytes += len as u64;
-        self.sizes.insert(key, len);
+        self.place(key, len, now);
+    }
+
+    /// Stores a block of `len` bytes on its group (and its hybrid twin's)
+    /// at `at`, replacing every copy of a previous version.
+    fn place(&mut self, key: Key, len: u32, at: SimTime) {
+        self.track(key, len, false);
         let frag = self.stored_len(len);
-        // Drop any stale copies from previous versions at other nodes.
-        for old in self.holders_of(&key) {
-            self.store_remove(old, &key);
-        }
         let group = self.ring.replica_group(&key, self.group_size());
         for (pos, node) in group.into_iter().enumerate() {
             let payload = self.member_payload(pos, frag);
-            self.put_or_divert(node, key, payload, now);
+            self.put_or_divert(node, key, payload, at);
         }
         if self.cfg.hybrid_hash_replicas > 0 {
             let twin = Self::twin_key(&key);
             self.twins.insert(key, twin);
-            self.twin_set.insert(twin);
-            self.sizes.insert(twin, len);
-            for old in self.holders_of(&twin) {
-                self.store_remove(old, &twin);
-            }
+            self.track(twin, len, true);
             for node in self
                 .ring
                 .replica_group(&twin, self.cfg.hybrid_hash_replicas)
             {
-                self.store_put(node, twin, Payload::Size(frag), now);
+                self.store_put(node, twin, Payload::Size(frag), at);
             }
         }
     }
@@ -390,10 +475,7 @@ impl SimCluster {
     pub fn put_block_data(&mut self, key: Key, data: Vec<u8>, now: SimTime) {
         let len = data.len() as u32;
         self.stats.write_bytes += len as u64;
-        self.sizes.insert(key, len);
-        for old in self.holders_of(&key) {
-            self.store_remove(old, &key);
-        }
+        self.track(key, len, false);
         for node in self.ring.replica_group(&key, self.group_size()) {
             self.store_put(node, key, Payload::Data(data.clone()), now);
         }
@@ -424,9 +506,9 @@ impl SimCluster {
             if c == node {
                 break;
             }
-            if !self.stores[c.0].contains(&key) && fits(self, c) {
+            if self.copy_at(c, &key).is_none() && fits(self, c) {
                 self.store_put(c, key, payload, now);
-                self.put_pointer(node, key, c, now, frag, now);
+                self.store_put(node, key, Self::pointer_to(c, now, frag), now);
                 self.stats.diverted_writes += 1;
                 return;
             }
@@ -435,46 +517,32 @@ impl SimCluster {
         self.store_put(node, key, payload, now);
     }
 
-    /// Removes a block (and its hybrid twin) from every holder after the
-    /// removal delay. (The simulation applies it immediately to the index
-    /// but respects the delay inside each store for stale readers.)
-    pub fn remove_block(&mut self, key: &Key, now: SimTime) {
-        if let Some(len) = self.sizes.remove(key) {
+    /// Removes a block (and its hybrid twin) from every holder. The
+    /// simulation skips the removal delay: availability checks for removed
+    /// blocks are not meaningful, so nothing reads a copy the delay keeps.
+    pub fn remove_block(&mut self, key: &Key, _now: SimTime) {
+        if let Some(len) = self.untrack(key) {
             self.stats.removed_bytes += len as u64;
         }
-        for node in self.holders_of(key) {
-            self.stores[node.0].remove_after(key, now, self.cfg.remove_delay);
-        }
-        // After the delay the blocks are gone; drop them from the index now
-        // (availability checks for removed blocks are not meaningful).
-        for node in self.holders_of(key) {
-            self.store_remove(node, key);
-        }
         if let Some(twin) = self.twins.remove(key) {
-            self.twin_set.remove(&twin);
-            self.sizes.remove(&twin);
-            for node in self.holders_of(&twin) {
-                self.store_remove(node, &twin);
-            }
+            self.untrack(&twin);
         }
     }
 
     /// Reachable copies of `key` at `now`: live nodes with arrived
     /// non-pointer data, plus live pointers leading to such data.
     fn reachable_copies(&self, key: &Key, now: SimTime) -> usize {
-        let copies: InlineVec<HeldCopy, 8> = self.copies_of(key).collect();
-        copies
-            .iter()
-            .filter(|c| match c.pointer {
-                Some((target, _)) => {
-                    self.node_up[c.node.0]
-                        && copies
-                            .iter()
-                            .any(|t| t.node == target && self.is_live_data(t, now))
-                }
-                None => self.is_live_data(c, now),
-            })
-            .count()
+        let copies = self.copies_of(key);
+        let has_data = |n: NodeIdx| {
+            copies
+                .iter()
+                .any(|t| t.node() == n && self.is_live_data(t, now))
+        };
+        let reachable = |c: &&HeldCopy| match c.pointer() {
+            Some((target, _)) => self.node_up[c.node as usize] && has_data(target),
+            None => self.is_live_data(c, now),
+        };
+        copies.iter().filter(reachable).count()
     }
 
     /// Whether `key` can be read at `now`: at least one replica (or `k`
@@ -495,25 +563,7 @@ impl SimCluster {
     /// file system, then lets positions stabilize).
     pub fn preload<I: IntoIterator<Item = (Key, u32)>>(&mut self, blocks: I) {
         for (key, len) in blocks {
-            self.sizes.insert(key, len);
-            let frag = self.stored_len(len);
-            let group = self.ring.replica_group(&key, self.group_size());
-            for (pos, node) in group.into_iter().enumerate() {
-                let payload = self.member_payload(pos, frag);
-                self.store_put(node, key, payload, SimTime::ZERO);
-            }
-            if self.cfg.hybrid_hash_replicas > 0 {
-                let twin = Self::twin_key(&key);
-                self.twins.insert(key, twin);
-                self.twin_set.insert(twin);
-                self.sizes.insert(twin, len);
-                for node in self
-                    .ring
-                    .replica_group(&twin, self.cfg.hybrid_hash_replicas)
-                {
-                    self.store_put(node, twin, Payload::Size(frag), SimTime::ZERO);
-                }
-            }
+            self.place(key, len, SimTime::ZERO);
         }
     }
 
@@ -521,16 +571,8 @@ impl SimCluster {
 
     /// Primary load (blocks in own range) of each *live* node.
     pub fn primary_loads(&self) -> Vec<u64> {
-        self.ring
-            .nodes()
-            .into_iter()
-            .map(|n| {
-                self.ring
-                    .range_of(n)
-                    .map(|r| self.stores[n.0].count_in(&r))
-                    .unwrap_or(0)
-            })
-            .collect()
+        let nodes = self.ring.nodes().into_iter();
+        nodes.map(|n| self.primary_load(n)).collect()
     }
 
     /// Total storage load (all blocks held, bytes) of each live node.
@@ -575,11 +617,7 @@ impl SimCluster {
             let Some(target) = self.ring.random_node(&mut self.rng) else {
                 continue;
             };
-            let view = Loads {
-                ring: &self.ring,
-                stores: &self.stores,
-            };
-            let Some(op) = balance::probe(&self.ring, &view, prober, target, &self.cfg.balance)
+            let Some(op) = balance::probe(&self.ring, self, prober, target, &self.cfg.balance)
             else {
                 continue;
             };
@@ -643,33 +681,27 @@ impl SimCluster {
         let erasure = self.cfg.redundancy_policy().is_erasure();
         let balancing = matches!(ctx, SyncCtx::Balance { .. });
         let mut group = Vec::new();
-        // The key's holders as this pass sees them: filled by one read per
-        // copy, then kept in step with every `store_put`/`store_remove`
-        // below, so no step goes back to the stores to decide.
+        // The key's copies as this pass sees them: taken from the index
+        // once, then kept in step with every `store_put` below.
         let mut copies: Vec<HeldCopy> = Vec::new();
         for key in keys {
-            let Some(&len) = self.sizes.get(&key) else {
+            let Some(block) = self.index.get(&key) else {
                 continue;
             };
-            // Twin (safeguard) blocks use the smaller hybrid group.
-            let is_twin = self.twin_set.contains(&key);
-            let group_size = if is_twin {
-                self.cfg.hybrid_hash_replicas
-            } else {
-                self.group_size()
-            };
+            let (len, is_twin) = (block.len, block.twin);
+            copies.clear();
+            copies.extend_from_slice(&block.copies);
             // Per-member bytes: a fragment under erasure coding.
             let frag = self.stored_len(len);
+            let group_size = self.group_size_of(is_twin);
             self.ring.replica_group_into(&key, group_size, &mut group);
-            copies.clear();
-            copies.extend(self.copies_of(&key));
             // A source must be live with an *arrived* real copy — an
             // in-flight regeneration transfer cannot seed further copies,
             // which is exactly why simultaneous whole-group failures lose
             // data until a member recovers (prefer sources in the group;
             // of equally good ones, the last in index order).
             let live = || copies.iter().filter(|c| self.is_live_data(c, now));
-            let source = live().map(|c| c.node).max_by_key(|h| group.contains(h));
+            let source = live().map(HeldCopy::node).max_by_key(|h| group.contains(h));
             let Some(source) = source else {
                 // No reachable copy right now: the block is unavailable
                 // until a holder returns (or an in-flight copy arrives and
@@ -687,10 +719,10 @@ impl SimCluster {
             // holder right away — waiting for the stabilization time
             // would leave the block dark for up to an hour.
             for &member in &group {
-                let Some(i) = copies.iter().position(|c| c.node == member) else {
+                let Some(i) = copies.iter().position(|c| c.node() == member) else {
                     continue;
                 };
-                let Some((target, since)) = copies[i].pointer else {
+                let Some((target, since)) = copies[i].pointer() else {
                     continue;
                 };
                 if !self.node_up[member.0] {
@@ -699,19 +731,25 @@ impl SimCluster {
                 let target_ok = self.node_up[target.0]
                     && copies
                         .iter()
-                        .any(|t| t.node == target && t.pointer.is_none());
+                        .any(|t| t.node() == target && t.pointer().is_none());
                 if !target_ok && source != target {
-                    copies[i] = self.put_pointer(member, key, source, since, frag, now);
+                    copies[i] =
+                        self.store_put(member, key, Self::pointer_to(source, since, frag), now);
                 }
             }
             // 1) Add missing group members.
             for (pos, &member) in group.iter().enumerate() {
-                if !self.node_up[member.0] || copies.iter().any(|c| c.node == member) {
+                if !self.node_up[member.0] || copies.iter().any(|c| c.node() == member) {
                     continue;
                 }
                 let is_mover = matches!(ctx, SyncCtx::Balance { mover } if mover == member);
                 if is_mover && self.cfg.use_pointers {
-                    copies.push(self.put_pointer(member, key, source, now, frag, now));
+                    copies.push(self.store_put(
+                        member,
+                        key,
+                        Self::pointer_to(source, now, frag),
+                        now,
+                    ));
                     self.stats.pointers_installed += 1;
                 } else {
                     // Balance migration ships the member's copy (a single
@@ -739,13 +777,10 @@ impl SimCluster {
                     let payload = if !is_twin && erasure {
                         // A regenerated fragment takes the member's slot in
                         // the code word, same generation as the survivors.
-                        let generation = self.stores[source.0]
-                            .get(&key)
-                            .map(|b| match b.payload {
-                                Payload::Fragment { generation, .. } => generation,
-                                _ => 0,
-                            })
-                            .unwrap_or(0);
+                        let generation = match self.stores[source.0].get(&key).map(|b| &b.payload) {
+                            Some(&Payload::Fragment { generation, .. }) => generation,
+                            _ => 0,
+                        };
                         Payload::Fragment {
                             index: pos as u8,
                             generation,
@@ -762,10 +797,10 @@ impl SimCluster {
             }
             // 2) Ex-members release: a mere pointer at once, data unless a
             // surviving pointer (a member's) still targets it.
-            for c in copies.iter().filter(|c| !group.contains(&c.node)) {
-                let referenced = |p: &HeldCopy| group.contains(&p.node) && p.points_at(c.node);
-                if c.pointer.is_some() || !copies.iter().any(referenced) {
-                    self.store_remove(c.node, &key);
+            for c in copies.iter().filter(|c| !group.contains(&c.node())) {
+                let referenced = |p: &HeldCopy| group.contains(&p.node()) && p.points_at(c.node());
+                if c.pointer().is_some() || !copies.iter().any(referenced) {
+                    self.store_remove(c.node(), &key);
                 }
             }
         }
@@ -777,7 +812,7 @@ impl SimCluster {
     /// were in flight (and thus unusable as sources) get propagated once
     /// they arrive.
     pub fn resync_all(&mut self, now: SimTime) {
-        let keys: Vec<Key> = self.sizes.keys().copied().collect();
+        let keys: Vec<Key> = self.index.keys().copied().collect();
         self.sync_keys(keys, now, SyncCtx::Repair);
     }
 
@@ -789,12 +824,15 @@ impl SimCluster {
         let mut keys: Vec<Key> = self.inflight.keys().map(|&(_, k)| k).collect();
         // Drop records of transfers that have completed.
         self.inflight.retain(|_, &mut (_, done)| done > now);
-        for node in 0..self.stores.len() {
-            if self.node_up[node] {
-                keys.extend(self.stores[node].pointer_keys());
-            }
-        }
+        keys.extend(self.live_pointers().map(|&(.., key)| key));
         self.sync_keys(keys, now, SyncCtx::Repair);
+    }
+
+    /// Pointers held by live nodes, as `(since, node, key)`, earliest first.
+    fn live_pointers(&self) -> impl Iterator<Item = &(SimTime, u32, Key)> {
+        self.due
+            .iter()
+            .filter(|&&(_, node, _)| self.node_up[node as usize])
     }
 
     /// Resolves pointers older than the pointer stabilization time: the
@@ -803,55 +841,59 @@ impl SimCluster {
     /// paid (Section 6).
     pub fn resolve_stale_pointers(&mut self, now: SimTime) -> usize {
         let cutoff = now.saturating_sub(self.cfg.pointer_stabilization);
+        // Everything due on a live node, resolved in (node, key) order:
+        // resolutions queue on the migration links, so this order decides
+        // each copy's arrival. A pointer retargeted below is due again
+        // but waits for the next round.
+        let mut due: Vec<(u32, Key)> = self
+            .live_pointers()
+            .take_while(|&&(since, ..)| since <= cutoff)
+            .map(|&(_, node, key)| (node, key))
+            .collect();
+        due.sort_unstable();
         let mut resolved = 0;
-        for node in 0..self.stores.len() {
-            if !self.node_up[node] {
+        for (n, key) in due {
+            let node = NodeIdx(n as usize);
+            let block = &self.index[&key];
+            let (len, group_size) = (self.stored_len(block.len), self.group_size_of(block.twin));
+            let Some((src, _)) = self.copy_at(node, &key).and_then(HeldCopy::pointer) else {
+                continue;
+            };
+            // The holder must still have real data (it may itself be a
+            // pointer if chains formed; follow one level per round).
+            let has_data = self
+                .copy_at(src, &key)
+                .is_some_and(|c| c.pointer().is_none());
+            if !self.node_up[src.0] || !has_data {
+                // Retarget to any live data holder, keeping it due.
+                if let Some(alt) = self.live_data_holder(&key, now) {
+                    self.store_put(node, key, Self::pointer_to(alt, cutoff, len), now);
+                }
                 continue;
             }
-            for (key, holder, len) in self.stores[node].stale_pointers(cutoff) {
-                // The holder must still have real data (it may itself be a
-                // pointer if chains formed; follow one level per round).
-                let src = NodeIdx(holder);
-                let has_data = self.stores[src.0]
-                    .get(&key)
-                    .map(|b| !b.payload.is_pointer())
-                    .unwrap_or(false);
-                if !self.node_up[src.0] || !has_data {
-                    // Retarget to any live data holder, keeping it due.
-                    if let Some(alt) = self.live_data_holder(&key, now) {
-                        self.put_pointer(NodeIdx(node), key, alt, cutoff, len, now);
-                    }
-                    continue;
-                }
-                let done = self.migration_links[node].transmit(now, len as u64);
-                self.stats.migration_bytes += len as u64;
-                self.stats.pointers_resolved += 1;
-                self.obs.record_with(|| TraceEvent::Migration {
-                    t_us: now.as_micros(),
-                    kind: MigrationKind::PointerResolve,
-                    src: src.0,
-                    dst: node,
-                    key: key.to_u64_lossy(),
-                    bytes: len as u64,
-                });
-                let payload = self.copy_payload(src, &key, len);
-                self.store_put(NodeIdx(node), key, payload, done);
-                if done > now {
-                    self.inflight.insert((node, key), (src.0, done));
-                }
-                resolved += 1;
-                // If the source only kept the block to serve this pointer,
-                // it can release it now.
-                let group_size = if self.twin_set.contains(&key) {
-                    self.cfg.hybrid_hash_replicas
-                } else {
-                    self.group_size()
-                };
-                let group = self.ring.replica_group(&key, group_size);
-                let still_referenced = self.copies_of(&key).any(|c| c.points_at(src));
-                if !group.contains(&src) && !still_referenced {
-                    self.store_remove(src, &key);
-                }
+            let done = self.migration_links[node.0].transmit(now, len as u64);
+            self.stats.migration_bytes += len as u64;
+            self.stats.pointers_resolved += 1;
+            self.obs.record_with(|| TraceEvent::Migration {
+                t_us: now.as_micros(),
+                kind: MigrationKind::PointerResolve,
+                src: src.0,
+                dst: node.0,
+                key: key.to_u64_lossy(),
+                bytes: len as u64,
+            });
+            let payload = self.copy_payload(src, &key, len);
+            self.store_put(node, key, payload, done);
+            if done > now {
+                self.inflight.insert((node.0, key), (src.0, done));
+            }
+            resolved += 1;
+            // If the source only kept the block to serve this pointer,
+            // it can release it now.
+            let group = self.ring.replica_group(&key, group_size);
+            let still_referenced = self.copies_of(&key).iter().any(|c| c.points_at(src));
+            if !group.contains(&src) && !still_referenced {
+                self.store_remove(src, &key);
             }
         }
         resolved
@@ -870,15 +912,11 @@ impl SimCluster {
         self.ring.remove_node(node);
         // Cancel incomplete transfers sourced by the dead node, and prune
         // completed records.
-        let cancelled: Vec<(usize, Key)> = self
+        let ended = self
             .inflight
-            .iter()
-            .filter(|(_, &(src, done))| src == node.0 && done > now)
-            .map(|(&k, _)| k)
-            .collect();
-        self.inflight
-            .retain(|_, &mut (src, done)| done > now && src != node.0);
-        for (dst, key) in cancelled {
+            .extract_if(|_, &mut (src, done)| done <= now || src == node.0);
+        let cancelled: Vec<_> = ended.filter(|&(_, (_, done))| done > now).collect();
+        for ((dst, key), _) in cancelled {
             self.store_remove(NodeIdx(dst), &key);
         }
         if self.ring.is_empty() {
@@ -890,13 +928,7 @@ impl SimCluster {
         // fires (drained by `process_observed_failures`).
         let keys: Vec<Key> = self.stores[node.0].keys_in(&d2_types::KeyRange::full());
         if self.cfg.failure_detection == SimTime::ZERO {
-            if self.cfg.redundancy_policy().is_erasure() {
-                // Lazy repair: triage into the budgeted queue instead of
-                // regenerating at the crash instant.
-                self.enqueue_repairs(keys, now);
-            } else {
-                self.sync_keys(keys, now, SyncCtx::Repair);
-            }
+            self.repair_after_crash(keys, now);
         } else {
             self.stats.deferred_repairs += 1;
             self.pending_repairs
@@ -909,27 +941,29 @@ impl SimCluster {
     /// missing replicas. Returns the number of crashes processed. A no-op
     /// unless [`ClusterConfig::failure_detection`] is positive.
     pub fn process_observed_failures(&mut self, now: SimTime) -> usize {
-        let mut due = Vec::new();
-        self.pending_repairs.retain_mut(|(at, keys)| {
-            if *at <= now {
-                due.push(std::mem::take(keys));
-                false
-            } else {
-                true
-            }
-        });
+        let due: Vec<_> = self
+            .pending_repairs
+            .extract_if(.., |(at, _)| *at <= now)
+            .collect();
         let n = due.len();
-        for keys in due {
+        for (_, keys) in due {
             self.stats.observed_failures += 1;
             if !self.ring.is_empty() {
-                if self.cfg.redundancy_policy().is_erasure() {
-                    self.enqueue_repairs(keys, now);
-                } else {
-                    self.sync_keys(keys, now, SyncCtx::Repair);
-                }
+                self.repair_after_crash(keys, now);
             }
         }
         n
+    }
+
+    /// Repairs the groups of `keys` after a noticed crash: at once under
+    /// replication; under erasure coding, lazily, by triage into the
+    /// budgeted queue instead of regenerating at the crash instant.
+    fn repair_after_crash(&mut self, keys: Vec<Key>, now: SimTime) {
+        if self.cfg.redundancy_policy().is_erasure() {
+            self.enqueue_repairs(keys, now);
+        } else {
+            self.sync_keys(keys, now, SyncCtx::Repair);
+        }
     }
 
     /// Crash repairs still waiting on failure detection.
@@ -949,7 +983,7 @@ impl SimCluster {
     fn enqueue_repairs(&mut self, keys: Vec<Key>, now: SimTime) {
         let m = self.cfg.effective_repair_threshold();
         for key in keys {
-            if !self.sizes.contains_key(&key) || self.repair_queue.contains(&key) {
+            if !self.index.contains_key(&key) || self.repair_queue.contains(&key) {
                 continue;
             }
             if self.reachable_copies(&key, now) >= m {
@@ -989,7 +1023,7 @@ impl SimCluster {
         let keys: Vec<Key> = self.repair_queue.iter().copied().collect();
         let mut repaired = 0;
         for key in keys {
-            let Some(&len) = self.sizes.get(&key) else {
+            let Some(len) = self.index.get(&key).map(|b| b.len) else {
                 self.repair_queue.remove(&key);
                 continue;
             };
@@ -1009,7 +1043,7 @@ impl SimCluster {
             let group = self.ring.replica_group(&key, self.group_size());
             let missing = group
                 .iter()
-                .filter(|&&mem| self.node_up[mem.0] && !self.stores[mem.0].contains(&key))
+                .filter(|&&mem| self.node_up[mem.0] && self.copy_at(mem, &key).is_none())
                 .count() as u64;
             if missing == 0 {
                 self.repair_queue.remove(&key);
@@ -1128,13 +1162,8 @@ impl BlockIo for SimCluster {
     }
 }
 
-/// Borrowed view implementing the balancer's [`LoadView`].
-struct Loads<'a> {
-    ring: &'a Ring,
-    stores: &'a [NodeStore],
-}
-
-impl LoadView for Loads<'_> {
+/// What the balancer probes.
+impl LoadView for SimCluster {
     fn primary_load(&self, node: NodeIdx) -> u64 {
         self.ring
             .range_of(node)
@@ -1498,11 +1527,69 @@ mod tests {
         assert_eq!(c.stats.pointers_installed, 1);
         assert_eq!(c.stats.migration_bytes, 0);
         assert!(c.is_available(&key, now));
-        let later = now + c.cfg.pointer_stabilization + SimTime::from_secs(1);
-        assert_eq!(c.resolve_stale_pointers(later), 1);
+        // Due exactly when it has outlived the stabilization time.
+        let due = now + c.cfg.pointer_stabilization;
+        assert_eq!(c.resolve_stale_pointers(due - SimTime::from_secs(1)), 0);
+        assert_eq!(c.resolve_stale_pointers(due), 1);
         assert_eq!(c.stats.migration_bytes, 8192);
         assert_eq!(c.holders_of(&key), vec![mover]);
         assert!(!c.stores[mover.0].get(&key).unwrap().payload.is_pointer());
+    }
+
+    #[test]
+    fn due_pointers_resolve_in_node_then_key_order() {
+        let cfg = ClusterConfig {
+            nodes: 8,
+            replicas: 1,
+            seed: 42,
+            ..ClusterConfig::default()
+        };
+        let mut c = SimCluster::new(SystemKind::D2, &cfg);
+        let (k1, k2) = (Key::from_fraction(0.2), Key::from_fraction(0.6));
+        c.put_block(k1, 8192, SimTime::ZERO);
+        c.put_block(k2, 8192, SimTime::ZERO);
+        let (o1, o2) = (c.holders_of(&k1)[0], c.holders_of(&k2)[0]);
+        let mut spare: Vec<NodeIdx> = c.ring.nodes();
+        spare.retain(|n| !c.holders_of(&k1).contains(n) && !c.holders_of(&k2).contains(n));
+        spare.sort_unstable();
+        let (lo, hi, gone) = (spare[0], spare[1], spare[2]);
+        let pointer = |holder: NodeIdx, secs| Payload::Pointer {
+            holder: holder.0,
+            since: SimTime::from_secs(secs),
+            len: 8192,
+        };
+        // Installed in the opposite order to the node indices; `lo`'s
+        // pointer on k1 leads to a node without the block.
+        c.store_put(hi, k1, pointer(o1, 0), SimTime::ZERO);
+        c.store_put(lo, k1, pointer(gone, 5), SimTime::ZERO);
+        c.store_put(lo, k2, pointer(o2, 10), SimTime::ZERO);
+        let sink = d2_obs::SharedSink::memory(0);
+        c.set_trace_sink(sink.clone());
+        let resolutions = |sink: &SharedSink| -> Vec<(usize, u64)> {
+            let events = sink.drain();
+            let resolves = events.iter().filter_map(|e| match *e {
+                TraceEvent::Migration {
+                    kind: MigrationKind::PointerResolve,
+                    dst,
+                    key,
+                    ..
+                } => Some((dst, key)),
+                _ => None,
+            });
+            resolves.collect()
+        };
+        let now = SimTime::from_secs(60) + c.cfg.pointer_stabilization;
+        let cutoff = now - c.cfg.pointer_stabilization;
+        assert_eq!(c.resolve_stale_pointers(now), 2);
+        let (k1_id, k2_id) = (k1.to_u64_lossy(), k2.to_u64_lossy());
+        assert_eq!(resolutions(&sink), vec![(lo.0, k2_id), (hi.0, k1_id)]);
+        // The retargeted pointer leads to real data and is due, but waits
+        // for the next round.
+        assert_eq!(c.copy_at(lo, &k1).unwrap().pointer(), Some((o1, cutoff)));
+        assert!(c.index_matches_stores());
+        assert_eq!(c.resolve_stale_pointers(now), 1);
+        assert_eq!(resolutions(&sink), vec![(lo.0, k1_id)]);
+        assert_eq!(c.resolve_stale_pointers(now), 0);
     }
 
     #[test]
@@ -1552,7 +1639,7 @@ mod tests {
         // Every block: its whole replica group holds it (data or pointer);
         // any extra holder must be the target of a live pointer (data kept
         // until resolution).
-        let keys: Vec<Key> = c.sizes.keys().copied().collect();
+        let keys: Vec<Key> = c.index.keys().copied().collect();
         for key in keys {
             let group = c.ring.replica_group(&key, c.cfg.replicas);
             let holders = c.holders_of(&key);

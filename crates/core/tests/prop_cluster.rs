@@ -8,8 +8,9 @@
 //! 2. no node holds a block it has no reason to hold (not in group, not
 //!    a referenced pointer target);
 //! 3. any block with at least one live real copy is reported available;
-//! 4. `holders_of(key)` is exactly the set of stores containing the key
-//!    (the index and the stores move in step).
+//! 4. `holders_of(key)` is exactly the set of stores containing the key,
+//!    and the index mirrors every copy the stores hold, pointers included
+//!    (`SimCluster::index_matches_stores`).
 //!
 //! A failure prints its seed and step.
 
@@ -192,6 +193,7 @@ fn replication_invariant_under_chaos() {
             // Far-future availability check time: in-flight regeneration
             // transfers count as arrived.
             let at = format!("seed {seed}, step {i} ({step:?})");
+            assert!(c.index_matches_stores(), "{at}: index and stores disagree");
             check_invariants(&c, &tracked, SimTime(u64::MAX), &at);
         }
     }

@@ -111,9 +111,6 @@ pub struct NodeStore {
     bytes: u64,
     pointer_bytes: u64,
     fragment_bytes: u64,
-    /// Keys currently stored as pointers (kept indexed so pointer scans
-    /// cost O(#pointers), not O(#blocks)).
-    pointers: std::collections::BTreeSet<Key>,
 }
 
 /// What one [`NodeStore::gc`] pass reclaimed, broken down by payload
@@ -176,23 +173,18 @@ impl NodeStore {
         self.fragment_bytes
     }
 
-    /// Adds `payload`'s bytes to the per-kind accounting and indexes.
-    fn account_add(&mut self, key: Key, payload: &Payload) {
+    /// Adds `payload`'s bytes to the per-kind accounting.
+    fn account_add(&mut self, payload: &Payload) {
         self.bytes += payload.len() as u64;
         if payload.is_pointer() {
             self.pointer_bytes += payload.len() as u64;
-            self.pointers.insert(key);
-        } else {
-            self.pointers.remove(&key);
         }
         if payload.is_fragment() {
             self.fragment_bytes += payload.len() as u64;
         }
     }
 
-    /// Removes a displaced `payload`'s bytes from the accounting (the
-    /// pointer index is maintained by [`NodeStore::account_add`] /
-    /// the removal paths, which know whether the key goes away).
+    /// Removes a displaced `payload`'s bytes from the accounting.
     fn account_sub(&mut self, payload: &Payload) {
         self.bytes -= payload.len() as u64;
         if payload.is_pointer() {
@@ -205,7 +197,7 @@ impl NodeStore {
 
     /// Inserts or replaces a block. Returns the previous entry, if any.
     pub fn put(&mut self, key: Key, payload: Payload, now: SimTime) -> Option<StoredBlock> {
-        self.account_add(key, &payload);
+        self.account_add(&payload);
         let old = self.blocks.insert(
             key,
             StoredBlock {
@@ -244,9 +236,6 @@ impl NodeStore {
         let old = self.blocks.remove(key);
         if let Some(ref o) = old {
             self.account_sub(&o.payload);
-            if o.payload.is_pointer() {
-                self.pointers.remove(key);
-            }
         }
         old
     }
@@ -400,36 +389,11 @@ impl NodeStore {
     /// Inserts pre-built blocks (migration receive).
     pub fn absorb(&mut self, blocks: Vec<(Key, StoredBlock)>) {
         for (k, b) in blocks {
-            self.account_add(k, &b.payload);
+            self.account_add(&b.payload);
             if let Some(old) = self.blocks.insert(k, b) {
                 self.account_sub(&old.payload);
             }
         }
-    }
-
-    /// Pointers installed before `cutoff` — due for resolution (fetch the
-    /// real block from the holder) once they have outlived the pointer
-    /// stabilization time.
-    pub fn stale_pointers(&self, cutoff: SimTime) -> Vec<(Key, usize, u32)> {
-        self.pointers
-            .iter()
-            .filter_map(|k| match self.blocks.get(k).map(|b| &b.payload) {
-                Some(&Payload::Pointer { holder, since, len }) if since <= cutoff => {
-                    Some((*k, holder, len))
-                }
-                _ => None,
-            })
-            .collect()
-    }
-
-    /// All keys currently stored as pointers (O(#pointers)).
-    pub fn pointer_keys(&self) -> Vec<Key> {
-        self.pointers.iter().copied().collect()
-    }
-
-    /// Number of pointer entries held.
-    pub fn pointer_count(&self) -> usize {
-        self.pointers.len()
     }
 
     /// Iterates all `(key, block)` entries in key order.
@@ -578,14 +542,9 @@ mod tests {
         assert!(s.get(&k(5)).unwrap().payload.is_pointer());
         assert_eq!(s.bytes(), 8192); // pointers carry logical size
         assert_eq!(s.data_bytes(), 0); // ... but occupy no physical space
-                                       // Not stale before the stabilization time.
-        assert!(s.stale_pointers(SimTime::from_secs(9)).is_empty());
-        let stale = s.stale_pointers(SimTime::from_secs(10));
-        assert_eq!(stale, vec![(k(5), 3, 8192)]);
-        assert_eq!(s.pointer_keys(), vec![k(5)]);
-        // Resolving: replace pointer with data.
+                                       // Resolving: replace pointer with data.
         s.put(k(5), Payload::Size(8192), SimTime::from_secs(20));
-        assert!(s.pointer_keys().is_empty());
+        assert!(!s.get(&k(5)).unwrap().payload.is_pointer());
         assert_eq!(s.data_bytes(), 8192);
     }
 
