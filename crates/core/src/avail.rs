@@ -119,6 +119,7 @@ impl AvailabilitySim {
             now += cfg.probe_interval;
             cluster.run_balance_round(now, false);
             cluster.resolve_stale_pointers(now);
+            cluster.forget_arrived_transfers(now);
         }
         cluster.now = now;
         AvailabilitySim {
@@ -324,9 +325,11 @@ mod tests {
             SimTime::from_secs(300),
         );
         let mut sim = AvailabilitySim::build(SystemKind::D2, &tiny_cluster_cfg(), &trace, 0.25);
-        // The warm-up deferred copies behind pointers, and the cluster's
-        // index still mirrors its stores.
+        // The warm-up deferred copies behind pointers, kept no record of a
+        // transfer that has arrived, and the cluster's index still mirrors
+        // its stores.
         assert!(sim.cluster.cfg.use_pointers && sim.cluster.stats.pointers_installed > 0);
+        assert!(sim.cluster.inflight.values().all(|t| t.1 > sim.epoch));
         assert!(sim.cluster.index_matches_stores());
         let failures = FailureTrace::none(24, SimTime::from_secs(86_400));
         let report = sim.run(&trace, &tasks, &failures);

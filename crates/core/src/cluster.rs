@@ -170,7 +170,7 @@ pub struct SimCluster {
     /// `(src, completion)`. A transfer is cancelled (and the destination
     /// copy dropped) if its source dies before completion — without this,
     /// simultaneous whole-group failures would never lose data.
-    inflight: HashMap<(usize, Key), (usize, SimTime)>,
+    pub(crate) inflight: HashMap<(usize, Key), (usize, SimTime)>,
     /// Crash repairs waiting out the failure-detection delay: `(when the
     /// survivors notice, keys the dead node held)`. Empty whenever
     /// `cfg.failure_detection` is zero (synchronous repair).
@@ -822,10 +822,17 @@ impl SimCluster {
     /// O(all blocks). [`SimCluster::resync_all`] remains for full audits.
     pub fn resync_pending(&mut self, now: SimTime) {
         let mut keys: Vec<Key> = self.inflight.keys().map(|&(_, k)| k).collect();
-        // Drop records of transfers that have completed.
-        self.inflight.retain(|_, &mut (_, done)| done > now);
+        self.forget_arrived_transfers(now);
         keys.extend(self.live_pointers().map(|&(.., key)| key));
         self.sync_keys(keys, now, SyncCtx::Repair);
+    }
+
+    /// Drops the records of transfers that have arrived by `now`. Only a
+    /// cancellation and the next [`SimCluster::resync_pending`] read them,
+    /// so a driver that runs neither (a warm-up) calls this every round;
+    /// otherwise every transfer it ever made stays recorded.
+    pub fn forget_arrived_transfers(&mut self, now: SimTime) {
+        self.inflight.retain(|_, &mut (_, done)| done > now);
     }
 
     /// Pointers held by live nodes, as `(since, node, key)`, earliest first.

@@ -13,11 +13,11 @@
 //! one; `Para` — all fetches are independent, subject to the client cap.
 //! The real system sits between these extremes (Section 9.1).
 
-use crate::cluster::SimCluster;
+use crate::avail::AvailabilitySim;
 use crate::config::ClusterConfig;
 use d2_obs::{CacheResult, Histogram, SharedSink, TraceEvent};
 use d2_ring::routing::Router;
-use d2_ring::NodeIdx;
+use d2_ring::{NodeIdx, Ring};
 use d2_sim::net::{LinkState, TcpConn, Topology};
 use d2_sim::SimTime;
 use d2_store::{CacheOutcome, LookupCache};
@@ -106,11 +106,18 @@ impl PerfReport {
     }
 }
 
-/// The performance simulation driver.
+/// The performance simulation driver. It keeps the ring the warm-up
+/// left, not the cluster that ran it: a replay routes, checks cached
+/// ranges and picks replicas by ring position alone, so no block index
+/// or store outlives the build or rides along in a clone.
 #[derive(Clone, Debug)]
 pub struct PerfSim {
-    /// Cluster with warmed-up placement.
-    pub cluster: SimCluster,
+    /// Ring membership and positions after the warm-up.
+    pub ring: Ring,
+    /// Replicas a fetch picks its server among.
+    replicas: usize,
+    /// Lookup-cache entry TTL.
+    cache_ttl: SimTime,
     topo: Topology,
     router: Router,
     server_links: Vec<LinkState>,
@@ -137,7 +144,8 @@ pub struct PerfSim {
 impl PerfSim {
     /// Builds the performance testbed: preload the file system, stabilize
     /// positions (for balancing systems), build routing tables and the
-    /// network topology, and pin each user to a random client node.
+    /// network topology, and pin each user to a random client node. The
+    /// cluster that placed the blocks is dropped here; its ring is kept.
     pub fn build(
         system: SystemKind,
         cluster_cfg: &ClusterConfig,
@@ -145,20 +153,25 @@ impl PerfSim {
         trace: &HarvardTrace,
         warmup_days: f64,
     ) -> PerfSim {
-        let sim = crate::avail::AvailabilitySim::build(system, cluster_cfg, trace, warmup_days);
-        let (cluster, keys) = (sim.cluster, sim.keys);
+        let AvailabilitySim { cluster, keys, .. } =
+            AvailabilitySim::build(system, cluster_cfg, trace, warmup_days);
+        let ring = cluster.ring;
+        // No node fails during the warm-up: every handle is in the ring.
+        let nodes = ring.capacity();
         let mut rng = StdRng::seed_from_u64(cluster_cfg.seed ^ 0x9e37_79b9);
-        let topo = Topology::sample(cluster.len(), perf_cfg.mean_rtt_ms, &mut rng);
-        let router = Router::build(&cluster.ring, cluster_cfg.successors);
-        let server_links = vec![LinkState::new_kbps(perf_cfg.access_kbps); cluster.len()];
+        let topo = Topology::sample(nodes, perf_cfg.mean_rtt_ms, &mut rng);
+        let router = Router::build(&ring, cluster_cfg.successors);
+        let server_links = vec![LinkState::new_kbps(perf_cfg.access_kbps); nodes];
         let mut client_node = HashMap::new();
         for a in &trace.accesses {
             client_node
                 .entry(a.user)
-                .or_insert_with(|| rng.random_range(0..cluster.len()));
+                .or_insert_with(|| rng.random_range(0..nodes));
         }
         PerfSim {
-            cluster,
+            ring,
+            replicas: cluster_cfg.replicas,
+            cache_ttl: cluster_cfg.cache_ttl,
             topo,
             router,
             server_links,
@@ -176,12 +189,11 @@ impl PerfSim {
         }
     }
 
-    /// Attaches a trace sink to the driver and its cluster: per-fetch
-    /// [`TraceEvent::Fetch`], per-lookup [`TraceEvent::Route`], cache
-    /// probes, and access-group spans are recorded into it. Cloned sinks
-    /// share one buffer, so one sink can observe a whole experiment.
+    /// Attaches a trace sink: per-fetch [`TraceEvent::Fetch`], per-lookup
+    /// [`TraceEvent::Route`], cache probes, and access-group spans are
+    /// recorded into it. Cloned sinks share one buffer, so one sink can
+    /// observe a whole experiment.
     pub fn set_trace_sink(&mut self, sink: SharedSink) {
-        self.cluster.set_trace_sink(sink.clone());
         self.obs = sink;
     }
 
@@ -189,7 +201,7 @@ impl PerfSim {
     /// sweep of Figure 10) and resets connection state.
     pub fn set_access_kbps(&mut self, kbps: u64) {
         self.cfg.access_kbps = kbps;
-        self.server_links = vec![LinkState::new_kbps(kbps); self.cluster.len()];
+        self.server_links = vec![LinkState::new_kbps(kbps); self.ring.capacity()];
         self.conns.clear();
     }
 
@@ -224,15 +236,15 @@ impl PerfSim {
         let mut keys = std::mem::take(&mut self.keys_buf);
         for group in groups {
             self.group_keys_into(trace, group, &mut keys);
-            let ttl = self.cluster.cfg.cache_ttl;
+            let ttl = self.cache_ttl;
             for &(key, _) in &keys {
                 let cache = self
                     .caches
                     .entry(group.user)
                     .or_insert_with(|| LookupCache::new(ttl));
                 if cache.peek(&key, group.start).is_none() {
-                    if let Some(owner) = self.cluster.ring.owner_of(&key) {
-                        if let Some(range) = self.cluster.ring.range_of(owner) {
+                    if let Some(owner) = self.ring.owner_of(&key) {
+                        if let Some(range) = self.ring.range_of(owner) {
                             cache.insert(range, owner.0, group.start);
                         }
                     }
@@ -249,7 +261,7 @@ impl PerfSim {
     /// traffic.
     pub fn run(&mut self, trace: &HarvardTrace, groups: &[Task], mode: Parallelism) -> PerfReport {
         let mut report = PerfReport {
-            nodes: self.cluster.ring.len(),
+            nodes: self.ring.len(),
             ..Default::default()
         };
         let mut keys = std::mem::take(&mut self.keys_buf);
@@ -321,7 +333,7 @@ impl PerfSim {
         report: &mut PerfReport,
     ) -> SimTime {
         let client = *self.client_node.get(&user).unwrap_or(&0);
-        let ttl = self.cluster.cfg.cache_ttl;
+        let ttl = self.cache_ttl;
         let cache = self
             .caches
             .entry(user)
@@ -332,7 +344,6 @@ impl PerfSim {
         let mut cached = None;
         if let CacheOutcome::Hit { node } = cache.probe_traced(&key, now, user, &self.obs) {
             let fresh = self
-                .cluster
                 .ring
                 .range_of(NodeIdx(node))
                 .map(|r| r.contains(&key))
@@ -364,9 +375,8 @@ impl PerfSim {
         // randomly). The group goes into a reusable buffer — this runs
         // once per block access.
         let mut group = std::mem::take(&mut self.group_buf);
-        self.cluster
-            .ring
-            .replica_group_into(&key, self.cluster.cfg.replicas, &mut group);
+        self.ring
+            .replica_group_into(&key, self.replicas, &mut group);
         let server = if group.is_empty() {
             owner
         } else {
@@ -417,7 +427,7 @@ impl PerfSim {
         let mut path = std::mem::take(&mut self.path_buf);
         let (owner, hops, messages) = self
             .router
-            .lookup_into(&self.cluster.ring, from, &key, &mut path)
+            .lookup_into(&self.ring, from, &key, &mut path)
             .expect("ring nonempty");
         self.obs.record_with(|| TraceEvent::Route {
             t_us: now.as_micros(),
@@ -454,12 +464,12 @@ impl PerfSim {
         }
         lat += reply;
         report.lookup_latency_us.record(lat.as_micros());
-        let ttl = self.cluster.cfg.cache_ttl;
+        let ttl = self.cache_ttl;
         let cache = self
             .caches
             .entry(user)
             .or_insert_with(|| LookupCache::new(ttl));
-        if let Some(range) = self.cluster.ring.range_of(owner) {
+        if let Some(range) = self.ring.range_of(owner) {
             cache.insert(range, owner.0, now);
         }
         (owner, lat, hop_us)
@@ -467,10 +477,10 @@ impl PerfSim {
 
     /// The ring node co-located with (or closest to) a client address.
     fn nearest_ring_node(&self, client: usize) -> NodeIdx {
-        if self.cluster.ring.contains(NodeIdx(client)) {
+        if self.ring.contains(NodeIdx(client)) {
             return NodeIdx(client);
         }
-        self.cluster.ring.first_node().expect("ring nonempty")
+        self.ring.first_node().expect("ring nonempty")
     }
 }
 

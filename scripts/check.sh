@@ -109,6 +109,13 @@ echo "==> d2-bench set-up gate (sim_harvard32: setup_s <= 0.4)"
 # every node's pointers: either reads 0.37–0.51 s.
 bench_gate sim_harvard32 setup_s 0.4
 
+echo "==> d2-bench memory gate (sim_harvard32: rss_peak_mb <= 40)"
+# A built PerfSim keeps the warmed-up ring, not the cluster that placed
+# the blocks, and the warm-up forgets each transfer once it arrives
+# (DESIGN.md §9): about 34 MB. A failure means a replay carries a block
+# index again, or the warm-up hoards finished transfers: 53 MB.
+bench_gate sim_harvard32 rss_peak_mb 40
+
 echo "==> d2-bench memory gate (many64_tasks: rss_peak_mb <= 95)"
 # The preloaded 64-node ring is 81-83 MB (4,096 blocks x 3 replicas) and
 # the get window's buffers bring it to about 84. A repair round spends
