@@ -13,7 +13,7 @@
 //! and balanced for a warm-up period (the paper uses 3 simulated days)
 //! before the failure trace and workload begin.
 
-use crate::cluster::SimCluster;
+use crate::cluster::{SimCluster, PROBE_INTERVAL};
 use crate::config::ClusterConfig;
 use d2_ring::NodeIdx;
 use d2_sim::{FailureTrace, SimTime};
@@ -116,7 +116,7 @@ impl AvailabilitySim {
         let mut now = SimTime::ZERO;
         let end = SimTime::from_secs_f64(warmup_days * 86_400.0);
         while now < end {
-            now += cfg.probe_interval;
+            now += PROBE_INTERVAL;
             cluster.run_balance_round(now, false);
             cluster.resolve_stale_pointers(now);
             cluster.forget_arrived_transfers(now);
@@ -160,7 +160,7 @@ impl AvailabilitySim {
         let horizon = epoch + failures.duration;
         let mut m = epoch;
         while m < horizon {
-            m += self.cluster.cfg.probe_interval;
+            m += PROBE_INTERVAL;
             events.push((m, Ev::Maintain));
         }
         events.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
@@ -189,10 +189,6 @@ impl AvailabilitySim {
                     }
                 }
                 Ev::Maintain => {
-                    // Deferred crash repairs fire once their detection
-                    // timeout expires (no-op with the default oracle
-                    // detector, where node_down repaired synchronously).
-                    self.cluster.process_observed_failures(at);
                     // Lazy erasure repair drains its budgeted queue here
                     // (no-op under replication, which repairs eagerly).
                     self.cluster.run_repair_round(at);
@@ -328,7 +324,7 @@ mod tests {
         // The warm-up deferred copies behind pointers, kept no record of a
         // transfer that has arrived, and the cluster's index still mirrors
         // its stores.
-        assert!(sim.cluster.cfg.use_pointers && sim.cluster.stats.pointers_installed > 0);
+        assert!(sim.cluster.stats.pointers_installed > 0);
         assert!(sim.cluster.inflight.values().all(|t| t.1 > sim.epoch));
         assert!(sim.cluster.index_matches_stores());
         let failures = FailureTrace::none(24, SimTime::from_secs(86_400));

@@ -27,6 +27,18 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::{BTreeSet, HashMap};
 
+/// How often every node probes a random peer for load balance (paper
+/// Section 6: every 10 minutes).
+pub const PROBE_INTERVAL: SimTime = SimTime::from_secs(600);
+
+/// How long a block pointer stands before its holder fetches the real
+/// block (Section 6: 1 hour).
+pub const POINTER_STABILIZATION: SimTime = SimTime::from_secs(3600);
+
+/// Per-node bandwidth budget for migration and regeneration traffic
+/// (Section 8.1: 750 kbps).
+pub const MIGRATION_KBPS: u64 = 750;
+
 /// Traffic and event counters for a cluster's lifetime.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ClusterStats {
@@ -45,12 +57,6 @@ pub struct ClusterStats {
     pub pointers_resolved: u64,
     /// Blocks regenerated after failures.
     pub regenerated_blocks: u64,
-    /// Writes diverted away from full nodes via pointers (Section 6).
-    pub diverted_writes: u64,
-    /// Crash repairs deferred behind the failure-detection delay.
-    pub deferred_repairs: u64,
-    /// Deferred repairs whose detection timeout has since fired.
-    pub observed_failures: u64,
     /// Bytes spent regenerating erasure fragments from the lazy repair
     /// queue (a subset of `migration_bytes`).
     pub repair_bytes: u64,
@@ -63,11 +69,11 @@ pub struct ClusterStats {
 }
 
 /// Why a replica-group repair is running — decides whether the balance
-/// mover may defer its copies with pointers, and how transfers are
+/// mover defers its copies with pointers, and how transfers are
 /// accounted.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum SyncCtx {
-    /// Repair after a load-balance move; `mover` may use pointers.
+    /// Repair after a load-balance move; `mover` installs pointers.
     Balance {
         /// The node whose ID changed.
         mover: NodeIdx,
@@ -129,8 +135,6 @@ impl HeldCopy {
 struct Block {
     /// Logical size in bytes.
     len: u32,
-    /// Whether this is a hashed twin key (hybrid placement's safeguard).
-    twin: bool,
     /// Each holder's copy, in the order the holders first stored it.
     copies: Vec<HeldCopy>,
 }
@@ -151,9 +155,8 @@ pub struct SimCluster {
     pub node_up: Vec<bool>,
     /// Per-node migration/regeneration links (750 kbps by default).
     migration_links: Vec<LinkState>,
-    /// Every tracked block (hybrid twins included) with each holder's
-    /// copy, kept in step with the stores: the one place placement
-    /// decisions read.
+    /// Every tracked block with each holder's copy, kept in step with the
+    /// stores: the one place placement decisions read.
     index: HashMap<Key, Block>,
     /// Every pointer held, as `(since, node, key)`, earliest first: kept
     /// in step with the index, so due pointers are the queue's head.
@@ -164,17 +167,11 @@ pub struct SimCluster {
     pub rng: StdRng,
     /// Current virtual time (advanced by drivers).
     pub now: SimTime,
-    /// Hashed twin key per block under hybrid placement (Section 11).
-    twins: HashMap<Key, Key>,
     /// In-flight migration/regeneration transfers: `(dst, key)` →
     /// `(src, completion)`. A transfer is cancelled (and the destination
     /// copy dropped) if its source dies before completion — without this,
     /// simultaneous whole-group failures would never lose data.
     pub(crate) inflight: HashMap<(usize, Key), (usize, SimTime)>,
-    /// Crash repairs waiting out the failure-detection delay: `(when the
-    /// survivors notice, keys the dead node held)`. Empty whenever
-    /// `cfg.failure_detection` is zero (synchronous repair).
-    pending_repairs: Vec<(SimTime, Vec<Key>)>,
     /// Lazy erasure-repair queue: keys whose surviving fragment count
     /// dropped below the repair threshold `m`, waiting for budget.
     /// Ordered (BTreeSet) so draining is deterministic. Always empty
@@ -210,15 +207,13 @@ impl SimCluster {
             cfg: *cfg,
             stores: vec![NodeStore::new(); ring.capacity()],
             node_up: vec![true; ring.capacity()],
-            migration_links: vec![LinkState::new_kbps(cfg.migration_kbps); ring.capacity()],
+            migration_links: vec![LinkState::new_kbps(MIGRATION_KBPS); ring.capacity()],
             index: HashMap::new(),
             due: BTreeSet::new(),
             stats: ClusterStats::default(),
             rng,
             now: SimTime::ZERO,
-            twins: HashMap::new(),
             inflight: HashMap::new(),
-            pending_repairs: Vec::new(),
             repair_queue: std::collections::BTreeSet::new(),
             repair_tokens: vec![0; ring.capacity()],
             last_repair_refill: SimTime::ZERO,
@@ -235,11 +230,6 @@ impl SimCluster {
         self.obs = sink;
     }
 
-    /// The cluster's trace sink (null unless attached).
-    pub fn trace_sink(&self) -> &SharedSink {
-        &self.obs
-    }
-
     /// Number of nodes (live or not).
     pub fn len(&self) -> usize {
         self.stores.len()
@@ -250,19 +240,14 @@ impl SimCluster {
         self.stores.is_empty()
     }
 
-    /// Number of distinct blocks tracked.
-    pub fn block_count(&self) -> usize {
-        self.index.len()
-    }
-
     // ---- low-level bookkeeping (keeps index and stores in sync) ----------
 
     /// Tracks `key` as a fresh block of `len` bytes, dropping every copy
     /// of a previous version.
-    fn track(&mut self, key: Key, len: u32, twin: bool) {
+    fn track(&mut self, key: Key, len: u32) {
         self.untrack(&key);
         let copies = Vec::new();
-        self.index.insert(key, Block { len, twin, copies });
+        self.index.insert(key, Block { len, copies });
     }
 
     /// Stops tracking `key`, dropping every copy; returns its size.
@@ -399,16 +384,6 @@ impl SimCluster {
         self.cfg.redundancy_policy().group_size()
     }
 
-    /// Group size of a tracked block: hybrid twins (safeguard blocks)
-    /// use the smaller hybrid group.
-    fn group_size_of(&self, twin: bool) -> usize {
-        if twin {
-            self.cfg.hybrid_hash_replicas
-        } else {
-            self.group_size()
-        }
-    }
-
     /// The payload group member `position` stores for a `frag`-byte
     /// share: a fragment (carrying its code-word index) under erasure
     /// coding, a plain size placeholder under replication.
@@ -424,50 +399,25 @@ impl SimCluster {
         }
     }
 
-    /// The hashed twin key for hybrid replica placement.
-    fn twin_key(key: &Key) -> Key {
-        let h1 = d2_types::sha256(key.as_bytes());
-        let mut buf = [0u8; 33];
-        buf[..32].copy_from_slice(h1.as_bytes());
-        buf[32] = 0x77;
-        let h2 = d2_types::sha256(&buf);
-        let mut b = [0u8; 64];
-        b[..32].copy_from_slice(h1.as_bytes());
-        b[32..].copy_from_slice(h2.as_bytes());
-        Key::from_bytes(b)
-    }
-
     // ---- block operations --------------------------------------------------
 
     /// Writes a block of `len` bytes: stored on the `r` live successors of
-    /// `key` (fragments under erasure coding), plus hashed-twin safeguard
-    /// replicas when hybrid placement is on. Counts `len` toward user
+    /// `key` (fragments under erasure coding). Counts `len` toward user
     /// write traffic once.
     pub fn put_block(&mut self, key: Key, len: u32, now: SimTime) {
         self.stats.write_bytes += len as u64;
         self.place(key, len, now);
     }
 
-    /// Stores a block of `len` bytes on its group (and its hybrid twin's)
-    /// at `at`, replacing every copy of a previous version.
+    /// Stores a block of `len` bytes on its group at `at`, replacing
+    /// every copy of a previous version.
     fn place(&mut self, key: Key, len: u32, at: SimTime) {
-        self.track(key, len, false);
+        self.track(key, len);
         let frag = self.stored_len(len);
         let group = self.ring.replica_group(&key, self.group_size());
         for (pos, node) in group.into_iter().enumerate() {
             let payload = self.member_payload(pos, frag);
-            self.put_or_divert(node, key, payload, at);
-        }
-        if self.cfg.hybrid_hash_replicas > 0 {
-            let twin = Self::twin_key(&key);
-            self.twins.insert(key, twin);
-            self.track(twin, len, true);
-            for node in self
-                .ring
-                .replica_group(&twin, self.cfg.hybrid_hash_replicas)
-            {
-                self.store_put(node, twin, Payload::Size(frag), at);
-            }
+            self.store_put(node, key, payload, at);
         }
     }
 
@@ -475,57 +425,18 @@ impl SimCluster {
     pub fn put_block_data(&mut self, key: Key, data: Vec<u8>, now: SimTime) {
         let len = data.len() as u32;
         self.stats.write_bytes += len as u64;
-        self.track(key, len, false);
+        self.track(key, len);
         for node in self.ring.replica_group(&key, self.group_size()) {
             self.store_put(node, key, Payload::Data(data.clone()), now);
         }
     }
 
-    /// Stores a replica at `node`, or — if that would overflow its
-    /// capacity — diverts the bytes to the nearest successor with space,
-    /// leaving a pointer on the full node (Section 6 / PAST). The full
-    /// node sheds load at its next balance move, so the indirection is
-    /// temporary.
-    fn put_or_divert(&mut self, node: NodeIdx, key: Key, payload: Payload, now: SimTime) {
-        let frag = payload.len();
-        let Some(cap) = self.cfg.node_capacity_bytes else {
-            self.store_put(node, key, payload, now);
-            return;
-        };
-        let fits = |s: &Self, n: NodeIdx| s.stores[n.0].data_bytes() + frag as u64 <= cap;
-        if fits(self, node) {
-            self.store_put(node, key, payload, now);
-            return;
-        }
-        // Walk successors for a node with space (skipping existing
-        // holders); give up after one lap and store over-capacity (better
-        // full than lost).
-        let mut candidate = self.ring.successor(node);
-        for _ in 0..self.ring.len() {
-            let Some(c) = candidate else { break };
-            if c == node {
-                break;
-            }
-            if self.copy_at(c, &key).is_none() && fits(self, c) {
-                self.store_put(c, key, payload, now);
-                self.store_put(node, key, Self::pointer_to(c, now, frag), now);
-                self.stats.diverted_writes += 1;
-                return;
-            }
-            candidate = self.ring.successor(c);
-        }
-        self.store_put(node, key, payload, now);
-    }
-
-    /// Removes a block (and its hybrid twin) from every holder. The
-    /// simulation skips the removal delay: availability checks for removed
-    /// blocks are not meaningful, so nothing reads a copy the delay keeps.
+    /// Removes a block from every holder. The simulation skips the
+    /// removal delay: availability checks for removed blocks are not
+    /// meaningful, so nothing reads a copy the delay keeps.
     pub fn remove_block(&mut self, key: &Key, _now: SimTime) {
         if let Some(len) = self.untrack(key) {
             self.stats.removed_bytes += len as u64;
-        }
-        if let Some(twin) = self.twins.remove(key) {
-            self.untrack(&twin);
         }
     }
 
@@ -546,16 +457,9 @@ impl SimCluster {
     }
 
     /// Whether `key` can be read at `now`: at least one replica (or `k`
-    /// erasure fragments) reachable, or — under hybrid placement — its
-    /// hashed twin is.
+    /// erasure fragments) reachable.
     pub fn is_available(&self, key: &Key, now: SimTime) -> bool {
-        if self.reachable_copies(key, now) >= self.min_live() {
-            return true;
-        }
-        match self.twins.get(key) {
-            Some(twin) => self.reachable_copies(twin, now) >= self.min_live(),
-            None => false,
-        }
+        self.reachable_copies(key, now) >= self.min_live()
     }
 
     /// Bulk-loads an initial data set without counting user write traffic
@@ -617,8 +521,7 @@ impl SimCluster {
             let Some(target) = self.ring.random_node(&mut self.rng) else {
                 continue;
             };
-            let Some(op) = balance::probe(&self.ring, self, prober, target, &self.cfg.balance)
-            else {
+            let Some(op) = balance::probe(&self.ring, self, prober, target) else {
                 continue;
             };
             if !balance::apply_to_ring(&mut self.ring, &op) {
@@ -664,12 +567,12 @@ impl SimCluster {
 
     /// Recomputes replica groups for `keys` and repairs them: missing
     /// members fetch — except the balance *mover*, which installs pointers
-    /// when they are enabled (Section 6: pointers defer only the mover's
-    /// copies; ordinary replica maintenance transfers immediately) — then
-    /// ex-members release their copies, except ex-members that real
-    /// pointers still reference, which keep the data until the pointers
-    /// resolve (the paper's "D will ultimately retrieve the actual blocks
-    /// from A and delete the pointers").
+    /// (Section 6: pointers defer only the mover's copies; ordinary
+    /// replica maintenance transfers immediately) — then ex-members
+    /// release their copies, except ex-members that real pointers still
+    /// reference, which keep the data until the pointers resolve (the
+    /// paper's "D will ultimately retrieve the actual blocks from A and
+    /// delete the pointers").
     fn sync_keys(&mut self, mut keys: Vec<Key>, now: SimTime, ctx: SyncCtx) {
         // Callers gather affected keys from several stores and from hash
         // maps, whose iteration order varies run to run. Transfers queue
@@ -680,6 +583,7 @@ impl SimCluster {
         keys.dedup();
         let erasure = self.cfg.redundancy_policy().is_erasure();
         let balancing = matches!(ctx, SyncCtx::Balance { .. });
+        let group_size = self.group_size();
         let mut group = Vec::new();
         // The key's copies as this pass sees them: taken from the index
         // once, then kept in step with every `store_put` below.
@@ -688,12 +592,11 @@ impl SimCluster {
             let Some(block) = self.index.get(&key) else {
                 continue;
             };
-            let (len, is_twin) = (block.len, block.twin);
+            let len = block.len;
             copies.clear();
             copies.extend_from_slice(&block.copies);
             // Per-member bytes: a fragment under erasure coding.
             let frag = self.stored_len(len);
-            let group_size = self.group_size_of(is_twin);
             self.ring.replica_group_into(&key, group_size, &mut group);
             // A source must be live with an *arrived* real copy — an
             // in-flight regeneration transfer cannot seed further copies,
@@ -711,7 +614,7 @@ impl SimCluster {
             // Erasure regeneration decodes from k fragments: with fewer
             // survivors there is nothing to regenerate *from* — leave the
             // remnants alone until a holder returns.
-            if !is_twin && erasure && live().count() < self.min_live() {
+            if erasure && live().count() < self.min_live() {
                 continue;
             }
             // 0) Repair broken pointers: a live member whose pointer
@@ -743,7 +646,7 @@ impl SimCluster {
                     continue;
                 }
                 let is_mover = matches!(ctx, SyncCtx::Balance { mover } if mover == member);
-                if is_mover && self.cfg.use_pointers {
+                if is_mover {
                     copies.push(self.store_put(
                         member,
                         key,
@@ -774,7 +677,7 @@ impl SimCluster {
                     if !balancing {
                         self.stats.regenerated_blocks += 1;
                     }
-                    let payload = if !is_twin && erasure {
+                    let payload = if erasure {
                         // A regenerated fragment takes the member's slot in
                         // the code word, same generation as the survivors.
                         let generation = match self.stores[source.0].get(&key).map(|b| &b.payload) {
@@ -847,7 +750,7 @@ impl SimCluster {
     /// the pointer. This is when deferred migration traffic is actually
     /// paid (Section 6).
     pub fn resolve_stale_pointers(&mut self, now: SimTime) -> usize {
-        let cutoff = now.saturating_sub(self.cfg.pointer_stabilization);
+        let cutoff = now.saturating_sub(POINTER_STABILIZATION);
         // Everything due on a live node, resolved in (node, key) order:
         // resolutions queue on the migration links, so this order decides
         // each copy's arrival. A pointer retargeted below is due again
@@ -861,8 +764,7 @@ impl SimCluster {
         let mut resolved = 0;
         for (n, key) in due {
             let node = NodeIdx(n as usize);
-            let block = &self.index[&key];
-            let (len, group_size) = (self.stored_len(block.len), self.group_size_of(block.twin));
+            let len = self.stored_len(self.index[&key].len);
             let Some((src, _)) = self.copy_at(node, &key).and_then(HeldCopy::pointer) else {
                 continue;
             };
@@ -897,7 +799,7 @@ impl SimCluster {
             resolved += 1;
             // If the source only kept the block to serve this pointer,
             // it can release it now.
-            let group = self.ring.replica_group(&key, group_size);
+            let group = self.ring.replica_group(&key, self.group_size());
             let still_referenced = self.copies_of(&key).iter().any(|c| c.points_at(src));
             if !group.contains(&src) && !still_referenced {
                 self.store_remove(src, &key);
@@ -929,53 +831,15 @@ impl SimCluster {
         if self.ring.is_empty() {
             return;
         }
-        // Blocks the downed node held need a replacement replica. With an
-        // oracle detector (the default) the survivors repair immediately;
-        // with a detection delay the keys sit exposed until the timeout
-        // fires (drained by `process_observed_failures`).
+        // Blocks the downed node held need a replacement member: at once
+        // under replication; under erasure coding, lazily, by triage into
+        // the budgeted queue instead of regenerating at the crash instant.
         let keys: Vec<Key> = self.stores[node.0].keys_in(&d2_types::KeyRange::full());
-        if self.cfg.failure_detection == SimTime::ZERO {
-            self.repair_after_crash(keys, now);
-        } else {
-            self.stats.deferred_repairs += 1;
-            self.pending_repairs
-                .push((now.saturating_add(self.cfg.failure_detection), keys));
-        }
-    }
-
-    /// Drains deferred crash repairs whose detection timeout has expired:
-    /// the survivors have now *noticed* the death and regenerate the
-    /// missing replicas. Returns the number of crashes processed. A no-op
-    /// unless [`ClusterConfig::failure_detection`] is positive.
-    pub fn process_observed_failures(&mut self, now: SimTime) -> usize {
-        let due: Vec<_> = self
-            .pending_repairs
-            .extract_if(.., |(at, _)| *at <= now)
-            .collect();
-        let n = due.len();
-        for (_, keys) in due {
-            self.stats.observed_failures += 1;
-            if !self.ring.is_empty() {
-                self.repair_after_crash(keys, now);
-            }
-        }
-        n
-    }
-
-    /// Repairs the groups of `keys` after a noticed crash: at once under
-    /// replication; under erasure coding, lazily, by triage into the
-    /// budgeted queue instead of regenerating at the crash instant.
-    fn repair_after_crash(&mut self, keys: Vec<Key>, now: SimTime) {
         if self.cfg.redundancy_policy().is_erasure() {
             self.enqueue_repairs(keys, now);
         } else {
             self.sync_keys(keys, now, SyncCtx::Repair);
         }
-    }
-
-    /// Crash repairs still waiting on failure detection.
-    pub fn pending_repair_count(&self) -> usize {
-        self.pending_repairs.len()
     }
 
     /// Keys queued for lazy erasure repair (below the threshold `m`,
@@ -988,7 +852,7 @@ impl SimCluster {
     /// count is still at or above the threshold `m` costs nothing (the
     /// skip *is* the saving); one below `m` joins the budgeted queue.
     fn enqueue_repairs(&mut self, keys: Vec<Key>, now: SimTime) {
-        let m = self.cfg.effective_repair_threshold();
+        let m = self.cfg.redundancy_policy().default_repair_threshold();
         for key in keys {
             if !self.index.contains_key(&key) || self.repair_queue.contains(&key) {
                 continue;
@@ -1026,7 +890,7 @@ impl SimCluster {
         if self.repair_queue.is_empty() {
             return 0;
         }
-        let m = self.cfg.effective_repair_threshold();
+        let m = self.cfg.redundancy_policy().default_repair_threshold();
         let keys: Vec<Key> = self.repair_queue.iter().copied().collect();
         let mut repaired = 0;
         for key in keys {
@@ -1224,7 +1088,7 @@ mod tests {
         let victim = c.holders_of(&key)[0];
         c.node_down(victim, SimTime::from_secs(10));
         // Balance rounds move nodes (BalanceMove + Balance migrations /
-        // pointers, depending on config).
+        // pointers).
         let moves = c.run_balance_round(SimTime::from_secs(20), false);
         let events = sink.drain();
         let repairs = events
@@ -1257,39 +1121,6 @@ mod tests {
     }
 
     #[test]
-    fn failure_detection_defers_repair_until_the_timeout_fires() {
-        let cfg = ClusterConfig {
-            nodes: 16,
-            replicas: 3,
-            seed: 42,
-            failure_detection: SimTime::from_secs(120),
-            ..ClusterConfig::default()
-        };
-        let mut c = SimCluster::new(SystemKind::D2, &cfg);
-        for (key, len) in skewed_keys(40) {
-            c.put_block(key, len, SimTime::ZERO);
-        }
-        let key = Key::from_fraction(0.31);
-        let victim = c.holders_of(&key)[0];
-        c.node_down(victim, SimTime::from_secs(10));
-        // The survivors have not noticed yet: nothing regenerated.
-        assert_eq!(c.stats.regenerated_blocks, 0);
-        assert_eq!(c.stats.deferred_repairs, 1);
-        assert_eq!(c.pending_repair_count(), 1);
-        // Still nothing before the detection timeout (10 s + 120 s).
-        assert_eq!(c.process_observed_failures(SimTime::from_secs(100)), 0);
-        assert_eq!(c.stats.regenerated_blocks, 0);
-        // After the timeout the deferred repair runs and the replica
-        // groups are restored.
-        assert_eq!(c.process_observed_failures(SimTime::from_secs(131)), 1);
-        assert_eq!(c.stats.observed_failures, 1);
-        assert_eq!(c.pending_repair_count(), 0);
-        assert!(c.stats.regenerated_blocks > 0);
-        assert!(!c.holders_of(&key).contains(&victim));
-        assert_eq!(c.holders_of(&key).len(), cfg.replicas);
-    }
-
-    #[test]
     fn zero_failure_detection_repairs_synchronously() {
         let mut c = cluster(16, SystemKind::D2);
         for (key, len) in skewed_keys(40) {
@@ -1298,22 +1129,12 @@ mod tests {
         let key = Key::from_fraction(0.31);
         let victim = c.holders_of(&key)[0];
         c.node_down(victim, SimTime::from_secs(10));
-        assert_eq!(c.stats.deferred_repairs, 0);
-        assert_eq!(c.pending_repair_count(), 0);
         assert!(c.stats.regenerated_blocks > 0, "oracle detector: immediate");
-        assert_eq!(c.process_observed_failures(SimTime::from_secs(9999)), 0);
     }
 
     #[test]
     fn pointer_resolution_records_migration_events() {
-        let cfg = ClusterConfig {
-            nodes: 16,
-            replicas: 3,
-            seed: 42,
-            use_pointers: true,
-            ..ClusterConfig::default()
-        };
-        let mut c = SimCluster::new(SystemKind::D2, &cfg);
+        let mut c = cluster(16, SystemKind::D2);
         let sink = d2_obs::SharedSink::memory(0);
         c.set_trace_sink(sink.clone());
         for (key, len) in skewed_keys(80) {
@@ -1322,7 +1143,7 @@ mod tests {
         for round in 0..6 {
             c.run_balance_round(SimTime::from_secs(60 * round), false);
         }
-        let long_after = SimTime::from_secs(60 * 6) + cfg.pointer_stabilization;
+        let long_after = SimTime::from_secs(60 * 6) + POINTER_STABILIZATION;
         let resolved = c.resolve_stale_pointers(long_after + SimTime::from_secs(1));
         let resolutions = sink
             .drain()
@@ -1430,7 +1251,7 @@ mod tests {
         let before = normalized_std_dev(&c.primary_loads());
         let mut now = SimTime::ZERO;
         for _ in 0..30 {
-            now += c.cfg.probe_interval;
+            now += PROBE_INTERVAL;
             c.run_balance_round(now, false);
         }
         let after = normalized_std_dev(&c.primary_loads());
@@ -1460,7 +1281,7 @@ mod tests {
         c.preload(skewed_keys(400));
         let mut now = SimTime::ZERO;
         for _ in 0..10 {
-            now += c.cfg.probe_interval;
+            now += PROBE_INTERVAL;
             c.run_balance_round(now, false);
         }
         assert!(
@@ -1469,7 +1290,7 @@ mod tests {
         );
         let migrated_before = c.stats.migration_bytes;
         // After the stabilization time, pointers resolve and bytes move.
-        now += c.cfg.pointer_stabilization + SimTime::from_secs(1);
+        now += POINTER_STABILIZATION + SimTime::from_secs(1);
         let resolved = c.resolve_stale_pointers(now);
         assert!(resolved > 0);
         assert!(c.stats.migration_bytes > migrated_before);
@@ -1535,7 +1356,7 @@ mod tests {
         assert_eq!(c.stats.migration_bytes, 0);
         assert!(c.is_available(&key, now));
         // Due exactly when it has outlived the stabilization time.
-        let due = now + c.cfg.pointer_stabilization;
+        let due = now + POINTER_STABILIZATION;
         assert_eq!(c.resolve_stale_pointers(due - SimTime::from_secs(1)), 0);
         assert_eq!(c.resolve_stale_pointers(due), 1);
         assert_eq!(c.stats.migration_bytes, 8192);
@@ -1585,8 +1406,8 @@ mod tests {
             });
             resolves.collect()
         };
-        let now = SimTime::from_secs(60) + c.cfg.pointer_stabilization;
-        let cutoff = now - c.cfg.pointer_stabilization;
+        let now = SimTime::from_secs(60) + POINTER_STABILIZATION;
+        let cutoff = now - POINTER_STABILIZATION;
         assert_eq!(c.resolve_stale_pointers(now), 2);
         let (k1_id, k2_id) = (k1.to_u64_lossy(), k2.to_u64_lossy());
         assert_eq!(resolutions(&sink), vec![(lo.0, k2_id), (hi.0, k1_id)]);
@@ -1614,32 +1435,12 @@ mod tests {
     }
 
     #[test]
-    fn no_pointer_mode_migrates_immediately() {
-        let cfg = ClusterConfig {
-            nodes: 24,
-            replicas: 3,
-            seed: 7,
-            use_pointers: false,
-            ..ClusterConfig::default()
-        };
-        let mut c = SimCluster::new(SystemKind::D2, &cfg);
-        c.preload(skewed_keys(400));
-        let mut now = SimTime::ZERO;
-        for _ in 0..10 {
-            now += c.cfg.probe_interval;
-            c.run_balance_round(now, false);
-        }
-        assert_eq!(c.stats.pointers_installed, 0);
-        assert!(c.stats.migration_bytes > 0);
-    }
-
-    #[test]
     fn replication_invariant_after_balancing() {
         let mut c = cluster(16, SystemKind::D2);
         c.preload(skewed_keys(300));
         let mut now = SimTime::ZERO;
         for _ in 0..20 {
-            now += c.cfg.probe_interval;
+            now += PROBE_INTERVAL;
             c.run_balance_round(now, false);
             c.resolve_stale_pointers(now);
         }
@@ -1833,119 +1634,6 @@ mod tests {
         let t3 = SimTime::from_secs(4_000);
         assert!(c.is_available(&key, t3));
         assert!(c.reachable_copies(&key, t3) >= 3);
-    }
-
-    #[test]
-    fn hybrid_twin_saves_block_when_locality_group_dies() {
-        let cfg = ClusterConfig {
-            nodes: 16,
-            replicas: 3,
-            hybrid_hash_replicas: 1,
-            seed: 11,
-            ..ClusterConfig::default()
-        };
-        let mut c = SimCluster::new(SystemKind::D2, &cfg);
-        let key = Key::from_fraction(0.5);
-        c.put_block(key, 8192, SimTime::ZERO);
-        let locality_holders = c.holders_of(&key);
-        assert_eq!(locality_holders.len(), 3);
-        // Wipe the locality group's copies outright (as if the whole
-        // replica group were lost at one instant, regeneration and all).
-        for h in locality_holders {
-            c.store_remove(h, &key);
-        }
-        // The safeguard replica at the hashed twin still serves the block.
-        assert!(
-            c.is_available(&key, SimTime::ZERO),
-            "hybrid safeguard replica must keep the block readable"
-        );
-        // Removing the block clears the twin too.
-        c.remove_block(&key, SimTime::ZERO);
-        assert!(!c.is_available(&key, SimTime::from_secs(60)));
-    }
-
-    #[test]
-    fn hybrid_twins_survive_balancing() {
-        let cfg = ClusterConfig {
-            nodes: 16,
-            replicas: 3,
-            hybrid_hash_replicas: 2,
-            seed: 13,
-            ..ClusterConfig::default()
-        };
-        let mut c = SimCluster::new(SystemKind::D2, &cfg);
-        c.preload(skewed_keys(200));
-        let mut now = SimTime::ZERO;
-        for _ in 0..15 {
-            now += c.cfg.probe_interval;
-            c.run_balance_round(now, false);
-            c.resolve_stale_pointers(now);
-        }
-        // Every preloaded block is still available and its twin group has
-        // the configured size.
-        for (k, _) in skewed_keys(200) {
-            assert!(c.is_available(&k, SimTime(u64::MAX)), "block {k} lost");
-        }
-    }
-
-    #[test]
-    fn full_nodes_divert_writes_via_pointers() {
-        let cfg = ClusterConfig {
-            nodes: 10,
-            replicas: 2,
-            seed: 17,
-            // Small capacity: 12 blocks per node (cluster-wide capacity
-            // of 120 copies comfortably exceeds the 80 copies written, so
-            // diversion — not the give-up path — handles the hot corner).
-            node_capacity_bytes: Some(12 * 8192),
-            ..ClusterConfig::default()
-        };
-        let mut c = SimCluster::new(SystemKind::D2, &cfg);
-        // Cram 40 clustered blocks into one corner of the ring: the owner
-        // fills up fast and must divert.
-        for (k, len) in skewed_keys(40) {
-            c.put_block(k, len, SimTime::ZERO);
-        }
-        assert!(
-            c.stats.diverted_writes > 0,
-            "tiny capacity must force diversion"
-        );
-        // Everything is still readable (pointer chains reach the data).
-        for (k, _) in skewed_keys(40) {
-            assert!(
-                c.is_available(&k, SimTime::ZERO),
-                "diverted block {k} unreachable"
-            );
-        }
-        // No node (except possibly via the final give-up path) wildly
-        // exceeds its capacity.
-        for n in c.ring.nodes() {
-            assert!(
-                c.stores[n.0].data_bytes() <= 12 * 8192,
-                "node {n} exceeded its capacity: {}",
-                c.stores[n.0].data_bytes()
-            );
-        }
-        // After balancing, the crowded range is split and diversion
-        // pressure falls (the paper: the full node "will eventually shed
-        // some load when it performs load balancing").
-        let mut now = SimTime::ZERO;
-        for _ in 0..20 {
-            now += c.cfg.probe_interval;
-            c.run_balance_round(now, false);
-            c.resolve_stale_pointers(now);
-        }
-        let max = c
-            .ring
-            .nodes()
-            .iter()
-            .map(|n| c.stores[n.0].len())
-            .max()
-            .unwrap();
-        assert!(
-            max <= 40,
-            "balancing should spread the crowded corner: max={max}"
-        );
     }
 
     #[test]

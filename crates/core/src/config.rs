@@ -1,8 +1,15 @@
 //! Cluster configuration with the paper's defaults.
+//!
+//! Only what a figure varies is a field. The paper's fixed parameters
+//! are constants beside the code that reads them:
+//! [`PROBE_INTERVAL`](crate::cluster::PROBE_INTERVAL),
+//! [`POINTER_STABILIZATION`](crate::cluster::POINTER_STABILIZATION),
+//! [`MIGRATION_KBPS`](crate::cluster::MIGRATION_KBPS),
+//! [`SUCCESSORS`](crate::perf::SUCCESSORS), the balancer's
+//! [`THRESHOLD`](d2_ring::balance::THRESHOLD) and the lookup cache's
+//! [`DEFAULT_TTL_SECS`](d2_store::lookup_cache::DEFAULT_TTL_SECS).
 
 use d2_ec::RedundancyPolicy;
-use d2_ring::BalanceConfig;
-use d2_sim::SimTime;
 
 /// Configuration shared by every cluster simulation.
 #[derive(Clone, Copy, Debug)]
@@ -14,59 +21,18 @@ pub struct ClusterConfig {
     pub replicas: usize,
     /// RNG seed (node placement, balance probes).
     pub seed: u64,
-    /// Load-balancing probe interval (paper: 10 minutes).
-    pub probe_interval: SimTime,
-    /// Pointer stabilization time (paper: 1 hour).
-    pub pointer_stabilization: SimTime,
-    /// Per-node bandwidth budget for migration / regeneration traffic
-    /// (paper: 750 kbps).
-    pub migration_kbps: u64,
-    /// Lookup-cache entry TTL (paper: 1.25 hours).
-    pub cache_ttl: SimTime,
-    /// Delayed-removal window (paper: 30 s).
-    pub remove_delay: SimTime,
-    /// Karger–Ruhl threshold configuration (paper: t = 4).
-    pub balance: BalanceConfig,
-    /// Successor-list length for routing tables.
-    pub successors: usize,
-    /// Whether the load balancer uses block pointers to defer migration
-    /// (Section 6). Disable for the ablation in Table 4's discussion.
-    pub use_pointers: bool,
     /// Redundancy backend (paper Section 3's replication-vs-coding
     /// trade-off). `None` (default) is whole-block replication at
     /// [`ClusterConfig::replicas`]; `Some(policy)` selects the policy
     /// explicitly — `ErasureCode { k, n }` stores `n` fragments of
     /// `len/k` bytes on `n` consecutive successors and reconstructs a
-    /// block from any `k` of them.
+    /// block from any `k` of them, regenerating lost fragments once the
+    /// survivors drop below [`RedundancyPolicy::default_repair_threshold`].
     pub redundancy: Option<RedundancyPolicy>,
-    /// Lazy-repair threshold `m` (erasure mode only): a block's fragments
-    /// are regenerated only once the survivor count drops *below* `m`,
-    /// with `k <= m < n`. `None` (default) uses
-    /// [`RedundancyPolicy::default_repair_threshold`] — halfway between
-    /// "still decodable" and "fully redundant".
-    pub repair_threshold: Option<usize>,
     /// Repair-budget rate limit in bytes/sec per node for lazy erasure
     /// repair traffic (gather + regenerated fragments). `0` (default)
     /// means unlimited — repair is still lazy but never throttled.
     pub repair_budget_bps: u64,
-    /// Hybrid replica placement (the paper's Section 11 future work):
-    /// additionally store this many safeguard replicas at a *hashed* twin
-    /// key, combining locality-preserving and consistent-hashing
-    /// placement. 0 (default) disables it.
-    pub hybrid_hash_replicas: usize,
-    /// Per-node storage capacity in bytes. When a write would overflow a
-    /// replica, the block is *diverted*: the full node keeps a pointer and
-    /// the data lands on the nearest successor with space — "as in PAST,
-    /// pointers can be used to divert blocks from full nodes to those with
-    /// space" (Section 6). `None` (default) means unlimited.
-    pub node_capacity_bytes: Option<u64>,
-    /// Failure-detection delay: how long after a crash the survivors
-    /// *notice* and start replica repair. `SimTime::ZERO` (default)
-    /// repairs synchronously at the crash instant — the oracle-detector
-    /// assumption the availability runs of Section 8 make. A positive
-    /// value defers repair by that much, modelling the timeout-based
-    /// detection the churn experiment exercises.
-    pub failure_detection: SimTime,
 }
 
 impl Default for ClusterConfig {
@@ -75,20 +41,8 @@ impl Default for ClusterConfig {
             nodes: 64,
             replicas: 3,
             seed: 1,
-            probe_interval: SimTime::from_secs(600),
-            pointer_stabilization: SimTime::from_secs(3600),
-            migration_kbps: 750,
-            cache_ttl: SimTime::from_secs(4500),
-            remove_delay: SimTime::from_secs(30),
-            balance: BalanceConfig::default(),
-            successors: 4,
-            use_pointers: true,
             redundancy: None,
-            repair_threshold: None,
             repair_budget_bps: 0,
-            hybrid_hash_replicas: 0,
-            node_capacity_bytes: None,
-            failure_detection: SimTime::ZERO,
         }
     }
 }
@@ -100,37 +54,19 @@ impl ClusterConfig {
         self.redundancy
             .unwrap_or(RedundancyPolicy::Replicate { r: self.replicas })
     }
-
-    /// The effective lazy-repair threshold `m` for the policy: the
-    /// explicit [`ClusterConfig::repair_threshold`] clamped to
-    /// `[k, n - 1]`, else the policy default. Replication repairs any
-    /// missing member (`m = r`).
-    pub fn effective_repair_threshold(&self) -> usize {
-        let policy = self.redundancy_policy();
-        match self.repair_threshold {
-            Some(m) => m.clamp(
-                policy.min_fragments(),
-                policy.group_size().saturating_sub(1).max(1),
-            ),
-            None => policy.default_repair_threshold(),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::cluster::{MIGRATION_KBPS, POINTER_STABILIZATION, PROBE_INTERVAL};
+    use d2_sim::SimTime;
 
     #[test]
     fn defaults_match_paper() {
-        let c = ClusterConfig::default();
-        assert_eq!(c.probe_interval, SimTime::from_secs(600));
-        assert_eq!(c.pointer_stabilization, SimTime::from_secs(3600));
-        assert_eq!(c.migration_kbps, 750);
-        assert_eq!(c.cache_ttl, SimTime::from_secs(4500));
-        assert_eq!(c.remove_delay, SimTime::from_secs(30));
-        assert!((c.balance.threshold - 4.0).abs() < 1e-9);
-        assert!(c.use_pointers);
-        assert_eq!(c.failure_detection, SimTime::ZERO);
+        assert_eq!(PROBE_INTERVAL, SimTime::from_secs(600));
+        assert_eq!(POINTER_STABILIZATION, SimTime::from_secs(3600));
+        assert_eq!(MIGRATION_KBPS, 750);
+        assert_eq!(d2_store::lookup_cache::DEFAULT_TTL_SECS, 4500);
+        assert!((d2_ring::balance::THRESHOLD - 4.0).abs() < 1e-9);
     }
 }

@@ -10,9 +10,11 @@
 //! - [`perf`] — the performance simulator of Section 9: replays access
 //!   groups over the latency/TCP network model, counting lookup messages,
 //!   cache miss rates, and access-group completion times.
-//! - [`config`] — shared knobs with the paper's defaults (3–4 replicas,
-//!   10-minute probe interval, 1-hour pointer stabilization, 750 kbps
-//!   migration budget, 1.25 h lookup-cache TTL).
+//! - [`config`] — what a figure varies (nodes, replicas, seed, redundancy,
+//!   repair budget); the paper's fixed parameters (10-minute probe
+//!   interval, 1-hour pointer stabilization, 750 kbps migration budget,
+//!   1.25 h lookup-cache TTL) are constants beside the code that reads
+//!   them.
 
 pub mod avail;
 pub mod cluster;

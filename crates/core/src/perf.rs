@@ -28,6 +28,9 @@ use rand::{Rng, SeedableRng};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
+/// Successor-list length of each node's routing table.
+pub const SUCCESSORS: usize = 4;
+
 /// Whether a group's fetches are issued sequentially or in parallel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Parallelism {
@@ -116,8 +119,6 @@ pub struct PerfSim {
     pub ring: Ring,
     /// Replicas a fetch picks its server among.
     replicas: usize,
-    /// Lookup-cache entry TTL.
-    cache_ttl: SimTime,
     topo: Topology,
     router: Router,
     server_links: Vec<LinkState>,
@@ -160,7 +161,7 @@ impl PerfSim {
         let nodes = ring.capacity();
         let mut rng = StdRng::seed_from_u64(cluster_cfg.seed ^ 0x9e37_79b9);
         let topo = Topology::sample(nodes, perf_cfg.mean_rtt_ms, &mut rng);
-        let router = Router::build(&ring, cluster_cfg.successors);
+        let router = Router::build(&ring, SUCCESSORS);
         let server_links = vec![LinkState::new_kbps(perf_cfg.access_kbps); nodes];
         let mut client_node = HashMap::new();
         for a in &trace.accesses {
@@ -171,7 +172,6 @@ impl PerfSim {
         PerfSim {
             ring,
             replicas: cluster_cfg.replicas,
-            cache_ttl: cluster_cfg.cache_ttl,
             topo,
             router,
             server_links,
@@ -236,12 +236,11 @@ impl PerfSim {
         let mut keys = std::mem::take(&mut self.keys_buf);
         for group in groups {
             self.group_keys_into(trace, group, &mut keys);
-            let ttl = self.cache_ttl;
             for &(key, _) in &keys {
                 let cache = self
                     .caches
                     .entry(group.user)
-                    .or_insert_with(|| LookupCache::new(ttl));
+                    .or_insert_with(LookupCache::with_default_ttl);
                 if cache.peek(&key, group.start).is_none() {
                     if let Some(owner) = self.ring.owner_of(&key) {
                         if let Some(range) = self.ring.range_of(owner) {
@@ -333,11 +332,10 @@ impl PerfSim {
         report: &mut PerfReport,
     ) -> SimTime {
         let client = *self.client_node.get(&user).unwrap_or(&0);
-        let ttl = self.cache_ttl;
         let cache = self
             .caches
             .entry(user)
-            .or_insert_with(|| LookupCache::new(ttl));
+            .or_insert_with(LookupCache::with_default_ttl);
 
         let mut lookup_delay = SimTime::ZERO;
         let mut result = CacheResult::Miss;
@@ -464,11 +462,10 @@ impl PerfSim {
         }
         lat += reply;
         report.lookup_latency_us.record(lat.as_micros());
-        let ttl = self.cache_ttl;
         let cache = self
             .caches
             .entry(user)
-            .or_insert_with(|| LookupCache::new(ttl));
+            .or_insert_with(LookupCache::with_default_ttl);
         if let Some(range) = self.ring.range_of(owner) {
             cache.insert(range, owner.0, now);
         }

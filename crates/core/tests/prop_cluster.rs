@@ -14,6 +14,7 @@
 //!
 //! A failure prints its seed and step.
 
+use d2_core::cluster::POINTER_STABILIZATION;
 use d2_core::{ClusterConfig, SimCluster, SystemKind};
 use d2_ring::NodeIdx;
 use d2_sim::SimTime;
@@ -182,7 +183,7 @@ fn replication_invariant_under_chaos() {
                     c.run_balance_round(now, false);
                 }
                 Step::ResolvePointers => {
-                    now += c.cfg.pointer_stabilization;
+                    now += POINTER_STABILIZATION;
                     c.now = now;
                     c.resolve_stale_pointers(now);
                 }

@@ -6,6 +6,7 @@
 //! traffic from regeneration traffic and notes failures did not change
 //! the results).
 
+use d2_core::cluster::PROBE_INTERVAL;
 use d2_core::{ClusterConfig, SimCluster, SystemKind};
 use d2_obs::{SharedSink, TraceEvent};
 use d2_sim::{max_over_mean, SimTime, TimeSeries};
@@ -208,13 +209,12 @@ pub fn run_traced(
     cluster.set_trace_sink(sink.clone());
     cluster.preload(stream.initial.iter().copied());
 
-    let probe = cfg.probe_interval;
     let hour = SimTime::from_secs(3600);
 
     // ---- stabilization warm-up (uncounted) --------------------------------
     let mut now = SimTime::ZERO;
     while now < warmup {
-        now += probe;
+        now += PROBE_INTERVAL;
         if system.balances() {
             cluster.run_balance_round(now, system == BalanceSystem::TraditionalMerc);
             cluster.resolve_stale_pointers(now);
@@ -231,7 +231,7 @@ pub fn run_traced(
     let mut stored_days = vec![0u64; stream.days];
 
     let mut next_event = 0usize;
-    let mut next_probe = epoch + probe;
+    let mut next_probe = epoch + PROBE_INTERVAL;
     let mut next_sample = epoch;
     let mut last_write = cluster.stats.write_bytes;
     let mut last_mig = cluster.stats.migration_bytes;
@@ -263,7 +263,7 @@ pub fn run_traced(
                 cluster.run_balance_round(now, system == BalanceSystem::TraditionalMerc);
                 cluster.resolve_stale_pointers(now);
             }
-            next_probe += probe;
+            next_probe += PROBE_INTERVAL;
         } else {
             imbalance.push(now.saturating_sub(epoch), cluster.imbalance());
             mom.push(

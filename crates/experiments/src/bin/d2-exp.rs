@@ -303,12 +303,22 @@ fn main() {
         match a.as_str() {
             "--scale" => {
                 scale = match it.next().map(String::as_str) {
+                    Some("quick") => Scale::Quick,
                     Some("full") => Scale::Full,
-                    _ => Scale::Quick,
+                    _ => {
+                        eprintln!("--scale requires quick or full");
+                        std::process::exit(2);
+                    }
                 };
             }
             "--seed" => {
-                seed = it.next().and_then(|s| s.parse().ok()).unwrap_or(42);
+                seed = match it.next().and_then(|s| s.parse().ok()) {
+                    Some(n) => n,
+                    None => {
+                        eprintln!("--seed requires an unsigned integer");
+                        std::process::exit(2);
+                    }
+                };
             }
             "--jobs" => {
                 jobs = match it.next().and_then(|s| s.parse().ok()) {

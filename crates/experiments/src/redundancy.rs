@@ -263,7 +263,6 @@ fn run_cell(cfg: &RedundancyConfig, policy: RedundancyPolicy, sink: &SharedSink)
         redundancy,
         repair_budget_bps: cfg.repair_budget_bps,
         seed: exec::derive_seed(cfg.seed, &[3]),
-        ..ClusterConfig::default()
     };
     let mut cluster = SimCluster::new(SystemKind::D2, &ccfg);
     cluster.set_trace_sink(sink.clone());
@@ -322,7 +321,6 @@ fn run_cell(cfg: &RedundancyConfig, policy: RedundancyPolicy, sink: &SharedSink)
                 }
             }
             Ev::Repair => {
-                cluster.process_observed_failures(now);
                 row.repaired_blocks += cluster.run_repair_round(now) as u64;
             }
             Ev::Probe => {

@@ -30,25 +30,13 @@ pub trait LoadView {
     fn split_key(&self, node: NodeIdx) -> Option<Key>;
 }
 
-/// Tunables for the balancing algorithm.
-#[derive(Clone, Copy, Debug)]
-pub struct BalanceConfig {
-    /// Load-ratio trigger `t`. The paper uses 4, guaranteeing steady-state
-    /// node loads within a factor of 4 of each other.
-    pub threshold: f64,
-    /// Ignore probes against nodes with fewer than this many blocks
-    /// (splitting a near-empty node is pointless churn).
-    pub min_split_load: u64,
-}
+/// Load-ratio trigger `t`: the paper uses 4, guaranteeing steady-state
+/// node loads within a factor of 4 of each other.
+pub const THRESHOLD: f64 = 4.0;
 
-impl Default for BalanceConfig {
-    fn default() -> Self {
-        BalanceConfig {
-            threshold: 4.0,
-            min_split_load: 2,
-        }
-    }
-}
+/// Probes against nodes with fewer blocks than this are ignored
+/// (splitting a near-empty node is pointless churn).
+const MIN_SPLIT_LOAD: u64 = 2;
 
 /// A balancing decision: the light node moves to split the heavy node's
 /// load.
@@ -112,17 +100,16 @@ pub fn probe(
     loads: &dyn LoadView,
     prober: NodeIdx,
     target: NodeIdx,
-    cfg: &BalanceConfig,
 ) -> Option<BalanceOp> {
     if prober == target || !ring.contains(prober) || !ring.contains(target) {
         return None;
     }
     let load_b = loads.primary_load(prober);
     let load_a = loads.primary_load(target);
-    if load_a < cfg.min_split_load {
+    if load_a < MIN_SPLIT_LOAD {
         return None;
     }
-    if (load_a as f64) <= cfg.threshold * (load_b as f64) {
+    if (load_a as f64) <= THRESHOLD * (load_b as f64) {
         return None;
     }
     let new_id = loads.split_key(target)?;
@@ -169,7 +156,6 @@ pub fn run_round<R, F>(
     ring: &mut Ring,
     loads: &mut dyn LoadView,
     rng: &mut R,
-    cfg: &BalanceConfig,
     mut on_op: F,
 ) -> usize
 where
@@ -187,7 +173,7 @@ where
         let Some(target) = ring.random_node(rng) else {
             continue;
         };
-        if let Some(op) = probe(ring, loads, prober, target, cfg) {
+        if let Some(op) = probe(ring, loads, prober, target) {
             if apply_to_ring(ring, &op) {
                 on_op(ring, &op);
                 applied += 1;
@@ -253,13 +239,7 @@ mod tests {
         // Node at 0.9 owns (0.5, 0.9] with 8 blocks; node at 0.5 owns 0.
         let blocks: Vec<f64> = (0..8).map(|i| 0.55 + i as f64 * 0.04).collect();
         let (store, idx) = setup(&[0.5, 0.9], &blocks);
-        let op = probe(
-            &store.ring,
-            &store,
-            idx[0],
-            idx[1],
-            &BalanceConfig::default(),
-        );
+        let op = probe(&store.ring, &store, idx[0], idx[1]);
         let op = op.expect("imbalance 8:0 must trigger");
         // idx0 is the predecessor of idx1 -> boundary shift.
         assert!(matches!(op, BalanceOp::ShiftBoundary { .. }));
@@ -276,14 +256,7 @@ mod tests {
         let (store, idx) = setup(&[0.5, 0.9], &[0.1, 0.2, 0.55, 0.6, 0.7, 0.8]);
         assert_eq!(store.primary_load(idx[0]), 2);
         assert_eq!(store.primary_load(idx[1]), 4);
-        assert!(probe(
-            &store.ring,
-            &store,
-            idx[0],
-            idx[1],
-            &BalanceConfig::default()
-        )
-        .is_none());
+        assert!(probe(&store.ring, &store, idx[0], idx[1]).is_none());
     }
 
     #[test]
@@ -292,28 +265,14 @@ mod tests {
         let (store, idx) = setup(&[0.1, 0.2, 0.6], &blocks);
         // idx1 (owns (0.1,0.2], empty) probes idx2 (owns (0.2,0.6], 10 blocks).
         // idx1 IS the predecessor though. Use idx0 which is not.
-        let op = probe(
-            &store.ring,
-            &store,
-            idx[0],
-            idx[2],
-            &BalanceConfig::default(),
-        )
-        .unwrap();
+        let op = probe(&store.ring, &store, idx[0], idx[2]).unwrap();
         assert!(matches!(op, BalanceOp::Relocate { .. }));
     }
 
     #[test]
     fn self_probe_is_noop() {
         let (store, idx) = setup(&[0.5], &[0.1, 0.2]);
-        assert!(probe(
-            &store.ring,
-            &store,
-            idx[0],
-            idx[0],
-            &BalanceConfig::default()
-        )
-        .is_none());
+        assert!(probe(&store.ring, &store, idx[0], idx[0]).is_none());
     }
 
     #[test]
@@ -328,13 +287,12 @@ mod tests {
             .map(|i| (Key::from_fraction(0.40 + 0.05 * i as f64 / 512.0), ()))
             .collect();
         let mut store = ToyStore { blocks, ring };
-        let cfg = BalanceConfig::default();
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
 
         for _round in 0..40 {
             // run_round needs ring and loads simultaneously; swap out ring.
             let mut ring = store.ring.clone();
-            run_round(&mut ring, &mut store, &mut rng, &cfg, |_r, _op| {});
+            run_round(&mut ring, &mut store, &mut rng, |_r, _op| {});
             store.ring = ring;
         }
         let loads: Vec<u64> = idxs.iter().map(|&i| store.primary_load(i)).collect();
@@ -354,14 +312,7 @@ mod tests {
     fn apply_moves_ring_position() {
         let blocks: Vec<f64> = (0..8).map(|i| 0.55 + i as f64 * 0.04).collect();
         let (mut store, idx) = setup(&[0.5, 0.9], &blocks);
-        let op = probe(
-            &store.ring,
-            &store,
-            idx[0],
-            idx[1],
-            &BalanceConfig::default(),
-        )
-        .unwrap();
+        let op = probe(&store.ring, &store, idx[0], idx[1]).unwrap();
         assert!(apply_to_ring(&mut store.ring, &op));
         assert_eq!(store.ring.id_of(idx[0]), Some(op.new_id()));
         // Loads are now split roughly in half.

@@ -45,7 +45,7 @@ pub mod node;
 pub mod ring;
 pub mod routing;
 
-pub use balance::{BalanceConfig, BalanceOp, LoadView};
+pub use balance::{BalanceOp, LoadView};
 pub use churn::{
     ChurnLookup, FaultOracle, LookupOutcome, MessageFate, NoFaults, RetryPolicy, StabilizeStats,
 };

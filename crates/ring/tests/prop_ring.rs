@@ -1,7 +1,7 @@
 //! Seeded property tests: ring ownership, routing, and load balancing. A
 //! failure prints its seed.
 
-use d2_ring::balance::{self, BalanceConfig, LoadView};
+use d2_ring::balance::{self, LoadView};
 use d2_ring::routing::Router;
 use d2_ring::{NodeIdx, Ring};
 use d2_types::Key;
@@ -131,12 +131,11 @@ fn balance_ops_split_load() {
             .collect();
         let total = blocks.len() as u64;
         let state = MapLoad { blocks, ring };
-        let cfg = BalanceConfig::default();
 
         let nodes = state.ring.nodes();
         for &prober in &nodes {
             for &target in &nodes {
-                let Some(op) = balance::probe(&state.ring, &state, prober, target, &cfg) else {
+                let Some(op) = balance::probe(&state.ring, &state, prober, target) else {
                     continue;
                 };
                 let heavy_before = state.primary_load(op.heavy());

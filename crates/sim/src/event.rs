@@ -18,7 +18,7 @@ impl SimTime {
     pub const ZERO: SimTime = SimTime(0);
 
     /// Constructs from whole seconds.
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         SimTime(s * 1_000_000)
     }
 

@@ -16,7 +16,7 @@
 //! - [`fault`] — message-level fault injection (drops, delays, node
 //!   crash/rejoin) driven by the failure traces, for churn-hardening
 //!   the routing layer.
-//! - [`metrics`] — counters, time series, and the normalized-standard-
+//! - [`metrics`] — time series and the normalized-standard-
 //!   deviation load-imbalance metric of Section 10.
 
 pub mod event;
@@ -28,5 +28,5 @@ pub mod net;
 pub use event::{EventQueue, SimTime};
 pub use failure::{FailureModel, FailureTrace};
 pub use fault::{FaultConfig, FaultPlan, MessageFate};
-pub use metrics::{geometric_mean, max_over_mean, normalized_std_dev, Counter, TimeSeries};
+pub use metrics::{geometric_mean, max_over_mean, normalized_std_dev, TimeSeries};
 pub use net::{LinkState, TcpConn, Topology};

@@ -1,4 +1,4 @@
-//! Measurement helpers: counters, time series, and the imbalance metric.
+//! Measurement helpers: time series and the imbalance metric.
 
 use crate::event::SimTime;
 
@@ -34,27 +34,6 @@ pub fn max_over_mean(loads: &[u64]) -> f64 {
         return 0.0;
     }
     *loads.iter().max().unwrap() as f64 / mean
-}
-
-/// A simple monotonic counter.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Counter(pub u64);
-
-impl Counter {
-    /// Adds `n` to the counter.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Increments by one.
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
 }
 
 /// A timestamped series of samples, e.g. load imbalance over time.
@@ -153,14 +132,6 @@ mod tests {
     fn max_over_mean_works() {
         assert!((max_over_mean(&[1, 1, 1, 5]) - 2.5).abs() < 1e-9);
         assert_eq!(max_over_mean(&[]), 0.0);
-    }
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::default();
-        c.inc();
-        c.add(9);
-        assert_eq!(c.get(), 10);
     }
 
     #[test]

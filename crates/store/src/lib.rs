@@ -4,9 +4,9 @@
 //!
 //! - 8 KB block storage units with `put`/`get`/`remove(key, delay)`
 //!   semantics and TTL-based auto-expiry ([`NodeStore`]);
-//! - **block pointers** that defer data movement during load balancing and
-//!   divert writes from full nodes ([`Payload::Pointer`]; `d2-core`'s
-//!   simulated cluster queues them for resolution);
+//! - **block pointers** that defer data movement during load balancing
+//!   ([`Payload::Pointer`]; `d2-core`'s simulated cluster queues them for
+//!   resolution);
 //! - **lookup caches** holding the key ranges and addresses of recently
 //!   looked-up nodes, which is how D2 turns data locality into fewer DHT
 //!   lookups ([`LookupCache`], Section 5);

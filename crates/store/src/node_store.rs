@@ -158,9 +158,9 @@ impl NodeStore {
     }
 
     /// Physical bytes actually stored here: logical bytes minus the sizes
-    /// represented only by pointers. This is what capacity checks use —
-    /// a pointer occupies negligible space (Section 6: "assuming a small
-    /// amount of space is always left over for pointers").
+    /// represented only by pointers, which occupy negligible space
+    /// (Section 6: "assuming a small amount of space is always left over
+    /// for pointers").
     pub fn data_bytes(&self) -> u64 {
         self.bytes - self.pointer_bytes
     }

@@ -40,6 +40,15 @@ echo "==> d2-dst erasure-mode sweep (32 seeds, (3,6) fragments, throttled repair
 echo "==> d2-dst mixed-world sweep (64 seeds: partitions, gray nodes, WAN, skew)"
 ./target/release/d2-dst sweep --seeds 64 --world mixed
 
+echo "==> d2-exp figures (all, quick, seed 7): --jobs 1 and --jobs 2 print the same bytes"
+# Every simulation cell derives its own seed and output is merged in
+# canonical order, so the worker count must not change a figure.
+EXP_TMP="$(mktemp -d)"
+./target/release/d2-exp all --scale quick --seed 7 --jobs 1 > "$EXP_TMP/jobs1.out"
+./target/release/d2-exp all --scale quick --seed 7 --jobs 2 > "$EXP_TMP/jobs2.out"
+cmp "$EXP_TMP/jobs1.out" "$EXP_TMP/jobs2.out"
+rm -rf "$EXP_TMP"
+
 echo "==> telemetry smoke (3-node cluster scrape, merged snapshot JSON)"
 cargo run --release --quiet --example telemetry >/dev/null
 

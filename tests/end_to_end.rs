@@ -1,6 +1,7 @@
 //! End-to-end integration: the full stack (fs → store → ring → sim)
 //! working together on a simulated cluster, under all three systems.
 
+use d2::core::cluster::PROBE_INTERVAL;
 use d2::core::{ClusterConfig, SimCluster, SystemKind};
 use d2::sim::SimTime;
 use d2::types::D2Error;
@@ -108,7 +109,7 @@ fn balancing_preserves_fs_readability() {
 
     let mut now = SimTime::ZERO;
     for _ in 0..30 {
-        now += cluster.cfg.probe_interval;
+        now += PROBE_INTERVAL;
         cluster.run_balance_round(now, false);
         cluster.resolve_stale_pointers(now);
     }
