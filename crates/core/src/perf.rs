@@ -25,7 +25,6 @@ use d2_types::{Key, SystemKind, BLOCK_SIZE};
 use d2_workload::{FileOp, HarvardTrace, Task, TraceKeys};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Successor-list length of each node's routing table.
@@ -122,9 +121,12 @@ pub struct PerfSim {
     topo: Topology,
     router: Router,
     server_links: Vec<LinkState>,
-    conns: HashMap<(u32, usize), TcpConn>,
-    caches: HashMap<u32, LookupCache>,
-    client_node: HashMap<u32, usize>,
+    // Per-user state, indexed by user (trace users are dense from 0);
+    // `conns` holds one connection per (user, server address) at
+    // `user * topo.len() + address`. Sized by `ensure_users`.
+    conns: Vec<TcpConn>,
+    caches: Vec<LookupCache>,
+    client_node: Vec<usize>,
     /// Every block key of the trace under the cluster's encoding; clones
     /// share the table.
     keys: Arc<TraceKeys>,
@@ -138,8 +140,11 @@ pub struct PerfSim {
     // `mem::take` around each use.
     group_buf: Vec<NodeIdx>,
     path_buf: Vec<NodeIdx>,
-    keys_buf: Vec<(Key, u32)>,
-    seen_buf: HashSet<Key>,
+    /// A group's blocks as `(table position, stored length)`.
+    keys_buf: Vec<(usize, u32)>,
+    /// Marks, by table position, the blocks the group being collected
+    /// already holds; all clear between groups.
+    seen_buf: Vec<bool>,
 }
 
 impl PerfSim {
@@ -163,21 +168,22 @@ impl PerfSim {
         let topo = Topology::sample(nodes, perf_cfg.mean_rtt_ms, &mut rng);
         let router = Router::build(&ring, SUCCESSORS);
         let server_links = vec![LinkState::new_kbps(perf_cfg.access_kbps); nodes];
-        let mut client_node = HashMap::new();
+        // Each user's client node is drawn at its first access.
+        let users = trace.accesses.iter().map(|a| a.user as usize + 1).max();
+        let mut client_node = vec![None; users.unwrap_or(0)];
         for a in &trace.accesses {
-            client_node
-                .entry(a.user)
-                .or_insert_with(|| rng.random_range(0..nodes));
+            client_node[a.user as usize].get_or_insert_with(|| rng.random_range(0..nodes));
         }
-        PerfSim {
+        let seen_buf = vec![false; keys.len()];
+        let mut sim = PerfSim {
             ring,
             replicas: cluster_cfg.replicas,
             topo,
             router,
             server_links,
-            conns: HashMap::new(),
-            caches: HashMap::new(),
-            client_node,
+            conns: Vec::new(),
+            caches: Vec::new(),
+            client_node: client_node.iter().map(|c| c.unwrap_or(0)).collect(),
             keys,
             cfg: *perf_cfg,
             rng,
@@ -185,7 +191,21 @@ impl PerfSim {
             group_buf: Vec::new(),
             path_buf: Vec::new(),
             keys_buf: Vec::new(),
-            seen_buf: HashSet::new(),
+            seen_buf,
+        };
+        sim.ensure_users(sim.client_node.len());
+        sim
+    }
+
+    /// Sizes the per-user state for users `0..users`. A user the trace
+    /// never named replays from client node 0.
+    fn ensure_users(&mut self, users: usize) {
+        if users > self.caches.len() {
+            self.caches
+                .resize_with(users, LookupCache::with_default_ttl);
+            self.client_node.resize(users, 0);
+            self.conns
+                .resize(users * self.topo.len(), TcpConn::default());
         }
     }
 
@@ -202,30 +222,35 @@ impl PerfSim {
     pub fn set_access_kbps(&mut self, kbps: u64) {
         self.cfg.access_kbps = kbps;
         self.server_links = vec![LinkState::new_kbps(kbps); self.ring.capacity()];
-        self.conns.clear();
+        self.conns.fill(TcpConn::default());
     }
 
-    /// The keys fetched by a group (inode + data blocks of each read,
-    /// deduplicated — the 30 s buffer cache absorbs repeats), written
-    /// into `out` so drivers reuse one buffer across groups.
-    fn group_keys_into(&mut self, trace: &HarvardTrace, group: &Task, out: &mut Vec<(Key, u32)>) {
+    /// The blocks fetched by a group (inode + data blocks of each read,
+    /// deduplicated — the 30 s buffer cache absorbs repeats) as
+    /// `(table position, length)`, written into `out` so drivers reuse
+    /// one buffer across groups. Also sizes the per-user state for the
+    /// group's user.
+    fn group_keys_into(&mut self, trace: &HarvardTrace, group: &Task, out: &mut Vec<(usize, u32)>) {
+        self.ensure_users(group.user as usize + 1);
         out.clear();
-        self.seen_buf.clear();
         for &i in &group.indices {
             let a = &trace.accesses[i];
             if a.op != FileOp::Read {
                 continue;
             }
-            for (key, block_no) in self.keys.access(a) {
-                if self.seen_buf.insert(key) {
+            for (at, block_no) in self.keys.access_indices(a) {
+                if !std::mem::replace(&mut self.seen_buf[at], true) {
                     let len = if block_no == 0 {
                         256
                     } else {
                         BLOCK_SIZE as u32
                     };
-                    out.push((key, len));
+                    out.push((at, len));
                 }
             }
+        }
+        for &(at, _) in out.iter() {
+            self.seen_buf[at] = false;
         }
     }
 
@@ -236,11 +261,9 @@ impl PerfSim {
         let mut keys = std::mem::take(&mut self.keys_buf);
         for group in groups {
             self.group_keys_into(trace, group, &mut keys);
-            for &(key, _) in &keys {
-                let cache = self
-                    .caches
-                    .entry(group.user)
-                    .or_insert_with(LookupCache::with_default_ttl);
+            for &(at, _) in &keys {
+                let key = self.keys.key_at(at);
+                let cache = &mut self.caches[group.user as usize];
                 if cache.peek(&key, group.start).is_none() {
                     if let Some(owner) = self.ring.owner_of(&key) {
                         if let Some(range) = self.ring.range_of(owner) {
@@ -251,7 +274,7 @@ impl PerfSim {
             }
         }
         self.keys_buf = keys;
-        for cache in self.caches.values_mut() {
+        for cache in &mut self.caches {
             cache.reset_stats();
         }
     }
@@ -291,27 +314,27 @@ impl PerfSim {
         report
     }
 
-    fn run_seq(&mut self, group: &Task, keys: &[(Key, u32)], report: &mut PerfReport) -> f64 {
+    fn run_seq(&mut self, group: &Task, keys: &[(usize, u32)], report: &mut PerfReport) -> f64 {
         let mut t = group.start;
-        for &(key, len) in keys {
-            let d = self.fetch_one(group.user, key, len, t, report);
+        for &(at, len) in keys {
+            let d = self.fetch_one(group.user, self.keys.key_at(at), len, t, report);
             t += d;
         }
         (t - group.start).as_secs_f64()
     }
 
-    fn run_para(&mut self, group: &Task, keys: &[(Key, u32)], report: &mut PerfReport) -> f64 {
+    fn run_para(&mut self, group: &Task, keys: &[(usize, u32)], report: &mut PerfReport) -> f64 {
         // List scheduling over `max_parallel` client slots.
         let mut slots = vec![group.start; self.cfg.max_parallel.max(1)];
         let mut done = group.start;
-        for &(key, len) in keys {
+        for &(at, len) in keys {
             // Earliest-free slot.
             let (si, &start) = slots
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, &s)| s)
                 .expect("nonempty");
-            let d = self.fetch_one(group.user, key, len, start, report);
+            let d = self.fetch_one(group.user, self.keys.key_at(at), len, start, report);
             let finish = start + d;
             slots[si] = finish;
             if finish > done {
@@ -322,7 +345,9 @@ impl PerfSim {
     }
 
     /// One block fetch: lookup (cache or routed) then TCP transfer from a
-    /// random replica. Returns the elapsed time.
+    /// random replica. Returns the elapsed time. The replica group comes
+    /// first: its head is the key's owner, so a cache hit is fresh when
+    /// it names that node, and a hit searches the ring only once.
     fn fetch_one(
         &mut self,
         user: u32,
@@ -331,22 +356,22 @@ impl PerfSim {
         now: SimTime,
         report: &mut PerfReport,
     ) -> SimTime {
-        let client = *self.client_node.get(&user).unwrap_or(&0);
-        let cache = self
-            .caches
-            .entry(user)
-            .or_insert_with(LookupCache::with_default_ttl);
+        let client = self.client_node[user as usize];
+        // The group goes into a reusable buffer — this runs once per
+        // block access.
+        let mut group = std::mem::take(&mut self.group_buf);
+        self.ring
+            .replica_group_into(&key, self.replicas, &mut group);
+        let owner_now = group.first().copied().or_else(|| self.ring.owner_of(&key));
+        let cache = &mut self.caches[user as usize];
 
         let mut lookup_delay = SimTime::ZERO;
         let mut result = CacheResult::Miss;
         let mut cached = None;
         if let CacheOutcome::Hit { node } = cache.probe_traced(&key, now, user, &self.obs) {
-            let fresh = self
-                .ring
-                .range_of(NodeIdx(node))
-                .map(|r| r.contains(&key))
-                .unwrap_or(false);
-            if fresh {
+            // Fresh exactly when the cached node's range still holds the
+            // key, i.e. when it is still the key's owner.
+            if owner_now == Some(NodeIdx(node)) {
                 report.cache_hits += 1;
                 result = CacheResult::Hit;
                 cached = Some(NodeIdx(node));
@@ -370,11 +395,7 @@ impl PerfSim {
             }
         };
         // Choose a replica uniformly (the paper notes D2 selects replicas
-        // randomly). The group goes into a reusable buffer — this runs
-        // once per block access.
-        let mut group = std::mem::take(&mut self.group_buf);
-        self.ring
-            .replica_group_into(&key, self.replicas, &mut group);
+        // randomly).
         let server = if group.is_empty() {
             owner
         } else {
@@ -387,7 +408,7 @@ impl PerfSim {
         let backlog = self.server_links[server_addr].backlog(now);
         self.server_links[server_addr].transmit(now, len as u64);
         // TCP transfer with slow-start restart semantics.
-        let conn = self.conns.entry((user, server_addr)).or_default();
+        let conn = &mut self.conns[user as usize * self.topo.len() + server_addr];
         let transfer = conn.fetch(now + backlog, len as u64, rtt, self.cfg.access_kbps * 1000);
         let total = lookup_delay + backlog + transfer;
         report.fetch_latency_us.record(total.as_micros());
@@ -462,12 +483,8 @@ impl PerfSim {
         }
         lat += reply;
         report.lookup_latency_us.record(lat.as_micros());
-        let cache = self
-            .caches
-            .entry(user)
-            .or_insert_with(LookupCache::with_default_ttl);
         if let Some(range) = self.ring.range_of(owner) {
-            cache.insert(range, owner.0, now);
+            self.caches[user as usize].insert(range, owner.0, now);
         }
         (owner, lat, hop_us)
     }

@@ -147,45 +147,10 @@ pub fn apply_to_ring(ring: &mut Ring, op: &BalanceOp) -> bool {
     ring.move_node(op.mover(), op.new_id())
 }
 
-/// Runs one balancing round: every in-ring node probes one random other
-/// node, in random order; each accepted op is applied to the ring and
-/// reported to `on_op` (where the store layer migrates blocks / installs
-/// pointers) before the next probe, matching the sequential nature of
-/// leave-and-rejoin.
-pub fn run_round<R, F>(
-    ring: &mut Ring,
-    loads: &mut dyn LoadView,
-    rng: &mut R,
-    mut on_op: F,
-) -> usize
-where
-    R: rand::Rng + ?Sized,
-    F: FnMut(&mut Ring, &BalanceOp),
-{
-    use rand::seq::SliceRandom;
-    let mut nodes = ring.nodes();
-    nodes.shuffle(rng);
-    let mut applied = 0;
-    for prober in nodes {
-        if !ring.contains(prober) {
-            continue;
-        }
-        let Some(target) = ring.random_node(rng) else {
-            continue;
-        };
-        if let Some(op) = probe(ring, loads, prober, target) {
-            if apply_to_ring(ring, &op) {
-                on_op(ring, &op);
-                applied += 1;
-            }
-        }
-    }
-    applied
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
     use std::collections::BTreeMap;
 
@@ -289,11 +254,16 @@ mod tests {
         let mut store = ToyStore { blocks, ring };
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
 
+        // Each round, every node probes one random node, in random order.
         for _round in 0..40 {
-            // run_round needs ring and loads simultaneously; swap out ring.
-            let mut ring = store.ring.clone();
-            run_round(&mut ring, &mut store, &mut rng, |_r, _op| {});
-            store.ring = ring;
+            let mut nodes = store.ring.nodes();
+            nodes.shuffle(&mut rng);
+            for prober in nodes {
+                let target = store.ring.random_node(&mut rng).unwrap();
+                if let Some(op) = probe(&store.ring, &store, prober, target) {
+                    apply_to_ring(&mut store.ring, &op);
+                }
+            }
         }
         let loads: Vec<u64> = idxs.iter().map(|&i| store.primary_load(i)).collect();
         let max = *loads.iter().max().unwrap();

@@ -9,7 +9,11 @@
 //!   resolution);
 //! - **lookup caches** holding the key ranges and addresses of recently
 //!   looked-up nodes, which is how D2 turns data locality into fewer DHT
-//!   lookups ([`LookupCache`], Section 5);
+//!   lookups ([`LookupCache`], Section 5). Its ranges are disjoint and
+//!   kept sorted, so a probe is one binary search (the benchmark's
+//!   `store.lookup_cache_probe_ns`, over 64 ranges); `scripts/check.sh`'s
+//!   replay gate (`sim_harvard32` `op_p50_us` ≤ 0.4) holds the simulated
+//!   fetch that probes it;
 //! - a small TTL'd **retrieval cache** for hot blocks, D2's answer to
 //!   request-load hot spots (Section 6, "retrieval caches like
 //!   traditional DHTs").

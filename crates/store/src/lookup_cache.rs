@@ -11,6 +11,11 @@
 //! PlanetLab leave/join rate). A stale entry never harms correctness —
 //! the store falls back to a routed lookup when the cached node misses —
 //! it only costs latency, which callers model by charging a wasted RTT.
+//!
+//! Cached ranges never overlap (an insert drops every entry the new range
+//! overlaps), so the cache keeps them sorted by range end and a probe is
+//! one binary search: the only entry that can hold a key is the first
+//! whose end is at or past it, wrapping to the lowest end.
 
 use d2_obs::{CacheResult, CacheTier, SharedSink, TraceEvent};
 use d2_sim::SimTime;
@@ -56,8 +61,12 @@ pub enum CacheOutcome {
 /// ```
 #[derive(Clone, Debug)]
 pub struct LookupCache {
+    /// Pairwise disjoint, sorted by range end.
     entries: Vec<CacheEntry>,
     ttl: SimTime,
+    /// At or before every entry's `inserted_at`: while it is within the
+    /// TTL no entry has expired, and eviction skips its sweep.
+    oldest: SimTime,
     hits: u64,
     misses: u64,
 }
@@ -68,6 +77,7 @@ impl LookupCache {
         LookupCache {
             entries: Vec::new(),
             ttl,
+            oldest: SimTime::ZERO,
             hits: 0,
             misses: 0,
         }
@@ -117,10 +127,10 @@ impl LookupCache {
     /// Probes the cache for `key`, counting a hit or miss.
     pub fn probe(&mut self, key: &Key, now: SimTime) -> CacheOutcome {
         self.evict_expired(now);
-        match self.entries.iter().rev().find(|e| e.range.contains(key)) {
-            Some(e) => {
+        match self.find(key).map(|e| e.node) {
+            Some(node) => {
                 self.hits += 1;
-                CacheOutcome::Hit { node: e.node }
+                CacheOutcome::Hit { node }
             }
             None => {
                 self.misses += 1;
@@ -156,10 +166,8 @@ impl LookupCache {
 
     /// Probes without recording statistics.
     pub fn peek(&self, key: &Key, now: SimTime) -> Option<usize> {
-        self.entries
-            .iter()
-            .rev()
-            .find(|e| !self.expired(e, now) && e.range.contains(key))
+        self.find(key)
+            .filter(|e| !self.expired(e, now))
             .map(|e| e.node)
     }
 
@@ -167,11 +175,30 @@ impl LookupCache {
     /// (their information is superseded).
     pub fn insert(&mut self, range: KeyRange, node: usize, now: SimTime) {
         self.entries.retain(|e| !ranges_overlap(&e.range, &range));
-        self.entries.push(CacheEntry {
+        self.oldest = if self.entries.is_empty() {
+            now
+        } else {
+            self.oldest.min(now)
+        };
+        let at = self
+            .entries
+            .partition_point(|e| e.range.end() < range.end());
+        let entry = CacheEntry {
             range,
             node,
             inserted_at: now,
-        });
+        };
+        self.entries.insert(at, entry);
+    }
+
+    /// The entry whose range holds `key`, expired or not. Arcs are
+    /// disjoint, so the one holding `key` (if any) is the first whose end
+    /// is reached walking clockwise from `key`: the lowest end at or past
+    /// it, else the lowest end of all.
+    fn find(&self, key: &Key) -> Option<&CacheEntry> {
+        let at = self.entries.partition_point(|e| e.range.end() < key);
+        let e = self.entries.get(at).or(self.entries.first())?;
+        e.range.contains(key).then_some(e)
     }
 
     /// Drops every entry pointing at `node` (used when a direct contact
@@ -191,8 +218,17 @@ impl LookupCache {
 
     fn evict_expired(&mut self, now: SimTime) {
         let ttl = self.ttl;
+        if now.saturating_sub(self.oldest) <= ttl {
+            return;
+        }
         self.entries
             .retain(|e| now.saturating_sub(e.inserted_at) <= ttl);
+        self.oldest = self
+            .entries
+            .iter()
+            .map(|e| e.inserted_at)
+            .min()
+            .unwrap_or(now);
     }
 }
 

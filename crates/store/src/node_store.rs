@@ -109,7 +109,6 @@ impl StoredBlock {
 pub struct NodeStore {
     blocks: BTreeMap<Key, StoredBlock>,
     bytes: u64,
-    pointer_bytes: u64,
     fragment_bytes: u64,
 }
 
@@ -157,18 +156,9 @@ impl NodeStore {
         self.bytes
     }
 
-    /// Physical bytes actually stored here: logical bytes minus the sizes
-    /// represented only by pointers, which occupy negligible space
-    /// (Section 6: "assuming a small amount of space is always left over
-    /// for pointers").
-    pub fn data_bytes(&self) -> u64 {
-        self.bytes - self.pointer_bytes
-    }
-
     /// Bytes held as erasure-coded fragments (a subset of
-    /// [`NodeStore::data_bytes`]: fragments are physically stored, but
-    /// repair and ablation accounting track them separately from whole
-    /// blocks).
+    /// [`NodeStore::bytes`]: repair and ablation accounting track them
+    /// separately from whole blocks).
     pub fn fragment_bytes(&self) -> u64 {
         self.fragment_bytes
     }
@@ -176,9 +166,6 @@ impl NodeStore {
     /// Adds `payload`'s bytes to the per-kind accounting.
     fn account_add(&mut self, payload: &Payload) {
         self.bytes += payload.len() as u64;
-        if payload.is_pointer() {
-            self.pointer_bytes += payload.len() as u64;
-        }
         if payload.is_fragment() {
             self.fragment_bytes += payload.len() as u64;
         }
@@ -187,9 +174,6 @@ impl NodeStore {
     /// Removes a displaced `payload`'s bytes from the accounting.
     fn account_sub(&mut self, payload: &Payload) {
         self.bytes -= payload.len() as u64;
-        if payload.is_pointer() {
-            self.pointer_bytes -= payload.len() as u64;
-        }
         if payload.is_fragment() {
             self.fragment_bytes -= payload.len() as u64;
         }
@@ -540,12 +524,11 @@ mod tests {
             SimTime::from_secs(10),
         );
         assert!(s.get(&k(5)).unwrap().payload.is_pointer());
-        assert_eq!(s.bytes(), 8192); // pointers carry logical size
-        assert_eq!(s.data_bytes(), 0); // ... but occupy no physical space
-                                       // Resolving: replace pointer with data.
+        // Pointers carry logical size; resolving replaces one with data.
+        assert_eq!(s.bytes(), 8192);
         s.put(k(5), Payload::Size(8192), SimTime::from_secs(20));
         assert!(!s.get(&k(5)).unwrap().payload.is_pointer());
-        assert_eq!(s.data_bytes(), 8192);
+        assert_eq!(s.bytes(), 8192);
     }
 
     #[test]
@@ -579,7 +562,6 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(s.bytes(), 140);
-        assert_eq!(s.data_bytes(), 140); // fragments are physical bytes
         assert_eq!(s.fragment_bytes(), 40);
         // Overwriting a fragment with a whole block releases its share.
         s.put(k(2), Payload::Size(60), SimTime::ZERO);

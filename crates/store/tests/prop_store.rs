@@ -172,3 +172,127 @@ fn cache_hits_are_always_current() {
         }
     }
 }
+
+/// The lookup cache as it was before its ranges were kept sorted: a
+/// linear scan, newest entry first, with every expired entry swept out
+/// on each probe. The model the cache is held against.
+struct LinearCache {
+    entries: Vec<(KeyRange, usize, SimTime)>,
+    ttl: SimTime,
+    hits: u64,
+    misses: u64,
+}
+
+impl LinearCache {
+    fn live(&self, at: SimTime, now: SimTime) -> bool {
+        now.saturating_sub(at) <= self.ttl
+    }
+
+    fn probe(&mut self, key: &Key, now: SimTime) -> CacheOutcome {
+        let ttl = self.ttl;
+        self.entries
+            .retain(|&(_, _, at)| now.saturating_sub(at) <= ttl);
+        match self.entries.iter().rev().find(|(r, _, _)| r.contains(key)) {
+            Some(&(_, node, _)) => {
+                self.hits += 1;
+                CacheOutcome::Hit { node }
+            }
+            None => {
+                self.misses += 1;
+                CacheOutcome::Miss
+            }
+        }
+    }
+
+    fn peek(&self, key: &Key, now: SimTime) -> Option<usize> {
+        let hit = self.entries.iter().rev();
+        hit.filter(|&&(r, _, at)| self.live(at, now) && r.contains(key))
+            .map(|&(_, node, _)| node)
+            .next()
+    }
+
+    fn insert(&mut self, range: KeyRange, node: usize, now: SimTime) {
+        let overlaps = |a: &KeyRange, b: &KeyRange| {
+            a.is_full() || b.is_full() || a.contains(b.end()) || b.contains(a.end())
+        };
+        self.entries.retain(|(r, _, _)| !overlaps(r, &range));
+        self.entries.push((range, node, now));
+    }
+}
+
+/// Range ends from the top limb, the bottom limb and both ends of the
+/// ring, so arcs wrap, touch `Key::MIN`/`Key::MAX` and span the ring.
+fn cache_key(rng: &mut StdRng) -> Key {
+    match rng.random_range(0..8) {
+        0 => Key::MIN,
+        1 => Key::MAX,
+        2..=3 => Key::from_u64(rng.random_range(0..64)),
+        _ => key(rng.random_range(0..64)),
+    }
+}
+
+/// The sorted, binary-searched cache against the linear scan: random
+/// inserts (full ranges included), probes, peeks, node invalidations and
+/// clears, under a TTL that entries outlive and a clock that sometimes
+/// runs backwards. Every outcome, the hit and miss counts and the length
+/// agree after every step.
+#[test]
+fn cache_matches_linear_scan_model() {
+    const TTL: u64 = 100;
+    for seed in 0..SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let ttl = SimTime::from_secs(TTL);
+        let mut cache = LookupCache::new(ttl);
+        let mut model = LinearCache {
+            entries: Vec::new(),
+            ttl,
+            hits: 0,
+            misses: 0,
+        };
+        let mut now = SimTime::from_secs(10 * TTL);
+        for step in 0..400 {
+            // Mostly forward by up to half a TTL, sometimes back by up
+            // to two TTLs.
+            now = if rng.random_range(0..8) == 0 {
+                now.saturating_sub(SimTime::from_secs(rng.random_range(0..2 * TTL)))
+            } else {
+                now + SimTime::from_secs(rng.random_range(0..TTL / 2))
+            };
+            let at = format!("seed {seed}, step {step}, now {now:?}");
+            match rng.random_range(0..20) {
+                0..=6 => {
+                    let (a, b) = (cache_key(&mut rng), cache_key(&mut rng));
+                    let node = rng.random_range(0..8);
+                    cache.insert(KeyRange::new(a, b), node, now);
+                    model.insert(KeyRange::new(a, b), node, now);
+                }
+                7..=13 => {
+                    let k = cache_key(&mut rng);
+                    assert_eq!(
+                        cache.probe(&k, now),
+                        model.probe(&k, now),
+                        "{at}: probe {k}"
+                    );
+                }
+                14..=16 => {
+                    let k = cache_key(&mut rng);
+                    assert_eq!(cache.peek(&k, now), model.peek(&k, now), "{at}: peek {k}");
+                }
+                17..=18 => {
+                    let node = rng.random_range(0..8);
+                    cache.invalidate_node(node);
+                    model.entries.retain(|&(_, n, _)| n != node);
+                }
+                _ => {
+                    if rng.random_range(0..4) == 0 {
+                        cache.clear();
+                        model.entries.clear();
+                    }
+                }
+            }
+            assert_eq!(cache.len(), model.entries.len(), "{at}: len");
+            assert_eq!(cache.hits(), model.hits, "{at}: hits");
+            assert_eq!(cache.misses(), model.misses, "{at}: misses");
+        }
+    }
+}

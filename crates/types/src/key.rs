@@ -188,14 +188,26 @@ impl Default for Key {
 }
 
 impl PartialOrd for Key {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 
 impl Ord for Key {
+    /// Byte-lexicographic order, taken eight big-endian bytes at a time:
+    /// a few word compares instead of a `memcmp` call, which ring and
+    /// cache searches make on every step.
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
-        self.0.cmp(&other.0)
+        for (a, b) in self.0.chunks_exact(8).zip(other.0.chunks_exact(8)) {
+            let a = u64::from_be_bytes(a.try_into().expect("8-byte chunk"));
+            let b = u64::from_be_bytes(b.try_into().expect("8-byte chunk"));
+            if a != b {
+                return a.cmp(&b);
+            }
+        }
+        Ordering::Equal
     }
 }
 

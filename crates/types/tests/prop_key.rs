@@ -93,6 +93,60 @@ fn key_order_matches_fraction() {
     }
 }
 
+/// `Key`'s order is the byte-lexicographic order of its big-endian
+/// bytes: on random pairs, on pairs sharing an 8–63-byte prefix (D2 keys
+/// share a volume prefix, and the first limb decides nothing between
+/// them) and on equal keys. `KeyRange::contains` over wrapping, full and
+/// boundary ranges agrees with the same byte order.
+#[test]
+fn key_order_is_byte_order() {
+    let byte_cmp = |a: &Key, b: &Key| a.as_bytes().as_slice().cmp(b.as_bytes().as_slice());
+    let byte_contains = |start: &Key, end: &Key, k: &Key| {
+        let (s, e, k) = (start.as_bytes(), end.as_bytes(), k.as_bytes());
+        if s == e {
+            true
+        } else if s < e {
+            k > s && k <= e
+        } else {
+            k > s || k <= e
+        }
+    };
+    for seed in 0..SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let a = key(&mut rng);
+        // `a` up to byte `p`, a different byte there, random after.
+        let p = rng.random_range(8..KEY_BYTES);
+        let mut b = *a.as_bytes();
+        b[p] ^= rng.random_range(1..=u8::MAX);
+        rng.fill_bytes(&mut b[p + 1..]);
+        let shared = Key::from_bytes(b);
+        let near = [
+            a,
+            shared,
+            key(&mut rng),
+            a.successor_point(),
+            a.wrapping_sub(&Key::from_u64(1)),
+            Key::MIN,
+            Key::MAX,
+        ];
+        for x in &near {
+            for y in &near {
+                let want = byte_cmp(x, y);
+                assert_eq!(x.cmp(y), want, "seed {seed}: {x:?} vs {y:?}");
+                assert_eq!(x.partial_cmp(y), Some(want), "seed {seed}");
+                assert_eq!(x == y, want.is_eq(), "seed {seed}");
+                for k in &near {
+                    assert_eq!(
+                        KeyRange::new(*x, *y).contains(k),
+                        byte_contains(x, y, k),
+                        "seed {seed}: ({x:?}, {y:?}] holds {k:?}"
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// A path of 1..=`max_depth` non-zero slots.
 fn path(rng: &mut StdRng, max_depth: usize) -> Vec<u16> {
     let n = rng.random_range(1..=max_depth);

@@ -61,6 +61,22 @@ impl TraceKeys {
         self.file(file)[block_no as usize]
     }
 
+    /// The key at position `index` of the table (see
+    /// [`access_indices`](Self::access_indices)).
+    pub fn key_at(&self, index: usize) -> Key {
+        self.keys[index]
+    }
+
+    /// Number of blocks in the table: one past its highest position.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Whether the table holds no block.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
     /// Every block of `file` as `(key, stored length)`.
     pub fn sized(&self, ns: &Namespace, file: FileId) -> impl Iterator<Item = (Key, u32)> + '_ {
         let size = ns.file(file).size;
@@ -79,12 +95,20 @@ impl TraceKeys {
     /// [`Namespace::blocks_of_access`]: the inode, then the accessed data
     /// blocks, clamped at the file's last.
     pub fn access(&self, a: &Access) -> impl Iterator<Item = (Key, u64)> + '_ {
-        let keys = self.file(a.file);
+        self.access_indices(a).map(|(i, b)| (self.keys[i], b))
+    }
+
+    /// [`access`](Self::access) as `(table position, block_no)` pairs.
+    /// Each block has its own position, so a replay can mark the blocks
+    /// it has seen in a flat array instead of hashing 64-byte keys.
+    pub fn access_indices(&self, a: &Access) -> impl Iterator<Item = (usize, u64)> {
+        let first_key = self.first[a.file.0 as usize];
+        let blocks = (self.first[a.file.0 as usize + 1] - first_key) as u64;
         let first = a.first_block.max(1);
-        let end = (first + a.nblocks as u64).min(keys.len() as u64);
+        let end = (first + a.nblocks as u64).min(blocks);
         std::iter::once(0)
             .chain(first..end)
-            .map(move |b| (keys[b as usize], b))
+            .map(move |b| (first_key + b as usize, b))
     }
 }
 
@@ -93,6 +117,7 @@ mod tests {
     use super::*;
     use crate::{FileOp, HarvardConfig, HarvardTrace};
     use rand::SeedableRng;
+    use std::collections::HashSet;
 
     #[test]
     fn block_len_math() {
@@ -150,6 +175,10 @@ mod tests {
                 let want: Vec<_> = named.map(|n| (system.key_of(&n), n.block_no)).collect();
                 assert_eq!(keys.access(a).collect::<Vec<_>>(), want, "{system} {a:?}");
             }
+            // Distinct blocks have distinct keys, so deduplicating by table
+            // position, as a replay does, is deduplicating by key.
+            let distinct: HashSet<Key> = (0..keys.len()).map(|i| keys.key_at(i)).collect();
+            assert_eq!(distinct.len(), keys.len(), "{system}");
             let clamped: Vec<u64> = keys.access(&edges[1]).map(|x| x.1).collect();
             assert_eq!(clamped, [0, last - 1, last]);
             assert_eq!(keys.initial(ns).len() as u64, ns.blocks_at(SimTime::ZERO));

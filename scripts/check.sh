@@ -104,11 +104,17 @@ echo "==> d2-bench latency gate (ring3_seq_small for 3 s: op_p50_us <= 350, no f
 # a coarser timer anywhere on it. Each fails the gate.
 bench_gate ring3_seq_small op_p50_us 350
 
-echo "==> d2-bench replay gate (sim_harvard32 for 3 s: op_p50_us <= 0.7, every pass reproduces pass 1)"
-# A simulated fetch reads block keys from the trace's table (DESIGN.md
-# §9): about 0.4 µs. A replay that names and hashes a block per access
-# again reads 0.9–1.1 and fails the gate.
-bench_gate sim_harvard32 op_p50_us 0.7
+echo "==> d2-bench replay gate (sim_harvard32 for 3 s: op_p50_us <= 0.4, every pass reproduces pass 1)"
+# A simulated fetch does one ring search and one binary search of the
+# user's sorted lookup cache, compares keys by 64-bit limbs, and keeps
+# per-user state in arrays indexed by user (DESIGN.md §9): 0.20-0.28 µs,
+# 0.35 on a busy host. A failure means the fetch has gone back to what
+# it was: a cache probe that scans and sweeps the TTL, a second ring
+# search per hit, hashed per-user maps and `memcmp` key order read
+# 0.48-0.79 together. Any one or two of them pass on a quiet host
+# (0.23-0.36); `store.lookup_cache_probe_ns` and `core.fetch_ns` in a
+# `--trace 1` run show those.
+bench_gate sim_harvard32 op_p50_us 0.4
 
 echo "==> d2-bench set-up gate (sim_harvard32: setup_s <= 0.4)"
 # Most of the set-up is the D2 warm-up's balance moves and pointer
