@@ -83,7 +83,9 @@ enum SyncCtx {
 }
 
 /// What one holder stores for a key, as far as placement decisions care.
-/// The index keeps one per holder, in step with its store (24 B).
+/// The index keeps one per holder, in step with its store (24 B); a
+/// pointer's target and age are recorded here and nowhere else (its
+/// store holds a size placeholder for the bytes it owes).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct HeldCopy {
     node: u32,
@@ -98,11 +100,13 @@ struct HeldCopy {
 const NOT_A_POINTER: u32 = u32::MAX;
 
 impl HeldCopy {
-    fn of(node: NodeIdx, payload: &Payload, stored_at: SimTime) -> HeldCopy {
-        let (target, since) = match *payload {
-            Payload::Pointer { holder, since, .. } => (holder as u32, since),
-            _ => (NOT_A_POINTER, SimTime::ZERO),
-        };
+    /// `node`'s copy stored at `stored_at`: a block pointer (Section 6)
+    /// to `(target, since)`, whose bytes stay on `target`, owed since
+    /// `since`, or real data.
+    fn of(node: NodeIdx, pointer: Option<(NodeIdx, SimTime)>, stored_at: SimTime) -> HeldCopy {
+        let (target, since) = pointer.map_or((NOT_A_POINTER, SimTime::ZERO), |(t, since)| {
+            (t.0 as u32, since)
+        });
         HeldCopy {
             node: node.0 as u32,
             target,
@@ -260,10 +264,18 @@ impl SimCluster {
         Some(block.len)
     }
 
-    /// Stores `payload` on `node` and returns the copy as a reader of the
-    /// key now finds it. A re-put holder keeps its place in the index.
-    fn store_put(&mut self, node: NodeIdx, key: Key, payload: Payload, at: SimTime) -> HeldCopy {
-        let copy = HeldCopy::of(node, &payload, at);
+    /// Stores `payload` on `node` — a pointer to `(target, since)` when
+    /// `pointer` is set — and returns the copy as a reader of the key now
+    /// finds it. A re-put holder keeps its place in the index.
+    fn store_put(
+        &mut self,
+        node: NodeIdx,
+        key: Key,
+        payload: Payload,
+        pointer: Option<(NodeIdx, SimTime)>,
+        at: SimTime,
+    ) -> HeldCopy {
+        let copy = HeldCopy::of(node, pointer, at);
         let block = self.index.get_mut(&key);
         let copies = &mut block.expect("only tracked blocks are stored").copies;
         match copies.iter().position(|c| c.node == copy.node) {
@@ -276,13 +288,6 @@ impl SimCluster {
         self.due.extend(copy.due_entry(key));
         self.stores[node.0].put(key, payload, at);
         copy
-    }
-
-    /// A block pointer (Section 6): the bytes stay on `target`, owed since
-    /// `since`.
-    fn pointer_to(target: NodeIdx, since: SimTime, len: u32) -> Payload {
-        let holder = target.0;
-        Payload::Pointer { holder, since, len }
     }
 
     fn store_remove(&mut self, node: NodeIdx, key: &Key) {
@@ -335,10 +340,15 @@ impl SimCluster {
             .map(HeldCopy::node)
     }
 
-    /// Whether the index mirrors the stores: each key's copies are what
-    /// its holders' stores hold, no store holds a key the index lacks,
-    /// and the due queue holds exactly the pointers. An O(blocks) audit
-    /// for tests.
+    /// `(target, since)` when `node`'s copy of `key` is a block pointer.
+    pub fn pointer_at(&self, node: NodeIdx, key: &Key) -> Option<(NodeIdx, SimTime)> {
+        self.copy_at(node, key).and_then(HeldCopy::pointer)
+    }
+
+    /// Whether the index mirrors the stores: each key's holders store it,
+    /// arrived when the index says, no store holds a key the index lacks,
+    /// each pointer stores its share of the block, and the due queue
+    /// holds exactly the pointers. An O(blocks) audit for tests.
     pub fn index_matches_stores(&self) -> bool {
         let copies = self.index.values().flat_map(|b| &b.copies);
         let pointers = copies.clone().filter(|c| c.pointer().is_some()).count();
@@ -350,7 +360,7 @@ impl SimCluster {
                     let Some(held) = self.stores[c.node as usize].get(key) else {
                         return false;
                     };
-                    HeldCopy::of(c.node(), &held.payload, held.stored_at) == *c
+                    held.stored_at == c.stored_at
                         && c.due_entry(*key).is_none_or(|entry| {
                             held.payload.len() == self.stored_len(block.len)
                                 && self.due.contains(&entry)
@@ -384,21 +394,6 @@ impl SimCluster {
         self.cfg.redundancy_policy().group_size()
     }
 
-    /// The payload group member `position` stores for a `frag`-byte
-    /// share: a fragment (carrying its code-word index) under erasure
-    /// coding, a plain size placeholder under replication.
-    fn member_payload(&self, position: usize, frag: u32) -> Payload {
-        if self.cfg.redundancy_policy().is_erasure() {
-            Payload::Fragment {
-                index: position as u8,
-                generation: 0,
-                len: frag,
-            }
-        } else {
-            Payload::Size(frag)
-        }
-    }
-
     // ---- block operations --------------------------------------------------
 
     /// Writes a block of `len` bytes: stored on the `r` live successors of
@@ -415,9 +410,8 @@ impl SimCluster {
         self.track(key, len);
         let frag = self.stored_len(len);
         let group = self.ring.replica_group(&key, self.group_size());
-        for (pos, node) in group.into_iter().enumerate() {
-            let payload = self.member_payload(pos, frag);
-            self.store_put(node, key, payload, at);
+        for node in group {
+            self.store_put(node, key, Payload::Size(frag), None, at);
         }
     }
 
@@ -427,7 +421,7 @@ impl SimCluster {
         self.stats.write_bytes += len as u64;
         self.track(key, len);
         for node in self.ring.replica_group(&key, self.group_size()) {
-            self.store_put(node, key, Payload::Data(data.clone()), now);
+            self.store_put(node, key, Payload::Data(data.clone()), None, now);
         }
     }
 
@@ -636,23 +630,19 @@ impl SimCluster {
                         .iter()
                         .any(|t| t.node() == target && t.pointer().is_none());
                 if !target_ok && source != target {
-                    copies[i] =
-                        self.store_put(member, key, Self::pointer_to(source, since, frag), now);
+                    let pointer = Some((source, since));
+                    copies[i] = self.store_put(member, key, Payload::Size(frag), pointer, now);
                 }
             }
             // 1) Add missing group members.
-            for (pos, &member) in group.iter().enumerate() {
+            for &member in &group {
                 if !self.node_up[member.0] || copies.iter().any(|c| c.node() == member) {
                     continue;
                 }
                 let is_mover = matches!(ctx, SyncCtx::Balance { mover } if mover == member);
                 if is_mover {
-                    copies.push(self.store_put(
-                        member,
-                        key,
-                        Self::pointer_to(source, now, frag),
-                        now,
-                    ));
+                    let pointer = Some((source, now));
+                    copies.push(self.store_put(member, key, Payload::Size(frag), pointer, now));
                     self.stats.pointers_installed += 1;
                 } else {
                     // Balance migration ships the member's copy (a single
@@ -677,22 +667,13 @@ impl SimCluster {
                     if !balancing {
                         self.stats.regenerated_blocks += 1;
                     }
+                    // A regenerated fragment is decoded, never copied.
                     let payload = if erasure {
-                        // A regenerated fragment takes the member's slot in
-                        // the code word, same generation as the survivors.
-                        let generation = match self.stores[source.0].get(&key).map(|b| &b.payload) {
-                            Some(&Payload::Fragment { generation, .. }) => generation,
-                            _ => 0,
-                        };
-                        Payload::Fragment {
-                            index: pos as u8,
-                            generation,
-                            len: frag,
-                        }
+                        Payload::Size(frag)
                     } else {
                         self.copy_payload(source, &key, frag)
                     };
-                    copies.push(self.store_put(member, key, payload, done));
+                    copies.push(self.store_put(member, key, payload, None, done));
                     if done > now {
                         self.inflight.insert((member.0, key), (source.0, done));
                     }
@@ -765,7 +746,7 @@ impl SimCluster {
         for (n, key) in due {
             let node = NodeIdx(n as usize);
             let len = self.stored_len(self.index[&key].len);
-            let Some((src, _)) = self.copy_at(node, &key).and_then(HeldCopy::pointer) else {
+            let Some((src, _)) = self.pointer_at(node, &key) else {
                 continue;
             };
             // The holder must still have real data (it may itself be a
@@ -776,7 +757,8 @@ impl SimCluster {
             if !self.node_up[src.0] || !has_data {
                 // Retarget to any live data holder, keeping it due.
                 if let Some(alt) = self.live_data_holder(&key, now) {
-                    self.store_put(node, key, Self::pointer_to(alt, cutoff, len), now);
+                    let pointer = Some((alt, cutoff));
+                    self.store_put(node, key, Payload::Size(len), pointer, now);
                 }
                 continue;
             }
@@ -792,7 +774,7 @@ impl SimCluster {
                 bytes: len as u64,
             });
             let payload = self.copy_payload(src, &key, len);
-            self.store_put(node, key, payload, done);
+            self.store_put(node, key, payload, None, done);
             if done > now {
                 self.inflight.insert((node.0, key), (src.0, done));
             }
@@ -1319,22 +1301,14 @@ mod tests {
         let (gone, spare) = (others.next().unwrap(), others.next().unwrap());
         // The owner points at a node that dropped the block; the only
         // real copy sits on an ex-member.
-        let dangling = Payload::Pointer {
-            holder: gone.0,
-            since: SimTime::ZERO,
-            len: 8192,
-        };
-        c.store_put(owner, key, dangling, SimTime::ZERO);
-        c.store_put(spare, key, Payload::Size(8192), SimTime::ZERO);
+        let dangling = Some((gone, SimTime::ZERO));
+        c.store_put(owner, key, Payload::Size(8192), dangling, SimTime::ZERO);
+        c.store_put(spare, key, Payload::Size(8192), None, SimTime::ZERO);
         let now = SimTime::from_secs(60);
         c.sync_keys(vec![key], now, SyncCtx::Repair);
         // Step 0 re-pointed the owner at the ex-member, and step 2b saw
         // that: releasing the copy would leave the pointer dangling again.
-        assert!(matches!(
-            c.stores[owner.0].get(&key).map(|b| &b.payload),
-            Some(Payload::Pointer { holder, since, .. })
-                if *holder == spare.0 && *since == SimTime::ZERO
-        ));
+        assert_eq!(c.pointer_at(owner, &key), Some((spare, SimTime::ZERO)));
         assert!(c.stores[spare.0].contains(&key));
         assert!(c.is_available(&key, now));
     }
@@ -1350,8 +1324,8 @@ mod tests {
         c.sync_keys(vec![key], now, SyncCtx::Balance { mover });
         // The old owner is out of the group, but the mover's fresh
         // pointer targets it: the bytes stay where they are, unpaid.
-        assert!(c.stores[mover.0].get(&key).unwrap().payload.is_pointer());
-        assert!(!c.stores[owner.0].get(&key).unwrap().payload.is_pointer());
+        assert_eq!(c.pointer_at(mover, &key), Some((owner, now)));
+        assert!(c.copy_at(owner, &key).unwrap().pointer().is_none());
         assert_eq!(c.stats.pointers_installed, 1);
         assert_eq!(c.stats.migration_bytes, 0);
         assert!(c.is_available(&key, now));
@@ -1361,7 +1335,7 @@ mod tests {
         assert_eq!(c.resolve_stale_pointers(due), 1);
         assert_eq!(c.stats.migration_bytes, 8192);
         assert_eq!(c.holders_of(&key), vec![mover]);
-        assert!(!c.stores[mover.0].get(&key).unwrap().payload.is_pointer());
+        assert!(c.copy_at(mover, &key).unwrap().pointer().is_none());
     }
 
     #[test]
@@ -1381,16 +1355,15 @@ mod tests {
         spare.retain(|n| !c.holders_of(&k1).contains(n) && !c.holders_of(&k2).contains(n));
         spare.sort_unstable();
         let (lo, hi, gone) = (spare[0], spare[1], spare[2]);
-        let pointer = |holder: NodeIdx, secs| Payload::Pointer {
-            holder: holder.0,
-            since: SimTime::from_secs(secs),
-            len: 8192,
+        let mut pointer = |node, key, target, secs| {
+            let to = Some((target, SimTime::from_secs(secs)));
+            c.store_put(node, key, Payload::Size(8192), to, SimTime::ZERO);
         };
         // Installed in the opposite order to the node indices; `lo`'s
         // pointer on k1 leads to a node without the block.
-        c.store_put(hi, k1, pointer(o1, 0), SimTime::ZERO);
-        c.store_put(lo, k1, pointer(gone, 5), SimTime::ZERO);
-        c.store_put(lo, k2, pointer(o2, 10), SimTime::ZERO);
+        pointer(hi, k1, o1, 0);
+        pointer(lo, k1, gone, 5);
+        pointer(lo, k2, o2, 10);
         let sink = d2_obs::SharedSink::memory(0);
         c.set_trace_sink(sink.clone());
         let resolutions = |sink: &SharedSink| -> Vec<(usize, u64)> {
@@ -1454,16 +1427,13 @@ mod tests {
             for g in &group {
                 assert!(holders.contains(g), "group member {g} missing block {key}");
             }
-            let referenced: Vec<usize> = holders
+            let referenced: Vec<NodeIdx> = holders
                 .iter()
-                .filter_map(|h| match c.stores[h.0].get(&key).map(|b| &b.payload) {
-                    Some(Payload::Pointer { holder, .. }) => Some(*holder),
-                    _ => None,
-                })
+                .filter_map(|&h| c.pointer_at(h, &key).map(|(target, _)| target))
                 .collect();
             for h in &holders {
                 assert!(
-                    group.contains(h) || referenced.contains(&h.0),
+                    group.contains(h) || referenced.contains(h),
                     "stray holder {h} for {key}"
                 );
             }
@@ -1481,16 +1451,11 @@ mod tests {
         let mut c = SimCluster::new(SystemKind::D2, &cfg);
         let key = Key::from_fraction(0.5);
         c.put_block(key, 8192, SimTime::ZERO);
-        // 4 fragments of 4096 each, carrying their code-word index.
+        // 4 fragments of 4096 each.
         let holders = c.holders_of(&key);
         assert_eq!(holders.len(), 4);
-        for (pos, h) in holders.iter().enumerate() {
-            let payload = &c.stores[h.0].get(&key).unwrap().payload;
-            assert_eq!(payload.len(), 4096);
-            assert!(
-                matches!(payload, Payload::Fragment { index, .. } if *index == pos as u8),
-                "holder {pos} must store its code-word slot"
-            );
+        for h in &holders {
+            assert_eq!(c.stores[h.0].get(&key).unwrap().payload.len(), 4096);
         }
         assert!(c.is_available(&key, SimTime::ZERO));
         // Kill fragments one at a time at the same instant (suppress

@@ -9,8 +9,10 @@
 //!    a referenced pointer target);
 //! 3. any block with at least one live real copy is reported available;
 //! 4. `holders_of(key)` is exactly the set of stores containing the key,
-//!    and the index mirrors every copy the stores hold, pointers included
-//!    (`SimCluster::index_matches_stores`).
+//!    and the index mirrors every copy the stores hold: holders, arrival
+//!    times, and each pointer's stored share of its block
+//!    (`SimCluster::index_matches_stores`). Pointer targets are read from
+//!    the index (`SimCluster::pointer_at`), the only place they live.
 //!
 //! A failure prints its seed and step.
 
@@ -18,7 +20,6 @@ use d2_core::cluster::POINTER_STABILIZATION;
 use d2_core::{ClusterConfig, SimCluster, SystemKind};
 use d2_ring::NodeIdx;
 use d2_sim::SimTime;
-use d2_store::Payload;
 use d2_types::Key;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -70,13 +71,14 @@ fn check_invariants(c: &SimCluster, tracked: &[(Key, bool)], now: SimTime, at: &
         // *arrived* source existed for the repair pass to copy from (a
         // cancelled in-flight transfer may legitimately leave a gap until
         // a copy arrives or a holder recovers).
-        let repairable = (0..c.len()).map(NodeIdx).any(|n| {
-            c.node_up[n.0]
-                && c.stores[n.0]
-                    .get(&key)
-                    .map(|b| !b.payload.is_pointer() && b.stored_at <= c.now)
-                    .unwrap_or(false)
-        });
+        // Real data (not a pointer) on `n`, arrived by `t`.
+        let arrived_by = |n: NodeIdx, t: SimTime| {
+            let stored = c.stores[n.0].get(&key);
+            stored.is_some_and(|b| c.pointer_at(n, &key).is_none() && b.stored_at <= t)
+        };
+        let repairable = (0..c.len())
+            .map(NodeIdx)
+            .any(|n| c.node_up[n.0] && arrived_by(n, c.now));
         for member in &group {
             if c.node_up[member.0] && repairable {
                 assert!(
@@ -88,30 +90,23 @@ fn check_invariants(c: &SimCluster, tracked: &[(Key, bool)], now: SimTime, at: &
         // (2) stray holders must be pointer targets or down nodes
         // (down nodes keep data on disk).
         let holders = stored;
-        let referenced: Vec<usize> = holders
+        let referenced: Vec<NodeIdx> = holders
             .iter()
-            .filter_map(|h| match c.stores[h.0].get(&key).map(|b| &b.payload) {
-                Some(Payload::Pointer { holder, .. }) => Some(*holder),
-                _ => None,
-            })
+            .filter_map(|&h| c.pointer_at(h, &key).map(|(target, _)| target))
             .collect();
         // Stray holders are only possible while the key is unrepairable
         // (no live arrived source — e.g. the stray's own copy is still in
         // flight), since a repair pass releases them.
         for h in &holders {
             assert!(
-                group.contains(h) || referenced.contains(&h.0) || !c.node_up[h.0] || !repairable,
+                group.contains(h) || referenced.contains(h) || !c.node_up[h.0] || !repairable,
                 "{at}: stray live holder {h} for {key}"
             );
         }
         // (3) availability is consistent with physical copies.
-        let has_live_copy = holders.iter().any(|h| {
-            c.node_up[h.0]
-                && matches!(
-                    c.stores[h.0].get(&key).map(|b| (&b.payload, b.stored_at)),
-                    Some((Payload::Data(_) | Payload::Size(_), at)) if at <= now
-                )
-        });
+        let has_live_copy = holders
+            .iter()
+            .any(|&h| c.node_up[h.0] && arrived_by(h, now));
         if has_live_copy {
             assert!(
                 c.is_available(&key, now),

@@ -28,7 +28,7 @@ use crate::exec;
 use crate::report::{fmt, render_table};
 use crate::Scale;
 use d2_obs::{SharedSink, TraceEvent};
-use d2_ring::churn::{FaultOracle, MessageFate, RetryPolicy};
+use d2_ring::churn::{FaultOracle, RetryPolicy};
 use d2_ring::routing::Router;
 use d2_ring::{LookupOutcome, NodeIdx, Ring};
 use d2_sim::{FailureModel, FailureTrace, FaultConfig, FaultPlan, SimTime};
@@ -36,23 +36,6 @@ use d2_store::{CacheOutcome, LookupCache};
 use d2_types::Key;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Adapts a `d2-sim` [`FaultPlan`] to the `d2-ring` [`FaultOracle`]
-/// trait (the two crates are independent; this crate sees both).
-pub struct PlanOracle(pub FaultPlan);
-
-impl FaultOracle for PlanOracle {
-    fn node_up(&self, node: NodeIdx, t_us: u64) -> bool {
-        self.0.node_up(node.0, SimTime::from_micros(t_us))
-    }
-
-    fn message_fate(&mut self, _t_us: u64) -> MessageFate {
-        match self.0.next_fate() {
-            d2_sim::MessageFate::Delivered { delay_us } => MessageFate::Delivered { delay_us },
-            d2_sim::MessageFate::Dropped => MessageFate::Dropped,
-        }
-    }
-}
 
 /// Parameters of one churn sweep.
 #[derive(Clone, Debug)]
@@ -316,13 +299,13 @@ fn run_cell(cfg: &ChurnConfig, multiplier: f64, seed: u64, sink: &SharedSink) ->
         unavailability: trace.mean_unavailability(),
         ..ChurnRow::default()
     };
-    let mut faults = PlanOracle(FaultPlan::new(
+    let mut faults = FaultPlan::new(
         FaultConfig {
             seed: exec::derive_seed(seed, &[2]),
             ..FaultConfig::default()
         },
         trace,
-    ));
+    );
     let mut rng = StdRng::seed_from_u64(exec::derive_seed(seed, &[3]));
 
     // Full ring (stable NodeIdx handles) and the live view that
@@ -341,7 +324,7 @@ fn run_cell(cfg: &ChurnConfig, multiplier: f64, seed: u64, sink: &SharedSink) ->
 
     // Merge the three event streams into one sorted schedule.
     let mut events: Vec<(u64, Ev)> = Vec::new();
-    for (t, node, up) in faults.0.trace().transitions() {
+    for (t, node, up) in faults.trace().transitions() {
         events.push((t.as_micros(), Ev::Transition(node, up)));
     }
     let horizon = cfg.duration.as_micros();
@@ -357,7 +340,7 @@ fn run_cell(cfg: &ChurnConfig, multiplier: f64, seed: u64, sink: &SharedSink) ->
     }
     events.sort();
 
-    let rtt_us = 2 * faults.0.config().base_delay_us;
+    let rtt_us = 2 * faults.config().base_delay_us;
     let mut latency_total = 0u64;
     for (t_us, ev) in events {
         match ev {

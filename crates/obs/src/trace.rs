@@ -19,13 +19,12 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::rc::Rc;
 
-/// Which cache tier a probe hit.
+/// Which cache tier a probe hit: the range-based lookup cache (paper
+/// Section 5) is the only one, but the JSONL keeps the field.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CacheTier {
     /// The range-based lookup cache (paper Section 5).
     Lookup,
-    /// The block retrieval cache (paper Section 6).
-    Block,
 }
 
 impl CacheTier {
@@ -33,7 +32,6 @@ impl CacheTier {
     pub fn label(&self) -> &'static str {
         match self {
             CacheTier::Lookup => "lookup",
-            CacheTier::Block => "block",
         }
     }
 }
@@ -139,7 +137,7 @@ pub enum TraceEvent {
         /// Bytes fetched.
         len: u32,
     },
-    /// One cache probe (emitted by `d2-store` caches).
+    /// One cache probe (emitted by `d2-store`'s lookup cache).
     CacheProbe {
         /// Virtual time.
         t_us: u64,

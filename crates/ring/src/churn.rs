@@ -49,9 +49,8 @@ pub enum MessageFate {
 /// What the routing layer may ask about the world it runs in: node
 /// liveness over virtual time and per-message fates.
 ///
-/// `d2-sim`'s `FaultPlan` is the production implementation (adapted in
-/// `d2-experiments`, which sees both crates); [`NoFaults`] is the
-/// always-healthy control used by tests and property checks.
+/// `d2-sim`'s `FaultPlan` is the production implementation; [`NoFaults`]
+/// is the always-healthy control used by tests and property checks.
 pub trait FaultOracle {
     /// Whether `node` is up at virtual time `t_us`.
     fn node_up(&self, node: NodeIdx, t_us: u64) -> bool;

@@ -15,7 +15,7 @@
 //! the week (without regeneration) is ≈ 0.02, the figure the paper reports
 //! for its trace (Section 8.2).
 
-use crate::event::SimTime;
+use crate::time::SimTime;
 use rand::Rng;
 
 /// Parameters of the synthetic failure trace.

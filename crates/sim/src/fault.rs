@@ -7,7 +7,9 @@
 //! combines a node crash/rejoin schedule (an ordinary [`FailureTrace`])
 //! with per-message drop and delay injection, so a routing layer can be
 //! exercised against the same failure model the storage layer already
-//! replays.
+//! replays. A plan is the routing layer's [`FaultOracle`]: `d2-ring`'s
+//! churn-hardened lookups ask it which nodes are up and what becomes of
+//! each message.
 //!
 //! Message fates are *stateless hashes* of `(seed, message sequence
 //! number)`, not draws from a shared RNG stream: the fate of message
@@ -15,8 +17,10 @@
 //! consumed first, which keeps whole-simulation runs byte-reproducible
 //! even when instrumentation adds or removes RNG users.
 
-use crate::event::SimTime;
 use crate::failure::FailureTrace;
+use crate::time::SimTime;
+use d2_ring::churn::{FaultOracle, MessageFate};
+use d2_ring::NodeIdx;
 
 /// Parameters of the injected message faults.
 #[derive(Clone, Copy, Debug)]
@@ -44,30 +48,20 @@ impl Default for FaultConfig {
     }
 }
 
-/// What happened to one injected message.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum MessageFate {
-    /// The message arrives after `delay_us` microseconds.
-    Delivered {
-        /// One-way delivery delay.
-        delay_us: u64,
-    },
-    /// The message is silently lost (the sender only learns by timeout).
-    Dropped,
-}
-
 /// A deterministic fault schedule: node crash/rejoin intervals plus
 /// per-message drop/delay fates.
 ///
 /// # Examples
 ///
 /// ```
-/// use d2_sim::{FaultConfig, FaultPlan, FailureTrace, MessageFate, SimTime};
+/// use d2_ring::churn::{FaultOracle, MessageFate};
+/// use d2_ring::NodeIdx;
+/// use d2_sim::{FaultConfig, FaultPlan, FailureTrace, SimTime};
 ///
 /// let trace = FailureTrace::none(4, SimTime::from_secs(60));
 /// let mut plan = FaultPlan::new(FaultConfig { drop_prob: 0.0, ..Default::default() }, trace);
-/// assert!(plan.node_up(2, SimTime::from_secs(30)));
-/// assert!(matches!(plan.next_fate(), MessageFate::Delivered { .. }));
+/// assert!(plan.node_up(NodeIdx(2), SimTime::from_secs(30).as_micros()));
+/// assert!(matches!(plan.message_fate(0), MessageFate::Delivered { .. }));
 /// ```
 #[derive(Clone, Debug)]
 pub struct FaultPlan {
@@ -109,20 +103,23 @@ impl FaultPlan {
         &self.trace
     }
 
-    /// Whether `node` is up at time `t` (delegates to the trace).
-    pub fn node_up(&self, node: usize, t: SimTime) -> bool {
-        self.trace.is_up(node, t)
-    }
-
     /// Messages whose fate has been decided so far.
     pub fn messages_sent(&self) -> u64 {
         self.sent
     }
+}
 
-    /// Decides the fate of the next message. Fates form a fixed
-    /// per-plan sequence: the `n`-th call always returns the same fate
-    /// for the same `(seed, n)`, independent of anything else.
-    pub fn next_fate(&mut self) -> MessageFate {
+impl FaultOracle for FaultPlan {
+    /// Whether `node` is up at `t_us` (delegates to the trace).
+    fn node_up(&self, node: NodeIdx, t_us: u64) -> bool {
+        self.trace.is_up(node.0, SimTime::from_micros(t_us))
+    }
+
+    /// Decides the fate of the next message, whenever it is sent. Fates
+    /// form a fixed per-plan sequence: the `n`-th call always returns
+    /// the same fate for the same `(seed, n)`, independent of anything
+    /// else.
+    fn message_fate(&mut self, _t_us: u64) -> MessageFate {
         let n = self.sent;
         self.sent += 1;
         let h = mix(self.cfg.seed ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
@@ -175,12 +172,14 @@ mod tests {
         let mut a = plan(0.3, 7);
         let mut b = plan(0.3, 7);
         for _ in 0..1000 {
-            assert_eq!(a.next_fate(), b.next_fate());
+            assert_eq!(a.message_fate(0), b.message_fate(0));
         }
         assert_eq!(a.messages_sent(), 1000);
         // A different seed gives a different sequence.
         let mut c = plan(0.3, 8);
-        let same = (0..1000).filter(|_| a.next_fate() == c.next_fate()).count();
+        let same = (0..1000)
+            .filter(|_| a.message_fate(0) == c.message_fate(0))
+            .count();
         assert!(same < 1000);
     }
 
@@ -188,7 +187,7 @@ mod tests {
     fn drop_rate_tracks_drop_prob() {
         let mut p = plan(0.2, 3);
         let drops = (0..20_000)
-            .filter(|_| matches!(p.next_fate(), MessageFate::Dropped))
+            .filter(|_| matches!(p.message_fate(0), MessageFate::Dropped))
             .count();
         let rate = drops as f64 / 20_000.0;
         assert!((rate - 0.2).abs() < 0.02, "drop rate {rate} off 0.2");
@@ -199,7 +198,7 @@ mod tests {
         let mut p = plan(0.0, 5);
         let mut max = 0u64;
         for _ in 0..5000 {
-            match p.next_fate() {
+            match p.message_fate(0) {
                 MessageFate::Delivered { delay_us } => {
                     assert!(delay_us >= p.config().base_delay_us);
                     max = max.max(delay_us);
@@ -218,14 +217,14 @@ mod tests {
         let mut p = FaultPlan::reliable(4, SimTime::from_secs(100));
         for _ in 0..100 {
             assert_eq!(
-                p.next_fate(),
+                p.message_fate(0),
                 MessageFate::Delivered {
                     delay_us: p.config().base_delay_us
                 }
             );
         }
         for n in 0..4 {
-            assert!(p.node_up(n, SimTime::from_secs(99)));
+            assert!(p.node_up(NodeIdx(n), SimTime::from_secs(99).as_micros()));
         }
     }
 
@@ -241,10 +240,12 @@ mod tests {
         let plan = FaultPlan::new(FaultConfig::default(), trace.clone());
         for node in 0..16 {
             for &(s, e) in trace.downs_of(node) {
-                assert!(!plan.node_up(node, s));
-                assert!(plan.node_up(node, e));
-                let mid = SimTime::from_micros((s.as_micros() + e.as_micros()) / 2);
-                assert!(!plan.node_up(node, mid));
+                let up = |t: SimTime| plan.node_up(NodeIdx(node), t.as_micros());
+                assert!(!up(s));
+                assert!(up(e));
+                assert!(!up(SimTime::from_micros(
+                    (s.as_micros() + e.as_micros()) / 2
+                )));
             }
         }
     }

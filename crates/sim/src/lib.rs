@@ -6,7 +6,7 @@
 //! capacities for performance (Section 9). This crate provides the
 //! building blocks for both, re-implemented in Rust:
 //!
-//! - [`event`] — a deterministic virtual-time event queue.
+//! - [`time`] — integer-microsecond virtual time ([`SimTime`]).
 //! - [`net`] — a synthetic pairwise latency matrix (standing in for the
 //!   King/DNS measurements), per-node access links, and the TCP
 //!   transfer-time model with per-flow slow-start restart that the paper
@@ -15,18 +15,18 @@
 //!   correlated failure events (substituting for the Feb 2003 trace).
 //! - [`fault`] — message-level fault injection (drops, delays, node
 //!   crash/rejoin) driven by the failure traces, for churn-hardening
-//!   the routing layer.
+//!   the routing layer: a [`FaultPlan`] is `d2-ring`'s `FaultOracle`.
 //! - [`metrics`] — time series and the normalized-standard-
 //!   deviation load-imbalance metric of Section 10.
 
-pub mod event;
 pub mod failure;
 pub mod fault;
 pub mod metrics;
 pub mod net;
+pub mod time;
 
-pub use event::{EventQueue, SimTime};
 pub use failure::{FailureModel, FailureTrace};
-pub use fault::{FaultConfig, FaultPlan, MessageFate};
+pub use fault::{FaultConfig, FaultPlan};
 pub use metrics::{geometric_mean, max_over_mean, normalized_std_dev, TimeSeries};
 pub use net::{LinkState, TcpConn, Topology};
+pub use time::SimTime;

@@ -1,6 +1,6 @@
 //! Measurement helpers: time series and the imbalance metric.
 
-use crate::event::SimTime;
+use crate::time::SimTime;
 
 /// Normalized standard deviation (σ / mean) of node storage loads —
 /// the load-imbalance metric of Section 10 (Figures 16–17).

@@ -15,7 +15,7 @@
 //! plus serialization, while a warm connection streams at the full link
 //! rate.
 
-use crate::event::SimTime;
+use crate::time::SimTime;
 use rand::Rng;
 
 /// Bytes of TCP payload per packet (1500-byte MTU minus headers).

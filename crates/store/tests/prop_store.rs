@@ -6,28 +6,25 @@ use d2_store::{CacheOutcome, LookupCache, NodeStore, Payload};
 use d2_types::{Key, KeyRange};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 const SEEDS: u64 = 64;
 
 #[derive(Clone, Copy, Debug)]
 enum Op {
     Put(u16, u16),
+    PutData(u16, u16),
     RemoveNow(u16),
-    RemoveAfter(u16, u16),
-    RefreshTtl(u16, u16),
-    Gc,
 }
 
-/// Puts 4 : removals 1 : delayed removals 2 : TTL refreshes 1 : gc 2.
+/// Size puts 4 : data puts 2 : removals 3, over a small key space so
+/// overwrites are common.
 fn random_op(rng: &mut StdRng) -> Op {
-    let k = rng.random();
-    match rng.random_range(0..10) {
+    let k = rng.random_range(0..48);
+    match rng.random_range(0..9) {
         0..=3 => Op::Put(k, rng.random_range(1..=2048)),
-        4 => Op::RemoveNow(k),
-        5..=6 => Op::RemoveAfter(k, rng.random_range(1..600)),
-        7 => Op::RefreshTtl(k, rng.random_range(1..600)),
-        _ => Op::Gc,
+        4..=5 => Op::PutData(k, rng.random_range(0..=64)),
+        _ => Op::RemoveNow(k),
     }
 }
 
@@ -36,103 +33,101 @@ fn key(k: u16) -> Key {
 }
 
 /// The store's byte counter always equals the sum of stored payload
-/// lengths, and gc removes exactly the due blocks.
+/// lengths, across puts, overwrites and removals.
 #[test]
 fn store_accounting_is_exact() {
-    #[derive(Clone, Copy)]
-    struct Entry {
-        len: u32,
-        remove_at: Option<SimTime>,
-        expires_at: Option<SimTime>,
-    }
-    impl Entry {
-        fn dead(&self, now: SimTime) -> bool {
-            self.remove_at.is_some_and(|t| now >= t) || self.expires_at.is_some_and(|t| now >= t)
-        }
-    }
     for seed in 0..SEEDS {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut store = NodeStore::new();
-        let mut model: BTreeMap<Key, Entry> = BTreeMap::new();
+        let mut model: BTreeMap<Key, (u32, SimTime)> = BTreeMap::new();
         let mut now = SimTime::ZERO;
-        for step in 0..rng.random_range(1..80) {
+        for step in 0..rng.random_range(1..120) {
             let op = random_op(&mut rng);
             let at = format!("seed {seed}, step {step} ({op:?})");
             now += SimTime::from_secs(10);
             match op {
                 Op::Put(k, len) => {
-                    store.put(key(k), Payload::Size(len as u32), now);
-                    let entry = Entry {
-                        len: len as u32,
-                        remove_at: None,
-                        expires_at: None,
-                    };
-                    model.insert(key(k), entry);
+                    let old = store.put(key(k), Payload::Size(len as u32), now);
+                    let was = model.insert(key(k), (len as u32, now));
+                    assert_eq!(old.map(|b| (b.payload.len(), b.stored_at)), was, "{at}");
+                }
+                Op::PutData(k, len) => {
+                    let old = store.put(key(k), Payload::Data(vec![7; len as usize]), now);
+                    let was = model.insert(key(k), (len as u32, now));
+                    assert_eq!(old.map(|b| (b.payload.len(), b.stored_at)), was, "{at}");
                 }
                 Op::RemoveNow(k) => {
                     let got = store.remove_now(&key(k));
-                    assert_eq!(got.is_some(), model.remove(&key(k)).is_some(), "{at}");
-                }
-                Op::RemoveAfter(k, d) => {
-                    let delay = SimTime::from_secs(d as u64);
-                    let ok = store.remove_after(&key(k), now, delay);
-                    assert_eq!(ok, model.contains_key(&key(k)), "{at}");
-                    if let Some(e) = model.get_mut(&key(k)) {
-                        e.remove_at = Some(now + delay);
-                    }
-                }
-                Op::RefreshTtl(k, d) => {
-                    let ttl = SimTime::from_secs(d as u64);
-                    let ok = store.refresh_ttl(&key(k), now, ttl);
-                    assert_eq!(ok, model.contains_key(&key(k)), "{at}");
-                    if let Some(e) = model.get_mut(&key(k)) {
-                        e.expires_at = Some(now + ttl);
-                    }
-                }
-                Op::Gc => {
-                    for k in &store.gc(now).keys {
-                        let e = model.remove(k);
-                        assert!(e.is_some_and(|e| e.dead(now)), "{at}: gc took live {k}");
-                    }
-                    for (k, e) in &model {
-                        assert!(!e.dead(now) || !store.contains(k), "{at}: overdue {k}");
-                    }
-                    model.retain(|_, e| !e.dead(now));
+                    let was = model.remove(&key(k));
+                    assert_eq!(got.map(|b| (b.payload.len(), b.stored_at)), was, "{at}");
                 }
             }
-            let expect: u64 = model.values().map(|e| e.len as u64).sum();
+            let expect: u64 = model.values().map(|&(len, _)| len as u64).sum();
             assert_eq!(store.bytes(), expect, "{at}: byte counter drifted");
             assert_eq!(store.len(), model.len(), "{at}");
+            for (k, &(len, stored_at)) in &model {
+                let got = store.get(k).map(|b| (b.payload.len(), b.stored_at));
+                assert_eq!(got, Some((len, stored_at)), "{at}: {k}");
+            }
         }
     }
 }
 
-/// take_range + absorb moves exactly the blocks in the range, conserving
-/// total count and bytes.
+/// A range endpoint: a stored key, a random key, or an end of the ring,
+/// so ranges wrap, start or end exactly on a block, and span the ring
+/// (equal endpoints).
+fn range_end(rng: &mut StdRng, stored: &[Key]) -> Key {
+    match rng.random_range(0..8) {
+        0 => Key::MIN,
+        1 => Key::MAX,
+        2..=4 if !stored.is_empty() => stored[rng.random_range(0..stored.len())],
+        _ => key(rng.random_range(0..1024)),
+    }
+}
+
+/// `keys_in`, `count_in` and `split_key_in` against a linear
+/// `KeyRange::contains` filter over every stored key. Keys come in ring
+/// order from the range's start (a wrapping arc lists `(start, MAX]`
+/// before `[MIN, end]`; the full ring lists them in key order), and the
+/// split point is the last key of the first half.
 #[test]
-fn migration_conserves_blocks() {
+fn range_queries_match_a_linear_filter() {
     for seed in 0..SEEDS {
         let mut rng = StdRng::seed_from_u64(seed);
-        let keys: BTreeSet<u16> = (0..rng.random_range(1..64)).map(|_| rng.random()).collect();
-        let (a, b) = (rng.random::<u16>(), rng.random::<u16>());
-        let mut src = NodeStore::new();
-        for &k in &keys {
-            src.put(key(k), Payload::Size(8), SimTime::ZERO);
+        let mut store = NodeStore::new();
+        for _ in 0..rng.random_range(0..96) {
+            store.put(
+                key(rng.random_range(0..1024)),
+                Payload::Size(1),
+                SimTime::ZERO,
+            );
         }
-        let range = KeyRange::new(key(a), key(b));
-        let total = src.len();
-        let total_bytes = src.bytes();
-        let moved = src.take_range(&range);
-        let mut dst = NodeStore::new();
-        dst.absorb(moved);
-        assert_eq!(src.len() + dst.len(), total, "seed {seed}");
-        assert_eq!(src.bytes() + dst.bytes(), total_bytes, "seed {seed}");
-        // Partition correctness.
-        for &k in &keys {
-            let kk = key(k);
-            if range.contains(&kk) && a != b {
-                assert!(dst.contains(&kk) && !src.contains(&kk), "seed {seed}");
-            }
+        let stored: Vec<Key> = store.iter().map(|(k, _)| *k).collect();
+        for probe in 0..64 {
+            let range = match rng.random_range(0..16) {
+                0 => KeyRange::full(),
+                1 => {
+                    let k = range_end(&mut rng, &stored);
+                    KeyRange::new(k, k)
+                }
+                _ => KeyRange::new(range_end(&mut rng, &stored), range_end(&mut rng, &stored)),
+            };
+            let at = format!("seed {seed}, probe {probe}, range {range:?}");
+            let after_start = |k: &Key| range.is_full() || k > range.start();
+            let mut expect: Vec<Key> = stored
+                .iter()
+                .copied()
+                .filter(|k| range.contains(k))
+                .collect();
+            expect.sort_by_key(|k| !after_start(k));
+            assert_eq!(store.keys_in(&range), expect, "{at}: keys_in");
+            assert_eq!(
+                store.count_in(&range),
+                expect.len() as u64,
+                "{at}: count_in"
+            );
+            let split = (expect.len() >= 2).then(|| expect[expect.len() / 2 - 1]);
+            assert_eq!(store.split_key_in(&range), split, "{at}: split_key_in");
         }
     }
 }

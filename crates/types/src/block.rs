@@ -2,7 +2,6 @@
 
 use crate::encoding;
 use crate::encoding::{PathSlots, VolumeId};
-use crate::hash::ContentHash;
 use crate::key::Key;
 use std::fmt;
 
@@ -121,19 +120,6 @@ impl fmt::Display for SystemKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
     }
-}
-
-/// A `(key, content-hash, length)` pointer stored inside metadata blocks,
-/// enabling integrity verification now that keys are not content hashes
-/// (Section 3).
-#[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
-pub struct BlockPointerEntry {
-    /// DHT key of the pointed-to block.
-    pub key: Key,
-    /// Content hash for integrity verification.
-    pub hash: ContentHash,
-    /// Length in bytes of the pointed-to block.
-    pub len: u32,
 }
 
 #[cfg(test)]

@@ -47,6 +47,16 @@ EXP_TMP="$(mktemp -d)"
 ./target/release/d2-exp all --scale quick --seed 7 --jobs 1 > "$EXP_TMP/jobs1.out"
 ./target/release/d2-exp all --scale quick --seed 7 --jobs 2 > "$EXP_TMP/jobs2.out"
 cmp "$EXP_TMP/jobs1.out" "$EXP_TMP/jobs2.out"
+
+echo "==> d2-exp figures (all, quick, seed 7): stdout matches the committed sha256"
+# scripts/exp-quick-seed7.sha256 holds the sha256 of that stdout, so a
+# change that moves any figure fails here unless it updates the file
+# in the same commit (and says why). Swapping the `rand` stand-in moves
+# every figure once.
+EXP_WANT=$(cat scripts/exp-quick-seed7.sha256)
+EXP_GOT=$(sha256sum < "$EXP_TMP/jobs1.out" | cut -d' ' -f1)
+[[ "$EXP_GOT" == "$EXP_WANT" ]] || {
+    echo "d2-exp all --scale quick --seed 7 prints sha256 $EXP_GOT, committed $EXP_WANT"; exit 1; }
 rm -rf "$EXP_TMP"
 
 echo "==> telemetry smoke (3-node cluster scrape, merged snapshot JSON)"

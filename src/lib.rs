@@ -11,8 +11,8 @@
 //!   key encoding of Figure 4.
 //! - [`ring`] — a Mercury-style DHT ring with successor lists, long links,
 //!   recursive routing, and Karger–Ruhl active load balancing.
-//! - [`store`] — the replicated block store (D2-Store) with lookup caches
-//!   and block pointers.
+//! - [`store`] — the per-node block store (D2-Store) and the lookup
+//!   cache.
 //! - [`ec`] — the erasure-coded redundancy backend: a systematic
 //!   Reed–Solomon coder over GF(2^8) and the `RedundancyPolicy`
 //!   replication-vs-coding abstraction.
