@@ -13,7 +13,7 @@
 //! and balanced for a warm-up period (the paper uses 3 simulated days)
 //! before the failure trace and workload begin.
 
-use crate::cluster::{SimCluster, PROBE_INTERVAL};
+use crate::cluster::{warmup_rounds, SimCluster, PROBE_INTERVAL};
 use crate::config::ClusterConfig;
 use d2_ring::NodeIdx;
 use d2_sim::{FailureTrace, SimTime};
@@ -84,8 +84,8 @@ pub struct AvailabilitySim {
     /// When the warm-up ended (failure/workload time 0 maps here).
     pub epoch: SimTime,
     /// Every block key of the trace under the cluster's encoding, hashed
-    /// once by [`AvailabilitySim::build`]; `PerfSim` takes it over.
-    pub(crate) keys: Arc<TraceKeys>,
+    /// once by [`AvailabilitySim::build`].
+    keys: Arc<TraceKeys>,
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -113,18 +113,17 @@ impl AvailabilitySim {
         // Initial data: all files alive at time 0.
         cluster.preload(keys.initial(&trace.namespace));
 
-        let mut now = SimTime::ZERO;
-        let end = SimTime::from_secs_f64(warmup_days * 86_400.0);
-        while now < end {
-            now += PROBE_INTERVAL;
+        let mut epoch = SimTime::ZERO;
+        for now in warmup_rounds(warmup_days) {
             cluster.run_balance_round(now, false);
             cluster.resolve_stale_pointers(now);
             cluster.forget_arrived_transfers(now);
+            epoch = now;
         }
-        cluster.now = now;
+        cluster.now = epoch;
         AvailabilitySim {
             cluster,
-            epoch: now,
+            epoch,
             keys,
         }
     }

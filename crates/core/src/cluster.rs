@@ -31,6 +31,32 @@ use std::collections::{BTreeSet, HashMap};
 /// Section 6: every 10 minutes).
 pub const PROBE_INTERVAL: SimTime = SimTime::from_secs(600);
 
+/// The balance-round times of a `days`-long warm-up: one every
+/// [`PROBE_INTERVAL`], the last at or past its end (Section 8.1).
+pub(crate) fn warmup_rounds(days: f64) -> impl Iterator<Item = SimTime> {
+    let end = SimTime::from_secs_f64(days * 86_400.0);
+    let next = move |&t: &SimTime| (t < end).then(|| t + PROBE_INTERVAL);
+    std::iter::successors(Some(SimTime::ZERO), next).skip(1)
+}
+
+/// `cfg.nodes` nodes at uniformly random ring positions (consistent
+/// hashing — D2's balancer moves them later), and the generator that
+/// drew them, which goes on to draw every balance round's probes.
+pub(crate) fn random_ring(cfg: &ClusterConfig) -> (Ring, StdRng) {
+    let mut rng = StdRng::seed_from_u64(cfg.seed);
+    let mut ring = Ring::new();
+    for _ in 0..cfg.nodes {
+        let idx = ring.add_offline_node();
+        loop {
+            let id = Key::random(&mut rng);
+            if ring.add_node_at(idx, id) {
+                break;
+            }
+        }
+    }
+    (ring, rng)
+}
+
 /// How long a block pointer stands before its holder fetches the real
 /// block (Section 6: 1 hour).
 pub const POINTER_STABILIZATION: SimTime = SimTime::from_secs(3600);
@@ -195,17 +221,7 @@ impl SimCluster {
     /// Builds a cluster of `cfg.nodes` nodes at uniformly random ring
     /// positions (consistent hashing — D2's balancer moves them later).
     pub fn new(system: SystemKind, cfg: &ClusterConfig) -> SimCluster {
-        let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let mut ring = Ring::new();
-        for _ in 0..cfg.nodes {
-            let idx = ring.add_offline_node();
-            loop {
-                let id = Key::random(&mut rng);
-                if ring.add_node_at(idx, id) {
-                    break;
-                }
-            }
-        }
+        let (ring, rng) = random_ring(cfg);
         SimCluster {
             system,
             cfg: *cfg,
@@ -470,7 +486,8 @@ impl SimCluster {
     /// Primary load (blocks in own range) of each *live* node.
     pub fn primary_loads(&self) -> Vec<u64> {
         let nodes = self.ring.nodes().into_iter();
-        nodes.map(|n| self.primary_load(n)).collect()
+        let loads = StoreLoads(&self.stores);
+        nodes.map(|n| loads.primary_load(&self.ring, n)).collect()
     }
 
     /// Total storage load (all blocks held, bytes) of each live node.
@@ -504,23 +521,11 @@ impl SimCluster {
         if !force && !self.system.balances_actively() {
             return 0;
         }
-        use rand::seq::SliceRandom;
-        let mut nodes = self.ring.nodes();
-        nodes.shuffle(&mut self.rng);
+        let mut round = balance::Round::new(&self.ring, &mut self.rng);
         let mut moves = 0;
-        for prober in nodes {
-            if !self.ring.contains(prober) {
-                continue;
-            }
-            let Some(target) = self.ring.random_node(&mut self.rng) else {
-                continue;
-            };
-            let Some(op) = balance::probe(&self.ring, self, prober, target) else {
-                continue;
-            };
-            if !balance::apply_to_ring(&mut self.ring, &op) {
-                continue;
-            }
+        while let Some(op) =
+            round.next_move(&mut self.ring, &StoreLoads(&self.stores), &mut self.rng)
+        {
             self.obs.record_with(|| TraceEvent::BalanceMove {
                 t_us: now.as_micros(),
                 mover: op.mover().0,
@@ -1015,18 +1020,20 @@ impl BlockIo for SimCluster {
     }
 }
 
-/// What the balancer probes.
-impl LoadView for SimCluster {
-    fn primary_load(&self, node: NodeIdx) -> u64 {
-        self.ring
-            .range_of(node)
-            .map(|r| self.stores[node.0].count_in(&r))
+/// What the cluster's balancer probes: the keys each node's store holds
+/// in its range, pointers included.
+struct StoreLoads<'a>(&'a [NodeStore]);
+
+impl LoadView for StoreLoads<'_> {
+    fn primary_load(&self, ring: &Ring, node: NodeIdx) -> u64 {
+        ring.range_of(node)
+            .map(|r| self.0[node.0].count_in(&r))
             .unwrap_or(0)
     }
 
-    fn split_key(&self, node: NodeIdx) -> Option<Key> {
-        let range = self.ring.range_of(node)?;
-        self.stores[node.0].split_key_in(&range)
+    fn split_key(&self, ring: &Ring, node: NodeIdx) -> Option<Key> {
+        let range = ring.range_of(node)?;
+        self.0[node.0].split_key_in(&range)
     }
 }
 

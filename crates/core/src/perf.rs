@@ -13,9 +13,10 @@
 //! one; `Para` — all fetches are independent, subject to the client cap.
 //! The real system sits between these extremes (Section 9.1).
 
-use crate::avail::AvailabilitySim;
+use crate::cluster::{random_ring, warmup_rounds};
 use crate::config::ClusterConfig;
 use d2_obs::{CacheResult, Histogram, SharedSink, TraceEvent};
+use d2_ring::balance::{self, SortedKeys};
 use d2_ring::routing::Router;
 use d2_ring::{NodeIdx, Ring};
 use d2_sim::net::{LinkState, TcpConn, Topology};
@@ -108,10 +109,10 @@ impl PerfReport {
     }
 }
 
-/// The performance simulation driver. It keeps the ring the warm-up
-/// left, not the cluster that ran it: a replay routes, checks cached
-/// ranges and picks replicas by ring position alone, so no block index
-/// or store outlives the build or rides along in a clone.
+/// The performance simulation driver. It holds the warmed-up ring and
+/// the trace's key table, and no block or store: a replay routes, checks
+/// cached ranges and picks replicas by ring position alone, so its
+/// warm-up moves ring positions, not data.
 #[derive(Clone, Debug)]
 pub struct PerfSim {
     /// Ring membership and positions after the warm-up.
@@ -148,10 +149,18 @@ pub struct PerfSim {
 }
 
 impl PerfSim {
-    /// Builds the performance testbed: preload the file system, stabilize
-    /// positions (for balancing systems), build routing tables and the
-    /// network topology, and pin each user to a random client node. The
-    /// cluster that placed the blocks is dropped here; its ring is kept.
+    /// Builds the performance testbed: stabilize positions (for balancing
+    /// systems), build routing tables and the network topology, and pin
+    /// each user to a random client node.
+    ///
+    /// The warm-up runs the balance rounds of
+    /// [`AvailabilitySim::build`](crate::AvailabilitySim::build) on the
+    /// same random ring and generator, reading loads from the initial
+    /// file system's sorted keys instead of from stores. With no failure,
+    /// write or removal in a warm-up, every node there stores exactly the
+    /// initial keys in its range, so each probe reads the same loads and
+    /// split keys, the rounds make the same moves, and the ring comes
+    /// out the same, without a block placed or moved.
     pub fn build(
         system: SystemKind,
         cluster_cfg: &ClusterConfig,
@@ -159,9 +168,17 @@ impl PerfSim {
         trace: &HarvardTrace,
         warmup_days: f64,
     ) -> PerfSim {
-        let AvailabilitySim { cluster, keys, .. } =
-            AvailabilitySim::build(system, cluster_cfg, trace, warmup_days);
-        let ring = cluster.ring;
+        let keys = Arc::new(TraceKeys::build(&trace.namespace, system));
+        let (mut ring, mut balance_rng) = random_ring(cluster_cfg);
+        if system.balances_actively() {
+            let initial = keys.initial(&trace.namespace).into_iter();
+            let mut held: Vec<Key> = initial.map(|(key, _)| key).collect();
+            held.sort_unstable();
+            let loads = SortedKeys::new(&held);
+            for _ in warmup_rounds(warmup_days) {
+                balance::run_round(&mut ring, &loads, &mut balance_rng);
+            }
+        }
         // No node fails during the warm-up: every handle is in the ring.
         let nodes = ring.capacity();
         let mut rng = StdRng::seed_from_u64(cluster_cfg.seed ^ 0x9e37_79b9);

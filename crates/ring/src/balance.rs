@@ -12,22 +12,82 @@
 //! directly affect primary ranges, and balancing primaries balances total
 //! load by the `r·max / r·min` argument in the paper's footnote 3.
 //!
-//! This module computes the balancing *decisions* ([`BalanceOp`]); applying
-//! them — moving ring positions, migrating blocks or installing block
-//! pointers — is done by the store layer, which knows where the data is.
+//! This module decides and applies the ring-position part of balancing:
+//! [`probe`] decides one move ([`BalanceOp`]) and a [`Round`] runs one
+//! probe interval's loop — shuffle the live nodes, draw each prober's
+//! target, probe, move — which exists only here. Loads come from a
+//! [`LoadView`], of which there are two: `d2-core`'s cluster counts the
+//! keys each node's store holds in its range, and migrates data after
+//! each move; [`SortedKeys`] counts a fixed sorted key set, which is
+//! what every store holds in a ring without failures or writes, and has
+//! no data to move.
 
 use crate::ring::{NodeIdx, Ring};
-use d2_types::Key;
+use d2_types::{Key, KeyRange};
+use rand::seq::SliceRandom;
+use rand::Rng;
 
-/// A view of per-node storage load, provided by the store layer.
+/// A view of per-node storage load: a cluster's stores, or
+/// [`SortedKeys`]. Each call reads the node's range from `ring`.
 pub trait LoadView {
     /// Number of primary blocks currently assigned to `node`.
-    fn primary_load(&self, node: NodeIdx) -> u64;
+    fn primary_load(&self, ring: &Ring, node: NodeIdx) -> u64;
 
     /// A key `m` inside `node`'s range such that about half of the node's
     /// primary blocks have keys ≤ `m`. `None` if the node has fewer than
     /// two blocks (nothing to split).
-    fn split_key(&self, node: NodeIdx) -> Option<Key>;
+    fn split_key(&self, ring: &Ring, node: NodeIdx) -> Option<Key>;
+}
+
+/// The load of a ring whose every node holds exactly the keys of one
+/// sorted set that fall in its range — a ring with no failures, writes
+/// or removals, such as a warm-up. Each answer is two binary searches.
+#[derive(Clone, Copy, Debug)]
+pub struct SortedKeys<'a>(&'a [Key]);
+
+impl<'a> SortedKeys<'a> {
+    /// A view over `keys`, which must be strictly ascending.
+    pub fn new(keys: &'a [Key]) -> SortedKeys<'a> {
+        debug_assert!(keys.windows(2).all(|w| w[0] < w[1]), "keys not sorted");
+        SortedKeys(keys)
+    }
+
+    /// The keys inside `range`, in ring order from its start, as two
+    /// runs: a wrapping arc is `(start, MAX]` then `[MIN, end]`, and the
+    /// full ring every key from [`Key::MIN`] (as a node's store orders
+    /// them).
+    fn in_range(&self, range: &KeyRange) -> (&'a [Key], &'a [Key]) {
+        let keys = self.0;
+        if range.is_full() {
+            return (keys, &[]);
+        }
+        let after = |bound: &Key| keys.partition_point(|k| k <= bound);
+        let (lo, hi) = (after(range.start()), after(range.end()));
+        if range.start() < range.end() {
+            (&keys[lo..hi], &[])
+        } else {
+            (&keys[lo..], &keys[..hi])
+        }
+    }
+}
+
+impl LoadView for SortedKeys<'_> {
+    fn primary_load(&self, ring: &Ring, node: NodeIdx) -> u64 {
+        let Some(range) = ring.range_of(node) else {
+            return 0;
+        };
+        let (head, tail) = self.in_range(&range);
+        (head.len() + tail.len()) as u64
+    }
+
+    fn split_key(&self, ring: &Ring, node: NodeIdx) -> Option<Key> {
+        let (head, tail) = self.in_range(&ring.range_of(node)?);
+        let n = head.len() + tail.len();
+        if n < 2 {
+            return None;
+        }
+        head.iter().chain(tail).nth(n / 2 - 1).copied()
+    }
 }
 
 /// Load-ratio trigger `t`: the paper uses 4, guaranteeing steady-state
@@ -104,15 +164,15 @@ pub fn probe(
     if prober == target || !ring.contains(prober) || !ring.contains(target) {
         return None;
     }
-    let load_b = loads.primary_load(prober);
-    let load_a = loads.primary_load(target);
+    let load_b = loads.primary_load(ring, prober);
+    let load_a = loads.primary_load(ring, target);
     if load_a < MIN_SPLIT_LOAD {
         return None;
     }
     if (load_a as f64) <= THRESHOLD * (load_b as f64) {
         return None;
     }
-    let new_id = loads.split_key(target)?;
+    let new_id = loads.split_key(ring, target)?;
     let target_id = ring.id_of(target)?;
     let old_id = ring.id_of(prober)?;
     if new_id == target_id || new_id == old_id {
@@ -147,64 +207,83 @@ pub fn apply_to_ring(ring: &mut Ring, op: &BalanceOp) -> bool {
     ring.move_node(op.mover(), op.new_id())
 }
 
+/// One balancing round in progress: every live node, in random order,
+/// probes one uniformly random live node, and a move it decides is
+/// applied to the ring before the next node probes. A caller that
+/// migrates data steps it with [`Round::next_move`], moving the data
+/// after each move; [`run_round`] runs it to the end.
+#[derive(Debug)]
+pub struct Round {
+    probers: std::vec::IntoIter<NodeIdx>,
+}
+
+impl Round {
+    /// Starts a round over `ring`'s live nodes, shuffled by `rng`.
+    pub fn new<R: Rng + ?Sized>(ring: &Ring, rng: &mut R) -> Round {
+        let mut probers = ring.nodes();
+        probers.shuffle(rng);
+        Round {
+            probers: probers.into_iter(),
+        }
+    }
+
+    /// Runs the round's probes until one moves a node, and returns that
+    /// move, already applied to `ring`; `None` once every node has
+    /// probed.
+    pub fn next_move<R: Rng + ?Sized>(
+        &mut self,
+        ring: &mut Ring,
+        loads: &dyn LoadView,
+        rng: &mut R,
+    ) -> Option<BalanceOp> {
+        for prober in self.probers.by_ref() {
+            if !ring.contains(prober) {
+                continue;
+            }
+            let Some(target) = ring.random_node(rng) else {
+                continue;
+            };
+            let Some(op) = probe(ring, loads, prober, target) else {
+                continue;
+            };
+            if apply_to_ring(ring, &op) {
+                return Some(op);
+            }
+        }
+        None
+    }
+}
+
+/// Runs one whole [`Round`] on `ring`, reading loads from `loads`, and
+/// returns the number of moves.
+pub fn run_round<R: Rng + ?Sized>(ring: &mut Ring, loads: &dyn LoadView, rng: &mut R) -> usize {
+    let mut round = Round::new(ring, rng);
+    std::iter::from_fn(|| round.next_move(ring, loads, rng)).count()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::seq::SliceRandom;
     use rand::SeedableRng;
-    use std::collections::BTreeMap;
 
-    /// A toy store: blocks keyed on the ring, loads derived from ownership.
-    struct ToyStore {
-        blocks: BTreeMap<Key, ()>,
-        ring: Ring,
-    }
-
-    impl ToyStore {
-        fn owned_keys(&self, node: NodeIdx) -> Vec<Key> {
-            let Some(range) = self.ring.range_of(node) else {
-                return vec![];
-            };
-            self.blocks
-                .keys()
-                .filter(|k| range.contains(k))
-                .copied()
-                .collect()
-        }
-    }
-
-    impl LoadView for ToyStore {
-        fn primary_load(&self, node: NodeIdx) -> u64 {
-            self.owned_keys(node).len() as u64
-        }
-        fn split_key(&self, node: NodeIdx) -> Option<Key> {
-            let keys = self.owned_keys(node);
-            if keys.len() < 2 {
-                return None;
-            }
-            Some(keys[keys.len() / 2 - 1])
-        }
-    }
-
-    fn setup(node_fracs: &[f64], block_fracs: &[f64]) -> (ToyStore, Vec<NodeIdx>) {
+    /// A ring of nodes at `node_fracs` holding blocks at `block_fracs`.
+    fn setup(node_fracs: &[f64], block_fracs: &[f64]) -> (Ring, Vec<NodeIdx>, Vec<Key>) {
         let mut ring = Ring::new();
-        let idxs: Vec<_> = node_fracs
+        let idxs = node_fracs
             .iter()
             .map(|&f| ring.add_node(Key::from_fraction(f)))
             .collect();
-        let blocks = block_fracs
-            .iter()
-            .map(|&f| (Key::from_fraction(f), ()))
-            .collect();
-        (ToyStore { blocks, ring }, idxs)
+        let mut blocks: Vec<Key> = block_fracs.iter().map(|&f| Key::from_fraction(f)).collect();
+        blocks.sort_unstable();
+        (ring, idxs, blocks)
     }
 
     #[test]
     fn probe_triggers_on_imbalance() {
         // Node at 0.9 owns (0.5, 0.9] with 8 blocks; node at 0.5 owns 0.
         let blocks: Vec<f64> = (0..8).map(|i| 0.55 + i as f64 * 0.04).collect();
-        let (store, idx) = setup(&[0.5, 0.9], &blocks);
-        let op = probe(&store.ring, &store, idx[0], idx[1]);
+        let (ring, idx, blocks) = setup(&[0.5, 0.9], &blocks);
+        let op = probe(&ring, &SortedKeys::new(&blocks), idx[0], idx[1]);
         let op = op.expect("imbalance 8:0 must trigger");
         // idx0 is the predecessor of idx1 -> boundary shift.
         assert!(matches!(op, BalanceOp::ShiftBoundary { .. }));
@@ -218,54 +297,44 @@ mod tests {
     #[test]
     fn probe_respects_threshold() {
         // 4 blocks vs 2 blocks: ratio 2 < 4, no move.
-        let (store, idx) = setup(&[0.5, 0.9], &[0.1, 0.2, 0.55, 0.6, 0.7, 0.8]);
-        assert_eq!(store.primary_load(idx[0]), 2);
-        assert_eq!(store.primary_load(idx[1]), 4);
-        assert!(probe(&store.ring, &store, idx[0], idx[1]).is_none());
+        let (ring, idx, blocks) = setup(&[0.5, 0.9], &[0.1, 0.2, 0.55, 0.6, 0.7, 0.8]);
+        let loads = SortedKeys::new(&blocks);
+        assert_eq!(loads.primary_load(&ring, idx[0]), 2);
+        assert_eq!(loads.primary_load(&ring, idx[1]), 4);
+        assert!(probe(&ring, &loads, idx[0], idx[1]).is_none());
     }
 
     #[test]
     fn distant_light_node_relocates() {
         let blocks: Vec<f64> = (0..10).map(|i| 0.41 + i as f64 * 0.01).collect();
-        let (store, idx) = setup(&[0.1, 0.2, 0.6], &blocks);
+        let (ring, idx, blocks) = setup(&[0.1, 0.2, 0.6], &blocks);
         // idx1 (owns (0.1,0.2], empty) probes idx2 (owns (0.2,0.6], 10 blocks).
         // idx1 IS the predecessor though. Use idx0 which is not.
-        let op = probe(&store.ring, &store, idx[0], idx[2]).unwrap();
+        let op = probe(&ring, &SortedKeys::new(&blocks), idx[0], idx[2]).unwrap();
         assert!(matches!(op, BalanceOp::Relocate { .. }));
     }
 
     #[test]
     fn self_probe_is_noop() {
-        let (store, idx) = setup(&[0.5], &[0.1, 0.2]);
-        assert!(probe(&store.ring, &store, idx[0], idx[0]).is_none());
+        let (ring, idx, blocks) = setup(&[0.5], &[0.1, 0.2]);
+        assert!(probe(&ring, &SortedKeys::new(&blocks), idx[0], idx[0]).is_none());
     }
 
     #[test]
     fn rounds_converge_to_factor_t() {
         // 32 nodes uniformly placed, all 512 blocks crammed into 5% of the
         // key space — the defragmented-file-system distribution.
-        let mut ring = Ring::new();
-        let idxs: Vec<_> = (0..32)
-            .map(|i| ring.add_node(Key::from_fraction(i as f64 / 32.0)))
-            .collect();
-        let blocks: BTreeMap<Key, ()> = (0..512)
-            .map(|i| (Key::from_fraction(0.40 + 0.05 * i as f64 / 512.0), ()))
-            .collect();
-        let mut store = ToyStore { blocks, ring };
+        let fracs: Vec<f64> = (0..32).map(|i| i as f64 / 32.0).collect();
+        let blocks: Vec<f64> = (0..512).map(|i| 0.40 + 0.05 * i as f64 / 512.0).collect();
+        let (mut ring, idxs, blocks) = setup(&fracs, &blocks);
+        let loads = SortedKeys::new(&blocks);
         let mut rng = rand::rngs::StdRng::seed_from_u64(21);
 
-        // Each round, every node probes one random node, in random order.
-        for _round in 0..40 {
-            let mut nodes = store.ring.nodes();
-            nodes.shuffle(&mut rng);
-            for prober in nodes {
-                let target = store.ring.random_node(&mut rng).unwrap();
-                if let Some(op) = probe(&store.ring, &store, prober, target) {
-                    apply_to_ring(&mut store.ring, &op);
-                }
-            }
-        }
-        let loads: Vec<u64> = idxs.iter().map(|&i| store.primary_load(i)).collect();
+        let moves: usize = (0..40)
+            .map(|_| run_round(&mut ring, &loads, &mut rng))
+            .sum();
+        assert!(moves > 0);
+        let loads: Vec<u64> = idxs.iter().map(|&i| loads.primary_load(&ring, i)).collect();
         let max = *loads.iter().max().unwrap();
         let nonzero_min = loads.iter().copied().filter(|&l| l > 0).min().unwrap();
         // Steady state: max/min within the guaranteed constant factor
@@ -281,13 +350,14 @@ mod tests {
     #[test]
     fn apply_moves_ring_position() {
         let blocks: Vec<f64> = (0..8).map(|i| 0.55 + i as f64 * 0.04).collect();
-        let (mut store, idx) = setup(&[0.5, 0.9], &blocks);
-        let op = probe(&store.ring, &store, idx[0], idx[1]).unwrap();
-        assert!(apply_to_ring(&mut store.ring, &op));
-        assert_eq!(store.ring.id_of(idx[0]), Some(op.new_id()));
+        let (mut ring, idx, blocks) = setup(&[0.5, 0.9], &blocks);
+        let loads = SortedKeys::new(&blocks);
+        let op = probe(&ring, &loads, idx[0], idx[1]).unwrap();
+        assert!(apply_to_ring(&mut ring, &op));
+        assert_eq!(ring.id_of(idx[0]), Some(op.new_id()));
         // Loads are now split roughly in half.
-        let a = store.primary_load(idx[0]);
-        let b = store.primary_load(idx[1]);
+        let a = loads.primary_load(&ring, idx[0]);
+        let b = loads.primary_load(&ring, idx[1]);
         assert_eq!(a + b, 8);
         assert!(a >= 3 && b >= 3, "split {a}/{b} should be near-even");
     }

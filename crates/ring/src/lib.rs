@@ -13,7 +13,8 @@
 //! - [`balance`] — the active load-balancing algorithm of Section 6: each
 //!   node periodically probes a random node and, when the load ratio
 //!   exceeds `t` (= 4), rejoins as the heavy node's predecessor at the key
-//!   that splits the heavy node's load in half.
+//!   that splits the heavy node's load in half. One round loop serves a
+//!   data-moving cluster and a ring-only warm-up over sorted keys.
 //! - [`node`] — a message-level protocol state machine (join, stabilize,
 //!   recursive lookup) used by the threaded live deployment in `d2-net`.
 //! - [`churn`] — churn-hardened routing: fault-injected lookups with

@@ -85,31 +85,24 @@ fn routing_always_reaches_owner() {
     }
 }
 
-struct MapLoad {
-    blocks: BTreeSet<Key>,
-    ring: Ring,
-}
+/// Loads read from a block set by filtering it against each range.
+struct MapLoad(BTreeSet<Key>);
 
 impl MapLoad {
-    fn owned(&self, node: NodeIdx) -> Vec<Key> {
-        match self.ring.range_of(node) {
-            Some(r) => self
-                .blocks
-                .iter()
-                .filter(|k| r.contains(k))
-                .copied()
-                .collect(),
+    fn owned(&self, ring: &Ring, node: NodeIdx) -> Vec<Key> {
+        match ring.range_of(node) {
+            Some(r) => self.0.iter().filter(|k| r.contains(k)).copied().collect(),
             None => vec![],
         }
     }
 }
 
 impl LoadView for MapLoad {
-    fn primary_load(&self, node: NodeIdx) -> u64 {
-        self.owned(node).len() as u64
+    fn primary_load(&self, ring: &Ring, node: NodeIdx) -> u64 {
+        self.owned(ring, node).len() as u64
     }
-    fn split_key(&self, node: NodeIdx) -> Option<Key> {
-        let ks = self.owned(node);
+    fn split_key(&self, ring: &Ring, node: NodeIdx) -> Option<Key> {
+        let ks = self.owned(ring, node);
         if ks.len() < 2 {
             None
         } else {
@@ -130,35 +123,33 @@ fn balance_ops_split_load() {
             .map(|_| Key::from_u64_ordered(rng.random()))
             .collect();
         let total = blocks.len() as u64;
-        let state = MapLoad { blocks, ring };
+        let loads = MapLoad(blocks);
 
-        let nodes = state.ring.nodes();
+        let nodes = ring.nodes();
         for &prober in &nodes {
             for &target in &nodes {
-                let Some(op) = balance::probe(&state.ring, &state, prober, target) else {
+                let Some(op) = balance::probe(&ring, &loads, prober, target) else {
                     continue;
                 };
-                let heavy_before = state.primary_load(op.heavy());
-                let mut ring2 = state.ring.clone();
-                assert!(balance::apply_to_ring(&mut ring2, &op), "seed {seed}");
-                let after = MapLoad {
-                    blocks: state.blocks.clone(),
-                    ring: ring2,
-                };
+                let heavy_before = loads.primary_load(&ring, op.heavy());
+                let mut after = ring.clone();
+                assert!(balance::apply_to_ring(&mut after, &op), "seed {seed}");
                 // Conservation.
                 let sum: u64 = after
-                    .ring
                     .nodes()
                     .iter()
-                    .map(|&n| after.primary_load(n))
+                    .map(|&n| loads.primary_load(&after, n))
                     .sum();
                 assert_eq!(sum, total, "seed {seed}: {op:?}");
                 // The heavy node sheds at least one block to the mover.
                 assert!(
-                    after.primary_load(op.heavy()) < heavy_before,
+                    loads.primary_load(&after, op.heavy()) < heavy_before,
                     "seed {seed}: {op:?}"
                 );
-                assert!(after.primary_load(op.mover()) >= 1, "seed {seed}: {op:?}");
+                assert!(
+                    loads.primary_load(&after, op.mover()) >= 1,
+                    "seed {seed}: {op:?}"
+                );
             }
         }
     }

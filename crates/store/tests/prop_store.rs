@@ -1,12 +1,14 @@
 //! Seeded property tests for the per-node store and lookup cache. A
 //! failure prints its seed.
 
+use d2_ring::balance::{LoadView, SortedKeys};
+use d2_ring::Ring;
 use d2_sim::SimTime;
 use d2_store::{CacheOutcome, LookupCache, NodeStore, Payload};
 use d2_types::{Key, KeyRange};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 const SEEDS: u64 = 64;
 
@@ -130,6 +132,62 @@ fn range_queries_match_a_linear_filter() {
             assert_eq!(store.split_key_in(&range), split, "{at}: split_key_in");
         }
     }
+}
+
+/// `d2-ring`'s sorted-key load view against a store holding the same
+/// keys: on random key sets and random rings, each node's
+/// `primary_load`/`split_key` equal `count_in`/`split_key_in` over its
+/// range. Node positions come from [`range_end`], so ranges wrap, start
+/// or end on a stored key, and a one-node ring spans the whole ring; key
+/// sets are sometimes tiny, so ranges hold 0, 1 and 2 keys. The test
+/// counts each of those cases and fails if one never came up.
+#[test]
+fn sorted_key_view_matches_the_store() {
+    let mut seen = [0u32; 6]; // full, wrapping, on a stored key, 0, 1, 2 keys
+    for seed in 0..SEEDS {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut store = NodeStore::new();
+        let keys = if rng.random_bool(0.25) { 4 } else { 96 };
+        for _ in 0..rng.random_range(0..keys) {
+            store.put(
+                key(rng.random_range(0..1024)),
+                Payload::Size(1),
+                SimTime::ZERO,
+            );
+        }
+        let stored: Vec<Key> = store.iter().map(|(k, _)| *k).collect();
+        let loads = SortedKeys::new(&stored);
+        let ids: BTreeSet<Key> = (0..rng.random_range(1..=12))
+            .map(|_| range_end(&mut rng, &stored))
+            .collect();
+        let mut ring = Ring::new();
+        for id in ids {
+            ring.add_node(id);
+        }
+        for node in ring.nodes() {
+            let range = ring.range_of(node).unwrap();
+            let at = format!("seed {seed}, {} nodes, range {range:?}", ring.len());
+            let count = store.count_in(&range);
+            assert_eq!(loads.primary_load(&ring, node), count, "{at}");
+            let split = loads.split_key(&ring, node);
+            assert_eq!(split, store.split_key_in(&range), "{at}");
+            let cases = [
+                range.is_full(),
+                !range.is_full() && range.start() >= range.end(),
+                stored.contains(range.start()) || stored.contains(range.end()),
+                count == 0,
+                count == 1,
+                count == 2,
+            ];
+            for (n, case) in seen.iter_mut().zip(cases) {
+                *n += case as u32;
+            }
+        }
+    }
+    assert!(
+        seen.iter().all(|&n| n > 0),
+        "a case never came up: {seen:?}"
+    );
 }
 
 /// Lookup-cache: after inserting ranges, probing any key inside a range

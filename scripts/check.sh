@@ -126,20 +126,21 @@ echo "==> d2-bench replay gate (sim_harvard32 for 3 s: op_p50_us <= 0.4, every p
 # `--trace 1` run show those.
 bench_gate sim_harvard32 op_p50_us 0.4
 
-echo "==> d2-bench set-up gate (sim_harvard32: setup_s <= 0.4)"
-# Most of the set-up is the D2 warm-up's balance moves and pointer
-# resolutions. Both decide from the cluster's key index alone, and due
-# pointers come off one queue ordered by age (DESIGN.md §8): 0.20–0.23 s.
-# A failure means a decision reads the stores again or a round scans
-# every node's pointers: either reads 0.37–0.51 s.
-bench_gate sim_harvard32 setup_s 0.4
+echo "==> d2-bench set-up gate (sim_harvard32: setup_s <= 0.15)"
+# PerfSim's warm-up moves ring positions, not blocks: its balance rounds
+# read loads from the initial file system's sorted keys (DESIGN.md §9),
+# so the set-up is the trace, the builds and the cache warm-up:
+# 0.054-0.066 s. A failure means PerfSim preloads and moves blocks
+# again, which reads 0.2-0.4 s. AvailabilitySim's data-moving warm-up
+# (fig7, fig8, table2) is timed by no gate; exp-quick-seed7.sha256 above
+# still pins what it produces.
+bench_gate sim_harvard32 setup_s 0.15
 
-echo "==> d2-bench memory gate (sim_harvard32: rss_peak_mb <= 40)"
-# A built PerfSim keeps the warmed-up ring, not the cluster that placed
-# the blocks, and the warm-up forgets each transfer once it arrives
-# (DESIGN.md §9): about 34 MB. A failure means a replay carries a block
-# index again, or the warm-up hoards finished transfers: 53 MB.
-bench_gate sim_harvard32 rss_peak_mb 40
+echo "==> d2-bench memory gate (sim_harvard32: rss_peak_mb <= 15)"
+# A built PerfSim holds the warmed-up ring and the trace's key table, and
+# its warm-up places no block (DESIGN.md §9): about 7 MB. A failure means
+# PerfSim preloads and moves blocks again: about 30 MB.
+bench_gate sim_harvard32 rss_peak_mb 15
 
 echo "==> d2-bench memory gate (many64_tasks: rss_peak_mb <= 95)"
 # The preloaded 64-node ring is 81-83 MB (4,096 blocks x 3 replicas) and
