@@ -57,11 +57,6 @@ impl AvailabilityReport {
         v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
-
-    /// Number of users who experienced any failure.
-    pub fn affected_users(&self) -> usize {
-        self.per_user.values().filter(|(_, f)| *f > 0).count()
-    }
 }
 
 /// Static per-task statistics for Table 2.

@@ -5,7 +5,7 @@
 //! [`PROBE_INTERVAL`](crate::cluster::PROBE_INTERVAL),
 //! [`POINTER_STABILIZATION`](crate::cluster::POINTER_STABILIZATION),
 //! [`MIGRATION_KBPS`](crate::cluster::MIGRATION_KBPS),
-//! [`SUCCESSORS`](crate::perf::SUCCESSORS), the balancer's
+//! [`SUCCESSORS`](d2_ring::SUCCESSORS), the balancer's
 //! [`THRESHOLD`](d2_ring::balance::THRESHOLD) and the lookup cache's
 //! [`DEFAULT_TTL_SECS`](d2_store::lookup_cache::DEFAULT_TTL_SECS).
 

@@ -18,7 +18,7 @@ use crate::config::ClusterConfig;
 use d2_obs::{CacheResult, Histogram, SharedSink, TraceEvent};
 use d2_ring::balance::{self, SortedKeys};
 use d2_ring::routing::Router;
-use d2_ring::{NodeIdx, Ring};
+use d2_ring::{NodeIdx, Ring, SUCCESSORS};
 use d2_sim::net::{LinkState, TcpConn, Topology};
 use d2_sim::SimTime;
 use d2_store::{CacheOutcome, LookupCache};
@@ -27,9 +27,6 @@ use d2_workload::{FileOp, HarvardTrace, Task, TraceKeys};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
-
-/// Successor-list length of each node's routing table.
-pub const SUCCESSORS: usize = 4;
 
 /// Whether a group's fetches are issued sequentially or in parallel.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

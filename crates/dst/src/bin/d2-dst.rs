@@ -2,12 +2,13 @@
 //!
 //! ```text
 //! d2-dst sweep  [--world W] [--seeds N] [--seed0 S] [--nodes N]
-//!               [--replicas R] [--ec K/N] [--repair-budget BPS]
-//!               [--puts P] [--jobs J] [--bug-head-only]
-//!               [--bug-ack-on-send] [--bug-no-anchor] [--json PATH] [-v]
-//! d2-dst replay --seed S [--world W] [--nodes N] [--replicas R]
-//!               [--ec K/N] [--repair-budget BPS] [--puts P]
-//!               [--bug-head-only] [--bug-ack-on-send] [--bug-no-anchor]
+//!               [--replicas R | --ec K/N] [--repair-budget BPS]
+//!               [--puts P] [--jobs J]
+//!               [--bug-head-only | --bug-ack-on-send | --bug-no-anchor]
+//!               [--json PATH] [-v]
+//! d2-dst replay --seed S [--world W] [--nodes N]
+//!               [--replicas R | --ec K/N] [--repair-budget BPS] [--puts P]
+//!               [--bug-head-only | --bug-ack-on-send | --bug-no-anchor]
 //!               [--trace PATH] [-v]
 //! ```
 //!
@@ -20,16 +21,17 @@
 //!
 //! `--ec K/N` runs every node in erasure-coded fragment mode (any `K`
 //! of `N` fragments reconstruct a block) instead of whole-block
-//! replication; `--repair-budget` caps each node's lazy-repair traffic
-//! in bytes of virtual time per second (`0` = unlimited).
+//! replication at `--replicas R` (default 3; `--ec` wins if both are
+//! given); `--repair-budget` caps each node's lazy-repair traffic in
+//! bytes of virtual time per second (`0` = unlimited).
 //!
-//! The `--bug-*` flags re-introduce known seeded bugs to validate that
-//! the right regime catches them: `--bug-head-only` is PR 4's
-//! successor-probing bug (classic worlds catch it),
-//! `--bug-ack-on-send` acks puts on forward *send* instead of on
-//! acknowledgment (only worlds with silent loss — partition cuts —
-//! catch it), and `--bug-no-anchor` disables the seed-anchored ring
-//! remerge (only multi-node netsplits catch it).
+//! A `--bug-*` flag re-introduces a known seeded bug (one per run; the
+//! last given wins) to validate that the right regime catches it:
+//! `--bug-head-only` is the historical dead-tail successor-probing bug
+//! (classic worlds catch it), `--bug-ack-on-send` acks puts on forward
+//! *send* instead of on acknowledgment (only worlds with silent loss —
+//! partition cuts — catch it), and `--bug-no-anchor` disables the
+//! seed-anchored ring remerge (only multi-node netsplits catch it).
 //!
 //! `sweep` runs one deterministic world per seed and exits nonzero if
 //! any fails; the first failing seed is shrunk to a minimal fault plan
@@ -39,7 +41,9 @@
 //! See EXPERIMENTS.md ("Replaying a failing schedule") for a
 //! walkthrough.
 
-use d2_dst::{run_one, shrink, sweep, Overrides, RedundancyPolicy, Scenario, WorldRegime};
+use d2_dst::{
+    run_one, shrink, sweep, InjectedBug, Overrides, RedundancyPolicy, Scenario, WorldRegime,
+};
 use d2_obs::trace::{to_jsonl, TraceEvent};
 use d2_obs::{render_span_tree, SpanRecord};
 use std::io::Write;
@@ -50,13 +54,13 @@ const SHRINK_BUDGET: usize = 300;
 fn usage() -> ! {
     eprintln!(
         "usage: d2-dst sweep  [--world classic|partition|gray|wan|skew|mixed]\n\
-         \x20                  [--seeds N] [--seed0 S] [--nodes N] [--replicas R]\n\
-         \x20                  [--ec K/N] [--repair-budget BPS] [--puts P] [--jobs J]\n\
-         \x20                  [--bug-head-only] [--bug-ack-on-send] [--bug-no-anchor]\n\
+         \x20                  [--seeds N] [--seed0 S] [--nodes N] [--replicas R | --ec K/N]\n\
+         \x20                  [--repair-budget BPS] [--puts P] [--jobs J]\n\
+         \x20                  [--bug-head-only | --bug-ack-on-send | --bug-no-anchor]\n\
          \x20                  [--json PATH] [-v]\n\
-         \x20      d2-dst replay --seed S [--world W] [--nodes N] [--replicas R]\n\
-         \x20                  [--ec K/N] [--repair-budget BPS] [--puts P]\n\
-         \x20                  [--bug-head-only] [--bug-ack-on-send] [--bug-no-anchor]\n\
+         \x20      d2-dst replay --seed S [--world W] [--nodes N] [--replicas R | --ec K/N]\n\
+         \x20                  [--repair-budget BPS] [--puts P]\n\
+         \x20                  [--bug-head-only | --bug-ack-on-send | --bug-no-anchor]\n\
          \x20                  [--trace PATH] [-v]"
     );
     std::process::exit(2);
@@ -106,6 +110,8 @@ fn parse_args(args: &[String]) -> Args {
         trace: None,
         verbose: false,
     };
+    // `--ec` wins over `--replicas`, in either order.
+    let (mut replicas, mut ec) = (3, None);
     let mut it = args.iter();
     while let Some(a) = it.next() {
         let mut val = |flag: &str| {
@@ -119,8 +125,8 @@ fn parse_args(args: &[String]) -> Args {
             "--seed0" => out.seed0 = parse_num(&val("--seed0"), "--seed0"),
             "--seed" => out.seed = Some(parse_num(&val("--seed"), "--seed")),
             "--nodes" => out.scenario.nodes = parse_num(&val("--nodes"), "--nodes"),
-            "--replicas" => out.scenario.replicas = parse_num(&val("--replicas"), "--replicas"),
-            "--ec" => out.scenario.redundancy = Some(parse_ec(&val("--ec"))),
+            "--replicas" => replicas = parse_num(&val("--replicas"), "--replicas"),
+            "--ec" => ec = Some(parse_ec(&val("--ec"))),
             "--repair-budget" => {
                 out.scenario.repair_budget_bps =
                     parse_num(&val("--repair-budget"), "--repair-budget")
@@ -134,21 +140,21 @@ fn parse_args(args: &[String]) -> Args {
                     std::process::exit(2);
                 });
             }
-            "--bug-head-only" => out.scenario.probe_head_only = true,
-            "--bug-ack-on-send" => out.scenario.ack_on_send = true,
-            "--bug-no-anchor" => out.scenario.no_anchor = true,
+            "--bug-head-only" => out.scenario.bug = Some(InjectedBug::ProbeHeadOnly),
+            "--bug-ack-on-send" => out.scenario.bug = Some(InjectedBug::AckOnSend),
+            "--bug-no-anchor" => out.scenario.bug = Some(InjectedBug::NoAnchor),
             "--json" => out.json = Some(val("--json")),
             "--trace" => out.trace = Some(val("--trace")),
             "-v" | "--verbose" => out.verbose = true,
             _ => usage(),
         }
     }
-    let group = match out.scenario.redundancy {
-        Some(p) => p.group_size(),
-        None => out.scenario.replicas as usize,
-    };
-    if out.scenario.nodes < 2 || group >= out.scenario.nodes {
-        eprintln!("need nodes >= 2 and the redundancy group (replicas, or N with --ec) < nodes");
+    out.scenario.redundancy = ec.unwrap_or(RedundancyPolicy::Replicate { r: replicas });
+    let group = out.scenario.redundancy.group_size();
+    if out.scenario.nodes < 2 || group < 1 || group >= out.scenario.nodes {
+        eprintln!(
+            "need nodes >= 2 and 1 <= the redundancy group (replicas, or N with --ec) < nodes"
+        );
         std::process::exit(2);
     }
     out
@@ -227,25 +233,26 @@ fn cmd_sweep(args: Args) {
                 min.violation.as_deref().unwrap_or("(none)")
             );
         }
+        let replicas = match sc.redundancy {
+            RedundancyPolicy::Replicate { r } => format!(" --replicas {r}"),
+            RedundancyPolicy::ErasureCode { .. } => String::new(),
+        };
         let mut extras = String::new();
         if args.scenario.regime != WorldRegime::Classic {
             extras.push_str(&format!(" --world {}", args.scenario.regime.label()));
         }
-        if let Some(RedundancyPolicy::ErasureCode { k, n }) = args.scenario.redundancy {
+        if let RedundancyPolicy::ErasureCode { k, n } = sc.redundancy {
             extras.push_str(&format!(" --ec {k}/{n}"));
         }
-        if args.scenario.probe_head_only {
-            extras.push_str(" --bug-head-only");
-        }
-        if args.scenario.ack_on_send {
-            extras.push_str(" --bug-ack-on-send");
-        }
-        if args.scenario.no_anchor {
-            extras.push_str(" --bug-no-anchor");
-        }
+        extras.push_str(match sc.bug {
+            None => "",
+            Some(InjectedBug::ProbeHeadOnly) => " --bug-head-only",
+            Some(InjectedBug::AckOnSend) => " --bug-ack-on-send",
+            Some(InjectedBug::NoAnchor) => " --bug-no-anchor",
+        });
         println!(
-            "replay: d2-dst replay --seed {} --nodes {} --replicas {} --puts {}{extras}",
-            first.seed, sc.nodes, sc.replicas, sc.puts
+            "replay: d2-dst replay --seed {} --nodes {}{replicas} --puts {}{extras}",
+            first.seed, sc.nodes, sc.puts
         );
     }
 

@@ -8,61 +8,17 @@
 //! one message to deliver cleanly leaves every other message's fate
 //! untouched.
 
+use d2_types::splitmix::{mix, unit, GAMMA};
+use d2_types::SplitMix64;
 use std::collections::BTreeSet;
 
-/// splitmix64 finalizer: a cheap, high-quality 64-bit mixer.
-#[inline]
-pub fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Maps a hash to a uniform float in `[0, 1)`.
-#[inline]
-pub fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// A splitmix64 sequential generator, used only for up-front plan
-/// generation (crash times, victims, workload keys) where a stream is
-/// the natural shape.
-#[derive(Clone, Debug)]
-pub struct SplitMix {
-    state: u64,
-}
-
-impl SplitMix {
-    /// A generator seeded with `seed` (salted so that streams derived
-    /// from the same run seed for different purposes do not correlate).
-    pub fn new(seed: u64) -> Self {
-        SplitMix {
-            state: mix(seed ^ 0xd2d2_d2d2_0000_0001),
-        }
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        mix(self.state)
-    }
-
-    /// Uniform float in `[0, 1)`.
-    pub fn unit(&mut self) -> f64 {
-        unit(self.next_u64())
-    }
-
-    /// Uniform integer in `[lo, hi)`; `hi` must exceed `lo`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        debug_assert!(hi > lo);
-        lo + self.next_u64() % (hi - lo)
-    }
-
-    /// Uniform choice of an index in `[0, n)`.
-    pub fn index(&mut self, n: usize) -> usize {
-        self.range(0, n as u64) as usize
-    }
+/// A splitmix64 stream for up-front plan generation (crash times,
+/// victims, workload keys), where a stream is the natural shape. Salted
+/// so that streams derived from one run seed for different purposes do
+/// not correlate; its first draw is `mix(mix(seed ^ salt) + γ)`, which
+/// every pinned schedule was generated with.
+pub fn stream(seed: u64) -> SplitMix64 {
+    SplitMix64::new(mix(seed ^ 0xd2d2_d2d2_0000_0001).wrapping_add(GAMMA))
 }
 
 /// What the scheduler decides to do with one node-to-node message.
@@ -164,7 +120,7 @@ impl FatePolicy {
 
     /// The fate of message `seq` sent at virtual time `now_us`.
     pub fn fate(&self, seq: u64, now_us: u64) -> Fate {
-        let h = mix(self.seed ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let h = mix(self.seed ^ seq.wrapping_mul(GAMMA));
         let jitter_us = exp_us(mix(h ^ 0x6a09_e667_f3bc_c908));
         let dup_extra_us = exp_us(mix(h ^ 0xbb67_ae85_84ca_a73b));
         let healed = now_us >= self.fault_end_us;
@@ -212,7 +168,7 @@ fn exp_us(h: u64) -> u64 {
 /// keeps the extra latency: the link is still slow, it just stops
 /// eating this message.
 pub fn gray_fate(seed: u64, seq: u64, drop_p: f64, mean_extra_us: u64) -> (bool, u64) {
-    let h = mix(seed ^ seq.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ 0x6772_6179_6e6f_6465);
+    let h = mix(seed ^ seq.wrapping_mul(GAMMA) ^ 0x6772_6179_6e6f_6465);
     let dropped = unit(h) < drop_p;
     let u = unit(mix(h ^ 0x3c6e_f372_fe94_f82b));
     let extra = (-(1.0 - u).ln() * mean_extra_us as f64) as u64;
@@ -282,16 +238,5 @@ mod tests {
             .count();
         let frac = drops as f64 / n as f64;
         assert!((0.015..0.025).contains(&frac), "drop rate {frac}");
-    }
-
-    #[test]
-    fn splitmix_range_stays_in_bounds() {
-        let mut rng = SplitMix::new(5);
-        for _ in 0..1000 {
-            let v = rng.range(10, 20);
-            assert!((10..20).contains(&v));
-            let u = rng.unit();
-            assert!((0.0..1.0).contains(&u));
-        }
     }
 }

@@ -59,8 +59,8 @@ fn check_puts_acked(w: &SimWorld) -> Result<(), String> {
 /// erasure-coded scenario, replica-chain convergence otherwise.
 fn check_storage(w: &SimWorld, live: &[Addr]) -> Result<(), String> {
     match w.redundancy() {
-        Some(p) if p.is_erasure() => check_storage_ec(w, live, p),
-        _ => check_storage_replicated(w, live),
+        RedundancyPolicy::Replicate { r } => check_storage_replicated(w, live, r),
+        p => check_storage_ec(w, live, p),
     }
 }
 
@@ -123,7 +123,7 @@ fn check_storage_ec(w: &SimWorld, live: &[Addr], policy: RedundancyPolicy) -> Re
 /// hold it, and the canonical chain — the owner plus its first `r - 1`
 /// successors — is fully populated (the state replica repair must
 /// restore after any healed churn).
-fn check_storage_replicated(w: &SimWorld, live: &[Addr]) -> Result<(), String> {
+fn check_storage_replicated(w: &SimWorld, live: &[Addr], r: usize) -> Result<(), String> {
     // Ring-ordered live ids, for ownership: the owner of `key` is the
     // first live node at or clockwise-after it.
     let mut ids: Vec<(d2_types::Key, Addr)> = w
@@ -139,7 +139,6 @@ fn check_storage_replicated(w: &SimWorld, live: &[Addr]) -> Result<(), String> {
             .map(|(a, _)| a)
             .collect()
     };
-    let r = w.replicas() as usize;
     for (i, op) in w.client_ops().iter().enumerate() {
         if !op.acked() {
             continue;

@@ -42,8 +42,8 @@
 //!   and CI (see EXPERIMENTS.md for a walkthrough).
 //!
 //! The harness validates itself by re-introducing PR 4's head-only
-//! successor-probing bug behind [`d2_ring::node::NodeConfig`]'s hidden
-//! `probe_head_only` knob and asserting a sweep catches it and shrinks
+//! successor-probing bug ([`InjectedBug::ProbeHeadOnly`], one of
+//! [`Scenario::bug`]'s values) and asserting a sweep catches it and shrinks
 //! the repro to a few crashes (see `tests/regressions.rs`).
 
 #![warn(missing_docs)]
@@ -55,8 +55,9 @@ pub mod invariants;
 pub mod world;
 
 pub use d2_net::RedundancyPolicy;
+pub use d2_ring::node::InjectedBug;
 pub use explore::{run_one, shrink, sweep, SeedResult, ShrinkResult};
-pub use fate::{gray_fate, Fate, FateKind, FatePolicy, FaultProbs, SplitMix};
+pub use fate::{gray_fate, stream, Fate, FateKind, FatePolicy, FaultProbs};
 pub use world::{
     generate_node_events, NodeEndState, NodeEvent, Overrides, PlanEntry, RunOutcome, RunStats,
     Scenario, SimTransport, SimWorld, WorldClock, WorldRegime,

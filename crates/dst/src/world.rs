@@ -32,16 +32,16 @@
 //! checkpoints end the run as a pass; a deadline without them ends it
 //! as a failure carrying the last violation.
 
-use crate::fate::{gray_fate, FateKind, FatePolicy, FaultProbs, SplitMix};
+use crate::fate::{gray_fate, stream, FateKind, FatePolicy, FaultProbs};
 use crate::invariants;
 use d2_net::runtime::TICK;
 use d2_net::{Clock, NodeRuntime, NodeSpec, RedundancyPolicy, SimClock, SkewClock};
 use d2_obs::trace::TraceEvent;
 use d2_obs::{Registry, SpanRecord, TraceCtx};
 use d2_ring::messages::{Addr, RingMsg};
-use d2_ring::node::NodeConfig;
+use d2_ring::node::InjectedBug;
 use d2_sim::Topology;
-use d2_types::Key;
+use d2_types::{Key, SplitMix64};
 use d2_wire::codec::{Request, Response, WireMsg};
 use d2_wire::lock;
 use d2_wire::transport::{Mailbox, RecvError, Transport, TransportError};
@@ -129,6 +129,20 @@ impl WorldRegime {
     }
 }
 
+/// Probability a message touching an active gray node is silently
+/// dropped (gray/mixed regimes).
+pub const GRAY_DROP: f64 = 0.33;
+/// Mean extra one-way latency on messages touching an active gray node,
+/// virtual µs (the draw is exponential).
+pub const GRAY_EXTRA_DELAY_US: u64 = 100_000;
+/// Target mean pairwise RTT of the WAN topology, ms (wan/mixed regimes;
+/// the King data set's measured mean is ≈ 90 ms).
+pub const WAN_MEAN_RTT_MS: f64 = 90.0;
+/// Largest per-node clock offset, virtual µs (skew/mixed regimes).
+pub const SKEW_MAX_OFFSET_US: u64 = 1_000_000;
+/// Largest per-node drift magnitude, ppm (skew/mixed regimes).
+pub const SKEW_MAX_DRIFT_PPM: u64 = 40_000;
+
 /// Everything that parameterizes one deterministic run.
 #[derive(Clone, Debug)]
 pub struct Scenario {
@@ -138,9 +152,12 @@ pub struct Scenario {
     /// transport address `i`; node 0 is the bootstrap/join seed and is
     /// never crashed or isolated (the well-known-address assumption).
     pub nodes: usize,
-    /// Replication factor `r`. The generated plan keeps total crashes
-    /// at or below `r - 1` — the protocol's failure assumption.
-    pub replicas: u32,
+    /// How every node keeps a put: `Replicate { r }` copies, or
+    /// `ErasureCode { k, n }` fragments, where a put encodes into `n`
+    /// fragments (any `k` reconstruct). The generated plan keeps
+    /// concurrent failures within [`Scenario::failure_budget`] — the
+    /// protocol's failure assumption.
+    pub redundancy: RedundancyPolicy,
     /// Client puts issued during the run.
     pub puts: usize,
     /// Message fault probabilities (active before `fault_end_us`).
@@ -149,52 +166,23 @@ pub struct Scenario {
     pub fault_end_us: u64,
     /// Virtual deadline: no convergence by here fails the run.
     pub deadline_us: u64,
-    /// Re-introduce PR 4's head-only successor-probing bug in every
-    /// node, to validate that the explorer catches it.
-    pub probe_head_only: bool,
     /// Explicit node-event script; `None` generates one from the seed.
     pub node_events: Option<Vec<NodeEvent>>,
     /// Targeted fault for regression scripts: silently drop the first
     /// `n` `JoinAck` messages put on the wire.
     pub drop_first_join_acks: u32,
-    /// Redundancy backend override. `None` runs plain replication at
-    /// factor [`Scenario::replicas`]; `Some(ErasureCode { k, n })` runs
-    /// every node in fragment mode, where a put encodes into `n`
-    /// fragments (any `k` reconstruct) and the generated crash budget
-    /// becomes `n - k` instead of `replicas - 1`.
-    pub redundancy: Option<RedundancyPolicy>,
-    /// Lazy-repair trigger override (`None` = the policy default): a
-    /// key regenerates only once its surviving fragments drop below
-    /// this.
-    pub repair_threshold: Option<usize>,
     /// Per-node repair budget in bytes of virtual time per second
     /// (`0` = unlimited).
     pub repair_budget_bps: u64,
     /// Which world family the plan generator and scheduler draw from.
     pub regime: WorldRegime,
-    /// Probability a message touching an active gray node is silently
-    /// dropped (gray/mixed regimes).
-    pub gray_drop: f64,
-    /// Mean extra one-way latency on messages touching an active gray
-    /// node, virtual µs (the draw is exponential).
-    pub gray_extra_delay_us: u64,
-    /// Target mean pairwise RTT of the WAN topology, ms (wan/mixed
-    /// regimes; the King data set's measured mean is ≈ 90 ms).
-    pub wan_mean_rtt_ms: f64,
-    /// Largest per-node clock offset, virtual µs (skew/mixed regimes).
-    pub skew_max_offset_us: u64,
-    /// Largest per-node drift magnitude, ppm (skew/mixed regimes).
-    pub skew_max_drift_ppm: i64,
-    /// Re-introduce the ack-on-send replication bug in every node
-    /// (fire-and-forget chain forwarding), to validate that the
-    /// asymmetric-partition worlds catch what crash/isolate worlds
-    /// cannot: a durability lie that needs *silent* loss to matter.
-    pub ack_on_send: bool,
-    /// Disable seed-anchored anti-entropy (ring remerge after a healed
-    /// netsplit) in every node — the partition regime's own seeded
-    /// validation bug: without the anchor, a healed multi-node split
-    /// leaves two stable rings forever.
-    pub no_anchor: bool,
+    /// A known bug every node re-introduces, to validate that the right
+    /// regime catches it: head-only successor probing (classic worlds),
+    /// ack-on-send chain replication (only the silent loss of partition
+    /// cuts makes that durability lie matter), or no seed-anchored
+    /// anti-entropy (a healed multi-node netsplit then leaves two stable
+    /// rings forever).
+    pub bug: Option<InjectedBug>,
 }
 
 impl Default for Scenario {
@@ -202,25 +190,16 @@ impl Default for Scenario {
         Scenario {
             seed: 0,
             nodes: 10,
-            replicas: 3,
+            redundancy: RedundancyPolicy::Replicate { r: 3 },
             puts: 8,
             probs: FaultProbs::default(),
             fault_end_us: 12_000_000,
             deadline_us: 72_000_000,
-            probe_head_only: false,
             node_events: None,
             drop_first_join_acks: 0,
-            redundancy: None,
-            repair_threshold: None,
             repair_budget_bps: 0,
             regime: WorldRegime::Classic,
-            gray_drop: 0.33,
-            gray_extra_delay_us: 100_000,
-            wan_mean_rtt_ms: 90.0,
-            skew_max_offset_us: 1_000_000,
-            skew_max_drift_ppm: 40_000,
-            ack_on_send: false,
-            no_anchor: false,
+            bug: None,
         }
     }
 }
@@ -252,17 +231,8 @@ impl Scenario {
     pub fn ec(seed: u64, k: usize, n: usize) -> Self {
         Scenario {
             seed,
-            redundancy: Some(RedundancyPolicy::ErasureCode { k, n }),
+            redundancy: RedundancyPolicy::ErasureCode { k, n },
             ..Scenario::default()
-        }
-    }
-
-    /// Distinct copies (replica mode) or fragments (EC mode) a put must
-    /// land before the client counts it as fully acked.
-    pub(crate) fn required_acks(&self) -> u32 {
-        match self.redundancy {
-            Some(p) => p.group_size() as u32,
-            None => self.replicas,
         }
     }
 
@@ -270,10 +240,8 @@ impl Scenario {
     /// `r - 1` under replication, `n - k` under erasure coding. The
     /// generated fault plan never exceeds this.
     pub fn failure_budget(&self) -> usize {
-        match self.redundancy {
-            Some(p) => p.group_size() - p.min_fragments(),
-            None => self.replicas.saturating_sub(1) as usize,
-        }
+        let p = self.redundancy;
+        p.group_size().saturating_sub(p.min_fragments())
     }
 }
 
@@ -612,19 +580,19 @@ pub fn generate_node_events(sc: &Scenario) -> Vec<NodeEvent> {
             // WAN and skew worlds stress latency and timers, not new
             // event kinds — they reuse the classic plan (same salt, so
             // a classic seed's crash schedule is directly comparable).
-            let mut rng = SplitMix::new(sc.seed ^ 0x0001_0000_0000_0001);
+            let mut rng = stream(sc.seed ^ 0x0001_0000_0000_0001);
             gen_classic(sc, &mut rng)
         }
         WorldRegime::Partition => {
-            let mut rng = SplitMix::new(sc.seed ^ 0x0003_0000_0000_0003);
+            let mut rng = stream(sc.seed ^ 0x0003_0000_0000_0003);
             gen_partition(sc, &mut rng)
         }
         WorldRegime::Gray => {
-            let mut rng = SplitMix::new(sc.seed ^ 0x0004_0000_0000_0004);
+            let mut rng = stream(sc.seed ^ 0x0004_0000_0000_0004);
             gen_gray(sc, &mut rng)
         }
         WorldRegime::Mixed => {
-            let mut rng = SplitMix::new(sc.seed ^ 0x0005_0000_0000_0005);
+            let mut rng = stream(sc.seed ^ 0x0005_0000_0000_0005);
             match rng.unit() {
                 u if u < 0.35 => gen_classic(sc, &mut rng),
                 u if u < 0.70 => gen_partition(sc, &mut rng),
@@ -659,7 +627,7 @@ fn event_sort_key(e: &NodeEvent) -> (u64, u8, Addr) {
 
 /// PR 5's original plan shape: 0–2 crashes (half with restarts) and an
 /// occasional single-node symmetric isolation.
-fn gen_classic(sc: &Scenario, rng: &mut SplitMix) -> Vec<NodeEvent> {
+fn gen_classic(sc: &Scenario, rng: &mut SplitMix64) -> Vec<NodeEvent> {
     let fe = sc.fault_end_us;
     let mut events = Vec::new();
     let max_crashes = sc.failure_budget().min(sc.nodes.saturating_sub(2));
@@ -705,7 +673,7 @@ fn gen_classic(sc: &Scenario, rng: &mut SplitMix) -> Vec<NodeEvent> {
 /// budget* (nodes concurrently crashed or seceded) never exceeds the
 /// scenario's failure budget, so any replica group keeps `f < r` —
 /// an acked put can never lose every copy to the plan itself.
-fn gen_partition(sc: &Scenario, rng: &mut SplitMix) -> Vec<NodeEvent> {
+fn gen_partition(sc: &Scenario, rng: &mut SplitMix64) -> Vec<NodeEvent> {
     let fe = sc.fault_end_us;
     let n = sc.nodes;
     let dark_budget = sc.failure_budget().min(n.saturating_sub(2));
@@ -804,7 +772,7 @@ fn gen_partition(sc: &Scenario, rng: &mut SplitMix) -> Vec<NodeEvent> {
 /// budget has room left. Gray nodes count against the dark budget even
 /// though they keep their stores — while gray, their acks and repair
 /// pushes are unreliable, so the safety argument treats them as down.
-fn gen_gray(sc: &Scenario, rng: &mut SplitMix) -> Vec<NodeEvent> {
+fn gen_gray(sc: &Scenario, rng: &mut SplitMix64) -> Vec<NodeEvent> {
     let fe = sc.fault_end_us;
     let n = sc.nodes;
     let dark_budget = sc.failure_budget().min(n.saturating_sub(2)).max(1);
@@ -1028,12 +996,12 @@ impl SimWorld {
     pub fn new(sc: Scenario, overrides: &Overrides) -> Self {
         assert!(sc.nodes >= 2, "a ring needs at least two nodes");
         assert!(
-            (sc.required_acks() as usize) < sc.nodes,
+            sc.redundancy.group_size() < sc.nodes,
             "the failure assumption needs the redundancy group < nodes"
         );
-        if let Some(p) = sc.redundancy {
-            p.validate().expect("scenario redundancy policy");
-        }
+        sc.redundancy
+            .validate()
+            .expect("scenario redundancy policy");
         assert!(sc.fault_end_us >= 4_000_000, "leave room for boot + churn");
         let client_addr = sc.nodes;
         let net = Arc::new(Mutex::new(NetInner {
@@ -1055,7 +1023,7 @@ impl SimWorld {
         // skew. The mixed regime draws each per seed (independently of
         // the event plan's stream) so roughly half its worlds carry
         // each extra dimension.
-        let mut dims = SplitMix::new(sc.seed ^ 0x0006_0000_0000_0006);
+        let mut dims = stream(sc.seed ^ 0x0006_0000_0000_0006);
         let (wan_u, skew_u) = (dims.unit(), dims.unit());
         let use_wan = match sc.regime {
             WorldRegime::Wan => true,
@@ -1067,13 +1035,13 @@ impl SimWorld {
             WorldRegime::Mixed => skew_u < 0.5,
             _ => false,
         };
-        let wan = use_wan.then(|| Topology::sample_seeded(sc.nodes, sc.wan_mean_rtt_ms, sc.seed));
+        let wan = use_wan.then(|| Topology::sample_seeded(sc.nodes, WAN_MEAN_RTT_MS, sc.seed));
         let skew: Vec<(u64, i64)> = if use_skew {
-            let mut rng = SplitMix::new(sc.seed ^ 0x0007_0000_0000_0007);
+            let mut rng = stream(sc.seed ^ 0x0007_0000_0000_0007);
             (0..sc.nodes)
                 .map(|_| {
-                    let offset = rng.range(0, sc.skew_max_offset_us.max(1));
-                    let span = sc.skew_max_drift_ppm.max(0) as u64;
+                    let offset = rng.range(0, SKEW_MAX_OFFSET_US);
+                    let span = SKEW_MAX_DRIFT_PPM;
                     let drift = rng.range(0, 2 * span + 1) as i64 - span as i64;
                     (offset, drift)
                 })
@@ -1083,7 +1051,7 @@ impl SimWorld {
         };
 
         // Distinct workload keys drawn from the seed.
-        let mut rng = SplitMix::new(sc.seed ^ 0x0002_0000_0000_0002);
+        let mut rng = stream(sc.seed ^ 0x0002_0000_0000_0002);
         let mut keys: Vec<Key> = Vec::new();
         while keys.len() < sc.puts {
             let k = Key::from_fraction(rng.unit());
@@ -1249,11 +1217,7 @@ impl SimWorld {
             .filter_map(|(a, rt)| rt.as_ref().map(|rt| (a, rt)))
     }
 
-    pub(crate) fn replicas(&self) -> u32 {
-        self.sc.replicas
-    }
-
-    pub(crate) fn redundancy(&self) -> Option<RedundancyPolicy> {
+    pub(crate) fn redundancy(&self) -> RedundancyPolicy {
         self.sc.redundancy
     }
 
@@ -1273,18 +1237,6 @@ impl SimWorld {
 
     fn mark(&mut self, t_us: u64, label: String) {
         self.trace.push(TraceEvent::Mark { t_us, label });
-    }
-
-    fn ring_cfg(&self) -> NodeConfig {
-        let mut cfg = NodeConfig {
-            probe_head_only: self.sc.probe_head_only,
-            ack_on_send: self.sc.ack_on_send,
-            ..NodeConfig::default()
-        };
-        if self.sc.no_anchor {
-            cfg.anchor_every_ticks = 0;
-        }
-        cfg
     }
 
     /// Per-node phase offset so ticks interleave instead of firing in
@@ -1313,12 +1265,13 @@ impl SimWorld {
         let spec = NodeSpec {
             id,
             seed: (node != 0).then_some(0),
-            replicas: self.sc.replicas,
             redundancy: self.sc.redundancy,
-            repair_threshold: self.sc.repair_threshold,
             repair_budget_bps: self.sc.repair_budget_bps,
         };
-        let rt = NodeRuntime::with_ring_config(spec, self.ring_cfg(), transport, clock);
+        let mut rt = NodeRuntime::new(spec, transport, clock);
+        if let Some(bug) = self.sc.bug {
+            rt.inject_bug(bug);
+        }
         self.nodes[node] = Some(rt);
         self.mark(t, format!("{label} node {node}"));
         self.drain_outbox(t);
@@ -1528,12 +1481,7 @@ impl SimWorld {
             // the shrinker's force-deliver set neutralizes individual
             // gray drops without disturbing anything else.
             let gray_extra_us = if gray {
-                let (dropped, extra) = gray_fate(
-                    self.sc.seed,
-                    seq,
-                    self.sc.gray_drop,
-                    self.sc.gray_extra_delay_us,
-                );
+                let (dropped, extra) = gray_fate(self.sc.seed, seq, GRAY_DROP, GRAY_EXTRA_DELAY_US);
                 if dropped && !self.policy.force_deliver.contains(&seq) {
                     self.faults_drawn.push((seq, FateKind::GrayDrop, what));
                     self.stats.gray_dropped += 1;
@@ -1685,7 +1633,7 @@ impl SimWorld {
                         key: self.ops[op].key,
                         // EC owners ignore the requested fanout — the
                         // policy's group size decides.
-                        fanout: self.sc.required_acks() - 1,
+                        fanout: self.sc.redundancy.group_size() as u32 - 1,
                         stored: 0,
                         data: self.ops[op].data.clone(),
                     },
@@ -1704,7 +1652,7 @@ impl SimWorld {
                 // In EC mode the ack carries the fragment count; full
                 // durability is the whole group, just as it is all `r`
                 // copies under replication.
-                if replicas >= self.sc.required_acks() {
+                if replicas as usize >= self.sc.redundancy.group_size() {
                     self.ops[op].acked = true;
                     self.ops[op].cur_req = None;
                     self.stats.acked_puts += 1;

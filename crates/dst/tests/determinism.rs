@@ -3,7 +3,9 @@
 //! re-introduced, a short sweep must catch it and shrink the repro to a
 //! handful of faults.
 
-use d2_dst::{run_one, shrink, sweep, Overrides, RedundancyPolicy, Scenario, WorldRegime};
+use d2_dst::{
+    run_one, shrink, sweep, InjectedBug, Overrides, RedundancyPolicy, Scenario, WorldRegime,
+};
 use d2_obs::trace::to_jsonl;
 
 /// Same seed, same scenario — byte-identical trace and identical
@@ -49,7 +51,7 @@ fn default_scenarios_converge() {
 #[test]
 fn ec_same_seed_is_byte_identical() {
     let mut sc = Scenario::small(77);
-    sc.redundancy = Some(RedundancyPolicy::ErasureCode { k: 2, n: 4 });
+    sc.redundancy = RedundancyPolicy::ErasureCode { k: 2, n: 4 };
     let a = run_one(&sc, &Overrides::default());
     let b = run_one(&sc, &Overrides::default());
     assert_eq!(a.ok, b.ok);
@@ -65,7 +67,7 @@ fn ec_same_seed_is_byte_identical() {
 #[test]
 fn ec_default_scenarios_converge() {
     let mut sc = Scenario::small(0);
-    sc.redundancy = Some(RedundancyPolicy::ErasureCode { k: 2, n: 4 });
+    sc.redundancy = RedundancyPolicy::ErasureCode { k: 2, n: 4 };
     let results = sweep(&sc, 0, 8, 4);
     for r in &results {
         assert!(r.ok, "seed {} failed: {:?}", r.seed, r.violation);
@@ -136,7 +138,7 @@ fn adversarial_regimes_converge() {
 #[test]
 fn sweep_catches_head_only_probing_bug() {
     let mut sc = Scenario::small(0);
-    sc.probe_head_only = true;
+    sc.bug = Some(InjectedBug::ProbeHeadOnly);
     let results = sweep(&sc, 0, 16, 4);
     let failing = results
         .iter()
@@ -164,7 +166,7 @@ fn sweep_catches_head_only_probing_bug() {
 #[test]
 fn head_only_failures_vanish_without_the_knob() {
     let mut bugged = Scenario::small(0);
-    bugged.probe_head_only = true;
+    bugged.bug = Some(InjectedBug::ProbeHeadOnly);
     let failing: Vec<u64> = sweep(&bugged, 0, 16, 4)
         .iter()
         .filter(|r| !r.ok)

@@ -12,7 +12,7 @@
 //! they evict no state and always heal.) A failure prints its seed.
 
 use d2_dst::WorldRegime::{self, Gray, Mixed, Partition};
-use d2_dst::{generate_node_events, NodeEvent, Scenario};
+use d2_dst::{generate_node_events, NodeEvent, RedundancyPolicy, Scenario};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
@@ -82,12 +82,14 @@ fn generated_plans_respect_the_contract() {
         let mut rng = StdRng::seed_from_u64(case);
         let seed = rng.random_range(0..1_000_000);
         let nodes = rng.random_range(4..14);
-        let replicas = rng.random_range(2..5);
+        let replicas: u32 = rng.random_range(2..5);
         for regime in WorldRegime::ALL {
             let sc = Scenario {
                 seed,
                 nodes,
-                replicas,
+                redundancy: RedundancyPolicy::Replicate {
+                    r: replicas as usize,
+                },
                 regime,
                 ..Scenario::default()
             };

@@ -16,7 +16,9 @@
 //!    chase moving ownership forever. Fixed with a forwarding hop
 //!    budget that converts the chase into a retryable failure.
 
-use d2_dst::{run_one, FaultProbs, NodeEvent, Overrides, RedundancyPolicy, RunOutcome, Scenario};
+use d2_dst::{
+    run_one, FaultProbs, InjectedBug, NodeEvent, Overrides, RedundancyPolicy, RunOutcome, Scenario,
+};
 use d2_ring::messages::Addr;
 use d2_types::Key;
 
@@ -60,7 +62,7 @@ fn dead_tail_successors_are_evicted() {
     // The same schedule under the re-introduced bug must wedge —
     // proving the test would have caught the original regression.
     let mut bugged = scripted(17, events);
-    bugged.probe_head_only = true;
+    bugged.bug = Some(InjectedBug::ProbeHeadOnly);
     let out = run_one(&bugged, &Overrides::default());
     assert!(!out.ok, "head-only probing should wedge on a dead tail");
 }
@@ -134,7 +136,7 @@ fn ec_adjacent_holder_crashes_heal_within_repair_budget() {
             },
         ],
     );
-    sc.redundancy = Some(RedundancyPolicy::ErasureCode { k: 3, n: 6 });
+    sc.redundancy = RedundancyPolicy::ErasureCode { k: 3, n: 6 };
     // A deliberately small budget: repairs trickle over several token
     // refills instead of bursting in one round.
     sc.repair_budget_bps = 200;
@@ -178,7 +180,7 @@ fn ec_restarted_owner_keeps_no_fragments_of_its_keys() {
     // which workload key (keys are seed-drawn; ring positions are
     // static, so ownership carries over to the faulted run).
     let mut clean = scripted(61, Vec::new());
-    clean.redundancy = Some(RedundancyPolicy::ErasureCode { k: 3, n: 6 });
+    clean.redundancy = RedundancyPolicy::ErasureCode { k: 3, n: 6 };
     let out = run_one(&clean, &Overrides::default());
     assert!(out.ok, "clean EC world failed: {:?}", out.violation);
     let (victim, key) = out
@@ -199,7 +201,7 @@ fn ec_restarted_owner_keeps_no_fragments_of_its_keys() {
             restart_us: Some(6_500_000),
         }],
     );
-    sc.redundancy = Some(RedundancyPolicy::ErasureCode { k: 3, n: 6 });
+    sc.redundancy = RedundancyPolicy::ErasureCode { k: 3, n: 6 };
     let out = run_one(&sc, &Overrides::default());
     assert!(
         out.ok,

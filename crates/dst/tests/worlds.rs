@@ -21,7 +21,7 @@
 //! pinned rather than re-scanned to keep the suite's debug-mode cost
 //! bounded.
 
-use d2_dst::{run_one, NodeEvent, Overrides, PlanEntry, Scenario, WorldRegime};
+use d2_dst::{run_one, InjectedBug, NodeEvent, Overrides, PlanEntry, Scenario, WorldRegime};
 
 /// Seeds scanned when a test needs the regime to produce at least one
 /// failure. Small worlds are cheap, but keep this bounded so the tier-1
@@ -41,7 +41,7 @@ fn small_in(seed: u64, regime: WorldRegime) -> Scenario {
 #[test]
 fn partition_regime_catches_ack_on_send_bug() {
     let mut bugged = small_in(0, WorldRegime::Partition);
-    bugged.ack_on_send = true;
+    bugged.bug = Some(InjectedBug::AckOnSend);
     let results = d2_dst::sweep(&bugged, 0, SCAN, 4);
     let failing: Vec<_> = results.iter().filter(|r| !r.ok).collect();
     assert!(
@@ -60,7 +60,7 @@ fn partition_regime_catches_ack_on_send_bug() {
     );
     // The same bug in the same seeds' classic worlds goes unseen.
     let mut classic = small_in(0, WorldRegime::Classic);
-    classic.ack_on_send = true;
+    classic.bug = Some(InjectedBug::AckOnSend);
     for r in d2_dst::sweep(&classic, 0, SCAN, 4) {
         assert!(
             r.ok,
@@ -79,7 +79,7 @@ fn partition_regime_catches_ack_on_send_bug() {
 #[test]
 fn partition_regime_catches_missing_anchor() {
     let mut bugged = Scenario::in_regime(2, WorldRegime::Partition);
-    bugged.no_anchor = true;
+    bugged.bug = Some(InjectedBug::NoAnchor);
     let out = run_one(&bugged, &Overrides::default());
     assert!(!out.ok, "pinned split-ring seed 2 converged unexpectedly");
     assert!(
@@ -103,7 +103,7 @@ fn partition_regime_catches_missing_anchor() {
 
     // The classic world never needs the anchor: no multi-node splits.
     let mut classic = Scenario::in_regime(2, WorldRegime::Classic);
-    classic.no_anchor = true;
+    classic.bug = Some(InjectedBug::NoAnchor);
     let out = run_one(&classic, &Overrides::default());
     assert!(
         out.ok,
@@ -224,7 +224,7 @@ fn partition_overrides_steer_the_world() {
 #[ignore = "~30 default-size world runs; run under --release"]
 fn shrink_bisects_partition_membership_and_heal() {
     let mut sc = Scenario::in_regime(2, WorldRegime::Partition);
-    sc.no_anchor = true;
+    sc.bug = Some(InjectedBug::NoAnchor);
     let min = d2_dst::shrink(&sc, 300).expect("pinned seed 2 must fail");
     assert!(min.violation.is_some());
     let (members, window_us) = min

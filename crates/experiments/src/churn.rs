@@ -30,14 +30,20 @@ use crate::Scale;
 use d2_obs::{SharedSink, TraceEvent};
 use d2_ring::churn::{FaultOracle, RetryPolicy};
 use d2_ring::routing::Router;
-use d2_ring::{LookupOutcome, NodeIdx, Ring};
+use d2_ring::{LookupOutcome, NodeIdx, Ring, SUCCESSORS};
 use d2_sim::{FailureModel, FailureTrace, FaultConfig, FaultPlan, SimTime};
 use d2_store::{CacheOutcome, LookupCache};
 use d2_types::Key;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Parameters of one churn sweep.
+/// Self-stabilization period (successor repair, long-link refresh,
+/// dead-link eviction on every live node).
+const STABILIZE_INTERVAL: SimTime = SimTime::from_secs(600);
+
+/// Parameters of one churn sweep. Every lookup runs under
+/// [`RetryPolicy::default`], over routing tables of [`SUCCESSORS`]
+/// successors, behind a lookup cache with the paper's 1.25 h TTL.
 #[derive(Clone, Debug)]
 pub struct ChurnConfig {
     /// Ring size.
@@ -47,18 +53,9 @@ pub struct ChurnConfig {
     /// One lookup is issued every this often, from a random live node
     /// for a uniformly random key.
     pub lookup_interval: SimTime,
-    /// Self-stabilization period (successor repair, long-link refresh,
-    /// dead-link eviction on every live node).
-    pub stabilize_interval: SimTime,
     /// Churn multipliers swept, scaling the baseline [`FailureModel`]
     /// (0 = no crashes, message faults only).
     pub multipliers: Vec<f64>,
-    /// Retry/timeout/backoff policy for every lookup.
-    pub policy: RetryPolicy,
-    /// Successor-list length of the routing tables.
-    pub successors: usize,
-    /// Lookup-cache TTL (paper: 1.25 h).
-    pub cache_ttl: SimTime,
     /// Base seed; each cell derives its own via [`exec::derive_seed`].
     pub seed: u64,
 }
@@ -74,11 +71,7 @@ impl ChurnConfig {
             nodes,
             duration: SimTime::from_secs_f64(days * 86_400.0),
             lookup_interval: SimTime::from_secs(20),
-            stabilize_interval: SimTime::from_secs(600),
             multipliers: vec![0.0, 1.0, 4.0, 16.0],
-            policy: RetryPolicy::default(),
-            successors: 4,
-            cache_ttl: SimTime::from_secs(4500),
             seed,
         }
     }
@@ -314,13 +307,14 @@ fn run_cell(cfg: &ChurnConfig, multiplier: f64, seed: u64, sink: &SharedSink) ->
     for _ in 0..cfg.nodes {
         live.add_node(Key::random(&mut rng));
     }
-    let mut router = Router::build(&live, cfg.successors);
+    let mut router = Router::build(&live, SUCCESSORS);
     // Converged baseline for hop stretch, rebuilt lazily after
     // membership changes.
     let mut oracle = router.clone();
     let mut oracle_dirty = false;
     let mut last_id: Vec<Option<Key>> = (0..cfg.nodes).map(|i| live.id_of(NodeIdx(i))).collect();
-    let mut cache = LookupCache::new(cfg.cache_ttl);
+    let mut cache = LookupCache::with_default_ttl();
+    let policy = RetryPolicy::default();
 
     // Merge the three event streams into one sorted schedule.
     let mut events: Vec<(u64, Ev)> = Vec::new();
@@ -328,10 +322,10 @@ fn run_cell(cfg: &ChurnConfig, multiplier: f64, seed: u64, sink: &SharedSink) ->
         events.push((t.as_micros(), Ev::Transition(node, up)));
     }
     let horizon = cfg.duration.as_micros();
-    let mut t = cfg.stabilize_interval.as_micros();
+    let mut t = STABILIZE_INTERVAL.as_micros();
     while t < horizon {
         events.push((t, Ev::Stabilize));
-        t += cfg.stabilize_interval.as_micros();
+        t += STABILIZE_INTERVAL.as_micros();
     }
     let mut t = cfg.lookup_interval.as_micros();
     while t < horizon {
@@ -400,11 +394,11 @@ fn run_cell(cfg: &ChurnConfig, multiplier: f64, seed: u64, sink: &SharedSink) ->
                     extra_us = if faults.node_up(cached, t_us) {
                         rtt_us
                     } else {
-                        cfg.policy.hop_timeout_us
+                        policy.hop_timeout_us
                     };
                 }
                 row.routed += 1;
-                let s = router.lookup_churn(&live, origin, &key, &cfg.policy, &mut faults, t_us);
+                let s = router.lookup_churn(&live, origin, &key, &policy, &mut faults, t_us);
                 row.retries += s.retries as u64;
                 row.max_retries = row.max_retries.max(s.retries);
                 row.timeouts += s.timeouts as u64;
@@ -412,7 +406,7 @@ fn run_cell(cfg: &ChurnConfig, multiplier: f64, seed: u64, sink: &SharedSink) ->
                 if let Some(owner) = s.owner {
                     row.hops += s.hops as u64;
                     if oracle_dirty {
-                        oracle = Router::build(&live, cfg.successors);
+                        oracle = Router::build(&live, SUCCESSORS);
                         oracle_dirty = false;
                     }
                     if let Some(base) = oracle.lookup(&live, origin, &key) {
@@ -457,11 +451,7 @@ mod tests {
             nodes: 32,
             duration: SimTime::from_secs_f64(0.25 * 86_400.0),
             lookup_interval: SimTime::from_secs(30),
-            stabilize_interval: SimTime::from_secs(600),
             multipliers,
-            policy: RetryPolicy::default(),
-            successors: 4,
-            cache_ttl: SimTime::from_secs(4500),
             seed: 7,
         }
     }

@@ -52,13 +52,9 @@ pub fn derive_seed(base_seed: u64, coords: &[u64]) -> u64 {
         h ^= c;
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
-    // splitmix64 finalizer: spreads low-entropy coordinate differences
-    // across all 64 bits.
-    h = h.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    let mut z = h;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    // splitmix64 spreads low-entropy coordinate differences across
+    // all 64 bits.
+    d2_types::splitmix::mix(h)
 }
 
 /// Maps `f` over `items` on up to `jobs` worker threads, returning

@@ -19,13 +19,6 @@ pub struct Fig12Series {
     pub users: Vec<(u32, f64)>,
 }
 
-impl Fig12Series {
-    /// Users slower under D2 (speedup < 1).
-    pub fn slowdowns(&self) -> usize {
-        self.users.iter().filter(|(_, s)| *s < 1.0).count()
-    }
-}
-
 /// The full figure.
 #[derive(Clone, Debug)]
 pub struct Fig12 {

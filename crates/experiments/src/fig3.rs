@@ -9,7 +9,7 @@
 //! assumption for this analysis; Sections 8–9 use the real balancer).
 
 use crate::report::{fmt, render_table};
-use d2_types::{SystemKind, BLOCK_SIZE};
+use d2_types::{splitmix, SystemKind, BLOCK_SIZE};
 use d2_workload::{HarvardTrace, HpTrace, TraceKeys, WebTrace};
 use std::collections::{HashMap, HashSet};
 
@@ -89,7 +89,7 @@ fn analyze(ranked: &RankedAccesses, node_capacity_bytes: u64, label: &str) -> Fi
         if ranks.is_empty() {
             continue;
         }
-        let trad: HashSet<u64> = ranks.iter().map(|&r| splitmix(r) % nodes).collect();
+        let trad: HashSet<u64> = ranks.iter().map(|&r| splitmix::mix(r) % nodes).collect();
         let ord: HashSet<u64> = ranks.iter().map(|&r| r / blocks_per_node).collect();
         let lb = (ranks.len() as u64).div_ceil(blocks_per_node);
         sum_trad += trad.len() as f64;
@@ -105,13 +105,6 @@ fn analyze(ranked: &RankedAccesses, node_capacity_bytes: u64, label: &str) -> Fi
         lower_bound: (sum_lb / buckets.max(1.0)) / trad.max(1e-12),
         nodes: nodes as usize,
     }
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 fn hour_of(at: d2_sim::SimTime) -> u64 {

@@ -37,6 +37,11 @@ use d2_types::Key;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Every block's availability is probed this often.
+const PROBE_INTERVAL: SimTime = SimTime::from_secs(900);
+/// Lazy-repair rounds (token refill + queue drain) run this often.
+const REPAIR_INTERVAL: SimTime = SimTime::from_secs(300);
+
 /// Parameters of one redundancy sweep.
 #[derive(Clone, Debug)]
 pub struct RedundancyConfig {
@@ -48,10 +53,6 @@ pub struct RedundancyConfig {
     pub blocks: usize,
     /// Logical bytes per block.
     pub block_len: u32,
-    /// Every block's availability is probed this often.
-    pub probe_interval: SimTime,
-    /// Lazy-repair rounds (token refill + queue drain) run this often.
-    pub repair_interval: SimTime,
     /// Policies swept, one cell each.
     pub policies: Vec<RedundancyPolicy>,
     /// Per-node lazy-repair budget, bytes/sec (erasure cells only;
@@ -78,8 +79,6 @@ impl RedundancyConfig {
             duration: SimTime::from_secs_f64(days * 86_400.0),
             blocks,
             block_len: 64 << 10,
-            probe_interval: SimTime::from_secs(900),
-            repair_interval: SimTime::from_secs(300),
             policies: vec![
                 RedundancyPolicy::Replicate { r: 3 },
                 RedundancyPolicy::Replicate { r: 4 },
@@ -298,15 +297,15 @@ fn run_cell(cfg: &RedundancyConfig, policy: RedundancyPolicy, sink: &SharedSink)
         events.push((t.as_micros(), Ev::Transition(node, up)));
     }
     let horizon = cfg.duration.as_micros();
-    let mut t = cfg.repair_interval.as_micros();
+    let mut t = REPAIR_INTERVAL.as_micros();
     while t < horizon {
         events.push((t, Ev::Repair));
-        t += cfg.repair_interval.as_micros();
+        t += REPAIR_INTERVAL.as_micros();
     }
-    let mut t = cfg.probe_interval.as_micros();
+    let mut t = PROBE_INTERVAL.as_micros();
     while t < horizon {
         events.push((t, Ev::Probe));
-        t += cfg.probe_interval.as_micros();
+        t += PROBE_INTERVAL.as_micros();
     }
     events.sort();
 
@@ -359,8 +358,6 @@ mod tests {
             duration: SimTime::from_secs_f64(0.5 * 86_400.0),
             blocks: 48,
             block_len: 16 << 10,
-            probe_interval: SimTime::from_secs(900),
-            repair_interval: SimTime::from_secs(300),
             policies,
             repair_budget_bps: 8 << 10,
             churn: 6.0,

@@ -83,13 +83,6 @@ impl MemStore {
     pub fn insert_raw(&mut self, key: Key, data: Vec<u8>) {
         self.blocks.insert(key, data);
     }
-
-    /// All stored keys (sorted), for locality assertions in tests.
-    pub fn sorted_keys(&self) -> Vec<Key> {
-        let mut ks: Vec<Key> = self.blocks.keys().copied().collect();
-        ks.sort();
-        ks
-    }
 }
 
 impl BlockIo for MemStore {

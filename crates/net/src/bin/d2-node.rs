@@ -1,8 +1,8 @@
 //! One D2 node (or client operation) per OS process, over TCP.
 //!
 //! ```text
-//! d2-node serve      --listen IP:PORT [--seed IP:PORT] --pos F [--replicas N] [--ec K/N] [--repair-threshold M] [--repair-budget BPS] [--obs-out PATH]
-//! d2-node serve-many --nodes N [--port P] [--replicas R] [--ec K/N] [--repair-threshold M] [--repair-budget BPS] [--obs-out PATH]
+//! d2-node serve      --listen IP:PORT [--seed IP:PORT] --pos F [--replicas N] [--ec K/N] [--repair-budget BPS] [--obs-out PATH]
+//! d2-node serve-many --nodes N [--port P] [--replicas R] [--ec K/N] [--repair-budget BPS] [--obs-out PATH]
 //! d2-node lookup     --node IP:PORT (--key-frac F | --key-u64 N)
 //! d2-node put        --node IP:PORT (--key-frac F | --key-u64 N) --data S [--replicas N] [-v]
 //! d2-node get        --node IP:PORT (--key-frac F | --key-u64 N) [-v]
@@ -23,9 +23,9 @@
 //! `--ec K/N` switches the node to erasure-coded redundancy: puts are
 //! encoded into N fragments (any K reconstruct), gets gather-and-decode,
 //! and background repair becomes lazy — regenerating only keys whose
-//! survivors drop below `--repair-threshold M` (default: the midpoint
-//! between K and N), within `--repair-budget BPS` bytes/second per node
-//! (0 = unlimited). Every node in a ring must agree on the policy.
+//! survivors drop below the midpoint between K and N, within
+//! `--repair-budget BPS` bytes/second per node (0 = unlimited). Every
+//! node in a ring must agree on the policy.
 //!
 //! `serve-many` hosts a whole N-node cluster in this one process: one
 //! reactor turned by one host thread, node `i` at virtual address
@@ -73,8 +73,8 @@ use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: d2-node serve      --listen IP:PORT [--seed IP:PORT] --pos F [--replicas N] [--ec K/N] [--repair-threshold M] [--repair-budget BPS] [--obs-out PATH]\n\
-         \x20      d2-node serve-many --nodes N [--port P] [--replicas R] [--ec K/N] [--repair-threshold M] [--repair-budget BPS] [--obs-out PATH]\n\
+        "usage: d2-node serve      --listen IP:PORT [--seed IP:PORT] --pos F [--replicas N] [--ec K/N] [--repair-budget BPS] [--obs-out PATH]\n\
+         \x20      d2-node serve-many --nodes N [--port P] [--replicas R] [--ec K/N] [--repair-budget BPS] [--obs-out PATH]\n\
          \x20      d2-node lookup     --node IP:PORT (--key-frac F | --key-u64 N)\n\
          \x20      d2-node put        --node IP:PORT (--key-frac F | --key-u64 N) --data S [--replicas N] [-v]\n\
          \x20      d2-node get        --node IP:PORT (--key-frac F | --key-u64 N) [-v]\n\
@@ -105,7 +105,6 @@ struct Args {
     expect: Option<usize>,
     all: bool,
     ec: Option<(usize, usize)>,
-    repair_threshold: Option<usize>,
     repair_budget: u64,
     verbose: bool,
 }
@@ -218,13 +217,6 @@ fn parse_args(args: &[String]) -> Args {
             "--all" => out.all = true,
             "-v" => out.verbose = true,
             "--ec" => out.ec = Some(parse_ec(&val("--ec"))),
-            "--repair-threshold" => match val("--repair-threshold").parse::<usize>() {
-                Ok(m) if m >= 1 => out.repair_threshold = Some(m),
-                _ => {
-                    eprintln!("--repair-threshold wants a positive integer");
-                    std::process::exit(2);
-                }
-            },
             "--repair-budget" => match val("--repair-budget").parse::<u64>() {
                 Ok(b) => out.repair_budget = b,
                 Err(_) => {
@@ -241,10 +233,13 @@ fn parse_args(args: &[String]) -> Args {
 /// The node the redundancy flags describe, yet to be placed on the ring.
 fn node_spec(args: &Args) -> NodeSpec {
     NodeSpec {
-        redundancy: args.ec.map(|(k, n)| RedundancyPolicy::ErasureCode { k, n }),
-        repair_threshold: args.repair_threshold,
+        redundancy: match args.ec {
+            Some((k, n)) => RedundancyPolicy::ErasureCode { k, n },
+            None => RedundancyPolicy::Replicate { r: args.replicas },
+        },
         repair_budget_bps: args.repair_budget,
-        ..NodeSpec::replicated(args.replicas as u32)
+        id: Key::MIN,
+        seed: None,
     }
 }
 

@@ -62,11 +62,10 @@ impl Deployment {
     /// ring as [`Deployment::launch`].
     pub fn launch_ec(n: usize, k: usize, group: usize, repair_budget_bps: u64) -> Deployment {
         let template = NodeSpec {
-            redundancy: Some(RedundancyPolicy::ErasureCode { k, n: group }),
+            id: Key::MIN,
+            seed: None,
+            redundancy: RedundancyPolicy::ErasureCode { k, n: group },
             repair_budget_bps,
-            // `replicas` doubles as the client-side read-probe depth,
-            // so cover the whole fragment group when the owner is down.
-            ..NodeSpec::replicated(group as u32)
         };
         Self::launch_with(&evenly_spaced(n), template)
     }
@@ -196,13 +195,19 @@ impl Deployment {
     /// whole replica chain has acked — no settling time needed before
     /// reads.
     pub fn put(&self, key: Key, data: Vec<u8>) -> Result<()> {
-        let replicas = self.template.replicas as usize;
-        self.ops.put(key, data, replicas).map(|_| ())
+        self.ops.put(key, data, self.group_size()).map(|_| ())
     }
 
     /// Fetches a block from the owner (falling back to its successors).
     pub fn get(&self, key: Key) -> Result<Vec<u8>> {
-        self.ops.get(key, self.template.replicas as usize)
+        self.ops.get(key, self.group_size())
+    }
+
+    /// The policy's group size: a put's chain length, and a get's probe
+    /// depth, which covers the whole fragment group when the owner is
+    /// down.
+    fn group_size(&self) -> usize {
+        self.template.redundancy.group_size()
     }
 
     /// Snapshot of every reachable live node's view.

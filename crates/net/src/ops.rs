@@ -19,7 +19,7 @@ use d2_obs::{Registry, SpanRecord, TraceCtx};
 use d2_ring::messages::{Addr, PeerInfo};
 use d2_sim::SimTime;
 use d2_store::{CacheOutcome, LookupCache};
-use d2_types::{D2Error, Key, KeyRange, Result};
+use d2_types::{splitmix, D2Error, Key, KeyRange, Result};
 use d2_wire::client::{ClientError, ReplyQueue, WireClient};
 use d2_wire::codec::{Request, Response, WireStatus};
 use d2_wire::transport::Transport;
@@ -250,12 +250,10 @@ impl<T: Transport> ClusterOps<T> {
     /// A fresh nonzero trace id for one client operation (splitmix of a
     /// wall-clock-seeded counter).
     pub fn fresh_trace_id(&self) -> u64 {
-        let mut z = self
+        let z = self
             .next_trace
-            .fetch_add(0x9E37_79B9_7F4A_7C15, Ordering::Relaxed);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)).max(1)
+            .fetch_add(splitmix::GAMMA, Ordering::Relaxed);
+        splitmix::finalize(z).max(1)
     }
 
     /// The underlying request/response client.

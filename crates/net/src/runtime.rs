@@ -22,8 +22,8 @@ use d2_ec::{Codec as EcCodec, Fragment, RedundancyPolicy};
 use d2_obs::flight::{FLIGHT_CAPACITY, SLOW_THRESHOLD_US};
 use d2_obs::{FlightRecorder, Registry, SpanRecord, TraceCtx};
 use d2_ring::messages::{Addr, RingMsg};
-use d2_ring::node::{NodeConfig, ProtocolNode};
-use d2_types::{Key, KeyRange};
+use d2_ring::node::{InjectedBug, NodeConfig, ProtocolNode, ANCHOR_EVERY_TICKS, SUCCESSORS};
+use d2_types::{splitmix, Key, KeyRange};
 use d2_wire::codec::{Request, Response, WireMetrics, WireMsg, WireStatus};
 use d2_wire::metrics::NetMetrics;
 use d2_wire::transport::{Transport, TransportError};
@@ -78,27 +78,24 @@ pub struct StoredFragment {
 }
 
 /// What one node is: everything a driver decides before the node
-/// exists. [`NodeRuntime::new`] derives the rest (ring configuration,
-/// repair threshold defaults).
+/// exists. [`NodeRuntime::new`] derives the rest (successor-list
+/// length, repair threshold).
 #[derive(Clone, Copy, Debug)]
 pub struct NodeSpec {
     /// Ring position.
     pub id: Key,
     /// The node to join through; `None` bootstraps a new ring.
     pub seed: Option<Addr>,
-    /// Replica-maintenance target: background repair keeps every owned
-    /// block on the owner plus `replicas - 1` successors (`0` disables
-    /// it). Put chains are driven by the client's requested fanout.
-    pub replicas: u32,
-    /// `Some(ErasureCode)` switches puts to owner-side encoding into
-    /// `n` fragments, gets to any-`k` gather-and-decode, and repair to
-    /// the lazy, budgeted fragment regenerator; `Some(Replicate { r })`
-    /// overrides `replicas`. Every node of a ring must agree.
-    pub redundancy: Option<RedundancyPolicy>,
-    /// Lazy-repair trigger `m` (default: the policy's midpoint; clamped
-    /// to `k..n`): a key regenerates only once its surviving fragments
-    /// drop below `m`.
-    pub repair_threshold: Option<usize>,
+    /// How a block survives failures; every node of a ring must agree.
+    /// `Replicate { r }` keeps every owned block on the owner plus
+    /// `r - 1` successors by background repair (put chains follow the
+    /// client's requested fanout). `ErasureCode { k, n }` switches puts
+    /// to owner-side encoding into `n` fragments, gets to any-`k`
+    /// gather-and-decode, and repair to the lazy, budgeted fragment
+    /// regenerator, which regenerates a key once its surviving
+    /// fragments drop below the policy's
+    /// [`RedundancyPolicy::default_repair_threshold`].
+    pub redundancy: RedundancyPolicy,
     /// Cap on regeneration traffic, bytes/second per node (`0` =
     /// unlimited).
     pub repair_budget_bps: u64,
@@ -111,9 +108,9 @@ impl NodeSpec {
         NodeSpec {
             id: Key::MIN,
             seed: None,
-            replicas,
-            redundancy: None,
-            repair_threshold: None,
+            redundancy: RedundancyPolicy::Replicate {
+                r: replicas as usize,
+            },
             repair_budget_bps: 0,
         }
     }
@@ -241,9 +238,10 @@ pub struct NodeRuntime<T: Transport, C: Clock = SystemClock> {
     /// cluster-wide boot storm, and nothing else would ever re-send it.
     seed: Option<Addr>,
     last_join_attempt_us: u64,
-    /// Replica-maintenance target (`0` disables repair). Put chains are
-    /// always driven by the client's requested fanout; this only governs
-    /// the periodic background repair.
+    /// Replica-maintenance target, the policy's group size (`0`
+    /// disables repair; under erasure coding `ec`'s regenerator repairs
+    /// instead). Put chains are always driven by the client's requested
+    /// fanout; this only governs the periodic background repair.
     replication: u32,
     ticks: u64,
     /// This node's own metrics: `node.*` counters and histograms,
@@ -266,39 +264,30 @@ pub struct NodeRuntime<T: Transport, C: Clock = SystemClock> {
     cur_ok: bool,
 }
 
+/// Successor-list length of a node under `policy`: a chain or
+/// fragment group of `n` members is the owner plus `n - 1` successors,
+/// which a wide code pushes past the default [`SUCCESSORS`].
+fn successor_list_len(policy: RedundancyPolicy) -> usize {
+    SUCCESSORS.max(policy.group_size().saturating_sub(1))
+}
+
 impl<T: Transport, C: Clock> NodeRuntime<T, C> {
     /// Creates the node `spec` describes at the transport's address:
     /// the first node of a new ring, or one that joins through
     /// `spec.seed`, sending the initial join traffic immediately.
     pub fn new(spec: NodeSpec, transport: T, clock: C) -> Self {
-        Self::with_ring_config(spec, NodeConfig::default(), transport, clock)
-    }
-
-    /// [`NodeRuntime::new`] over an explicit ring configuration — the
-    /// simulation harness's door for [`NodeConfig`]'s fault knobs.
-    #[doc(hidden)]
-    pub fn with_ring_config(spec: NodeSpec, mut cfg: NodeConfig, transport: T, clock: C) -> Self {
-        let policy = spec.redundancy.unwrap_or(RedundancyPolicy::Replicate {
-            r: spec.replicas as usize,
-        });
-        // A chain or fragment group of `n` members is the owner plus
-        // `n - 1` successors, which a wide code pushes past the default
-        // list length.
-        cfg.successors = cfg.successors.max(policy.group_size().saturating_sub(1));
+        let policy = spec.redundancy;
+        let cfg = NodeConfig {
+            successors: successor_list_len(policy),
+            bug: None,
+        };
         let now = clock.now_us();
-        let ec = EcCodec::for_policy(policy).map(|codec| {
-            let lo = policy.min_fragments();
-            let hi = policy.group_size().saturating_sub(1).max(1);
-            EcState {
-                codec,
-                repair_threshold: match spec.repair_threshold {
-                    Some(m) => m.clamp(lo, hi),
-                    None => policy.default_repair_threshold(),
-                },
-                repair_budget_bps: spec.repair_budget_bps,
-                repair_tokens: 0,
-                last_refill_us: now,
-            }
+        let ec = EcCodec::for_policy(policy).map(|codec| EcState {
+            codec,
+            repair_threshold: policy.default_repair_threshold(),
+            repair_budget_bps: spec.repair_budget_bps,
+            repair_tokens: 0,
+            last_refill_us: now,
         });
         let me = transport.local_addr();
         let (node, join_msgs) = match spec.seed {
@@ -312,10 +301,7 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
             repair_ops: HashMap::new(),
             under_replicated: 0,
             fragments: HashMap::new(),
-            replication: match policy {
-                RedundancyPolicy::Replicate { r } => r as u32,
-                RedundancyPolicy::ErasureCode { .. } => spec.replicas,
-            },
+            replication: policy.group_size() as u32,
             ec,
             ec_ops: HashMap::new(),
             ec_repair_queue: BTreeMap::new(),
@@ -360,6 +346,13 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         rt
     }
 
+    /// Makes this node re-introduce `bug` from now on: the simulation
+    /// harness's door for proving its worlds catch known bugs.
+    #[doc(hidden)]
+    pub fn inject_bug(&mut self, bug: InjectedBug) {
+        self.node.inject_bug(bug);
+    }
+
     /// Whether this node's [`Request::MetricsDump`] replies fold in
     /// `sheet`, its transport's counters. Set by [`crate::Host`], which
     /// knows whether the node has the sheet to itself.
@@ -384,12 +377,10 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
     /// the same span ids.
     fn alloc_span(&mut self) -> u64 {
         self.span_seq += 1;
-        let mut z = (self.transport.local_addr() as u64)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        let z = (self.transport.local_addr() as u64)
+            .wrapping_mul(splitmix::GAMMA)
             .wrapping_add(self.span_seq);
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        (z ^ (z >> 31)).max(1)
+        splitmix::finalize(z).max(1)
     }
 
     /// Records one span under `parent` (no-op when untraced): the span's
@@ -534,8 +525,9 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         self.send_all(out);
         self.retry_join_if_unjoined();
         self.ticks += 1;
-        let anchor_every = self.node.config().anchor_every_ticks;
-        if anchor_every > 0 && self.ticks.is_multiple_of(anchor_every) {
+        if self.node.config().bug != Some(InjectedBug::NoAnchor)
+            && self.ticks.is_multiple_of(ANCHOR_EVERY_TICKS)
+        {
             self.anchor_round();
         }
         if self.ticks.is_multiple_of(REPAIR_EVERY_TICKS) {
@@ -810,7 +802,8 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         // that looks safe, until a link drops traffic silently and the
         // "replicas" the ack promises were never stored anywhere. With
         // no reachable successor this node terminates the chain.
-        let replicas = match (forwarded, self.node.config().ack_on_send) {
+        let ack_on_send = self.node.config().bug == Some(InjectedBug::AckOnSend);
+        let replicas = match (forwarded, ack_on_send) {
             (true, false) => return,
             (true, true) => stored + fanout,
             (false, _) => stored,
@@ -1660,4 +1653,30 @@ fn msgs_in_counter(op: &str) -> &'static str {
 fn join_trace_id(id: Key) -> u64 {
     let hi = (id.to_fraction() * u64::MAX as f64) as u64;
     (hi ^ id.to_u64_lossy()).max(1)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::clock::SimClock;
+    use d2_wire::transport::ChannelHub;
+
+    #[test]
+    fn successor_list_covers_the_redundancy_group() {
+        let hub = ChannelHub::new(Arc::new(NetMetrics::new()));
+        let successors = |redundancy| {
+            let spec = NodeSpec {
+                redundancy,
+                ..NodeSpec::replicated(1)
+            };
+            let rt = NodeRuntime::new(spec, hub.open(), SimClock::new());
+            rt.node.config().successors
+        };
+        assert_eq!(successors(RedundancyPolicy::Replicate { r: 3 }), 4);
+        assert_eq!(successors(RedundancyPolicy::ErasureCode { k: 3, n: 6 }), 5);
+        assert_eq!(
+            successors(RedundancyPolicy::ErasureCode { k: 8, n: 12 }),
+            11
+        );
+    }
 }

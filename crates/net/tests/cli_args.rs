@@ -38,18 +38,19 @@ fn dead_port() -> u16 {
 #[test]
 fn bad_arguments_exit_2_with_usage() {
     let cases: &[&[&str]] = &[
-        &[],                                                    // no subcommand
-        &["frobnicate"],                                        // unknown subcommand
-        &["serve"],                                             // missing --listen/--pos
-        &["serve", "--listen", "127.0.0.1:0"],                  // missing --pos
-        &["lookup", "--node", "127.0.0.1:1"],                   // missing key
-        &["lookup", "--key-frac", "0.5"],                       // missing --node
-        &["put", "--node", "127.0.0.1:1", "--key-frac", "0.5"], // missing --data
-        &["status"],                                            // missing --node
-        &["stop", "--node"],                                    // flag without value
-        &["status", "--node", "127.0.0.1:1", "--bogus", "x"],   // unknown flag
-        &["serve-many"],                                        // missing --nodes
-        &["check"],                                             // missing --node
+        &[],                                                             // no subcommand
+        &["frobnicate"],                                                 // unknown subcommand
+        &["serve"],                                                      // missing --listen/--pos
+        &["serve", "--listen", "127.0.0.1:0"],                           // missing --pos
+        &["lookup", "--node", "127.0.0.1:1"],                            // missing key
+        &["lookup", "--key-frac", "0.5"],                                // missing --node
+        &["put", "--node", "127.0.0.1:1", "--key-frac", "0.5"],          // missing --data
+        &["status"],                                                     // missing --node
+        &["stop", "--node"],                                             // flag without value
+        &["status", "--node", "127.0.0.1:1", "--bogus", "x"],            // unknown flag
+        &["status", "--node", "127.0.0.1:1", "--repair-threshold", "4"], // removed flag
+        &["serve-many"],                                                 // missing --nodes
+        &["check"],                                                      // missing --node
     ];
     for args in cases {
         let (code, stderr) = run(args);

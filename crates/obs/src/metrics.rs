@@ -92,22 +92,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Records `n` occurrences of one value.
-    pub fn record_n(&mut self, v: u64, n: u64) {
-        if n == 0 {
-            return;
-        }
-        let idx = bucket_index(v);
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += n;
-        self.count += n;
-        self.sum = self.sum.saturating_add(v.saturating_mul(n));
-        self.min = self.min.min(v);
-        self.max = self.max.max(v);
-    }
-
     /// Number of recorded values.
     pub fn count(&self) -> u64 {
         self.count

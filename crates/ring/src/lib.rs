@@ -50,5 +50,6 @@ pub use balance::{BalanceOp, LoadView};
 pub use churn::{
     ChurnLookup, FaultOracle, LookupOutcome, MessageFate, NoFaults, RetryPolicy, StabilizeStats,
 };
+pub use node::SUCCESSORS;
 pub use ring::{NodeIdx, Ring};
 pub use routing::{LookupStats, RoutingTable};

@@ -31,46 +31,56 @@ pub struct LookupResult {
     pub hops: u32,
 }
 
+/// Successor-list length of a node whose redundancy group fits in it:
+/// the fault tolerance of its ring pointers. A wider group lengthens
+/// the list to cover its members (`d2-net` derives it per policy).
+pub const SUCCESSORS: usize = 4;
+
+/// Maximum long links retained from observed lookup traffic.
+const MAX_FINGERS: usize = 32;
+
+/// Ticks between seed-anchored anti-entropy rounds. A joined node
+/// periodically re-introduces itself to its join seed (Notify +
+/// GetNeighbors), which is what lets two rings that formed on either
+/// side of a healed multi-node netsplit merge back into one — plain
+/// Chord stabilization alone never rejoins disjoint rings.
+pub const ANCHOR_EVERY_TICKS: u64 = 64;
+
+/// A known bug re-introduced on purpose, so the deterministic
+/// simulation harness can prove its worlds catch it. Production nodes
+/// run with none.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum InjectedBug {
+    /// Head-only successor probing (the historical dead-tail wedge,
+    /// DESIGN.md §11.2): a dead tail entry is never probed or evicted
+    /// and can wedge stabilization ring-wide.
+    ProbeHeadOnly,
+    /// Replica-chain puts ack the client as soon as the forward *send*
+    /// succeeds, instead of waiting for the end of the chain to
+    /// confirm. Harmless when dead peers fail sends fast, but a silent
+    /// one-way link cut turns the early ack into a durability lie.
+    AckOnSend,
+    /// No seed-anchored anti-entropy ([`ANCHOR_EVERY_TICKS`]): a healed
+    /// multi-node netsplit leaves two stable rings forever.
+    NoAnchor,
+}
+
 /// Configuration for a protocol node.
 #[derive(Clone, Copy, Debug)]
 pub struct NodeConfig {
     /// Successor-list length (fault tolerance of ring pointers).
     pub successors: usize,
-    /// Maximum long links retained from observed lookup traffic.
-    pub max_fingers: usize,
-    /// Fault-injection knob for the deterministic simulation harness:
-    /// re-introduces PR 4's head-only successor probing (a dead tail
-    /// entry is then never probed/evicted and can wedge stabilization
-    /// ring-wide). `d2-dst` flips it to prove its schedule explorer
-    /// catches the historical bug; it must stay `false` everywhere else.
+    /// The bug this node re-introduces, if any (`None` everywhere but
+    /// the deterministic simulation harness).
     #[doc(hidden)]
-    pub probe_head_only: bool,
-    /// Ticks between seed-anchored anti-entropy rounds (`0` disables
-    /// them). A joined node periodically re-introduces itself to its
-    /// join seed (Notify + GetNeighbors), which is what lets two rings
-    /// that formed on either side of a healed multi-node netsplit merge
-    /// back into one — plain Chord stabilization alone never rejoins
-    /// disjoint rings.
-    pub anchor_every_ticks: u64,
-    /// Fault-injection knob for the deterministic simulation harness:
-    /// replica-chain puts ack the client optimistically as soon as the
-    /// forward *send* succeeds, instead of waiting for the end of the
-    /// chain to confirm. Harmless when dead peers fail sends fast, but
-    /// a silent one-way link cut turns the early ack into a durability
-    /// lie — exactly the failure mode the asymmetric-partition worlds
-    /// exist to catch. Must stay `false` everywhere else.
-    #[doc(hidden)]
-    pub ack_on_send: bool,
+    pub bug: Option<InjectedBug>,
 }
 
 impl Default for NodeConfig {
     fn default() -> Self {
         NodeConfig {
-            successors: 4,
-            max_fingers: 32,
-            probe_head_only: false,
-            anchor_every_ticks: 64,
-            ack_on_send: false,
+            successors: SUCCESSORS,
+            bug: None,
         }
     }
 }
@@ -142,6 +152,12 @@ impl ProtocolNode {
     /// The configuration the node was constructed with.
     pub fn config(&self) -> &NodeConfig {
         &self.cfg
+    }
+
+    /// Makes this node re-introduce `bug` from now on.
+    #[doc(hidden)]
+    pub fn inject_bug(&mut self, bug: InjectedBug) {
+        self.cfg.bug = Some(bug);
     }
 
     /// Current predecessor, if known.
@@ -315,9 +331,9 @@ impl ProtocolNode {
     /// re-advertisement at its source.
     pub fn tick(&mut self) -> Vec<(Addr, RingMsg)> {
         let mut out: Vec<(Addr, RingMsg)> = Vec::with_capacity(self.successors.len() + 1);
-        // `probe_head_only` deliberately resurrects the PR 4 bug for
-        // DST-harness validation (see `NodeConfig::probe_head_only`).
-        let probed = if self.cfg.probe_head_only {
+        // `ProbeHeadOnly` deliberately resurrects the dead-tail bug for
+        // DST-harness validation.
+        let probed = if self.cfg.bug == Some(InjectedBug::ProbeHeadOnly) {
             &self.successors[..self.successors.len().min(1)]
         } else {
             &self.successors[..]
@@ -519,7 +535,7 @@ impl ProtocolNode {
             return;
         }
         self.fingers.push(p);
-        if self.fingers.len() > self.cfg.max_fingers {
+        if self.fingers.len() > MAX_FINGERS {
             self.fingers.remove(0);
         }
     }

@@ -283,49 +283,6 @@ impl Router {
     }
 }
 
-impl Router {
-    /// Mercury-style random node sampling by random walk: starting from
-    /// `from`, take `steps` hops over routing-table links chosen uniformly
-    /// at random. Mercury uses such walks to estimate load distributions
-    /// and to pick balance probe targets without global knowledge; with
-    /// small-world tables a short walk lands nearly uniformly.
-    ///
-    /// `Ring::random_node` is the converged oracle version the simulators
-    /// use; this is the real protocol mechanism, kept for fidelity and
-    /// validated for near-uniformity in tests.
-    pub fn random_walk<R: rand::Rng + ?Sized>(
-        &self,
-        ring: &Ring,
-        from: NodeIdx,
-        steps: usize,
-        rng: &mut R,
-    ) -> NodeIdx {
-        let mut cur = from;
-        for _ in 0..steps {
-            let links: Vec<NodeIdx> = self
-                .table(cur)
-                .map(|t| {
-                    t.links
-                        .iter()
-                        .filter(|(id, peer)| ring.id_of(*peer) == Some(*id))
-                        .map(|(_, p)| *p)
-                        .collect()
-                })
-                .unwrap_or_default();
-            if links.is_empty() {
-                // Fall back to the live successor pointer.
-                match ring.successor(cur) {
-                    Some(s) => cur = s,
-                    None => return cur,
-                }
-                continue;
-            }
-            cur = links[rng.random_range(0..links.len())];
-        }
-        cur
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -464,43 +421,6 @@ mod tests {
         let a = ring.node_at_rank(0).unwrap();
         let stats = router.lookup(&ring, a, &Key::from_fraction(0.75)).unwrap();
         assert!(stats.hops <= 1);
-    }
-
-    #[test]
-    fn random_walk_is_near_uniform() {
-        let ring = uniform_ring(32);
-        let router = Router::build(&ring, 4);
-        let from = ring.node_at_rank(0).unwrap();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(23);
-        let mut counts = [0u32; 32];
-        let trials = 6400;
-        for _ in 0..trials {
-            let n = router.random_walk(&ring, from, 8, &mut rng);
-            counts[ring.rank_of(n).unwrap()] += 1;
-        }
-        // Every node reachable; no node hoards more than 4x its fair share.
-        let fair = trials / 32;
-        for (rank, &c) in counts.iter().enumerate() {
-            assert!(c > 0, "rank {rank} never sampled");
-            assert!(c < 4 * fair, "rank {rank} oversampled: {c} vs fair {fair}");
-        }
-    }
-
-    #[test]
-    fn random_walk_survives_stale_tables() {
-        let mut ring = uniform_ring(16);
-        let router = Router::build(&ring, 3);
-        // Remove a quarter of the nodes without rebuilding.
-        for i in 0..4 {
-            let n = ring.node_at_rank(i * 4).unwrap();
-            ring.remove_node(n);
-        }
-        let from = ring.nodes()[0];
-        let mut rng = rand::rngs::StdRng::seed_from_u64(29);
-        for _ in 0..100 {
-            let n = router.random_walk(&ring, from, 6, &mut rng);
-            assert!(ring.contains(n), "walk must end on a live node");
-        }
     }
 
     #[test]

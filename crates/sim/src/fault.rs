@@ -21,6 +21,7 @@ use crate::failure::FailureTrace;
 use crate::time::SimTime;
 use d2_ring::churn::{FaultOracle, MessageFate};
 use d2_ring::NodeIdx;
+use d2_types::splitmix::{mix, unit, GAMMA};
 
 /// Parameters of the injected message faults.
 #[derive(Clone, Copy, Debug)]
@@ -122,7 +123,7 @@ impl FaultOracle for FaultPlan {
     fn message_fate(&mut self, _t_us: u64) -> MessageFate {
         let n = self.sent;
         self.sent += 1;
-        let h = mix(self.cfg.seed ^ n.wrapping_mul(0x9e37_79b9_7f4a_7c15));
+        let h = mix(self.cfg.seed ^ n.wrapping_mul(GAMMA));
         if unit(h) < self.cfg.drop_prob {
             return MessageFate::Dropped;
         }
@@ -137,19 +138,6 @@ impl FaultOracle for FaultPlan {
             delay_us: self.cfg.base_delay_us + jitter,
         }
     }
-}
-
-/// splitmix64 finalizer: full-avalanche 64-bit mix.
-fn mix(v: u64) -> u64 {
-    let mut z = v.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
-}
-
-/// Maps a hash to [0, 1) with 53 bits of precision.
-fn unit(h: u64) -> f64 {
-    (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]

@@ -16,6 +16,7 @@
 //! rate.
 
 use crate::time::SimTime;
+use d2_types::SplitMix64;
 use rand::Rng;
 
 /// Bytes of TCP payload per packet (1500-byte MTU minus headers).
@@ -68,15 +69,8 @@ impl Topology {
     /// byte-identical schedules to a seed) get a stable topology per
     /// seed forever.
     pub fn sample_seeded(n: usize, target_mean_rtt_ms: f64, seed: u64) -> Topology {
-        let mut state = seed ^ 0x5bf0_3635_16f5_a1c3;
-        let mut next_unit = move || {
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut z = state;
-            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            z ^= z >> 31;
-            (z >> 11) as f64 / (1u64 << 53) as f64
-        };
+        let mut rng = SplitMix64::new(seed ^ 0x5bf0_3635_16f5_a1c3);
+        let mut next_unit = move || rng.unit();
         let acc_mean = 4.0; // ms, per side (matches `sample`)
         let scale = (target_mean_rtt_ms - 4.0 * acc_mean) / (2.0 * 0.5214);
         let coords = (0..n).map(|_| (next_unit(), next_unit())).collect();

@@ -192,11 +192,6 @@ pub fn sha256(data: &[u8]) -> ContentHash {
 pub struct ContentHash(pub [u8; 32]);
 
 impl ContentHash {
-    /// Digest of the empty byte string.
-    pub fn of_empty() -> Self {
-        sha256(b"")
-    }
-
     /// Raw digest bytes.
     pub fn as_bytes(&self) -> &[u8; 32] {
         &self.0

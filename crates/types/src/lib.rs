@@ -33,6 +33,7 @@ pub mod error;
 pub mod hash;
 pub mod inline_vec;
 pub mod key;
+pub mod splitmix;
 
 pub use block::{BlockKind, BlockName, SystemKind, BLOCK_SIZE, INLINE_DATA_MAX};
 pub use encoding::{PathSlots, SlotAllocator, VolumeId, DIR_SLOT_LEVELS};
@@ -40,3 +41,4 @@ pub use error::{D2Error, Result};
 pub use hash::{sha256, ContentHash, Sha256};
 pub use inline_vec::InlineVec;
 pub use key::{Key, KeyRange, NodeId, KEY_BYTES};
+pub use splitmix::SplitMix64;

@@ -16,7 +16,6 @@
 
 use crate::namespace::{Access, FileId, FileOp, Namespace};
 use d2_sim::SimTime;
-use d2_types::BLOCK_SIZE;
 use rand::Rng;
 
 /// Tunables for the Harvard-like generator.
@@ -335,15 +334,6 @@ impl HarvardTrace {
             accesses,
             config: *cfg,
         }
-    }
-
-    /// Total bytes read by the trace.
-    pub fn read_bytes(&self) -> u64 {
-        self.accesses
-            .iter()
-            .filter(|a| a.op == FileOp::Read)
-            .map(|a| a.nblocks as u64 * BLOCK_SIZE as u64)
-            .sum()
     }
 
     /// Written bytes per day index (creates + overwrites).

@@ -183,11 +183,6 @@ impl Namespace {
         self.files[id.0 as usize].deleted_at = Some(at);
     }
 
-    /// Resizes a file (overwrite may grow it).
-    pub fn resize_file(&mut self, id: FileId, size: u64) {
-        self.files[id.0 as usize].size = size;
-    }
-
     /// Metadata of `id`.
     pub fn file(&self, id: FileId) -> &FileRec {
         &self.files[id.0 as usize]

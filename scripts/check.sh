@@ -31,14 +31,34 @@ cargo build --release --workspace
 echo "==> d2-ec coder gate (unit + property tests)"
 cargo test -q -p d2-ec
 
+# The three sweeps print one line per seed (-v); their stdout, in this
+# order, must match scripts/dst-sweeps.sha256, so a change that moves
+# any DST schedule fails here unless it updates the file (and says why).
+DST_TMP="$(mktemp -d)"
+# Runs one sweep into $DST_TMP/$1 and prints its summary (or, if a seed
+# failed, the failure and its shrunk plan).
+dst_sweep() {
+    local out="$DST_TMP/$1"
+    shift
+    ./target/release/d2-dst sweep "$@" -v > "$out" || { grep -v '^seed ' "$out"; exit 1; }
+    grep -v '^seed ' "$out"
+}
+
 echo "==> d2-dst smoke sweep (64 seeds)"
-./target/release/d2-dst sweep --seeds 64
+dst_sweep classic.out --seeds 64
 
 echo "==> d2-dst erasure-mode sweep (32 seeds, (3,6) fragments, throttled repair)"
-./target/release/d2-dst sweep --seeds 32 --ec 3/6 --repair-budget 5000
+dst_sweep ec.out --seeds 32 --ec 3/6 --repair-budget 5000
 
 echo "==> d2-dst mixed-world sweep (64 seeds: partitions, gray nodes, WAN, skew)"
-./target/release/d2-dst sweep --seeds 64 --world mixed
+dst_sweep mixed.out --seeds 64 --world mixed
+
+echo "==> d2-dst sweeps: stdout matches the committed sha256"
+DST_WANT=$(cat scripts/dst-sweeps.sha256)
+DST_GOT=$(cat "$DST_TMP/classic.out" "$DST_TMP/ec.out" "$DST_TMP/mixed.out" | sha256sum | cut -d' ' -f1)
+[[ "$DST_GOT" == "$DST_WANT" ]] || {
+    echo "the d2-dst sweeps print sha256 $DST_GOT, committed $DST_WANT"; exit 1; }
+rm -rf "$DST_TMP"
 
 echo "==> d2-exp figures (all, quick, seed 7): --jobs 1 and --jobs 2 print the same bytes"
 # Every simulation cell derives its own seed and output is merged in
