@@ -6,7 +6,8 @@
 //! per-flow slow-start restart, a 15-transfer client concurrency cap, and
 //! range-based lookup caches warmed from the trace before each measured
 //! segment. Block keys come from the trace's [`TraceKeys`] table, hashed
-//! once per build: a replay indexes, it does not name or hash a block.
+//! once per build, and so does each key's owner rank on the static ring:
+//! a replay indexes, it does not name, hash or place a block.
 //!
 //! Each **access group** (unit of user-perceived latency) is replayed in
 //! one of two modes: `Seq` — every block fetch depends on the previous
@@ -112,8 +113,9 @@ impl PerfReport {
 /// warm-up moves ring positions, not data.
 #[derive(Clone, Debug)]
 pub struct PerfSim {
-    /// Ring membership and positions after the warm-up.
-    pub ring: Ring,
+    /// Ring membership and positions after the warm-up. Nothing moves a
+    /// node afterwards: `owner_ranks` is resolved against this ring.
+    ring: Ring,
     /// Replicas a fetch picks its server among.
     replicas: usize,
     topo: Topology,
@@ -121,13 +123,18 @@ pub struct PerfSim {
     server_links: Vec<LinkState>,
     // Per-user state, indexed by user (trace users are dense from 0);
     // `conns` holds one connection per (user, server address) at
-    // `user * topo.len() + address`. Sized by `ensure_users`.
+    // `user * topo.len() + address`, and `rtts` the user's client's
+    // round trip to that address beside it. Sized by `ensure_users`.
     conns: Vec<TcpConn>,
+    rtts: Vec<SimTime>,
     caches: Vec<LookupCache>,
     client_node: Vec<usize>,
     /// Every block key of the trace under the cluster's encoding; clones
     /// share the table.
     keys: Arc<TraceKeys>,
+    /// The ring rank of each table position's owner, so a key's replica
+    /// group is ranks `r..r + replicas`; clones share the table.
+    owner_ranks: Arc<[u32]>,
     cfg: PerfConfig,
     rng: StdRng,
     /// Trace sink for fetch/route/cache-probe events (null by default).
@@ -136,7 +143,6 @@ pub struct PerfSim {
     // fetched once per access across warmup + measurement, so per-call
     // allocations here dominate the suite's heap traffic. Taken with
     // `mem::take` around each use.
-    group_buf: Vec<NodeIdx>,
     path_buf: Vec<NodeIdx>,
     /// A group's blocks as `(table position, stored length)`.
     keys_buf: Vec<(usize, u32)>,
@@ -188,6 +194,13 @@ impl PerfSim {
         for a in &trace.accesses {
             client_node[a.user as usize].get_or_insert_with(|| rng.random_range(0..nodes));
         }
+        let owner_ranks = (0..keys.len())
+            .map(|at| {
+                let owner = ring.owner_of(&keys.key_at(at)).expect("ring nonempty");
+                let rank = ring.rank_of(owner).expect("an owner is in the ring");
+                u32::try_from(rank).expect("fewer than 2^32 nodes")
+            })
+            .collect();
         let seen_buf = vec![false; keys.len()];
         let mut sim = PerfSim {
             ring,
@@ -196,13 +209,14 @@ impl PerfSim {
             router,
             server_links,
             conns: Vec::new(),
+            rtts: Vec::new(),
             caches: Vec::new(),
             client_node: client_node.iter().map(|c| c.unwrap_or(0)).collect(),
             keys,
+            owner_ranks,
             cfg: *perf_cfg,
             rng,
             obs: SharedSink::null(),
-            group_buf: Vec::new(),
             path_buf: Vec::new(),
             keys_buf: Vec::new(),
             seen_buf,
@@ -215,12 +229,23 @@ impl PerfSim {
     /// never named replays from client node 0.
     fn ensure_users(&mut self, users: usize) {
         if users > self.caches.len() {
+            let from = self.caches.len();
             self.caches
                 .resize_with(users, LookupCache::with_default_ttl);
             self.client_node.resize(users, 0);
-            self.conns
-                .resize(users * self.topo.len(), TcpConn::default());
+            let addrs = self.topo.len();
+            self.conns.resize(users * addrs, TcpConn::default());
+            for &client in &self.client_node[from..] {
+                let row = (0..addrs).map(|addr| self.topo.rtt(client, addr));
+                self.rtts.extend(row);
+            }
         }
+    }
+
+    /// The warmed-up ring the replay runs on; it never changes after
+    /// [`PerfSim::build`].
+    pub fn ring(&self) -> &Ring {
+        &self.ring
     }
 
     /// Attaches a trace sink: per-fetch [`TraceEvent::Fetch`], per-lookup
@@ -279,7 +304,7 @@ impl PerfSim {
                 let key = self.keys.key_at(at);
                 let cache = &mut self.caches[group.user as usize];
                 if cache.peek(&key, group.start).is_none() {
-                    if let Some(owner) = self.ring.owner_of(&key) {
+                    if let Some(owner) = self.ring.node_at_rank(self.owner_ranks[at] as usize) {
                         if let Some(range) = self.ring.range_of(owner) {
                             cache.insert(range, owner.0, group.start);
                         }
@@ -331,7 +356,7 @@ impl PerfSim {
     fn run_seq(&mut self, group: &Task, keys: &[(usize, u32)], report: &mut PerfReport) -> f64 {
         let mut t = group.start;
         for &(at, len) in keys {
-            let d = self.fetch_one(group.user, self.keys.key_at(at), len, t, report);
+            let d = self.fetch_one(group.user, at, len, t, report);
             t += d;
         }
         (t - group.start).as_secs_f64()
@@ -348,7 +373,7 @@ impl PerfSim {
                 .enumerate()
                 .min_by_key(|(_, &s)| s)
                 .expect("nonempty");
-            let d = self.fetch_one(group.user, self.keys.key_at(at), len, start, report);
+            let d = self.fetch_one(group.user, at, len, start, report);
             let finish = start + d;
             slots[si] = finish;
             if finish > done {
@@ -358,25 +383,24 @@ impl PerfSim {
         (done - group.start).as_secs_f64()
     }
 
-    /// One block fetch: lookup (cache or routed) then TCP transfer from a
-    /// random replica. Returns the elapsed time. The replica group comes
-    /// first: its head is the key's owner, so a cache hit is fresh when
-    /// it names that node, and a hit searches the ring only once.
+    /// One block fetch of table position `at`: lookup (cache or routed)
+    /// then TCP transfer from a random replica. Returns the elapsed time.
+    /// The replica group is the ranks from the key's owner rank on; its
+    /// head is the owner, so a cache hit is fresh when it names that node,
+    /// and a hit searches neither the ring nor the topology.
     fn fetch_one(
         &mut self,
         user: u32,
-        key: Key,
+        at: usize,
         len: u32,
         now: SimTime,
         report: &mut PerfReport,
     ) -> SimTime {
         let client = self.client_node[user as usize];
-        // The group goes into a reusable buffer — this runs once per
-        // block access.
-        let mut group = std::mem::take(&mut self.group_buf);
-        self.ring
-            .replica_group_into(&key, self.replicas, &mut group);
-        let owner_now = group.first().copied().or_else(|| self.ring.owner_of(&key));
+        let key = self.keys.key_at(at);
+        let rank = self.owner_ranks[at] as usize;
+        let owner_now = self.ring.node_at_rank(rank);
+        let row = user as usize * self.topo.len();
         let cache = &mut self.caches[user as usize];
 
         let mut lookup_delay = SimTime::ZERO;
@@ -395,7 +419,7 @@ impl PerfSim {
                 report.stale_hits += 1;
                 result = CacheResult::Stale;
                 cache.invalidate_node(node);
-                lookup_delay += self.topo.rtt(client, node % self.topo.len());
+                lookup_delay += self.rtts[row + node % self.topo.len()];
             }
         }
         let mut hop_us = Vec::new();
@@ -410,14 +434,15 @@ impl PerfSim {
         };
         // Choose a replica uniformly (the paper notes D2 selects replicas
         // randomly).
-        let server = if group.is_empty() {
+        let group = self.replicas.min(self.ring.len());
+        let server = if group == 0 {
             owner
         } else {
-            group[self.rng.random_range(0..group.len())]
+            let replica = rank + self.rng.random_range(0..group);
+            self.ring.node_at_rank(replica).expect("ring nonempty")
         };
-        self.group_buf = group;
         let server_addr = server.0 % self.topo.len();
-        let rtt = self.topo.rtt(client, server_addr);
+        let rtt = self.rtts[row + server_addr];
         // Queueing on the server's access link.
         let backlog = self.server_links[server_addr].backlog(now);
         self.server_links[server_addr].transmit(now, len as u64);
@@ -663,6 +688,38 @@ mod tests {
                 assert_eq!(hop_us.is_empty(), *result == CacheResult::Hit);
                 assert!(hops <= *lookup_us);
                 assert_eq!(hops == *lookup_us, *result != CacheResult::Stale);
+            }
+        }
+    }
+
+    /// The owner-rank table holds only on the ring it was resolved
+    /// against: every table position's rank names the key's owner, and
+    /// neither the cache warm-up nor a replay in either mode moves a
+    /// node, so no cache hit is ever stale.
+    #[test]
+    fn replay_keeps_the_ring_static() {
+        let t = trace();
+        let groups = split_access_groups(&t.accesses, SimTime::from_secs(1));
+        let (warm, measure) = groups.split_at(groups.len() / 2);
+        let layout = |sim: &PerfSim| -> Vec<(Key, NodeIdx)> {
+            sim.ring().iter().map(|(&id, &node)| (id, node)).collect()
+        };
+        for system in [SystemKind::D2, SystemKind::Traditional] {
+            let mut sim = build(system, 16);
+            assert_eq!(sim.owner_ranks.len(), sim.keys.len());
+            for (at, &rank) in sim.owner_ranks.iter().enumerate() {
+                let owner = sim.ring().owner_of(&sim.keys.key_at(at));
+                let rank = rank as usize;
+                assert_eq!(sim.ring().node_at_rank(rank), owner, "{system}: {at}");
+            }
+            let before = layout(&sim);
+            sim.warm_caches(&t, warm);
+            assert_eq!(layout(&sim), before, "{system}: warm-up");
+            for mode in [Parallelism::Seq, Parallelism::Para] {
+                let rep = sim.run(&t, measure, mode);
+                assert!(rep.cache_hits > 0, "{system} {mode:?}: no hit");
+                assert_eq!(rep.stale_hits, 0, "{system} {mode:?}");
+                assert_eq!(layout(&sim), before, "{system} {mode:?}");
             }
         }
     }

@@ -42,7 +42,7 @@ fn perfsim_warmup_leaves_the_availability_ring() {
                     let at = format!("{system} seed {seed}, {nodes} nodes, {days} days");
                     let avail = AvailabilitySim::build(system, &ccfg, &trace, days);
                     let perf = PerfSim::build(system, &ccfg, &PerfConfig::default(), &trace, days);
-                    let (want, got) = (&avail.cluster.ring, &perf.ring);
+                    let (want, got) = (&avail.cluster.ring, perf.ring());
                     assert_eq!(got.capacity(), want.capacity(), "{at}");
                     for i in 0..want.capacity() {
                         // Whole keys: D2 keys share long prefixes, and a

@@ -164,6 +164,30 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
+/// The `d2-dst replay` command that reruns `sc`: every setting a sweep
+/// can vary is on it, so parsing it back gives the same scenario.
+fn replay_line(sc: &Scenario) -> String {
+    let mut line = format!("d2-dst replay --seed {} --nodes {}", sc.seed, sc.nodes);
+    line.push_str(&match sc.redundancy {
+        RedundancyPolicy::Replicate { r } => format!(" --replicas {r}"),
+        RedundancyPolicy::ErasureCode { k, n } => format!(" --ec {k}/{n}"),
+    });
+    line.push_str(&format!(" --puts {}", sc.puts));
+    if sc.regime != WorldRegime::Classic {
+        line.push_str(&format!(" --world {}", sc.regime.label()));
+    }
+    if sc.repair_budget_bps != 0 {
+        line.push_str(&format!(" --repair-budget {}", sc.repair_budget_bps));
+    }
+    line.push_str(match sc.bug {
+        None => "",
+        Some(InjectedBug::ProbeHeadOnly) => " --bug-head-only",
+        Some(InjectedBug::AckOnSend) => " --bug-ack-on-send",
+        Some(InjectedBug::NoAnchor) => " --bug-no-anchor",
+    });
+    line
+}
+
 fn cmd_sweep(args: Args) {
     let results = sweep(&args.scenario, args.seed0, args.seeds, args.jobs);
     let failed: Vec<_> = results.iter().filter(|r| !r.ok).collect();
@@ -233,27 +257,7 @@ fn cmd_sweep(args: Args) {
                 min.violation.as_deref().unwrap_or("(none)")
             );
         }
-        let replicas = match sc.redundancy {
-            RedundancyPolicy::Replicate { r } => format!(" --replicas {r}"),
-            RedundancyPolicy::ErasureCode { .. } => String::new(),
-        };
-        let mut extras = String::new();
-        if args.scenario.regime != WorldRegime::Classic {
-            extras.push_str(&format!(" --world {}", args.scenario.regime.label()));
-        }
-        if let RedundancyPolicy::ErasureCode { k, n } = sc.redundancy {
-            extras.push_str(&format!(" --ec {k}/{n}"));
-        }
-        extras.push_str(match sc.bug {
-            None => "",
-            Some(InjectedBug::ProbeHeadOnly) => " --bug-head-only",
-            Some(InjectedBug::AckOnSend) => " --bug-ack-on-send",
-            Some(InjectedBug::NoAnchor) => " --bug-no-anchor",
-        });
-        println!(
-            "replay: d2-dst replay --seed {} --nodes {}{replicas} --puts {}{extras}",
-            first.seed, sc.nodes, sc.puts
-        );
+        println!("replay: {}", replay_line(&sc));
     }
 
     if let Some(path) = &args.json {
@@ -401,5 +405,56 @@ fn main() {
         "sweep" => cmd_sweep(args),
         "replay" => cmd_replay(args),
         _ => usage(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A sweep's `replay:` line, fed back through the parser, is the
+    /// scenario that failed: seed, size, puts, redundancy, world, bug and
+    /// repair budget.
+    #[test]
+    fn replay_line_parses_back_to_the_scenario() {
+        let mut cases = Vec::new();
+        for (redundancy, budget) in [
+            (RedundancyPolicy::Replicate { r: 3 }, 0),
+            (RedundancyPolicy::Replicate { r: 2 }, 750),
+            (RedundancyPolicy::ErasureCode { k: 3, n: 6 }, 5000),
+            (RedundancyPolicy::ErasureCode { k: 4, n: 8 }, 0),
+        ] {
+            for (regime, bug) in [
+                (WorldRegime::Classic, None),
+                (WorldRegime::Partition, Some(InjectedBug::AckOnSend)),
+                (WorldRegime::Mixed, Some(InjectedBug::NoAnchor)),
+                (WorldRegime::Wan, Some(InjectedBug::ProbeHeadOnly)),
+            ] {
+                cases.push(Scenario {
+                    seed: 41 + cases.len() as u64,
+                    nodes: 9,
+                    puts: 17,
+                    redundancy,
+                    repair_budget_bps: budget,
+                    regime,
+                    bug,
+                    ..Scenario::default()
+                });
+            }
+        }
+        for want in cases {
+            let line = replay_line(&want);
+            let argv: Vec<String> = line.split(' ').map(String::from).collect();
+            assert_eq!(argv[..2], ["d2-dst", "replay"], "{line}");
+            let args = parse_args(&argv[2..]);
+            let got = &args.scenario;
+            assert_eq!(args.seed, Some(want.seed), "{line}");
+            assert_eq!(got.nodes, want.nodes, "{line}");
+            assert_eq!(got.puts, want.puts, "{line}");
+            assert_eq!(got.redundancy, want.redundancy, "{line}");
+            assert_eq!(got.regime, want.regime, "{line}");
+            assert_eq!(got.bug, want.bug, "{line}");
+            assert_eq!(got.repair_budget_bps, want.repair_budget_bps, "{line}");
+        }
     }
 }

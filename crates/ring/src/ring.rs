@@ -7,7 +7,6 @@
 //! position ([`Key`]).
 
 use d2_types::{Key, KeyRange};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A stable handle for a node, independent of its (mutable) ring position.
@@ -29,14 +28,19 @@ impl fmt::Display for NodeIdx {
 /// Global ring membership: a bidirectional map between ring positions and
 /// node handles.
 ///
+/// The members are one vector in ring order, so a position search is one
+/// binary search and a rank is an index: a replay on a fixed ring reads
+/// replica groups and routing-table links by rank without searching.
+///
 /// Invariants:
 /// - at most one node per ring position (positions are 512-bit, collisions
-///   are rejected by [`Ring::add_node_at`] returning `None`);
+///   are rejected by [`Ring::add_node_at`] returning `false`);
 /// - `owner_of(k)` is the node whose ID is the clockwise successor of `k`
 ///   (i.e. the smallest ID ≥ `k`, wrapping).
 #[derive(Clone, Debug, Default)]
 pub struct Ring {
-    by_key: BTreeMap<Key, NodeIdx>,
+    /// `(position, node)` sorted by position; `ids` is its inverse.
+    members: Vec<(Key, NodeIdx)>,
     ids: Vec<Option<Key>>,
 }
 
@@ -48,12 +52,12 @@ impl Ring {
 
     /// Number of nodes currently in the ring.
     pub fn len(&self) -> usize {
-        self.by_key.len()
+        self.members.len()
     }
 
     /// Whether the ring has no nodes.
     pub fn is_empty(&self) -> bool {
-        self.by_key.is_empty()
+        self.members.is_empty()
     }
 
     /// Adds a new node at `id`, allocating a fresh handle.
@@ -83,11 +87,23 @@ impl Ring {
         self.place(idx, id)
     }
 
+    /// The rank of the first member at or past `key`: the owner's rank,
+    /// or `len` when `key` lies past the last member (wrapping to 0).
+    fn search(&self, key: &Key) -> usize {
+        self.members.partition_point(|(id, _)| id < key)
+    }
+
+    /// Whether a member sits exactly at rank `at` with position `id`.
+    fn occupied_at(&self, at: usize, id: &Key) -> bool {
+        self.members.get(at).is_some_and(|(k, _)| k == id)
+    }
+
     fn place(&mut self, idx: NodeIdx, id: Key) -> bool {
-        if self.ids[idx.0].is_some() || self.by_key.contains_key(&id) {
+        let at = self.search(&id);
+        if self.ids[idx.0].is_some() || self.occupied_at(at, &id) {
             return false;
         }
-        self.by_key.insert(id, idx);
+        self.members.insert(at, (id, idx));
         self.ids[idx.0] = Some(id);
         true
     }
@@ -96,7 +112,7 @@ impl Ring {
     /// remains valid for a later re-join. Returns its old position.
     pub fn remove_node(&mut self, idx: NodeIdx) -> Option<Key> {
         let id = self.ids[idx.0].take()?;
-        self.by_key.remove(&id);
+        self.members.remove(self.search(&id));
         Some(id)
     }
 
@@ -110,13 +126,11 @@ impl Ring {
         if old == new_id {
             return true;
         }
-        if self.by_key.contains_key(&new_id) {
+        if self.occupied_at(self.search(&new_id), &new_id) {
             return false;
         }
-        self.by_key.remove(&old);
-        self.by_key.insert(new_id, idx);
-        self.ids[idx.0] = Some(new_id);
-        true
+        self.remove_node(idx);
+        self.place(idx, new_id)
     }
 
     /// The current ring position of `idx`, if it is in the ring.
@@ -137,11 +151,7 @@ impl Ring {
     /// The node owning `key`: the one whose ID is the smallest ≥ `key`
     /// (wrapping around the top of the key space).
     pub fn owner_of(&self, key: &Key) -> Option<NodeIdx> {
-        self.by_key
-            .range(key..)
-            .next()
-            .or_else(|| self.by_key.iter().next())
-            .map(|(_, &idx)| idx)
+        self.node_at_rank(self.search(key))
     }
 
     /// The `r` distinct nodes succeeding `key` (the replica group of a
@@ -157,38 +167,25 @@ impl Ring {
     /// first), so hot loops can reuse one allocation across calls.
     pub fn replica_group_into(&self, key: &Key, r: usize, out: &mut Vec<NodeIdx>) {
         out.clear();
+        let owner = self.search(key);
         let n = self.len().min(r);
-        for (_, &idx) in self.by_key.range(key..).chain(self.by_key.iter()) {
-            if out.len() == n {
-                break;
-            }
-            if !out.contains(&idx) {
-                out.push(idx);
-            }
-        }
+        out.extend((owner..owner + n).filter_map(|rank| self.node_at_rank(rank)));
     }
 
     /// The first node in ring order (smallest ID), without materializing
     /// the whole node list as [`Ring::nodes`] would.
     pub fn first_node(&self) -> Option<NodeIdx> {
-        self.by_key.values().next().copied()
+        self.members.first().map(|&(_, idx)| idx)
     }
 
     /// The clockwise successor node of `idx` (the next ID after its own).
     pub fn successor(&self, idx: NodeIdx) -> Option<NodeIdx> {
-        let id = self.id_of(idx)?;
-        let next = id.successor_point();
-        self.owner_of(&next)
+        self.node_at_rank(self.rank_of(idx)? + 1)
     }
 
     /// The counter-clockwise predecessor node of `idx`.
     pub fn predecessor(&self, idx: NodeIdx) -> Option<NodeIdx> {
-        let id = self.id_of(idx)?;
-        self.by_key
-            .range(..id)
-            .next_back()
-            .or_else(|| self.by_key.iter().next_back())
-            .map(|(_, &i)| i)
+        self.node_at_rank(self.rank_of(idx)? + self.len() - 1)
     }
 
     /// The ownership range of node `idx`: `(predecessor_id, own_id]`.
@@ -205,12 +202,12 @@ impl Ring {
 
     /// Iterates `(position, node)` pairs in ring order.
     pub fn iter(&self) -> impl Iterator<Item = (&Key, &NodeIdx)> {
-        self.by_key.iter()
+        self.members.iter().map(|(id, idx)| (id, idx))
     }
 
     /// All node handles currently in the ring, in ring order.
     pub fn nodes(&self) -> Vec<NodeIdx> {
-        self.by_key.values().copied().collect()
+        self.members.iter().map(|&(_, idx)| idx).collect()
     }
 
     /// A uniformly random node currently in the ring.
@@ -219,26 +216,25 @@ impl Ring {
     /// its small-world links; the oracle draw here is the converged
     /// behaviour of that sampler.
     pub fn random_node<R: rand::Rng + ?Sized>(&self, rng: &mut R) -> Option<NodeIdx> {
-        if self.by_key.is_empty() {
+        if self.members.is_empty() {
             return None;
         }
-        let n = rng.random_range(0..self.by_key.len());
-        self.by_key.values().nth(n).copied()
+        Some(self.members[rng.random_range(0..self.members.len())].1)
     }
 
     /// Rank of node `idx` in ring order (0-based), used for building
     /// rank-distance long links.
     pub fn rank_of(&self, idx: NodeIdx) -> Option<usize> {
-        let id = self.id_of(idx)?;
-        Some(self.by_key.range(..=id).count() - 1)
+        Some(self.search(&self.id_of(idx)?))
     }
 
     /// The node at rank `r mod len` in ring order.
+    #[inline]
     pub fn node_at_rank(&self, r: usize) -> Option<NodeIdx> {
-        if self.by_key.is_empty() {
-            return None;
-        }
-        self.by_key.values().nth(r % self.by_key.len()).copied()
+        let n = self.members.len();
+        // A rank in range is the common case: skip the division.
+        let r = if r < n { r } else { r.checked_rem(n)? };
+        Some(self.members[r].1)
     }
 }
 

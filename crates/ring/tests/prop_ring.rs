@@ -1,13 +1,13 @@
-//! Seeded property tests: ring ownership, routing, and load balancing. A
-//! failure prints its seed.
+//! Seeded property tests: ring membership against a reference model,
+//! ownership, routing, and load balancing. A failure prints its seed.
 
 use d2_ring::balance::{self, LoadView};
 use d2_ring::routing::Router;
 use d2_ring::{NodeIdx, Ring};
-use d2_types::Key;
+use d2_types::{Key, KeyRange};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 const SEEDS: u64 = 64;
 
@@ -152,5 +152,144 @@ fn balance_ops_split_load() {
                 );
             }
         }
+    }
+}
+
+/// The ring against a `BTreeMap` reference under random joins (at
+/// occupied positions too), leaves and moves (onto occupied positions
+/// too): every query agrees after every step, and `random_node` makes
+/// the same draw.
+#[test]
+fn ring_matches_btreemap_model() {
+    for seed in 0..SEEDS / 2 {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut ring, mut model) = (Ring::new(), BTreeMap::<Key, NodeIdx>::new());
+        let mut ids: Vec<Option<Key>> = Vec::new();
+        // Positions from a small pool, so collisions happen.
+        let pool: Vec<Key> = (0..12)
+            .map(|_| Key::from_u64_ordered(rng.random()))
+            .collect();
+        let pick = |rng: &mut StdRng| pool[rng.random_range(0..pool.len())];
+        for step in 0..150 {
+            let at = format!("seed {seed}, step {step}");
+            let id = pick(&mut rng);
+            match rng.random_range(0..4) {
+                0 if !model.contains_key(&id) => {
+                    let idx = ring.add_node(id);
+                    assert_eq!(idx, NodeIdx(ids.len()), "{at}");
+                    model.insert(id, idx);
+                    ids.push(Some(id));
+                }
+                1 => {
+                    let idx = NodeIdx(ids.len());
+                    assert_eq!(ring.add_offline_node(), idx, "{at}");
+                    ids.push(None);
+                    let placed = !model.contains_key(&id);
+                    assert_eq!(ring.add_node_at(idx, id), placed, "{at}");
+                    if placed {
+                        model.insert(id, idx);
+                        ids[idx.0] = Some(id);
+                    }
+                }
+                2 if !ids.is_empty() => {
+                    let idx = NodeIdx(rng.random_range(0..ids.len()));
+                    let old = ids[idx.0].take();
+                    assert_eq!(ring.remove_node(idx), old, "{at}");
+                    if let Some(old) = old {
+                        model.remove(&old);
+                    }
+                }
+                3 if !ids.is_empty() => {
+                    let idx = NodeIdx(rng.random_range(0..ids.len()));
+                    let moved = match ids[idx.0] {
+                        Some(old) if old == id => true,
+                        Some(old) if !model.contains_key(&id) => {
+                            model.remove(&old);
+                            model.insert(id, idx);
+                            ids[idx.0] = Some(id);
+                            true
+                        }
+                        _ => false,
+                    };
+                    assert_eq!(ring.move_node(idx, id), moved, "{at}");
+                }
+                _ => {}
+            }
+            check_against_model(&ring, &model, &ids, &mut rng, &at);
+        }
+    }
+}
+
+/// Every query of `ring` reads what the reference answers.
+fn check_against_model(
+    ring: &Ring,
+    model: &BTreeMap<Key, NodeIdx>,
+    ids: &[Option<Key>],
+    rng: &mut StdRng,
+    at: &str,
+) {
+    let order: Vec<NodeIdx> = model.values().copied().collect();
+    let n = order.len();
+    assert_eq!(ring.len(), n, "{at}");
+    assert_eq!(ring.capacity(), ids.len(), "{at}");
+    assert_eq!(ring.nodes(), order, "{at}");
+    assert_eq!(ring.first_node(), order.first().copied(), "{at}");
+    let pairs: Vec<(Key, NodeIdx)> = model.iter().map(|(&k, &i)| (k, i)).collect();
+    let got: Vec<(Key, NodeIdx)> = ring.iter().map(|(&k, &i)| (k, i)).collect();
+    assert_eq!(got, pairs, "{at}");
+    let owner = |key: &Key| {
+        model
+            .range(key..)
+            .chain(model.iter())
+            .next()
+            .map(|(_, &i)| i)
+    };
+    // Probe on both sides of every member and at random keys.
+    let mut probes: Vec<Key> = (0..8)
+        .map(|_| Key::from_u64_ordered(rng.random()))
+        .collect();
+    probes.extend(model.keys().flat_map(|k| [*k, k.successor_point()]));
+    for key in &probes {
+        assert_eq!(ring.owner_of(key), owner(key), "{at}: key {key}");
+        for r in [0, 1, 3, n, n + 1] {
+            let mut want: Vec<NodeIdx> = Vec::new();
+            for (_, &i) in model.range(key..).chain(model.iter()) {
+                if want.len() == r.min(n) {
+                    break;
+                }
+                if !want.contains(&i) {
+                    want.push(i);
+                }
+            }
+            assert_eq!(ring.replica_group(key, r), want, "{at}: key {key}, r {r}");
+        }
+    }
+    for (i, id) in ids.iter().enumerate() {
+        let idx = NodeIdx(i);
+        assert_eq!(ring.id_of(idx), *id, "{at}: {idx}");
+        let rank = id.map(|id| model.range(..id).count());
+        assert_eq!(ring.rank_of(idx), rank, "{at}: {idx}");
+        let succ = rank.map(|r| order[(r + 1) % n]);
+        let pred = rank.map(|r| order[(r + n - 1) % n]);
+        assert_eq!(ring.successor(idx), succ, "{at}: {idx}");
+        assert_eq!(ring.predecessor(idx), pred, "{at}: {idx}");
+        let range = id.zip(pred).map(|(id, p)| match p == idx {
+            true => KeyRange::full(),
+            false => KeyRange::new(ids[p.0].expect("a ring member has a position"), id),
+        });
+        assert_eq!(ring.range_of(idx), range, "{at}: {idx}");
+    }
+    for r in 0..2 * n + 1 {
+        assert_eq!(
+            ring.node_at_rank(r),
+            order.get(r % n.max(1)).copied(),
+            "{at}: rank {r}"
+        );
+    }
+    let draw = rng.random();
+    let (mut a, mut b) = (StdRng::seed_from_u64(draw), StdRng::seed_from_u64(draw));
+    for _ in 0..4 {
+        let want = (n > 0).then(|| order[b.random_range(0..n)]);
+        assert_eq!(ring.random_node(&mut a), want, "{at}");
     }
 }

@@ -15,7 +15,8 @@
 //! Cached ranges never overlap (an insert drops every entry the new range
 //! overlaps), so the cache keeps them sorted by range end and a probe is
 //! one binary search: the only entry that can hold a key is the first
-//! whose end is at or past it, wrapping to the lowest end.
+//! whose end is at or past it, wrapping to the lowest end. An insert
+//! finds what it overlaps by binary search too.
 
 use d2_obs::{CacheResult, CacheTier, SharedSink, TraceEvent};
 use d2_sim::SimTime;
@@ -173,8 +174,28 @@ impl LookupCache {
 
     /// Inserts a lookup result, evicting any overlapping older entries
     /// (their information is superseded).
+    ///
+    /// Entries are disjoint, so an entry overlaps the new arc exactly when
+    /// its end lies on the arc (one run of the end order, two if the arc
+    /// wraps) or it holds the arc's end (at most one entry). Only those
+    /// are dropped, found by binary search; the rest keep their order.
     pub fn insert(&mut self, range: KeyRange, node: usize, now: SimTime) {
-        self.entries.retain(|e| !ranges_overlap(&e.range, &range));
+        if range.is_full() {
+            self.entries.clear();
+        } else {
+            if let Some(at) = self.find_at(range.end()) {
+                self.entries.remove(at);
+            }
+            let (start, end) = (range.start(), range.end());
+            let from = self.entries.partition_point(|e| e.range.end() <= start);
+            let to = self.entries.partition_point(|e| e.range.end() <= end);
+            if start < end {
+                self.entries.drain(from..to);
+            } else {
+                self.entries.truncate(from);
+                self.entries.drain(..to);
+            }
+        }
         self.oldest = if self.entries.is_empty() {
             now
         } else {
@@ -196,9 +217,17 @@ impl LookupCache {
     /// is reached walking clockwise from `key`: the lowest end at or past
     /// it, else the lowest end of all.
     fn find(&self, key: &Key) -> Option<&CacheEntry> {
+        self.find_at(key).map(|at| &self.entries[at])
+    }
+
+    /// The position of [`LookupCache::find`]'s entry.
+    fn find_at(&self, key: &Key) -> Option<usize> {
         let at = self.entries.partition_point(|e| e.range.end() < key);
-        let e = self.entries.get(at).or(self.entries.first())?;
-        e.range.contains(key).then_some(e)
+        let at = if at < self.entries.len() { at } else { 0 };
+        self.entries
+            .get(at)
+            .is_some_and(|e| e.range.contains(key))
+            .then_some(at)
     }
 
     /// Drops every entry pointing at `node` (used when a direct contact
@@ -230,14 +259,6 @@ impl LookupCache {
             .min()
             .unwrap_or(now);
     }
-}
-
-/// Whether two ring arcs overlap. Full ranges overlap everything.
-fn ranges_overlap(a: &KeyRange, b: &KeyRange) -> bool {
-    if a.is_full() || b.is_full() {
-        return true;
-    }
-    a.contains(b.end()) || b.contains(a.end())
 }
 
 #[cfg(test)]
