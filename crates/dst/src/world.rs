@@ -44,10 +44,9 @@ use d2_sim::Topology;
 use d2_types::{Key, SplitMix64};
 use d2_wire::codec::{Request, Response, WireMsg};
 use d2_wire::lock;
-use d2_wire::transport::{Mailbox, RecvError, Transport, TransportError};
+use d2_wire::transport::{Mailbox, Transport, TransportError};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 /// One-way propagation delay before jitter, virtual µs.
 const BASE_DELAY_US: u64 = 1_000;
@@ -884,11 +883,7 @@ impl Transport for SimTransport {
         Ok(())
     }
 
-    fn recv_timeout(&self, _timeout: Duration) -> Result<(WireMsg, TraceCtx), RecvError> {
-        // The world single-steps runtimes; nothing ever blocks here.
-        Err(RecvError::Timeout)
-    }
-
+    // The world hands each runtime its mail itself.
     fn set_mailbox(&self, _mailbox: Mailbox) {}
 
     fn shutdown(&self) {}

@@ -3,8 +3,8 @@
 //! ```text
 //! d2-load --node IP:PORT [--workers N] [--window W] [--ops N] [--keys K]
 //!         [--keys hashed|locality] [--value-bytes B] [--get-ratio F]
-//!         [--zipf-theta F] [--replicas R] [--mode pipelined|serial]
-//!         [--seed S] [--timeout-ms T] [--json]
+//!         [--zipf-theta F] [--replicas R] [--seed S] [--timeout-ms T]
+//!         [--json]
 //! ```
 //!
 //! Connects to one member of a running cluster (`--node`), discovers the
@@ -23,11 +23,10 @@
 //! the paper's two cases, and the two hit rates the client's §5 lookup
 //! cache is judged by.
 //!
-//! `--mode pipelined` (default) keeps `--window` operations in flight
-//! per worker over the pipelined client ([`WireClient::submit`]);
-//! `--mode serial` forces the window to one — the classic
-//! one-round-trip-at-a-time client — so the two modes measure exactly
-//! the same code path with and without pipelining.
+//! Each worker keeps `--window` operations in flight over the pipelined
+//! client ([`WireClient::submit_on`]); `--window 1` is the classic
+//! one-round-trip-at-a-time client, on exactly the same code path. The
+//! report calls a window of one `serial` and any other `pipelined`.
 //!
 //! Reports throughput (ops/s), latency percentiles (p50/p90/p99/p999),
 //! the workers' summed lookup-cache hits / misses / stale hits, and the
@@ -54,8 +53,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: d2-load --node IP:PORT [--workers N] [--window W] [--ops N] [--keys K]\n\
          \x20              [--keys hashed|locality] [--value-bytes B] [--get-ratio F]\n\
-         \x20              [--zipf-theta F] [--replicas R] [--mode pipelined|serial]\n\
-         \x20              [--seed S] [--timeout-ms T] [--json]"
+         \x20              [--zipf-theta F] [--replicas R] [--seed S] [--timeout-ms T]\n\
+         \x20              [--json]"
     );
     std::process::exit(2);
 }
@@ -72,7 +71,6 @@ struct Args {
     get_ratio: f64,
     zipf_theta: f64,
     replicas: usize,
-    serial: bool,
     seed: u64,
     timeout: Duration,
     json: bool,
@@ -92,7 +90,6 @@ fn parse_args() -> Args {
         get_ratio: 0.9,
         zipf_theta: 0.8,
         replicas: 1,
-        serial: false,
         seed: 42,
         timeout: Duration::from_secs(5),
         json: false,
@@ -134,14 +131,6 @@ fn parse_args() -> Args {
             "--timeout-ms" => {
                 out.timeout = Duration::from_millis(num(val("--timeout-ms"), "--timeout-ms"))
             }
-            "--mode" => match val("--mode").as_str() {
-                "pipelined" => out.serial = false,
-                "serial" => out.serial = true,
-                m => {
-                    eprintln!("--mode wants pipelined|serial, got {m:?}");
-                    std::process::exit(2);
-                }
-            },
             "--json" => out.json = true,
             _ => usage(),
         }
@@ -297,7 +286,7 @@ fn main() {
     }
 
     let cfg = PipelineConfig {
-        window: if args.serial { 1 } else { args.window },
+        window: args.window,
         op_timeout: args.timeout,
     };
     let per_worker = args.ops / args.workers;
@@ -329,7 +318,11 @@ fn main() {
     }
     let throughput = done as f64 / wall.as_secs_f64().max(1e-9);
     let lat = merged.histogram("load.op_us").cloned().unwrap_or_default();
-    let mode = if args.serial { "serial" } else { "pipelined" };
+    let mode = if cfg.window == 1 {
+        "serial"
+    } else {
+        "pipelined"
+    };
     let encoding = if args.locality { "locality" } else { "hashed" };
     let (hits, misses, stale) = (
         merged.counter("load.cache_hits"),

@@ -388,7 +388,7 @@ impl<T: Transport> ClusterOps<T> {
 
     /// Stores a batch of blocks with up to [`PipelineConfig::window`]
     /// operations in flight at once over the pipelined client
-    /// ([`WireClient::submit`]), each a put straight to the cached owner
+    /// ([`WireClient::submit_on`]), each a put straight to the cached owner
     /// or a lookup → put pipeline. Returns one [`BatchOutcome`] per
     /// item, in submission order; failed ops fail individually without
     /// aborting the batch.

@@ -633,9 +633,15 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                     check,
                 };
                 // End-to-end integrity: a fragment corrupted in transit
-                // (or by a hostile peer) is rejected, never stored.
-                if !frag.verify() {
+                // (or by a hostile peer) is rejected, never stored. So is
+                // any fragment at a replicating node: it would replace a
+                // block replica that the chain digests still count, and
+                // repair would never restore it.
+                let corrupt = !frag.verify();
+                if corrupt {
                     self.registry.inc("ec.corrupt_fragments");
+                }
+                if corrupt || self.ec.is_none() {
                     self.cur_ok = false;
                     self.respond(from, req_id, Response::PutAck { replicas: 0 });
                     return true;

@@ -18,9 +18,7 @@ use d2_wire::codec::{Request, Response};
 use d2_wire::metrics::NetMetrics;
 use d2_wire::reactor::{TcpEndpoint, TcpReactor, FLUSH_TICK};
 use d2_wire::tcp::{pack_addr, TcpConfig, TcpTransport};
-use d2_wire::transport::{
-    ChannelHub, ChannelTransport, Mailbox, RecvError, Transport, TransportError,
-};
+use d2_wire::transport::{ChannelHub, ChannelTransport, Mailbox, Transport, TransportError};
 use d2_wire::WireMsg;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener};
 use std::sync::{Arc, Mutex};
@@ -170,9 +168,6 @@ impl<T: Transport> Transport for Tapped<T> {
     fn send_traced(&self, to: Addr, msg: &WireMsg, trace: TraceCtx) -> Result<(), TransportError> {
         (self.tap)(to, msg)?;
         self.inner.send_traced(to, msg, trace)
-    }
-    fn recv_timeout(&self, timeout: Duration) -> Result<(WireMsg, TraceCtx), RecvError> {
-        self.inner.recv_timeout(timeout)
     }
     fn set_mailbox(&self, mailbox: Mailbox) {
         self.inner.set_mailbox(mailbox)

@@ -10,20 +10,21 @@
 //! its ranges' keys back and nobody else gets anything; an emptied owner
 //! pulls its range from a successor; a join re-homes what it displaced
 //! and then the ring is quiet again; the owner's bytes win over a stale
-//! replica's; a backlogged peer is left alone until the next round.
+//! replica's; a backlogged peer is left alone until the next round; a
+//! replica refuses a fragment, which would stand in for its block.
 
+use d2_ec::Fragment;
 use d2_net::{check_ring, NodeRuntime, NodeSpec, SimClock};
 use d2_obs::TraceCtx;
 use d2_ring::messages::Addr;
 use d2_types::{Key, KeyRange};
-use d2_wire::codec::{encode, Request, Response};
+use d2_wire::codec::{encode_traced_into, Request, Response};
 use d2_wire::metrics::NetMetrics;
 use d2_wire::transport::{
-    ChannelHub, ChannelTransport, Mailbox, RecvError, Transport, TransportError,
+    channel_mailbox, ChannelHub, ChannelTransport, Delivery, Mailbox, Transport, TransportError,
 };
 use d2_wire::WireMsg;
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, Mutex};
 
 /// Ticks in one repair round (`runtime::REPAIR_EVERY_TICKS`).
 const ROUND: usize = 64;
@@ -67,9 +68,6 @@ impl Transport for Bounded {
         }
         self.inner.send_traced(to, msg, trace)
     }
-    fn recv_timeout(&self, timeout: Duration) -> Result<(WireMsg, TraceCtx), RecvError> {
-        self.inner.recv_timeout(timeout)
-    }
     fn set_mailbox(&self, mailbox: Mailbox) {
         self.inner.set_mailbox(mailbox)
     }
@@ -86,11 +84,21 @@ struct Taken {
     bytes: usize,
 }
 
+/// Installs a channel mailbox on `t` and returns its read end.
+fn inbox(t: &impl Transport) -> mpsc::Receiver<Delivery> {
+    let (mailbox, rx) = channel_mailbox();
+    t.set_mailbox(mailbox);
+    rx
+}
+
 struct Ring {
     hub: ChannelHub,
     clock: SimClock,
     nodes: Vec<NodeRuntime<Bounded, SimClock>>,
+    /// Each node's mail, in `nodes` order.
+    inboxes: Vec<mpsc::Receiver<Delivery>>,
     client: ChannelTransport,
+    client_inbox: mpsc::Receiver<Delivery>,
     room: PutRoom,
     taken: Vec<Taken>,
     /// Tick rounds so far. The booted nodes have ticked in every one,
@@ -107,11 +115,14 @@ impl Ring {
     /// holds and every successor list covers a chain.
     fn boot(fracs: &[f64]) -> Ring {
         let hub = ChannelHub::new(Arc::new(NetMetrics::new()));
+        let client = hub.open();
         let mut ring = Ring {
-            client: hub.open(),
+            client_inbox: inbox(&client),
+            client,
             hub,
             clock: SimClock::new(),
             nodes: Vec::new(),
+            inboxes: Vec::new(),
             room: PutRoom::default(),
             taken: Vec::new(),
             ticks: 0,
@@ -131,6 +142,7 @@ impl Ring {
             room: Arc::clone(&self.room),
         };
         let addr = transport.local_addr();
+        self.inboxes.push(inbox(&transport));
         let spec = NodeSpec::replicated(REPLICAS).at(k(frac), seed);
         self.nodes
             .push(NodeRuntime::new(spec, transport, self.clock.clone()));
@@ -142,6 +154,7 @@ impl Ring {
     fn crash(&mut self, addr: Addr) {
         let i = self.index(addr);
         self.nodes.remove(i).transport().shutdown();
+        self.inboxes.remove(i);
     }
 
     /// The address of the node at ring position `frac`.
@@ -169,14 +182,14 @@ impl Ring {
     fn pump(&mut self) {
         loop {
             let mut quiet = true;
-            for rt in &mut self.nodes {
-                while let Ok((msg, trace)) = rt.transport().recv_timeout(Duration::ZERO) {
+            for (rt, inbox) in self.nodes.iter_mut().zip(&self.inboxes) {
+                while let Ok((to, msg, trace)) = inbox.try_recv() {
                     quiet = false;
                     if !matches!(msg, WireMsg::Ring(_)) {
                         self.taken.push(Taken {
-                            to: rt.protocol().me().addr,
+                            to,
                             kind: msg.type_name(),
-                            bytes: encode(&msg).len(),
+                            bytes: encode_traced_into(&mut Vec::new(), &msg, trace),
                         });
                     }
                     assert!(rt.on_message(msg, trace));
@@ -250,16 +263,13 @@ impl Ring {
             stored: 0,
             data: data.to_vec(),
         };
-        self.send(owner, body);
-        let ack = self.client.recv_timeout(Duration::ZERO);
-        let Ok((WireMsg::Response { body, .. }, _)) = ack else {
-            panic!("no ack for a put to {owner}");
-        };
-        assert_eq!(body, Response::PutAck { replicas: REPLICAS });
+        let ack = self.send(owner, body);
+        assert_eq!(ack, Some(Response::PutAck { replicas: REPLICAS }));
     }
 
-    /// One request from the test's own endpoint, and what it causes.
-    fn send(&mut self, to: Addr, body: Request) {
+    /// One request from the test's own endpoint, and what it causes;
+    /// returns the reply, if one came.
+    fn send(&mut self, to: Addr, body: Request) -> Option<Response> {
         let from = self.client.local_addr();
         let msg = WireMsg::Request {
             req_id: 1,
@@ -268,6 +278,10 @@ impl Ring {
         };
         self.client.send(to, &msg).expect("a live node");
         self.pump();
+        match self.client_inbox.try_recv() {
+            Ok((_, WireMsg::Response { body, .. }, _)) => Some(body),
+            _ => None,
+        }
     }
 
     /// A block every fifth of the way between nodes at odd tenths.
@@ -536,5 +550,43 @@ fn a_backlogged_replica_is_left_alone_until_the_next_round() {
         "a slow peer is not a dead one"
     );
     ring.room.lock().unwrap().clear();
+    ring.assert_fully_replicated(&blocks);
+}
+
+#[test]
+fn a_replicating_node_refuses_a_fragment_and_keeps_its_block() {
+    let mut ring = Ring::boot(&FIVE);
+    let blocks = ring.preload();
+    // Node 0.5 owns this key; 0.7 is its first replica. A fragment is
+    // what a node misconfigured with `--ec` pushes its successors.
+    let (key, current) = blocks[20].clone();
+    let holder = ring.at(0.7);
+    let frag = Fragment::new(1, 1, b"one of eight".to_vec());
+    let push = Request::PutFragment {
+        key,
+        index: frag.index,
+        total: 8,
+        generation: frag.generation,
+        check: frag.check,
+        block_len: current.len() as u32,
+        data: frag.data,
+    };
+    assert_eq!(
+        ring.send(holder, push),
+        Some(Response::PutAck { replicas: 0 })
+    );
+    assert_eq!(ring.node(holder).blocks().get(&key), Some(&current));
+    assert!(ring.node(holder).fragments().is_empty());
+    // The chain's digests still agree, so a round moves nothing.
+    ring.taken.clear();
+    ring.rounds(1);
+    assert!(ring.taken.iter().all(|t| t.kind == "sync_range"));
+    for name in [
+        "repair.ranges_differ",
+        "repair.blocks_pushed",
+        "repair.blocks_pulled",
+    ] {
+        assert_eq!(ring.counter(name), 0, "{name}");
+    }
     ring.assert_fully_replicated(&blocks);
 }

@@ -11,12 +11,11 @@
 //! and a reply costs its caller's wake-up and no other.
 //!
 //! Because correlation is per-`req_id`, the client also supports
-//! *pipelining*: [`WireClient::submit`] sends a request and returns a
-//! [`PendingReply`] handle immediately, and [`WireClient::submit_on`]
-//! puts a whole window of requests on one [`ReplyQueue`], which blocks
-//! until the next reply lands or the earliest deadline passes — each
-//! request with its own deadline, none head-of-line-blocking the
-//! others. [`WireClient::call`] is just `submit(..)?.wait()`.
+//! *pipelining*: [`WireClient::submit_on`] puts a whole window of
+//! requests on one [`ReplyQueue`], which blocks until the next reply
+//! lands or the earliest deadline passes — each request with its own
+//! deadline, none head-of-line-blocking the others. [`WireClient::call`]
+//! is a queue of one.
 
 use crate::codec::{Request, Response, WireMsg};
 use crate::lock;
@@ -102,19 +101,22 @@ impl ReplyQueue {
     /// the one whose deadline passed first — and returns its id and
     /// outcome. `None` when nothing is in flight.
     pub fn recv(&mut self) -> Option<Landed> {
-        self.take(Duration::MAX)
-    }
-
-    /// [`ReplyQueue::recv`], blocking for `patience` at most: `None`
-    /// also means that nothing has resolved yet.
-    fn take(&mut self, patience: Duration) -> Option<Landed> {
-        let (at, deadline) = (self.inflight.iter().map(|f| f.deadline).enumerate())
-            .min_by_key(|&(_, deadline)| deadline)?;
-        let wait = deadline.saturating_duration_since(Instant::now());
-        // Never disconnected: `tx` is right here.
-        if let Ok((req_id, res)) = self.rx.recv_timeout(wait.min(patience)) {
-            // Whoever sent this took the pending-map entry with it.
-            let at = self.inflight.iter().position(|f| f.req_id == req_id)?;
+        loop {
+            let (at, deadline) = (self.inflight.iter().map(|f| f.deadline).enumerate())
+                .min_by_key(|&(_, deadline)| deadline)?;
+            let wait = deadline.saturating_duration_since(Instant::now());
+            // Never disconnected: `tx` is right here. So an error is the
+            // deadline passing.
+            let Ok((req_id, res)) = self.rx.recv_timeout(wait) else {
+                let f = self.inflight.swap_remove(at);
+                lock(&self.pending).remove(&f.req_id);
+                return Some((f.req_id, Err(ClientError::Timeout)));
+            };
+            // Whoever sent this took the pending-map entry with it; a
+            // reply its own deadline beat was reported as a timeout.
+            let Some(at) = self.inflight.iter().position(|f| f.req_id == req_id) else {
+                continue;
+            };
             let f = self.inflight.swap_remove(at);
             if res.is_ok() {
                 let rtt = f.start.elapsed().as_micros() as u64;
@@ -122,12 +124,6 @@ impl ReplyQueue {
             }
             return Some((req_id, res));
         }
-        if Instant::now() < deadline {
-            return None;
-        }
-        let f = self.inflight.swap_remove(at);
-        lock(&self.pending).remove(&f.req_id);
-        Some((f.req_id, Err(ClientError::Timeout)))
     }
 }
 
@@ -139,26 +135,6 @@ impl Drop for ReplyQueue {
                 pending.remove(&f.req_id);
             }
         }
-    }
-}
-
-/// One in-flight request submitted with [`WireClient::submit`]: a
-/// [`ReplyQueue`] of one.
-pub struct PendingReply(ReplyQueue);
-
-impl PendingReply {
-    /// Blocks until the response arrives or this request's deadline
-    /// passes. Consumes the handle.
-    pub fn wait(mut self) -> Result<Response, ClientError> {
-        // Nothing in flight: `poll` has delivered the outcome already.
-        self.0.recv().map_or(Err(ClientError::Closed), |r| r.1)
-    }
-
-    /// Non-blocking check: `Some(outcome)` exactly once when the reply
-    /// lands (or its deadline passes), `None` while still in flight and
-    /// after the outcome has been delivered.
-    pub fn poll(&mut self) -> Option<Result<Response, ClientError>> {
-        self.0.take(Duration::ZERO).map(|r| r.1)
     }
 }
 
@@ -239,24 +215,10 @@ impl<T: Transport> WireClient<T> {
     ) -> Result<Response, ClientError> {
         let mut queue = self.reply_queue();
         self.submit_on(&mut queue, node, body, timeout, trace)?;
-        PendingReply(queue).wait()
-    }
-
-    /// Sends `body` to `node` and returns immediately with a
-    /// [`PendingReply`] handle; the response (or a timeout after
-    /// `timeout`) is harvested later via [`PendingReply::wait`] or
-    /// [`PendingReply::poll`]. Errors here mean the request never left
-    /// this process (dead peer, closed client). The request travels
-    /// untraced.
-    pub fn submit(
-        &self,
-        node: Addr,
-        body: Request,
-        timeout: Duration,
-    ) -> Result<PendingReply, ClientError> {
-        let mut queue = self.reply_queue();
-        self.submit_on(&mut queue, node, body, timeout, TraceCtx::NONE)?;
-        Ok(PendingReply(queue))
+        // One request in flight: `recv` resolves it.
+        queue
+            .recv()
+            .map_or(Err(ClientError::Closed), |(_, res)| res)
     }
 
     /// An empty completion queue for [`WireClient::submit_on`].
@@ -271,9 +233,11 @@ impl<T: Transport> WireClient<T> {
         }
     }
 
-    /// [`WireClient::submit`] onto a shared completion queue, `trace`
-    /// on the request envelope: returns the request's id, under which
-    /// [`ReplyQueue::recv`] later reports its outcome.
+    /// Sends `body` to `node` with `trace` on the envelope and returns
+    /// at once with the request's id, under which [`ReplyQueue::recv`]
+    /// later reports its outcome: the response, or a timeout once
+    /// `timeout` has passed. An error here means the request never left
+    /// this process (dead peer, closed client).
     pub fn submit_on(
         &self,
         queue: &mut ReplyQueue,
@@ -329,7 +293,8 @@ impl<T: Transport> Drop for WireClient<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::transport::{ChannelHub, RecvError};
+    use crate::transport::tests::inbox;
+    use crate::transport::ChannelHub;
     use d2_types::Key;
     use std::thread::JoinHandle;
 
@@ -337,12 +302,12 @@ mod tests {
     /// `delay`, and a Shutdown with its ack and its exit.
     fn spawn_echo_node(hub: &ChannelHub, delay: Duration) -> (Addr, JoinHandle<()>) {
         let t = hub.open();
-        let addr = t.local_addr();
+        let (addr, rx) = (t.local_addr(), inbox(&t));
         let h = std::thread::spawn(move || loop {
-            let (req_id, from, body) = match t.recv_timeout(Duration::from_millis(50)) {
-                Ok((WireMsg::Request { req_id, from, body }, _)) => (req_id, from, body),
-                Ok(_) | Err(RecvError::Timeout) => continue,
-                Err(RecvError::Closed) => return,
+            let (req_id, from, body) = match rx.recv() {
+                Ok((_, WireMsg::Request { req_id, from, body }, _)) => (req_id, from, body),
+                Ok(_) => continue,
+                Err(_) => return,
             };
             let body = match body {
                 Request::Get { .. } => Response::Block { data: None },
@@ -409,10 +374,10 @@ mod tests {
         let metrics = Arc::new(NetMetrics::new());
         let hub = ChannelHub::new(metrics.clone());
         let slow = hub.open();
-        let slow_addr = slow.local_addr();
+        let (slow_addr, rx) = (slow.local_addr(), inbox(&slow));
         let h = std::thread::spawn(move || {
             // Reply well after the caller's 30ms deadline.
-            let (msg, _) = slow.recv_timeout(Duration::from_secs(5)).unwrap();
+            let (_, msg, _) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
             if let WireMsg::Request { req_id, from, .. } = msg {
                 std::thread::sleep(Duration::from_millis(150));
                 let _ = slow.send(
@@ -441,7 +406,7 @@ mod tests {
         let metrics = Arc::new(NetMetrics::new());
         let hub = ChannelHub::new(metrics.clone());
         let node = hub.open();
-        let node_addr = node.local_addr();
+        let (node_addr, rx) = (node.local_addr(), inbox(&node));
         // Collect all K requests first, then answer them in *reverse*
         // order, dropping one — an adversarial reordering no serial
         // client would ever see.
@@ -449,13 +414,14 @@ mod tests {
             let mut got = Vec::new();
             while got.len() < K {
                 if let (
+                    _,
                     WireMsg::Request {
                         req_id,
                         from,
                         body: Request::Get { key },
                     },
                     _,
-                ) = node.recv_timeout(Duration::from_secs(5)).unwrap()
+                ) = rx.recv_timeout(Duration::from_secs(5)).unwrap()
                 {
                     got.push((req_id, from, key));
                 }
@@ -478,23 +444,24 @@ mod tests {
         let client = WireClient::new(hub.open(), metrics);
         let timeout = Duration::from_millis(400);
         let t0 = Instant::now();
-        let handles: Vec<PendingReply> = (0..K as u64)
+        let mut queue = client.reply_queue();
+        let ids: Vec<u64> = (0..K as u64)
             .map(|i| {
+                let key = Key::from_u64(i);
+                let get = Request::Get { key };
                 client
-                    .submit(
-                        node_addr,
-                        Request::Get {
-                            key: Key::from_u64(i),
-                        },
-                        timeout,
-                    )
+                    .submit_on(&mut queue, node_addr, get, timeout, TraceCtx::NONE)
                     .unwrap()
             })
             .collect();
-        // Every reply lands on the handle whose key it answers, and the
+        let mut landed = HashMap::new();
+        while let Some((req_id, res)) = queue.recv() {
+            assert!(landed.insert(req_id, res).is_none(), "{req_id} twice");
+        }
+        // Every reply lands under the id whose key it answers, and the
         // dropped one times out alone — it must not delay the others.
-        for (i, h) in handles.into_iter().enumerate() {
-            let res = h.wait();
+        for (i, id) in ids.iter().enumerate() {
+            let res = landed.remove(id).unwrap();
             if i as u64 == DROPPED {
                 assert_eq!(res, Err(ClientError::Timeout));
             } else {
@@ -514,38 +481,6 @@ mod tests {
             "pipelined window head-of-line blocked: {:?}",
             t0.elapsed()
         );
-        h.join().unwrap();
-    }
-
-    #[test]
-    fn poll_is_nonblocking_and_resolves_once() {
-        let metrics = Arc::new(NetMetrics::new());
-        let hub = ChannelHub::new(metrics.clone());
-        let (node, h) = spawn_echo_node(&hub, Duration::ZERO);
-        let client = WireClient::new(hub.open(), metrics);
-        let mut p = client
-            .submit(
-                node,
-                Request::Get {
-                    key: Key::from_u64(1),
-                },
-                Duration::from_secs(2),
-            )
-            .unwrap();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let outcome = loop {
-            if let Some(res) = p.poll() {
-                break res;
-            }
-            assert!(Instant::now() < deadline, "reply never arrived");
-            std::thread::sleep(Duration::from_millis(1));
-        };
-        assert_eq!(outcome, Ok(Response::Block { data: None }));
-        // The outcome is delivered exactly once.
-        assert_eq!(p.poll(), None);
-        client
-            .call(node, Request::Shutdown, Duration::from_secs(2))
-            .unwrap();
         h.join().unwrap();
     }
 

@@ -621,35 +621,14 @@ impl Enc<'_> {
     }
 }
 
-/// Encodes `msg` as one complete untraced frame (header + payload).
-/// Equivalent to [`encode_traced`] with [`TraceCtx::NONE`].
-pub fn encode(msg: &WireMsg) -> Vec<u8> {
-    encode_traced(msg, TraceCtx::NONE)
-}
-
-/// Encodes `msg` as one complete frame carrying `trace` in the
-/// payload's leading trace block.
-pub fn encode_traced(msg: &WireMsg, trace: TraceCtx) -> Vec<u8> {
-    let mut buf = Vec::with_capacity(HEADER_LEN + TRACE_LEN + 64);
-    encode_traced_into(&mut buf, msg, trace);
-    buf
-}
-
-/// Appends one complete untraced frame to `buf`, returning the frame's
-/// size in bytes. Equivalent to [`encode_traced_into`] with
-/// [`TraceCtx::NONE`].
-pub fn encode_into(buf: &mut Vec<u8>, msg: &WireMsg) -> usize {
-    encode_traced_into(buf, msg, TraceCtx::NONE)
-}
-
 /// Appends one complete frame (header + trace block + payload) to
-/// `buf`, returning the frame's size in bytes.
+/// `buf`, `trace` in the trace block ([`TraceCtx::NONE`]: untraced),
+/// returning the frame's size in bytes.
 ///
-/// The output is byte-identical to [`encode_traced`]; the difference is
-/// allocation. `buf` is *appended to*, never cleared, which serves both
-/// zero-copy idioms: a per-peer scratch buffer cleared by the caller
-/// between frames (steady-state sends allocate nothing once the buffer
-/// has grown to the working frame size), and write coalescing, where
+/// `buf` is *appended to*, never cleared, which serves both zero-copy
+/// idioms: a per-peer scratch buffer cleared by the caller between
+/// frames (steady-state sends allocate nothing once the buffer has
+/// grown to the working frame size), and write coalescing, where
 /// several frames accumulate in one buffer and leave in one syscall.
 pub fn encode_traced_into(buf: &mut Vec<u8>, msg: &WireMsg, trace: TraceCtx) -> usize {
     let start = buf.len();
@@ -833,21 +812,26 @@ impl<'a> Dec<'a> {
         self.pos += n;
         Ok(s)
     }
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], WireError> {
+        let mut out = [0; N];
+        out.copy_from_slice(self.take(N)?);
+        Ok(out)
+    }
     fn u8(&mut self) -> Result<u8, WireError> {
         Ok(self.take(1)?[0])
     }
     fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
+        self.array().map(u16::from_be_bytes)
     }
     fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
+        self.array().map(u32::from_be_bytes)
     }
     fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+        self.array().map(u64::from_be_bytes)
     }
     fn key(&mut self) -> Result<Key, WireError> {
-        let raw: [u8; KEY_BYTES] = self.take(KEY_BYTES)?.try_into().unwrap();
-        Ok(Key::from_bytes(raw))
+        self.array::<KEY_BYTES>().map(Key::from_bytes)
     }
     fn addr(&mut self) -> Result<Addr, WireError> {
         let v = self.u64()?;
@@ -995,17 +979,18 @@ impl<'a> Dec<'a> {
 /// returned number of payload bytes and hand them (with the tag) to
 /// [`decode_payload`].
 pub fn decode_header(hdr: &[u8; HEADER_LEN]) -> Result<(u8, usize), WireError> {
-    if hdr[..2] != MAGIC {
-        return Err(WireError::BadMagic([hdr[0], hdr[1]]));
+    let [m0, m1, version, tag, len @ ..] = *hdr;
+    if [m0, m1] != MAGIC {
+        return Err(WireError::BadMagic([m0, m1]));
     }
-    if !(MIN_VERSION..=VERSION).contains(&hdr[2]) {
-        return Err(WireError::BadVersion(hdr[2]));
+    if !(MIN_VERSION..=VERSION).contains(&version) {
+        return Err(WireError::BadVersion(version));
     }
-    let len = u32::from_be_bytes(hdr[4..8].try_into().unwrap()) as usize;
+    let len = u32::from_be_bytes(len) as usize;
     if len > MAX_PAYLOAD {
         return Err(WireError::Oversized { len: len as u64 });
     }
-    Ok((hdr[3], len))
+    Ok((tag, len))
 }
 
 /// Decodes the payload of a frame whose header carried `tag`: the trace
@@ -1145,26 +1130,19 @@ pub fn decode_payload(tag: u8, payload: &[u8]) -> Result<(WireMsg, TraceCtx), Wi
     Ok((msg, trace))
 }
 
-/// Decodes one complete frame, discarding the trace block. Equivalent to
-/// `decode_traced(frame).map(|(msg, _)| msg)`.
-pub fn decode(frame: &[u8]) -> Result<WireMsg, WireError> {
-    decode_traced(frame).map(|(msg, _)| msg)
-}
-
 /// Decodes one complete frame (header + payload) produced by
-/// [`encode_traced`], returning the message and its trace context.
+/// [`encode_traced_into`], returning the message and its trace context.
 ///
 /// The frame must contain exactly one message; leftover bytes after the
 /// announced payload are a [`WireError::Trailing`] error.
 pub fn decode_traced(frame: &[u8]) -> Result<(WireMsg, TraceCtx), WireError> {
-    if frame.len() < HEADER_LEN {
+    let Some(hdr) = frame.first_chunk() else {
         return Err(WireError::Truncated {
             needed: HEADER_LEN,
             got: frame.len(),
         });
-    }
-    let hdr: [u8; HEADER_LEN] = frame[..HEADER_LEN].try_into().unwrap();
-    let (tag, len) = decode_header(&hdr)?;
+    };
+    let (tag, len) = decode_header(hdr)?;
     let rest = &frame[HEADER_LEN..];
     if rest.len() < len {
         return Err(WireError::Truncated {
@@ -1227,8 +1205,9 @@ mod tests {
             }),
         ];
         for msg in msgs {
-            let frame = encode(&msg);
-            assert_eq!(decode(&frame).unwrap(), msg, "round trip failed");
+            let mut frame = Vec::new();
+            encode_traced_into(&mut frame, &msg, TraceCtx::NONE);
+            assert_eq!(decode_traced(&frame), Ok((msg, TraceCtx::NONE)));
         }
     }
 
@@ -1274,50 +1253,62 @@ mod tests {
             },
         ];
         for msg in msgs {
-            assert_eq!(decode(&encode(&msg)).unwrap(), msg);
+            let mut frame = Vec::new();
+            encode_traced_into(&mut frame, &msg, TraceCtx::NONE);
+            assert_eq!(decode_traced(&frame), Ok((msg, TraceCtx::NONE)));
         }
     }
 
     #[test]
     fn header_rejects_garbage() {
-        let good = encode(&WireMsg::Request {
+        let status = WireMsg::Request {
             req_id: 0,
             from: 0,
             body: Request::Status,
-        });
+        };
+        let mut good = Vec::new();
+        encode_traced_into(&mut good, &status, TraceCtx::NONE);
         let mut bad_magic = good.clone();
         bad_magic[0] = 0xff;
         assert!(matches!(
-            decode(&bad_magic),
+            decode_traced(&bad_magic),
             Err(WireError::BadMagic([0xff, _]))
         ));
         // Only the current version decodes: older peers no longer exist.
         for v in (0..VERSION).chain([VERSION + 1, 9]) {
             let mut bad_version = good.clone();
             bad_version[2] = v;
-            assert_eq!(decode(&bad_version), Err(WireError::BadVersion(v)));
+            assert_eq!(decode_traced(&bad_version), Err(WireError::BadVersion(v)));
         }
         let mut bad_tag = good.clone();
         bad_tag[3] = 0x7f;
-        assert_eq!(decode(&bad_tag), Err(WireError::UnknownTag(0x7f)));
+        assert_eq!(decode_traced(&bad_tag), Err(WireError::UnknownTag(0x7f)));
     }
 
     #[test]
     fn truncation_and_trailing_are_errors() {
-        let frame = encode(&WireMsg::Ring(RingMsg::GetNeighbors { from: 3 }));
+        let mut frame = Vec::new();
+        let msg = WireMsg::Ring(RingMsg::GetNeighbors { from: 3 });
+        encode_traced_into(&mut frame, &msg, TraceCtx::NONE);
         for cut in 0..frame.len() {
             assert!(
-                matches!(decode(&frame[..cut]), Err(WireError::Truncated { .. })),
+                matches!(
+                    decode_traced(&frame[..cut]),
+                    Err(WireError::Truncated { .. })
+                ),
                 "cut at {cut} must be truncated"
             );
         }
         let mut padded = frame.clone();
         padded.push(0);
-        assert_eq!(decode(&padded), Err(WireError::Trailing { extra: 1 }));
+        assert_eq!(
+            decode_traced(&padded),
+            Err(WireError::Trailing { extra: 1 })
+        );
     }
 
     #[test]
-    fn encode_into_appends_and_matches_encode() {
+    fn frames_append_and_the_buffer_is_reused() {
         let a = WireMsg::Ring(RingMsg::GetNeighbors { from: 3 });
         let b = WireMsg::Request {
             req_id: 7,
@@ -1330,33 +1321,39 @@ mod tests {
             },
         };
         let trace = TraceCtx::root(0xFEED).child(0x11);
-        // Append semantics: two frames in one buffer, each byte-identical
-        // to its standalone encoding, with the reported lengths exact.
+        // Append semantics: two frames in one buffer, the first
+        // byte-identical to its standalone encoding, the lengths exact.
         let mut buf = Vec::new();
-        let la = encode_into(&mut buf, &a);
+        let la = encode_traced_into(&mut buf, &a, TraceCtx::NONE);
         let lb = encode_traced_into(&mut buf, &b, trace);
-        assert_eq!(la, encode(&a).len());
-        assert_eq!(lb, encode_traced(&b, trace).len());
-        assert_eq!(&buf[..la], &encode(&a)[..]);
-        assert_eq!(&buf[la..], &encode_traced(&b, trace)[..]);
+        let mut alone = Vec::new();
+        assert_eq!(encode_traced_into(&mut alone, &a, TraceCtx::NONE), la);
+        assert_eq!(buf[..la], alone);
+        assert_eq!(decode_traced(&buf[la..]), Ok((b, trace)));
+        assert_eq!(la + lb, buf.len());
         // Reuse idiom: clear + re-encode allocates nothing further and
         // still produces the canonical frame.
         let cap = buf.capacity();
         buf.clear();
-        encode_into(&mut buf, &a);
-        assert_eq!(buf, encode(&a));
+        encode_traced_into(&mut buf, &a, TraceCtx::NONE);
+        assert_eq!(buf, alone);
         assert_eq!(buf.capacity(), cap);
     }
 
     #[test]
     fn oversized_length_prefix_rejected_before_allocation() {
-        let mut frame = encode(&WireMsg::Request {
+        let status = WireMsg::Request {
             req_id: 0,
             from: 0,
             body: Request::Status,
-        });
+        };
+        let mut frame = Vec::new();
+        encode_traced_into(&mut frame, &status, TraceCtx::NONE);
         frame[4..8].copy_from_slice(&u32::MAX.to_be_bytes());
-        assert!(matches!(decode(&frame), Err(WireError::Oversized { .. })));
+        assert!(matches!(
+            decode_traced(&frame),
+            Err(WireError::Oversized { .. })
+        ));
     }
 
     #[test]
@@ -1373,13 +1370,16 @@ mod tests {
             span_id: 0x1234,
             hop: 5,
         };
-        let frame = encode_traced(&msg, trace);
-        assert_eq!(frame[2], VERSION);
-        let (got, got_trace) = decode_traced(&frame).unwrap();
+        let mut traced = Vec::new();
+        encode_traced_into(&mut traced, &msg, trace);
+        assert_eq!(traced[2], VERSION);
+        let (got, got_trace) = decode_traced(&traced).unwrap();
         assert_eq!(got, msg);
         assert_eq!(got_trace, trace);
-        // Untraced encode carries the all-zero context.
-        let (got, got_trace) = decode_traced(&encode(&msg)).unwrap();
+        // An untraced frame carries the all-zero context.
+        let mut untraced = Vec::new();
+        encode_traced_into(&mut untraced, &msg, TraceCtx::NONE);
+        let (got, got_trace) = decode_traced(&untraced).unwrap();
         assert_eq!(got, msg);
         assert_eq!(got_trace, TraceCtx::NONE);
         assert!(!got_trace.is_traced());
@@ -1433,25 +1433,31 @@ mod tests {
             },
         ];
         for msg in msgs {
-            let frame = encode(&msg);
+            let mut frame = Vec::new();
+            encode_traced_into(&mut frame, &msg, TraceCtx::NONE);
             assert_eq!(frame[2], VERSION);
-            assert_eq!(decode(&frame).unwrap(), msg, "round trip failed");
+            assert_eq!(decode_traced(&frame), Ok((msg, TraceCtx::NONE)));
         }
     }
 
     #[test]
     fn fragment_frames_reject_truncation_and_bad_flags() {
-        let frame = encode(&WireMsg::Request {
+        let get = WireMsg::Request {
             req_id: 1,
             from: 0,
             body: Request::GetFragment {
                 key: Key::from_u64(5),
                 want_data: true,
             },
-        });
+        };
+        let mut frame = Vec::new();
+        encode_traced_into(&mut frame, &get, TraceCtx::NONE);
         for cut in HEADER_LEN..frame.len() {
             assert!(
-                matches!(decode(&frame[..cut]), Err(WireError::Truncated { .. })),
+                matches!(
+                    decode_traced(&frame[..cut]),
+                    Err(WireError::Truncated { .. })
+                ),
                 "cut at {cut} must be truncated"
             );
         }
@@ -1460,7 +1466,7 @@ mod tests {
         let n = bad.len();
         bad[n - 1] = 2;
         assert_eq!(
-            decode(&bad),
+            decode_traced(&bad),
             Err(WireError::Malformed("bool flag must be 0 or 1"))
         );
     }
@@ -1507,12 +1513,15 @@ mod tests {
             from: 1,
             body: Request::MetricsDump,
         };
-        assert_eq!(decode(&encode(&msg)).unwrap(), msg);
         let resp = WireMsg::Response {
             req_id: 5,
             body: Response::Metrics(Box::new(dump.clone())),
         };
-        let got = decode(&encode(&resp)).unwrap();
+        let mut frames = Vec::new();
+        let len = encode_traced_into(&mut frames, &msg, TraceCtx::NONE);
+        encode_traced_into(&mut frames, &resp, TraceCtx::NONE);
+        assert_eq!(decode_traced(&frames[..len]), Ok((msg, TraceCtx::NONE)));
+        let (got, _) = decode_traced(&frames[len..]).unwrap();
         assert_eq!(got, resp);
         // And the registry reconstructs bit-exactly.
         let WireMsg::Response {
@@ -1554,10 +1563,13 @@ mod tests {
             req_id: 1,
             body: Response::Metrics(Box::default()),
         };
-        let mut frame = encode(&msg);
-        let n = frame.len();
+        let mut frame = Vec::new();
+        let n = encode_traced_into(&mut frame, &msg, TraceCtx::NONE);
         frame[n - 4..].copy_from_slice(&u32::MAX.to_be_bytes());
-        assert!(matches!(decode(&frame), Err(WireError::Truncated { .. })));
+        assert!(matches!(
+            decode_traced(&frame),
+            Err(WireError::Truncated { .. })
+        ));
     }
 
     #[test]
@@ -1569,9 +1581,12 @@ mod tests {
             predecessor: None,
             successors: vec![],
         });
-        let mut frame = encode(&msg);
-        let n = frame.len();
+        let mut frame = Vec::new();
+        let n = encode_traced_into(&mut frame, &msg, TraceCtx::NONE);
         frame[n - 2..].copy_from_slice(&u16::MAX.to_be_bytes());
-        assert!(matches!(decode(&frame), Err(WireError::Truncated { .. })));
+        assert!(matches!(
+            decode_traced(&frame),
+            Err(WireError::Truncated { .. })
+        ));
     }
 }

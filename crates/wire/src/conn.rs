@@ -122,11 +122,8 @@ impl<S: Read> InboundConn<S> {
     /// partial frame in place for the next readiness event.
     fn decode_frames(&mut self, tx: Option<&Mailbox>, metrics: &NetMetrics) -> Result<(), ()> {
         let mut off = 0;
-        while self.buf.len() - off >= HEADER_LEN {
-            let hdr: [u8; HEADER_LEN] = self.buf[off..off + HEADER_LEN]
-                .try_into()
-                .expect("slice is HEADER_LEN");
-            let Ok((tag, len)) = codec::decode_header(&hdr) else {
+        while let Some(hdr) = self.buf[off..].first_chunk() {
+            let Ok((tag, len)) = codec::decode_header(hdr) else {
                 metrics.decode_error();
                 return Err(());
             };

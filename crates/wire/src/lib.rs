@@ -9,9 +9,10 @@
 //!   start with a 2-byte magic and a protocol version; decoding is
 //!   strict and total — malformed input yields a [`WireError`], never a
 //!   panic.
-//! - [`transport`] — the [`Transport`] trait (send / timed recv / peer
-//!   addressing / fail-fast on dead peers) plus the deterministic
-//!   in-process [`ChannelTransport`] used by tests and simulations.
+//! - [`transport`] — the [`Transport`] trait (send / a [`Mailbox`] for
+//!   what arrives / peer addressing / fail-fast on dead peers) plus the
+//!   deterministic in-process [`ChannelTransport`] used by tests and
+//!   simulations.
 //! - [`tcp`] — [`TcpTransport`]: the same trait over real
 //!   `std::net` sockets with per-peer connection pooling and
 //!   reconnect-with-backoff (reusing [`d2_ring::RetryPolicy`]).
@@ -25,10 +26,9 @@
 //!   `d2-node serve-many`.
 //! - [`client`] — [`WireClient`], a request/response port that routes
 //!   replies on the thread that decoded them, used by `Deployment`
-//!   front-ends and the `d2-node` command-line client. Blocking `call`s
-//!   and pipelined `submit` → [`PendingReply`] handles share one
-//!   `req_id` space, so a caller can keep a whole window of requests in
-//!   flight on one [`ReplyQueue`].
+//!   front-ends and the `d2-node` command-line client. A blocking
+//!   `call` is a [`ReplyQueue`] of one; `submit_on` keeps a whole window
+//!   of requests in flight on one.
 //! - [`metrics`] — [`NetMetrics`]: `net.bytes_{in,out}`, `net.msgs`,
 //!   `net.reconnects`, `net.decode_errors`, `net.backlog_drops` and the
 //!   poller's `net.poller_wakeups` / `net.wake_writes` /
@@ -54,18 +54,16 @@ mod sys;
 pub mod tcp;
 pub mod transport;
 
-pub use client::{ClientError, PendingReply, ReplyQueue, WireClient};
+pub use client::{ClientError, ReplyQueue, WireClient};
 pub use codec::{
-    decode, decode_header, decode_payload, decode_traced, encode, encode_into, encode_traced,
-    encode_traced_into, Request, Response, WireError, WireHistogram, WireMetrics, WireMsg,
-    WireStatus, HEADER_LEN, MAX_PAYLOAD, MIN_VERSION, TRACE_LEN, VERSION,
+    decode_header, decode_payload, decode_traced, encode_traced_into, Request, Response, WireError,
+    WireHistogram, WireMetrics, WireMsg, WireStatus, HEADER_LEN, MAX_PAYLOAD, MIN_VERSION,
+    TRACE_LEN, VERSION,
 };
 pub use metrics::NetMetrics;
 pub use reactor::{Poller, TcpEndpoint, TcpReactor};
 pub use tcp::{pack_addr, unpack_addr, TcpConfig, TcpTransport};
-pub use transport::{
-    ChannelHub, ChannelTransport, Delivery, Mailbox, RecvError, Transport, TransportError,
-};
+pub use transport::{ChannelHub, ChannelTransport, Delivery, Mailbox, Transport, TransportError};
 
 // Re-exported so transport users need not depend on d2-ring directly.
 pub use d2_ring::messages::{Addr, PeerInfo, RingMsg};

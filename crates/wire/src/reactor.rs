@@ -80,7 +80,7 @@ use crate::conn::{ConnState, InboundConn, OutboundConn, PendingFrames};
 use crate::metrics::NetMetrics;
 use crate::sys::{self, PollFd, POLLIN, POLLOUT};
 use crate::tcp::{pack_addr, TcpConfig};
-use crate::transport::{channel_mailbox, Delivery, Mailbox, RecvError, Transport, TransportError};
+use crate::transport::{discard, Mailbox, Transport, TransportError};
 use crate::{lock, read_lock, write_lock};
 use d2_obs::TraceCtx;
 use d2_ring::messages::Addr;
@@ -91,7 +91,7 @@ use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4, TcpListener, TcpStream};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{mpsc, Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
 
@@ -370,8 +370,8 @@ impl TcpReactor {
         self.shared.port
     }
 
-    /// Opens an endpoint at `ip` (on the reactor's port) with a private
-    /// mailbox, until [`Transport::set_mailbox`] says otherwise. Fails
+    /// Opens an endpoint at `ip` (on the reactor's port); it drops what
+    /// arrives until [`Transport::set_mailbox`] gives it a mailbox. Fails
     /// with `AddrInUse` if the address already has an endpoint on this
     /// reactor.
     pub fn open(&self, ip: Ipv4Addr) -> io::Result<TcpEndpoint> {
@@ -383,20 +383,17 @@ impl TcpReactor {
                 "endpoint already registered on this reactor",
             ));
         }
-        let (mailbox, rx) = channel_mailbox();
-        eps.insert(me, mailbox);
+        eps.insert(me, discard());
         Ok(TcpEndpoint {
             shared: Arc::clone(&self.shared),
             me,
-            rx: Mutex::new(rx),
         })
     }
 
     /// Stops the reactor: a spawned poller drains queued outbound
     /// frames ([`Poller::drain`]), closes every socket and is joined;
-    /// all endpoint receivers wake (their mailboxes disconnect).
-    /// Idempotent. A poller its holder turns is the holder's to drain
-    /// and drop.
+    /// every endpoint's mailbox is dropped. Idempotent. A poller its
+    /// holder turns is the holder's to drain and drop.
     pub fn shutdown(&self) {
         if self.shared.shutdown.swap(true, Ordering::AcqRel) {
             return;
@@ -405,7 +402,6 @@ impl TcpReactor {
         if let Some(h) = lock(&self.shared.poller_join).take() {
             let _ = h.join();
         }
-        // Dropping the mailbox senders disconnects blocked receivers.
         write_lock(&self.shared.endpoints).clear();
         lock(&self.shared.pool).clear();
     }
@@ -424,7 +420,6 @@ impl Drop for TcpReactor {
 pub struct TcpEndpoint {
     shared: Arc<Shared>,
     me: Addr,
-    rx: Mutex<mpsc::Receiver<Delivery>>,
 }
 
 impl Transport for TcpEndpoint {
@@ -434,17 +429,6 @@ impl Transport for TcpEndpoint {
 
     fn send_traced(&self, to: Addr, msg: &WireMsg, trace: TraceCtx) -> Result<(), TransportError> {
         self.shared.send_from(to, msg, trace)
-    }
-
-    fn recv_timeout(&self, timeout: Duration) -> Result<(WireMsg, TraceCtx), RecvError> {
-        if self.shared.shutdown.load(Ordering::Acquire) {
-            return Err(RecvError::Closed);
-        }
-        match lock(&self.rx).recv_timeout(timeout) {
-            Ok((_, msg, trace)) => Ok((msg, trace)),
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
-        }
     }
 
     fn set_mailbox(&self, mailbox: Mailbox) {

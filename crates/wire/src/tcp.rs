@@ -27,7 +27,7 @@
 
 use crate::metrics::NetMetrics;
 use crate::reactor::{TcpEndpoint, TcpReactor};
-use crate::transport::{Mailbox, RecvError, Transport, TransportError};
+use crate::transport::{Mailbox, Transport, TransportError};
 use crate::WireMsg;
 use d2_obs::TraceCtx;
 use d2_ring::messages::Addr;
@@ -124,10 +124,6 @@ impl Transport for TcpTransport {
         self.primary.send_traced(to, msg, trace)
     }
 
-    fn recv_timeout(&self, timeout: Duration) -> Result<(WireMsg, TraceCtx), RecvError> {
-        self.primary.recv_timeout(timeout)
-    }
-
     fn set_mailbox(&self, mailbox: Mailbox) {
         self.primary.set_mailbox(mailbox)
     }
@@ -141,6 +137,7 @@ impl Transport for TcpTransport {
 mod tests {
     use super::*;
     use crate::codec::Request;
+    use crate::transport::tests::{inbox, wait_counter};
     use std::io::Write;
     use std::net::{SocketAddr, TcpStream};
     use std::sync::Arc;
@@ -160,19 +157,7 @@ mod tests {
         }
     }
 
-    /// Socket-level metrics are counted by the poller thread, so they
-    /// trail message delivery slightly; spin until `key` reaches
-    /// `want` (all tests assert *final* values).
-    fn wait_counter(m: &NetMetrics, key: &str, want: u64) -> u64 {
-        let deadline = Instant::now() + Duration::from_secs(5);
-        loop {
-            let got = m.snapshot().counter(key);
-            if got >= want || Instant::now() > deadline {
-                return got;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-    }
+    const T: Duration = Duration::from_secs(5);
 
     #[test]
     fn addr_packing_is_bijective() {
@@ -184,55 +169,6 @@ mod tests {
             let sock = SocketAddrV4::new(ip, port);
             assert_eq!(unpack_addr(pack_addr(sock)), sock);
         }
-    }
-
-    #[test]
-    fn two_transports_exchange_frames() {
-        let m = Arc::new(NetMetrics::new());
-        let a = bind(&m);
-        let b = bind(&m);
-        a.send(b.local_addr(), &msg(1)).unwrap();
-        let ctx = TraceCtx::root(0x5151).child(0x99);
-        a.send_traced(b.local_addr(), &msg(2), ctx).unwrap();
-        assert_eq!(
-            b.recv_timeout(Duration::from_secs(5)).unwrap(),
-            (msg(1), TraceCtx::NONE)
-        );
-        // The trace context survives the socket round trip.
-        assert_eq!(
-            b.recv_timeout(Duration::from_secs(5)).unwrap(),
-            (msg(2), ctx)
-        );
-        // Replies flow over b's own outbound connection.
-        b.send(a.local_addr(), &msg(3)).unwrap();
-        assert_eq!(
-            a.recv_timeout(Duration::from_secs(5)).unwrap(),
-            (msg(3), TraceCtx::NONE)
-        );
-        assert_eq!(wait_counter(&m, "net.msgs", 6), 6);
-        let reg = m.snapshot();
-        assert!(reg.counter("net.bytes_out") > 0);
-        assert!(reg.counter("net.bytes_in") > 0);
-        a.shutdown();
-        b.shutdown();
-    }
-
-    #[test]
-    fn loopback_counts_separately_from_wire_traffic() {
-        let m = Arc::new(NetMetrics::new());
-        let a = bind(&m);
-        a.send(a.local_addr(), &msg(7)).unwrap();
-        a.send(a.local_addr(), &msg(8)).unwrap();
-        assert_eq!(a.recv_timeout(Duration::from_secs(5)).unwrap().0, msg(7));
-        assert_eq!(a.recv_timeout(Duration::from_secs(5)).unwrap().0, msg(8));
-        let reg = m.snapshot();
-        // No sockets were involved: loopback must not skew mean-frame-size
-        // math (bytes / msgs) with zero-byte phantom frames.
-        assert_eq!(reg.counter("net.loopback_msgs"), 2);
-        assert_eq!(reg.counter("net.msgs"), 0);
-        assert_eq!(reg.counter("net.bytes_out"), 0);
-        assert_eq!(reg.counter("net.bytes_in"), 0);
-        a.shutdown();
     }
 
     #[test]
@@ -267,8 +203,9 @@ mod tests {
         let b = bind(&m);
         let b_sock = b.socket_addr();
         let b_addr = b.local_addr();
+        let b_in = inbox(&b);
         a.send(b_addr, &msg(1)).unwrap();
-        assert_eq!(b.recv_timeout(Duration::from_secs(5)).unwrap().0, msg(1));
+        assert_eq!(b_in.recv_timeout(T).unwrap().1, msg(1));
         b.shutdown();
         drop(b);
         // The pooled stream is stale; the first sends fail (EOF probe or
@@ -279,6 +216,7 @@ mod tests {
         // Peer comes back on the same port.
         let b2 = TcpTransport::bind(*b_sock.ip(), b_sock.port(), TcpConfig::default(), m.clone())
             .unwrap();
+        let b2_in = inbox(&b2);
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             if a.send(b_addr, &msg(3)).is_ok() {
@@ -287,7 +225,7 @@ mod tests {
             assert!(Instant::now() < deadline, "never reconnected");
             std::thread::sleep(Duration::from_millis(20));
         }
-        assert_eq!(b2.recv_timeout(Duration::from_secs(5)).unwrap().0, msg(3));
+        assert_eq!(b2_in.recv_timeout(T).unwrap().1, msg(3));
         a.shutdown();
         b2.shutdown();
     }
@@ -296,13 +234,14 @@ mod tests {
     fn garbage_connection_is_dropped_not_fatal() {
         let m = Arc::new(NetMetrics::new());
         let a = bind(&m);
+        let a_in = inbox(&a);
         let mut s = TcpStream::connect(SocketAddr::V4(a.socket_addr())).unwrap();
         s.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
         drop(s);
         // The garbage costs its connection; real traffic still flows.
         let b = bind(&m);
         b.send(a.local_addr(), &msg(9)).unwrap();
-        assert_eq!(a.recv_timeout(Duration::from_secs(5)).unwrap().0, msg(9));
+        assert_eq!(a_in.recv_timeout(T).unwrap().1, msg(9));
         assert!(wait_counter(&m, "net.decode_errors", 1) >= 1);
         a.shutdown();
         b.shutdown();
@@ -323,14 +262,15 @@ mod tests {
             let b =
                 TcpTransport::bind(*b_sock.ip(), b_sock.port(), TcpConfig::default(), m.clone())
                     .unwrap();
+            let b_in = inbox(&b);
             // Sends may fail while the breaker from the previous
             // generation's death is open; retry until this generation
             // hears us.
             let deadline = Instant::now() + Duration::from_secs(20);
             loop {
                 let _ = a.send(b_addr, &msg(generation));
-                match b.recv_timeout(Duration::from_millis(50)) {
-                    Ok((got, _)) => {
+                match b_in.recv_timeout(Duration::from_millis(50)) {
+                    Ok((_, got, _)) => {
                         assert_eq!(got, msg(generation));
                         break;
                     }

@@ -11,11 +11,10 @@
 
 use crate::codec::WireMsg;
 use crate::metrics::NetMetrics;
-use crate::{lock, read_lock, write_lock};
+use crate::{read_lock, write_lock};
 use d2_obs::TraceCtx;
 use d2_ring::messages::Addr;
-use std::sync::{mpsc, Arc, Mutex, RwLock};
-use std::time::Duration;
+use std::sync::{mpsc, Arc, RwLock};
 
 /// A failed send.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -43,22 +42,14 @@ impl std::fmt::Display for TransportError {
 
 impl std::error::Error for TransportError {}
 
-/// A failed or timed-out receive.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum RecvError {
-    /// No message arrived within the timeout.
-    Timeout,
-    /// This transport has been shut down.
-    Closed,
-}
-
 /// Message transport between nodes: the seam that lets the same
 /// deployment run over in-process channels (deterministic tests) or TCP
 /// sockets (real multi-process clusters).
 ///
-/// Implementations must be usable from multiple threads: one thread
-/// blocks in [`Transport::recv_timeout`] while others call
-/// [`Transport::send`].
+/// Implementations must be usable from multiple threads: any thread
+/// may call [`Transport::send`], and inbound messages reach whatever
+/// [`Mailbox`] the owner installed, on the thread that decoded or sent
+/// them.
 pub trait Transport: Send + Sync + 'static {
     /// This endpoint's own address (where peers reach it).
     fn local_addr(&self) -> Addr;
@@ -73,19 +64,16 @@ pub trait Transport: Send + Sync + 'static {
         self.send_traced(to, msg, TraceCtx::NONE)
     }
 
-    /// Receives the next message and its envelope trace context,
-    /// waiting at most `timeout`.
-    fn recv_timeout(&self, timeout: Duration) -> Result<(WireMsg, TraceCtx), RecvError>;
-
-    /// Redirects this endpoint's inbound messages into `mailbox`, which
+    /// Delivers this endpoint's inbound messages into `mailbox`, which
     /// runs on whichever thread decoded or sent them — a client's reply
     /// router, or the queue a host feeds every node it steps from,
-    /// routing by the [`Delivery`] address. `recv_timeout` reports
-    /// `Closed` from then on.
+    /// routing by the [`Delivery`] address. An endpoint drops what
+    /// arrives before its owner calls this, so owners call it as soon
+    /// as the endpoint exists, before they send.
     fn set_mailbox(&self, mailbox: Mailbox);
 
-    /// Stops the transport: wakes blocked receivers and releases
-    /// sockets/threads. Idempotent.
+    /// Stops the transport: its address stops resolving, and sockets
+    /// and threads are released. Idempotent.
     fn shutdown(&self);
 }
 
@@ -94,23 +82,29 @@ pub trait Transport: Send + Sync + 'static {
 /// trace context.
 pub type Delivery = (Addr, WireMsg, TraceCtx);
 
-/// Where an endpoint's inbound messages go: a private channel
-/// ([`channel_mailbox`]) or whatever [`Transport::set_mailbox`]
-/// installed. Returns `false` once the receiving side is gone.
+/// Where an endpoint's inbound messages go: whatever
+/// [`Transport::set_mailbox`] installed. Returns `false` once the
+/// receiving side is gone.
 pub type Mailbox = Arc<dyn Fn(Delivery) -> bool + Send + Sync>;
 
-/// A mailbox feeding a private channel, and the channel's read end.
+/// A mailbox feeding a channel, and the channel's read end.
 pub fn channel_mailbox() -> (Mailbox, mpsc::Receiver<Delivery>) {
     let (tx, rx) = mpsc::channel();
     (Arc::new(move |d| tx.send(d).is_ok()), rx)
+}
+
+/// The mailbox an endpoint opens with: it drops what arrives until
+/// [`Transport::set_mailbox`] replaces it.
+pub(crate) fn discard() -> Mailbox {
+    Arc::new(|_| true)
 }
 
 /// The shared address space of one in-process channel deployment.
 ///
 /// Every [`ChannelTransport`] opened from the same hub gets the next
 /// integer [`Addr`]; sends look the destination's [`Mailbox`] up in the
-/// shared table. [`ChannelHub::close`] empties a slot so that later
-/// sends to a killed node fail fast, exactly like a refused TCP
+/// shared table. An endpoint's [`Transport::shutdown`] empties its
+/// slot so that later sends to it fail fast, exactly like a refused TCP
 /// connection.
 #[derive(Clone, Default)]
 pub struct ChannelHub {
@@ -127,34 +121,24 @@ impl ChannelHub {
         }
     }
 
-    /// Opens a new endpoint with the next free address and a private
-    /// mailbox, until [`Transport::set_mailbox`] says otherwise.
+    /// Opens a new endpoint with the next free address; it drops what
+    /// arrives until [`Transport::set_mailbox`] gives it a mailbox.
     pub fn open(&self) -> ChannelTransport {
-        let (mailbox, rx) = channel_mailbox();
         let mut slots = write_lock(&self.slots);
-        slots.push(Some(mailbox));
+        slots.push(Some(discard()));
         ChannelTransport {
             me: slots.len() - 1,
             hub: self.clone(),
-            rx: Mutex::new(rx),
-        }
-    }
-
-    /// Closes `addr`'s slot: subsequent sends to it fail fast. The
-    /// endpoint itself keeps its already-queued messages.
-    pub fn close(&self, addr: Addr) {
-        if let Some(slot) = write_lock(&self.slots).get_mut(addr) {
-            *slot = None;
         }
     }
 }
 
-/// An in-process, deterministic transport over `std::sync::mpsc`
-/// channels, used by the channel deployment and by tests.
+/// An in-process, deterministic transport: a send runs the
+/// destination's mailbox on the sender's thread. Used by the channel
+/// deployment and by tests.
 pub struct ChannelTransport {
     me: Addr,
     hub: ChannelHub,
-    rx: Mutex<mpsc::Receiver<Delivery>>,
 }
 
 impl Transport for ChannelTransport {
@@ -173,14 +157,6 @@ impl Transport for ChannelTransport {
         Ok(())
     }
 
-    fn recv_timeout(&self, timeout: Duration) -> Result<(WireMsg, TraceCtx), RecvError> {
-        match lock(&self.rx).recv_timeout(timeout) {
-            Ok((_, msg, trace)) => Ok((msg, trace)),
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(RecvError::Timeout),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(RecvError::Closed),
-        }
-    }
-
     fn set_mailbox(&self, mailbox: Mailbox) {
         if let Some(slot @ Some(_)) = write_lock(&self.hub.slots).get_mut(self.me) {
             *slot = Some(mailbox);
@@ -188,14 +164,39 @@ impl Transport for ChannelTransport {
     }
 
     fn shutdown(&self) {
-        self.hub.close(self.me);
+        write_lock(&self.hub.slots)[self.me] = None;
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::codec::Request;
+    use crate::reactor::TcpReactor;
+    use crate::tcp::{TcpConfig, TcpTransport};
+    use std::net::Ipv4Addr;
+    use std::time::{Duration, Instant};
+
+    /// Installs a channel mailbox on `t` and returns its read end.
+    pub(crate) fn inbox(t: &impl Transport) -> mpsc::Receiver<Delivery> {
+        let (mailbox, rx) = channel_mailbox();
+        t.set_mailbox(mailbox);
+        rx
+    }
+
+    /// Socket-level metrics are counted by the poller thread, so they
+    /// trail message delivery slightly; spin until `key` reaches
+    /// `want` (all tests assert *final* values).
+    pub(crate) fn wait_counter(m: &NetMetrics, key: &str, want: u64) -> u64 {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        loop {
+            let got = m.snapshot().counter(key);
+            if got >= want || Instant::now() > deadline {
+                return got;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    }
 
     fn msg(req_id: u64) -> WireMsg {
         WireMsg::Request {
@@ -205,28 +206,72 @@ mod tests {
         }
     }
 
+    /// What every transport promises, over `a` and `b`: messages reach
+    /// the installed mailbox in order, each with its trace context, both
+    /// ways; once `b` has shut down, a send to it fails fast with
+    /// `PeerUnreachable`. `counted` checks the `net.*` counters after
+    /// the three messages.
+    fn keeps_the_contract<T: Transport>(a: T, b: T, counted: impl Fn()) {
+        let (a_in, b_in) = (inbox(&a), inbox(&b));
+        let (to_a, to_b) = (a.local_addr(), b.local_addr());
+        let ctx = TraceCtx::root(0x5151).child(0x99);
+        a.send(to_b, &msg(1)).unwrap();
+        a.send_traced(to_b, &msg(2), ctx).unwrap();
+        // Replies flow the other way (over TCP, on b's own connection).
+        b.send(to_a, &msg(3)).unwrap();
+        let next = |rx: &mpsc::Receiver<Delivery>| rx.recv_timeout(Duration::from_secs(5));
+        assert_eq!(next(&b_in), Ok((to_b, msg(1), TraceCtx::NONE)));
+        assert_eq!(next(&b_in), Ok((to_b, msg(2), ctx)));
+        assert_eq!(next(&a_in), Ok((to_a, msg(3), TraceCtx::NONE)));
+        counted();
+        b.shutdown();
+        // Over a socket, a send can still queue on a's pooled connection
+        // until its poller reads b's close.
+        let t0 = Instant::now();
+        let refused = loop {
+            if let Err(e) = a.send(to_b, &msg(4)) {
+                break e;
+            }
+            assert!(t0.elapsed() < Duration::from_secs(5), "b never refused");
+            std::thread::sleep(Duration::from_millis(1));
+        };
+        assert_eq!(refused, TransportError::PeerUnreachable(to_b));
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+        a.shutdown();
+    }
+
     #[test]
-    fn channel_transport_delivers_in_order() {
+    fn every_transport_keeps_the_contract() {
         let hub = ChannelHub::new(Arc::new(NetMetrics::new()));
-        let a = hub.open();
-        let b = hub.open();
-        assert_eq!(a.local_addr(), 0);
-        assert_eq!(b.local_addr(), 1);
-        a.send(1, &msg(1)).unwrap();
-        let ctx = TraceCtx::root(0xAB).child(7);
-        a.send_traced(1, &msg(2), ctx).unwrap();
-        assert_eq!(
-            b.recv_timeout(Duration::from_secs(1)).unwrap(),
-            (msg(1), TraceCtx::NONE)
+        keeps_the_contract(hub.open(), hub.open(), || {});
+        // Two endpoints of one reactor: the loopback fast path, which
+        // must not skew mean-frame-size math (bytes / msgs) with
+        // zero-byte phantom frames. Its listener answers 127.0.0.1
+        // alone, so once b unregisters, a send to b's address dials
+        // nowhere.
+        let (ip, cfg, m) = (
+            Ipv4Addr::LOCALHOST,
+            TcpConfig::default(),
+            Arc::new(NetMetrics::new()),
         );
-        assert_eq!(
-            b.recv_timeout(Duration::from_secs(1)).unwrap(),
-            (msg(2), ctx)
-        );
-        assert_eq!(
-            b.recv_timeout(Duration::from_millis(10)),
-            Err(RecvError::Timeout)
-        );
+        let (reactor, poller) = TcpReactor::bind(ip, 0, cfg, Arc::clone(&m)).unwrap();
+        poller.spawn().unwrap();
+        let (a, b) = (reactor.open(ip), reactor.open(Ipv4Addr::new(127, 0, 0, 2)));
+        keeps_the_contract(a.unwrap(), b.unwrap(), || {
+            let reg = m.snapshot();
+            assert_eq!(reg.counter("net.loopback_msgs"), 3);
+            for key in ["net.msgs", "net.bytes_out", "net.bytes_in"] {
+                assert_eq!(reg.counter(key), 0, "{key}");
+            }
+        });
+        let m = Arc::new(NetMetrics::new());
+        let bind = || TcpTransport::bind(ip, 0, cfg, Arc::clone(&m)).unwrap();
+        keeps_the_contract(bind(), bind(), || {
+            assert_eq!(wait_counter(&m, "net.msgs", 6), 6);
+            let reg = m.snapshot();
+            assert!(reg.counter("net.bytes_out") > 0);
+            assert!(reg.counter("net.bytes_in") > 0);
+        });
     }
 
     #[test]

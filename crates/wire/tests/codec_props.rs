@@ -8,9 +8,8 @@ use d2_obs::{Histogram, SpanRecord, TraceCtx};
 use d2_ring::messages::{PeerInfo, RingMsg};
 use d2_types::{Key, KeyRange, KEY_BYTES};
 use d2_wire::codec::{
-    decode, decode_header, decode_traced, encode, encode_into, encode_traced, encode_traced_into,
-    Request, Response, WireHistogram, WireMetrics, WireMsg, WireStatus, HEADER_LEN, MAX_PAYLOAD,
-    VERSION,
+    decode_header, decode_traced, encode_traced_into, Request, Response, WireHistogram,
+    WireMetrics, WireMsg, WireStatus, HEADER_LEN, MAX_PAYLOAD, VERSION,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -237,19 +236,23 @@ fn wire_msg(rng: &mut StdRng) -> WireMsg {
 
 /// Runs `check` on a seeded generator and the random message it drew
 /// first, for every seed.
-fn for_msgs(check: impl Fn(u64, &mut StdRng, WireMsg)) {
+/// Runs `check` on one random message per seed and its untraced frame.
+fn for_msgs(check: impl Fn(u64, &mut StdRng, WireMsg, Vec<u8>)) {
     for seed in 0..SEEDS {
         let mut rng = StdRng::seed_from_u64(seed);
         let msg = wire_msg(&mut rng);
-        check(seed, &mut rng, msg);
+        let mut frame = Vec::new();
+        encode_traced_into(&mut frame, &msg, TraceCtx::NONE);
+        check(seed, &mut rng, msg, frame);
     }
 }
 
 /// Every message variant survives encode → decode unchanged.
 #[test]
 fn every_message_round_trips() {
-    for_msgs(|seed, _, msg| {
-        assert_eq!(decode(&encode(&msg)), Ok(msg), "seed {seed}");
+    for_msgs(|seed, _, msg, frame| {
+        let untraced = Ok((msg, TraceCtx::NONE));
+        assert_eq!(decode_traced(&frame), untraced, "seed {seed}");
     });
 }
 
@@ -257,57 +260,44 @@ fn every_message_round_trips() {
 /// payload length.
 #[test]
 fn frames_carry_canonical_headers() {
-    for_msgs(|seed, _, msg| {
-        let frame = encode(&msg);
+    for_msgs(|seed, _, msg, frame| {
         assert_eq!(&frame[..3], &[b'D', b'2', VERSION], "seed {seed}");
         assert_eq!(frame[3], msg.tag(), "seed {seed}");
         let len = u32::from_be_bytes([frame[4], frame[5], frame[6], frame[7]]) as usize;
         assert_eq!(len, frame.len() - HEADER_LEN, "seed {seed}");
-        let hdr: [u8; HEADER_LEN] = frame[..HEADER_LEN].try_into().unwrap();
-        assert_eq!(decode_header(&hdr), Ok((msg.tag(), len)), "seed {seed}");
+        let hdr = frame.first_chunk().unwrap();
+        assert_eq!(decode_header(hdr), Ok((msg.tag(), len)), "seed {seed}");
     });
 }
 
-/// The zero-copy path is byte-identical to the allocating one, for every
-/// message variant, traced and untraced alike — and `encode_into`
-/// appends (returning the frame length) rather than clobbering what the
-/// buffer already holds, since the TCP transport's coalescing queue packs
-/// many frames into one buffer.
+/// The encoder appends (returning the frame length) rather than
+/// clobbering what the buffer already holds, since the TCP transport's
+/// coalescing queue packs many frames into one buffer; and the trace
+/// context round-trips bit-exactly on every message variant.
 #[test]
-fn encode_into_matches_encode_bytewise() {
-    for_msgs(|seed, rng, msg| {
+fn frames_append_and_carry_their_trace_context() {
+    for_msgs(|seed, rng, msg, frame| {
         let trace = trace(rng);
         let mut buf = b"prefix".to_vec();
-        let n = encode_into(&mut buf, &msg);
+        let n = encode_traced_into(&mut buf, &msg, TraceCtx::NONE);
         assert_eq!(&buf[..6], b"prefix", "seed {seed}");
         assert_eq!(n, buf.len() - 6, "seed {seed}");
-        assert_eq!(buf[6..], encode(&msg), "seed {seed}");
+        assert_eq!(buf[6..], frame, "seed {seed}");
 
-        let mut traced = Vec::new();
-        let tn = encode_traced_into(&mut traced, &msg, trace);
-        assert_eq!(tn, traced.len(), "seed {seed}");
-        assert_eq!(traced, encode_traced(&msg, trace), "seed {seed}");
-    });
-}
-
-/// The envelope trace context round-trips bit-exactly on every message
-/// variant.
-#[test]
-fn trace_context_round_trips() {
-    for_msgs(|seed, rng, msg| {
-        let trace = trace(rng);
-        let frame = encode_traced(&msg, trace);
-        assert_eq!(decode_traced(&frame), Ok((msg, trace)), "seed {seed}");
+        buf.clear();
+        let n = encode_traced_into(&mut buf, &msg, trace);
+        assert_eq!(n, buf.len(), "seed {seed}");
+        assert_eq!(decode_traced(&buf), Ok((msg, trace)), "seed {seed}");
     });
 }
 
 /// Any strict prefix of a valid frame is an error, at every cut.
 #[test]
 fn any_truncation_is_an_error() {
-    for_msgs(|seed, rng, msg| {
-        let frame = encode(&msg);
+    for_msgs(|seed, rng, _, frame| {
         let cut = rng.random_range(0..frame.len());
-        assert!(decode(&frame[..cut]).is_err(), "seed {seed}: cut at {cut}");
+        let got = decode_traced(&frame[..cut]);
+        assert!(got.is_err(), "seed {seed}: cut at {cut}");
     });
 }
 
@@ -315,11 +305,10 @@ fn any_truncation_is_an_error() {
 /// exact, not prefixes of a stream).
 #[test]
 fn trailing_bytes_are_an_error() {
-    for_msgs(|seed, rng, msg| {
-        let mut frame = encode(&msg);
+    for_msgs(|seed, rng, _, mut frame| {
         // Grow the payload without fixing the length prefix.
         frame.extend(std::iter::repeat_n(0u8, rng.random_range(1..16)));
-        assert!(decode(&frame).is_err(), "seed {seed}");
+        assert!(decode_traced(&frame).is_err(), "seed {seed}");
     });
 }
 
@@ -327,25 +316,26 @@ fn trailing_bytes_are_an_error() {
 /// rejects the frame outright.
 #[test]
 fn corrupt_magic_or_version_is_an_error() {
-    for_msgs(|seed, rng, msg| {
-        let mut frame = encode(&msg);
+    for_msgs(|seed, rng, _, mut frame| {
         let pos = rng.random_range(0..3);
         frame[pos] ^= rng.random_range(1..=255u8);
-        assert!(decode(&frame).is_err(), "seed {seed}: byte {pos}");
+        assert!(decode_traced(&frame).is_err(), "seed {seed}: byte {pos}");
     });
 }
 
 /// An unknown tag byte is rejected even with a plausible header.
 #[test]
 fn unknown_tags_are_an_error() {
-    for_msgs(|seed, rng, msg| {
+    for_msgs(|seed, rng, _, mut frame| {
         let tag: u8 = rng.random();
         if matches!(tag, 0x01..=0x07 | 0x10..=0x18 | 0x20..=0x28) {
             return;
         }
-        let mut frame = encode(&msg);
         frame[3] = tag;
-        assert!(decode(&frame).is_err(), "seed {seed}: tag {tag:#04x}");
+        assert!(
+            decode_traced(&frame).is_err(),
+            "seed {seed}: tag {tag:#04x}"
+        );
     });
 }
 
@@ -354,7 +344,7 @@ fn unknown_tags_are_an_error() {
 fn random_bytes_never_panic() {
     for seed in 0..SEEDS {
         let soup = bytes(&mut StdRng::seed_from_u64(seed), 256);
-        let _ = decode(&soup);
+        let _ = decode_traced(&soup);
         if let Some(hdr) = soup.first_chunk::<HEADER_LEN>() {
             let _ = decode_header(hdr);
         }

@@ -8,10 +8,10 @@
 //! Seeded loops in the idiom of `conn_script.rs`; a failure prints its
 //! seed.
 
+use d2_obs::TraceCtx;
 use d2_types::{Key, KeyRange, KEY_BYTES};
 use d2_wire::codec::{
-    decode, decode_traced, encode, encode_traced, Request, Response, WireError, HEADER_LEN,
-    TRACE_LEN,
+    decode_traced, encode_traced_into, Request, Response, WireError, HEADER_LEN, TRACE_LEN,
 };
 use d2_wire::WireMsg;
 use rand::rngs::StdRng;
@@ -63,8 +63,10 @@ fn repair_frames_round_trip_and_malformed_ones_are_typed_errors() {
         let fail = |what: &str| format!("seed {seed}: {what}");
 
         let digest = sync_range(&mut rng);
-        let frame = encode(&digest);
-        assert_eq!(decode(&frame).as_ref(), Ok(&digest), "{}", fail("digest"));
+        let mut frame = Vec::new();
+        encode_traced_into(&mut frame, &digest, TraceCtx::NONE);
+        let untraced = Ok((digest, TraceCtx::NONE));
+        assert_eq!(decode_traced(&frame), untraced, "{}", fail("digest"));
         assert!(
             frame.len() <= 256,
             "{}",
@@ -74,15 +76,16 @@ fn repair_frames_round_trip_and_malformed_ones_are_typed_errors() {
         let mut short = frame[..cut].to_vec();
         fix_len(&mut short);
         assert!(
-            matches!(decode(&short), Err(WireError::Truncated { .. })),
+            matches!(decode_traced(&short), Err(WireError::Truncated { .. })),
             "{}",
             fail("a digest cut short")
         );
 
         let n = rng.random_range(0..=40);
         let list = range_keys(&mut rng, n);
-        let trace = d2_obs::TraceCtx::root(rng.random::<u64>() | 1).child(rng.random::<u64>() | 1);
-        let frame = encode_traced(&list, trace);
+        let trace = TraceCtx::root(rng.random::<u64>() | 1).child(rng.random::<u64>() | 1);
+        let mut frame = Vec::new();
+        encode_traced_into(&mut frame, &list, trace);
         assert_eq!(
             decode_traced(&frame),
             Ok((list.clone(), trace)),
@@ -97,7 +100,7 @@ fn repair_frames_round_trip_and_malformed_ones_are_typed_errors() {
         let mut short = frame[..cut].to_vec();
         fix_len(&mut short);
         assert!(
-            matches!(decode(&short), Err(WireError::Truncated { .. })),
+            matches!(decode_traced(&short), Err(WireError::Truncated { .. })),
             "{}",
             fail("a key list cut short")
         );
@@ -110,7 +113,7 @@ fn repair_frames_round_trip_and_malformed_ones_are_typed_errors() {
             let needed = claimed as usize * ENTRY_LEN;
             let got = n * ENTRY_LEN;
             assert_eq!(
-                decode(&lying),
+                decode_traced(&lying),
                 Err(WireError::Truncated { needed, got }),
                 "{}",
                 fail("a count the payload cannot hold")
@@ -125,7 +128,7 @@ fn repair_frames_round_trip_and_malformed_ones_are_typed_errors() {
             modest[COUNT_AT..COUNT_AT + 4].copy_from_slice(&(fewer as u32).to_be_bytes());
             let extra = (n - fewer) * ENTRY_LEN;
             assert_eq!(
-                decode(&modest),
+                decode_traced(&modest),
                 Err(WireError::Trailing { extra }),
                 "{}",
                 fail("entries past the count")
@@ -136,7 +139,7 @@ fn repair_frames_round_trip_and_malformed_ones_are_typed_errors() {
         padded.extend((0..extra).map(|_| rng.random::<u8>()));
         fix_len(&mut padded);
         assert_eq!(
-            decode(&padded),
+            decode_traced(&padded),
             Err(WireError::Trailing { extra }),
             "{}",
             fail("trailing bytes")

@@ -11,9 +11,10 @@
 
 use d2_obs::TraceCtx;
 use d2_ring::messages::Addr;
-use d2_wire::codec::{self, Request};
+use d2_wire::codec::{encode_traced_into, Request};
 use d2_wire::reactor::{Poller, TcpEndpoint, TcpReactor, FLUSH_TICK};
 use d2_wire::tcp::pack_addr;
+use d2_wire::transport::{channel_mailbox, Delivery};
 use d2_wire::{NetMetrics, TcpConfig, TcpTransport, Transport, TransportError, WireMsg};
 use std::io::{Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
@@ -29,6 +30,18 @@ fn bind(metrics: &Arc<NetMetrics>) -> TcpTransport {
         Arc::clone(metrics),
     )
     .unwrap()
+}
+
+/// Installs a channel mailbox on `t` and returns its read end.
+fn inbox(t: &impl Transport) -> mpsc::Receiver<Delivery> {
+    let (mailbox, rx) = channel_mailbox();
+    t.set_mailbox(mailbox);
+    rx
+}
+
+/// The next message `rx` takes in, within 5 s.
+fn recv(rx: &mpsc::Receiver<Delivery>) -> WireMsg {
+    rx.recv_timeout(Duration::from_secs(5)).unwrap().1
 }
 
 fn msg(req_id: u64) -> WireMsg {
@@ -77,11 +90,11 @@ fn idle_then_active_has_no_latency_floor() {
     let m = Arc::new(NetMetrics::new());
     let a = bind(&m);
     let b = Arc::new(bind(&m));
-    let to_a = a.local_addr();
+    let (to_a, a_in, b_in) = (a.local_addr(), inbox(&a), inbox(&*b));
     let echo = {
         let b = Arc::clone(&b);
         std::thread::spawn(move || {
-            while let Ok((got, _)) = b.recv_timeout(Duration::from_secs(10)) {
+            while let Ok((_, got, _)) = b_in.recv_timeout(Duration::from_secs(10)) {
                 if b.send(to_a, &got).is_err() {
                     break;
                 }
@@ -101,8 +114,7 @@ fn idle_then_active_has_no_latency_floor() {
             .map(|i| {
                 let t0 = Instant::now();
                 a.send(b.local_addr(), &msg(i)).unwrap();
-                let (got, _) = a.recv_timeout(Duration::from_secs(5)).unwrap();
-                assert_eq!(req_id(&got), i);
+                assert_eq!(req_id(&recv(&a_in)), i);
                 t0.elapsed()
             })
             .collect();
@@ -125,9 +137,10 @@ fn a_burst_shares_one_flush_tick() {
     let m = Arc::new(NetMetrics::new());
     let a = bind(&m);
     let b = bind(&m);
+    let b_in = inbox(&b);
     // Dial first: the inline connect is longer than a tick.
     a.send(b.local_addr(), &msg(0)).unwrap();
-    b.recv_timeout(Duration::from_secs(5)).unwrap();
+    recv(&b_in);
     // 32 sends take a few dozen microseconds, less than a tick. At most
     // one tick boundary falls inside the burst, and a lone frame on one
     // side of it is the only one that can miss a shared write. A
@@ -140,8 +153,7 @@ fn a_burst_shares_one_flush_tick() {
             a.send(b.local_addr(), &msg(i)).unwrap();
         }
         for i in next..next + BURST {
-            let (got, _) = b.recv_timeout(Duration::from_secs(5)).unwrap();
-            assert_eq!(req_id(&got), i, "a tick must not reorder frames");
+            assert_eq!(req_id(&recv(&b_in)), i, "a tick must not reorder frames");
         }
         next += BURST;
         // Counted by the poller right after the write that delivered.
@@ -189,7 +201,7 @@ fn turned<const N: usize>() -> Turned<N> {
 /// Takes `n` [`msg`] frames off `sock`: there now, or not within its
 /// read timeout either, because nobody turns meanwhile.
 fn holds(sock: &mut TcpStream, n: usize) {
-    let len = codec::encode_traced(&msg(0), TraceCtx::NONE).len();
+    let len = encode_traced_into(&mut Vec::new(), &msg(0), TraceCtx::NONE);
     let got = sock.read_exact(&mut vec![0; n * len]);
     got.unwrap_or_else(|e| panic!("{n} frame(s) were not written: {e}"));
 }
@@ -305,7 +317,7 @@ fn concurrent_senders_coalesce_and_deliver_everything() {
     let m = Arc::new(NetMetrics::new());
     let a = Arc::new(bind(&m));
     let b = bind(&m);
-    let to = b.local_addr();
+    let (to, b_in) = (b.local_addr(), inbox(&b));
     let handles: Vec<_> = (0..THREADS as u64)
         .map(|t| {
             let a = Arc::clone(&a);
@@ -322,8 +334,7 @@ fn concurrent_senders_coalesce_and_deliver_everything() {
     let total = (THREADS as u64) * PER_THREAD;
     let mut seen = std::collections::HashSet::new();
     for _ in 0..total {
-        let (m, _) = b.recv_timeout(Duration::from_secs(5)).unwrap();
-        seen.insert(req_id(&m));
+        seen.insert(req_id(&recv(&b_in)));
     }
     assert_eq!(seen.len(), total as usize, "every frame delivered intact");
     assert_eq!(wait_counter(&m, "net.msgs_out", total), total);
@@ -343,8 +354,10 @@ fn partial_frames_across_readiness_events() {
     // and the read state machine carries the tail across wake-ups.
     let m = Arc::new(NetMetrics::new());
     let a = bind(&m);
+    let a_in = inbox(&a);
     let ctx = TraceCtx::root(0x7777).child(3);
-    let bytes = codec::encode_traced(&msg(42), ctx);
+    let mut bytes = Vec::new();
+    encode_traced_into(&mut bytes, &msg(42), ctx);
     let mut s = TcpStream::connect(SocketAddr::V4(a.socket_addr())).unwrap();
     s.set_nodelay(true).unwrap();
     for chunk in bytes.chunks(3) {
@@ -355,22 +368,22 @@ fn partial_frames_across_readiness_events() {
         // readiness event instead of one buffered blob.
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert_eq!(
-        a.recv_timeout(Duration::from_secs(5)).unwrap(),
-        (msg(42), ctx)
-    );
+    let got = a_in.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert_eq!(got, (a.local_addr(), msg(42), ctx));
     // Two frames back to back in one readiness event both decode.
-    let mut two = codec::encode_traced(&msg(43), TraceCtx::NONE);
-    two.extend_from_slice(&codec::encode_traced(&msg(44), TraceCtx::NONE));
-    s.write_all(&two).unwrap();
-    assert_eq!(a.recv_timeout(Duration::from_secs(5)).unwrap().0, msg(43));
-    assert_eq!(a.recv_timeout(Duration::from_secs(5)).unwrap().0, msg(44));
+    bytes.clear();
+    encode_traced_into(&mut bytes, &msg(43), TraceCtx::NONE);
+    encode_traced_into(&mut bytes, &msg(44), TraceCtx::NONE);
+    s.write_all(&bytes).unwrap();
+    assert_eq!(recv(&a_in), msg(43));
+    assert_eq!(recv(&a_in), msg(44));
     // A frame of several reads' worth (one event reads 64 KiB at most):
     // the socket reports the rest ready again with no new bytes behind.
     let big = put(200_000);
-    s.write_all(&codec::encode_traced(&big, TraceCtx::NONE))
-        .unwrap();
-    assert_eq!(a.recv_timeout(Duration::from_secs(5)).unwrap().0, big);
+    bytes.clear();
+    encode_traced_into(&mut bytes, &big, TraceCtx::NONE);
+    s.write_all(&bytes).unwrap();
+    assert_eq!(recv(&a_in), big);
     a.shutdown();
 }
 
@@ -379,7 +392,7 @@ fn race_senders(a: Arc<dyn Transport>, m: &Arc<NetMetrics>) {
     const THREADS: u64 = 8;
     const ROUNDS: u64 = 5_000;
     let b = bind(m);
-    let to = b.local_addr();
+    let (to, b_in) = (b.local_addr(), inbox(&b));
     let epoch = Instant::now();
     // One round: every sender fires one frame after a random
     // sub-millisecond pause, racing the poller as it goes back to
@@ -411,7 +424,7 @@ fn race_senders(a: Arc<dyn Transport>, m: &Arc<NetMetrics>) {
     for _ in 0..ROUNDS {
         round.wait();
         for _ in 0..THREADS {
-            let (got, _) = b
+            let (_, got, _) = b_in
                 .recv_timeout(Duration::from_secs(5))
                 .expect("a frame was never delivered");
             let WireMsg::Request { req_id, from, .. } = got else {
@@ -517,12 +530,13 @@ fn quiet_transport_makes_no_wakeups() {
     let m = Arc::new(NetMetrics::new());
     let a = bind(&m);
     let b = bind(&m);
+    let (a_in, b_in) = (inbox(&a), inbox(&b));
     // One exchange, so both pollers hold live connections (and the
     // counter is shown to move at all).
     a.send(b.local_addr(), &msg(1)).unwrap();
-    b.recv_timeout(Duration::from_secs(5)).unwrap();
+    recv(&b_in);
     b.send(a.local_addr(), &msg(2)).unwrap();
-    a.recv_timeout(Duration::from_secs(5)).unwrap();
+    recv(&a_in);
     std::thread::sleep(Duration::from_millis(50));
     let before = m.snapshot().counter("net.poller_wakeups");
     assert!(before >= 4, "two sends and two receives woke the pollers");

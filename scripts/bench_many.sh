@@ -51,17 +51,17 @@ echo "    STABLE in ${BOOT_S}s; entry $ENTRY; $THREADS OS threads, ${RSS_KB} kB 
 echo "==> d2-node check (Zave ring invariants over all ${NODES} nodes)"
 "$BIN/d2-node" check --node "$ENTRY" --expect "$NODES"
 
-run_load() { # run_load <mode>
-    "$BIN/d2-load" --node "$ENTRY" --workers "$WORKERS" --window "$WINDOW" \
+run_load() { # run_load <window>
+    "$BIN/d2-load" --node "$ENTRY" --workers "$WORKERS" --window "$1" \
         --ops "$OPS" --keys "$KEYS" --replicas "$REPLICAS" \
-        --mode "$1" --timeout-ms 30000 --json
+        --timeout-ms 30000 --json
 }
 
-echo "==> d2-load --mode serial (${WORKERS} workers, window 1)"
-SERIAL=$(run_load serial)
+echo "==> d2-load serial (${WORKERS} workers, window 1)"
+SERIAL=$(run_load 1)
 echo "    $SERIAL"
-echo "==> d2-load --mode pipelined (${WORKERS} workers, window ${WINDOW})"
-PIPELINED=$(run_load pipelined)
+echo "==> d2-load pipelined (${WORKERS} workers, window ${WINDOW})"
+PIPELINED=$(run_load "$WINDOW")
 echo "    $PIPELINED"
 
 tput_of() { echo "$1" | jq .throughput_ops_s; }

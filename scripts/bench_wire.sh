@@ -52,17 +52,17 @@ for i in $(seq 1 $((NODES - 1))); do
 done
 sleep 2 # let the ring stabilize
 
-run_load() { # run_load <mode>
-    "$BIN/d2-load" --node "$SEED" --workers "$WORKERS" --window "$WINDOW" \
+run_load() { # run_load <window>
+    "$BIN/d2-load" --node "$SEED" --workers "$WORKERS" --window "$1" \
         --ops "$OPS" --keys "$KEYS" --replicas "$REPLICAS" \
-        --mode "$1" --timeout-ms 5000 --json
+        --timeout-ms 5000 --json
 }
 
-echo "==> d2-load --mode serial (${WORKERS} workers, window 1)"
-SERIAL=$(run_load serial)
+echo "==> d2-load serial (${WORKERS} workers, window 1)"
+SERIAL=$(run_load 1)
 echo "    $SERIAL"
-echo "==> d2-load --mode pipelined (${WORKERS} workers, window ${WINDOW})"
-PIPELINED=$(run_load pipelined)
+echo "==> d2-load pipelined (${WORKERS} workers, window ${WINDOW})"
+PIPELINED=$(run_load "$WINDOW")
 echo "    $PIPELINED"
 
 tput_of() { echo "$1" | grep -oE '"throughput_ops_s": [0-9.]+' | grep -oE '[0-9.]+'; }

@@ -13,6 +13,23 @@ if grep -n '^source = ' Cargo.lock; then
     exit 1
 fi
 
+echo "==> no panic path in the wire and node code"
+# A malformed frame or a failed call costs a connection or an op, never
+# a node: outside comments and #[cfg(test)] items (which run to the
+# next closing brace in column 0), the wire and node sources name no
+# .unwrap(), .expect(, panic!( or unreachable!(. deployment.rs is
+# exempt: its in-process test cluster panics by contract.
+PANICS=$(for f in crates/wire/src/*.rs crates/net/src/*.rs; do
+    [[ "$f" == crates/net/src/deployment.rs ]] && continue
+    awk -v f="$f" '
+        /^#\[cfg\(test\)\]/ { skip = 1; next }
+        skip { if (/^}/) skip = 0; next }
+        { code = $0; sub(/\/\/.*/, "", code) }
+        code ~ /\.unwrap\(\)|\.expect\(|panic!\(|unreachable!\(/ { print f ":" NR ": " $0 }
+    ' "$f"
+done)
+[[ -z "$PANICS" ]] || { echo "$PANICS"; exit 1; }
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
