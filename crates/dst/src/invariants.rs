@@ -85,7 +85,7 @@ fn check_storage_ec(w: &SimWorld, live: &[Addr], policy: RedundancyPolicy) -> Re
         // carry the key.
         let mut by_gen: BTreeMap<u64, Vec<d2_ec::Fragment>> = BTreeMap::new();
         for (_, rt) in w.live_nodes() {
-            let Some(sf) = rt.fragments().get(&key) else {
+            let Some(sf) = rt.fragment(&key) else {
                 continue;
             };
             if sf.block_len as usize != op.data().len() || !sf.frag.verify() {
@@ -135,7 +135,7 @@ fn check_storage_replicated(w: &SimWorld, live: &[Addr], r: usize) -> Result<(),
         |key: &d2_types::Key| -> Addr { ids.iter().find(|(id, _)| id >= key).unwrap_or(&ids[0]).1 };
     let holders = |key: &d2_types::Key, data: &[u8]| -> Vec<Addr> {
         w.live_nodes()
-            .filter(|(_, rt)| rt.blocks().get(key).map(Vec::as_slice) == Some(data))
+            .filter(|(_, rt)| rt.block(key) == Some(data))
             .map(|(a, _)| a)
             .collect()
     };

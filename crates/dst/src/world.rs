@@ -1174,17 +1174,11 @@ impl SimWorld {
         );
         let end_nodes = self
             .live_nodes()
-            .map(|(addr, rt)| {
-                let mut block_keys: Vec<Key> = rt.blocks().keys().copied().collect();
-                let mut fragment_keys: Vec<Key> = rt.fragments().keys().copied().collect();
-                block_keys.sort_unstable();
-                fragment_keys.sort_unstable();
-                NodeEndState {
-                    addr,
-                    id: self.node_ids[addr],
-                    block_keys,
-                    fragment_keys,
-                }
+            .map(|(addr, rt)| NodeEndState {
+                addr,
+                id: self.node_ids[addr],
+                block_keys: rt.block_keys().copied().collect(),
+                fragment_keys: rt.fragment_keys().copied().collect(),
             })
             .collect();
         let workload = self.ops.iter().map(|op| (op.key, op.acked)).collect();

@@ -6,15 +6,16 @@
 //! its `(key, checksum)` list, and [`ChainSync::diff`] against that list
 //! names the only blocks that move: an undamaged chain costs one small
 //! message per successor a round, whatever is stored. [`ChainSync`] is
-//! one node's side: the checksum of every block it holds (computed
-//! once, when stored), the ranges it holds blocks *for* (its own, and
-//! those an owner has synced with it) and, from the two, the strays its
-//! holder must re-home. Rounds are the caller's count, so the live
-//! runtime and a simulator can drive the same decisions.
+//! one node's side and a replicating node's only block store: every
+//! block it holds with its bytes, their checksum (computed once, when
+//! stored) and the round something last vouched for it; the ranges it
+//! holds blocks *for* (its own, and those an owner has synced with it);
+//! and, from the two, the strays its holder must re-home. Rounds are
+//! the caller's count, so the live runtime and a simulator can drive
+//! the same decisions.
 
 use d2_types::{Key, KeyRange};
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Bound;
 
 /// How many rounds a range stays accounted for after it was last noted,
 /// and a block after it was stored: an owner syncs every round, so two
@@ -46,13 +47,21 @@ pub fn content_sum(data: &[u8]) -> u64 {
     blocks.remainder().chunks(8).fold(h, |h, w| mix(h, word(w)))
 }
 
+/// One held block.
+struct Held {
+    data: Vec<u8>,
+    /// `content_sum(&data)`.
+    sum: u64,
+    /// The round something last vouched for the block: it was stored,
+    /// or (`u64::MAX`, for good) its owner acknowledged taking it as a
+    /// stray.
+    vouched: u64,
+}
+
 /// One node's repair state (module docs).
 #[derive(Default)]
 pub struct ChainSync {
-    /// Every held block's checksum, and the round something last vouched
-    /// for it: it was stored, or (`u64::MAX`, for good) its owner
-    /// acknowledged taking it as a stray.
-    held: BTreeMap<Key, (u64, u64)>,
+    held: BTreeMap<Key, Held>,
     /// Ranges this node holds blocks for, and the round each was last
     /// noted in.
     noted: Vec<(KeyRange, u64)>,
@@ -61,28 +70,40 @@ pub struct ChainSync {
 }
 
 impl ChainSync {
-    /// Records that `key` was stored in `round` with checksum `sum`.
-    pub fn stored(&mut self, key: Key, sum: u64, round: u64) {
-        self.held.insert(key, (sum, round));
+    /// Stores `data` under `key` in `round`, checksummed once here.
+    pub fn stored(&mut self, key: Key, data: Vec<u8>, round: u64) {
+        let sum = content_sum(&data);
+        let vouched = round;
+        self.held.insert(key, Held { data, sum, vouched });
         self.wanted.remove(&key);
     }
 
-    /// Held `(key, checksum)` pairs inside `range`, in key order from
-    /// the range's start.
+    /// The bytes of held block `key`.
+    pub fn block(&self, key: &Key) -> Option<&[u8]> {
+        self.held.get(key).map(|h| h.data.as_slice())
+    }
+
+    /// Every held key, in key order.
+    pub fn keys(&self) -> impl ExactSizeIterator<Item = &Key> {
+        self.held.keys()
+    }
+
+    /// Lends held block `key`'s bytes to `send`, which must hand them
+    /// back with its result, for a message that owns them for one send:
+    /// one map lookup, no copy, and the checksum stays the bytes'.
+    /// `None` if `key` is not held.
+    pub fn lend<R>(&mut self, key: &Key, send: impl FnOnce(Vec<u8>) -> (Vec<u8>, R)) -> Option<R> {
+        let held = self.held.get_mut(key)?;
+        let (data, result) = send(std::mem::take(&mut held.data));
+        debug_assert_eq!(content_sum(&data), held.sum, "changed while lent");
+        held.data = data;
+        Some(result)
+    }
+
+    /// Held `(key, checksum)` pairs inside `range`, in
+    /// [`KeyRange::walk`]'s order.
     fn held<'a>(&'a self, range: &KeyRange) -> impl Iterator<Item = (&'a Key, u64)> {
-        let (start, end) = (*range.start(), *range.end());
-        // `(start, end]` is one run of keys or, wrapping (the full ring
-        // included), the run after `start` and then the run up to `end`.
-        let (first, second) = if start < end {
-            let run = (Bound::Excluded(start), Bound::Included(end));
-            (self.held.range(run), None)
-        } else {
-            let after = (Bound::Excluded(start), Bound::Unbounded);
-            let up_to = (Bound::Unbounded, Bound::Included(end));
-            (self.held.range(after), Some(self.held.range(up_to)))
-        };
-        let runs = first.chain(second.into_iter().flatten());
-        runs.map(|(key, (sum, _))| (key, *sum))
+        range.walk(&self.held).map(|(key, h)| (key, h.sum))
     }
 
     /// How many blocks this node holds inside `range`, and the digest of
@@ -142,7 +163,7 @@ impl ChainSync {
         self.noted.retain(|(_, at)| fresh(*at));
         self.note(own, round);
         let mut strays = Vec::new();
-        for (key, (_, vouched)) in &mut self.held {
+        for (key, Held { vouched, .. }) in &mut self.held {
             if self.noted.iter().any(|(r, _)| r.contains(key)) {
                 *vouched = round.min(*vouched);
             } else if !fresh(*vouched) {
@@ -154,8 +175,8 @@ impl ChainSync {
 
     /// Records that the owner of stray `key` acknowledged taking it.
     pub fn rehomed(&mut self, key: &Key) {
-        if let Some((_, vouched)) = self.held.get_mut(key) {
-            *vouched = u64::MAX;
+        if let Some(held) = self.held.get_mut(key) {
+            held.vouched = u64::MAX;
         }
     }
 }
@@ -172,11 +193,21 @@ mod tests {
         KeyRange::new(k(a), k(b))
     }
 
-    /// A node that stored `keys` in round 0.
+    /// The block whose bytes are `v`'s.
+    fn bytes(v: u64) -> Vec<u8> {
+        v.to_le_bytes().to_vec()
+    }
+
+    /// The checksum of [`bytes`]`(v)`.
+    fn sum(v: u64) -> u64 {
+        content_sum(&bytes(v))
+    }
+
+    /// A node that stored `[(key, bytes)]` in round 0.
     fn holding(keys: &[(f64, u64)]) -> ChainSync {
         let mut s = ChainSync::default();
-        for &(f, sum) in keys {
-            s.stored(k(f), sum, 0);
+        for &(f, v) in keys {
+            s.stored(k(f), bytes(v), 0);
         }
         s
     }
@@ -200,6 +231,14 @@ mod tests {
     }
 
     #[test]
+    fn a_lent_block_comes_back_whole() {
+        let mut s = holding(&[(0.1, 11)]);
+        assert_eq!(s.lend(&k(0.1), |data| (data, 7)), Some(7));
+        assert_eq!(s.block(&k(0.1)), Some(&bytes(11)[..]));
+        assert_eq!(s.lend(&k(0.2), |data| (data, 7)), None);
+    }
+
+    #[test]
     fn equal_holdings_digest_equal_and_any_difference_shows() {
         let held = [(0.1, 11), (0.2, 22), (0.3, 33), (0.9, 99)];
         let (a, b) = (holding(&held), holding(&held));
@@ -212,7 +251,7 @@ mod tests {
         assert_eq!(a.digest(&KeyRange::full()).0, 4);
         // Outside the range nothing counts.
         let mut c = holding(&held);
-        c.stored(k(0.5), 55, 0);
+        c.stored(k(0.5), bytes(55), 0);
         assert_eq!(a.digest(&range(0.05, 0.35)), c.digest(&range(0.05, 0.35)));
         // A missing key, a stale checksum and two swapped checksums all
         // change the digest.
@@ -232,22 +271,6 @@ mod tests {
     }
 
     #[test]
-    fn range_ends_are_exclusive_then_inclusive() {
-        let s = holding(&[(0.1, 1), (0.2, 2), (0.3, 3)]);
-        let keys = |r: &KeyRange| -> Vec<Key> { s.entries(r).into_iter().map(|e| e.0).collect() };
-        assert_eq!(keys(&range(0.1, 0.3)), vec![k(0.2), k(0.3)]);
-        // Wrapping: from after 0.2 round to 0.1 inclusive, in ring order.
-        assert_eq!(keys(&range(0.2, 0.1)), vec![k(0.3), k(0.1)]);
-        // Every listed key is one `KeyRange::contains` agrees with.
-        for r in [range(0.1, 0.3), range(0.2, 0.1), range(0.3, 0.3)] {
-            let listed = keys(&r);
-            for f in [0.1, 0.2, 0.3] {
-                assert_eq!(listed.contains(&k(f)), r.contains(&k(f)), "{r} {f}");
-            }
-        }
-    }
-
-    #[test]
     fn diff_pushes_missing_and_stale_and_pulls_what_the_owner_lacks() {
         let r = range(0.0, 0.5);
         let mut owner = holding(&[(0.1, 11), (0.2, 22), (0.3, 33), (0.7, 77)]);
@@ -255,17 +278,17 @@ mod tests {
         // 0.8 lies outside the range: a list that strays past it is not
         // taken at its word.
         let mut theirs = replica.entries(&r);
-        theirs.push((k(0.8), 88));
+        theirs.push((k(0.8), sum(88)));
         let (push, pull) = owner.diff(&r, &theirs);
         assert_eq!(push, vec![k(0.1), k(0.3)], "missing, then stale");
         assert_eq!(pull, vec![k(0.4)]);
         // A second successor listing the same key does not pull twice…
-        assert_eq!(owner.diff(&r, &[(k(0.4), 44)]).1, vec![]);
+        assert_eq!(owner.diff(&r, &[(k(0.4), sum(44))]).1, vec![]);
         // …until the block arrived (nothing to pull) or a round passed.
         owner.begin_round(r, 1);
-        assert_eq!(owner.diff(&r, &[(k(0.4), 44)]).1, vec![k(0.4)]);
-        owner.stored(k(0.4), 44, 1);
-        assert_eq!(owner.diff(&r, &[(k(0.4), 44)]).1, vec![]);
+        assert_eq!(owner.diff(&r, &[(k(0.4), sum(44))]).1, vec![k(0.4)]);
+        owner.stored(k(0.4), bytes(44), 1);
+        assert_eq!(owner.diff(&r, &[(k(0.4), sum(44))]).1, vec![]);
         // Agreeing lists move nothing.
         let same = owner.entries(&r);
         assert_eq!(owner.diff(&r, &same), (vec![], vec![]));
@@ -306,13 +329,13 @@ mod tests {
         let mut s = ChainSync::default();
         s.begin_round(own, 4);
         // A chain wrote it here; the owner's sync follows within a round.
-        s.stored(k(0.6), 6, 4);
+        s.stored(k(0.6), bytes(6), 4);
         for round in [5, 6] {
             assert_eq!(s.begin_round(own, round), vec![], "round {round}");
         }
         assert_eq!(s.begin_round(own, 7), vec![k(0.6)]);
         // Written again, it is vouched for again.
-        s.stored(k(0.6), 6, 7);
+        s.stored(k(0.6), bytes(6), 7);
         assert_eq!(s.begin_round(own, 8), vec![]);
     }
 

@@ -1,11 +1,13 @@
 //! The per-node event loop, generic over the transport and the clock.
 //!
 //! A [`NodeRuntime`] is one live D2 node: the pure protocol state
-//! machine ([`ProtocolNode`]), a local block store, and a
-//! [`Transport`] endpoint to send through. It never receives or sleeps
-//! by itself: a driver steps it through two entry points, one event at
-//! a time — [`crate::Host`] on wall-clock time for every live node, the
-//! deterministic simulation harness (`d2-dst`) on virtual time:
+//! machine ([`ProtocolNode`]), what it holds (a replicating node's
+//! blocks in its [`ChainSync`], an erasure-coding node's fragments in
+//! its erasure-coding state), and a [`Transport`] endpoint to send
+//! through. It never receives or sleeps by itself: a driver steps it
+//! through two entry points, one event at a time — [`crate::Host`] on
+//! wall-clock time for every live node, the deterministic simulation
+//! harness (`d2-dst`) on virtual time:
 //!
 //! - [`NodeRuntime::on_message`] — handle exactly one incoming message;
 //! - [`NodeRuntime::on_tick`] — run exactly one maintenance tick
@@ -17,7 +19,7 @@
 
 use crate::clock::{Clock, SystemClock};
 use crate::ops::NodeStatus;
-use crate::repair::{content_sum, ChainSync};
+use crate::repair::ChainSync;
 use d2_ec::{Codec as EcCodec, Fragment, RedundancyPolicy};
 use d2_obs::flight::{FLIGHT_CAPACITY, SLOW_THRESHOLD_US};
 use d2_obs::{FlightRecorder, Registry, SpanRecord, TraceCtx};
@@ -121,10 +123,12 @@ impl NodeSpec {
     }
 }
 
-/// Erasure-coding configuration and repair-budget state, present only
-/// under an [`RedundancyPolicy::ErasureCode`] policy.
+/// Erasure-coding configuration, fragments and repair-budget state,
+/// present only under an [`RedundancyPolicy::ErasureCode`] policy.
 struct EcState {
     codec: EcCodec,
+    /// Locally held fragments, one per key.
+    fragments: BTreeMap<Key, StoredFragment>,
     /// Lazy-repair threshold `m`: a key regenerates only when its
     /// surviving fragment count drops below this (k ≤ m < n).
     repair_threshold: usize,
@@ -153,16 +157,21 @@ enum GatherPurpose {
 /// the op shares one internal request id, so replies route back to the
 /// op without carrying a sender identity: a [`Response::Fragment`]'s
 /// `index` already names the group position that held it.
-enum EcOp {
+struct EcOp {
+    /// Member replies still outstanding.
+    pending: u32,
+    started_us: u64,
+    kind: EcKind,
+}
+
+/// What an [`EcOp`] does, and what its replies so far add up to.
+enum EcKind {
     /// Owner-side fragment distribution for one client put.
     Put {
         client: Addr,
         req_id: u64,
-        /// Member acks still outstanding.
-        pending: u32,
         /// Fragments confirmed stored (including the owner's own).
         stored: u32,
-        started_us: u64,
     },
     /// Owner-side gather of any `k` fragments (client get or repair).
     Gather {
@@ -173,8 +182,6 @@ enum EcOp {
         /// Verified fragments at the highest generation seen so far,
         /// deduplicated by index.
         frags: Vec<Fragment>,
-        pending: u32,
-        started_us: u64,
     },
     /// Lazy-repair presence probe across the fragment group.
     Probe {
@@ -183,8 +190,6 @@ enum EcOp {
         block_len: u32,
         /// Which group positions reported a live fragment.
         present: Vec<bool>,
-        pending: u32,
-        started_us: u64,
     },
 }
 
@@ -207,18 +212,16 @@ struct PendingLookup {
     start_us: u64,
 }
 
-/// One live node: protocol state machine + block store + transport.
+/// One live node: protocol state machine + what it holds + transport.
 pub struct NodeRuntime<T: Transport, C: Clock = SystemClock> {
     node: ProtocolNode,
-    store: HashMap<Key, Vec<u8>>,
-    /// Replica repair's view of `store`: what is held, for whom.
+    /// A replicating node's blocks, and replica repair's view of them:
+    /// what is held, for whom.
     chain: ChainSync,
     /// This round's repair exchanges in flight, by request id.
     repair_ops: HashMap<u64, RepairOp>,
     /// Keys this round's found missing or stale on a chain member.
     under_replicated: u64,
-    /// Locally held erasure-coded fragments, one per key.
-    fragments: HashMap<Key, StoredFragment>,
     /// Erasure-coding mode; `None` runs the classic replica chains.
     ec: Option<EcState>,
     /// In-flight erasure-coded ops by internal request id.
@@ -284,6 +287,7 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         let now = clock.now_us();
         let ec = EcCodec::for_policy(policy).map(|codec| EcState {
             codec,
+            fragments: BTreeMap::new(),
             repair_threshold: policy.default_repair_threshold(),
             repair_budget_bps: spec.repair_budget_bps,
             repair_tokens: 0,
@@ -296,11 +300,9 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         };
         let mut rt = NodeRuntime {
             node,
-            store: HashMap::new(),
             chain: ChainSync::default(),
             repair_ops: HashMap::new(),
             under_replicated: 0,
-            fragments: HashMap::new(),
             replication: policy.group_size() as u32,
             ec,
             ec_ops: HashMap::new(),
@@ -425,16 +427,26 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         &self.node
     }
 
-    /// Read-only view of the local block store, used by the simulation
-    /// harness's storage invariant checkers.
-    pub fn blocks(&self) -> &HashMap<Key, Vec<u8>> {
-        &self.store
+    /// The bytes of held block `key`, as the simulation harness's
+    /// storage invariants read them.
+    pub fn block(&self, key: &Key) -> Option<&[u8]> {
+        self.chain.block(key)
     }
 
-    /// Read-only view of the locally held erasure-coded fragments, used
-    /// by the simulation harness's reconstructability invariant.
-    pub fn fragments(&self) -> &HashMap<Key, StoredFragment> {
-        &self.fragments
+    /// Every held block's key, in key order.
+    pub fn block_keys(&self) -> impl Iterator<Item = &Key> {
+        self.chain.keys()
+    }
+
+    /// Held erasure-coded fragment `key`, as the simulation harness's
+    /// reconstructability invariant reads it.
+    pub fn fragment(&self, key: &Key) -> Option<&StoredFragment> {
+        self.ec.as_ref()?.fragments.get(key)
+    }
+
+    /// Every held fragment's key, in key order.
+    pub fn fragment_keys(&self) -> impl Iterator<Item = &Key> {
+        self.ec.iter().flat_map(|ec| ec.fragments.keys())
     }
 
     /// This node's view of the ring, as [`Request::Status`] reports it.
@@ -443,7 +455,7 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
             me: self.node.me(),
             predecessor: self.node.predecessor(),
             successors: self.node.successors().to_vec(),
-            blocks: self.store.len(),
+            blocks: self.chain.keys().len(),
         }
     }
 
@@ -569,35 +581,26 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                 // lands on a replica, which never owns the key.
                 if stored == 0 && self.disowns(&key) {
                     self.refuse(from, req_id);
-                } else if let Some(ec) = &self.ec {
-                    // Generations come from the injected clock: monotonic
-                    // across crash-restarts (a fresh counter would not
-                    // be), deterministic under the simulation clock.
-                    let generation = self.clock.now_us().max(1);
-                    let frags = ec.codec.encode(&data, generation);
-                    self.handle_put_ec(req_id, from, key, data.len() as u32, frags);
+                } else if self.ec.is_some() {
+                    self.handle_put_ec(req_id, from, key, &data);
                 } else {
                     self.handle_put(req_id, from, key, fanout, stored, data);
                 }
             }
             Request::Get { key } => {
                 self.registry.inc("node.gets");
-                match self.store.get_mut(&key).map(std::mem::take) {
-                    // The block is lent to the reply for the send and
-                    // taken back: over TCP the only copy is the encoder's,
-                    // into the pending queue.
-                    Some(data) => {
-                        let body = Response::Block { data: Some(data) };
-                        let reply = WireMsg::Response { req_id, body };
-                        let _ = self.transport.send(from, &reply); // as `respond`
-                        if let WireMsg::Response {
-                            body: Response::Block { data: Some(data) },
-                            ..
-                        } = reply
-                        {
-                            self.store.insert(key, data);
-                        }
-                    }
+                // The block is lent to the reply for the send and taken
+                // back: over TCP the only copy is the encoder's, into the
+                // pending queue.
+                let transport = &self.transport;
+                let answered = self.chain.lend(&key, |data| {
+                    let body = Response::Block { data: Some(data) };
+                    let reply = WireMsg::Response { req_id, body };
+                    let _ = transport.send(from, &reply); // as `respond`
+                    (into_data(reply), ())
+                });
+                match answered {
+                    Some(()) => {}
                     // A replica answers from its store above; with
                     // nothing held, only the owner may call it a miss.
                     None if self.disowns(&key) => self.refuse(from, req_id),
@@ -641,44 +644,33 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                 if corrupt {
                     self.registry.inc("ec.corrupt_fragments");
                 }
-                if corrupt || self.ec.is_none() {
+                let Some(ec) = self.ec.as_mut().filter(|_| !corrupt) else {
                     self.cur_ok = false;
                     self.respond(from, req_id, Response::PutAck { replicas: 0 });
                     return true;
-                }
-                let stale = self
+                };
+                let stale = ec
                     .fragments
                     .get(&key)
                     .is_some_and(|held| held.frag.generation > generation);
                 if !stale {
-                    self.fragments
-                        .insert(key, StoredFragment { block_len, frag });
-                    self.store.remove(&key);
+                    ec.fragments.insert(key, StoredFragment { block_len, frag });
                 }
                 self.respond(from, req_id, Response::PutAck { replicas: 1 });
             }
             Request::GetFragment { key, want_data } => {
-                let body = match self.fragments.get(&key) {
-                    Some(held) => Response::Fragment {
-                        has: true,
-                        index: held.frag.index,
-                        generation: held.frag.generation,
-                        check: held.frag.check,
-                        block_len: held.block_len,
-                        data: if want_data {
-                            held.frag.data.clone()
-                        } else {
-                            Vec::new()
-                        },
-                    },
-                    None => Response::Fragment {
-                        has: false,
-                        index: 0,
-                        generation: 0,
-                        check: 0,
-                        block_len: 0,
-                        data: Vec::new(),
-                    },
+                // Not held: `has` false and every other field zero.
+                let held = self.fragment(&key);
+                let frag = held.map(|held| &held.frag);
+                let body = Response::Fragment {
+                    has: held.is_some(),
+                    index: frag.map_or(0, |f| f.index),
+                    generation: frag.map_or(0, |f| f.generation),
+                    check: frag.map_or(0, |f| f.check),
+                    block_len: held.map_or(0, |held| held.block_len),
+                    data: frag
+                        .filter(|_| want_data)
+                        .map_or(Vec::new(), |f| f.data.clone()),
                 };
                 self.respond(from, req_id, body);
             }
@@ -706,10 +698,10 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
             }
             Request::MetricsDump => {
                 let mut reg = self.registry.clone();
-                reg.set_gauge("node.blocks", self.store.len() as f64);
+                reg.set_gauge("node.blocks", self.chain.keys().len() as f64);
                 reg.set_gauge("node.ring_position", self.node.me().id.to_fraction());
-                if self.ec.is_some() || !self.fragments.is_empty() {
-                    reg.set_gauge("ec.fragments", self.fragments.len() as f64);
+                if let Some(ec) = &self.ec {
+                    reg.set_gauge("ec.fragments", ec.fragments.len() as f64);
                     reg.set_gauge("ec.repair_queue", self.ec_repair_queue.len() as f64);
                 } else {
                     let short = self.under_replicated as f64;
@@ -782,26 +774,12 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
             },
         };
         // The chain goes on through the first successor that takes it.
-        let mut forwarded = false;
-        for succ in succs {
-            match self.transport.send_traced(succ, &forward, self.cur_ctx) {
-                Ok(()) => {
-                    forwarded = true;
-                    break;
-                }
-                Err(e) => self.send_failed(succ, e),
-            }
-        }
+        let forwarded = succs.into_iter().any(|succ| self.send_to(succ, &forward));
         // The local copy is the block itself, moved out of the forward
         // once that is sent (the transport took its own bytes): the
         // same step, in the order that copies nothing.
-        if let WireMsg::Request {
-            body: Request::Put { data, .. },
-            ..
-        } = forward
-        {
-            self.store_block(key, data);
-        }
+        self.chain
+            .stored(key, into_data(forward), self.ticks / REPAIR_EVERY_TICKS);
         // Forwarded, the chain's end will ack — unless the validation
         // knob counts the rest of the chain as written the moment the
         // forward send succeeds. A dead peer fails the send fast, so
@@ -816,6 +794,16 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         };
         self.registry.observe("node.put_replicas", replicas as u64);
         self.respond(from, req_id, Response::PutAck { replicas });
+    }
+
+    /// Sends `msg` to `to` under the current trace context; `false`, and
+    /// [`NodeRuntime::send_failed`], if the transport refused it.
+    fn send_to(&mut self, to: Addr, msg: &WireMsg) -> bool {
+        let Err(e) = self.transport.send_traced(to, msg, self.cur_ctx) else {
+            return true;
+        };
+        self.send_failed(to, e);
+        false
     }
 
     /// A send to `to` failed and its message is dropped. A slow peer
@@ -839,13 +827,6 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
             self.push_span(ctx, span, now, false, "send.fail", format!("to={to}"));
         }
         self.node.forget(to);
-    }
-
-    /// Stores a whole block, checksummed once for repair's digests.
-    fn store_block(&mut self, key: Key, data: Vec<u8>) {
-        let round = self.ticks / REPAIR_EVERY_TICKS;
-        self.chain.stored(key, content_sum(&data), round);
-        self.store.insert(key, data);
     }
 
     /// One replica-repair round (the decisions are [`ChainSync`]'s):
@@ -931,10 +912,11 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
             }
             // Unless a put got here first: that one is newer.
             (RepairOp::Pull { key }, Response::Block { data: Some(data) })
-                if !self.store.contains_key(&key) =>
+                if self.chain.block(&key).is_none() =>
             {
                 self.registry.inc("repair.blocks_pulled");
-                self.store_block(key, data);
+                self.chain
+                    .stored(key, data, self.ticks / REPAIR_EVERY_TICKS);
             }
             // The owner holds the stray now and its chain is its to fill.
             (RepairOp::Rehome { key }, Response::PutAck { replicas }) if replicas > 0 => {
@@ -949,19 +931,33 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
     /// Puts the held block `key` to `to` and returns its length (`None`
     /// if not held or not sent): to a chain successor as one more copy
     /// or, to `rehome` a stray, to its owner as head of an acked chain.
+    /// The block is lent to the put for the send, as to a get's reply.
     fn push_block(&mut self, to: Addr, key: Key, rehome: bool) -> Option<u64> {
-        let data = self.store.get(&key)?.clone();
-        let bytes = data.len() as u64;
         let rest = self.replication.saturating_sub(1);
         let (fanout, stored) = if rehome { (rest, 0) } else { (0, 1) };
-        let body = Request::Put {
-            key,
-            fanout,
-            stored,
-            data,
-        };
-        let op = rehome.then_some(RepairOp::Rehome { key });
-        self.ask(to, body, op).then_some(bytes)
+        // Held blocks are never deleted, so every caller's key is held
+        // and the id is spent, as `ask` spends it.
+        let (req_id, from) = (self.alloc_req(), self.node.me().addr);
+        let transport = &self.transport;
+        let (bytes, sent) = self.chain.lend(&key, |data| {
+            let bytes = data.len() as u64;
+            let body = Request::Put {
+                key,
+                fanout,
+                stored,
+                data,
+            };
+            let msg = WireMsg::Request { req_id, from, body };
+            let sent = transport.send(to, &msg);
+            (into_data(msg), (bytes, sent))
+        })?;
+        if let Err(e) = sent {
+            self.send_failed(to, e);
+            return None;
+        }
+        let op = rehome.then_some((req_id, RepairOp::Rehome { key }));
+        self.repair_ops.extend(op);
+        Some(bytes)
     }
 
     /// Sends ring traffic, forgetting dead hops and re-routing routed
@@ -1135,56 +1131,34 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
     /// member confirmed — the fragment-mode analogue of the replica
     /// chain's end-of-chain ack. The client's requested fanout is
     /// ignored; the policy decides the group size (`frags.len()`).
-    fn handle_put_ec(
-        &mut self,
-        req_id: u64,
-        from: Addr,
-        key: Key,
-        block_len: u32,
-        frags: Vec<Fragment>,
-    ) {
+    fn handle_put_ec(&mut self, req_id: u64, from: Addr, key: Key, data: &[u8]) {
+        let Some(ec) = self.ec.as_mut() else { return };
         self.registry.inc("node.puts");
-        let n = frags.len();
+        // Generations come from the injected clock: monotonic across
+        // crash-restarts (a fresh counter would not be), deterministic
+        // under the simulation clock.
+        let frags = ec.codec.encode(data, self.clock.now_us().max(1));
+        let (n, block_len) = (frags.len(), data.len() as u32);
         let mut iter = frags.into_iter();
-        let Some(own) = iter.next() else {
+        let Some(frag) = iter.next() else {
             // A codec of zero fragments stores nothing, and says so.
             self.respond(from, req_id, Response::PutAck { replicas: 0 });
             return;
         };
-        // A whole-block copy under this key would shadow the fragments.
-        self.store.remove(&key);
+        ec.fragments.insert(key, StoredFragment { block_len, frag });
         let group = self.group(n);
-        self.fragments.insert(
-            key,
-            StoredFragment {
-                block_len,
-                frag: own,
-            },
-        );
         let op_id = self.alloc_req();
         let mut pending = 0u32;
-        for (i, frag) in iter.enumerate() {
-            let Some(&to) = group.get(i + 1) else { break };
-            if self.send_fragment(op_id, to, key, n as u8, block_len, frag) {
-                pending += 1;
-            }
+        for (frag, &to) in iter.zip(group.iter().skip(1)) {
+            let sent = self.send_fragment(op_id, to, key, n as u8, block_len, frag);
+            pending += u32::from(sent);
         }
-        if pending == 0 {
-            self.registry.observe("node.put_replicas", 1);
-            self.respond(from, req_id, Response::PutAck { replicas: 1 });
-            return;
-        }
-        let started_us = self.clock.now_us();
-        self.ec_ops.insert(
-            op_id,
-            EcOp::Put {
-                client: from,
-                req_id,
-                pending,
-                stored: 1,
-                started_us,
-            },
-        );
+        let put = EcKind::Put {
+            client: from,
+            req_id,
+            stored: 1,
+        };
+        self.track_ec_op(op_id, pending, put);
     }
 
     /// Sends one fragment as a [`Request::PutFragment`], returning
@@ -1212,13 +1186,25 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                 data: frag.data,
             },
         };
-        match self.transport.send_traced(to, &msg, self.cur_ctx) {
-            Ok(()) => true,
-            Err(e) => {
-                self.send_failed(to, e);
-                false
-            }
+        self.send_to(to, &msg)
+    }
+
+    /// Sends [`Request::GetFragment`] for `key` to every other member
+    /// of its `n`-member group under one fresh op id; returns the id
+    /// and how many sends the transport accepted.
+    fn ask_group(&mut self, n: usize, key: Key, want_data: bool) -> (u64, u32) {
+        let (op_id, me) = (self.alloc_req(), self.node.me().addr);
+        let mut pending = 0u32;
+        for to in self.group(n).split_off(1) {
+            let body = Request::GetFragment { key, want_data };
+            let msg = WireMsg::Request {
+                req_id: op_id,
+                from: me,
+                body,
+            };
+            pending += u32::from(self.send_to(to, &msg));
         }
+        (op_id, pending)
     }
 
     /// Starts a gather: ask every other group member for its fragment,
@@ -1227,96 +1213,56 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
     /// no second round on a miss, at the cost of `(n-k)/k` extra
     /// fragment bandwidth per read.
     fn start_ec_gather(&mut self, key: Key, purpose: GatherPurpose) {
-        let Some(n) = self.ec.as_ref().map(|ec| ec.codec.n()) else {
-            return;
+        let Some(ec) = &self.ec else { return };
+        let (block_len, frags) = match ec.fragments.get(&key) {
+            Some(held) => (held.block_len, vec![held.frag.clone()]),
+            None => (0, Vec::new()),
         };
-        let group = self.group(n);
-        let me = self.node.me().addr;
-        let mut frags = Vec::new();
-        let mut block_len = 0u32;
-        if let Some(held) = self.fragments.get(&key) {
-            block_len = held.block_len;
-            frags.push(held.frag.clone());
-        }
-        let op_id = self.alloc_req();
-        let mut pending = 0u32;
-        for &to in group.iter().skip(1) {
-            let msg = WireMsg::Request {
-                req_id: op_id,
-                from: me,
-                body: Request::GetFragment {
-                    key,
-                    want_data: true,
-                },
-            };
-            match self.transport.send_traced(to, &msg, self.cur_ctx) {
-                Ok(()) => pending += 1,
-                Err(e) => self.send_failed(to, e),
-            }
-        }
-        let started_us = self.clock.now_us();
-        let op = EcOp::Gather {
+        let (op_id, pending) = self.ask_group(ec.codec.n(), key, true);
+        let gather = EcKind::Gather {
             key,
             purpose,
             block_len,
             frags,
-            pending,
-            started_us,
         };
-        if pending == 0 {
-            self.finish_ec_op(op);
-        } else {
-            self.ec_ops.insert(op_id, op);
-        }
+        self.track_ec_op(op_id, pending, gather);
     }
 
     /// Starts a presence probe for one owned key: empty
     /// [`Request::GetFragment`] frames to every other group member; the
     /// locally held fragment counts immediately.
     fn start_ec_probe(&mut self, key: Key) {
-        let Some(n) = self.ec.as_ref().map(|ec| ec.codec.n()) else {
+        let Some(ec) = &self.ec else { return };
+        let Some(held) = ec.fragments.get(&key) else {
             return;
         };
-        let Some(held) = self.fragments.get(&key) else {
-            return;
-        };
-        let block_len = held.block_len;
-        let own_index = held.frag.index as usize;
-        let group = self.group(n);
-        let me = self.node.me().addr;
+        let (n, block_len) = (ec.codec.n(), held.block_len);
         let mut present = vec![false; n];
-        if let Some(slot) = present.get_mut(own_index) {
+        if let Some(slot) = present.get_mut(held.frag.index as usize) {
             *slot = true;
         }
-        let op_id = self.alloc_req();
-        let mut pending = 0u32;
-        for &to in group.iter().skip(1) {
-            let msg = WireMsg::Request {
-                req_id: op_id,
-                from: me,
-                body: Request::GetFragment {
-                    key,
-                    want_data: false,
-                },
-            };
-            match self.transport.send_traced(to, &msg, self.cur_ctx) {
-                Ok(()) => pending += 1,
-                Err(e) => self.send_failed(to, e),
-            }
-        }
-        let started_us = self.clock.now_us();
-        let op = EcOp::Probe {
+        let (op_id, pending) = self.ask_group(n, key, false);
+        let probe = EcKind::Probe {
             key,
             block_len,
             present,
+        };
+        self.track_ec_op(op_id, pending, probe);
+    }
+
+    /// Waits for op `op_id`'s `pending` replies, or completes it now if
+    /// no send went out.
+    fn track_ec_op(&mut self, op_id: u64, pending: u32, kind: EcKind) {
+        if pending == 0 {
+            return self.finish_ec_op(kind);
+        }
+        let started_us = self.clock.now_us();
+        let op = EcOp {
             pending,
             started_us,
+            kind,
         };
-        if pending == 0 {
-            self.finish_ec_op(op);
-        } else {
-            self.ec_ops.insert(op_id, op);
-        }
+        self.ec_ops.insert(op_id, op);
     }
 
     /// Routes one response into its erasure-coded op, completing the op
@@ -1325,23 +1271,14 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         let Some(mut op) = self.ec_ops.remove(&op_id) else {
             return;
         };
-        let done = match (&mut op, body) {
-            (
-                EcOp::Put {
-                    pending, stored, ..
-                },
-                Response::PutAck { replicas },
-            ) => {
+        let counts = match (&mut op.kind, body) {
+            (EcKind::Put { stored, .. }, Response::PutAck { replicas }) => {
                 *stored += replicas.min(1);
-                *pending = pending.saturating_sub(1);
-                *pending == 0
+                true
             }
             (
-                EcOp::Gather {
-                    frags,
-                    block_len,
-                    pending,
-                    ..
+                EcKind::Gather {
+                    frags, block_len, ..
                 },
                 Response::Fragment {
                     has,
@@ -1361,52 +1298,42 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                     };
                     add_gathered(frags, block_len, frag, bl, &mut self.registry);
                 }
-                *pending = pending.saturating_sub(1);
-                *pending == 0
+                true
             }
-            (
-                EcOp::Probe {
-                    present, pending, ..
-                },
-                Response::Fragment { has, index, .. },
-            ) => {
-                if has {
-                    if let Some(slot) = present.get_mut(index as usize) {
-                        *slot = true;
-                    }
+            (EcKind::Probe { present, .. }, Response::Fragment { has, index, .. }) => {
+                if let Some(slot) = present.get_mut(index as usize).filter(|_| has) {
+                    *slot = true;
                 }
-                *pending = pending.saturating_sub(1);
-                *pending == 0
+                true
             }
             // A mismatched body (hostile or confused peer) neither
             // advances nor completes the op; the timeout reaps it.
             _ => false,
         };
-        if done {
-            self.finish_ec_op(op);
+        op.pending -= u32::from(counts);
+        if op.pending == 0 {
+            self.finish_ec_op(op.kind);
         } else {
             self.ec_ops.insert(op_id, op);
         }
     }
 
     /// Completes one erasure-coded op with whatever replies arrived.
-    fn finish_ec_op(&mut self, op: EcOp) {
+    fn finish_ec_op(&mut self, op: EcKind) {
         match op {
-            EcOp::Put {
+            EcKind::Put {
                 client,
                 req_id,
                 stored,
-                ..
             } => {
                 self.registry.observe("node.put_replicas", stored as u64);
                 self.respond(client, req_id, Response::PutAck { replicas: stored });
             }
-            EcOp::Gather {
+            EcKind::Gather {
                 key,
                 purpose,
                 block_len,
                 frags,
-                ..
             } => {
                 let Some(ec) = &self.ec else { return };
                 let (k, n) = (ec.codec.k(), ec.codec.n());
@@ -1448,27 +1375,24 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
                             if frags.iter().any(|f| f.index == frag.index) {
                                 continue; // a member still holds it
                             }
-                            if pos == 0 {
-                                self.fragments
-                                    .insert(key, StoredFragment { block_len, frag });
+                            if let (0, Some(ec)) = (pos, self.ec.as_mut()) {
+                                ec.fragments.insert(key, StoredFragment { block_len, frag });
                                 repaired += 1;
                             } else if let Some(&to) = group.get(pos) {
                                 // Fire-and-forget: the ack comes back
                                 // under a req id no op owns, and drops.
-                                if self.send_fragment(0, to, key, n as u8, block_len, frag) {
-                                    repaired += 1;
-                                }
+                                let sent = self.send_fragment(0, to, key, n as u8, block_len, frag);
+                                repaired += u64::from(sent);
                             }
                         }
                         self.registry.add("ec.repaired_fragments", repaired);
                     }
                 }
             }
-            EcOp::Probe {
+            EcKind::Probe {
                 key,
                 block_len,
                 present,
-                ..
             } => {
                 let Some(ec) = self.ec.as_ref() else { return };
                 let m = ec.repair_threshold;
@@ -1498,28 +1422,22 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
             return;
         }
         let now = self.clock.now_us();
-        let bps = {
-            let Some(ec) = self.ec.as_mut() else { return };
-            let dt = now.saturating_sub(ec.last_refill_us);
-            ec.last_refill_us = now;
-            if ec.repair_budget_bps > 0 {
-                let add = (ec.repair_budget_bps as u128 * dt as u128 / 1_000_000) as u64;
-                ec.repair_tokens = ec
-                    .repair_tokens
-                    .saturating_add(add)
-                    .min(ec.repair_budget_bps.saturating_mul(EC_BURST_SECS));
-            }
-            ec.repair_budget_bps
-        };
+        let Some(ec) = self.ec.as_mut() else { return };
+        let dt = now.saturating_sub(ec.last_refill_us);
+        ec.last_refill_us = now;
+        let bps = ec.repair_budget_bps;
+        if bps > 0 {
+            let add = (bps as u128 * dt as u128 / 1_000_000) as u64;
+            ec.repair_tokens = ec
+                .repair_tokens
+                .saturating_add(add)
+                .min(bps.saturating_mul(EC_BURST_SECS));
+        }
         // Probe every owned key not already queued or in flight.
-        let owned_range = self.node.owned_range();
-        let mut owned: Vec<Key> = self
-            .fragments
-            .keys()
-            .filter(|k| owned_range.as_ref().is_some_and(|r| r.contains(k)))
-            .copied()
-            .collect();
-        owned.sort_unstable();
+        let owned: Vec<Key> = match self.node.owned_range() {
+            Some(range) => range.walk(&ec.fragments).map(|(k, _)| *k).collect(),
+            None => Vec::new(),
+        };
         for key in owned {
             if self.ec_repair_queue.contains_key(&key) || self.ec_op_in_flight(key) {
                 continue;
@@ -1552,13 +1470,13 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
 
     /// Whether a repair-path op for `key` is already in flight.
     fn ec_op_in_flight(&self, key: Key) -> bool {
-        self.ec_ops.values().any(|op| match op {
-            EcOp::Gather {
+        self.ec_ops.values().any(|op| match op.kind {
+            EcKind::Gather {
                 key: k,
                 purpose: GatherPurpose::Repair,
                 ..
             }
-            | EcOp::Probe { key: k, .. } => *k == key,
+            | EcKind::Probe { key: k, .. } => k == key,
             _ => false,
         })
     }
@@ -1574,22 +1492,30 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
         let mut expired: Vec<u64> = self
             .ec_ops
             .iter()
-            .filter(|(_, op)| {
-                let started = match op {
-                    EcOp::Put { started_us, .. }
-                    | EcOp::Gather { started_us, .. }
-                    | EcOp::Probe { started_us, .. } => *started_us,
-                };
-                now.saturating_sub(started) >= EC_OP_TIMEOUT_US
-            })
+            .filter(|(_, op)| now.saturating_sub(op.started_us) >= EC_OP_TIMEOUT_US)
             .map(|(id, _)| *id)
             .collect();
         expired.sort_unstable();
         for id in expired {
             if let Some(op) = self.ec_ops.remove(&id) {
-                self.finish_ec_op(op);
+                self.finish_ec_op(op.kind);
             }
         }
+    }
+}
+
+/// The block bytes a sent put or block reply carries, moved back out.
+fn into_data(msg: WireMsg) -> Vec<u8> {
+    match msg {
+        WireMsg::Request {
+            body: Request::Put { data, .. },
+            ..
+        }
+        | WireMsg::Response {
+            body: Response::Block { data: Some(data) },
+            ..
+        } => data,
+        _ => Vec::new(),
     }
 }
 

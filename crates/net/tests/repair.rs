@@ -11,9 +11,11 @@
 //! pulls its range from a successor; a join re-homes what it displaced
 //! and then the ring is quiet again; the owner's bytes win over a stale
 //! replica's; a backlogged peer is left alone until the next round; a
-//! replica refuses a fragment, which would stand in for its block.
+//! replica refuses a fragment, which would stand in for its block. Under
+//! erasure coding an owner probes exactly the keys it owns and has not
+//! queued for regeneration.
 
-use d2_ec::Fragment;
+use d2_ec::{Fragment, RedundancyPolicy};
 use d2_net::{check_ring, NodeRuntime, NodeSpec, SimClock};
 use d2_obs::TraceCtx;
 use d2_ring::messages::Addr;
@@ -79,7 +81,7 @@ impl Transport for Bounded {
 /// One message a node took in that was not ring maintenance.
 struct Taken {
     to: Addr,
-    kind: &'static str,
+    msg: WireMsg,
     /// Its size as a frame on the wire.
     bytes: usize,
 }
@@ -92,6 +94,8 @@ fn inbox(t: &impl Transport) -> mpsc::Receiver<Delivery> {
 }
 
 struct Ring {
+    /// What every node is, but for its position and seed.
+    spec: NodeSpec,
     hub: ChannelHub,
     clock: SimClock,
     nodes: Vec<NodeRuntime<Bounded, SimClock>>,
@@ -111,12 +115,18 @@ fn k(f: f64) -> Key {
 }
 
 impl Ring {
-    /// Nodes at `fracs` (the first bootstraps), stepped until the ring
-    /// holds and every successor list covers a chain.
+    /// Replicating nodes at `fracs` (the first bootstraps), stepped
+    /// until the ring holds and every successor list covers a chain.
     fn boot(fracs: &[f64]) -> Ring {
+        Ring::boot_as(NodeSpec::replicated(REPLICAS), fracs)
+    }
+
+    /// Nodes as `spec` says at `fracs`, booted as [`Ring::boot`] does.
+    fn boot_as(spec: NodeSpec, fracs: &[f64]) -> Ring {
         let hub = ChannelHub::new(Arc::new(NetMetrics::new()));
         let client = hub.open();
         let mut ring = Ring {
+            spec,
             client_inbox: inbox(&client),
             client,
             hub,
@@ -143,7 +153,7 @@ impl Ring {
         };
         let addr = transport.local_addr();
         self.inboxes.push(inbox(&transport));
-        let spec = NodeSpec::replicated(REPLICAS).at(k(frac), seed);
+        let spec = self.spec.at(k(frac), seed);
         self.nodes
             .push(NodeRuntime::new(spec, transport, self.clock.clone()));
         self.pump();
@@ -188,7 +198,7 @@ impl Ring {
                     if !matches!(msg, WireMsg::Ring(_)) {
                         self.taken.push(Taken {
                             to,
-                            kind: msg.type_name(),
+                            msg: msg.clone(),
                             bytes: encode_traced_into(&mut Vec::new(), &msg, trace),
                         });
                     }
@@ -308,31 +318,33 @@ impl Ring {
 
     /// How many `kind` messages `to` (or anyone) has taken in.
     fn took(&self, kind: &str, to: Option<Addr>) -> usize {
-        let hit = |t: &&Taken| t.kind == kind && to.is_none_or(|a| a == t.to);
+        let hit = |t: &&Taken| t.msg.type_name() == kind && to.is_none_or(|a| a == t.to);
         self.taken.iter().filter(hit).count()
     }
 
     /// Keys `addr` holds, sorted.
     fn held(&self, addr: Addr) -> Vec<Key> {
-        let mut keys: Vec<Key> = self.node(addr).blocks().keys().copied().collect();
-        keys.sort_unstable();
-        keys
+        self.node(addr).block_keys().copied().collect()
+    }
+
+    /// The owner of `key` and the next two nodes round the ring.
+    fn chain(&self, key: &Key) -> Vec<Addr> {
+        let mut by_id: Vec<_> = self.nodes.iter().map(|rt| rt.protocol().me()).collect();
+        by_id.sort_by_key(|p| p.id);
+        let owner = by_id.iter().position(|p| p.id >= *key).unwrap_or(0);
+        let step = |i: usize| by_id[(owner + i) % by_id.len()].addr;
+        (0..REPLICAS as usize).map(step).collect()
     }
 
     /// Asserts that the owner of every block and the next two nodes
     /// round the ring hold it, byte for byte.
     fn assert_fully_replicated(&self, blocks: &[(Key, Vec<u8>)]) {
-        let mut by_id: Vec<_> = self.nodes.iter().map(|rt| rt.protocol().me()).collect();
-        by_id.sort_by_key(|p| p.id);
         for (key, data) in blocks {
-            let owner = by_id.iter().position(|p| p.id >= *key).unwrap_or(0);
-            for step in 0..REPLICAS as usize {
-                let holder = by_id[(owner + step) % by_id.len()];
+            for (step, holder) in self.chain(key).into_iter().enumerate() {
                 assert_eq!(
-                    self.node(holder.addr).blocks().get(key),
-                    Some(data),
-                    "replica {step} of {key} on node {}",
-                    holder.addr
+                    self.node(holder).block(key),
+                    Some(&data[..]),
+                    "replica {step} of {key} on node {holder}"
                 );
             }
         }
@@ -351,6 +363,21 @@ fn in_range(blocks: &[(Key, Vec<u8>)], from: f64, to: f64) -> Vec<Key> {
 }
 
 const FIVE: [f64; 5] = [0.1, 0.3, 0.5, 0.7, 0.9];
+
+/// A push of fragment `index` of `total` under `key`, as an erasure
+/// coding owner sends one.
+fn fragment_push(key: Key, index: u8, total: u8) -> Request {
+    let frag = Fragment::new(index, 1, b"a fragment".to_vec());
+    Request::PutFragment {
+        key,
+        index,
+        total,
+        generation: frag.generation,
+        check: frag.check,
+        block_len: 20,
+        data: frag.data,
+    }
+}
 
 #[test]
 fn an_undamaged_ring_spends_one_small_digest_per_chain_successor_a_round() {
@@ -372,7 +399,7 @@ fn an_undamaged_ring_spends_one_small_digest_per_chain_successor_a_round() {
     );
     // Nothing but digests crossed the ring, and every one is small.
     assert_eq!(ring.taken.len(), 5 * per_round);
-    assert!(ring.taken.iter().all(|t| t.kind == "sync_range"));
+    assert!(ring.taken.iter().all(|t| t.msg.type_name() == "sync_range"));
     let bytes: usize = ring.taken.iter().map(|t| t.bytes).sum();
     assert!(
         bytes <= 5 * per_round * SMALL_FRAME,
@@ -441,7 +468,7 @@ fn a_replica_restarted_empty_is_sent_exactly_the_ranges_it_replicates() {
     // Healed: the next round is digests only.
     ring.taken.clear();
     ring.rounds(1);
-    assert!(ring.taken.iter().all(|t| t.kind == "sync_range"));
+    assert!(ring.taken.iter().all(|t| t.msg.type_name() == "sync_range"));
 }
 
 #[test]
@@ -458,7 +485,7 @@ fn an_owner_restarted_empty_pulls_its_range_back_from_a_successor() {
     assert_eq!(ring.counter("repair.blocks_pulled"), owned.len() as u64);
     for key in &owned {
         let data = &blocks.iter().find(|b| b.0 == *key).unwrap().1;
-        assert_eq!(ring.node(back).blocks().get(key), Some(data));
+        assert_eq!(ring.node(back).block(key), Some(&data[..]));
     }
     assert_eq!(ring.counter("repair.strays_rehomed"), 0);
 }
@@ -490,7 +517,7 @@ fn a_join_rehomes_what_it_displaced_and_then_nothing_moves() {
     );
     ring.taken.clear();
     ring.rounds(2);
-    assert!(ring.taken.iter().all(|t| t.kind == "sync_range"));
+    assert!(ring.taken.iter().all(|t| t.msg.type_name() == "sync_range"));
     assert_eq!(ring.counter("node.msgs_in.put"), puts);
     assert_eq!(ring.counter("node.msgs_in.find_owner"), lookups);
 }
@@ -509,9 +536,9 @@ fn the_owners_copy_replaces_a_stale_replica() {
         data: b"yesterday's bytes".to_vec(),
     };
     ring.send(replica, stale);
-    assert_ne!(ring.node(replica).blocks().get(&key), Some(&current));
+    assert_ne!(ring.node(replica).block(&key), Some(&current[..]));
     ring.rounds(1);
-    assert_eq!(ring.node(replica).blocks().get(&key), Some(&current));
+    assert_eq!(ring.node(replica).block(&key), Some(&current[..]));
     assert_eq!(ring.counter("repair.blocks_pushed"), 1);
     assert_eq!(ring.counter("repair.blocks_pulled"), 0);
     ring.assert_fully_replicated(&blocks);
@@ -561,26 +588,16 @@ fn a_replicating_node_refuses_a_fragment_and_keeps_its_block() {
     // what a node misconfigured with `--ec` pushes its successors.
     let (key, current) = blocks[20].clone();
     let holder = ring.at(0.7);
-    let frag = Fragment::new(1, 1, b"one of eight".to_vec());
-    let push = Request::PutFragment {
-        key,
-        index: frag.index,
-        total: 8,
-        generation: frag.generation,
-        check: frag.check,
-        block_len: current.len() as u32,
-        data: frag.data,
-    };
     assert_eq!(
-        ring.send(holder, push),
+        ring.send(holder, fragment_push(key, 1, 8)),
         Some(Response::PutAck { replicas: 0 })
     );
-    assert_eq!(ring.node(holder).blocks().get(&key), Some(&current));
-    assert!(ring.node(holder).fragments().is_empty());
+    assert_eq!(ring.node(holder).block(&key), Some(&current[..]));
+    assert_eq!(ring.node(holder).fragment_keys().count(), 0);
     // The chain's digests still agree, so a round moves nothing.
     ring.taken.clear();
     ring.rounds(1);
-    assert!(ring.taken.iter().all(|t| t.kind == "sync_range"));
+    assert!(ring.taken.iter().all(|t| t.msg.type_name() == "sync_range"));
     for name in [
         "repair.ranges_differ",
         "repair.blocks_pushed",
@@ -589,4 +606,51 @@ fn a_replicating_node_refuses_a_fragment_and_keeps_its_block() {
         assert_eq!(ring.counter(name), 0, "{name}");
     }
     ring.assert_fully_replicated(&blocks);
+}
+
+#[test]
+fn an_erasure_coding_owner_probes_exactly_the_keys_it_owns_and_has_not_queued() {
+    // (2, 3) fragments, so a put is acked by as many members as a
+    // replicated one; a byte a second never pays for a regeneration.
+    let spec = NodeSpec {
+        redundancy: RedundancyPolicy::ErasureCode { k: 2, n: 3 },
+        repair_budget_bps: 1,
+        ..NodeSpec::replicated(REPLICAS)
+    };
+    let mut ring = Ring::boot_as(spec, &FIVE);
+    let blocks = ring.preload();
+    // A fragment only its owner holds: the owner's first probe finds it
+    // below the repair threshold and queues it for good.
+    let (owner, lone) = (ring.at(0.5), fragment_push(k(0.45), 0, 3));
+    assert_eq!(
+        ring.send(owner, lone),
+        Some(Response::PutAck { replicas: 1 })
+    );
+    ring.rounds(2);
+    assert!(ring.counter("ec.repair_throttled_bytes") > 0);
+    ring.taken.clear();
+    ring.rounds(1);
+    // Each node also holds fragments of its two predecessors' keys, yet
+    // every key is probed by its owner alone, once per other member,
+    // and the queued key not at all.
+    let mut probes: Vec<(Key, Addr, Addr)> = Vec::new();
+    for t in &ring.taken {
+        if let WireMsg::Request {
+            from,
+            body: Request::GetFragment { key, want_data },
+            ..
+        } = t.msg
+        {
+            assert!(!want_data, "a gather in an undamaged ring");
+            probes.push((key, from, t.to));
+        }
+    }
+    let mut want: Vec<(Key, Addr, Addr)> = Vec::new();
+    for (key, _) in &blocks {
+        let chain = ring.chain(key);
+        want.extend(chain[1..].iter().map(|&to| (*key, chain[0], to)));
+    }
+    probes.sort_unstable();
+    want.sort_unstable();
+    assert_eq!(probes, want);
 }

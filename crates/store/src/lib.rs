@@ -1,9 +1,10 @@
 //! D2-Store: per-node block storage and the lookup cache (paper Sections
 //! 3 and 5).
 //!
-//! - [`NodeStore`] holds one node's blocks in key order, with the byte
-//!   accounting and range queries (count, split point) that load
-//!   balancing reads. A copy is real bytes ([`Payload::Data`]) or a size
+//! - [`NodeStore`] holds one simulated node's blocks in key order, with
+//!   the byte accounting and range queries (count, split point) that
+//!   load balancing reads. A live node holds its blocks in `d2-net`'s
+//!   `ChainSync`, next to the checksums replica repair compares. A copy is real bytes ([`Payload::Data`]) or a size
 //!   placeholder ([`Payload::Size`]) at simulation scale; a block
 //!   pointer's target and age live in `d2-core`'s cluster index, not
 //!   here.
@@ -12,7 +13,7 @@
 //!   lookups (Section 5). Its ranges are disjoint and kept sorted, so a
 //!   probe is one binary search (the benchmark's
 //!   `store.lookup_cache_probe_ns`, over 64 ranges); `scripts/check.sh`'s
-//!   replay gate (`sim_harvard32` `op_p50_us` ≤ 0.4) holds the simulated
+//!   replay gate (`sim_harvard32` `op_p50_us` ≤ 0.3) holds the simulated
 //!   fetch that probes it.
 //!
 //! Replica placement (which `r` nodes hold a block) is a function of the

@@ -3,7 +3,6 @@
 use d2_sim::SimTime;
 use d2_types::{Key, KeyRange};
 use std::collections::BTreeMap;
-use std::ops::Bound;
 
 /// What a node physically holds for a key.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -113,30 +112,15 @@ impl NodeStore {
         old
     }
 
-    /// The stored keys inside `range`, in ring order from its start: a
-    /// wrapping arc yields `(start, MAX]` and then `[MIN, end]`.
-    fn in_range(&self, range: &KeyRange) -> impl Iterator<Item = &Key> {
-        let (start, end) = (*range.start(), *range.end());
-        let (head, tail) = if range.is_full() {
-            ((Bound::Unbounded, Bound::Unbounded), None)
-        } else if start < end {
-            ((Bound::Excluded(start), Bound::Included(end)), None)
-        } else {
-            ((Bound::Excluded(start), Bound::Unbounded), Some(end))
-        };
-        let tail = tail.into_iter().flat_map(|end| self.blocks.range(..=end));
-        self.blocks.range(head).chain(tail).map(|(k, _)| k)
-    }
-
     /// Keys inside `range` (which may wrap).
     pub fn keys_in(&self, range: &KeyRange) -> Vec<Key> {
-        self.in_range(range).copied().collect()
+        range.walk(&self.blocks).map(|(k, _)| *k).collect()
     }
 
     /// Number of blocks inside `range` (no allocation; called on every
     /// balance probe).
     pub fn count_in(&self, range: &KeyRange) -> u64 {
-        self.in_range(range).count() as u64
+        range.walk(&self.blocks).count() as u64
     }
 
     /// The key `m` such that half of the blocks in `range` have keys ≤ `m`
@@ -147,7 +131,7 @@ impl NodeStore {
         if n < 2 {
             return None;
         }
-        self.in_range(range).nth(n / 2 - 1).copied()
+        range.walk(&self.blocks).nth(n / 2 - 1).map(|(k, _)| *k)
     }
 
     /// Iterates all `(key, block)` entries in key order.
@@ -183,37 +167,6 @@ mod tests {
         s.put(k(1), Payload::Size(40), SimTime::ZERO);
         assert_eq!(s.bytes(), 40);
         assert_eq!(s.len(), 1);
-    }
-
-    #[test]
-    fn keys_in_simple_range() {
-        let mut s = NodeStore::new();
-        for v in [10, 20, 30, 40] {
-            s.put(k(v), Payload::Size(1), SimTime::ZERO);
-        }
-        let r = KeyRange::new(k(10), k(30));
-        assert_eq!(s.keys_in(&r), vec![k(20), k(30)]); // start exclusive
-        assert_eq!(s.count_in(&r), 2);
-    }
-
-    #[test]
-    fn keys_in_wrapping_range() {
-        let mut s = NodeStore::new();
-        for v in [10, 20, 30, 40] {
-            s.put(k(v), Payload::Size(1), SimTime::ZERO);
-        }
-        let r = KeyRange::new(k(35), k(15));
-        assert_eq!(s.keys_in(&r), vec![k(40), k(10)]);
-        assert_eq!(s.count_in(&r), 2);
-    }
-
-    #[test]
-    fn keys_in_full_range() {
-        let mut s = NodeStore::new();
-        for v in [1, 2, 3] {
-            s.put(k(v), Payload::Size(1), SimTime::ZERO);
-        }
-        assert_eq!(s.keys_in(&KeyRange::full()).len(), 3);
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! predecessor (exclusive) and itself (inclusive).
 
 use std::cmp::Ordering;
+use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Bound;
 
 /// Number of bytes in a ring key (the paper uses 64-byte keys, Figure 4).
 pub const KEY_BYTES: usize = 64;
@@ -343,6 +345,22 @@ impl KeyRange {
     pub fn span(&self) -> Key {
         self.start.distance_to(&self.end)
     }
+
+    /// The entries of `map` whose keys lie on the arc, in ring order
+    /// from its start: a wrapping arc yields `(start, MAX]` and then
+    /// `[MIN, end]`, and the full ring all of `map` in key order.
+    pub fn walk<'a, V>(&self, map: &'a BTreeMap<Key, V>) -> impl Iterator<Item = (&'a Key, &'a V)> {
+        let (start, end) = (self.start, self.end);
+        let (head, tail) = if self.is_full() {
+            ((Bound::Unbounded, Bound::Unbounded), None)
+        } else if start < end {
+            ((Bound::Excluded(start), Bound::Included(end)), None)
+        } else {
+            ((Bound::Excluded(start), Bound::Unbounded), Some(end))
+        };
+        let tail = tail.into_iter().flat_map(move |end| map.range(..=end));
+        map.range(head).chain(tail)
+    }
 }
 
 impl fmt::Display for KeyRange {
@@ -430,6 +448,22 @@ mod tests {
             let k = Key::from_fraction(f);
             assert!((k.to_fraction() - f).abs() < 1e-9, "f={f}");
         }
+    }
+
+    #[test]
+    fn walk_lists_an_arc_in_ring_order_from_its_start() {
+        let map: BTreeMap<Key, ()> = [10, 20, 30, 40].map(|v| (Key::from_u64(v), ())).into();
+        let walk = |a, b| -> Vec<u64> {
+            let r = KeyRange::new(Key::from_u64(a), Key::from_u64(b));
+            r.walk(&map).map(|(k, _)| k.to_u64_lossy()).collect()
+        };
+        // The start is exclusive and the end inclusive.
+        assert_eq!(walk(10, 30), [20, 30]);
+        // Wrapping: past the top of the ring, then up to the end.
+        assert_eq!(walk(35, 15), [40, 10]);
+        // The full ring, whatever its start, in key order.
+        assert_eq!(walk(20, 20), [10, 20, 30, 40]);
+        assert_eq!(walk(0, 0), [10, 20, 30, 40]);
     }
 
     #[test]

@@ -4,6 +4,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The d2-bench gates build benchmark/ in place, which rewrites its
+# tracked Cargo.lock: keep a copy and put it back on the way out.
+BENCH_LOCK="$(mktemp)"
+cp benchmark/Cargo.lock "$BENCH_LOCK"
+restore_bench_lock() {
+    cp "$BENCH_LOCK" benchmark/Cargo.lock
+    rm -f "$BENCH_LOCK"
+}
+trap restore_bench_lock EXIT
+
 echo "==> Cargo.lock names no external crate"
 # The build is offline: every package is a workspace member or `rand`,
 # the stand-in under benchmark/stubs/. An external crate added back
@@ -105,6 +115,7 @@ SMOKE_PIDS=()
 smoke_cleanup() {
     for p in "${SMOKE_PIDS[@]:-}"; do kill "$p" 2>/dev/null || true; done
     rm -rf "$SMOKE_TMP"
+    restore_bench_lock
 }
 trap smoke_cleanup EXIT
 ./target/release/d2-node serve --listen 127.0.0.1:0 --pos 0.17 --replicas 2 \
