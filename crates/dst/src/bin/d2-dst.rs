@@ -42,7 +42,8 @@
 //! walkthrough.
 
 use d2_dst::{
-    run_one, shrink, sweep, InjectedBug, Overrides, RedundancyPolicy, Scenario, WorldRegime,
+    run_one, shrink, sweep, ClientWorkload, InjectedBug, Overrides, RedundancyPolicy, Scenario,
+    WorldRegime,
 };
 use d2_obs::trace::{to_jsonl, TraceEvent};
 use d2_obs::{render_span_tree, SpanRecord};
@@ -131,7 +132,9 @@ fn parse_args(args: &[String]) -> Args {
                 out.scenario.repair_budget_bps =
                     parse_num(&val("--repair-budget"), "--repair-budget")
             }
-            "--puts" => out.scenario.puts = parse_num(&val("--puts"), "--puts"),
+            "--puts" => {
+                out.scenario.client = ClientWorkload::Puts(parse_num(&val("--puts"), "--puts"))
+            }
             "--jobs" => out.jobs = parse_num(&val("--jobs"), "--jobs"),
             "--world" => {
                 let w = val("--world");
@@ -172,7 +175,7 @@ fn replay_line(sc: &Scenario) -> String {
         RedundancyPolicy::Replicate { r } => format!(" --replicas {r}"),
         RedundancyPolicy::ErasureCode { k, n } => format!(" --ec {k}/{n}"),
     });
-    line.push_str(&format!(" --puts {}", sc.puts));
+    line.push_str(&format!(" --puts {}", sc.puts()));
     if sc.regime != WorldRegime::Classic {
         line.push_str(&format!(" --world {}", sc.regime.label()));
     }
@@ -433,7 +436,7 @@ mod tests {
                 cases.push(Scenario {
                     seed: 41 + cases.len() as u64,
                     nodes: 9,
-                    puts: 17,
+                    client: ClientWorkload::Puts(17),
                     redundancy,
                     repair_budget_bps: budget,
                     regime,
@@ -450,7 +453,7 @@ mod tests {
             let got = &args.scenario;
             assert_eq!(args.seed, Some(want.seed), "{line}");
             assert_eq!(got.nodes, want.nodes, "{line}");
-            assert_eq!(got.puts, want.puts, "{line}");
+            assert_eq!(got.client, want.client, "{line}");
             assert_eq!(got.redundancy, want.redundancy, "{line}");
             assert_eq!(got.regime, want.regime, "{line}");
             assert_eq!(got.bug, want.bug, "{line}");

@@ -103,7 +103,7 @@ pub fn sweep(base: &Scenario, seed0: u64, count: u64, jobs: usize) -> Vec<SeedRe
                     violation: out.violation,
                     end_us: out.end_us,
                     acked_puts: out.stats.acked_puts,
-                    puts: sc.puts as u32,
+                    puts: sc.puts() as u32,
                     plan_len: out.plan.len(),
                     lookups,
                     hops_p50,

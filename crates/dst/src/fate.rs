@@ -3,10 +3,9 @@
 //!
 //! Message fates are hashed from `(seed, seq)` rather than drawn from a
 //! stream so that the fate of message `seq` never depends on how much
-//! randomness earlier code consumed — the same idiom as
-//! `d2_sim::fault`. That is what makes schedule shrinking sound: forcing
-//! one message to deliver cleanly leaves every other message's fate
-//! untouched.
+//! randomness earlier code consumed. That is what makes schedule
+//! shrinking sound: forcing one message to deliver cleanly leaves every
+//! other message's fate untouched.
 
 use d2_types::splitmix::{mix, unit, GAMMA};
 use d2_types::SplitMix64;

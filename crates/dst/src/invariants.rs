@@ -45,11 +45,14 @@ pub fn check_all(w: &SimWorld) -> Result<(), String> {
 }
 
 /// Liveness of the workload: with faults over and the client still
-/// retrying, every put must eventually be acked with all `r` copies.
+/// retrying, every put must eventually be acked with all `r` copies,
+/// and every lookup answered or out of attempts.
 fn check_puts_acked(w: &SimWorld) -> Result<(), String> {
     for (i, op) in w.client_ops().iter().enumerate() {
-        if !op.acked() {
-            return Err(format!("client put {i} still unacked"));
+        match (op.done(), op.is_put()) {
+            (true, _) => {}
+            (false, true) => return Err(format!("client put {i} still unacked")),
+            (false, false) => return Err(format!("client lookup {i} still pending")),
         }
     }
     Ok(())

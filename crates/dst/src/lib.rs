@@ -59,6 +59,7 @@ pub use d2_ring::node::InjectedBug;
 pub use explore::{run_one, shrink, sweep, SeedResult, ShrinkResult};
 pub use fate::{gray_fate, stream, Fate, FateKind, FatePolicy, FaultProbs};
 pub use world::{
-    generate_node_events, NodeEndState, NodeEvent, Overrides, PlanEntry, RunOutcome, RunStats,
-    Scenario, SimTransport, SimWorld, WorldClock, WorldRegime,
+    generate_node_events, ClientWorkload, LookupRecord, NodeEndState, NodeEvent, Overrides,
+    PlanEntry, RunOutcome, RunStats, Scenario, SimTransport, SimWorld, WorldClock, WorldRegime,
+    TIME_COMPRESSION,
 };

@@ -24,7 +24,8 @@
 //!   leaks away ([`NodeEvent::Gray`]), King-style WAN latency from a
 //!   seeded [`d2_sim::Topology`], and per-node clock offset/drift via
 //!   [`d2_net::SkewClock`];
-//! - the client workload's keys.
+//! - the client workload's keys (and, for a lookup workload, each
+//!   lookup's entry node).
 //!
 //! Faults stop at `fault_end_us`; after that the run enters a heal
 //! phase in which periodic checkpoints evaluate the ring and storage
@@ -40,8 +41,12 @@ use d2_obs::trace::TraceEvent;
 use d2_obs::{Registry, SpanRecord, TraceCtx};
 use d2_ring::messages::{Addr, RingMsg};
 use d2_ring::node::InjectedBug;
-use d2_sim::Topology;
-use d2_types::{Key, SplitMix64};
+use d2_ring::routing::Router;
+use d2_ring::{NodeIdx, Ring, SUCCESSORS};
+use d2_sim::{SimTime, Topology};
+use d2_store::lookup_cache::DEFAULT_TTL_SECS;
+use d2_store::{CacheOutcome, LookupCache};
+use d2_types::{Key, KeyRange, SplitMix64};
 use d2_wire::codec::{Request, Response, WireMsg};
 use d2_wire::lock;
 use d2_wire::transport::{Mailbox, Transport, TransportError};
@@ -61,6 +66,20 @@ const PUT_START_US: u64 = 2_000_000;
 const PUT_SPACING_US: u64 = 150_000;
 /// Client per-attempt timeout before it retries through another entry.
 const OP_TIMEOUT_US: u64 = 600_000;
+/// Attempts a client lookup makes before it counts as unanswered.
+pub const LOOKUP_ATTEMPTS: u32 = 8;
+/// From the last boot to the start of a lookup workload: the boot
+/// storm's joins, and their 1.25 s retries, settle into one ring (at 64
+/// nodes the ring passed the invariants 0.5 s later on 16 of 16 seeds).
+const SETTLE_US: u64 = 2_000_000;
+/// Model time per virtual time when a world plays a failure model's
+/// trace (`d2-exp churn`): one protocol tick stands for 600 s, so a
+/// session lasts as many stabilisation rounds as under a 600 s
+/// stabilisation period.
+pub const TIME_COMPRESSION: u64 = 600_000_000 / TICK.as_micros() as u64;
+/// A lookup-cache entry's lifetime: the paper's 1.25 h TTL, compressed
+/// (150 ms).
+const LOOKUP_CACHE_TTL_US: u64 = DEFAULT_TTL_SECS * 1_000_000 / TIME_COMPRESSION;
 /// Backoff before re-trying a put whose chain acked fewer than `r`
 /// copies (gives a truncated chain time to stop being truncated).
 const DEGRADED_RETRY_US: u64 = 200_000;
@@ -157,8 +176,8 @@ pub struct Scenario {
     /// concurrent failures within [`Scenario::failure_budget`] — the
     /// protocol's failure assumption.
     pub redundancy: RedundancyPolicy,
-    /// Client puts issued during the run.
-    pub puts: usize,
+    /// What the in-world client does during the run.
+    pub client: ClientWorkload,
     /// Message fault probabilities (active before `fault_end_us`).
     pub probs: FaultProbs,
     /// Virtual time at which all fault injection stops.
@@ -190,7 +209,7 @@ impl Default for Scenario {
             seed: 0,
             nodes: 10,
             redundancy: RedundancyPolicy::Replicate { r: 3 },
-            puts: 8,
+            client: ClientWorkload::Puts(8),
             probs: FaultProbs::default(),
             fault_end_us: 12_000_000,
             deadline_us: 72_000_000,
@@ -209,7 +228,7 @@ impl Scenario {
         Scenario {
             seed,
             nodes: 6,
-            puts: 4,
+            client: ClientWorkload::Puts(4),
             fault_end_us: 6_000_000,
             deadline_us: 45_000_000,
             ..Scenario::default()
@@ -235,6 +254,20 @@ impl Scenario {
         }
     }
 
+    /// Client puts the run issues (none under a lookup workload).
+    pub fn puts(&self) -> usize {
+        match self.client {
+            ClientWorkload::Puts(n) => n,
+            ClientWorkload::Lookups(_) => 0,
+        }
+    }
+
+    /// When a lookup workload starts: the boot storm (node `i` boots at
+    /// `i · 50 ms`, joining through node 0) has settled into one ring.
+    pub fn settled_us(&self) -> u64 {
+        self.nodes as u64 * BOOT_SPACING_US + SETTLE_US
+    }
+
     /// Concurrent crashes an acked put survives by construction —
     /// `r - 1` under replication, `n - k` under erasure coding. The
     /// generated fault plan never exceeds this.
@@ -242,6 +275,22 @@ impl Scenario {
         let p = self.redundancy;
         p.group_size().saturating_sub(p.min_fragments())
     }
+}
+
+/// The in-world client's workload.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum ClientWorkload {
+    /// `n` puts, one every 150 ms from 2 s: each looks up its key's
+    /// owner, then writes through the owner's chain until all of the
+    /// redundancy group acks.
+    Puts(usize),
+    /// `n` lookups of seeded random keys and nothing else, evenly spaced
+    /// from [`Scenario::settled_us`] to `fault_end_us`. Each goes to a
+    /// random live entry node, or straight to the node the client's
+    /// lookup cache names for its key, and is retried through the next
+    /// live entry every 600 ms without an answer, up to
+    /// [`LOOKUP_ATTEMPTS`] attempts.
+    Lookups(usize),
 }
 
 /// A scripted or generated node-level fault.
@@ -524,6 +573,41 @@ pub struct NodeEndState {
     pub fragment_keys: Vec<Key>,
 }
 
+/// One client lookup as the run recorded it.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LookupRecord {
+    /// The looked-up key.
+    pub key: Key,
+    /// When the first attempt was sent.
+    pub issued_us: u64,
+    /// When the answer arrived, or the last attempt timed out.
+    pub ended_us: u64,
+    /// The node the client's lookup cache named, when the first attempt
+    /// went straight to it.
+    pub cached: Option<Addr>,
+    /// Attempts sent (at most [`LOOKUP_ATTEMPTS`]).
+    pub attempts: u32,
+    /// The entry node of the last attempt.
+    pub entry: Addr,
+    /// The node the answer named as owner (`None`: no answer came).
+    pub owner: Option<Addr>,
+    /// Forwarding hops the answering ring lookup took from the entry.
+    pub hops: u32,
+    /// Whether `owner` owns the key among the joined live nodes when
+    /// the answer arrived (the ring view the invariants check).
+    pub correct: bool,
+    /// Hops a converged router over those joined nodes takes from the
+    /// entry (`None`: no answer, or the entry is not among them).
+    pub oracle_hops: Option<u32>,
+}
+
+impl LookupRecord {
+    /// A cache hit whose answer did not name the cached node.
+    pub fn stale(&self) -> bool {
+        self.cached.is_some_and(|c| self.owner != Some(c))
+    }
+}
+
 /// The deterministic result of one run.
 #[derive(Clone, Debug)]
 pub struct RunOutcome {
@@ -557,6 +641,8 @@ pub struct RunOutcome {
     /// The client workload: every put's key and whether it was fully
     /// acked by the end of the run.
     pub workload: Vec<(Key, bool)>,
+    /// Every client lookup, in issue order (lookup workloads only).
+    pub lookups: Vec<LookupRecord>,
 }
 
 /// Generates the node-event plan for a scenario from its seed (or
@@ -916,35 +1002,52 @@ enum Ev {
     HealCut { from: Addr, to: Addr },
     /// A gray window ends.
     HealGray { node: Addr },
-    /// The client issues (or retries) put `op`.
+    /// The client issues (or retries) op `op`: a put or a lookup, as
+    /// the workload says.
     ClientIssue { op: usize },
-    /// The client's per-attempt timer for put `op` fires.
+    /// The client's per-attempt timer for op `op` fires.
     ClientTimeout { op: usize, attempt: u32 },
     /// Evaluate the invariants (heal phase only).
     Checkpoint,
 }
 
-/// Client-side state of one put operation.
+/// Client-side state of one op: a lookup, which a put follows with a
+/// write through the owner's chain.
 pub(crate) struct ClientOp {
-    key: Key,
-    data: Vec<u8>,
-    acked: bool,
-    attempt: u32,
+    /// The lookup: its key, entry, attempts and answer.
+    rec: LookupRecord,
+    /// What a put writes once the lookup names the owner (`None`: the
+    /// op is a lookup only).
+    data: Option<Vec<u8>>,
+    /// A put fully acked; a lookup answered or out of attempts.
+    done: bool,
+    /// Index of the first live entry to try; attempt `a` goes to the
+    /// `a`-th live node after it.
+    pick: usize,
     /// The outstanding request id, if any (stale responses are ignored).
     cur_req: Option<u64>,
 }
 
 impl ClientOp {
+    pub(crate) fn done(&self) -> bool {
+        self.done
+    }
+
+    /// A put the whole redundancy group acked.
     pub(crate) fn acked(&self) -> bool {
-        self.acked
+        self.done && self.data.is_some()
+    }
+
+    pub(crate) fn is_put(&self) -> bool {
+        self.data.is_some()
     }
 
     pub(crate) fn key(&self) -> Key {
-        self.key
+        self.rec.key
     }
 
     pub(crate) fn data(&self) -> &[u8] {
-        &self.data
+        self.data.as_deref().unwrap_or_default()
     }
 }
 
@@ -975,6 +1078,12 @@ pub struct SimWorld {
     msg_seq: u64,
     client_addr: Addr,
     ops: Vec<ClientOp>,
+    /// The lookup client's range cache.
+    cache: LookupCache,
+    /// The joined live nodes when a lookup was last answered, their
+    /// ring, and a converged router over it: what a client lookup's
+    /// answer and hops are judged against.
+    oracle: Option<(Vec<Addr>, Ring, Router)>,
     next_req: u64,
     req_owner: HashMap<u64, usize>,
     join_acks_dropped: u32,
@@ -1048,23 +1157,45 @@ impl SimWorld {
         // Distinct workload keys drawn from the seed.
         let mut rng = stream(sc.seed ^ 0x0002_0000_0000_0002);
         let mut keys: Vec<Key> = Vec::new();
-        while keys.len() < sc.puts {
+        while keys.len() < sc.puts() {
             let k = Key::from_fraction(rng.unit());
             if !keys.contains(&k) {
                 keys.push(k);
             }
         }
-        let ops = keys
+        let mut ops: Vec<ClientOp> = keys
             .into_iter()
             .enumerate()
             .map(|(i, key)| ClientOp {
-                key,
-                data: format!("blk-{i}-seed-{}", sc.seed).into_bytes(),
-                acked: false,
-                attempt: 0,
+                rec: LookupRecord {
+                    key,
+                    issued_us: PUT_START_US + i as u64 * PUT_SPACING_US,
+                    ..LookupRecord::default()
+                },
+                data: Some(format!("blk-{i}-seed-{}", sc.seed).into_bytes()),
+                done: false,
+                pick: i,
                 cur_req: None,
             })
             .collect();
+        // A lookup workload draws from a stream of its own, so a put
+        // world's schedule does not depend on it.
+        if let ClientWorkload::Lookups(n) = sc.client {
+            let mut rng = stream(sc.seed ^ 0x0008_0000_0000_0008);
+            let start = sc.settled_us();
+            let every = sc.fault_end_us.saturating_sub(start) / n.max(1) as u64;
+            ops.extend((0..n).map(|i| ClientOp {
+                rec: LookupRecord {
+                    key: Key::from_u64_ordered(rng.next_u64()),
+                    issued_us: start + i as u64 * every,
+                    ..LookupRecord::default()
+                },
+                data: None,
+                done: false,
+                pick: rng.index(sc.nodes),
+                cur_req: None,
+            }));
+        }
 
         let mut world = SimWorld {
             nodes: (0..sc.nodes).map(|_| None).collect(),
@@ -1079,6 +1210,8 @@ impl SimWorld {
             msg_seq: 0,
             client_addr,
             ops,
+            cache: LookupCache::new(SimTime::from_micros(LOOKUP_CACHE_TTL_US)),
+            oracle: None,
             next_req: 1,
             req_owner: HashMap::new(),
             join_acks_dropped: 0,
@@ -1104,10 +1237,7 @@ impl SimWorld {
             world.schedule(at, Ev::Node { idx });
         }
         for op in 0..world.ops.len() {
-            world.schedule(
-                PUT_START_US + op as u64 * PUT_SPACING_US,
-                Ev::ClientIssue { op },
-            );
+            world.schedule(world.ops[op].rec.issued_us, Ev::ClientIssue { op });
         }
         let first_check = world.sc.fault_end_us + CHECK_EVERY_US;
         world.schedule(first_check, Ev::Checkpoint);
@@ -1181,7 +1311,10 @@ impl SimWorld {
                 fragment_keys: rt.fragment_keys().copied().collect(),
             })
             .collect();
-        let workload = self.ops.iter().map(|op| (op.key, op.acked)).collect();
+        let (puts, lookups): (Vec<&ClientOp>, Vec<&ClientOp>) =
+            self.ops.iter().partition(|op| op.is_put());
+        let workload = puts.iter().map(|op| (op.key(), op.done)).collect();
+        let lookups = lookups.iter().map(|op| op.rec).collect();
         RunOutcome {
             seed: self.sc.seed,
             ok,
@@ -1193,6 +1326,7 @@ impl SimWorld {
             metrics,
             end_nodes,
             workload,
+            lookups,
         }
     }
 
@@ -1369,12 +1503,19 @@ impl SimWorld {
                 self.mark(t, format!("heal gray node {node}"));
             }
             Ev::ClientIssue { op } => {
-                if !self.ops[op].acked {
+                if !self.ops[op].done {
                     self.client_attempt(t, op);
                 }
             }
             Ev::ClientTimeout { op, attempt } => {
-                if !self.ops[op].acked && self.ops[op].attempt == attempt {
+                let o = &mut self.ops[op];
+                if o.done || o.rec.attempts != attempt {
+                    // answered, or superseded by a later attempt
+                } else if !o.is_put() && attempt >= LOOKUP_ATTEMPTS {
+                    o.done = true;
+                    o.rec.ended_us = t;
+                    self.mark(t, format!("client lookup {op} unanswered"));
+                } else {
                     self.client_attempt(t, op);
                 }
             }
@@ -1554,10 +1695,11 @@ impl SimWorld {
     }
 
     // -----------------------------------------------------------------
-    // The in-world client: issues the put workload against live entry
-    // nodes, retries on timeout, and accepts an ack only when the full
-    // replica chain reported `r` copies — mirroring what `ClusterOps`
-    // callers assert in the live deployments.
+    // The in-world client: issues the workload's lookups against live
+    // entry nodes and retries them on timeout. A put then writes through
+    // the owner it found, and is accepted only when the full replica
+    // chain reported `r` copies — mirroring what `ClusterOps` callers
+    // assert in the live deployments.
     // -----------------------------------------------------------------
 
     /// Trace id of client put `op`: the small dense ids `1..=puts`, so
@@ -1567,25 +1709,42 @@ impl SimWorld {
         op as u64 + 1
     }
 
+    /// Sends the next attempt of op `op` to an entry node: a lookup's
+    /// first attempt to the node the cache names for its key, if it names
+    /// one, and every other to the next live node after the op's pick.
     fn client_attempt(&mut self, t: u64, op: usize) {
         let live: Vec<Addr> = self.live_nodes().map(|(a, _)| a).collect();
-        self.ops[op].attempt += 1;
-        let attempt = self.ops[op].attempt;
-        let entry = live[(op + attempt as usize) % live.len()];
+        let o = &mut self.ops[op];
+        o.rec.attempts += 1;
+        let attempt = o.rec.attempts;
+        if attempt == 1 && !o.is_put() {
+            if let CacheOutcome::Hit { node } =
+                self.cache.probe(&o.rec.key, SimTime::from_micros(t))
+            {
+                o.rec.cached = Some(node);
+            }
+        }
+        let entry = match (attempt, o.rec.cached) {
+            (1, Some(node)) => node,
+            _ => live[(o.pick + attempt as usize) % live.len()],
+        };
+        o.rec.entry = entry;
         let req_id = self.next_req;
         self.next_req += 1;
-        self.ops[op].cur_req = Some(req_id);
+        o.cur_req = Some(req_id);
         self.req_owner.insert(req_id, op);
         let msg = WireMsg::Request {
             req_id,
             from: self.client_addr,
-            body: Request::Lookup {
-                key: self.ops[op].key,
-            },
+            body: Request::Lookup { key: o.rec.key },
+        };
+        let (kind, trace) = match o.is_put() {
+            true => ("put", TraceCtx::root(Self::op_trace_id(op))),
+            false => ("lookup", TraceCtx::NONE),
         };
         self.mark(
             t,
-            format!("client put {op} attempt {attempt} via node {entry}"),
+            format!("client {kind} {op} attempt {attempt} via node {entry}"),
         );
         self.schedule(
             t + BASE_DELAY_US,
@@ -1593,7 +1752,7 @@ impl SimWorld {
                 from: self.client_addr,
                 to: entry,
                 msg: Box::new(msg),
-                trace: TraceCtx::root(Self::op_trace_id(op)),
+                trace,
             },
         );
         self.schedule(t + OP_TIMEOUT_US, Ev::ClientTimeout { op, attempt });
@@ -1606,11 +1765,15 @@ impl SimWorld {
         let Some(&op) = self.req_owner.get(&req_id) else {
             return;
         };
-        if self.ops[op].cur_req != Some(req_id) || self.ops[op].acked {
+        if self.ops[op].cur_req != Some(req_id) || self.ops[op].done {
             return; // a stale attempt's response (e.g. after a timeout)
         }
         match body {
-            Response::Owner { owner, .. } => {
+            Response::Owner { owner, range, hops } => {
+                let Some(data) = self.ops[op].data.clone() else {
+                    self.lookup_answered(t, op, owner.addr, range, hops);
+                    return;
+                };
                 let put_req = self.next_req;
                 self.next_req += 1;
                 self.ops[op].cur_req = Some(put_req);
@@ -1619,12 +1782,12 @@ impl SimWorld {
                     req_id: put_req,
                     from: self.client_addr,
                     body: Request::Put {
-                        key: self.ops[op].key,
+                        key: self.ops[op].rec.key,
                         // EC owners ignore the requested fanout — the
                         // policy's group size decides.
                         fanout: self.sc.redundancy.group_size() as u32 - 1,
                         stored: 0,
-                        data: self.ops[op].data.clone(),
+                        data,
                     },
                 };
                 self.schedule(
@@ -1642,17 +1805,17 @@ impl SimWorld {
                 // durability is the whole group, just as it is all `r`
                 // copies under replication.
                 if replicas as usize >= self.sc.redundancy.group_size() {
-                    self.ops[op].acked = true;
+                    self.ops[op].done = true;
                     self.ops[op].cur_req = None;
                     self.stats.acked_puts += 1;
                     self.mark(t, format!("client put {op} acked replicas={replicas}"));
                 } else {
                     // A truncated chain (crashed / isolated successors).
                     // Durability demands the full factor: retry after a
-                    // backoff. The bump of `attempt` invalidates the
-                    // pending timeout for this attempt.
+                    // backoff. The bump of the attempt count invalidates
+                    // the pending timeout for this attempt.
                     self.ops[op].cur_req = None;
-                    self.ops[op].attempt += 1;
+                    self.ops[op].rec.attempts += 1;
                     self.mark(
                         t,
                         format!("client put {op} degraded replicas={replicas}, retrying"),
@@ -1668,6 +1831,46 @@ impl SimWorld {
                 self.client_attempt(t, op);
             }
             _ => {}
+        }
+    }
+
+    /// Records lookup `op`'s answer, judged against the ring of the
+    /// joined live nodes at this instant (the view the invariants check),
+    /// and caches the owner's range unless the cache already named it.
+    fn lookup_answered(&mut self, t: u64, op: usize, owner: Addr, range: KeyRange, hops: u32) {
+        let joined: Vec<Addr> = (self.live_nodes())
+            .filter(|(_, rt)| rt.protocol().is_joined())
+            .map(|(a, _)| a)
+            .collect();
+        if !matches!(&self.oracle, Some((set, ..)) if *set == joined) {
+            let mut ring = Ring::new();
+            for _ in 0..self.sc.nodes {
+                ring.add_offline_node();
+            }
+            for &a in &joined {
+                ring.add_node_at(NodeIdx(a), self.node_ids[a]);
+            }
+            let router = Router::build(&ring, SUCCESSORS);
+            self.oracle = Some((joined, ring, router));
+        }
+        let Some((_, ring, router)) = &self.oracle else {
+            return;
+        };
+        let o = &mut self.ops[op];
+        o.done = true;
+        o.rec.ended_us = t;
+        o.rec.owner = Some(owner);
+        o.rec.hops = hops;
+        o.rec.correct = ring.owner_of(&o.rec.key) == Some(NodeIdx(owner));
+        let from = NodeIdx(o.rec.entry);
+        o.rec.oracle_hops = router.lookup(ring, from, &o.rec.key).map(|s| s.hops);
+        // An entry lives its TTL from the routed answer that taught it:
+        // a fresh hit does not renew it.
+        if o.rec.cached != Some(owner) {
+            if let Some(stale) = o.rec.cached {
+                self.cache.invalidate_node(stale);
+            }
+            self.cache.insert(range, owner, SimTime::from_micros(t));
         }
     }
 

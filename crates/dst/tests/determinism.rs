@@ -41,7 +41,7 @@ fn default_scenarios_converge() {
     let results = sweep(&sc, 0, 8, 4);
     for r in &results {
         assert!(r.ok, "seed {} failed: {:?}", r.seed, r.violation);
-        assert_eq!(r.acked_puts as usize, sc.puts, "seed {}", r.seed);
+        assert_eq!(r.acked_puts as usize, sc.puts(), "seed {}", r.seed);
     }
 }
 
@@ -71,7 +71,7 @@ fn ec_default_scenarios_converge() {
     let results = sweep(&sc, 0, 8, 4);
     for r in &results {
         assert!(r.ok, "seed {} failed: {:?}", r.seed, r.violation);
-        assert_eq!(r.acked_puts as usize, sc.puts, "seed {}", r.seed);
+        assert_eq!(r.acked_puts as usize, sc.puts(), "seed {}", r.seed);
     }
 }
 

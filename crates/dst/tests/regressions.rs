@@ -81,7 +81,7 @@ fn lost_join_ack_is_retried() {
         "join never recovered from a lost ack: {:?}",
         out.violation
     );
-    assert_eq!(out.stats.acked_puts as usize, sc.puts);
+    assert_eq!(out.stats.acked_puts as usize, sc.puts());
 }
 
 /// Bug 3: the join-storm livelock. Every node boots within a tick of
@@ -146,7 +146,7 @@ fn ec_adjacent_holder_crashes_heal_within_repair_budget() {
         "EC world never re-converged after adjacent holder crashes: {:?}",
         out.violation
     );
-    assert_eq!(out.stats.acked_puts as usize, sc.puts);
+    assert_eq!(out.stats.acked_puts as usize, sc.puts());
     assert!(
         out.metrics.counter("ec.repaired_fragments") > 0,
         "no key dropped below the repair threshold — the script lost its teeth"

@@ -21,7 +21,9 @@
 //! pinned rather than re-scanned to keep the suite's debug-mode cost
 //! bounded.
 
-use d2_dst::{run_one, InjectedBug, NodeEvent, Overrides, PlanEntry, Scenario, WorldRegime};
+use d2_dst::{
+    run_one, ClientWorkload, InjectedBug, NodeEvent, Overrides, PlanEntry, Scenario, WorldRegime,
+};
 
 /// Seeds scanned when a test needs the regime to produce at least one
 /// failure. Small worlds are cheap, but keep this bounded so the tier-1
@@ -270,4 +272,24 @@ fn wan_and_skew_regimes_converge() {
             );
         }
     }
+}
+
+/// A lookup-only world with no node events: with the ring still, every
+/// lookup is answered, and by the key's owner, whether it went through
+/// a random entry or straight to the node the client's cache named.
+#[test]
+fn lookup_world_without_node_events_answers_every_lookup_with_its_owner() {
+    let mut sc = Scenario::small(5);
+    sc.node_events = Some(Vec::new());
+    sc.client = ClientWorkload::Lookups(400);
+    let out = run_one(&sc, &Overrides::default());
+    assert!(out.ok, "{:?}", out.violation);
+    assert_eq!(out.lookups.len(), 400);
+    assert!(out.workload.is_empty(), "a lookup workload issues no put");
+    for (i, rec) in out.lookups.iter().enumerate() {
+        assert!(rec.correct, "lookup {i} unanswered or wrong: {rec:?}");
+        assert!(!rec.stale(), "a still ring made cache entry {i} stale");
+    }
+    let hits = out.lookups.iter().filter(|r| r.cached.is_some()).count();
+    assert!(hits > 100, "only {hits} of 400 lookups hit the cache");
 }

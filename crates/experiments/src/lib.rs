@@ -28,8 +28,9 @@
 //! prints. [`churn`] is not a paper figure either — it *checks a paper
 //! assumption*: that lookups keep succeeding (Section 8's simulators
 //! take this for granted) while the failure trace crashes and rejoins
-//! nodes, by driving fault-injected lookups with retries against a ring
-//! whose routing tables decay and self-stabilize. [`redundancy`] is the
+//! nodes, by playing the trace against `d2-dst`'s simulated world of
+//! real protocol nodes and issuing lookups from a client that retries
+//! through another entry on a timeout. [`redundancy`] is the
 //! PR 9 ablation of the paper's Section 3 redundancy choice: replication
 //! at r = 3/4 vs erasure coding at several (k, n) shapes, all paired on
 //! one churn trace, reporting availability vs storage overhead vs lazy

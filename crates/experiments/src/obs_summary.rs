@@ -16,8 +16,7 @@ use d2_obs::{CacheResult, Registry, TraceEvent};
 /// - counters `cache.<tier>.<hit|miss|stale>`, `fetch.count`,
 ///   `fetch.bytes`, `migration.<kind>.count`, `migration.<kind>.bytes`,
 ///   `balance.moves`, `marks`, `churn.lookups`, `churn.failed`,
-///   `churn.timeouts`, `stabilize.rounds`, `stabilize.repaired`,
-///   `stabilize.evicted`;
+///   `churn.timeouts`;
 /// - gauges `cache.<tier>.hit_rate`.
 pub fn registry_from_events(events: &[TraceEvent]) -> Registry {
     let mut reg = Registry::new();
@@ -65,13 +64,6 @@ pub fn registry_from_events(events: &[TraceEvent]) -> Registry {
                 reg.add("churn.timeouts", *timeouts as u64);
                 reg.observe("churn.retries", *retries as u64);
                 reg.observe("churn.latency_us", *latency_us);
-            }
-            TraceEvent::Stabilize {
-                repaired, evicted, ..
-            } => {
-                reg.inc("stabilize.rounds");
-                reg.add("stabilize.repaired", *repaired as u64);
-                reg.add("stabilize.evicted", *evicted as u64);
             }
             TraceEvent::WireSpan { dur_us, ok, .. } => {
                 reg.inc("wire.spans");
@@ -251,12 +243,6 @@ mod tests {
                 timeouts: 9,
                 latency_us: 4_000_000,
             },
-            TraceEvent::Stabilize {
-                t_us: 10,
-                nodes: 64,
-                repaired: 3,
-                evicted: 4,
-            },
         ]
     }
 
@@ -283,9 +269,6 @@ mod tests {
         assert_eq!(reg.counter("churn.timeouts"), 11);
         assert_eq!(reg.histogram("churn.retries").unwrap().max(), 8);
         assert_eq!(reg.histogram("churn.latency_us").unwrap().count(), 2);
-        assert_eq!(reg.counter("stabilize.rounds"), 1);
-        assert_eq!(reg.counter("stabilize.repaired"), 3);
-        assert_eq!(reg.counter("stabilize.evicted"), 4);
     }
 
     #[test]
@@ -296,7 +279,7 @@ mod tests {
         assert!(s.contains("lookup-cache hit rate: 33.3%"));
         assert!(s.contains("bytes migrated: 4096"));
         assert!(s.contains("balance moves: 1"));
-        assert!(s.contains("events: 13"));
+        assert!(s.contains("events: 12"));
     }
 
     #[test]

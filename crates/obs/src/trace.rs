@@ -176,38 +176,25 @@ pub enum TraceEvent {
         /// Overloaded node being relieved.
         heavy: usize,
     },
-    /// One churn-hardened lookup under injected faults: retries,
-    /// timeouts, and the total virtual latency including backoffs
-    /// (emitted by `d2-ring`'s churn layer).
+    /// One client lookup of the churn experiment, as the client in a
+    /// simulated world of protocol nodes measured it.
     ChurnLookup {
         /// Virtual time the lookup was issued.
         t_us: u64,
-        /// Requesting node.
+        /// Entry node of its last attempt.
         from: usize,
         /// Looked-up key (64-bit ordered prefix).
         key: u64,
-        /// Whether the live owner was reached.
+        /// Whether it was answered with the key's owner.
         ok: bool,
-        /// Successful forwarding hops.
+        /// Forwarding hops of the answer (0 when unanswered).
         hops: u32,
-        /// Retries consumed (timeout + backoff each).
+        /// Re-attempts, each through another entry after a timeout.
         retries: u32,
-        /// Hop attempts that timed out.
+        /// Attempts that timed out.
         timeouts: u32,
-        /// Total virtual latency (delays + timeouts + backoffs).
+        /// Virtual time to the answer, or to the last timeout.
         latency_us: u64,
-    },
-    /// One ring self-stabilization round: successor-list repair,
-    /// long-link refresh, dead-link eviction (emitted by `d2-ring`).
-    Stabilize {
-        /// Virtual time of the round.
-        t_us: u64,
-        /// Live nodes refreshed.
-        nodes: u32,
-        /// Links added or retargeted.
-        repaired: u32,
-        /// Stale links removed.
-        evicted: u32,
     },
     /// One causally-linked wire span collected from a node's
     /// [`crate::FlightRecorder`]: the DST harness exports these so a
@@ -261,7 +248,6 @@ impl TraceEvent {
             | TraceEvent::Migration { t_us, .. }
             | TraceEvent::BalanceMove { t_us, .. }
             | TraceEvent::ChurnLookup { t_us, .. }
-            | TraceEvent::Stabilize { t_us, .. }
             | TraceEvent::WireSpan { t_us, .. }
             | TraceEvent::Span { t_us, .. } => *t_us,
         }
@@ -303,9 +289,6 @@ impl TraceEvent {
             ),
             TraceEvent::ChurnLookup { t_us, from, key, ok, hops, retries, timeouts, latency_us } => format!(
                 "{{\"ev\":\"churn_lookup\",\"t_us\":{t_us},\"from\":{from},\"key\":{key},\"ok\":{ok},\"hops\":{hops},\"retries\":{retries},\"timeouts\":{timeouts},\"latency_us\":{latency_us}}}"
-            ),
-            TraceEvent::Stabilize { t_us, nodes, repaired, evicted } => format!(
-                "{{\"ev\":\"stabilize\",\"t_us\":{t_us},\"nodes\":{nodes},\"repaired\":{repaired},\"evicted\":{evicted}}}"
             ),
             TraceEvent::WireSpan {
                 t_us, trace_id, span_id, parent_span_id, hop, node, dur_us, ok, op, detail,
@@ -620,12 +603,6 @@ mod tests {
                 timeouts: 9,
                 latency_us: 4_700_000,
             },
-            TraceEvent::Stabilize {
-                t_us: 12,
-                nodes: 64,
-                repaired: 5,
-                evicted: 7,
-            },
             TraceEvent::WireSpan {
                 t_us: 13,
                 trace_id: 0xBEEF,
@@ -650,8 +627,6 @@ mod tests {
         assert!(a.contains("\"kind\":\"pointer_resolve\""));
         assert!(a.contains("\"ev\":\"churn_lookup\""));
         assert!(a.contains("\"ok\":false"));
-        assert!(a.contains("\"ev\":\"stabilize\""));
-        assert!(a.contains("\"repaired\":5"));
         assert!(a.contains("cell \\\"a\\\""));
         for line in a.lines() {
             assert!(line.starts_with("{\"ev\":\"") && line.ends_with('}'));

@@ -16,12 +16,9 @@
 //!   that splits the heavy node's load in half. One round loop serves a
 //!   data-moving cluster and a ring-only warm-up over sorted keys.
 //! - [`node`] — a message-level protocol state machine (join, stabilize,
-//!   recursive lookup) used by the threaded live deployment in `d2-net`.
-//! - [`churn`] — churn-hardened routing: fault-injected lookups with
-//!   retries, per-hop timeouts, capped exponential backoff, and alternate-
-//!   successor fallback, plus the periodic self-stabilization pass that
-//!   repairs successor lists and evicts dead links (Section 8 failure
-//!   model).
+//!   recursive lookup): the one ring-maintenance protocol, which every
+//!   live node, `d2-dst`'s simulated worlds and the churn experiment
+//!   run.
 //!
 //! # Examples
 //!
@@ -40,16 +37,12 @@
 #![warn(missing_docs)]
 
 pub mod balance;
-pub mod churn;
 pub mod messages;
 pub mod node;
 pub mod ring;
 pub mod routing;
 
 pub use balance::{BalanceOp, LoadView};
-pub use churn::{
-    ChurnLookup, FaultOracle, LookupOutcome, MessageFate, NoFaults, RetryPolicy, StabilizeStats,
-};
 pub use node::SUCCESSORS;
 pub use ring::{NodeIdx, Ring};
 pub use routing::{LookupStats, RoutingTable};

@@ -126,7 +126,6 @@ pub struct LookupStats {
 #[derive(Clone, Debug, Default)]
 pub struct Router {
     tables: Vec<Option<RoutingTable>>,
-    succ_count: usize,
 }
 
 impl Router {
@@ -136,58 +135,12 @@ impl Router {
         for node in ring.nodes() {
             tables[node.0] = RoutingTable::build(ring, node, succ_count);
         }
-        Router { tables, succ_count }
-    }
-
-    /// Rebuilds the table of a single node (after it moved or joined).
-    pub fn rebuild_node(&mut self, ring: &Ring, node: NodeIdx) {
-        if self.tables.len() < ring.capacity() {
-            self.tables.resize(ring.capacity(), None);
-        }
-        self.tables[node.0] = RoutingTable::build(ring, node, self.succ_count);
-    }
-
-    /// Drops the table of a departed node.
-    pub fn remove_node(&mut self, node: NodeIdx) {
-        if let Some(t) = self.tables.get_mut(node.0) {
-            *t = None;
-        }
+        Router { tables }
     }
 
     /// The routing table of `node`, if built.
     pub fn table(&self, node: NodeIdx) -> Option<&RoutingTable> {
         self.tables.get(node.0).and_then(|t| t.as_ref())
-    }
-
-    /// Successor-list length the tables were built with.
-    pub fn succ_count(&self) -> usize {
-        self.succ_count
-    }
-
-    /// Removes the link `owner` → `dead` from `owner`'s table after a
-    /// timeout (negative feedback: the peer is presumed crashed). A
-    /// node never discards its *last* link — Chord's "keep your last
-    /// known successor" rule, without which an unlucky burst of message
-    /// drops could disconnect a perfectly healthy node. Returns whether
-    /// a link was removed.
-    pub fn evict_link(&mut self, owner: NodeIdx, dead: NodeIdx) -> bool {
-        match self.tables.get_mut(owner.0).and_then(|t| t.as_mut()) {
-            Some(t) if t.links.len() > 1 => {
-                let before = t.links.len();
-                t.links.retain(|(_, p)| *p != dead);
-                t.links.len() < before
-            }
-            _ => false,
-        }
-    }
-
-    /// Replaces (or clears) the stored table of `node`, growing the slot
-    /// vector as needed. Internal hook for the churn-stabilization code.
-    pub(crate) fn set_table(&mut self, node: NodeIdx, table: Option<RoutingTable>) {
-        if self.tables.len() <= node.0 {
-            self.tables.resize(node.0 + 1, None);
-        }
-        self.tables[node.0] = table;
     }
 
     /// Recursively routes a lookup for `key` starting at `from`, returning

@@ -13,20 +13,15 @@
 //!   analyses in Section 9.3 (footnotes 7–8).
 //! - [`failure`] — a PlanetLab-like failure trace generator with
 //!   correlated failure events (substituting for the Feb 2003 trace).
-//! - [`fault`] — message-level fault injection (drops, delays, node
-//!   crash/rejoin) driven by the failure traces, for churn-hardening
-//!   the routing layer: a [`FaultPlan`] is `d2-ring`'s `FaultOracle`.
 //! - [`metrics`] — time series and the normalized-standard-
 //!   deviation load-imbalance metric of Section 10.
 
 pub mod failure;
-pub mod fault;
 pub mod metrics;
 pub mod net;
 pub mod time;
 
 pub use failure::{FailureModel, FailureTrace};
-pub use fault::{FaultConfig, FaultPlan};
 pub use metrics::{geometric_mean, max_over_mean, normalized_std_dev, TimeSeries};
 pub use net::{LinkState, TcpConn, Topology};
 pub use time::SimTime;

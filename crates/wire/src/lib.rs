@@ -15,7 +15,7 @@
 //!   simulations.
 //! - [`tcp`] — [`TcpTransport`]: the same trait over real
 //!   `std::net` sockets with per-peer connection pooling and
-//!   reconnect-with-backoff (reusing [`d2_ring::RetryPolicy`]).
+//!   reconnect-with-backoff.
 //! - [`reactor`] / [`conn`] — the event loop under the TCP transport:
 //!   one poller per process, blocked in `ppoll(2)` until a socket or a
 //!   sender's wake pipe is ready, drives every accept, read, and

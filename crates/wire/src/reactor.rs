@@ -203,8 +203,7 @@ impl Shared {
     /// Arms the reconnect backoff window (and its lock-free mirror)
     /// after `link.failures` consecutive failures.
     fn open_breaker(&self, slot: &PeerSlot, link: &mut PeerLink, now: Instant) {
-        let backoff = self.cfg.retry.backoff_us(link.failures);
-        let at = now + Duration::from_micros(backoff);
+        let at = now + Duration::from_micros(backoff_us(link.failures));
         link.retry_at = Some(at);
         // `max(1)`: 0 is the breaker-closed sentinel.
         slot.retry_at_us
@@ -451,6 +450,19 @@ impl Transport for TcpEndpoint {
 /// that straddles the quantum and a window-1 run no longer repeats
 /// (DESIGN.md §15.1.1 has the rows).
 pub const FLUSH_TICK: Duration = Duration::from_micros(250);
+
+/// Reconnect backoff after the first failed dial or write to a peer.
+const BACKOFF_BASE_US: u64 = 50_000;
+/// The longest reconnect backoff.
+const BACKOFF_CAP_US: u64 = 1_000_000;
+
+/// The breaker window after `failures` consecutive failures:
+/// [`BACKOFF_BASE_US`] doubled per further failure, capped at
+/// [`BACKOFF_CAP_US`]. Sends inside it fail fast.
+fn backoff_us(failures: u32) -> u64 {
+    let shift = failures.saturating_sub(1).min(20);
+    (BACKOFF_BASE_US << shift).min(BACKOFF_CAP_US)
+}
 
 /// Time to the next multiple of `period` on the wall clock: the one
 /// clock every process on the host shares, so whatever they schedule by
@@ -719,5 +731,16 @@ impl Poller {
                 Err(_) => return self.drop_outbound(addr, true),
             };
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn reconnect_backoff_doubles_from_50_ms_to_a_1_s_cap() {
+        let ms: Vec<u64> = [1, 2, 3, 4, 5, 6, 40]
+            .map(|n| super::backoff_us(n) / 1_000)
+            .to_vec();
+        assert_eq!(ms, [50, 100, 200, 400, 800, 1_000, 1_000]);
     }
 }

@@ -13,8 +13,9 @@
 //! own kernel buffers ([`crate::reactor`] has the contract and the rule).
 //! Dead peers fail fast: dialing happens inline on the sender's thread
 //! (bounded by [`TcpConfig::connect_timeout`]), and a reconnect-backoff
-//! circuit breaker ([`d2_ring::RetryPolicy`]) rejects sends without
-//! touching the network while a peer is inside its backoff window.
+//! circuit breaker (50 ms after the first failure, doubling to a 1 s
+//! cap) rejects sends without touching the network while a peer is
+//! inside its backoff window.
 //!
 //! Addresses need no directory: on IPv4 the logical [`Addr`] *is* the
 //! socket address, bijectively packed as `(ip << 16) | port` (48 bits,
@@ -31,7 +32,6 @@ use crate::transport::{Mailbox, Transport, TransportError};
 use crate::WireMsg;
 use d2_obs::TraceCtx;
 use d2_ring::messages::Addr;
-use d2_ring::RetryPolicy;
 use std::io;
 use std::net::{Ipv4Addr, SocketAddrV4};
 use std::time::Duration;
@@ -63,11 +63,6 @@ pub struct TcpConfig {
     /// draining its socket backs up this far, further sends fail fast
     /// with `Backlogged` instead of buffering without limit.
     pub max_pending_bytes: usize,
-    /// Reconnect backoff schedule, reusing the churn retry policy: after
-    /// `n` consecutive failures the next attempt waits
-    /// [`RetryPolicy::backoff_us`]`(n)` microseconds; sends inside that
-    /// window fail fast without touching the network.
-    pub retry: RetryPolicy,
 }
 
 impl Default for TcpConfig {
@@ -75,12 +70,6 @@ impl Default for TcpConfig {
         TcpConfig {
             connect_timeout: Duration::from_millis(250),
             max_pending_bytes: 8 << 20,
-            retry: RetryPolicy {
-                max_retries: u32::MAX, // reconnect forever; the breaker paces it
-                hop_timeout_us: 250_000,
-                backoff_base_us: 50_000,
-                backoff_cap_us: 1_000_000,
-            },
         }
     }
 }

@@ -104,6 +104,15 @@ EXP_WANT=$(cat scripts/exp-quick-seed7.sha256)
 EXP_GOT=$(sha256sum < "$EXP_TMP/jobs1.out" | cut -d' ' -f1)
 [[ "$EXP_GOT" == "$EXP_WANT" ]] || {
     echo "d2-exp all --scale quick --seed 7 prints sha256 $EXP_GOT, committed $EXP_WANT"; exit 1; }
+
+echo "==> d2-exp churn (quick, seed 7) at --jobs 8 prints the churn section of --jobs 1"
+# Each cell is a simulated world of real protocol nodes (d2-dst), on
+# its own seed: more workers than cells must not change a row.
+CHURN_START=$(date +%s%N)
+./target/release/d2-exp churn --scale quick --seed 7 --jobs 8 > "$EXP_TMP/churn8.out"
+echo "churn sweep wall time: $(( ($(date +%s%N) - CHURN_START) / 1000000 )) ms at --jobs 8"
+awk '/^Churn:/ { p = 1 } p && /^$/ { exit } p' "$EXP_TMP/jobs1.out" > "$EXP_TMP/churn1.out"
+sed '/^$/d' "$EXP_TMP/churn8.out" | cmp - "$EXP_TMP/churn1.out"
 rm -rf "$EXP_TMP"
 
 echo "==> telemetry smoke (3-node cluster scrape, merged snapshot JSON)"
