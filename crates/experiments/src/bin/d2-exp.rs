@@ -22,42 +22,55 @@
 //! [`d2_obs::TraceEvent`]s; after the experiments finish, the events are
 //! written as JSONL to the given path and a percentile summary (hops,
 //! lookup latency, cache hit rates, migration bytes) is printed.
+//! Figures 9–15 read one Section 9 sweep, run once per invocation; its
+//! events appear once, with the first of those figures printed.
 
-use d2_core::SystemKind;
 use d2_experiments::fig16_17::ALL_SYSTEMS;
-use d2_experiments::perf_suite::{self, SuiteConfig};
+use d2_experiments::perf_suite::{self, SuiteConfig, SuiteResult};
 use d2_experiments::{
-    churn, exec, fig10, fig11, fig12, fig13, fig14_15, fig16_17, fig3, fig7, fig8, fig9,
-    obs_summary, redundancy, table2, table3, table4, Scale,
+    churn, exec, fig16_17, fig3, fig7, fig8, obs_summary, redundancy, table2, table3, table4, Scale,
 };
 use d2_obs::{to_jsonl, SharedSink, TraceEvent};
 use d2_sim::{FailureModel, SimTime};
 use d2_workload::{HarvardTrace, HpConfig, HpTrace, WebTrace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 /// Shared experiment inputs. The three workload traces are generated
 /// lazily on first use — `fig3` needs all three, but most experiments
 /// touch only one, and `table3` none of HP — each from its own
 /// seed-derived RNG, so the result is independent of which experiment
-/// (or worker thread) asks first.
+/// (or worker thread) asks first. The Section 9 suite is held the same
+/// way: Figures 9–15 all read the one sweep, run once per invocation.
 struct Ctx {
     scale: Scale,
     seed: u64,
+    /// Record the suite's trace events (`--obs-out`).
+    trace: bool,
+    /// Worker threads for the suite's cell fan-out.
+    jobs: usize,
     harvard: OnceLock<HarvardTrace>,
     web: OnceLock<WebTrace>,
     hp: OnceLock<HpTrace>,
+    suite: OnceLock<SuiteResult>,
+    /// The suite's trace events, until the first Section 9 figure printed
+    /// takes them.
+    suite_events: Mutex<Vec<TraceEvent>>,
 }
 
 impl Ctx {
-    fn new(scale: Scale, seed: u64) -> Ctx {
+    fn new(scale: Scale, seed: u64, trace: bool, jobs: usize) -> Ctx {
         Ctx {
             scale,
             seed,
+            trace,
+            jobs,
             harvard: OnceLock::new(),
             web: OnceLock::new(),
             hp: OnceLock::new(),
+            suite: OnceLock::new(),
+            suite_events: Mutex::new(Vec::new()),
         }
     }
 
@@ -87,25 +100,38 @@ impl Ctx {
         })
     }
 
-    fn suite(
-        &self,
-        systems: Vec<SystemKind>,
-        kbps: Vec<u64>,
-        sink: &SharedSink,
-        jobs: usize,
-    ) -> perf_suite::SuiteResult {
-        let cfg = SuiteConfig {
-            sizes: self.scale.perf_sizes(),
-            kbps,
-            measure_groups: 150,
-            seed: self.seed,
-            warmup_days: self.scale.warmup_days(),
-            systems,
-            sink: sink.clone(),
-            jobs,
-            ..SuiteConfig::default()
-        };
-        perf_suite::run(self.harvard(), &cfg)
+    fn suite(&self) -> &SuiteResult {
+        self.suite.get_or_init(|| {
+            let sink = if self.trace {
+                SharedSink::memory(0)
+            } else {
+                SharedSink::null()
+            };
+            let cfg = SuiteConfig {
+                sizes: self.scale.perf_sizes(),
+                measure_groups: 150,
+                seed: self.seed,
+                warmup_days: self.scale.warmup_days(),
+                sink: sink.clone(),
+                jobs: self.jobs,
+            };
+            let suite = perf_suite::run(self.harvard(), &cfg);
+            *self
+                .suite_events
+                .lock()
+                .expect("no thread panics holding the suite events") = sink.drain();
+            suite
+        })
+    }
+
+    /// The suite's trace events, once: later calls return none.
+    fn take_suite_events(&self) -> Vec<TraceEvent> {
+        std::mem::take(
+            &mut *self
+                .suite_events
+                .lock()
+                .expect("no thread panics holding the suite events"),
+        )
     }
 
     fn failure_model(&self) -> FailureModel {
@@ -120,13 +146,30 @@ impl Ctx {
     }
 }
 
+/// The render of a Section 9 figure, by experiment name.
+fn section9(name: &str) -> Option<fn(&SuiteResult) -> String> {
+    Some(match name {
+        "fig9" => perf_suite::fig9,
+        "fig10" => perf_suite::fig10,
+        "fig11" => perf_suite::fig11,
+        "fig12" => perf_suite::fig12,
+        "fig13" => perf_suite::fig13,
+        "fig14-15" | "fig14" | "fig15" => perf_suite::fig14_15,
+        _ => return None,
+    })
+}
+
 /// Runs one experiment, returning its rendered output and the trace
-/// events it recorded (empty unless `trace` is set). The events come
-/// back as a batch instead of going straight to the shared sink so that
+/// events it recorded (empty unless `trace` is set; a Section 9 figure's
+/// come from [`Ctx::take_suite_events`] instead). The events come back
+/// as a batch instead of going straight to the shared sink so that
 /// concurrent experiments can be merged in canonical order afterwards.
 /// `jobs` bounds the experiment's *internal* fan-out. Returns `None` for
 /// an unknown name.
 fn run_one(name: &str, ctx: &Ctx, trace: bool, jobs: usize) -> Option<(String, Vec<TraceEvent>)> {
+    if let Some(render) = section9(name) {
+        return Some((render(ctx.suite()), Vec::new()));
+    }
     let sink = if trace {
         SharedSink::memory(0)
     } else {
@@ -169,74 +212,6 @@ fn run_one(name: &str, ctx: &Ctx, trace: bool, jobs: usize) -> Option<(String, V
             42,
         )
         .render(),
-        "fig9" => {
-            let suite = ctx.suite(
-                vec![
-                    SystemKind::D2,
-                    SystemKind::Traditional,
-                    SystemKind::TraditionalFile,
-                ],
-                vec![1500],
-                &sink,
-                jobs,
-            );
-            fig9::from_suite(&suite).render()
-        }
-        "fig10" => {
-            let suite = ctx.suite(
-                vec![SystemKind::D2, SystemKind::Traditional],
-                vec![1500, 384],
-                &sink,
-                jobs,
-            );
-            fig10::from_suite(&suite, SystemKind::Traditional).render()
-        }
-        "fig11" => {
-            let suite = ctx.suite(
-                vec![SystemKind::D2, SystemKind::TraditionalFile],
-                vec![1500, 384],
-                &sink,
-                jobs,
-            );
-            fig11::from_suite(&suite).render()
-        }
-        "fig12" => {
-            let largest = *ctx.scale.perf_sizes().last().unwrap();
-            let suite = ctx.suite(
-                vec![SystemKind::D2, SystemKind::Traditional],
-                vec![1500],
-                &sink,
-                jobs,
-            );
-            fig12::from_suite(&suite, largest, 1500).render()
-        }
-        "fig13" => {
-            let suite = ctx.suite(
-                vec![
-                    SystemKind::D2,
-                    SystemKind::Traditional,
-                    SystemKind::TraditionalFile,
-                ],
-                vec![1500],
-                &sink,
-                jobs,
-            );
-            fig13::from_suite(&suite).render()
-        }
-        "fig14-15" | "fig14" | "fig15" => {
-            let largest = *ctx.scale.perf_sizes().last().unwrap();
-            let suite = ctx.suite(
-                vec![
-                    SystemKind::D2,
-                    SystemKind::Traditional,
-                    SystemKind::TraditionalFile,
-                ],
-                vec![1500],
-                &sink,
-                jobs,
-            );
-            fig14_15::from_suite(&suite, largest, 1500).render()
-        }
         "table3" => table3::run(ctx.harvard(), ctx.web()).render(),
         "churn" => churn::run_traced(ctx.scale, ctx.seed, jobs, &sink).render(),
         "redundancy" => redundancy::run_traced(ctx.scale, ctx.seed, jobs, &sink).render(),
@@ -352,7 +327,15 @@ fn main() {
     } else {
         SharedSink::null()
     };
-    let ctx = Ctx::new(scale, seed);
+    let ctx = Ctx::new(scale, seed, trace, jobs);
+    // An experiment's events go to the sink as it prints; the Section 9
+    // suite's go once, with the first Section 9 figure printed.
+    let record = |name: &str, events: Vec<TraceEvent>| {
+        sink.extend(events);
+        if section9(name).is_some() {
+            sink.extend(ctx.take_suite_events());
+        }
+    };
     for name in &names {
         sink.record_with(|| TraceEvent::Mark {
             t_us: 0,
@@ -360,21 +343,23 @@ fn main() {
         });
         if name == "all" {
             // Fan the figure set out over the workers; each experiment
-            // runs its internal sweep sequentially. Output and events are
-            // merged in the canonical `ALL` order, not completion order.
+            // runs its internal sweep sequentially, except the Section 9
+            // suite, which runs over all the workers while the figures
+            // reading it wait. Output and events are merged in the
+            // canonical `ALL` order, not completion order.
             let outcomes = exec::parallel_map(&ALL, jobs, |_, &n| {
                 run_one(n, &ctx, trace, 1).expect("ALL names are known")
             });
             for (n, (out, events)) in ALL.iter().zip(outcomes) {
                 println!("==> {n}");
                 println!("{out}");
-                sink.extend(events);
+                record(n, events);
             }
         } else {
             match run_one(name, &ctx, trace, jobs) {
                 Some((out, events)) => {
                     println!("{out}");
-                    sink.extend(events);
+                    record(name, events);
                 }
                 None => {
                     eprintln!("unknown experiment: {name}");

@@ -12,13 +12,7 @@
 //! | [`table2`] | Table 2 — mean blocks/files/nodes per task |
 //! | [`fig7`] | Fig. 7 — task unavailability per system and `inter` |
 //! | [`fig8`] | Fig. 8 — ranked per-user unavailability |
-//! | [`perf_suite`] | shared Section 9 testbed driver |
-//! | [`fig9`] | Fig. 9 — lookup messages per node vs system size |
-//! | [`fig10`] | Fig. 10 — speedup over the traditional DHT |
-//! | [`fig11`] | Fig. 11 — speedup over the traditional-file DHT |
-//! | [`fig12`] | Fig. 12 — per-user speedup breakdown |
-//! | [`fig13`] | Fig. 13 — mean lookup-cache miss rate |
-//! | [`fig14_15`] | Figs. 14/15 — access-group latency scatter |
+//! | [`perf_suite`] | Figs. 9–15 — one Section 9 sweep and a render per figure |
 //! | [`table3`] | Table 3 — daily write/remove ratios (Harvard, Webcache) |
 //! | [`table4`] | Table 4 — write vs load-balancing traffic per day |
 //! | [`fig16_17`] | Figs. 16/17 — load imbalance over time |
@@ -36,23 +30,18 @@
 //! one churn trace, reporting availability vs storage overhead vs lazy
 //! repair bandwidth.
 //!
-//! Every driver returns plain data structures *and* renders the
-//! paper-style text table via its `render` function, so the binaries and
-//! benches print comparable output.
+//! Every other driver returns plain data structures *and* renders the
+//! paper-style text table via its `render` function; the Section 9
+//! figures are render functions of the one [`perf_suite::SuiteResult`]
+//! they all read. The binary and the examples print the same tables.
 
 pub mod balance_sim;
 pub mod churn;
 pub mod exec;
-pub mod fig10;
-pub mod fig11;
-pub mod fig12;
-pub mod fig13;
-pub mod fig14_15;
 pub mod fig16_17;
 pub mod fig3;
 pub mod fig7;
 pub mod fig8;
-pub mod fig9;
 pub mod obs_summary;
 pub mod params;
 pub mod perf_suite;

@@ -3,7 +3,6 @@
 //! worker count. These tests pin that for the perf suite and the balance
 //! figures, plus a seeded property test over worker counts.
 
-use d2_core::{Parallelism, SystemKind};
 use d2_experiments::fig16_17::{self, ALL_SYSTEMS};
 use d2_experiments::perf_suite::{self, SuiteConfig, SuiteResult};
 use d2_experiments::{table4, Scale};
@@ -11,6 +10,7 @@ use d2_obs::{to_jsonl, SharedSink};
 use d2_workload::{HarvardTrace, WebTrace};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashMap;
 
 fn harvard() -> HarvardTrace {
     HarvardTrace::generate(&Scale::Quick.harvard(), &mut StdRng::seed_from_u64(5))
@@ -26,7 +26,6 @@ fn suite_at(trace: &HarvardTrace, jobs: usize, seed: u64) -> (SuiteResult, Strin
     let sink = SharedSink::memory(0);
     let cfg = SuiteConfig {
         sizes: vec![16],
-        kbps: vec![1500],
         measure_groups: 40,
         seed,
         sink: sink.clone(),
@@ -48,30 +47,6 @@ fn suite_reports_and_jsonl_identical_at_any_worker_count() {
         assert_eq!(par.cells, base.cells, "reports differ at jobs={jobs}");
         assert_eq!(par.groups.len(), base.groups.len());
         assert_eq!(par_jsonl, base_jsonl, "trace differs at jobs={jobs}");
-    }
-}
-
-#[test]
-fn suite_cross_system_pairing_survives_parallelism() {
-    // The per-cell seeds exclude the system kind, so the D2-vs-traditional
-    // speedup stays a paired comparison — and therefore > 1 — no matter
-    // how many workers ran the cells.
-    let trace = harvard();
-    for jobs in [1, 4] {
-        let (result, _) = suite_at(&trace, jobs, 11);
-        let s = result
-            .speedup(
-                SystemKind::D2,
-                SystemKind::Traditional,
-                16,
-                1500,
-                Parallelism::Seq,
-            )
-            .unwrap();
-        assert!(
-            s > 1.0,
-            "jobs={jobs}: paired speedup should exceed 1, got {s}"
-        );
     }
 }
 
@@ -113,18 +88,21 @@ fn table4_identical_at_any_worker_count() {
 /// Reports and traces are invariant to the worker count — and hence to
 /// completion order, since with `jobs > 1` the cells finish in whatever
 /// order the scheduler produces. Four seeded cases; a failure prints its
-/// seed.
+/// seed. Cases that share a seed share its sequential run.
 #[test]
 fn suite_invariant_to_worker_count() {
     let trace = harvard();
+    let mut bases = HashMap::new();
     for case in 0..4 {
         let mut rng = StdRng::seed_from_u64(case);
         let jobs = rng.random_range(2..9);
         let seed = 20 + rng.random_range(0..3);
-        let (base, base_jsonl) = suite_at(&trace, 1, seed);
+        let (base, base_jsonl) = bases
+            .entry(seed)
+            .or_insert_with(|| suite_at(&trace, 1, seed));
         let (par, par_jsonl) = suite_at(&trace, jobs, seed);
         let at = format!("case {case}: jobs {jobs}, seed {seed}");
         assert_eq!(par.cells, base.cells, "{at}");
-        assert_eq!(par_jsonl, base_jsonl, "{at}");
+        assert_eq!(&par_jsonl, base_jsonl, "{at}");
     }
 }

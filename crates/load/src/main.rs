@@ -31,8 +31,10 @@
 //! Reports throughput (ops/s), latency percentiles (p50/p90/p99/p999),
 //! the workers' summed lookup-cache hits / misses / stale hits, and the
 //! merged client-side `net.*` counters. `--json` emits one JSON
-//! object (consumed by `scripts/bench_wire.sh` to build
-//! `BENCH_wire.json`).
+//! object. `d2-load` is a load driver and smoke test (`scripts/check.sh`
+//! runs it against a 3-process and a 256-node cluster); tracked
+//! performance numbers come from the `d2-bench` workloads under
+//! `benchmark/`.
 
 use d2_net::{ClusterOps, PipelineConfig};
 use d2_obs::Registry;

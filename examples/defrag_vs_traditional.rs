@@ -7,10 +7,9 @@
 //!
 //! Run with: `cargo run --release --example defrag_vs_traditional`
 
-use d2::experiments::perf_suite::{self, SuiteConfig};
-use d2::experiments::{fig10, fig13, fig14_15, fig9, Scale};
+use d2::experiments::perf_suite::{self, SuiteConfig, KBPS};
+use d2::experiments::Scale;
 use d2::workload::HarvardTrace;
-use d2_core::SystemKind;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -28,7 +27,6 @@ fn main() {
 
     let cfg = SuiteConfig {
         sizes: scale.perf_sizes(),
-        kbps: vec![1500, 384],
         measure_groups: 150,
         seed: 7,
         warmup_days: scale.warmup_days(),
@@ -36,16 +34,12 @@ fn main() {
     };
     println!(
         "running the performance sweep: sizes {:?} × bandwidths {:?} × 3 systems × 2 modes …",
-        cfg.sizes, cfg.kbps
+        cfg.sizes, KBPS
     );
     let suite = perf_suite::run(&trace, &cfg);
 
-    println!("\n{}", fig9::from_suite(&suite).render());
-    println!(
-        "{}",
-        fig10::from_suite(&suite, SystemKind::Traditional).render()
-    );
-    println!("{}", fig13::from_suite(&suite).render());
-    let largest = *cfg.sizes.last().unwrap();
-    println!("{}", fig14_15::from_suite(&suite, largest, 1500).render());
+    println!("\n{}", perf_suite::fig9(&suite));
+    println!("{}", perf_suite::fig10(&suite));
+    println!("{}", perf_suite::fig13(&suite));
+    println!("{}", perf_suite::fig14_15(&suite));
 }

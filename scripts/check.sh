@@ -118,6 +118,15 @@ rm -rf "$EXP_TMP"
 echo "==> telemetry smoke (3-node cluster scrape, merged snapshot JSON)"
 cargo run --release --quiet --example telemetry >/dev/null
 
+echo "==> defrag_vs_traditional example: two runs print the same bytes"
+# Figures 9-15 read named cells of one suite, so no table may follow a
+# hash map's iteration order.
+EXAMPLE_TMP="$(mktemp -d)"
+cargo run --release --quiet --example defrag_vs_traditional > "$EXAMPLE_TMP/run1.out"
+cargo run --release --quiet --example defrag_vs_traditional > "$EXAMPLE_TMP/run2.out"
+cmp "$EXAMPLE_TMP/run1.out" "$EXAMPLE_TMP/run2.out"
+rm -rf "$EXAMPLE_TMP"
+
 echo "==> d2-load smoke (small pipelined run vs 3-process TCP cluster)"
 SMOKE_TMP="$(mktemp -d)"
 SMOKE_PIDS=()
