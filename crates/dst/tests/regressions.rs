@@ -259,3 +259,30 @@ fn repeated_join_ack_loss_still_converges() {
         );
     }
 }
+
+/// ROADMAP item 9's EC durability hole, pinned where a 1,000-seed sweep
+/// of every world finds it: `d2-dst sweep --ec 3/6 --world skew` seed
+/// 922 loses an acked put to lazy repair ("2 of 3 distinct valid
+/// fragments survive"). The hole is not seed-specific: `--world wan`
+/// seed 3 failed the same way until the join hand-off moved every
+/// schedule. When item 9 closes the hole this seed passes: flip the
+/// assertion to `out.ok`.
+#[test]
+fn ec_skew_seed_922_loses_an_acked_put() {
+    let sc = Scenario {
+        regime: d2_dst::WorldRegime::Skew,
+        ..Scenario::ec(922, 3, 6)
+    };
+    let out = run_one(&sc, &Overrides::default());
+    assert!(
+        !out.ok,
+        "skew seed 922 converged: item 9's EC hole closed here, flip this pin"
+    );
+    assert!(
+        out.violation
+            .as_deref()
+            .is_some_and(|v| v.contains("distinct valid fragments survive")),
+        "a different failure: {:?}",
+        out.violation
+    );
+}

@@ -56,11 +56,13 @@
 //! Zave suite `d2-node check` runs — passes over every node so far. The
 //! host thread owns the runtimes, so while the boot driver waits it
 //! evaluates the suite itself whenever its queue runs dry, and answers
-//! the moment the ring passes: a wave costs one tick round (its joiners'
-//! predecessors learn of them by stabilizing), not a fixed poll. Each
-//! joiner enters through its own seed in a check-clean ring, and the
-//! `i`-th node takes ring position `bitrev(i)`, so a wave bisects the
-//! existing gaps: one joiner per adopter, nothing to contend for.
+//! the moment the ring passes. A wave costs its joins' messages, not a
+//! tick round or a fixed poll: an adopter hands its joiner straight to
+//! its old predecessor (`ProtocolNode`'s join hand-off), so the wave's
+//! pointers are whole before any node ticks again. Each joiner enters
+//! through its own seed in a check-clean ring, and the `i`-th node takes
+//! ring position `bitrev(i)`, so a wave bisects the existing gaps: one
+//! joiner per adopter, nothing to contend for.
 
 use crate::clock::{Clock, SystemClock};
 use crate::invariants::check_ring;

@@ -25,6 +25,11 @@
 //! The checks are *quiescent* invariants: during churn or an unfinished
 //! join they may transiently fail, which is why callers poll them
 //! (e.g. a stabilization wait loop) rather than assert after a kill.
+//!
+//! They do not ask that a list's tail be complete. A join's hand-off
+//! makes them pass in message time, while the nodes two or more hops
+//! behind the joiner learn of it at their next stabilization probe;
+//! [`successor_lists_converged`] asks for that too.
 
 use crate::ops::NodeStatus;
 use d2_ring::messages::Addr;
@@ -142,6 +147,21 @@ pub fn check_ring(statuses: &[NodeStatus]) -> RingReport {
     report
 }
 
+/// Whether every node's successor list is the live nodes that follow
+/// it clockwise, in order, skipping none: the fixpoint stabilization
+/// converges to, and the replica or fragment group a put is placed on.
+pub fn successor_lists_converged(statuses: &[NodeStatus]) -> bool {
+    let mut by_id: Vec<&NodeStatus> = statuses.iter().collect();
+    by_id.sort_by_key(|s| s.me.id);
+    let n = by_id.len();
+    by_id.iter().enumerate().all(|(i, s)| {
+        s.successors
+            .iter()
+            .enumerate()
+            .all(|(k, p)| p.addr == by_id[(i + 1 + k) % n].me.addr)
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -174,6 +194,17 @@ mod tests {
         );
         assert_eq!(report.nodes, 16);
         assert_eq!(report.total_blocks, 48);
+    }
+
+    #[test]
+    fn a_tail_that_skips_a_live_node_is_not_converged() {
+        let mut ring = healthy(8, 3);
+        assert!(successor_lists_converged(&ring));
+        // Node 5 joined after node 2 last stabilized: check_ring holds,
+        // but node 2's tail still skips it.
+        ring[2].successors[2] = ring[6].me;
+        assert!(check_ring(&ring).ok());
+        assert!(!successor_lists_converged(&ring));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! owns the key refuses with [`Response::NotOwner`], and the client
 //! drops the node's entries and re-runs the op through a routed lookup.
 
-use crate::invariants::{check_ring, RingReport};
+use crate::invariants::{check_ring, successor_lists_converged, RingReport};
 use d2_obs::{Registry, SpanRecord, TraceCtx};
 use d2_ring::messages::{Addr, PeerInfo};
 use d2_sim::SimTime;
@@ -568,8 +568,38 @@ impl<T: Transport> ClusterOps<T> {
         }
     }
 
-    /// Polls [`check_ring`] over `addrs` until every node answers and no
-    /// invariant is violated; the timeout error is the last report.
+    /// Asks every node in `addrs` for its ring view at once over one
+    /// [`ReplyQueue`], and hands each answer to `on_status` as it lands;
+    /// `on_status` returns further nodes to ask the same way. Unreachable
+    /// nodes are skipped.
+    fn fan_out_status(
+        &self,
+        addrs: impl IntoIterator<Item = Addr>,
+        mut on_status: impl FnMut(NodeStatus) -> Vec<Addr>,
+    ) {
+        let mut queue = self.client.reply_queue();
+        let timeout = Duration::from_secs(10);
+        let ask = |queue: &mut ReplyQueue, addr: Addr| {
+            let _ = self
+                .client
+                .submit_on(queue, addr, Request::Status, timeout, TraceCtx::NONE);
+        };
+        for addr in addrs {
+            ask(&mut queue, addr);
+        }
+        while let Some((_, res)) = queue.recv() {
+            if let Ok(Response::Status(w)) = res {
+                for addr in on_status(w.into()) {
+                    ask(&mut queue, addr);
+                }
+            }
+        }
+    }
+
+    /// Polls [`check_ring`] over `addrs` until every node answers, no
+    /// invariant is violated and every successor list has converged
+    /// ([`successor_lists_converged`]), so a put lands on its settled
+    /// group; the timeout error is the last report.
     pub fn wait_ring_ok(
         &self,
         addrs: &[Addr],
@@ -577,9 +607,14 @@ impl<T: Transport> ClusterOps<T> {
     ) -> std::result::Result<(), RingReport> {
         let deadline = Instant::now() + timeout;
         loop {
-            let statuses: Vec<_> = addrs.iter().filter_map(|&a| self.status_of(a)).collect();
+            let mut statuses = Vec::with_capacity(addrs.len());
+            self.fan_out_status(addrs.iter().copied(), |st| {
+                statuses.push(st);
+                Vec::new()
+            });
             let report = check_ring(&statuses);
-            let ok = report.ok() && report.nodes == addrs.len();
+            let ok =
+                report.ok() && report.nodes == addrs.len() && successor_lists_converged(&statuses);
             if ok || Instant::now() >= deadline {
                 return if ok { Ok(()) } else { Err(report) };
             }
@@ -607,26 +642,21 @@ impl<T: Transport> ClusterOps<T> {
     /// Walks the ring from the entry set, following predecessor and
     /// successor pointers until no new address appears, and returns
     /// every discovered node in address order. One reachable entry is
-    /// enough to enumerate the whole cluster.
+    /// enough to enumerate the whole cluster. Every address is asked the
+    /// moment it is first seen, so the walk costs about one round trip
+    /// per successor-list hop, not one per node.
     pub fn discover(&self) -> Vec<Addr> {
         let mut known: BTreeSet<Addr> = read_lock(&self.entries).iter().copied().collect();
-        let mut todo: Vec<Addr> = known.iter().copied().collect();
-        while let Some(addr) = todo.pop() {
-            let Some(st) = self.status_of(addr) else {
-                continue;
-            };
-            let peers = st
-                .predecessor
+        let entries: Vec<Addr> = known.iter().copied().collect();
+        self.fan_out_status(entries, |st| {
+            st.predecessor
                 .iter()
                 .chain(st.successors.iter())
                 .map(|p| p.addr)
-                .chain(std::iter::once(st.me.addr));
-            for p in peers {
-                if known.insert(p) {
-                    todo.push(p);
-                }
-            }
-        }
+                .chain(std::iter::once(st.me.addr))
+                .filter(|&p| known.insert(p))
+                .collect()
+        });
         known.into_iter().collect()
     }
 

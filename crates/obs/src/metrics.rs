@@ -290,7 +290,13 @@ impl Registry {
 
     /// Adds `n` to counter `name` (creating it at 0).
     pub fn add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += n;
+        // The runtime bumps static names on every message: look up
+        // first, and allocate the key only on its first insert.
+        if let Some(c) = self.counters.get_mut(name) {
+            *c += n;
+        } else {
+            self.counters.insert(name.to_string(), n);
+        }
     }
 
     /// Increments counter `name` by one.
@@ -305,7 +311,11 @@ impl Registry {
 
     /// Sets gauge `name` to `v`.
     pub fn set_gauge(&mut self, name: &str, v: f64) {
-        self.gauges.insert(name.to_string(), v);
+        if let Some(g) = self.gauges.get_mut(name) {
+            *g = v;
+        } else {
+            self.gauges.insert(name.to_string(), v);
+        }
     }
 
     /// Current value of gauge `name`.
@@ -315,10 +325,13 @@ impl Registry {
 
     /// Records `v` into histogram `name` (creating it empty).
     pub fn observe(&mut self, name: &str, v: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .record(v);
+        if let Some(h) = self.histograms.get_mut(name) {
+            h.record(v);
+        } else {
+            let mut h = Histogram::default();
+            h.record(v);
+            self.histograms.insert(name.to_string(), h);
+        }
     }
 
     /// The histogram `name`, if any value was ever observed.

@@ -100,6 +100,10 @@ pub struct ProtocolNode {
     /// Completed lookups not yet collected by the embedding layer.
     completed: Vec<LookupResult>,
     next_req: u64,
+    /// The first successor notified since the last tick: a round
+    /// notifies it once, on the round's first `Neighbors` answer, and
+    /// notifies again only a new first successor.
+    notified: Option<Addr>,
 }
 
 impl ProtocolNode {
@@ -115,6 +119,7 @@ impl ProtocolNode {
             pending: HashMap::new(),
             completed: Vec::new(),
             next_req: 1,
+            notified: None,
         }
     }
 
@@ -131,6 +136,7 @@ impl ProtocolNode {
             pending: HashMap::new(),
             completed: Vec::new(),
             next_req: 1,
+            notified: None,
         };
         (
             node,
@@ -275,6 +281,7 @@ impl ProtocolNode {
                         {
                             self.successors.insert(0, p);
                             self.truncate_successors();
+                            self.notified = Some(p.addr);
                             return vec![(p.addr, RingMsg::Notify { candidate: self.me })];
                         }
                     }
@@ -284,10 +291,17 @@ impl ProtocolNode {
                         self.push_successor(s);
                     }
                 }
-                if let Some(first) = self.successors.first().copied() {
-                    return vec![(first.addr, RingMsg::Notify { candidate: self.me })];
+                // One Notify per stabilization round, on whichever answer
+                // lands first (the earliest, under jitter), and one per
+                // change of first successor; the round's other answers
+                // would repeat it.
+                match self.successors.first().copied() {
+                    Some(first) if self.notified != Some(first.addr) => {
+                        self.notified = Some(first.addr);
+                        vec![(first.addr, RingMsg::Notify { candidate: self.me })]
+                    }
+                    _ => vec![],
                 }
-                vec![]
             }
             RingMsg::Notify { candidate } => {
                 let adopt = match self.predecessor {
@@ -330,6 +344,7 @@ impl ProtocolNode {
     /// evicts dead entries ring-wide within one tick, drying up the
     /// re-advertisement at its source.
     pub fn tick(&mut self) -> Vec<(Addr, RingMsg)> {
+        self.notified = None;
         let mut out: Vec<(Addr, RingMsg)> = Vec::with_capacity(self.successors.len() + 1);
         // `ProbeHeadOnly` deliberately resurrects the dead-tail bug for
         // DST-harness validation.
@@ -479,16 +494,35 @@ impl ProtocolNode {
             self.predecessor = Some(joiner);
             self.learn(joiner);
             self.push_successor(joiner);
-            return vec![(joiner.addr, ack)];
+            let mut out = vec![(joiner.addr, ack)];
+            // Hand the joiner to the old predecessor now: the answer its
+            // next stabilization probe would fetch, sent a tick early, so
+            // the join converges in message time.
+            if let Some(p) = old_pred.filter(|p| p.addr != self.me.addr && p.addr != joiner.addr) {
+                out.push((
+                    p.addr,
+                    RingMsg::Neighbors {
+                        me: self.me,
+                        predecessor: Some(joiner),
+                        successors: self.successors.clone(),
+                    },
+                ));
+            }
+            return out;
         }
-        match self.next_hop(&joiner.id) {
-            Some(next) => vec![(
-                next.addr,
-                RingMsg::Join {
-                    joiner,
-                    hops: hops + 1,
-                },
-            )],
+        let next = match self.next_hop(&joiner.id) {
+            // Never back to the joiner: a hand-off can name it as our
+            // successor before its ack lands, and it would drop its own
+            // join. The next successor past it is the adopter's side;
+            // with none, the joiner's retry finds a fuller view.
+            Some(p) if p.addr == joiner.addr => {
+                let skip = [joiner.addr, self.me.addr];
+                let Some(&past) = self.successors.iter().find(|s| !skip.contains(&s.addr)) else {
+                    return vec![];
+                };
+                past
+            }
+            Some(next) => next,
             None => {
                 // Single bootstrap node that hasn't formed a ring view yet.
                 let ack = RingMsg::JoinAck {
@@ -498,9 +532,16 @@ impl ProtocolNode {
                 };
                 self.predecessor = Some(joiner);
                 self.push_successor(joiner);
-                vec![(joiner.addr, ack)]
+                return vec![(joiner.addr, ack)];
             }
-        }
+        };
+        vec![(
+            next.addr,
+            RingMsg::Join {
+                joiner,
+                hops: hops + 1,
+            },
+        )]
     }
 
     fn adopt_successor(&mut self, s: PeerInfo) {
@@ -777,6 +818,36 @@ mod tests {
         p.stabilize(5);
         assert_eq!(p.nodes[2].predecessor().unwrap().addr, 0);
         assert_eq!(p.nodes[0].successors()[0].addr, 2);
+    }
+
+    #[test]
+    fn join_converges_without_a_tick() {
+        let mut p = build_ring(&[0.1, 0.35, 0.6, 0.85]);
+        // The node at 0.5 joins between node 1 (0.35) and node 2 (0.6);
+        // `join` drains every message and ticks nobody.
+        let joiner = p.join(0.5, 0);
+        assert_eq!(p.nodes[2].predecessor().unwrap().addr, joiner);
+        assert_eq!(p.nodes[joiner].predecessor().unwrap().addr, 1);
+        assert_eq!(p.nodes[joiner].successors()[0].addr, 2);
+        assert_eq!(p.nodes[1].successors()[0].addr, joiner);
+    }
+
+    #[test]
+    fn a_stable_round_sends_one_notify_per_node() {
+        let mut p = build_ring(&[0.1, 0.25, 0.4, 0.55, 0.7, 0.85]);
+        for i in 0..p.nodes.len() {
+            let out = p.nodes[i].tick();
+            p.queue.extend(out);
+        }
+        let mut notifies = vec![0; p.nodes.len()];
+        while let Some((to, msg)) = p.queue.pop_front() {
+            if let RingMsg::Notify { candidate } = msg {
+                notifies[candidate.addr] += 1;
+            }
+            let out = p.nodes[to].handle(msg);
+            p.queue.extend(out);
+        }
+        assert_eq!(notifies, vec![1; p.nodes.len()]);
     }
 
     #[test]
