@@ -30,17 +30,19 @@
 //! `serve-many` hosts a whole N-node cluster in this one process: one
 //! reactor turned by one host thread, node `i` at virtual address
 //! `127.0.0.1+i` on the shared port. It prints `LISTEN 127.0.0.1:port`,
-//! `JOINED k/N` as each boot wave of k nodes passes the suite `check`
-//! runs, `STABLE N` once all N do, then runs until every node is stopped
-//! (e.g. `d2-node stop --node 127.0.0.1:PORT --all`). This is the
-//! 1,000-node deployment mode — see EXPERIMENTS.md ("Booting a
-//! 1,000-node cluster on one machine") for FD-limit prerequisites.
+//! `JOINED k/N` as each boot wave of k nodes passes the invariant suite,
+//! `STABLE N` once all N pass what `check` asks, then runs until every
+//! node is stopped (e.g. `d2-node stop --node 127.0.0.1:PORT --all`).
+//! This is the 1,000-node deployment mode — see EXPERIMENTS.md
+//! ("Booting a 1,000-node cluster on one machine") for FD-limit
+//! prerequisites.
 //!
 //! `check` discovers every ring member from `--node` and runs the Zave
 //! ring-invariant suite over their status snapshots (joined, corpse-free,
-//! ordered successor lists, one sorted cycle, consistent predecessors),
-//! printing each violation; exit status 1 if anything fails (or fewer
-//! than `--expect N` nodes are found), 0 on a clean bill.
+//! ordered successor lists, one sorted cycle, consistent predecessors)
+//! and asks that every successor list has converged — the ring is ready
+//! for data — printing each violation; exit status 1 if anything fails
+//! (or fewer than `--expect N` nodes are found), 0 on a clean bill.
 //!
 //! `top` discovers the ring from `--node`, scrapes every member's
 //! metric registry and flight recorder over the wire, and prints the
@@ -470,7 +472,10 @@ fn main() {
             for v in &report.violations {
                 println!("violation: {v}");
             }
-            let mut failed = !report.ok();
+            if !report.converged {
+                println!("not converged: a successor list skips a live node");
+            }
+            let mut failed = !report.ready();
             if let Some(expect) = args.expect {
                 if statuses.len() < expect {
                     eprintln!("expected {expect} nodes, found {}", statuses.len());

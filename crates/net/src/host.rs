@@ -59,7 +59,10 @@
 //! the moment the ring passes. A wave costs its joins' messages, not a
 //! tick round or a fixed poll: an adopter hands its joiner straight to
 //! its old predecessor (`ProtocolNode`'s join hand-off), so the wave's
-//! pointers are whole before any node ticks again. Each joiner enters
+//! pointers pass before any node ticks again. Only the end of the boot
+//! waits for a probe round, for the successor-list tails two or more
+//! hops behind each joiner: `boot` returns once the ring is
+//! [ready](crate::RingReport::ready) for data. Each joiner enters
 //! through its own seed in a check-clean ring, and the `i`-th node takes
 //! ring position `bitrev(i)`, so a wave bisects the existing gaps: one
 //! joiner per adopter, nothing to contend for.
@@ -91,8 +94,9 @@ enum Event<T> {
     Crash(Addr, mpsc::Sender<()>),
     /// Report how many nodes the host steps.
     Live(mpsc::Sender<usize>),
-    /// Fire once [`check_ring`] passes over every hosted node.
-    RingOk(mpsc::Sender<()>),
+    /// Fire once [`check_ring`] passes over every hosted node, and, if
+    /// the flag is set, the ring is [ready](crate::RingReport::ready) for data.
+    RingOk(mpsc::Sender<()>, bool),
     /// Drop every node and exit.
     Stop,
 }
@@ -155,11 +159,18 @@ impl<T: Transport> Host<T> {
         live.recv().unwrap_or(0)
     }
 
-    /// Blocks until [`check_ring`] passes over every hosted node (true),
-    /// or `timeout` expires or the host exits first (false).
+    /// Blocks until the hosted nodes form a ring
+    /// [ready](crate::RingReport::ready) for data (true), or `timeout` expires
+    /// or the host exits first (false).
     pub fn wait_ring_ok(&self, timeout: Duration) -> bool {
+        self.wait_ring(timeout, true)
+    }
+
+    /// [`Host::wait_ring_ok`], or, without `ready`, only until
+    /// [`check_ring`] passes: the tails of successor lists may lag.
+    fn wait_ring(&self, timeout: Duration, ready: bool) -> bool {
         let (reply, ok) = mpsc::channel();
-        (self.push)(Event::RingOk(reply));
+        (self.push)(Event::RingOk(reply, ready));
         ok.recv_timeout(timeout).is_ok()
     }
 
@@ -199,7 +210,7 @@ struct Stepper<T: Transport> {
     /// When every node ticks next (µs on `clock`).
     next_round_us: u64,
     /// [`Event::RingOk`]s not yet answered.
-    ring_waiters: Vec<mpsc::Sender<()>>,
+    ring_waiters: Vec<(mpsc::Sender<()>, bool)>,
 }
 
 impl<T: Transport> Stepper<T> {
@@ -238,10 +249,15 @@ impl<T: Transport> Stepper<T> {
             }
             if drained && !self.ring_waiters.is_empty() {
                 let statuses: Vec<_> = self.runtimes.values().map(NodeRuntime::status).collect();
-                if check_ring(&statuses).ok() {
-                    for waiter in self.ring_waiters.drain(..) {
-                        let _ = waiter.send(());
-                    }
+                let report = check_ring(&statuses);
+                if report.ok() {
+                    self.ring_waiters.retain(|(waiter, ready)| {
+                        let answer = !ready || report.converged;
+                        if answer {
+                            let _ = waiter.send(());
+                        }
+                        !answer
+                    });
                 }
             }
             // Sleep until an event arrives or the next round is due
@@ -308,10 +324,10 @@ impl<T: Transport> Stepper<T> {
                 let _ = reply.send(self.runtimes.len());
                 true
             }
-            Event::RingOk(reply) => {
+            Event::RingOk(reply, ready) => {
                 // Answered between bursts, once the nodes have heard
                 // one another (`run`).
-                self.ring_waiters.push(reply);
+                self.ring_waiters.push((reply, ready));
                 true
             }
             Event::Stop => false,
@@ -408,21 +424,24 @@ impl ManyCluster {
     }
 
     /// Drives the staged boot (module docs) until every node is released
-    /// and the ring passes [`check_ring`] (true), or `timeout` expires or
-    /// the host exits first (false). `on_wave(k)` runs each time the
-    /// first `k` nodes pass, before the next wave is released.
+    /// and the ring is [ready](crate::RingReport::ready) for data (true), or
+    /// `timeout` expires or the host exits first (false). `on_wave(k)`
+    /// runs each time the first `k` nodes pass [`check_ring`], before the
+    /// next wave is released.
     pub fn boot(&mut self, timeout: Duration, mut on_wave: impl FnMut(usize)) -> bool {
         let deadline = Instant::now().checked_add(timeout);
         loop {
             let left = deadline.map_or(Duration::MAX, |d| {
                 d.saturating_duration_since(Instant::now())
             });
-            // A lone bootstrap node has no successor for the suite to
-            // check.
-            if self.released > 1 && !self.host.wait_ring_ok(left) {
+            // A wave needs only the invariants; the last also waits for
+            // the tails a probe round brings. A lone bootstrap node has
+            // no successor for the suite to check.
+            let last = self.released == self.addrs.len();
+            if self.released > 1 && !self.host.wait_ring(left, last) {
                 return false;
             }
-            if self.released == self.addrs.len() {
+            if last {
                 return true;
             }
             on_wave(self.released);
@@ -452,6 +471,11 @@ impl ManyCluster {
     /// How many nodes are currently live (released and not stopped).
     pub fn live(&self) -> usize {
         self.host.live()
+    }
+
+    /// Crash-stops the node at `addr` ([`Host::crash`]).
+    pub fn crash(&self, addr: Addr) {
+        self.host.crash(addr);
     }
 
     /// Blocks until the host exits or the timeout expires.

@@ -28,8 +28,13 @@
 //!
 //! They do not ask that a list's tail be complete. A join's hand-off
 //! makes them pass in message time, while the nodes two or more hops
-//! behind the joiner learn of it at their next stabilization probe;
-//! [`successor_lists_converged`] asks for that too.
+//! behind the joiner learn of it at their next stabilization probe.
+//! [`RingReport::converged`] records whether every tail has caught up,
+//! and [`RingReport::ready`] — the invariants and converged lists — is
+//! the one test of a ring ready for data: a put placed before it may go
+//! down a stale replica chain or fragment group. `serve-many`'s
+//! `STABLE`, `d2-node check`, [`crate::Host::wait_ring_ok`] and
+//! [`crate::ClusterOps::wait_ring_ok`] all wait for it.
 
 use crate::ops::NodeStatus;
 use d2_ring::messages::Addr;
@@ -47,12 +52,22 @@ pub struct RingReport {
     /// `K * min(r, nodes)` — replicas may exceed the target after
     /// churn+repair, never undershoot it).
     pub total_blocks: usize,
+    /// Whether every node's successor list is the live nodes that
+    /// follow it clockwise, in order, skipping none: the fixpoint
+    /// stabilization converges to, and the group a put is placed on.
+    pub converged: bool,
 }
 
 impl RingReport {
     /// Whether every invariant held.
     pub fn ok(&self) -> bool {
         self.violations.is_empty()
+    }
+
+    /// Whether the ring is ready for data: every invariant held and
+    /// every successor list has converged.
+    pub fn ready(&self) -> bool {
+        self.ok() && self.converged
     }
 }
 
@@ -115,6 +130,12 @@ pub fn check_ring(statuses: &[NodeStatus]) -> RingReport {
     let n = statuses.len();
     let mut by_id: Vec<&NodeStatus> = statuses.iter().collect();
     by_id.sort_by_key(|s| s.me.id);
+    report.converged = by_id.iter().enumerate().all(|(i, s)| {
+        s.successors
+            .iter()
+            .enumerate()
+            .all(|(k, p)| p.addr == by_id[(i + 1 + k) % n].me.addr)
+    });
     for (i, s) in by_id.iter().enumerate() {
         let expect = by_id[(i + 1) % n].me.addr;
         match s.successors.first() {
@@ -145,21 +166,6 @@ pub fn check_ring(statuses: &[NodeStatus]) -> RingReport {
         }
     }
     report
-}
-
-/// Whether every node's successor list is the live nodes that follow
-/// it clockwise, in order, skipping none: the fixpoint stabilization
-/// converges to, and the replica or fragment group a put is placed on.
-pub fn successor_lists_converged(statuses: &[NodeStatus]) -> bool {
-    let mut by_id: Vec<&NodeStatus> = statuses.iter().collect();
-    by_id.sort_by_key(|s| s.me.id);
-    let n = by_id.len();
-    by_id.iter().enumerate().all(|(i, s)| {
-        s.successors
-            .iter()
-            .enumerate()
-            .all(|(k, p)| p.addr == by_id[(i + 1 + k) % n].me.addr)
-    })
 }
 
 #[cfg(test)]
@@ -199,12 +205,13 @@ mod tests {
     #[test]
     fn a_tail_that_skips_a_live_node_is_not_converged() {
         let mut ring = healthy(8, 3);
-        assert!(successor_lists_converged(&ring));
-        // Node 5 joined after node 2 last stabilized: check_ring holds,
-        // but node 2's tail still skips it.
+        assert!(check_ring(&ring).ready());
+        // Node 5 joined after node 2 last stabilized: the invariants
+        // hold, but node 2's tail still skips it.
         ring[2].successors[2] = ring[6].me;
-        assert!(check_ring(&ring).ok());
-        assert!(!successor_lists_converged(&ring));
+        let report = check_ring(&ring);
+        assert!(report.ok(), "{:?}", report.violations);
+        assert!(!report.converged && !report.ready());
     }
 
     #[test]

@@ -57,7 +57,7 @@ pub use clock::{Clock, SimClock, SkewClock, SystemClock};
 pub use d2_ec::RedundancyPolicy;
 pub use deployment::Deployment;
 pub use host::{Host, ManyCluster};
-pub use invariants::{check_ring, successor_lists_converged, RingReport};
+pub use invariants::{check_ring, RingReport};
 pub use ops::{
     BatchOutcome, CacheStats, ClusterOps, ClusterScrape, NodeScrape, NodeStatus, PipelineConfig,
 };

@@ -14,7 +14,7 @@
 //! owns the key refuses with [`Response::NotOwner`], and the client
 //! drops the node's entries and re-runs the op through a routed lookup.
 
-use crate::invariants::{check_ring, successor_lists_converged, RingReport};
+use crate::invariants::{check_ring, RingReport};
 use d2_obs::{Registry, SpanRecord, TraceCtx};
 use d2_ring::messages::{Addr, PeerInfo};
 use d2_sim::SimTime;
@@ -596,10 +596,9 @@ impl<T: Transport> ClusterOps<T> {
         }
     }
 
-    /// Polls [`check_ring`] over `addrs` until every node answers, no
-    /// invariant is violated and every successor list has converged
-    /// ([`successor_lists_converged`]), so a put lands on its settled
-    /// group; the timeout error is the last report.
+    /// Polls [`check_ring`] over `addrs` until every node answers and the
+    /// ring is [ready](RingReport::ready) for data; the timeout error is
+    /// the last report.
     pub fn wait_ring_ok(
         &self,
         addrs: &[Addr],
@@ -613,8 +612,7 @@ impl<T: Transport> ClusterOps<T> {
                 Vec::new()
             });
             let report = check_ring(&statuses);
-            let ok =
-                report.ok() && report.nodes == addrs.len() && successor_lists_converged(&statuses);
+            let ok = report.ready() && report.nodes == addrs.len();
             if ok || Instant::now() >= deadline {
                 return if ok { Ok(()) } else { Err(report) };
             }

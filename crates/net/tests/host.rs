@@ -131,9 +131,10 @@ fn the_host_answers_once_its_nodes_pass_the_ring_suite() {
     assert!(!rig.host.wait_ring_ok(Duration::from_millis(60)));
     let b = rig.add(0.75, Some(a));
     assert!(rig.host.wait_ring_ok(T));
-    // A joiner between them is a ring only once its predecessor has
-    // stabilized; the answer waits for that, and what it certifies is
-    // what a client scrapes.
+    // A joiner between them makes a ring ready for data only once its
+    // join's messages land and every successor list has caught up; the
+    // answer waits for that, and what it certifies is what a client
+    // scrapes.
     let c = rig.add(0.5, Some(a));
     assert!(rig.host.wait_ring_ok(T));
     let client = rig.client();
@@ -145,7 +146,7 @@ fn the_host_answers_once_its_nodes_pass_the_ring_suite() {
         })
         .collect();
     let report = check_ring(&statuses);
-    assert!(report.ok(), "{:?}", report.violations);
+    assert!(report.ready(), "{:?}", report.violations);
     rig.host.stop();
     let t0 = Instant::now();
     assert!(!rig.host.wait_ring_ok(T));

@@ -105,12 +105,14 @@ fn two_hundred_nodes_in_one_process() {
 
     // A finished boot means the Zave suite passes — joined, corpse-free,
     // ordered successor lists, one sorted cycle, consistent
-    // predecessors — on the first scrape, with no wait to quiesce.
+    // predecessors — and every successor list has converged, on the
+    // first scrape, with no wait to quiesce.
     let report = check_ring(&scrape_statuses(&ops, &addrs));
     assert!(
-        report.ok() && report.nodes == N,
-        "booted ring is not check-clean; {}/{N} statuses, violations: {:?}",
+        report.ready() && report.nodes == N,
+        "booted ring is not ready; {}/{N} statuses, converged {}, violations: {:?}",
         report.nodes,
+        report.converged,
         report.violations.iter().take(8).collect::<Vec<_>>()
     );
 

@@ -436,11 +436,15 @@ impl Transport for TcpEndpoint {
         }
     }
 
-    /// Unregisters this endpoint (its address stops resolving; inbound
-    /// frames for it are dropped). The reactor keeps running for its
-    /// other endpoints.
+    /// Closes this endpoint: inbound frames for it are dropped, and a
+    /// send to it from this reactor fails fast, as a refused connection
+    /// would (left unregistered, the address would dial the reactor's
+    /// own listener and its frames vanish unseen). The reactor keeps
+    /// running for its other endpoints.
     fn shutdown(&self) {
-        write_lock(&self.shared.endpoints).remove(&self.me);
+        if let Some(slot) = write_lock(&self.shared.endpoints).get_mut(&self.me) {
+            *slot = Arc::new(|_| false);
+        }
     }
 }
 

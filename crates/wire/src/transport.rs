@@ -246,15 +246,16 @@ pub(crate) mod tests {
         keeps_the_contract(hub.open(), hub.open(), || {});
         // Two endpoints of one reactor: the loopback fast path, which
         // must not skew mean-frame-size math (bytes / msgs) with
-        // zero-byte phantom frames. Its listener answers 127.0.0.1
-        // alone, so once b unregisters, a send to b's address dials
-        // nowhere.
+        // zero-byte phantom frames. Its listener answers every loopback
+        // address, as `serve-many`'s does, so b's address still dials
+        // it once b has shut down: the closed endpoint itself refuses.
         let (ip, cfg, m) = (
             Ipv4Addr::LOCALHOST,
             TcpConfig::default(),
             Arc::new(NetMetrics::new()),
         );
-        let (reactor, poller) = TcpReactor::bind(ip, 0, cfg, Arc::clone(&m)).unwrap();
+        let (reactor, poller) =
+            TcpReactor::bind(Ipv4Addr::UNSPECIFIED, 0, cfg, Arc::clone(&m)).unwrap();
         poller.spawn().unwrap();
         let (a, b) = (reactor.open(ip), reactor.open(Ipv4Addr::new(127, 0, 0, 2)));
         keeps_the_contract(a.unwrap(), b.unwrap(), || {

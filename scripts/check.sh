@@ -222,9 +222,9 @@ bench_gate many64_tasks rss_peak_mb 95
 echo "==> d2-bench set-up gate (many64_tasks: setup_s <= 0.5)"
 # serve-many releases each boot wave the moment the ring so far passes
 # `check_ring` (DESIGN.md §11.4), and a wave converges in its join
-# messages, not a tick round: the 64-node boot is under 0.01 s and the
-# set-up, preload included, 0.2-0.3. A failure means a boot paced by
-# a fixed poll again, which reads 0.78-0.85.
+# messages, not a tick round: 64 nodes pass the suite in under 0.01 s
+# and the set-up, preload included, takes 0.2-0.3. A failure means a
+# boot paced by a fixed poll again, which reads 0.78-0.85.
 bench_gate many64_tasks setup_s 0.5
 
 echo "==> serve-many smoke (256 nodes in one process: boot, puts, invariants, drain)"
@@ -232,7 +232,7 @@ echo "==> serve-many smoke (256 nodes in one process: boot, puts, invariants, dr
     > "$SMOKE_TMP/many.out" 2>&1 &
 MANY_PID=$!
 SMOKE_PIDS+=("$MANY_PID")
-# A 256-node boot takes about 0.02 s.
+# A 256-node boot takes 0.03-0.06 s to STABLE.
 for _ in $(seq 1 1200); do
     grep -q "^STABLE" "$SMOKE_TMP/many.out" 2>/dev/null && break
     kill -0 "$MANY_PID" 2>/dev/null || { cat "$SMOKE_TMP/many.out"; exit 1; }
