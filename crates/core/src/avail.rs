@@ -23,7 +23,7 @@ use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Result of one availability run.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AvailabilityReport {
     /// Tasks evaluated.
     pub total_tasks: u64,
@@ -45,6 +45,14 @@ impl AvailabilityReport {
         } else {
             self.failed_tasks as f64 / self.total_tasks as f64
         }
+    }
+
+    /// Users with at least one failed task (the points Figure 8 plots).
+    pub fn affected_users(&self) -> usize {
+        self.per_user
+            .values()
+            .filter(|&&(_, failed)| failed > 0)
+            .count()
     }
 
     /// Per-user unavailability, ranked worst-first (Figure 8).
@@ -135,10 +143,10 @@ impl AvailabilitySim {
     ) -> AvailabilityReport {
         let epoch = self.epoch;
         // Task membership of each access.
-        let mut task_of_access: HashMap<usize, usize> = HashMap::new();
+        let mut task_of_access: Vec<Option<usize>> = vec![None; trace.accesses.len()];
         for (t, task) in tasks.iter().enumerate() {
             for &i in &task.indices {
-                task_of_access.insert(i, t);
+                task_of_access[i] = Some(t);
             }
         }
         let mut task_failed = vec![false; tasks.len()];
@@ -216,7 +224,7 @@ impl AvailabilitySim {
                                 }
                             }
                             if !ok {
-                                if let Some(&t) = task_of_access.get(&i) {
+                                if let Some(t) = task_of_access[i] {
                                     task_failed[t] = true;
                                 }
                             }

@@ -16,7 +16,7 @@
 
 use crate::config::ClusterConfig;
 use d2_fs::{BlockIo, Fs, FsConfig, VolumeReader};
-use d2_obs::{MigrationKind, SharedSink, TraceEvent};
+use d2_obs::{MigrationKind, TraceEvent};
 use d2_ring::balance::{self, BalanceOp, LoadView};
 use d2_ring::{NodeIdx, Ring};
 use d2_sim::net::LinkState;
@@ -213,8 +213,10 @@ pub struct SimCluster {
     /// When the repair buckets were last refilled.
     last_repair_refill: SimTime,
     volumes: HashMap<String, Fs>,
-    /// Trace sink for migration/repair/balance events (null by default).
-    obs: SharedSink,
+    /// Migration/repair/balance events, recorded only after
+    /// [`SimCluster::record_trace`]. Owned, not shared, so a cluster can
+    /// cross threads.
+    trace: Option<Vec<TraceEvent>>,
 }
 
 impl SimCluster {
@@ -239,15 +241,26 @@ impl SimCluster {
             last_repair_refill: SimTime::ZERO,
             ring,
             volumes: HashMap::new(),
-            obs: SharedSink::null(),
+            trace: None,
         }
     }
 
-    /// Attaches a trace sink: balance moves, migration transfers, and
-    /// pointer resolutions are recorded into it from now on. Pass a clone
-    /// of a [`SharedSink`] to share one buffer with other components.
-    pub fn set_trace_sink(&mut self, sink: SharedSink) {
-        self.obs = sink;
+    /// Starts recording balance moves, migration transfers, and pointer
+    /// resolutions; [`SimCluster::take_trace`] hands them over.
+    pub fn record_trace(&mut self) {
+        self.trace.get_or_insert_with(Vec::new);
+    }
+
+    /// The events recorded since the last call, oldest first.
+    pub fn take_trace(&mut self) -> Vec<TraceEvent> {
+        self.trace.as_mut().map(std::mem::take).unwrap_or_default()
+    }
+
+    /// Records the event `build` makes, if recording is on.
+    fn record(&mut self, build: impl FnOnce() -> TraceEvent) {
+        if let Some(trace) = &mut self.trace {
+            trace.push(build());
+        }
     }
 
     /// Number of nodes (live or not).
@@ -526,7 +539,7 @@ impl SimCluster {
         while let Some(op) =
             round.next_move(&mut self.ring, &StoreLoads(&self.stores), &mut self.rng)
         {
-            self.obs.record_with(|| TraceEvent::BalanceMove {
+            self.record(|| TraceEvent::BalanceMove {
                 t_us: now.as_micros(),
                 mover: op.mover().0,
                 heavy: op.heavy().0,
@@ -657,7 +670,7 @@ impl SimCluster {
                     let wire = if balancing { frag } else { len };
                     let done = self.migration_links[member.0].transmit(now, wire as u64);
                     self.stats.migration_bytes += wire as u64;
-                    self.obs.record_with(|| TraceEvent::Migration {
+                    self.record(|| TraceEvent::Migration {
                         t_us: now.as_micros(),
                         kind: if balancing {
                             MigrationKind::Balance
@@ -770,7 +783,7 @@ impl SimCluster {
             let done = self.migration_links[node.0].transmit(now, len as u64);
             self.stats.migration_bytes += len as u64;
             self.stats.pointers_resolved += 1;
-            self.obs.record_with(|| TraceEvent::Migration {
+            self.record(|| TraceEvent::Migration {
                 t_us: now.as_micros(),
                 kind: MigrationKind::PointerResolve,
                 src: src.0,
@@ -1065,10 +1078,9 @@ mod tests {
     }
 
     #[test]
-    fn trace_sink_sees_repair_and_balance_events() {
+    fn trace_sees_repair_and_balance_events() {
         let mut c = cluster(16, SystemKind::D2);
-        let sink = d2_obs::SharedSink::memory(0);
-        c.set_trace_sink(sink.clone());
+        c.record_trace();
         for (key, len) in skewed_keys(60) {
             c.put_block(key, len, SimTime::ZERO);
         }
@@ -1079,7 +1091,7 @@ mod tests {
         // Balance rounds move nodes (BalanceMove + Balance migrations /
         // pointers).
         let moves = c.run_balance_round(SimTime::from_secs(20), false);
-        let events = sink.drain();
+        let events = c.take_trace();
         let repairs = events
             .iter()
             .filter(|e| {
@@ -1124,8 +1136,7 @@ mod tests {
     #[test]
     fn pointer_resolution_records_migration_events() {
         let mut c = cluster(16, SystemKind::D2);
-        let sink = d2_obs::SharedSink::memory(0);
-        c.set_trace_sink(sink.clone());
+        c.record_trace();
         for (key, len) in skewed_keys(80) {
             c.put_block(key, len, SimTime::ZERO);
         }
@@ -1134,8 +1145,8 @@ mod tests {
         }
         let long_after = SimTime::from_secs(60 * 6) + POINTER_STABILIZATION;
         let resolved = c.resolve_stale_pointers(long_after + SimTime::from_secs(1));
-        let resolutions = sink
-            .drain()
+        let resolutions = c
+            .take_trace()
             .iter()
             .filter(|e| {
                 matches!(
@@ -1371,10 +1382,9 @@ mod tests {
         pointer(hi, k1, o1, 0);
         pointer(lo, k1, gone, 5);
         pointer(lo, k2, o2, 10);
-        let sink = d2_obs::SharedSink::memory(0);
-        c.set_trace_sink(sink.clone());
-        let resolutions = |sink: &SharedSink| -> Vec<(usize, u64)> {
-            let events = sink.drain();
+        c.record_trace();
+        let resolutions = |c: &mut SimCluster| -> Vec<(usize, u64)> {
+            let events = c.take_trace();
             let resolves = events.iter().filter_map(|e| match *e {
                 TraceEvent::Migration {
                     kind: MigrationKind::PointerResolve,
@@ -1390,13 +1400,13 @@ mod tests {
         let cutoff = now - POINTER_STABILIZATION;
         assert_eq!(c.resolve_stale_pointers(now), 2);
         let (k1_id, k2_id) = (k1.to_u64_lossy(), k2.to_u64_lossy());
-        assert_eq!(resolutions(&sink), vec![(lo.0, k2_id), (hi.0, k1_id)]);
+        assert_eq!(resolutions(&mut c), vec![(lo.0, k2_id), (hi.0, k1_id)]);
         // The retargeted pointer leads to real data and is due, but waits
         // for the next round.
         assert_eq!(c.copy_at(lo, &k1).unwrap().pointer(), Some((o1, cutoff)));
         assert!(c.index_matches_stores());
         assert_eq!(c.resolve_stale_pointers(now), 1);
-        assert_eq!(resolutions(&sink), vec![(lo.0, k1_id)]);
+        assert_eq!(resolutions(&mut c), vec![(lo.0, k1_id)]);
         assert_eq!(c.resolve_stale_pointers(now), 0);
     }
 

@@ -8,8 +8,10 @@
 //! crash makes `send` fail fast, so the forwarding node notices and
 //! re-routes. A one-way silent cut produces *no* send error — the
 //! message just dies — which is exactly the loss mode a
-//! fire-and-forget replication chain cannot see. Crash/isolate sweeps
-//! stay green under the bug; asymmetric-partition sweeps do not.
+//! fire-and-forget replication chain cannot see. Crash/isolate worlds
+//! lose a message silently only where their fault plan drops it, so
+//! they catch the bug only where a drop hits a chain's `put` before its
+//! holder crashes; asymmetric-partition sweeps catch it through cuts.
 //!
 //! The split-ring demo needs *default-size* worlds. At `n = 6` a
 //! seceded pair sits in half the ring's successor lists, so after the
@@ -22,7 +24,8 @@
 //! bounded.
 
 use d2_dst::{
-    run_one, ClientWorkload, InjectedBug, NodeEvent, Overrides, PlanEntry, Scenario, WorldRegime,
+    run_one, ClientWorkload, FateKind, InjectedBug, NodeEvent, Overrides, PlanEntry, Scenario,
+    WorldRegime,
 };
 
 /// Seeds scanned when a test needs the regime to produce at least one
@@ -37,9 +40,11 @@ fn small_in(seed: u64, regime: WorldRegime) -> Scenario {
 }
 
 /// The asymmetric-partition regime catches the ack-on-send durability
-/// bug — an acked put whose copies silently died on a cut link — and
-/// the classic regime does NOT catch it on those same seeds: the bug
-/// needs loss without a send error, and classic worlds have none.
+/// bug — an acked put whose copies silently died on a cut link. The bug
+/// needs loss without a send error, and a classic world's only such
+/// loss is a fault-plan drop: every classic seed that catches it names
+/// an acked put, and its plan drops a chain-forward `put` (seed 32 drops
+/// `put 5->0`, then node 5 crashes with the only copy).
 #[test]
 fn partition_regime_catches_ack_on_send_bug() {
     let mut bugged = small_in(0, WorldRegime::Partition);
@@ -60,15 +65,39 @@ fn partition_regime_catches_ack_on_send_bug() {
         "expected an acked-put durability violation, got {:?}",
         failing[0].violation
     );
-    // The same bug in the same seeds' classic worlds goes unseen.
+    // A classic world catches the bug only through a dropped chain
+    // forward. The client's own messages travel outside the faulted
+    // fabric, so every `put` in a plan is one node forwarding to the next.
     let mut classic = small_in(0, WorldRegime::Classic);
     classic.bug = Some(InjectedBug::AckOnSend);
     for r in d2_dst::sweep(&classic, 0, SCAN, 4) {
+        if r.ok {
+            continue;
+        }
         assert!(
-            r.ok,
-            "classic world caught ack-on-send at seed {} ({:?}) — \
-             the regime comparison in DESIGN.md §17 needs updating",
-            r.seed, r.violation
+            r.violation
+                .as_deref()
+                .is_some_and(|v| v.contains("acked put")),
+            "classic seed {} failed without an acked-put violation: {:?}",
+            r.seed,
+            r.violation
+        );
+        let mut sc = classic.clone();
+        sc.seed = r.seed;
+        let plan = run_one(&sc, &Overrides::default()).plan;
+        assert!(
+            plan.iter().any(|e| matches!(
+                e,
+                PlanEntry::Fault {
+                    kind: FateKind::Drop,
+                    what: "put",
+                    ..
+                }
+            )),
+            "classic seed {} caught ack-on-send with no dropped chain-forward put \
+             among its {} plan entries",
+            r.seed,
+            plan.len()
         );
     }
 }

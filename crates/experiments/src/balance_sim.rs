@@ -206,7 +206,9 @@ pub fn run_traced(
         label: format!("balance system={}", system.label()),
     });
     let mut cluster = SimCluster::new(system.system_kind(), cfg);
-    cluster.set_trace_sink(sink.clone());
+    if sink.enabled() {
+        cluster.record_trace();
+    }
     cluster.preload(stream.initial.iter().copied());
 
     let hour = SimTime::from_secs(3600);
@@ -294,6 +296,7 @@ pub fn run_traced(
         mig_days[day] = cluster.stats.migration_bytes - last_mig;
         rem_days[day] = cluster.stats.removed_bytes - last_rem;
     }
+    sink.extend(cluster.take_trace());
 
     BalanceRun {
         system,

@@ -23,13 +23,14 @@
 //! written as JSONL to the given path and a percentile summary (hops,
 //! lookup latency, cache hit rates, migration bytes) is printed.
 //! Figures 9–15 read one Section 9 sweep, run once per invocation; its
-//! events appear once, with the first of those figures printed.
+//! events appear once, with the first of those figures printed. Table 2
+//! and Figures 7 and 8 read each system's trial-0 availability
+//! placement, also warmed once per invocation.
 
+use d2_experiments::avail_sweep::{self, Placements};
 use d2_experiments::fig16_17::ALL_SYSTEMS;
 use d2_experiments::perf_suite::{self, SuiteConfig, SuiteResult};
-use d2_experiments::{
-    churn, exec, fig16_17, fig3, fig7, fig8, obs_summary, redundancy, table2, table3, table4, Scale,
-};
+use d2_experiments::{churn, exec, fig16_17, fig3, obs_summary, redundancy, table3, table4, Scale};
 use d2_obs::{to_jsonl, SharedSink, TraceEvent};
 use d2_sim::{FailureModel, SimTime};
 use d2_workload::{HarvardTrace, HpConfig, HpTrace, WebTrace};
@@ -42,7 +43,8 @@ use std::sync::{Mutex, OnceLock};
 /// touch only one, and `table3` none of HP — each from its own
 /// seed-derived RNG, so the result is independent of which experiment
 /// (or worker thread) asks first. The Section 9 suite is held the same
-/// way: Figures 9–15 all read the one sweep, run once per invocation.
+/// way: Figures 9–15 all read the one sweep, run once per invocation,
+/// and Table 2 and Figures 7 and 8 the one set of warmed placements.
 struct Ctx {
     scale: Scale,
     seed: u64,
@@ -54,6 +56,7 @@ struct Ctx {
     web: OnceLock<WebTrace>,
     hp: OnceLock<HpTrace>,
     suite: OnceLock<SuiteResult>,
+    placements: OnceLock<Placements>,
     /// The suite's trace events, until the first Section 9 figure printed
     /// takes them.
     suite_events: Mutex<Vec<TraceEvent>>,
@@ -70,6 +73,7 @@ impl Ctx {
             web: OnceLock::new(),
             hp: OnceLock::new(),
             suite: OnceLock::new(),
+            placements: OnceLock::new(),
             suite_events: Mutex::new(Vec::new()),
         }
     }
@@ -134,6 +138,17 @@ impl Ctx {
         )
     }
 
+    fn placements(&self) -> &Placements {
+        self.placements.get_or_init(|| {
+            Placements::warm(
+                self.harvard(),
+                &self.scale.cluster(self.seed),
+                self.scale.warmup_days(),
+                self.jobs,
+            )
+        })
+    }
+
     fn failure_model(&self) -> FailureModel {
         FailureModel {
             duration_secs: self.harvard().config.days * 86_400.0,
@@ -178,40 +193,23 @@ fn run_one(name: &str, ctx: &Ctx, trace: bool, jobs: usize) -> Option<(String, V
     let cfg = ctx.scale.cluster(ctx.seed);
     let out = match name {
         "fig3" => fig3::run(ctx.harvard(), ctx.hp(), ctx.web(), 2 << 20).render(),
-        "table2" => {
-            let inters = [
-                SimTime::from_secs(1),
-                SimTime::from_secs(5),
-                SimTime::from_secs(15),
-                SimTime::from_secs(60),
-            ];
-            table2::run(ctx.harvard(), &cfg, &inters, ctx.scale.warmup_days()).render()
-        }
-        "fig7" => {
-            let inters = [
-                SimTime::from_secs(5),
-                SimTime::from_secs(60),
-                SimTime::from_secs(300),
-            ];
-            fig7::run(
-                ctx.harvard(),
-                &cfg,
-                &ctx.failure_model(),
-                &inters,
-                ctx.scale.trials(),
-                ctx.scale.warmup_days(),
-                99,
-            )
-            .render()
-        }
-        "fig8" => fig8::run(
+        "table2" => avail_sweep::table2(ctx.harvard(), ctx.placements()),
+        "fig7" => avail_sweep::fig7(&ctx.placements().replay(
             ctx.harvard(),
-            &cfg,
             &ctx.failure_model(),
-            ctx.scale.warmup_days(),
-            42,
-        )
-        .render(),
+            avail_sweep::FIG7_FAILURE_SEED,
+            ctx.scale.trials(),
+            &avail_sweep::FIG7_INTERS,
+            jobs,
+        )),
+        "fig8" => avail_sweep::fig8(&ctx.placements().replay(
+            ctx.harvard(),
+            &ctx.failure_model(),
+            avail_sweep::FIG8_FAILURE_SEED,
+            1,
+            &[avail_sweep::FIG8_INTER],
+            jobs,
+        )),
         "table3" => table3::run(ctx.harvard(), ctx.web()).render(),
         "churn" => churn::run_traced(ctx.scale, ctx.seed, jobs, &sink).render(),
         "redundancy" => redundancy::run_traced(ctx.scale, ctx.seed, jobs, &sink).render(),

@@ -9,9 +9,7 @@
 //! | module | paper artifact |
 //! |---|---|
 //! | [`fig3`] | Fig. 3 — mean nodes accessed per user-hour, normalized |
-//! | [`table2`] | Table 2 — mean blocks/files/nodes per task |
-//! | [`fig7`] | Fig. 7 — task unavailability per system and `inter` |
-//! | [`fig8`] | Fig. 8 — ranked per-user unavailability |
+//! | [`avail_sweep`] | Table 2, Figs. 7/8 — one Section 8 sweep and a render per artifact |
 //! | [`perf_suite`] | Figs. 9–15 — one Section 9 sweep and a render per figure |
 //! | [`table3`] | Table 3 — daily write/remove ratios (Harvard, Webcache) |
 //! | [`table4`] | Table 4 — write vs load-balancing traffic per day |
@@ -31,23 +29,23 @@
 //! repair bandwidth.
 //!
 //! Every other driver returns plain data structures *and* renders the
-//! paper-style text table via its `render` function; the Section 9
+//! paper-style text table via its `render` function; the Section 8
+//! artifacts are render functions of one [`avail_sweep::Placements`]
+//! and the [`avail_sweep::Sweep`]s replayed on it, and the Section 9
 //! figures are render functions of the one [`perf_suite::SuiteResult`]
 //! they all read. The binary and the examples print the same tables.
 
+pub mod avail_sweep;
 pub mod balance_sim;
 pub mod churn;
 pub mod exec;
 pub mod fig16_17;
 pub mod fig3;
-pub mod fig7;
-pub mod fig8;
 pub mod obs_summary;
 pub mod params;
 pub mod perf_suite;
 pub mod redundancy;
 pub mod report;
-pub mod table2;
 pub mod table3;
 pub mod table4;
 

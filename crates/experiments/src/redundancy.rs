@@ -264,7 +264,9 @@ fn run_cell(cfg: &RedundancyConfig, policy: RedundancyPolicy, sink: &SharedSink)
         seed: exec::derive_seed(cfg.seed, &[3]),
     };
     let mut cluster = SimCluster::new(SystemKind::D2, &ccfg);
-    cluster.set_trace_sink(sink.clone());
+    if sink.enabled() {
+        cluster.record_trace();
+    }
 
     // Ring positions, captured while everyone is up, so a returning
     // node rejoins where it left (as its disk would make it).
@@ -345,6 +347,7 @@ fn run_cell(cfg: &RedundancyConfig, policy: RedundancyPolicy, sink: &SharedSink)
     row.repairs_skipped_lazy = cluster.stats.repairs_skipped_lazy;
     row.backlog = cluster.repair_queue_len() as u64;
     row.migration_bytes = cluster.stats.migration_bytes;
+    sink.extend(cluster.take_trace());
     row
 }
 

@@ -1,13 +1,16 @@
 //! The executor's central contract: a parallel run is **byte-identical**
 //! to the sequential run — same `PerfReport`s, same trace JSONL — at any
-//! worker count. These tests pin that for the perf suite and the balance
-//! figures, plus four (worker count, seed) cases.
+//! worker count. These tests pin that for the perf suite, the balance
+//! figures and the availability sweep, plus four (worker count, seed)
+//! cases.
 
+use d2_experiments::avail_sweep::{self, Placements, FIG7_FAILURE_SEED};
 use d2_experiments::fig16_17::{self, ALL_SYSTEMS};
 use d2_experiments::perf_suite::{self, SuiteConfig, SuiteResult};
 use d2_experiments::{table4, Scale};
 use d2_obs::{to_jsonl, SharedSink};
-use d2_workload::{HarvardTrace, WebTrace};
+use d2_sim::{FailureModel, SimTime};
+use d2_workload::{HarvardConfig, HarvardTrace, WebTrace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -98,4 +101,51 @@ fn suite_invariant_to_worker_count() {
         assert_eq!(par.cells, base.cells, "{at}");
         assert_eq!(par_jsonl, base_jsonl, "{at}");
     }
+}
+
+/// The availability sweep warms the same placements and replays the same
+/// cells at one worker and at three, trial 1's warmed inside its cells.
+/// A quarter-day trace under a harsh failure model keeps it quick while
+/// tasks still fail.
+#[test]
+fn availability_sweep_identical_at_any_worker_count() {
+    let hcfg = HarvardConfig {
+        users: 6,
+        days: 0.25,
+        initial_bytes: 8 << 20,
+        reads_per_user_hour: 40.0,
+        ..HarvardConfig::default()
+    };
+    let trace = HarvardTrace::generate(&hcfg, &mut StdRng::seed_from_u64(5));
+    let cfg = Scale::Quick.cluster(3);
+    let model = FailureModel {
+        mttf_secs: 0.25 * 86_400.0,
+        mttr_secs: 2.0 * 3600.0,
+        correlated_events: 2.0,
+        correlated_fraction: 0.25,
+        correlated_mttr_secs: 3600.0,
+        duration_secs: hcfg.days * 86_400.0,
+    };
+    let inters = [SimTime::from_secs(5)];
+    let run_at = |jobs: usize| {
+        let placements = Placements::warm(&trace, &cfg, 0.05, jobs);
+        let sweep = placements.replay(&trace, &model, FIG7_FAILURE_SEED, 2, &inters, jobs);
+        (avail_sweep::table2(&trace, &placements), sweep)
+    };
+    let (table, sweep) = run_at(1);
+    assert_eq!(
+        sweep.cells.len(),
+        2 * 3 * inters.len(),
+        "two trials of three systems"
+    );
+    assert!(sweep.cells.values().any(|r| r.failed_tasks > 0));
+    assert!(table.lines().count() > 3);
+    // Figure 7 renders a row per system at 5 s, the one threshold of its
+    // three replayed here; Figure 8 a tally per system.
+    assert_eq!(avail_sweep::fig7(&sweep).lines().count(), 3 + 3);
+    assert_eq!(
+        avail_sweep::fig8(&sweep).matches("affected users").count(),
+        3
+    );
+    assert_eq!(run_at(3), (table, sweep));
 }

@@ -6,8 +6,9 @@
 //!
 //! Run with: `cargo run --release --example availability`
 
-use d2::experiments::{fig7, fig8, table2, Scale};
-use d2::sim::{FailureModel, SimTime};
+use d2::experiments::avail_sweep::{self, Placements, FIG7_INTERS, FIG8_INTER};
+use d2::experiments::{exec, Scale};
+use d2::sim::FailureModel;
 use d2::workload::HarvardTrace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -45,35 +46,26 @@ fn main() {
         cfg.nodes
     );
 
-    let inters = [
-        SimTime::from_secs(5),
-        SimTime::from_secs(60),
-        SimTime::from_secs(300),
-    ];
-    let table = table2::run(
-        &trace,
-        &cfg,
-        &[
-            SimTime::from_secs(1),
-            SimTime::from_secs(5),
-            SimTime::from_secs(15),
-            SimTime::from_secs(60),
-        ],
-        scale.warmup_days(),
-    );
-    println!("\n{}", table.render());
+    // One warmed placement per system serves Table 2, and every replay
+    // runs on a clone of it.
+    let jobs = exec::available_jobs();
+    let placements = Placements::warm(&trace, &cfg, scale.warmup_days(), jobs);
+    println!("\n{}", avail_sweep::table2(&trace, &placements));
 
-    let fig = fig7::run(&trace, &cfg, &model, &inters, scale.trials(), 1.0, 100);
-    println!("{}", fig.render());
+    let fig7 = placements.replay(&trace, &model, 100, scale.trials(), &FIG7_INTERS, jobs);
+    println!("{}", avail_sweep::fig7(&fig7));
 
-    let fig = fig8::run(&trace, &cfg, &model, 1.0, 101);
-    println!("{}", fig.render());
-    for s in &fig.series {
+    let fig8 = placements.replay(&trace, &model, 101, 1, &[FIG8_INTER], jobs);
+    println!("{}", avail_sweep::fig8(&fig8));
+    for system in avail_sweep::SYSTEMS {
+        let report = fig8
+            .cell(0, system, FIG8_INTER)
+            .expect("trial 0 replays every system");
         println!(
             "{:>18}: {} of {} users affected",
-            s.system.label(),
-            s.affected(),
-            s.ranked.len()
+            system.label(),
+            report.affected_users(),
+            report.per_user.len()
         );
     }
 }

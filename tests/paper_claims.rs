@@ -12,12 +12,15 @@
 //!    the order of the write traffic (Table 4).
 //!
 //! Claims 3 and 4, and the sweep's own shape, read one Section 9 suite,
-//! built once per test binary ([`section9`]).
+//! built once per test binary ([`section9`]). Claims 1 and 2 each warm
+//! one availability placement per system and read it, or replay failure
+//! traces on clones of it.
 
+use d2::experiments::avail_sweep::{self, Placements};
 use d2::experiments::balance_sim::BalanceSystem;
 use d2::experiments::fig16_17::ALL_SYSTEMS;
 use d2::experiments::perf_suite::{self, SuiteConfig, SuiteResult, FIGURE_KBPS};
-use d2::experiments::{fig16_17, fig7, table2, table4, Scale};
+use d2::experiments::{fig16_17, table4, Scale};
 use d2::obs::{SharedSink, TraceEvent};
 use d2::sim::{FailureModel, SimTime};
 use d2::workload::HarvardTrace;
@@ -242,16 +245,40 @@ fn section9_figures_read_the_1500_kbps_cells() {
 #[test]
 fn claim_defragmentation_cuts_nodes_per_task() {
     let trace = trace();
-    let cfg = Scale::Quick.cluster(7);
-    let t = table2::run(&trace, &cfg, &[SimTime::from_secs(5)], 0.05);
-    let row = &t.rows[0];
+    let placements = Placements::warm(&trace, &Scale::Quick.cluster(7), 0.05, 2);
+    // Table 2's rows at 1, 5 and 15 s: (block, file, D2) profiles.
+    let rows: Vec<_> = [1, 5, 15]
+        .into_iter()
+        .map(|secs| {
+            let tasks = avail_sweep::tasks(&trace, SimTime::from_secs(secs));
+            let profile = |system| placements.get(system).task_profile(&trace, &tasks);
+            (
+                profile(SystemKind::Traditional),
+                profile(SystemKind::TraditionalFile),
+                profile(SystemKind::D2),
+            )
+        })
+        .collect();
+    for (block, file, d2) in &rows {
+        assert!(
+            file.mean_nodes <= block.mean_nodes + 1e-9,
+            "file {file:?} vs block {block:?}"
+        );
+        assert!(
+            d2.mean_nodes < block.mean_nodes,
+            "d2 {d2:?} vs block {block:?}"
+        );
+        assert!(block.mean_blocks >= block.mean_files, "{block:?}");
+    }
+    // A longer threshold makes longer tasks.
+    assert!(rows[2].0.mean_blocks >= rows[0].0.mean_blocks);
+    let (block, _, d2) = &rows[1];
     assert!(
-        row.nodes_d2 * 2.0 < row.nodes_block,
+        d2.mean_nodes * 2.0 < block.mean_nodes,
         "D2 nodes/task {} vs traditional {}",
-        row.nodes_d2,
-        row.nodes_block
+        d2.mean_nodes,
+        block.mean_nodes
     );
-    assert!(row.nodes_file <= row.nodes_block + 1e-9);
 }
 
 #[test]
@@ -285,15 +312,22 @@ fn claim_availability_ordering_holds() {
     // trace can favour traditional: failure seed 4 does, and so did one
     // of the two trials the seed-100 version of this test averaged.
     // Measured sums: d2 6.8e-3, traditional 5.3e-2, traditional-file
-    // 3.5e-2.
+    // 3.5e-2. Each trace replays on clones of the same three placements.
+    // Figure 8's claim reads the same replays: D2's failures reach fewer
+    // users (measured: 8 against traditional's 36, summed).
     let inter = SimTime::from_secs(5);
+    let placements = Placements::warm(&trace, &cfg, 1.0, 2);
     let (mut d2, mut trad, mut file) = (0.0, 0.0, 0.0);
+    let (mut d2_users, mut trad_users) = (0, 0);
     for failure_seed in 1..=4 {
-        let fig = fig7::run(&trace, &cfg, &model, &[inter], 1, 1.0, failure_seed);
-        let mean = |system| fig.cell(system, inter).unwrap().mean();
-        d2 += mean(SystemKind::D2);
-        trad += mean(SystemKind::Traditional);
-        file += mean(SystemKind::TraditionalFile);
+        let sweep = placements.replay(&trace, &model, failure_seed, 1, &[inter], 2);
+        let unavailability = |system| sweep.cell(0, system, inter).unwrap().task_unavailability();
+        d2 += unavailability(SystemKind::D2);
+        trad += unavailability(SystemKind::Traditional);
+        file += unavailability(SystemKind::TraditionalFile);
+        let affected = |system| sweep.cell(0, system, inter).unwrap().affected_users();
+        d2_users += affected(SystemKind::D2);
+        trad_users += affected(SystemKind::Traditional);
     }
     assert!(
         d2 < trad,
@@ -301,6 +335,10 @@ fn claim_availability_ordering_holds() {
     );
     assert!(d2 <= file + 1e-9, "d2 {d2} vs traditional-file {file}");
     assert!(trad > 0.0, "regime must actually produce failures");
+    assert!(
+        d2_users < trad_users,
+        "d2 affects {d2_users} users vs traditional {trad_users}"
+    );
 }
 
 #[test]
