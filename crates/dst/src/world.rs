@@ -36,7 +36,7 @@
 use crate::fate::{gray_fate, stream, FateKind, FatePolicy, FaultProbs};
 use crate::invariants;
 use d2_net::runtime::TICK;
-use d2_net::{Clock, NodeRuntime, NodeSpec, RedundancyPolicy, SimClock, SkewClock};
+use d2_net::{BlockPool, Clock, NodeRuntime, NodeSpec, RedundancyPolicy, SimClock, SkewClock};
 use d2_obs::trace::TraceEvent;
 use d2_obs::{Registry, SpanRecord, TraceCtx};
 use d2_ring::messages::{Addr, RingMsg};
@@ -643,6 +643,10 @@ pub struct RunOutcome {
     pub workload: Vec<(Key, bool)>,
     /// Every client lookup, in issue order (lookup workloads only).
     pub lookups: Vec<LookupRecord>,
+    /// The block buffers the nodes share at the end of the run, as a
+    /// live host's nodes share them: `(buffers, holds)`
+    /// ([`d2_net::BlockPool::live`]).
+    pub pooled: (usize, usize),
 }
 
 /// Generates the node-event plan for a scenario from its seed (or
@@ -1062,6 +1066,8 @@ pub struct SimWorld {
     clock: SimClock,
     net: Arc<Mutex<NetInner>>,
     nodes: Vec<Option<NodeRuntime<SimTransport, WorldClock>>>,
+    /// The nodes' block buffers, shared as a live host shares them.
+    pool: BlockPool,
     node_ids: Vec<Key>,
     /// WAN latency matrix, when the regime uses one (`None` = uniform
     /// 1 ms LAN).
@@ -1199,6 +1205,7 @@ impl SimWorld {
 
         let mut world = SimWorld {
             nodes: (0..sc.nodes).map(|_| None).collect(),
+            pool: BlockPool::default(),
             node_ids,
             wan,
             skew,
@@ -1327,6 +1334,7 @@ impl SimWorld {
             end_nodes,
             workload,
             lookups,
+            pooled: self.pool.live(),
         }
     }
 
@@ -1392,6 +1400,7 @@ impl SimWorld {
             repair_budget_bps: self.sc.repair_budget_bps,
         };
         let mut rt = NodeRuntime::new(spec, transport, clock);
+        rt.set_pool(Some(self.pool.clone()));
         if let Some(bug) = self.sc.bug {
             rt.inject_bug(bug);
         }

@@ -322,3 +322,25 @@ fn lookup_world_without_node_events_answers_every_lookup_with_its_owner() {
     let hits = out.lookups.iter().filter(|r| r.cached.is_some()).count();
     assert!(hits > 100, "only {hits} of 400 lookups hit the cache");
 }
+
+/// Every world's nodes store into one block pool, as a live host's do,
+/// and sharing moves no message: through each regime's crashes,
+/// restarts and re-puts, the survivors hold one buffer per key, and
+/// every block they hold is a hold on it.
+#[test]
+fn survivors_hold_one_buffer_per_key_in_every_regime() {
+    for regime in WorldRegime::ALL {
+        let out = run_one(&small_in(1, regime), &Overrides::default());
+        assert!(out.ok, "{} seed 1: {:?}", regime.label(), out.violation);
+        let holds: usize = out.end_nodes.iter().map(|n| n.block_keys.len()).sum();
+        let mut keys: Vec<_> = out.end_nodes.iter().flat_map(|n| &n.block_keys).collect();
+        keys.sort();
+        keys.dedup();
+        assert_eq!(out.pooled, (keys.len(), holds), "{}", regime.label());
+        assert!(
+            holds > keys.len(),
+            "{}: no block held twice",
+            regime.label()
+        );
+    }
+}

@@ -410,7 +410,7 @@ mod tests {
         );
     }
 
-    /// A reproduction gap (ROADMAP item 4). EXPERIMENTS.md's seed-42
+    /// A reproduction gap (ROADMAP items 9 and 20). EXPERIMENTS.md's seed-42
     /// table has `ec(4,8)` matching r = 3 at 2x storage, the Leslie
     /// result; summed over seeds 1–8 at the quick scale it shows,
     /// every erasure shape stores less than r = 3 and is less available.

@@ -41,6 +41,9 @@
 //! - **whether a node's `MetricsDump` folds in the transport sheet**
 //!   from whether the node has the sheet to itself (N co-hosted nodes
 //!   each reporting shared totals would N-fold them in a merged scrape);
+//! - **where its nodes' blocks live**: in one [`BlockPool`] once it
+//!   steps two or more, so co-hosted replicas of a block hold one
+//!   buffer, not r copies; a node alone keeps no pool;
 //! - **when it is done**: when the last node stops, over the wire
 //!   (`d2-node stop`) or by [`Host::stop`].
 //!
@@ -69,6 +72,7 @@
 
 use crate::clock::{Clock, SystemClock};
 use crate::invariants::check_ring;
+use crate::repair::BlockPool;
 use crate::runtime::{NodeRuntime, NodeSpec, TICK};
 use d2_ring::messages::Addr;
 use d2_types::Key;
@@ -106,6 +110,8 @@ pub struct Host<T: Transport> {
     /// Queues an event for the host thread; `false` once it is gone.
     push: Arc<dyn Fn(Event<T>) -> bool + Send + Sync>,
     thread: Mutex<Option<JoinHandle<()>>>,
+    /// Every hosted node's block buffers.
+    pool: BlockPool,
 }
 
 impl<T: Transport> Host<T> {
@@ -116,9 +122,11 @@ impl<T: Transport> Host<T> {
     pub fn start(sheet: Arc<NetMetrics>, poller: Option<Poller>) -> io::Result<Host<T>> {
         let (tx, rx) = mpsc::channel();
         let wake = poller.as_ref().map(Poller::waker);
+        let pool = BlockPool::default();
+        let stepper = Stepper::new(sheet, pool.clone());
         let thread = std::thread::Builder::new()
             .name("d2-host".into())
-            .spawn(move || Stepper::new(sheet).run(rx, poller))?;
+            .spawn(move || stepper.run(rx, poller))?;
         let push = move |ev| {
             let queued = tx.send(ev).is_ok();
             // A host asleep in its poller's turn does not see the queue.
@@ -130,7 +138,13 @@ impl<T: Transport> Host<T> {
         Ok(Host {
             push: Arc::new(push),
             thread: Mutex::new(Some(thread)),
+            pool,
         })
+    }
+
+    /// The block buffers the hosted nodes share.
+    pub fn pool(&self) -> &BlockPool {
+        &self.pool
     }
 
     /// Starts the node `spec` describes over `transport`, whose inbound
@@ -206,6 +220,7 @@ impl<T: Transport> Drop for Host<T> {
 struct Stepper<T: Transport> {
     clock: SystemClock,
     sheet: Arc<NetMetrics>,
+    pool: BlockPool,
     runtimes: HashMap<Addr, NodeRuntime<T>>,
     /// When every node ticks next (µs on `clock`).
     next_round_us: u64,
@@ -214,10 +229,11 @@ struct Stepper<T: Transport> {
 }
 
 impl<T: Transport> Stepper<T> {
-    fn new(sheet: Arc<NetMetrics>) -> Self {
+    fn new(sheet: Arc<NetMetrics>, pool: BlockPool) -> Self {
         Stepper {
             clock: SystemClock::default(),
             sheet,
+            pool,
             runtimes: HashMap::new(),
             next_round_us: 0,
             ring_waiters: Vec::new(),
@@ -310,9 +326,11 @@ impl<T: Transport> Stepper<T> {
             }
             Event::Add(spec, transport) => {
                 let addr = transport.local_addr();
-                let rt = NodeRuntime::new(spec, transport, SystemClock::default());
+                let mut rt = NodeRuntime::new(spec, transport, SystemClock::default());
+                // Taken away again if it is alone (`share`).
+                rt.set_pool(Some(self.pool.clone()));
                 self.runtimes.insert(addr, rt);
-                self.share_sheet();
+                self.share();
                 true
             }
             Event::Crash(addr, done) => {
@@ -340,17 +358,19 @@ impl<T: Transport> Stepper<T> {
             return true;
         };
         rt.transport().shutdown();
-        self.share_sheet();
+        self.share();
         !self.runtimes.is_empty()
     }
 
-    /// Gives the transport sheet to a node that has it to itself and
-    /// takes it away when a second node arrives (module docs).
-    fn share_sheet(&mut self) {
+    /// Gives the transport sheet to a node that has it to itself, and
+    /// the block pool to nodes that do not, as a second node arrives or
+    /// the last but one goes (module docs).
+    fn share(&mut self) {
         if self.runtimes.len() <= 2 {
             let private = self.runtimes.len() == 1;
             for rt in self.runtimes.values_mut() {
                 rt.set_net_metrics(private.then(|| Arc::clone(&self.sheet)));
+                rt.set_pool((!private).then(|| self.pool.clone()));
             }
         }
     }
@@ -476,6 +496,11 @@ impl ManyCluster {
     /// Crash-stops the node at `addr` ([`Host::crash`]).
     pub fn crash(&self, addr: Addr) {
         self.host.crash(addr);
+    }
+
+    /// The block buffers the nodes share ([`Host::pool`]).
+    pub fn pool(&self) -> &BlockPool {
+        self.host.pool()
     }
 
     /// Blocks until the host exits or the timeout expires.

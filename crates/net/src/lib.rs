@@ -61,6 +61,7 @@ pub use invariants::{check_ring, RingReport};
 pub use ops::{
     BatchOutcome, CacheStats, ClusterOps, ClusterScrape, NodeScrape, NodeStatus, PipelineConfig,
 };
+pub use repair::BlockPool;
 pub use runtime::{NodeRuntime, NodeSpec, StoredFragment};
 pub use telemetry::{render_top, render_trace};
 

@@ -13,9 +13,17 @@
 //! and, from the two, the strays its holder must re-home. Rounds are
 //! the caller's count, so the live runtime and a simulator can drive
 //! the same decisions.
+//!
+//! Nodes stepped in one process hold a key's replicas side by side, so
+//! a [`BlockPool`] shared by their `ChainSync`s keeps one buffer per
+//! block: a node that stores bytes equal to a live buffer of the same
+//! key holds that buffer instead of its own copy. A node alone in its
+//! process has no pool, and pays for no map.
 
 use d2_types::{Key, KeyRange};
-use std::collections::{BTreeMap, BTreeSet};
+use d2_wire::lock;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::{Arc, Mutex, Weak};
 
 /// How many rounds a range stays accounted for after it was last noted,
 /// and a block after it was stored: an owner syncs every round, so two
@@ -47,9 +55,63 @@ pub fn content_sum(data: &[u8]) -> u64 {
     blocks.remainder().chunks(8).fold(h, |h, w| mix(h, word(w)))
 }
 
+/// The block buffers of the nodes one process steps, one per key: a
+/// clone is a handle on the same pool. It holds only weak references,
+/// so a buffer lives as long as some node holds it, and an entry whose
+/// holders are all gone is replaced at its key's next store. Nothing is
+/// shared across keys.
+#[derive(Clone, Default)]
+pub struct BlockPool(Arc<Mutex<HashMap<Key, Pooled>>>);
+
+/// A pooled buffer and its bytes' checksum.
+type Pooled = (u64, Weak<Vec<u8>>);
+
+impl BlockPool {
+    /// How many buffers some node still holds, and how many holds
+    /// there are on them: r per block when every replica shares.
+    pub fn live(&self) -> (usize, usize) {
+        let bufs = lock(&self.0);
+        let holds = bufs.values().map(|(_, buf)| buf.strong_count());
+        holds.fold((0, 0), |(n, sum), h| (n + (h > 0) as usize, sum + h))
+    }
+
+    /// The buffer to hold for `data`, stored under `key` with checksum
+    /// `sum`: the pool's live one for `key` if its checksum and bytes
+    /// are `data`'s, else `data`'s own, which the pool then offers.
+    fn share(&self, key: Key, sum: u64, data: Vec<u8>) -> Arc<Vec<u8>> {
+        let mut bufs = lock(&self.0);
+        let pooled = bufs.get(&key).filter(|(s, _)| *s == sum);
+        match pooled.and_then(|(_, buf)| buf.upgrade()) {
+            Some(buf) if *buf == data => buf,
+            _ => {
+                let buf = Arc::new(data);
+                bufs.insert(key, (sum, Arc::downgrade(&buf)));
+                buf
+            }
+        }
+    }
+
+    /// Offers `buf` for `key` again unless another live buffer is.
+    fn offer(&self, key: Key, sum: u64, buf: &Arc<Vec<u8>>) {
+        let mut bufs = lock(&self.0);
+        let entry = bufs.entry(key).or_default();
+        if entry.1.strong_count() == 0 {
+            *entry = (sum, Arc::downgrade(buf));
+        }
+    }
+
+    /// Puts `buf` in the pool under `key` with checksum `sum`, right or
+    /// not: how a test plants a checksum that lies.
+    #[cfg(test)]
+    fn plant(&self, key: Key, sum: u64, buf: &Arc<Vec<u8>>) {
+        lock(&self.0).insert(key, (sum, Arc::downgrade(buf)));
+    }
+}
+
 /// One held block.
 struct Held {
-    data: Vec<u8>,
+    /// The bytes, shared with any co-hosted node that holds the same.
+    data: Arc<Vec<u8>>,
     /// `content_sum(&data)`.
     sum: u64,
     /// The round something last vouched for the block: it was stored,
@@ -61,6 +123,8 @@ struct Held {
 /// One node's repair state (module docs).
 #[derive(Default)]
 pub struct ChainSync {
+    /// Where held bytes are shared with co-hosted nodes, if any.
+    pool: Option<BlockPool>,
     held: BTreeMap<Key, Held>,
     /// Ranges this node holds blocks for, and the round each was last
     /// noted in.
@@ -70,9 +134,25 @@ pub struct ChainSync {
 }
 
 impl ChainSync {
-    /// Stores `data` under `key` in `round`, checksummed once here.
+    /// Shares held bytes through `pool` from now on (`None`: with no
+    /// one), offering it what is already held.
+    pub fn set_pool(&mut self, pool: Option<BlockPool>) {
+        if let Some(pool) = &pool {
+            for (key, held) in &self.held {
+                pool.offer(*key, held.sum, &held.data);
+            }
+        }
+        self.pool = pool;
+    }
+
+    /// Stores `data` under `key` in `round`, checksummed once here, in
+    /// the pool's buffer of equal bytes if there is one.
     pub fn stored(&mut self, key: Key, data: Vec<u8>, round: u64) {
         let sum = content_sum(&data);
+        let data = match &self.pool {
+            Some(pool) => pool.share(key, sum, data),
+            None => Arc::new(data),
+        };
         let vouched = round;
         self.held.insert(key, Held { data, sum, vouched });
         self.wanted.remove(&key);
@@ -89,14 +169,27 @@ impl ChainSync {
     }
 
     /// Lends held block `key`'s bytes to `send`, which must hand them
-    /// back with its result, for a message that owns them for one send:
-    /// one map lookup, no copy, and the checksum stays the bytes'.
-    /// `None` if `key` is not held.
+    /// back with its result, for a message that owns them for one send.
+    /// Bytes this node alone holds move out and back with no copy (the
+    /// pool is offered them again), and the checksum stays the bytes';
+    /// bytes a co-hosted node holds too are copied for the send. `None`
+    /// if `key` is not held.
     pub fn lend<R>(&mut self, key: &Key, send: impl FnOnce(Vec<u8>) -> (Vec<u8>, R)) -> Option<R> {
         let held = self.held.get_mut(key)?;
-        let (data, result) = send(std::mem::take(&mut held.data));
+        if Arc::strong_count(&held.data) > 1 {
+            let (data, result) = send(held.data.to_vec());
+            debug_assert_eq!(content_sum(&data), held.sum, "changed while lent");
+            return Some(result);
+        }
+        // With no other holder `make_mut` copies no byte: it parts the
+        // pool's weak reference from the buffer, which `offer` renews.
+        let own = Arc::make_mut(&mut held.data);
+        let (data, result) = send(std::mem::take(own));
         debug_assert_eq!(content_sum(&data), held.sum, "changed while lent");
-        held.data = data;
+        *own = data;
+        if let Some(pool) = &self.pool {
+            pool.offer(*key, held.sum, &held.data);
+        }
         Some(result)
     }
 
@@ -236,6 +329,134 @@ mod tests {
         assert_eq!(s.lend(&k(0.1), |data| (data, 7)), Some(7));
         assert_eq!(s.block(&k(0.1)), Some(&bytes(11)[..]));
         assert_eq!(s.lend(&k(0.2), |data| (data, 7)), None);
+    }
+
+    /// The buffer `s` holds for `key`.
+    fn buf<'a>(s: &'a ChainSync, key: &Key) -> &'a Arc<Vec<u8>> {
+        &s.held[key].data
+    }
+
+    /// A node storing into `pool`.
+    fn pooled(pool: &BlockPool) -> ChainSync {
+        let mut s = ChainSync::default();
+        s.set_pool(Some(pool.clone()));
+        s
+    }
+
+    /// Two nodes stepped in one process, storing into one pool.
+    fn co_hosted() -> (ChainSync, ChainSync, BlockPool) {
+        let pool = BlockPool::default();
+        (pooled(&pool), pooled(&pool), pool)
+    }
+
+    #[test]
+    fn co_hosted_replicas_of_equal_bytes_hold_one_buffer() {
+        let (mut a, mut b, pool) = co_hosted();
+        a.stored(k(0.1), vec![5; 8192], 0);
+        b.stored(k(0.1), vec![5; 8192], 0);
+        assert!(Arc::ptr_eq(buf(&a, &k(0.1)), buf(&b, &k(0.1))));
+        assert_eq!(pool.live(), (1, 2));
+        // Equal bytes under another key are another block.
+        b.stored(k(0.2), vec![5; 8192], 0);
+        assert!(!Arc::ptr_eq(buf(&a, &k(0.1)), buf(&b, &k(0.2))));
+        assert_eq!(pool.live(), (2, 3));
+    }
+
+    #[test]
+    fn different_bytes_under_one_key_are_not_shared() {
+        let (mut a, mut b, pool) = co_hosted();
+        a.stored(k(0.1), bytes(11), 0);
+        b.stored(k(0.1), bytes(12), 0);
+        assert!(!Arc::ptr_eq(buf(&a, &k(0.1)), buf(&b, &k(0.1))));
+        assert_eq!(a.block(&k(0.1)), Some(&bytes(11)[..]));
+        assert_eq!(b.block(&k(0.1)), Some(&bytes(12)[..]));
+        // The newer write is the one offered: a third holder of it
+        // shares it.
+        let mut c = pooled(&pool);
+        c.stored(k(0.1), bytes(12), 0);
+        assert!(Arc::ptr_eq(buf(&b, &k(0.1)), buf(&c, &k(0.1))));
+    }
+
+    #[test]
+    fn a_matching_checksum_alone_shares_nothing() {
+        let (mut a, mut b, pool) = co_hosted();
+        let liar = Arc::new(bytes(99));
+        pool.plant(k(0.1), sum(11), &liar);
+        b.stored(k(0.1), bytes(11), 0);
+        assert!(!Arc::ptr_eq(&liar, buf(&b, &k(0.1))));
+        assert_eq!(b.block(&k(0.1)), Some(&bytes(11)[..]));
+        // The honest buffer replaced the planted entry.
+        a.stored(k(0.1), bytes(11), 0);
+        assert!(Arc::ptr_eq(buf(&a, &k(0.1)), buf(&b, &k(0.1))));
+    }
+
+    #[test]
+    fn a_dropped_holder_leaves_the_other_whole() {
+        let (mut a, mut b, pool) = co_hosted();
+        a.stored(k(0.1), vec![7; 4096], 0);
+        b.stored(k(0.1), vec![7; 4096], 0);
+        drop(a);
+        assert_eq!(b.block(&k(0.1)), Some(&[7; 4096][..]));
+        assert_eq!(pool.live(), (1, 1));
+        drop(b);
+        assert_eq!(pool.live(), (0, 0));
+        // A dead entry is replaced at the key's next store.
+        let mut c = pooled(&pool);
+        c.stored(k(0.1), vec![7; 4096], 0);
+        assert_eq!(pool.live(), (1, 1));
+    }
+
+    #[test]
+    fn a_lent_shared_block_comes_back_and_the_other_holder_keeps_its_bytes() {
+        let (mut a, mut b, _) = co_hosted();
+        a.stored(k(0.1), bytes(11), 0);
+        b.stored(k(0.1), bytes(11), 0);
+        // The send owns a copy of its own.
+        let held_at = buf(&a, &k(0.1)).as_ptr();
+        let lent_at = a.lend(&k(0.1), |data| {
+            let ptr = data.as_ptr();
+            (data, ptr)
+        });
+        assert!(lent_at.is_some_and(|at| at != held_at));
+        assert!(Arc::ptr_eq(buf(&a, &k(0.1)), buf(&b, &k(0.1))));
+        assert_eq!(a.block(&k(0.1)), Some(&bytes(11)[..]));
+        assert_eq!(b.block(&k(0.1)), Some(&bytes(11)[..]));
+    }
+
+    #[test]
+    fn a_block_held_once_is_lent_without_a_copy_and_offered_again() {
+        let (mut a, mut b, _) = co_hosted();
+        a.stored(k(0.1), vec![3; 8192], 0);
+        let at = buf(&a, &k(0.1)).as_ptr();
+        let lent_at = a.lend(&k(0.1), |data| {
+            let ptr = data.as_ptr();
+            (data, ptr)
+        });
+        assert_eq!(lent_at, Some(at));
+        assert_eq!(buf(&a, &k(0.1)).as_ptr(), at);
+        b.stored(k(0.1), vec![3; 8192], 0);
+        assert!(Arc::ptr_eq(buf(&a, &k(0.1)), buf(&b, &k(0.1))));
+    }
+
+    #[test]
+    fn a_node_given_a_pool_offers_what_it_already_held() {
+        // Alone, a node keeps its bytes to itself.
+        let mut a = ChainSync::default();
+        a.stored(k(0.1), bytes(11), 0);
+        let pool = BlockPool::default();
+        let mut b = pooled(&pool);
+        b.stored(k(0.1), bytes(11), 0);
+        assert!(!Arc::ptr_eq(buf(&a, &k(0.1)), buf(&b, &k(0.1))));
+        // Joined by others, it offers what it holds; the pool keeps the
+        // buffer it had while that is live.
+        a.set_pool(Some(pool.clone()));
+        assert_eq!(pool.live(), (1, 1));
+        let mut c = pooled(&pool);
+        c.stored(k(0.1), bytes(11), 0);
+        assert!(Arc::ptr_eq(buf(&b, &k(0.1)), buf(&c, &k(0.1))));
+        drop((b, c));
+        a.set_pool(Some(pool.clone()));
+        assert_eq!(pool.live(), (1, 1));
     }
 
     #[test]

@@ -19,7 +19,7 @@
 
 use crate::clock::{Clock, SystemClock};
 use crate::ops::NodeStatus;
-use crate::repair::ChainSync;
+use crate::repair::{BlockPool, ChainSync};
 use d2_ec::{Codec as EcCodec, Fragment, RedundancyPolicy};
 use d2_obs::flight::{FLIGHT_CAPACITY, SLOW_THRESHOLD_US};
 use d2_obs::{FlightRecorder, Registry, SpanRecord, TraceCtx};
@@ -353,6 +353,14 @@ impl<T: Transport, C: Clock> NodeRuntime<T, C> {
     #[doc(hidden)]
     pub fn inject_bug(&mut self, bug: InjectedBug) {
         self.node.inject_bug(bug);
+    }
+
+    /// Where this node's blocks share buffers with the other nodes its
+    /// driver steps ([`BlockPool`]); `None` for a node alone, which has
+    /// no one to share with. Set by [`crate::Host`] and the simulation
+    /// harness.
+    pub fn set_pool(&mut self, pool: Option<BlockPool>) {
+        self.chain.set_pool(pool);
     }
 
     /// Whether this node's [`Request::MetricsDump`] replies fold in

@@ -6,7 +6,9 @@
 //! verifies the storage invariant, asserts the OS thread count stayed
 //! constant in N — for the in-process [`Deployment`] too, which runs on
 //! the same kind of host — then stops every node gracefully over the
-//! wire and watches the cluster drain itself.
+//! wire and watches the cluster drain itself. A 16-node cluster then
+//! shows co-hosted replicas holding one buffer per block, through a
+//! crash and an overwrite.
 //!
 //! One test function: the process-wide thread count is global state,
 //! so nothing else may start threads in this binary meanwhile.
@@ -170,4 +172,83 @@ fn two_hundred_nodes_in_one_process() {
         cluster.live()
     );
     assert_eq!(cluster.live(), 0);
+
+    co_hosted_replicas_share_one_buffer_per_block();
+}
+
+/// Co-hosted replicas of a block hold one buffer (DESIGN.md §11.4): on
+/// 16 nodes at r = 3 the host's pool holds one buffer per key, held by
+/// all three replicas; a crashed owner's keys and an overwritten key
+/// still read back exactly.
+fn co_hosted_replicas_share_one_buffer_per_block() {
+    const NODES: usize = 16;
+    const KEYS: u64 = 48;
+    let template = NodeSpec::replicated(REPLICAS as u32);
+    let metrics = Arc::new(NetMetrics::new());
+    let mut cluster = ManyCluster::launch(NODES, 0, template, metrics).expect("launch");
+    assert!(
+        cluster.boot(Duration::from_secs(60), |_| {}),
+        "boot stalled"
+    );
+    // A client with an empty lookup cache, entering through `entries`.
+    let connect = |entries: Vec<Addr>| {
+        let metrics = Arc::new(NetMetrics::new());
+        let cfg = TcpConfig::default();
+        let transport = TcpTransport::bind(Ipv4Addr::LOCALHOST, 0, cfg, Arc::clone(&metrics));
+        ClusterOps::new(
+            WireClient::new(transport.expect("bind client"), metrics),
+            entries,
+        )
+    };
+    let ops = connect(cluster.addrs().to_vec());
+
+    // 4 KiB a block, each key's bytes its own.
+    let block = |i: u64, generation: u64| -> Vec<u8> {
+        let seed = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ generation;
+        (0..4096u64)
+            .map(|j| (seed.rotate_left(j as u32 % 64) ^ j) as u8)
+            .collect()
+    };
+    let keys: Vec<Key> = (0..KEYS)
+        .map(|i| Key::from_u64_ordered(i.wrapping_mul(0x2545_f491_4f6c_dd1d)))
+        .collect();
+    for (i, &k) in (0..KEYS).zip(&keys) {
+        let written = ops.put(k, block(i, 0), REPLICAS);
+        assert_eq!(written.ok(), Some(REPLICAS), "put {i}");
+    }
+    // Every replica the chains wrote holds the one pooled buffer.
+    let report = check_ring(&scrape_statuses(&ops, cluster.addrs()));
+    assert_eq!(report.total_blocks, KEYS as usize * REPLICAS);
+    assert_eq!(
+        cluster.pool().live(),
+        (KEYS as usize, KEYS as usize * REPLICAS),
+        "(buffers, holds) after {KEYS} puts at r = {REPLICAS}"
+    );
+
+    // Crash the first key's owner: every key it owned reads back from
+    // the surviving replicas' shared buffers. A fresh client, since one
+    // that cached the owner would wait out a call timeout first (the
+    // shared listener still takes a crashed node's frames).
+    let owner = ops.lookup(keys[0]).expect("lookup").addr;
+    cluster.crash(owner);
+    let alive: Vec<Addr> = cluster
+        .addrs()
+        .iter()
+        .copied()
+        .filter(|&a| a != owner)
+        .collect();
+    let ops = connect(alive.clone());
+    ops.wait_ring_ok(&alive, Duration::from_secs(30))
+        .unwrap_or_else(|r| panic!("ring did not heal: {:?}", r.violations));
+    for (i, &k) in (0..KEYS).zip(&keys) {
+        let got = ops.get(k, REPLICAS);
+        assert!(got.ok() == Some(block(i, 0)), "get {i} after the crash");
+    }
+
+    // An overwrite reads back its new bytes, not the shared old ones.
+    assert_eq!(ops.put(keys[0], block(0, 1), REPLICAS).ok(), Some(REPLICAS));
+    let got = ops.get(keys[0], REPLICAS);
+    assert!(got.ok() == Some(block(0, 1)), "get after the overwrite");
+    let got = ops.get(keys[1], REPLICAS);
+    assert!(got.ok() == Some(block(1, 0)), "a neighbour's bytes");
 }

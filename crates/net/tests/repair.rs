@@ -16,7 +16,7 @@
 //! queued for regeneration.
 
 use d2_ec::{Fragment, RedundancyPolicy};
-use d2_net::{check_ring, NodeRuntime, NodeSpec, SimClock};
+use d2_net::{check_ring, BlockPool, NodeRuntime, NodeSpec, SimClock};
 use d2_obs::TraceCtx;
 use d2_ring::messages::Addr;
 use d2_types::{Key, KeyRange};
@@ -98,6 +98,8 @@ struct Ring {
     spec: NodeSpec,
     hub: ChannelHub,
     clock: SimClock,
+    /// The nodes' block buffers, shared as a host shares them.
+    pool: BlockPool,
     nodes: Vec<NodeRuntime<Bounded, SimClock>>,
     /// Each node's mail, in `nodes` order.
     inboxes: Vec<mpsc::Receiver<Delivery>>,
@@ -131,6 +133,7 @@ impl Ring {
             client,
             hub,
             clock: SimClock::new(),
+            pool: BlockPool::default(),
             nodes: Vec::new(),
             inboxes: Vec::new(),
             room: PutRoom::default(),
@@ -154,8 +157,9 @@ impl Ring {
         let addr = transport.local_addr();
         self.inboxes.push(inbox(&transport));
         let spec = self.spec.at(k(frac), seed);
-        self.nodes
-            .push(NodeRuntime::new(spec, transport, self.clock.clone()));
+        let mut rt = NodeRuntime::new(spec, transport, self.clock.clone());
+        rt.set_pool(Some(self.pool.clone()));
+        self.nodes.push(rt);
         self.pump();
         addr
     }
