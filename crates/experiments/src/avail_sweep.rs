@@ -24,8 +24,8 @@
 //! (`crates/core/tests/warmup_ring.rs`).
 
 use crate::exec;
-use crate::report::{fmt, render_table};
-use d2_core::{AvailabilityReport, AvailabilitySim, ClusterConfig, SystemKind};
+use crate::report::{fmt, render_table, Claim};
+use d2_core::{AvailabilityReport, AvailabilitySim, ClusterConfig, SystemKind, TaskProfile};
 use d2_sim::{FailureModel, FailureTrace, SimTime};
 use d2_workload::{split_tasks, HarvardTrace, Task};
 use rand::rngs::StdRng;
@@ -179,21 +179,10 @@ impl Placements {
 
 /// Table 2: mean blocks, files and nodes accessed per task at each of
 /// [`TABLE2_INTERS`], read from the warmed placements.
-///
-/// Paper shape: node counts fall from the traditional (block) DHT to the
-/// traditional-file DHT to D2, which touches an order of magnitude fewer
-/// nodes than the block DHT.
 pub fn table2(trace: &HarvardTrace, placements: &Placements) -> String {
-    let rows: Vec<Vec<String>> = TABLE2_INTERS
-        .iter()
-        .map(|&inter| {
-            let tasks = tasks(trace, inter);
-            let profile = |system| placements.get(system).task_profile(trace, &tasks);
-            let (block, file, d2) = (
-                profile(SystemKind::Traditional),
-                profile(SystemKind::TraditionalFile),
-                profile(SystemKind::D2),
-            );
+    let rows: Vec<Vec<String>> = table2_profiles(trace, placements)
+        .into_iter()
+        .map(|(inter, [block, file, d2])| {
             vec![
                 format!("{}s", inter.as_secs()),
                 format!("{:.0}", block.mean_blocks),
@@ -218,11 +207,56 @@ pub fn table2(trace: &HarvardTrace, placements: &Placements) -> String {
     )
 }
 
+/// The (block, file, D2) task profiles at each of [`TABLE2_INTERS`].
+fn table2_profiles(
+    trace: &HarvardTrace,
+    placements: &Placements,
+) -> Vec<(SimTime, [TaskProfile; 3])> {
+    TABLE2_INTERS
+        .iter()
+        .map(|&inter| {
+            let tasks = tasks(trace, inter);
+            let profile = |system| placements.get(system).task_profile(trace, &tasks);
+            let systems = [
+                SystemKind::Traditional,
+                SystemKind::TraditionalFile,
+                SystemKind::D2,
+            ];
+            (inter, systems.map(profile))
+        })
+        .collect()
+}
+
+/// The threshold of the paper's Table 2 figures, which [`table2_claim`]
+/// judges.
+pub const TABLE2_CLAIM_INTER: SimTime = SimTime::from_secs(5);
+
+/// Table 2's claim. Paper (inter = 5 s): nodes per task fall from 11
+/// (block DHT) to 8 (file DHT) to 2 (D2). Holds if at every threshold
+/// the file DHT touches no more nodes than the block DHT and D2 fewer,
+/// a task reads no fewer blocks than files, the longest threshold's
+/// tasks are no shorter than the shortest's, and at
+/// [`TABLE2_CLAIM_INTER`] D2 touches under half the block DHT's nodes;
+/// judges that ratio.
+pub fn table2_claim(trace: &HarvardTrace, placements: &Placements) -> Claim {
+    let rows = table2_profiles(trace, placements);
+    let ordered = rows.iter().all(|(_, [block, file, d2])| {
+        file.mean_nodes <= block.mean_nodes + 1e-9
+            && d2.mean_nodes < block.mean_nodes
+            && block.mean_blocks >= block.mean_files
+    });
+    // A longer threshold makes longer tasks.
+    let longer = rows[rows.len() - 1].1[0].mean_blocks >= rows[0].1[0].mean_blocks;
+    let at_claim = rows.iter().find(|(inter, _)| *inter == TABLE2_CLAIM_INTER);
+    let Some((_, [block, _, d2])) = at_claim else {
+        return Claim::MISSING;
+    };
+    let ratio = d2.mean_nodes / block.mean_nodes;
+    Claim::new(ratio, ordered && longer && ratio < 0.5)
+}
+
 /// Figure 7: task unavailability per system at each of [`FIG7_INTERS`]:
 /// the mean, min and max over trials, and how many trials saw none.
-///
-/// Paper shape: D2's mean unavailability sits at or below both
-/// baselines'.
 pub fn fig7(sweep: &Sweep) -> String {
     let mut rows = Vec::new();
     for system in SYSTEMS {
@@ -251,11 +285,27 @@ pub fn fig7(sweep: &Sweep) -> String {
     )
 }
 
+/// Figure 7's claim. Paper: D2's task unavailability is an order of
+/// magnitude below the traditional DHT's at every `inter`. Holds if,
+/// summed over every trial at [`FIG7_INTERS`] of `sweeps` (one failure
+/// trace can favour traditional, so a judge sums several), D2's is below
+/// traditional's and at most traditional-file's; judges D2's over
+/// traditional's.
+pub fn fig7_claim(sweeps: &[Sweep]) -> Claim {
+    let total = |system| -> f64 {
+        let cells = sweeps.iter().flat_map(|sweep| {
+            FIG7_INTERS.iter().flat_map(move |&inter| {
+                (0..).map_while(move |trial| sweep.cell(trial, system, inter))
+            })
+        });
+        cells.map(AvailabilityReport::task_unavailability).sum()
+    };
+    let [d2, trad, file] = SYSTEMS.map(total);
+    Claim::new(d2 / trad, d2 < trad && d2 <= file + 1e-9)
+}
+
 /// Figure 8: per-user unavailability of trial 0 at [`FIG8_INTER`],
 /// worst user first.
-///
-/// Paper shape: D2's failures affect fewer users, each more deeply (the
-/// trade-off Section 4.3 discusses).
 pub fn fig8(sweep: &Sweep) -> String {
     let mut rows = Vec::new();
     for system in SYSTEMS {
@@ -285,6 +335,19 @@ pub fn fig8(sweep: &Sweep) -> String {
     )
 }
 
+/// Figure 8's claim. Paper: D2's failures hit fewer users, each harder
+/// (the Section 4.3 trade-off). Holds if, summed over trial 0 of
+/// `sweeps` at [`FIG8_INTER`], D2's failures reach fewer users than the
+/// traditional DHT's; judges D2's count over traditional's.
+pub fn fig8_claim(sweeps: &[Sweep]) -> Claim {
+    let users = |system| -> usize {
+        let reports = sweeps.iter().filter_map(|s| s.cell(0, system, FIG8_INTER));
+        reports.map(AvailabilityReport::affected_users).sum()
+    };
+    let (d2, trad) = (users(SystemKind::D2), users(SystemKind::Traditional));
+    Claim::new(d2 as f64 / trad as f64, d2 < trad)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,7 +361,7 @@ mod tests {
     #[test]
     fn fewer_users_affected_under_d2() {
         let scale = Scale::Quick;
-        let (mut d2, mut trad) = (0, 0);
+        let mut sweeps = Vec::new();
         for seed in 1..=8 {
             let trace = HarvardTrace::generate(&scale.harvard(), &mut StdRng::seed_from_u64(seed));
             let model = FailureModel {
@@ -307,18 +370,14 @@ mod tests {
             };
             let sweep = Placements::warm(&trace, &scale.cluster(seed), scale.warmup_days(), 2)
                 .replay(&trace, &model, FIG8_FAILURE_SEED, 1, &[FIG8_INTER], 2);
-            for system in SYSTEMS {
-                let report = sweep.cell(0, system, FIG8_INTER).unwrap();
-                match system {
-                    SystemKind::D2 => d2 += report.affected_users(),
-                    SystemKind::Traditional => trad += report.affected_users(),
-                    SystemKind::TraditionalFile => {}
-                }
+            for report in sweep.cells.values() {
                 // Rankings are sorted descending.
                 let ranked = report.ranked_user_unavailability();
                 assert!(ranked.windows(2).all(|w| w[0].1 >= w[1].1), "seed {seed}");
             }
+            sweeps.push(sweep);
         }
-        assert!(d2 < trad, "d2 affects {d2} users vs traditional {trad}");
+        let claim = fig8_claim(&sweeps);
+        assert!(claim.holds, "{claim:?}");
     }
 }

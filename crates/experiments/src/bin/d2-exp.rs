@@ -25,59 +25,50 @@
 //! Figures 9–15 read one Section 9 sweep, run once per invocation; its
 //! events appear once, with the first of those figures printed. Table 2
 //! and Figures 7 and 8 read each system's trial-0 availability
-//! placement, also warmed once per invocation.
+//! placement, also warmed once per invocation. Table 4 and Figures 16
+//! and 17 read one Section 10 balance sweep, whose cells each run once,
+//! when the first render that reads them asks: `all` runs nine, since
+//! Table 4's Harvard row is Figure 16's D2 line. A cell's events appear
+//! once, with the first of those artifacts printed that reads it.
 
 use d2_experiments::avail_sweep::{self, Placements};
-use d2_experiments::fig16_17::ALL_SYSTEMS;
+use d2_experiments::balance_sweep::{self, CellKey, Traces};
+use d2_experiments::exec::{self, Shared};
 use d2_experiments::perf_suite::{self, SuiteConfig, SuiteResult};
-use d2_experiments::{churn, exec, fig16_17, fig3, obs_summary, redundancy, table3, table4, Scale};
-use d2_obs::{to_jsonl, SharedSink, TraceEvent};
-use d2_sim::{FailureModel, SimTime};
+use d2_experiments::{churn, fig3, obs_summary, redundancy, table3, Scale};
+use d2_obs::{to_jsonl, TraceEvent};
+use d2_sim::FailureModel;
 use d2_workload::{HarvardTrace, HpConfig, HpTrace, WebTrace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
 /// Shared experiment inputs. The three workload traces are generated
 /// lazily on first use — `fig3` needs all three, but most experiments
 /// touch only one, and `table3` none of HP — each from its own
 /// seed-derived RNG, so the result is independent of which experiment
-/// (or worker thread) asks first. The Section 9 suite is held the same
-/// way: Figures 9–15 all read the one sweep, run once per invocation,
-/// and Table 2 and Figures 7 and 8 the one set of warmed placements.
+/// (or worker thread) asks first. The three sweeps are held the same
+/// way: Figures 9–15 all read the one Section 9 suite, run once per
+/// invocation; Table 2 and Figures 7 and 8 the one set of warmed
+/// placements; and Table 4 and Figures 16 and 17 the one Section 10
+/// balance sweep, each of whose cells runs once, when first read.
+#[derive(Default)]
 struct Ctx {
     scale: Scale,
     seed: u64,
-    /// Record the suite's trace events (`--obs-out`).
+    /// Record the shared results' trace events (`--obs-out`).
     trace: bool,
     /// Worker threads for the suite's cell fan-out.
     jobs: usize,
     harvard: OnceLock<HarvardTrace>,
     web: OnceLock<WebTrace>,
     hp: OnceLock<HpTrace>,
-    suite: OnceLock<SuiteResult>,
+    suite: OnceLock<Shared<SuiteResult>>,
     placements: OnceLock<Placements>,
-    /// The suite's trace events, until the first Section 9 figure printed
-    /// takes them.
-    suite_events: Mutex<Vec<TraceEvent>>,
+    balance: OnceLock<balance_sweep::Sweep>,
 }
 
-impl Ctx {
-    fn new(scale: Scale, seed: u64, trace: bool, jobs: usize) -> Ctx {
-        Ctx {
-            scale,
-            seed,
-            trace,
-            jobs,
-            harvard: OnceLock::new(),
-            web: OnceLock::new(),
-            hp: OnceLock::new(),
-            suite: OnceLock::new(),
-            placements: OnceLock::new(),
-            suite_events: Mutex::new(Vec::new()),
-        }
-    }
-
+impl Traces for Ctx {
     fn harvard(&self) -> &HarvardTrace {
         self.harvard.get_or_init(|| {
             HarvardTrace::generate(&self.scale.harvard(), &mut StdRng::seed_from_u64(self.seed))
@@ -89,7 +80,9 @@ impl Ctx {
             WebTrace::generate(&self.scale.web(), &mut StdRng::seed_from_u64(self.seed))
         })
     }
+}
 
+impl Ctx {
     fn hp(&self) -> &HpTrace {
         self.hp.get_or_init(|| {
             HpTrace::generate(
@@ -104,38 +97,20 @@ impl Ctx {
         })
     }
 
-    fn suite(&self) -> &SuiteResult {
+    fn suite(&self) -> &Shared<SuiteResult> {
         self.suite.get_or_init(|| {
-            let sink = if self.trace {
-                SharedSink::memory(0)
-            } else {
-                SharedSink::null()
-            };
-            let cfg = SuiteConfig {
-                sizes: self.scale.perf_sizes(),
-                measure_groups: 150,
-                seed: self.seed,
-                warmup_days: self.scale.warmup_days(),
-                sink: sink.clone(),
-                jobs: self.jobs,
-            };
-            let suite = perf_suite::run(self.harvard(), &cfg);
-            *self
-                .suite_events
-                .lock()
-                .expect("no thread panics holding the suite events") = sink.drain();
-            suite
+            Shared::run(self.trace, |sink| {
+                let cfg = SuiteConfig {
+                    sizes: self.scale.perf_sizes(),
+                    measure_groups: 150,
+                    seed: self.seed,
+                    warmup_days: self.scale.warmup_days(),
+                    sink: sink.clone(),
+                    jobs: self.jobs,
+                };
+                perf_suite::run(self.harvard(), &cfg)
+            })
         })
-    }
-
-    /// The suite's trace events, once: later calls return none.
-    fn take_suite_events(&self) -> Vec<TraceEvent> {
-        std::mem::take(
-            &mut *self
-                .suite_events
-                .lock()
-                .expect("no thread panics holding the suite events"),
-        )
     }
 
     fn placements(&self) -> &Placements {
@@ -156,8 +131,23 @@ impl Ctx {
         }
     }
 
-    fn balance_warmup(&self) -> SimTime {
-        SimTime::from_secs_f64(self.scale.warmup_days() * 86_400.0 * 2.0)
+    fn balance(&self) -> &balance_sweep::Sweep {
+        self.balance.get_or_init(|| {
+            let cfg = self.scale.cluster(self.seed);
+            balance_sweep::Sweep::new(cfg, self.scale.balance_warmup(), self.trace)
+        })
+    }
+
+    /// The trace events of the shared results experiment `name` reads
+    /// that no earlier experiment printed has taken.
+    fn shared_events(&self, name: &str) -> Vec<TraceEvent> {
+        if section9(name).is_some() {
+            self.suite().take_events()
+        } else if let Some((_, cells)) = section10(name) {
+            self.balance().take_events(&cells(self.balance()))
+        } else {
+            Vec::new()
+        }
     }
 }
 
@@ -174,75 +164,63 @@ fn section9(name: &str) -> Option<fn(&SuiteResult) -> String> {
     })
 }
 
+/// A Section 10 render and the balance cells it reads.
+type Section10 = (
+    fn(&balance_sweep::Sweep, &dyn Traces, usize) -> String,
+    fn(&balance_sweep::Sweep) -> Vec<CellKey>,
+);
+
+/// The render of a Section 10 artifact and its cells, by experiment name.
+fn section10(name: &str) -> Option<Section10> {
+    Some(match name {
+        "table4" => (balance_sweep::table4, balance_sweep::Sweep::table4_cells),
+        "fig16" => (balance_sweep::fig16, balance_sweep::Sweep::fig16_cells),
+        "fig17" => (balance_sweep::fig17, balance_sweep::Sweep::fig17_cells),
+        _ => return None,
+    })
+}
+
 /// Runs one experiment, returning its rendered output and the trace
-/// events it recorded (empty unless `trace` is set; a Section 9 figure's
-/// come from [`Ctx::take_suite_events`] instead). The events come back
+/// events it recorded (empty unless `ctx.trace` is set; those of a shared
+/// result come from [`Ctx::shared_events`] instead). The events come back
 /// as a batch instead of going straight to the shared sink so that
 /// concurrent experiments can be merged in canonical order afterwards.
 /// `jobs` bounds the experiment's *internal* fan-out. Returns `None` for
 /// an unknown name.
-fn run_one(name: &str, ctx: &Ctx, trace: bool, jobs: usize) -> Option<(String, Vec<TraceEvent>)> {
+fn run_one(name: &str, ctx: &Ctx, jobs: usize) -> Option<(String, Vec<TraceEvent>)> {
     if let Some(render) = section9(name) {
-        return Some((render(ctx.suite()), Vec::new()));
+        return Some((render(&ctx.suite().value), Vec::new()));
     }
-    let sink = if trace {
-        SharedSink::memory(0)
-    } else {
-        SharedSink::null()
-    };
-    let cfg = ctx.scale.cluster(ctx.seed);
-    let out = match name {
-        "fig3" => fig3::run(ctx.harvard(), ctx.hp(), ctx.web(), 2 << 20).render(),
-        "table2" => avail_sweep::table2(ctx.harvard(), ctx.placements()),
-        "fig7" => avail_sweep::fig7(&ctx.placements().replay(
-            ctx.harvard(),
-            &ctx.failure_model(),
-            avail_sweep::FIG7_FAILURE_SEED,
-            ctx.scale.trials(),
-            &avail_sweep::FIG7_INTERS,
-            jobs,
-        )),
-        "fig8" => avail_sweep::fig8(&ctx.placements().replay(
-            ctx.harvard(),
-            &ctx.failure_model(),
-            avail_sweep::FIG8_FAILURE_SEED,
-            1,
-            &[avail_sweep::FIG8_INTER],
-            jobs,
-        )),
-        "table3" => table3::run(ctx.harvard(), ctx.web()).render(),
-        "churn" => churn::run_traced(ctx.scale, ctx.seed, jobs, &sink).render(),
-        "redundancy" => redundancy::run_traced(ctx.scale, ctx.seed, jobs, &sink).render(),
-        "table4" => table4::run_traced(
-            ctx.harvard(),
-            ctx.web(),
-            &cfg,
-            ctx.balance_warmup(),
-            &sink,
-            jobs,
-        )
-        .render(),
-        "fig16" => fig16_17::fig16_traced(
-            ctx.harvard(),
-            &cfg,
-            &ALL_SYSTEMS,
-            ctx.balance_warmup(),
-            &sink,
-            jobs,
-        )
-        .render(),
-        "fig17" => fig16_17::fig17_traced(
-            ctx.web(),
-            &cfg,
-            &ALL_SYSTEMS,
-            SimTime::from_secs(3600),
-            &sink,
-            jobs,
-        )
-        .render(),
-        _ => return None,
-    };
-    Some((out, sink.drain()))
+    if let Some((render, _)) = section10(name) {
+        return Some((render(ctx.balance(), ctx, jobs), Vec::new()));
+    }
+    let (out, events) = exec::traced(ctx.trace, |sink| {
+        Some(match name {
+            "fig3" => fig3::run(ctx.harvard(), ctx.hp(), ctx.web(), 2 << 20).render(),
+            "table2" => avail_sweep::table2(ctx.harvard(), ctx.placements()),
+            "fig7" => avail_sweep::fig7(&ctx.placements().replay(
+                ctx.harvard(),
+                &ctx.failure_model(),
+                avail_sweep::FIG7_FAILURE_SEED,
+                ctx.scale.trials(),
+                &avail_sweep::FIG7_INTERS,
+                jobs,
+            )),
+            "fig8" => avail_sweep::fig8(&ctx.placements().replay(
+                ctx.harvard(),
+                &ctx.failure_model(),
+                avail_sweep::FIG8_FAILURE_SEED,
+                1,
+                &[avail_sweep::FIG8_INTER],
+                jobs,
+            )),
+            "table3" => table3::run(ctx.harvard(), ctx.web()).render(),
+            "churn" => churn::run_traced(ctx.scale, ctx.seed, jobs, sink).render(),
+            "redundancy" => redundancy::run_traced(ctx.scale, ctx.seed, jobs, sink).render(),
+            _ => return None,
+        })
+    });
+    Some((out?, events))
 }
 
 const ALL: [&str; 16] = [
@@ -266,7 +244,7 @@ const ALL: [&str; 16] = [
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = Scale::Quick;
+    let mut scale = Scale::default();
     let mut seed = 42u64;
     let mut jobs = exec::available_jobs();
     let mut obs_out: Option<String> = None;
@@ -320,54 +298,56 @@ fn main() {
         std::process::exit(2);
     }
     let trace = obs_out.is_some();
-    let sink = if trace {
-        SharedSink::memory(0)
-    } else {
-        SharedSink::null()
+    let ctx = Ctx {
+        scale,
+        seed,
+        trace,
+        jobs,
+        ..Ctx::default()
     };
-    let ctx = Ctx::new(scale, seed, trace, jobs);
-    // An experiment's events go to the sink as it prints; the Section 9
-    // suite's go once, with the first Section 9 figure printed.
-    let record = |name: &str, events: Vec<TraceEvent>| {
-        sink.extend(events);
-        if section9(name).is_some() {
-            sink.extend(ctx.take_suite_events());
-        }
-    };
-    for name in &names {
-        sink.record_with(|| TraceEvent::Mark {
-            t_us: 0,
-            label: format!("experiment {name}"),
-        });
-        if name == "all" {
-            // Fan the figure set out over the workers; each experiment
-            // runs its internal sweep sequentially, except the Section 9
-            // suite, which runs over all the workers while the figures
-            // reading it wait. Output and events are merged in the
-            // canonical `ALL` order, not completion order.
-            let outcomes = exec::parallel_map(&ALL, jobs, |_, &n| {
-                run_one(n, &ctx, trace, 1).expect("ALL names are known")
+    let ((), events) = exec::traced(trace, |sink| {
+        // An experiment's events go to the sink as it prints; a shared
+        // result's go once, with the first experiment printed that reads it.
+        let record = |name: &str, events: Vec<TraceEvent>| {
+            sink.extend(events);
+            sink.extend(ctx.shared_events(name));
+        };
+        for name in &names {
+            sink.record_with(|| TraceEvent::Mark {
+                t_us: 0,
+                label: format!("experiment {name}"),
             });
-            for (n, (out, events)) in ALL.iter().zip(outcomes) {
-                println!("==> {n}");
-                println!("{out}");
-                record(n, events);
-            }
-        } else {
-            match run_one(name, &ctx, trace, jobs) {
-                Some((out, events)) => {
+            if name == "all" {
+                // Fan the figure set out over the workers; each experiment
+                // runs its internal sweep sequentially, except the Section 9
+                // suite, which runs over all the workers while the figures
+                // reading it wait. A balance cell two renders read runs in
+                // whichever asks first; the other waits for it. Output and
+                // events are merged in the canonical `ALL` order, not
+                // completion order.
+                let outcomes = exec::parallel_map(&ALL, jobs, |_, &n| {
+                    run_one(n, &ctx, 1).expect("ALL names are known")
+                });
+                for (n, (out, events)) in ALL.iter().zip(outcomes) {
+                    println!("==> {n}");
                     println!("{out}");
-                    record(name, events);
+                    record(n, events);
                 }
-                None => {
-                    eprintln!("unknown experiment: {name}");
-                    std::process::exit(2);
+            } else {
+                match run_one(name, &ctx, jobs) {
+                    Some((out, events)) => {
+                        println!("{out}");
+                        record(name, events);
+                    }
+                    None => {
+                        eprintln!("unknown experiment: {name}");
+                        std::process::exit(2);
+                    }
                 }
             }
         }
-    }
+    });
     if let Some(path) = obs_out {
-        let events = sink.drain();
         if let Err(e) = std::fs::write(&path, to_jsonl(&events)) {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);

@@ -215,18 +215,10 @@ pub fn run_cfg(cfg: &ChurnConfig, jobs: usize, sink: &SharedSink) -> Churn {
     let cells: Vec<usize> = (0..cfg.multipliers.len()).collect();
     let enabled = sink.enabled();
     let outcomes = exec::parallel_map(&cells, jobs, |i, _| {
-        let cell_sink = if enabled {
-            SharedSink::memory(0)
-        } else {
-            SharedSink::null()
-        };
-        let row = run_cell(
-            cfg,
-            cfg.multipliers[i],
-            exec::derive_seed(cfg.seed, &[i as u64]),
-            &cell_sink,
-        );
-        (row, cell_sink.drain())
+        exec::traced(enabled, |cell_sink| {
+            let seed = exec::derive_seed(cfg.seed, &[i as u64]);
+            run_cell(cfg, cfg.multipliers[i], seed, cell_sink)
+        })
     });
     let mut rows = Vec::with_capacity(outcomes.len());
     for (row, events) in outcomes {

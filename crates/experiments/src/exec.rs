@@ -21,7 +21,13 @@
 //! runtime, no channels, no extra dependencies. Workers claim cell
 //! indices from an atomic counter and park each result in its own slot,
 //! so results come back positionally, not in completion order.
+//!
+//! A result that several artifacts read (the Section 9 suite, a Section
+//! 10 balance cell) is a [`Shared`]: it keeps its events until the
+//! first reader takes them, so they are recorded once, with the first
+//! artifact printed that reads it.
 
+use d2_obs::{SharedSink, TraceEvent};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -100,6 +106,48 @@ where
                 .expect("worker filled every claimed slot")
         })
         .collect()
+}
+
+/// Runs `f` on a private trace sink, which records only when `trace` is
+/// set, and returns its result with the events it recorded: a cell's
+/// half of the canonical merge.
+pub fn traced<T>(trace: bool, f: impl FnOnce(&SharedSink) -> T) -> (T, Vec<TraceEvent>) {
+    let sink = if trace {
+        SharedSink::memory(0)
+    } else {
+        SharedSink::null()
+    };
+    let value = f(&sink);
+    (value, sink.drain())
+}
+
+/// A result several artifacts read, with the trace events computing it
+/// recorded. The events go to the first caller of [`Shared::take_events`].
+#[derive(Debug)]
+pub struct Shared<T> {
+    /// The result.
+    pub value: T,
+    events: Mutex<Vec<TraceEvent>>,
+}
+
+impl<T> Shared<T> {
+    /// Computes the result with [`traced`].
+    pub fn run(trace: bool, f: impl FnOnce(&SharedSink) -> T) -> Shared<T> {
+        let (value, events) = traced(trace, f);
+        Shared {
+            value,
+            events: Mutex::new(events),
+        }
+    }
+
+    /// The recorded events, once: later calls return none.
+    pub fn take_events(&self) -> Vec<TraceEvent> {
+        let mut events = self
+            .events
+            .lock()
+            .expect("no thread panics holding the events");
+        std::mem::take(&mut *events)
+    }
 }
 
 #[cfg(test)]

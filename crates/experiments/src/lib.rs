@@ -12,8 +12,7 @@
 //! | [`avail_sweep`] | Table 2, Figs. 7/8 — one Section 8 sweep and a render per artifact |
 //! | [`perf_suite`] | Figs. 9–15 — one Section 9 sweep and a render per figure |
 //! | [`table3`] | Table 3 — daily write/remove ratios (Harvard, Webcache) |
-//! | [`table4`] | Table 4 — write vs load-balancing traffic per day |
-//! | [`fig16_17`] | Figs. 16/17 — load imbalance over time |
+//! | [`balance_sweep`] | Table 4, Figs. 16/17 — one Section 10 sweep and a render per artifact |
 //!
 //! [`obs_summary`] is not a paper artifact: it folds a `d2-obs` trace
 //! (the `--obs-out` export) into the percentile summary the binary
@@ -31,15 +30,20 @@
 //! Every other driver returns plain data structures *and* renders the
 //! paper-style text table via its `render` function; the Section 8
 //! artifacts are render functions of one [`avail_sweep::Placements`]
-//! and the [`avail_sweep::Sweep`]s replayed on it, and the Section 9
+//! and the [`avail_sweep::Sweep`]s replayed on it, the Section 9
 //! figures are render functions of the one [`perf_suite::SuiteResult`]
-//! they all read. The binary and the examples print the same tables.
+//! they all read, and the Section 10 artifacts are render functions of
+//! one [`balance_sweep::Sweep`], whose cells run when a render first
+//! reads them. The binary and the examples print the same tables.
+//!
+//! Each "Paper:" line of EXPERIMENTS.md is written once, as a function
+//! beside its render returning a [`report::Claim`]; the tests call these.
 
 pub mod avail_sweep;
 pub mod balance_sim;
+pub mod balance_sweep;
 pub mod churn;
 pub mod exec;
-pub mod fig16_17;
 pub mod fig3;
 pub mod obs_summary;
 pub mod params;
@@ -47,6 +51,5 @@ pub mod perf_suite;
 pub mod redundancy;
 pub mod report;
 pub mod table3;
-pub mod table4;
 
 pub use params::Scale;

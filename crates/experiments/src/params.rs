@@ -7,12 +7,14 @@
 //! harness and examples use.
 
 use d2_core::ClusterConfig;
+use d2_sim::SimTime;
 use d2_workload::{HarvardConfig, WebConfig};
 
 /// Experiment size preset.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum Scale {
-    /// Seconds-fast parameters for CI and unit tests.
+    /// Seconds-fast parameters for CI and unit tests (the default).
+    #[default]
     Quick,
     /// The scaled-down reproduction defaults (minutes on a laptop).
     Full,
@@ -96,6 +98,12 @@ impl Scale {
             Scale::Quick => 1.0,
             Scale::Full => 1.0,
         }
+    }
+
+    /// The balance warm-up of Table 4's and Figure 16's cells: twice the
+    /// availability warm-up.
+    pub fn balance_warmup(&self) -> SimTime {
+        SimTime::from_secs_f64(self.warmup_days() * 86_400.0 * 2.0)
     }
 
     /// Trials per availability configuration (paper: 5).

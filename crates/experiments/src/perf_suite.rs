@@ -16,14 +16,17 @@
 //! | [`fig12`] | Fig. 12 — per-user speedup over traditional | largest size at [`FIGURE_KBPS`] |
 //! | [`fig13`] | Fig. 13 — mean lookup-cache miss rate | every system, size and mode at [`FIGURE_KBPS`] |
 //! | [`fig14_15`] | Figs. 14/15 — access-group latency scatter | largest size at [`FIGURE_KBPS`] |
+//!
+//! Each render has its paper claim beside it ([`fig9_claim`] to
+//! [`fig14_15_claim`]), judged on the same suite.
 
 use crate::exec;
-use crate::report::{fmt, render_table};
+use crate::report::{fmt, render_table, Claim};
 use d2_core::{ClusterConfig, Parallelism, PerfConfig, PerfReport, PerfSim, SystemKind};
 use d2_obs::{SharedSink, TraceEvent};
 use d2_sim::{geometric_mean, SimTime};
 use d2_workload::{split_access_groups, HarvardTrace, Task};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 /// One measured configuration.
 pub type CellKey = (SystemKind, usize, u64, Parallelism);
@@ -105,6 +108,38 @@ impl SuiteResult {
     /// The largest system size measured.
     fn largest_size(&self) -> Option<usize> {
         self.cells.keys().map(|&(_, size, _, _)| size).max()
+    }
+
+    /// The system sizes measured, smallest first.
+    fn sizes(&self) -> Vec<usize> {
+        let sizes = self.cells.keys().map(|&(_, size, _, _)| size);
+        sizes.collect::<BTreeSet<_>>().into_iter().collect()
+    }
+
+    /// The seq report of `system` at `size` and [`FIGURE_KBPS`].
+    fn seq(&self, system: SystemKind, size: usize) -> Option<&PerfReport> {
+        self.cell(system, size, FIGURE_KBPS, Parallelism::Seq)
+    }
+
+    /// The seq speedup of D2 over `base` at `size` and [`FIGURE_KBPS`].
+    fn seq_speedup(&self, base: SystemKind, size: usize) -> Option<f64> {
+        self.speedup(SystemKind::D2, base, size, FIGURE_KBPS, Parallelism::Seq)
+    }
+
+    /// A claim that `holds` of `value` at every measured size, judging the
+    /// worst value by `worst`; missing if there is no size or no value.
+    fn every_size(
+        &self,
+        value: impl Fn(usize) -> Option<f64>,
+        worst: fn(f64, f64) -> f64,
+        holds: impl Fn(f64) -> bool,
+    ) -> Claim {
+        let values: Option<Vec<f64>> = self.sizes().into_iter().map(value).collect();
+        let values = values.unwrap_or_default();
+        match values.iter().copied().reduce(worst) {
+            Some(judged) => Claim::new(judged, values.into_iter().all(holds)),
+            None => Claim::MISSING,
+        }
     }
 
     /// Overall speedup of `num` over `base` for one configuration: the
@@ -225,28 +260,24 @@ pub fn run(trace: &HarvardTrace, cfg: &SuiteConfig) -> SuiteResult {
     let warmup_days = cfg.warmup_days;
 
     let outcomes = exec::parallel_map(&cell_keys, cfg.jobs, |_, &(system, size, kbps, mode)| {
-        let cell_sink = if sink_enabled {
-            SharedSink::memory(0)
-        } else {
-            SharedSink::null()
-        };
-        let ccfg = ClusterConfig {
-            nodes: size,
-            replicas: REPLICAS,
-            seed: exec::derive_seed(seed, &[size as u64, kbps, mode_coord(mode)]),
-            ..ClusterConfig::default()
-        };
-        let pcfg = PerfConfig::default();
-        let mut sim = PerfSim::build(system, &ccfg, &pcfg, trace, warmup_days);
-        sim.warm_caches(trace, warm);
-        sim.set_access_kbps(kbps);
-        cell_sink.record_with(|| TraceEvent::Mark {
-            t_us: 0,
-            label: format!("cell system={system:?} size={size} kbps={kbps} mode={mode:?}"),
-        });
-        sim.set_trace_sink(cell_sink.clone());
-        let report = sim.run(trace, measure, mode);
-        (report, cell_sink.drain())
+        exec::traced(sink_enabled, |cell_sink| {
+            let ccfg = ClusterConfig {
+                nodes: size,
+                replicas: REPLICAS,
+                seed: exec::derive_seed(seed, &[size as u64, kbps, mode_coord(mode)]),
+                ..ClusterConfig::default()
+            };
+            let pcfg = PerfConfig::default();
+            let mut sim = PerfSim::build(system, &ccfg, &pcfg, trace, warmup_days);
+            sim.warm_caches(trace, warm);
+            sim.set_access_kbps(kbps);
+            cell_sink.record_with(|| TraceEvent::Mark {
+                t_us: 0,
+                label: format!("cell system={system:?} size={size} kbps={kbps} mode={mode:?}"),
+            });
+            sim.set_trace_sink(cell_sink.clone());
+            sim.run(trace, measure, mode)
+        })
     });
 
     let mut cells = HashMap::new();
@@ -297,10 +328,6 @@ fn per_cell_table(
 }
 
 /// Figure 9: DHT lookup messages per node at [`FIGURE_KBPS`].
-///
-/// Paper shape: traditional lookup traffic *grows* with system size
-/// (cache miss rate rises); D2 and traditional-file traffic *shrink*
-/// (miss rates stay flat while nodes multiply), with D2 well below both.
 pub fn fig9(suite: &SuiteResult) -> String {
     per_cell_table(
         suite,
@@ -308,6 +335,18 @@ pub fn fig9(suite: &SuiteResult) -> String {
         "msgs/node",
         PerfReport::lookup_messages_per_node,
     )
+}
+
+/// Figure 9's claim. Paper: traditional lookup traffic grows with size
+/// while D2's shrinks, to under a twentieth of traditional's at 1,000
+/// nodes. Holds if D2 sends under half traditional's lookup messages at
+/// every size (seq, [`FIGURE_KBPS`]); judges the largest ratio.
+pub fn fig9_claim(suite: &SuiteResult) -> Claim {
+    let ratio = |size| {
+        let msgs = |system| suite.seq(system, size).map(|r| r.lookup_messages as f64);
+        Some(msgs(SystemKind::D2)? / msgs(SystemKind::Traditional)?)
+    };
+    suite.every_size(ratio, f64::max, |r| r < 0.5)
 }
 
 /// Speedup of D2 over `baseline` at every measured size, bandwidth and
@@ -340,32 +379,34 @@ fn speedup_table(suite: &SuiteResult, baseline: SystemKind) -> String {
 }
 
 /// Figure 10: speedup of D2 over the traditional DHT.
-///
-/// Paper shape: seq speedup grows with system size (≥ 1.9× at 1,000
-/// nodes); para speedup is smaller, and at 384 kbps D2 *loses* to the
-/// traditional DHT at small sizes (parallelism over more nodes beats
-/// lookup savings when per-node bandwidth is scarce) before winning again
-/// at the largest size.
 pub fn fig10(suite: &SuiteResult) -> String {
     speedup_table(suite, SystemKind::Traditional)
 }
 
+/// Figure 10's claim. Paper: seq speedup over the traditional DHT grows
+/// with size, to ≥ 1.9× at 1,000 nodes; para dips below 1 at 384 kbps
+/// on small systems. Holds if the seq speedup exceeds 1.05 at every size;
+/// judges the least.
+pub fn fig10_claim(suite: &SuiteResult) -> Claim {
+    let speedup = |size| suite.seq_speedup(SystemKind::Traditional, size);
+    suite.every_size(speedup, f64::min, |s| s > 1.05)
+}
+
 /// Figure 11: speedup of D2 over the traditional-file DHT.
-///
-/// Paper shape: comparable seq speedup to Figure 10 at small sizes, but
-/// it does not grow much with system size, because the traditional-file
-/// DHT's cache miss rate is also size-stable (users' file working sets
-/// are small).
 pub fn fig11(suite: &SuiteResult) -> String {
     speedup_table(suite, SystemKind::TraditionalFile)
 }
 
+/// Figure 11's claim. Paper: seq speedup over the traditional-file DHT is
+/// comparable at 200 nodes and grows little with size. Holds if the seq
+/// speedup exceeds 1 at every size; judges the least.
+pub fn fig11_claim(suite: &SuiteResult) -> Claim {
+    let speedup = |size| suite.seq_speedup(SystemKind::TraditionalFile, size);
+    suite.every_size(speedup, f64::min, |s| s > 1.0)
+}
+
 /// Figure 12: per-user speedup over the traditional DHT at the largest
 /// size and [`FIGURE_KBPS`], best user first.
-///
-/// Paper shape: nearly half the users beat the overall mean; a few users
-/// see a (small) slowdown — those whose replicas happen to sit far away
-/// in the network.
 pub fn fig12(suite: &SuiteResult) -> String {
     let size = suite.largest_size().unwrap_or(0);
     let mut rows = Vec::new();
@@ -396,11 +437,26 @@ pub fn fig12(suite: &SuiteResult) -> String {
     )
 }
 
+/// Figure 12's claim. Paper: about half the users beat the mean speedup
+/// over the traditional DHT; 6 of 83 see small slowdowns. Holds if at
+/// least half the users speed up at the largest size (seq,
+/// [`FIGURE_KBPS`]); judges the share that do.
+pub fn fig12_claim(suite: &SuiteResult) -> Claim {
+    let size = suite.largest_size().unwrap_or(0);
+    let per_user = suite.per_user_speedup(
+        SystemKind::D2,
+        SystemKind::Traditional,
+        size,
+        FIGURE_KBPS,
+        Parallelism::Seq,
+    );
+    let users = per_user.unwrap_or_default();
+    let faster = users.values().filter(|&&s| s > 1.0).count();
+    let share = faster as f64 / users.len() as f64;
+    Claim::new(share, !users.is_empty() && faster * 2 >= users.len())
+}
+
 /// Figure 13: mean lookup-cache miss rate at [`FIGURE_KBPS`].
-///
-/// Paper shape: D2 holds a low (~13% seq) miss rate independent of system
-/// size; the traditional DHT starts high (~47%) and grows with size; the
-/// traditional-file DHT sits between the two and stays size-stable.
 pub fn fig13(suite: &SuiteResult) -> String {
     per_cell_table(
         suite,
@@ -408,6 +464,21 @@ pub fn fig13(suite: &SuiteResult) -> String {
         "miss rate",
         PerfReport::cache_miss_rate,
     )
+}
+
+/// Figure 13's claim. Paper: D2's lookup-cache miss rate is about 13 %
+/// (seq) at any size; traditional's is 47 % and up, growing with size.
+/// Holds if D2's is below traditional's at every size (seq,
+/// [`FIGURE_KBPS`]) and traditional's largest-size rate is at least 0.9×
+/// its smallest-size one; judges the largest ratio of D2's to traditional's.
+pub fn fig13_claim(suite: &SuiteResult) -> Claim {
+    let miss = |system, size| suite.seq(system, size).map(PerfReport::cache_miss_rate);
+    let ratio = |size| Some(miss(SystemKind::D2, size)? / miss(SystemKind::Traditional, size)?);
+    let claim = suite.every_size(ratio, f64::max, |r| r < 1.0);
+    let sizes = suite.sizes();
+    let trad = |size: &usize| miss(SystemKind::Traditional, *size).unwrap_or(f64::NAN);
+    let grows = (sizes.first().zip(sizes.last())).is_some_and(|(s, b)| trad(b) >= trad(s) * 0.9);
+    Claim::new(claim.value, claim.holds && grows)
 }
 
 /// Fraction of `(baseline, d2)` latency pairs above the diagonal (faster
@@ -451,10 +522,6 @@ fn slow_tail_d2_wins(pairs: &[(f64, f64)], threshold: f64) -> f64 {
 /// Figures 14 and 15: summaries of the access-group latency scatter, D2
 /// vs the traditional DHT (Fig. 14) and vs the traditional-file DHT
 /// (Fig. 15), at the largest size and [`FIGURE_KBPS`].
-///
-/// Paper shape: the weight of the distribution lies above the diagonal
-/// (D2 faster); in para mode more points dip below, but no group that
-/// takes > 5 s under D2 completes much faster under the baselines.
 pub fn fig14_15(suite: &SuiteResult) -> String {
     let size = suite.largest_size().unwrap_or(0);
     let mut rows = Vec::new();
@@ -486,4 +553,22 @@ pub fn fig14_15(suite: &SuiteResult) -> String {
         ],
         &rows,
     )
+}
+
+/// Figures 14/15's claim. Paper: the weight of the group-latency scatter
+/// lies above the diagonal (D2 faster); no slow D2 group completes much
+/// faster under the baselines. Holds if over half the traditional DHT's
+/// latency lies in groups D2 finishes sooner, at the largest size (seq,
+/// [`FIGURE_KBPS`]); judges that weight.
+pub fn fig14_15_claim(suite: &SuiteResult) -> Claim {
+    let size = suite.largest_size().unwrap_or(0);
+    let pairs = suite.latency_pairs(
+        SystemKind::D2,
+        SystemKind::Traditional,
+        size,
+        FIGURE_KBPS,
+        Parallelism::Seq,
+    );
+    let weight = weight_above_diagonal(&pairs);
+    Claim::new(weight, weight > 0.5)
 }

@@ -205,13 +205,9 @@ pub fn run_cfg(cfg: &RedundancyConfig, jobs: usize, sink: &SharedSink) -> Redund
     let cells: Vec<usize> = (0..cfg.policies.len()).collect();
     let enabled = sink.enabled();
     let outcomes = exec::parallel_map(&cells, jobs, |i, _| {
-        let cell_sink = if enabled {
-            SharedSink::memory(0)
-        } else {
-            SharedSink::null()
-        };
-        let row = run_cell(cfg, cfg.policies[i], &cell_sink);
-        (row, cell_sink.drain())
+        exec::traced(enabled, |cell_sink| {
+            run_cell(cfg, cfg.policies[i], cell_sink)
+        })
     });
     let mut rows = Vec::with_capacity(outcomes.len());
     for (row, events) in outcomes {

@@ -1,4 +1,26 @@
-//! Plain-text table rendering shared by the experiment drivers.
+//! Plain-text table rendering shared by the experiment drivers, and the
+//! verdict every paper claim returns.
+
+/// A paper claim judged on one run: the value it reads and whether the
+/// claim holds. Each "Paper:" line of EXPERIMENTS.md has one function
+/// returning this, beside the render of its artifact.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Claim {
+    /// The value the claim judges.
+    pub value: f64,
+    /// Whether the claim holds.
+    pub holds: bool,
+}
+
+impl Claim {
+    /// A claim whose cells are missing: nothing to judge, so it fails.
+    pub const MISSING: Claim = Claim::new(f64::NAN, false);
+
+    /// The verdict on `value`.
+    pub const fn new(value: f64, holds: bool) -> Claim {
+        Claim { value, holds }
+    }
+}
 
 /// Renders a table: header row plus data rows, columns padded to fit.
 pub fn render_table(title: &str, header: &[&str], rows: &[Vec<String>]) -> String {

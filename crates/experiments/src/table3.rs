@@ -1,13 +1,9 @@
 //! Table 3: per-day data churn — bytes written (`W_i`) and removed
 //! (`R_i`) relative to the bytes present at the start of the day (`T_i`)
 //! — for the Harvard and Webcache workloads.
-//!
-//! Paper shape: Harvard writes and removes 10–22% of its data per day;
-//! Webcache churns its entire contents daily (ratios ≈ 1, with cold-start
-//! spikes).
 
 use crate::balance_sim::webcache_intervals;
-use crate::report::render_table;
+use crate::report::{render_table, Claim};
 use d2_sim::SimTime;
 use d2_workload::{HarvardTrace, WebTrace};
 
@@ -66,6 +62,28 @@ impl Table3 {
             &header_refs,
             &rows,
         )
+    }
+
+    /// Table 3's claim. Paper: Harvard writes and removes 10–22 % of its
+    /// data per day; Webcache turns over all of it (R/T ≈ 1). Holds if
+    /// Harvard's daily W/T is within 3–60 % and R/T under 60 %, Webcache's
+    /// R/T exceeds 0.4 after the cold-start day and its day-2 W/T 0.3; the
+    /// last day, cut short by the trace's end, is not judged. Judges
+    /// Webcache's day-2 W/T.
+    pub fn claim(&self) -> Claim {
+        // In `run`'s order.
+        let [harvard, web] = &self.workloads[..] else {
+            return Claim::MISSING;
+        };
+        let full_days = |ratios: &[f64]| ratios.len().saturating_sub(1);
+        let harvard_band = (0..full_days(&harvard.write_ratio)).all(|d| {
+            (0.03..0.6).contains(&harvard.write_ratio[d]) && harvard.remove_ratio[d] < 0.6
+        });
+        let web_turnover = (1..full_days(&web.remove_ratio)).all(|d| web.remove_ratio[d] > 0.4);
+        let Some(&day2) = web.write_ratio.get(1) else {
+            return Claim::MISSING;
+        };
+        Claim::new(day2, harvard_band && web_turnover && day2 > 0.3)
     }
 }
 
@@ -148,41 +166,23 @@ mod tests {
     use d2_workload::{HarvardConfig, WebConfig};
     use rand::SeedableRng;
 
+    /// Both workloads over four days. Webcache's object universe is
+    /// larger relative to its request rate than `Scale::Quick`'s: the
+    /// churn property ("most of what a day starts with is gone by its
+    /// end") holds only when most objects are one-hit wonders, and
+    /// Quick's 1500-domain universe sits right on the 0.4 threshold —
+    /// which side it lands on depends on the RNG backend's exact stream.
+    /// 6000 domains puts the ratio near 0.75 with margin under any stream.
     #[test]
-    fn harvard_ratios_in_paper_band() {
-        let trace = HarvardTrace::generate(
+    fn churn_ratios_hold_the_paper_claim() {
+        let harvard = HarvardTrace::generate(
             &HarvardConfig {
                 days: 4.0,
                 ..Scale::Quick.harvard()
             },
             &mut rand::rngs::StdRng::seed_from_u64(5),
         );
-        let r = harvard_ratios(&trace);
-        // Skip the final (partially generated) day.
-        for d in 0..r.write_ratio.len() - 1 {
-            assert!(
-                (0.03..0.6).contains(&r.write_ratio[d]),
-                "day {d} W/T {} out of band",
-                r.write_ratio[d]
-            );
-            assert!(
-                r.remove_ratio[d] < 0.6,
-                "day {d} R/T {} out of band",
-                r.remove_ratio[d]
-            );
-        }
-    }
-
-    #[test]
-    fn webcache_churns_roughly_everything_daily() {
-        // A larger object universe relative to the request rate than
-        // Scale::Quick: the churn property ("most of what a day starts
-        // with is gone by its end") holds only when most objects are
-        // one-hit wonders, and Quick's 1500-domain universe sits right
-        // on the 0.4 threshold — which side it lands on depends on the
-        // RNG backend's exact stream. 6000 domains puts the ratio near
-        // 0.75 with margin under any stream.
-        let trace = WebTrace::generate(
+        let web = WebTrace::generate(
             &WebConfig {
                 days: 4.0,
                 domains: 6000,
@@ -192,39 +192,10 @@ mod tests {
             },
             &mut rand::rngs::StdRng::seed_from_u64(6),
         );
-        let r = webcache_ratios(&trace);
-        // After the cold-start day, removal churn is near-total: most data
-        // present at a day's start is gone by its end (paper: R/T ≈ 1).
-        for d in 1..r.remove_ratio.len() - 1 {
-            assert!(
-                r.remove_ratio[d] > 0.4,
-                "day {d} webcache R/T {} should be large",
-                r.remove_ratio[d]
-            );
-        }
-        // Webcache W/T exceeds Harvard-like steady ratios.
-        assert!(r.write_ratio[1] > 0.3, "day-1 W/T {}", r.write_ratio[1]);
-    }
-
-    #[test]
-    fn renders() {
-        let harvard = HarvardTrace::generate(
-            &HarvardConfig {
-                days: 2.0,
-                ..Scale::Quick.harvard()
-            },
-            &mut rand::rngs::StdRng::seed_from_u64(7),
-        );
-        let web = WebTrace::generate(
-            &WebConfig {
-                days: 2.0,
-                ..Scale::Quick.web()
-            },
-            &mut rand::rngs::StdRng::seed_from_u64(8),
-        );
-        let t = run(&harvard, &web);
-        let text = t.render();
-        assert!(text.contains("Harvard W/T"));
-        assert!(text.contains("Webcache R/T"));
+        let table = run(&harvard, &web);
+        let claim = table.claim();
+        assert!(claim.holds, "{claim:?}: {table:?}");
+        let text = table.render();
+        assert!(text.contains("Harvard W/T") && text.contains("Webcache R/T"));
     }
 }

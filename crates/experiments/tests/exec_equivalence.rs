@@ -1,13 +1,13 @@
 //! The executor's central contract: a parallel run is **byte-identical**
 //! to the sequential run — same `PerfReport`s, same trace JSONL — at any
 //! worker count. These tests pin that for the perf suite, the balance
-//! figures and the availability sweep, plus four (worker count, seed)
+//! sweep and the availability sweep, plus four (worker count, seed)
 //! cases.
 
 use d2_experiments::avail_sweep::{self, Placements, FIG7_FAILURE_SEED};
-use d2_experiments::fig16_17::{self, ALL_SYSTEMS};
+use d2_experiments::balance_sweep::{self, Sweep};
 use d2_experiments::perf_suite::{self, SuiteConfig, SuiteResult};
-use d2_experiments::{table4, Scale};
+use d2_experiments::Scale;
 use d2_obs::{to_jsonl, SharedSink};
 use d2_sim::{FailureModel, SimTime};
 use d2_workload::{HarvardConfig, HarvardTrace, WebTrace};
@@ -52,39 +52,42 @@ fn suite_reports_and_jsonl_identical_at_any_worker_count() {
     }
 }
 
+/// The balance sweep runs the same nine cells, renders the same three
+/// artifacts and records the same trace at one worker and at three. Each
+/// render takes the events of the cells it reads first, as `d2-exp`
+/// does, so Figure 16's D2 cell, which Table 4 read, is traced once.
 #[test]
-fn balance_figures_identical_at_any_worker_count() {
-    let trace = harvard();
-    let cfg = Scale::Quick.cluster(3);
-    let warmup = d2_sim::SimTime::from_secs(6 * 3600);
+fn balance_sweep_identical_at_any_worker_count() {
+    let (h, w) = (harvard(), web());
+    let traces = (&h, &w);
     let run_at = |jobs: usize| {
-        let sink = SharedSink::memory(0);
-        let fig = fig16_17::fig16_traced(&trace, &cfg, &ALL_SYSTEMS, warmup, &sink, jobs);
-        (fig.render(), to_jsonl(&sink.drain()))
+        let sweep = Sweep::new(Scale::Quick.cluster(3), SimTime::from_secs(6 * 3600), true);
+        let (mut renders, mut events) = (Vec::new(), Vec::new());
+        for (render, cells) in [
+            (
+                balance_sweep::table4 as fn(_, _, _) -> _,
+                sweep.table4_cells(),
+            ),
+            (balance_sweep::fig16, sweep.fig16_cells()),
+            (balance_sweep::fig17, sweep.fig17_cells()),
+        ] {
+            renders.push(render(&sweep, &traces, jobs));
+            events.extend(sweep.take_events(&cells));
+        }
+        assert_eq!(sweep.cells_run(), 9);
+        let keys = [
+            sweep.table4_cells(),
+            sweep.fig16_cells(),
+            sweep.fig17_cells(),
+        ]
+        .concat();
+        let cells: Vec<_> = sweep.runs(&keys, &traces, 1).into_iter().cloned().collect();
+        (cells, renders, to_jsonl(&events))
     };
-    let (base_render, base_jsonl) = run_at(1);
-    for jobs in [2, 4] {
-        let (render, jsonl) = run_at(jobs);
-        assert_eq!(render, base_render, "fig16 output differs at jobs={jobs}");
-        assert_eq!(jsonl, base_jsonl, "fig16 trace differs at jobs={jobs}");
-    }
-}
-
-#[test]
-fn table4_identical_at_any_worker_count() {
-    let h = harvard();
-    let w = web();
-    let cfg = Scale::Quick.cluster(3);
-    let warmup = d2_sim::SimTime::from_secs(6 * 3600);
-    let run_at = |jobs: usize| {
-        let sink = SharedSink::memory(0);
-        let t = table4::run_traced(&h, &w, &cfg, warmup, &sink, jobs);
-        (t.render(), to_jsonl(&sink.drain()))
-    };
-    let (base_render, base_jsonl) = run_at(1);
-    let (par_render, par_jsonl) = run_at(2);
-    assert_eq!(par_render, base_render);
-    assert_eq!(par_jsonl, base_jsonl);
+    let (cells, renders, jsonl) = run_at(1);
+    let marks = jsonl.matches("balance system=").count();
+    assert_eq!(marks, 9, "one mark per cell: the shared cell traced once");
+    assert_eq!(run_at(3), (cells, renders, jsonl));
 }
 
 /// Reports and traces are invariant to the worker count — and hence to

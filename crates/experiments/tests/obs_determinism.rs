@@ -3,15 +3,13 @@
 //! The `--obs-out` JSONL is meant to be committed and diffed, so the
 //! whole pipeline — workload generation, simulation, event recording,
 //! serialization — must be a pure function of the seed. This exercises
-//! both traced drivers (the Section 9 performance suite and the
-//! Section 10 balance simulation) end to end, twice each.
+//! the Section 9 performance suite end to end, twice; the Section 10
+//! balance sweep's trace is compared across two runs by
+//! `exec_equivalence::balance_sweep_identical_at_any_worker_count`.
 
-use d2_experiments::balance_sim::{self, BalanceSystem};
 use d2_experiments::perf_suite::{self, SuiteConfig};
 use d2_experiments::Scale;
 use d2_obs::{to_jsonl, SharedSink};
-use d2_sim::SimTime;
-use d2_types::SystemKind;
 use d2_workload::HarvardTrace;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -30,21 +28,6 @@ fn perf_trace_jsonl(seed: u64) -> String {
     to_jsonl(&sink.drain())
 }
 
-fn balance_trace_jsonl(seed: u64) -> String {
-    let trace = HarvardTrace::generate(&Scale::Quick.harvard(), &mut StdRng::seed_from_u64(seed));
-    let stream = balance_sim::harvard_churn(&trace, SystemKind::D2);
-    let cfg = Scale::Quick.cluster(seed);
-    let sink = SharedSink::memory(0);
-    balance_sim::run_traced(
-        BalanceSystem::D2,
-        &cfg,
-        &stream,
-        SimTime::from_secs(6 * 3600),
-        &sink,
-    );
-    to_jsonl(&sink.drain())
-}
-
 #[test]
 fn perf_suite_trace_is_byte_identical_across_runs() {
     let a = perf_trace_jsonl(11);
@@ -60,12 +43,4 @@ fn perf_suite_trace_is_byte_identical_across_runs() {
             "bad JSONL line: {line}"
         );
     }
-}
-
-#[test]
-fn balance_trace_is_byte_identical_across_runs() {
-    let a = balance_trace_jsonl(3);
-    let b = balance_trace_jsonl(3);
-    assert!(a.lines().count() > 1, "balance run must record migrations");
-    assert_eq!(a, b, "same seed must export byte-identical JSONL");
 }

@@ -22,6 +22,6 @@ pub mod net;
 pub mod time;
 
 pub use failure::{FailureModel, FailureTrace};
-pub use metrics::{geometric_mean, max_over_mean, normalized_std_dev, TimeSeries};
+pub use metrics::{geometric_mean, normalized_std_dev, TimeSeries};
 pub use net::{LinkState, TcpConn, Topology};
 pub use time::SimTime;

@@ -23,21 +23,8 @@ pub fn normalized_std_dev(loads: &[u64]) -> f64 {
     var.sqrt() / mean
 }
 
-/// Ratio of the maximum load to the mean (Section 10 reports 1.6× for D2
-/// vs 2.4× for the traditional DHT).
-pub fn max_over_mean(loads: &[u64]) -> f64 {
-    if loads.is_empty() {
-        return 0.0;
-    }
-    let mean = loads.iter().sum::<u64>() as f64 / loads.len() as f64;
-    if mean == 0.0 {
-        return 0.0;
-    }
-    *loads.iter().max().unwrap() as f64 / mean
-}
-
 /// A timestamped series of samples, e.g. load imbalance over time.
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct TimeSeries {
     points: Vec<(SimTime, f64)>,
 }
@@ -66,20 +53,6 @@ impl TimeSeries {
     /// Whether the series is empty.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// Mean of the sample values.
-    pub fn mean(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|(_, v)| v).sum::<f64>() / self.points.len() as f64
-    }
-
-    /// Maximum sample value (0 when the series is empty, matching
-    /// [`TimeSeries::mean`]).
-    pub fn max(&self) -> f64 {
-        self.points.iter().map(|(_, v)| *v).fold(0.0f64, f64::max)
     }
 
     /// Downsamples to at most `n` evenly spaced points (for printing).
@@ -129,29 +102,14 @@ mod tests {
     }
 
     #[test]
-    fn max_over_mean_works() {
-        assert!((max_over_mean(&[1, 1, 1, 5]) - 2.5).abs() < 1e-9);
-        assert_eq!(max_over_mean(&[]), 0.0);
-    }
-
-    #[test]
     fn series_stats() {
         let mut s = TimeSeries::new();
         for i in 0..10u64 {
             s.push(SimTime::from_secs(i), i as f64);
         }
         assert_eq!(s.len(), 10);
-        assert!((s.mean() - 4.5).abs() < 1e-9);
-        assert_eq!(s.max(), 9.0);
         assert_eq!(s.downsample(5).len(), 5);
         assert_eq!(s.downsample(100).len(), 10);
-    }
-
-    #[test]
-    fn empty_series_max_is_zero_not_neg_infinity() {
-        let s = TimeSeries::new();
-        assert_eq!(s.max(), 0.0);
-        assert_eq!(s.mean(), 0.0);
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //!
 //! Run with: `cargo run --release --example webcache`
 
-use d2::experiments::fig16_17::{self, ALL_SYSTEMS};
-use d2::experiments::{table3, table4, Scale};
-use d2::sim::SimTime;
+use d2::experiments::balance_sweep::{self, Sweep};
+use d2::experiments::{table3, Scale};
 use d2::workload::{HarvardTrace, WebTrace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -26,15 +25,13 @@ fn main() {
 
     println!("\n{}", table3::run(&harvard, &web).render());
 
-    let cfg = scale.cluster(7);
-    let warmup = SimTime::from_secs_f64(scale.warmup_days() * 86_400.0 * 2.0);
-    println!("{}", table4::run(&harvard, &web, &cfg, warmup).render());
-
-    let fig = fig16_17::fig17(&web, &cfg, &ALL_SYSTEMS, SimTime::from_secs(3600));
-    println!("{}", fig.render());
-    for sys in ALL_SYSTEMS {
-        if let Some(tail) = fig.tail_mean(sys, 0.3) {
-            println!("tail imbalance {:>18}: {tail:.3}", sys.label());
+    let sweep = Sweep::new(scale.cluster(7), scale.balance_warmup(), false);
+    let traces = (&harvard, &web);
+    println!("{}", balance_sweep::table4(&sweep, &traces, 1));
+    println!("{}", balance_sweep::fig17(&sweep, &traces, 1));
+    for run in sweep.runs(&sweep.fig17_cells(), &traces, 1) {
+        if let Some(tail) = run.tail_imbalance(0.3) {
+            println!("tail imbalance {:>18}: {tail:.3}", run.system.label());
         }
     }
 }

@@ -123,6 +123,16 @@ AVAIL_START=$(date +%s%N)
 echo "availability sweep wall time: $(( ($(date +%s%N) - AVAIL_START) / 1000000 )) ms at --jobs 8"
 awk '/^==> table2$/ { p = 1; next } /^==> fig9$/ { exit } /^==> / { next } p' "$EXP_TMP/jobs1.out" |
     cmp - "$EXP_TMP/avail8.out"
+
+echo "==> d2-exp table4 fig16 fig17 (quick, seed 7) at --jobs 8 print their sections of --jobs 1"
+# One balance sweep: each (workload, system, warm-up) cell runs once,
+# when the first render that reads it asks, and Table 4's Harvard row
+# reads Figure 16's D2 cell. The wall time is printed, not gated.
+BALANCE_START=$(date +%s%N)
+./target/release/d2-exp table4 fig16 fig17 --scale quick --seed 7 --jobs 8 > "$EXP_TMP/balance8.out"
+echo "balance sweep wall time: $(( ($(date +%s%N) - BALANCE_START) / 1000000 )) ms at --jobs 8"
+awk '/^==> table4$/ { p = 1; next } /^==> churn$/ { exit } /^==> / { next } p' "$EXP_TMP/jobs1.out" |
+    cmp - "$EXP_TMP/balance8.out"
 rm -rf "$EXP_TMP"
 
 echo "==> telemetry smoke (3-node cluster scrape, merged snapshot JSON)"
